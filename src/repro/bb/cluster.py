@@ -18,6 +18,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..core.baselines import FifoScheduler, GiftScheduler, TbfScheduler
+from ..core.fairness import PlacementMemo
 from ..core.policy import FIFO_POLICY_NAME, Policy
 from ..core.scheduler import Scheduler, StatisticalTokenScheduler
 from ..errors import ConfigError
@@ -127,13 +128,16 @@ class Cluster:
                          storage_backend=self.config.storage_backend,
                          erasure=self.config.erasure)
         self.servers: Dict[str, Server] = {}
+        #: one Fig. 5 projection per distinct merged state, cluster-wide.
+        self.placement_memo = PlacementMemo()
         for name in server_names:
             scheduler = make_scheduler(
                 self.config, name, self.rng.stream(f"sched.{name}"))
             self.servers[name] = Server(
                 self.engine, self.fabric, name, self.fs, scheduler,
                 config=self.config.server, sampler=self.sampler,
-                fault_stats=self.fault_stats)
+                fault_stats=self.fault_stats,
+                placement_memo=self.placement_memo)
         # λ-delayed fairness wiring (no-op for a single server).
         sync_addresses = {name: server.sync_address
                           for name, server in self.servers.items()}
@@ -205,7 +209,8 @@ class Cluster:
     def sync_stats(self) -> Dict[str, int]:
         """Cluster-wide λ-sync counters, plus the peak coordinator/root
         inbound gather bytes per epoch-driving node (the fan-in hotspot
-        the aggregation tree exists to flatten)."""
+        the aggregation tree exists to flatten) and the Fig. 5 projection
+        requests the controllers made against the solves they cost."""
         totals = {
             "sync_rounds": 0, "coordinated_rounds": 0, "tree_rounds": 0,
             "degraded_rounds": 0, "delta_pushes": 0, "full_pushes": 0,
@@ -222,4 +227,6 @@ class Cluster:
                 totals[key] += getattr(ctl, key)
             max_fanin = max(max_fanin, ctl.max_gather_fanin)
         totals["max_gather_fanin"] = max_fanin
+        totals["placement_requests"] = self.placement_memo.requests
+        totals["placement_solves"] = self.placement_memo.solves
         return totals

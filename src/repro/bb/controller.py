@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from collections import deque
 from hashlib import blake2b
-from typing import (TYPE_CHECKING, Deque, Dict, List, Optional, Set,
+from typing import (TYPE_CHECKING, Deque, Dict, FrozenSet, List, Optional,
                     Tuple)
 
 from ..core.fairness import placement_shares
@@ -222,10 +222,12 @@ class Controller:
         # is trace-neutral.
         self._peer_addrs: Dict[str, Address] = {}
         self._peers: Dict[str, RpcClient] = {}
-        #: which jobs each server hosts, learned via sync (self included).
-        self.presence: Dict[str, Set[int]] = {}
+        #: which jobs each server hosts, learned via sync (self included);
+        #: written only through :meth:`_set_presence`.
+        self.presence: Dict[str, FrozenSet[int]] = {}
+        self._presence_dirty = False
         self._table_version_seen = -1
-        self._presence_seen: Dict[str, frozenset] = {}
+        self._presence_seen: Dict[str, FrozenSet[int]] = {}
         self.sync_rounds = 0
         #: rounds completed on a partial table (some peer timed out).
         self.degraded_rounds = 0
@@ -308,18 +310,30 @@ class Controller:
         self._tree_gather.clear()
 
     # ---------------------------------------------------------------- tokens
+    def _set_presence(self, host: str, jobs) -> None:
+        """The one writer of :attr:`presence`: stores an immutable copy
+        and notes whether *host*'s content changed, so that
+        :meth:`refresh_tokens` finds "nothing changed" from a flag
+        instead of re-freezing every server's set."""
+        jobs = frozenset(jobs)
+        if self.presence.get(host) != jobs:
+            self.presence[host] = jobs
+            self._presence_dirty = True
+
     def refresh_tokens(self, force: bool = False) -> bool:
         """Recompute the scheduler's tokens if anything relevant changed."""
         server = self.server
         table = server.monitor.table
-        self.presence[server.name] = server.monitor.active_local_jobs()
-        presence_now = {name: frozenset(jobs)
-                        for name, jobs in self.presence.items()}
+        self._set_presence(server.name, server.monitor.active_local_jobs())
+        # Dirty alone is not a change: A -> B -> A between two refreshes
+        # must stay the no-op it always was.
         if (not force and table.version == self._table_version_seen
-                and presence_now == self._presence_seen):
+                and (not self._presence_dirty
+                     or self.presence == self._presence_seen)):
             return False
         self._table_version_seen = table.version
-        self._presence_seen = presence_now
+        self._presence_dirty = False
+        self._presence_seen = dict(self.presence)
 
         active = table.active_jobs()
         now = server.engine.now
@@ -335,8 +349,8 @@ class Controller:
             server.scheduler.on_jobs_changed(active, now)
             return True
         rows = placement_shares(
-            {name: set(jobs) for name, jobs in presence_now.items()
-             if jobs}, global_shares)
+            {name: jobs for name, jobs in self.presence.items() if jobs},
+            global_shares, memo=server.placement_memo)
         row = rows.get(server.name)
         if row:
             server.scheduler.set_assignment(row, now)
@@ -469,8 +483,8 @@ class Controller:
         # the full table, so the two encodings are trace-identical and
         # the saving shows up only in the fabric's payload_bytes_sent
         # accounting.
-        self.presence[self.server.name] = \
-            self.server.monitor.active_local_jobs()
+        self._set_presence(self.server.name,
+                           self.server.monitor.active_local_jobs())
         entries = self.server.monitor.table.snapshot()
         presence = {host: sorted(jobs)
                     for host, jobs in self.presence.items()}
@@ -561,9 +575,9 @@ class Controller:
             # Tree replies aggregate a whole subtree's placement.
             for host, jobs in pres.items():
                 if host != self.server.name:
-                    self.presence[host] = set(jobs)
+                    self._set_presence(host, jobs)
         else:
-            self.presence[resp["host"]] = set(resp["host_jobs"])
+            self._set_presence(resp["host"], resp["host_jobs"])
         seen = {e["info"].job_id: e["last_heartbeat"]
                 for e in resp["entries"]}
         omitted = resp.get("omitted")
@@ -715,7 +729,7 @@ class Controller:
         self.server.monitor.table.merge(body["entries"])
         for host, jobs in body["presence"].items():
             if host != self.server.name:
-                self.presence[host] = set(jobs)
+                self._set_presence(host, jobs)
         self._last_push_hash = digest
         self.refresh_tokens()
 
@@ -783,8 +797,8 @@ class Controller:
             self._quiescent_finish(epoch, qhash, degraded)
             return
 
-        self.presence[self.server.name] = \
-            self.server.monitor.active_local_jobs()
+        self._set_presence(self.server.name,
+                           self.server.monitor.active_local_jobs())
         entries = self.server.monitor.table.snapshot()
         presence = {host: sorted(jobs)
                     for host, jobs in self.presence.items()}
@@ -895,8 +909,8 @@ class Controller:
                       size=_PROBE_WIRE_BYTES)
             return
 
-        self.presence[self.server.name] = \
-            self.server.monitor.active_local_jobs()
+        self._set_presence(self.server.name,
+                           self.server.monitor.active_local_jobs())
         entries = self.server.monitor.table.snapshot()
         presence = {host: sorted(jobs)
                     for host, jobs in self.presence.items()}
@@ -941,7 +955,7 @@ class Controller:
             self.server.monitor.table.merge(body["entries"])
             for host, jobs in body["presence"].items():
                 if host != self.server.name:
-                    self.presence[host] = set(jobs)
+                    self._set_presence(host, jobs)
             self._last_push_hash = digest
             self.refresh_tokens()
         yield from self._forward_tree_push(epoch, digest)
@@ -963,8 +977,8 @@ class Controller:
         child_pos = tree_children(n, fanout, pos)
         if not child_pos:
             return
-        self.presence[self.server.name] = \
-            self.server.monitor.active_local_jobs()
+        self._set_presence(self.server.name,
+                           self.server.monitor.active_local_jobs())
         entries = self.server.monitor.table.snapshot()
         presence = {host: sorted(jobs)
                     for host, jobs in self.presence.items()}
@@ -1025,7 +1039,7 @@ class Controller:
             responses = yield engine.all_of(calls)
             for resp in responses:
                 table.merge(resp["entries"])
-                self.presence[resp["host"]] = set(resp["host_jobs"])
+                self._set_presence(resp["host"], resp["host_jobs"])
         else:
             # Per-peer timeout: issue every exchange up front, then
             # harvest; a silent peer costs at most `timeout` and the
@@ -1041,7 +1055,7 @@ class Controller:
                     degraded = True
                     continue
                 table.merge(resp["entries"])
-                self.presence[resp["host"]] = set(resp["host_jobs"])
+                self._set_presence(resp["host"], resp["host_jobs"])
             if degraded:
                 self.degraded_rounds += 1
                 if self.server.fault_stats is not None:
@@ -1059,7 +1073,7 @@ class Controller:
             return  # crashed mid-processing: stale merge + reply lost
         table = self.server.monitor.table
         table.merge(rpc.body["entries"])
-        self.presence[rpc.body["host"]] = set(rpc.body["host_jobs"])
+        self._set_presence(rpc.body["host"], rpc.body["host_jobs"])
         payload = self._payload()
         rpc.reply(payload,
                   size=_ENTRY_WIRE_BYTES * max(1, len(payload["entries"])))

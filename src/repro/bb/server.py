@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Tuple)
 
+from ..core.fairness import PlacementMemo
 from ..core.jobinfo import JobInfo
 from ..core.scheduler import Scheduler
 from ..errors import ConfigError
@@ -117,7 +118,8 @@ class Server:
                  fs: ThemisFS, scheduler: Scheduler,
                  config: Optional[ServerConfig] = None,
                  sampler: Optional[ThroughputSampler] = None,
-                 fault_stats: Optional[FaultStats] = None):
+                 fault_stats: Optional[FaultStats] = None,
+                 placement_memo: Optional[PlacementMemo] = None):
         self.engine = engine
         self.fabric = fabric
         self.name = name
@@ -126,6 +128,8 @@ class Server:
         self.config = config or ServerConfig()
         self.sampler = sampler if sampler is not None else ThroughputSampler()
         self.fault_stats = fault_stats
+        #: the cluster's shared Fig. 5 projection memo (None: always solve).
+        self.placement_memo = placement_memo
 
         # --- crash/restart lifecycle state -----------------------------
         self.crashed = False

@@ -26,7 +26,9 @@ association order, so cached shares are **bit-identical** to
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -40,24 +42,22 @@ __all__ = ["build_transition_matrices", "chain_product", "chain_shares",
            "validate_transition_matrix", "CompositeShareCache"]
 
 
-def _entity_key(level: "Level", job: JobInfo):
-    """The entity a job belongs to at a non-terminal *level*."""
-    if level.value == "group":
-        return job.group
-    if level.value == "user":
-        return job.user
-    raise PolicyError(f"level {level.value!r} has no entity key")
-
-
-def _terminal_weight(level: "Level", job: JobInfo) -> float:
-    """A job's weight within its scope at the terminal *level*."""
-    if level.value == "job":
-        return 1.0
-    if level.value == "size":
-        return float(job.size)
-    if level.value == "priority":
-        return float(job.priority)
-    raise PolicyError(f"level {level.value!r} is not terminal")
+def _level_readers(levels: Sequence["Level"]) -> Tuple[list, Callable]:
+    """One entity getter per non-terminal level and the terminal level's
+    weight function, resolved once per chain, not per job per level."""
+    from .policy import Level  # policy imports this module
+    entity = {Level.GROUP: attrgetter("group"),
+              Level.USER: attrgetter("user")}
+    weight = {Level.JOB: lambda job: 1.0,
+              Level.SIZE: lambda job: float(job.size),
+              Level.PRIORITY: lambda job: float(job.priority)}
+    *heads, tail = levels
+    for level in heads:
+        if level not in entity:
+            raise PolicyError(f"level {level.value!r} has no entity key")
+    if tail not in weight:
+        raise PolicyError(f"level {tail.value!r} is not terminal")
+    return [entity[level] for level in heads], weight[tail]
 
 
 # ------------------------------------------------------------ level builders
@@ -89,17 +89,17 @@ def _terminal_matrix(parent_scopes: Sequence[tuple],
     return np.divide(T, row_sums, out=np.zeros_like(T), where=row_sums > 0)
 
 
-def _scope_chain(levels: Sequence["Level"],
+def _scope_chain(getters: Sequence[Callable],
                  jobs: Sequence[JobInfo]) -> List[List[tuple]]:
-    """Per-depth scope key of each (already sorted) job.
+    """Per-depth scope key of each (already sorted) job, by level getter.
 
     ``chain[d][i]`` is job *i*'s scope after consuming the first *d*
     levels; depth 0 is the virtual root ``()``.
     """
     per_job: List[tuple] = [()] * len(jobs)
     chain = [per_job]
-    for level in levels[:-1]:
-        per_job = [scope + (_entity_key(level, job),)
+    for getter in getters:
+        per_job = [scope + (getter(job),)
                    for scope, job in zip(per_job, jobs)]
         chain.append(per_job)
     return chain
@@ -120,8 +120,8 @@ def build_transition_matrices(
     if not jobs:
         return [], []
 
-    tail = levels[-1]
-    scope_chain = _scope_chain(levels, jobs)
+    getters, weight = _level_readers(levels)
+    scope_chain = _scope_chain(getters, jobs)
     matrices: List[np.ndarray] = []
     parent_scopes: List[tuple] = [()]  # the virtual root
     parent_rows: Dict[tuple, int] = {(): 0}
@@ -132,7 +132,7 @@ def build_transition_matrices(
         parent_scopes = child_scopes
         parent_rows = {scope: i for i, scope in enumerate(child_scopes)}
 
-    weights = [_terminal_weight(tail, job) for job in jobs]
+    weights = [weight(job) for job in jobs]
     matrices.append(_terminal_matrix(parent_scopes, parent_rows,
                                      scope_chain[-1], weights))
     return matrices, job_ids
@@ -203,6 +203,7 @@ class CompositeShareCache:
         self.levels = tuple(levels)
         if not self.levels:
             raise PolicyError("share cache needs at least one level")
+        self._getters, self._weight = _level_readers(self.levels)
         #: bumped on every :meth:`invalidate` call.
         self.version = 0
         self.hits = 0              # exact-input memo hits
@@ -245,15 +246,14 @@ class CompositeShareCache:
             return {}
         self.evaluations += 1
 
-        levels = self.levels
-        n = len(levels)
-        scope_chain = _scope_chain(levels, jobs)
+        n = len(self.levels)
+        scope_chain = _scope_chain(self._getters, jobs)
         # Distinct scopes at each depth, sorted (matrix row/col order).
         scopes: List[List[tuple]] = [[()]]
         for depth in range(1, n):
             scopes.append(sorted(set(scope_chain[depth])))
 
-        weights = [_terminal_weight(levels[-1], job) for job in jobs]
+        weights = [self._weight(job) for job in jobs]
         sigs: List[tuple] = []
         for depth in range(n - 1):
             sigs.append((tuple(scopes[depth]), tuple(scopes[depth + 1])))

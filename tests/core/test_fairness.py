@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from repro.core import (JobInfo, JobStatusTable, Policy, all_gather_merge,
                         global_share_error, placement_shares,
                         total_variation)
+from repro.core.fairness import PlacementMemo
+
+from .placement_reference import reference_placement_shares
 
 
 def job(jid, size=1, user="u"):
@@ -113,6 +116,105 @@ class TestPlacementShares:
             if row:
                 assert sum(row.values()) == pytest.approx(1.0)
                 assert all(v > 0 for v in row.values())
+
+
+#: share values that stress the check: zero and near-zero shares, ties,
+#: one job owning nearly everything (infeasible once it is on few servers).
+_SHARE = st.one_of(st.just(0.0), st.sampled_from([1e-12, 1e-3, 0.25, 1.0]),
+                   st.floats(1e-9, 4.0, allow_nan=False))
+
+
+@st.composite
+def _placement_inputs(draw):
+    """Random presence / share maps: servers may be empty, hosted jobs
+    may have no share entry, shared jobs may be hosted nowhere, shares
+    need not sum to 1 (so targets are usually infeasible)."""
+    n_servers = draw(st.integers(0, 6))
+    job_ids = draw(st.lists(st.integers(0, 12), unique=True, max_size=9))
+    presence = {f"s{i}": set(draw(st.lists(st.integers(0, 12), unique=True,
+                                           max_size=6)))
+                for i in range(n_servers)}
+    shares = {j: draw(_SHARE) for j in job_ids}
+    return presence, shares
+
+
+class TestPlacementSharesExact:
+    """The lean solver against the reference copy of the old one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_placement_inputs(), st.sampled_from([0, 1, 7, 100]),
+           st.sampled_from([1e-9, 1e-6, 0.0]))
+    def test_rows_equal_reference_bit_for_bit(self, inputs, iterations, tol):
+        presence, shares = inputs
+        expected = reference_placement_shares(presence, shares,
+                                              iterations, tol)
+        assert placement_shares(presence, shares, iterations, tol) == expected
+        memo = PlacementMemo()
+        for _ in range(2):
+            assert placement_shares(presence, shares, iterations, tol,
+                                    memo=memo) == expected
+        assert (memo.requests, memo.solves) == (2, 1)
+
+    def test_cluster_shaped_input_equals_reference(self):
+        """The ledger's sync_scale shape: one idle job per server plus
+        pinned writers on a few — infeasible, so all 100 sweeps run."""
+        n = 48
+        presence = {f"bb{i:03d}": {i} for i in range(n)}
+        sizes = {i: 1 for i in range(n)}
+        for k, (job, size) in enumerate([(900, 16), (901, 8), (902, 8)]):
+            sizes[job] = size
+            for server in sorted(presence)[k:k + 2]:
+                presence[server].add(job)
+        total = sum(sizes.values())
+        shares = {j: s / total for j, s in sizes.items()}
+        assert (placement_shares(presence, shares)
+                == reference_placement_shares(presence, shares))
+
+
+class TestPlacementMemo:
+    def test_results_are_not_aliased(self):
+        memo = PlacementMemo()
+        presence = {"s1": {1, 2}, "s2": {1, 3}}
+        shares = {1: 0.5, 2: 0.25, 3: 0.25}
+        expected = reference_placement_shares(presence, shares)
+        first = placement_shares(presence, shares, memo=memo)
+        first["s1"][1] = 99.0
+        first["s2"].clear()
+        del first["s1"]
+        assert placement_shares(presence, shares, memo=memo) == expected
+        # The caller's sets and share map are keyed by content, not held.
+        presence["s1"].add(3)
+        shares[3] = 0.5
+        changed = placement_shares(presence, shares, memo=memo)
+        assert changed == reference_placement_shares(presence, shares)
+        assert changed != expected
+        presence["s1"].discard(3)
+        shares[3] = 0.25
+        assert placement_shares(presence, shares, memo=memo) == expected
+        assert (memo.requests, memo.solves) == (4, 2)
+
+    def test_memo_is_bounded_and_evicts_oldest(self):
+        memo = PlacementMemo()
+        states = [({"s1": {1, 2}, "s2": {2}}, {1: 0.5, 2: 0.5 + k})
+                  for k in range(PlacementMemo.BOUND + 3)]
+        for presence, shares in states:
+            placement_shares(presence, shares, memo=memo)
+            assert len(memo) <= PlacementMemo.BOUND
+        assert memo.solves == len(states)
+        placement_shares(*states[-1], memo=memo)      # still held
+        assert memo.solves == len(states)
+        placement_shares(*states[0], memo=memo)       # evicted: solved again
+        assert memo.solves == len(states) + 1
+        assert len(memo) == PlacementMemo.BOUND
+
+    def test_iterations_and_tol_are_part_of_the_key(self):
+        memo = PlacementMemo()
+        presence, shares = {"s1": {1, 2}, "s2": {2}}, {1: 0.9, 2: 0.1}
+        one = placement_shares(presence, shares, iterations=1, memo=memo)
+        full = placement_shares(presence, shares, memo=memo)
+        assert one == reference_placement_shares(presence, shares, 1)
+        assert full == reference_placement_shares(presence, shares)
+        assert one != full and memo.solves == 2
 
 
 class TestMetrics:
