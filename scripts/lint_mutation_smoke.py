@@ -6,9 +6,9 @@ regressions they exist for. This script copies ``src/`` to a temp
 directory, seeds one defect at a time, and asserts the lint run fails
 with the expected rule:
 
-* ``proto``: disable the ``tpull`` branch of
-  ``Controller.handle_sync`` (simulates deleting a tree-sync handler)
-  -> PROTO101 on every tpull send site.
+* ``proto``: disable the ``pull`` branch of
+  ``Controller.handle_sync`` (simulates deleting a λ-sync handler)
+  -> PROTO101 on the pull send site.
 * ``trace``: add a presence-map write to the hash-skip fast path in
   ``Controller._apply_push`` (a toggle-guarded trace-state mutation)
   -> TRACE101 on the guard.
@@ -34,12 +34,12 @@ CONTROLLER = os.path.join("repro", "bb", "controller.py")
 
 MUTATIONS = [
     {
-        "name": "delete tree-sync handler branch",
+        "name": "delete λ-sync handler branch",
         "file": CONTROLLER,
-        "anchor": 'elif kind == "tpull":',
-        "replacement": 'elif kind == "tpull-disabled":',
+        "anchor": 'if kind == "pull":',
+        "replacement": 'if kind == "pull-disabled":',
         "expect_rule": "PROTO101",
-        "expect_fragment": "tpull",
+        "expect_fragment": "'pull'",
     },
     {
         "name": "trace-state write under toggle guard",

@@ -195,10 +195,10 @@ class Cluster:
     def sync_digest_log(self) -> list:
         """Merged-table digests per sync epoch, cluster-wide.
 
-        Each λ-sync epoch is driven by one rotating coordinator (flat)
-        or root (tree), which logs ``(epoch, digest)``; collecting and
-        sorting across servers yields the per-epoch digest sequence —
-        the flat and tree layouts must produce identical sequences for
+        Each λ-sync epoch is driven by one rotating root, which logs
+        ``(epoch, digest)``; collecting and sorting across servers
+        yields the per-epoch digest sequence — every
+        ``sync_tree_fanout`` must produce the identical sequence for
         the same workload (DESIGN.md §13).
         """
         log: list = []
@@ -212,7 +212,7 @@ class Cluster:
         the aggregation tree exists to flatten) and the Fig. 5 projection
         requests the controllers made against the solves they cost."""
         totals = {
-            "sync_rounds": 0, "coordinated_rounds": 0, "tree_rounds": 0,
+            "sync_rounds": 0, "coordinated_rounds": 0,
             "degraded_rounds": 0, "delta_pushes": 0, "full_pushes": 0,
             "gather_delta_replies": 0, "gather_full_replies": 0,
             "quiescent_skips": 0, "quiescent_replies": 0,

@@ -16,44 +16,33 @@ policy even when files live on disjoint servers.
 
 λ-delayed fairness: every ``sync_interval`` seconds the servers
 synchronise over the server↔server UCP workers (the all-gather of
-§3.1). Three wire protocols implement it:
+§3.1). One protocol implements it, in four parts (DESIGN.md §13):
 
-- **batched** (the default, ``ServerConfig.batched_sync``): each sync
-  epoch one *coordinator* — rotating by epoch index over the sorted
-  member names, so no server is a single point of coordination — pulls
-  every peer's snapshot, merges them, and scatters the merged table
-  plus the placement map back out: one gather→merge→scatter round per
-  epoch, ``2·(N-1)`` request/response pairs cluster-wide instead of the
-  pairwise exchange's ``N·(N-1)``. The push carries a content hash of
-  the merged state; a peer whose previous push had the same hash skips
-  the merge and token refresh entirely (the skip is trace-neutral: the
-  wire traffic and simulated timing are identical, only the redundant
-  host-side work is elided).
-- **tree** (``ServerConfig.sync_tree_fanout >= 2``): the batched round
-  restructured as a deterministic k-ary aggregation tree over the same
-  rotated member order. The epoch's root pulls only its k children;
-  each interior node recursively pulls *its* children, merges the
-  subtree's tables, and replies the aggregate, so per-node peak fan-in
-  drops from N−1 to k and the root's inbound bytes stop scaling with
-  N. The scatter reuses the same edges top-down: each node forwards
-  the merged global table to exactly the children that answered its
-  gather, delta-encoded per edge against what that child provably
-  holds. A crash, restart, or partition on one edge degrades (and
-  later full-table-resyncs) only the subtree hanging off that edge.
-- **pairwise** (``batched_sync=False``, the original protocol): every
-  server exchanges snapshots with every peer each round; each exchange
-  is a request/response pair where the peer merges our snapshot and
-  replies with its own.
-
-Delta encoding runs in *both* directions of the batched/tree rounds:
-scatter pushes omit entries the receiver echoed with an equal-or-newer
-heartbeat (PR 5), and gather replies omit entries the requester has
-confirmed applying from this responder before — the per-peer basis is
-an opaque token minted with each reply and echoed back in the next
-probe, so a lost reply or a crash on either side falls back to a full
-snapshot (see DESIGN.md §13). Omitted gather entries still ship a
-compact ``(job_id, heartbeat)`` summary so the requester's scatter
-deltas keep an exact picture of what the responder holds.
+- **shape** — :func:`tree_order`, :func:`tree_children`,
+  :func:`subtree_height`: each epoch's members form a deterministic
+  k-ary tree under a root that rotates by epoch index, so no server is
+  a single point of coordination. ``ServerConfig.sync_tree_fanout``
+  is k; its default 0 means ``max(2, N−1)``, the height-1 tree whose
+  root pulls every peer directly (the flat round).
+- **gather** (kind ``"pull"``) — a node probed by its parent first
+  probes its own children, merges their replies, and answers with its
+  table plus the placement of *its subtree only*. Per-node fan-in is k
+  and the root's inbound bytes stop scaling with N.
+- **scatter** (kind ``"push"``) — the root's merged table and placement
+  map travel back down exactly the edges that answered the gather; a
+  node acks its parent once its own children have acked. A receiver
+  that last applied a push with the same content hash skips the merge
+  and token refresh (trace-neutral: same wire traffic, same simulated
+  timing, only redundant host work elided).
+- **per-edge delta/basis handshake** — both directions omit what the
+  other end provably holds: pushes drop entries the child reported with
+  an equal-or-newer heartbeat, replies drop entries the parent has
+  confirmed applying from this child (an opaque token minted per reply
+  and echoed in the next probe). Every token embeds the minting side's
+  ``_sync_basis``, which :meth:`Controller.reset` bumps, so a crash or
+  lost message on an edge has one recovery path: the basis no longer
+  matches, the delta is dropped, and the next exchange on that edge is
+  a full table — only the subtree behind the edge degrades.
 """
 
 from __future__ import annotations
@@ -64,7 +53,7 @@ from typing import (TYPE_CHECKING, Deque, Dict, FrozenSet, List, Optional,
                     Tuple)
 
 from ..core.fairness import placement_shares
-from ..errors import RpcTimeout
+from ..errors import RpcTimeout, UCXError
 from ..ucx import Address, RpcClient
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -105,13 +94,10 @@ def sync_hash_skip_enabled() -> bool:
     return _HASH_SKIP_ENABLED
 
 
-#: Process-wide switch for delta-encoded scatter pushes (batched/tree
-#: protocols only). The coordinator already holds every responder's
-#: full snapshot from the gather phase, so it can omit the entries a
-#: responder provably already has (equal-or-newer heartbeat — the
-#: merge's update condition) from that responder's push. Omitted
-#: entries would merge as byte-for-byte no-ops, so delta and full
-#: pushes leave the receiver in the identical state; the push's
+#: Process-wide switch for delta-encoded scatter pushes
+#: (:meth:`Controller._encode_push` has the soundness argument).
+#: Omitted entries would merge as byte-for-byte no-ops, so delta and
+#: full pushes leave the receiver in the identical state; the push's
 #: nominal ``size`` (and hence all simulated timing) still reflects
 #: the full table, and the saving is reported separately through
 #: :attr:`~repro.net.message.Message.payload_bytes`.
@@ -130,16 +116,12 @@ def sync_delta_enabled() -> bool:
 
 
 #: Process-wide switch for the gather-direction per-peer-basis deltas
-#: (subordinate to the master delta toggle above: gather deltas run iff
-#: both are on). A responder's pull reply omits the entries whose
-#: heartbeat is not newer than what the requester *confirmed applying*
-#: from this responder — confirmation being the basis token of the last
-#: reply, echoed back in the requester's next probe. Heartbeats only
-#: move forward and live tables never remove entries, so a confirmed
-#: entry merges as a no-op at the requester forever after; omitted
-#: entries still ship a ``(job_id, heartbeat)`` summary so the
-#: requester's scatter ``seen`` map stays exact. Timing-neutral the
-#: same way as scatter deltas: nominal size covers the full snapshot.
+#: of :meth:`Controller._encode_gather_reply` (subordinate to the
+#: master delta toggle above: gather deltas run iff both are on).
+#: Heartbeats only move forward and live tables never remove entries,
+#: so an entry the requester confirmed applying merges as a no-op there
+#: forever after. Timing-neutral the same way as scatter deltas:
+#: nominal size covers the full snapshot.
 _GATHER_DELTA_ENABLED = True
 
 
@@ -216,8 +198,8 @@ class Controller:
         self.sync_interval = float(sync_interval)
         # Peer wiring is lazy: addresses arrive via connect_peers, RPC
         # clients (and their UCP workers) materialise on first use. At
-        # N=1024 the flat wiring would mint ~N² workers cluster-wide;
-        # the tree only ever touches O(k) edges per node per epoch.
+        # N=1024 eager wiring would mint ~N² workers cluster-wide; a
+        # fanout-k tree only ever touches O(k) edges per node per epoch.
         # Worker creation has no simulation side effects, so laziness
         # is trace-neutral.
         self._peer_addrs: Dict[str, Address] = {}
@@ -231,7 +213,7 @@ class Controller:
         self.sync_rounds = 0
         #: rounds completed on a partial table (some peer timed out).
         self.degraded_rounds = 0
-        #: epochs this controller drove as the rotating coordinator/root.
+        #: epochs this controller drove as the rotating root.
         self.coordinated_rounds = 0
         #: pushes applied as a no-op via the content-hash short circuit.
         self.push_hash_skips = 0
@@ -269,9 +251,7 @@ class Controller:
         self.quiescent_skips = 0
         #: probe-sized "same" replies sent instead of a snapshot.
         self.quiescent_replies = 0
-        #: epochs driven as the root of the aggregation tree.
-        self.tree_rounds = 0
-        #: tree pushes forwarded as full tables because the same-epoch
+        #: pushes forwarded as full tables because the same-epoch
         #: gather basis for that child was lost (subtree resync).
         self.subtree_full_pushes = 0
         #: gather bytes this node absorbed as the epoch's root (the
@@ -283,9 +263,9 @@ class Controller:
         self.max_gather_fanin = 0
         #: (epoch, merged-table digest) per round driven from here.
         self.digest_log: Deque[Tuple[int, str]] = deque(maxlen=4096)
-        # Per-epoch gather bookkeeping of an interior tree node:
-        # child name -> (seen map, child basis, child wants full),
-        # consumed when the matching push arrives to forward down.
+        # Per-epoch gather bookkeeping: child name -> (seen map, child
+        # basis, child wants full), consumed when the matching push
+        # arrives (at the root: once merged) to scatter down.
         self._tree_gather: Dict[int, dict] = {}
         self._sync_process = None
 
@@ -382,76 +362,113 @@ class Controller:
     def _members(self) -> List[str]:
         return sorted([self.server.name, *self._peer_addrs])
 
-    @property
-    def peer_names(self) -> List[str]:
-        return sorted(self._peer_addrs)
 
     # ------------------------------------------------------------------ sync
-    def _payload(self) -> dict:
-        monitor = self.server.monitor
-        return {
-            "entries": monitor.table.snapshot(),
-            "host": self.server.name,
-            "host_jobs": sorted(monitor.active_local_jobs()),
-            # Delta-encoding handshake (consumed by the batched
-            # coordinator; ignored by the pairwise protocol).
-            "basis": self._sync_basis,
-            "full": self._needs_full_sync,
-        }
-
     def _sync_loop(self):
         engine = self.server.engine
         epoch = 1
         while True:
-            if self.server.config.batched_sync:
-                # Epoch-aligned cadence: every server wakes at the same
-                # absolute times k·λ, so the epoch index — and with it
-                # the rotating coordinator — agrees cluster-wide even
-                # when individual rounds overrun.
-                target = epoch * self.sync_interval
-                if target > engine.now:
-                    yield engine.timeout(target - engine.now)
-                if not self.server.crashed:
-                    if self.server.config.sync_tree_fanout >= 2:
-                        yield from self._tree_round(epoch)
-                    else:
-                        yield from self._batched_round(epoch)
-                # Skip past any epochs the round overran (strictly
-                # increasing, so the loop can never spin in place).
-                epoch = max(epoch + 1,
-                            int(engine.now / self.sync_interval) + 1)
-            else:
-                yield engine.timeout(self.sync_interval)
-                if self.server.crashed:
-                    # A crashed server exchanges nothing; the loop idles
-                    # until restart and then resumes the λ cadence.
-                    continue
-                yield from self._pairwise_round()
+            # Epoch-aligned cadence: every server wakes at the same
+            # absolute times k·λ, so the epoch index — and with it the
+            # rotating root — agrees cluster-wide even when individual
+            # rounds overrun.
+            target = epoch * self.sync_interval
+            if target > engine.now:
+                yield engine.timeout(target - engine.now)
+            # A crashed server drives nothing; the loop idles until
+            # restart and then resumes the λ cadence.
+            if not self.server.crashed:
+                yield from self._round(epoch)
+            # Skip past any epochs the round overran (strictly
+            # increasing, so the loop can never spin in place).
+            epoch = max(epoch + 1,
+                        int(engine.now / self.sync_interval) + 1)
 
-    # ------------------------------------------------------- batched protocol
-    def _batched_round(self, epoch: int):
-        """One gather→merge→scatter epoch, if we are its coordinator."""
-        members = self._members()
-        if members[epoch % len(members)] != self.server.name:
+    def _children(self, epoch: int) -> List[Tuple[str, Optional[float]]]:
+        """``(name, rpc_timeout)`` of our children in *epoch*'s tree.
+
+        ``sync_tree_fanout=0`` (flat) is the height-1 tree: every peer
+        a child of the root. The per-edge budget scales with the
+        child's subtree depth — its answer transitively awaits its
+        whole subtree.
+        """
+        order = tree_order(self._members(), epoch)
+        n = len(order)
+        fanout = self.server.config.sync_tree_fanout or max(2, n - 1)
+        budget = self.server.config.sync_timeout
+        return [(order[pos],
+                 budget * (1.0 + subtree_height(n, fanout, pos))
+                 if budget > 0 else None)
+                for pos in tree_children(n, fanout,
+                                         order.index(self.server.name))]
+
+    def _view(self):
+        """Our table snapshot and placement map (own row refreshed)."""
+        self._set_presence(self.server.name,
+                           self.server.monitor.active_local_jobs())
+        return (self.server.monitor.table.snapshot(),
+                {host: sorted(jobs) for host, jobs in self.presence.items()})
+
+    def _note_degraded(self) -> None:
+        self.degraded_rounds += 1
+        if self.server.fault_stats is not None:
+            self.server.fault_stats.degraded_sync_rounds += 1
+
+    # ---------------------------------------------------------- round driver
+    def _round(self, epoch: int):
+        """One gather→merge→scatter epoch, if we are its rotating root.
+
+        Interior nodes take part through :meth:`_answer_pull` (gather
+        their own subtree before replying) and :meth:`_apply_push`
+        (forward the scatter down the same edges). Merged content per
+        epoch does not depend on the fanout: the merge is
+        order-independent and the member set is the same.
+        """
+        if tree_order(self._members(), epoch)[0] != self.server.name:
             return
         self.coordinated_rounds += 1
-        timeout = self.server.config.sync_timeout
-        timeout = timeout if timeout > 0 else None
-
-        # Gather: probe every peer for its snapshot, harvest in name
-        # order; a silent peer costs at most `timeout` and the round
-        # proceeds on the partial table (degraded mode).
         qhash, pre_map = self._quiescence_state()
+        edges, _, degraded, all_same = yield from self._gather(
+            epoch, qhash, pre_map, root=True)
+        quiet = qhash is not None and all_same
+        digest = qhash if quiet else _content_hash(*self._view())
+        self.digest_log.append((epoch, digest))
+        if quiet:
+            # Every subtree proved (by content hash) it already holds
+            # exactly the state a merge+scatter would reproduce: skip
+            # both, cluster-wide. Merged content is by definition qhash.
+            self.quiescent_skips += 1
+        else:
+            self._tree_gather[epoch] = edges
+            degraded |= yield from self._forward_tree_push(epoch, digest)
+        if degraded:
+            self._note_degraded()
+        self._last_push_hash = digest
+        self.sync_rounds += 1
+        self.refresh_tokens()
+
+    def _gather(self, epoch: int, qhash, pre_map, root: bool = False):
+        """Probe our children in *epoch*'s tree and merge their replies.
+
+        Returns ``(edges, subtree, degraded, all_same)``: per answering
+        child the ``(seen, basis, wants_full)`` its scatter push is
+        encoded against; the placement rows of the hosts behind those
+        children; whether a child stayed silent (it costs at most its
+        edge timeout and the round proceeds on the partial table); and
+        whether every answer was a quiescent "same".
+        """
         pulls = []
-        for name in sorted(self._peer_addrs):
-            probe = {"kind": "pull", "host": self.server.name,
+        for name, timeout in self._children(epoch):
+            probe = {"kind": "pull", "epoch": epoch,
+                     "host": self.server.name,
                      "have": self._have_basis.get(name), "qhash": qhash}
             pulls.append((name, self._peer(name).call(
                 "sync", probe, size=_PROBE_WIRE_BYTES, timeout=timeout)))
         self.max_gather_fanin = max(self.max_gather_fanin, len(pulls))
+        edges: Dict[str, tuple] = {}
+        subtree: Dict[str, List[int]] = {}
         degraded = False
         all_same = True
-        responders: List[tuple] = []
         for name, call in pulls:
             try:
                 resp = yield call
@@ -459,108 +476,92 @@ class Controller:
                 degraded = True
                 continue
             if resp.get("same"):
-                self.coord_gather_payload_bytes += _PROBE_WIRE_BYTES
-                responders.append((name, resp, pre_map))
-                continue
-            all_same = False
-            seen, wire = self._harvest_reply(name, resp)
-            self.coord_gather_payload_bytes += wire
-            responders.append((name, resp, seen))
+                # Content-hash equal to ours: pre_map is exactly what
+                # the child holds, and our placement rows for its
+                # subtree already equal its own, so it reports none.
+                seen, wire = pre_map, _PROBE_WIRE_BYTES
+            else:
+                all_same = False
+                seen, wire = self._harvest_reply(name, resp)
+                subtree.update(resp["presence"])
+            edges[name] = (seen, resp["basis"], resp["full"])
+            if root:
+                self.coord_gather_payload_bytes += wire
+            else:
+                self.relay_gather_payload_bytes += wire
+        return edges, subtree, degraded, all_same
 
-        if qhash is not None and all_same:
-            # Every responder proved (by content hash) it already holds
-            # exactly the state a merge+scatter would reproduce: skip
-            # the whole round. Merged content is by definition qhash.
-            self._quiescent_finish(epoch, qhash, degraded)
-            return
-
-        # Scatter: the merged table + placement map, stamped with a
-        # content hash so unchanged state costs the peers nothing. With
-        # delta encoding on, each responder's push body carries only the
-        # entries that responder lacks (judged against the snapshot —
-        # or omitted-entry summary — it just replied with); the nominal
-        # wire size — and therefore all simulated timing — still covers
-        # the full table, so the two encodings are trace-identical and
-        # the saving shows up only in the fabric's payload_bytes_sent
-        # accounting.
-        self._set_presence(self.server.name,
-                           self.server.monitor.active_local_jobs())
-        entries = self.server.monitor.table.snapshot()
-        presence = {host: sorted(jobs)
-                    for host, jobs in self.presence.items()}
-        digest = _content_hash(entries, presence)
-        self.digest_log.append((epoch, digest))
+    def _forward_tree_push(self, epoch: int, digest: str):
+        """Scatter our merged view down *epoch*'s gather edges, each
+        push encoded against what that child reported; returns whether
+        a child failed to ack in time."""
+        edges = self._tree_gather.pop(epoch, None)
+        children = self._children(epoch)
+        if not children:
+            return False
+        entries, presence = self._view()
         size = _ENTRY_WIRE_BYTES * max(1, len(entries))
         acks = []
-        for name, resp, seen in responders:
+        for name, timeout in children:
+            if edges is None:
+                # Our gather bookkeeping for this epoch is gone (we
+                # restarted in between and the parent pushed full):
+                # resync the whole subtree with full tables.
+                self.subtree_full_pushes += 1
+                edge = (None, None, True)
+            elif name in edges:
+                edge = edges[name]
+            else:
+                # The child never answered this epoch's gather
+                # (crash/partition on the edge): it holds no basis for
+                # a push, and a full push would race its recovery —
+                # skip it; a later epoch's reshaped tree resyncs it.
+                continue
             push, wire = self._encode_push(entries, presence, digest,
-                                           resp, seen)
-            acks.append((name, self._peer(name).call(
+                                           epoch, *edge)
+            acks.append(self._peer(name).call(
                 "sync", push, size=size, timeout=timeout,
-                payload_bytes=wire)))
-        for name, call in acks:
+                payload_bytes=wire))
+        degraded = False
+        for call in acks:
             try:
                 yield call
             except RpcTimeout:
                 degraded = True
+        return degraded
 
-        if degraded:
-            self.degraded_rounds += 1
-            if self.server.fault_stats is not None:
-                self.server.fault_stats.degraded_sync_rounds += 1
-        self._last_push_hash = digest
-        self.sync_rounds += 1
-        self.refresh_tokens()
-
+    # ------------------------------------------------------------ quiescence
     def _quiescence_state(self):
-        """``(qhash, pre_map)`` when this round is allowed to quiesce.
+        """``(qhash, pre_map)`` when the round we drive may quiesce.
 
         A round may quiesce only if our own current content still
         hashes to the last merged digest we scattered/applied — any
         local traffic since then voids the guard and the round runs in
-        full. ``pre_map`` doubles as the exact ``seen`` map for scatter
-        deltas to peers that answer "same".
+        full.
         """
         if not self.server.config.sync_quiescence_skip:
             return None, None
-        if self._last_push_hash is None or self._needs_full_sync:
+        return self._quiet_basis(self._last_push_hash)
+
+    def _quiet_basis(self, qhash):
+        """``(qhash, pre_map)`` if our content provably hashes to
+        *qhash*, else ``(None, None)``. ``pre_map`` doubles as the exact
+        ``seen`` map for scatter deltas to children that answer "same".
+        """
+        if not self._quiescent_match(qhash):
             return None, None
-        entries = self.server.monitor.table.snapshot()
-        view = {h: sorted(j) for h, j in self.presence.items()}
-        view[self.server.name] = sorted(
-            self.server.monitor.active_local_jobs())
-        if _content_hash(entries, view) != self._last_push_hash:
-            return None, None
-        pre_map = {e["info"].job_id: e["last_heartbeat"] for e in entries}
-        return self._last_push_hash, pre_map
+        return qhash, _heartbeats(self.server.monitor.table.snapshot())
 
     def _quiescent_match(self, qhash) -> bool:
-        """Responder side of the quiescence guard: may we answer a
-        probe carrying *qhash* with a probe-sized "same" instead of a
-        snapshot? Only if our own content provably hashes to it."""
-        if qhash is None or self._needs_full_sync:
+        """The quiescence guard: may a probe carrying *qhash* be
+        answered with a probe-sized "same" instead of a snapshot? Only
+        if our own content provably hashes to it."""
+        if (qhash is None or self._needs_full_sync
+                or self._last_push_hash != qhash):
             return False
-        if self._last_push_hash != qhash:
-            return False
-        entries = self.server.monitor.table.snapshot()
-        view = {h: sorted(j) for h, j in self.presence.items()}
-        view[self.server.name] = sorted(
-            self.server.monitor.active_local_jobs())
-        return _content_hash(entries, view) == qhash
+        return _content_hash(*self._view()) == qhash
 
-    def _quiescent_finish(self, epoch: int, qhash: str,
-                          degraded: bool) -> None:
-        """Close out a round whose merge+scatter was skipped."""
-        self.quiescent_skips += 1
-        self.digest_log.append((epoch, qhash))
-        if degraded:
-            self.degraded_rounds += 1
-            if self.server.fault_stats is not None:
-                self.server.fault_stats.degraded_sync_rounds += 1
-        self._last_push_hash = qhash
-        self.sync_rounds += 1
-        self.refresh_tokens()
-
+    # ----------------------------------------------------------------- codec
     def _harvest_reply(self, name: str, resp: dict):
         """Merge one gather reply into our table and presence map.
 
@@ -570,25 +571,19 @@ class Controller:
         effective wire bytes for the fan-in accounting.
         """
         self.server.monitor.table.merge(resp["entries"])
-        pres = resp.get("presence")
-        if pres is not None:
-            # Tree replies aggregate a whole subtree's placement.
-            for host, jobs in pres.items():
-                if host != self.server.name:
-                    self._set_presence(host, jobs)
-        else:
-            self._set_presence(resp["host"], resp["host_jobs"])
-        seen = {e["info"].job_id: e["last_heartbeat"]
-                for e in resp["entries"]}
+        # The reply speaks for the responder's subtree only: a host's
+        # row reaches us through the one chain of edges it answered on,
+        # never through a sibling's older copy.
+        for host, jobs in resp["presence"].items():
+            self._set_presence(host, jobs)
+        seen = _heartbeats(resp["entries"])
         omitted = resp.get("omitted")
         if omitted:
             seen.update(omitted)
-        token = resp.get("gather_basis")
-        if token is not None:
-            self._have_basis[name] = token
+        self._have_basis[name] = resp["gather_basis"]
         return seen, _reply_wire(resp)
 
-    def _encode_gather_reply(self, requester, have, entries):
+    def _encode_gather_reply(self, requester: str, have, entries):
         """Build the entry part of a pull reply for *requester*.
 
         Returns ``(reply_fields, nominal_size, payload_bytes)``. The
@@ -598,12 +593,11 @@ class Controller:
         provably holds are demoted to ``(job_id, heartbeat)`` summary
         pairs in ``omitted``.
         """
-        full_map = {e["info"].job_id: e["last_heartbeat"] for e in entries}
+        full_map = _heartbeats(entries)
         size = _ENTRY_WIRE_BYTES * max(1, len(entries))
         self._gather_seq += 1
         token = (self._sync_basis, self._gather_seq)
-        stored = self._gather_sent.get(requester) \
-            if requester is not None else None
+        stored = self._gather_sent.get(requester)
         wire = None
         if (_DELTA_SYNC_ENABLED and _GATHER_DELTA_ENABLED
                 and have is not None and stored is not None
@@ -631,65 +625,84 @@ class Controller:
         else:
             reply = {"entries": entries, "gather_basis": token}
             self.gather_full_replies += 1
-        if requester is not None:
-            self._gather_sent[requester] = (token, full_map)
+        self._gather_sent[requester] = (token, full_map)
         return reply, size, wire
 
-    def _encode_push(self, entries, presence, digest, resp, seen,
-                     kind: str = "push", epoch: Optional[int] = None):
-        """The push body for one responder, plus its effective wire
-        bytes (``None`` = nominal).
+    def _encode_push(self, entries, presence, digest, epoch: int,
+                     seen, basis, wants_full):
+        """The push body for one child, plus its effective wire bytes
+        (``None`` = nominal).
 
-        Delta-encodable iff the toggle is on and the responder neither
-        requested a full resync nor predates the handshake. The delta
-        keeps exactly the entries whose merge at the responder would do
-        something: the merge updates on strictly-newer heartbeats, so an
-        entry the responder reported with an equal-or-newer heartbeat is
-        provably a no-op there (local heartbeats only move forward, so
-        the proof survives the reply→push latency) and is omitted.
+        Delta-encodable iff the toggle is on and the child did not
+        request a full resync. The delta keeps exactly the entries
+        whose merge at the child would do something: the merge updates
+        on strictly-newer heartbeats, so an entry the child reported
+        with an equal-or-newer heartbeat is provably a no-op there
+        (local heartbeats only move forward, so the proof survives the
+        reply→push latency) and is omitted.
         """
-        push = {"kind": kind, "host": self.server.name,
+        push = {"kind": "push", "host": self.server.name, "epoch": epoch,
                 "entries": entries, "presence": presence, "hash": digest}
-        if epoch is not None:
-            push["epoch"] = epoch
-        if not _DELTA_SYNC_ENABLED or resp.get("basis") is None \
-                or resp.get("full") or seen is None:
+        if not _DELTA_SYNC_ENABLED or wants_full:
             self.full_pushes += 1
             return push, None
         absent = float("-inf")
         delta = [e for e in entries
                  if seen.get(e["info"].job_id, absent) < e["last_heartbeat"]]
-        push = dict(push, entries=delta, delta=True, basis=resp["basis"])
+        push = dict(push, entries=delta, delta=True, basis=basis)
         self.delta_pushes += 1
         return push, _ENTRY_WIRE_BYTES * max(1, len(delta))
 
+    # -------------------------------------------------------------- handlers
     def _answer_pull(self, rpc):
-        """A coordinator probed us: reply our snapshot after the
-        controller's processing time (serialisation cost, §5.6)."""
+        """Our parent probed us: gather our subtree (leaves have none),
+        merge it, and reply the aggregate after the controller's
+        processing time (serialisation cost, §5.6), delta-encoded
+        against what the parent has confirmed from us."""
         processing = self.server.config.sync_processing_time
         if processing > 0:
             yield self.server.engine.timeout(processing)
         if self.server.crashed:
             return  # crashed mid-processing: the reply is lost
         body = rpc.body
-        if self._quiescent_match(body.get("qhash")):
+        epoch = body["epoch"]
+        # Children may quiesce only if we do: a node that cannot vouch
+        # for the probe's digest needs their snapshots to answer.
+        qhash, pre_map = self._quiet_basis(body["qhash"])
+        edges, subtree, degraded, all_same = yield from self._gather(
+            epoch, qhash, pre_map)
+        if self.server.crashed:
+            return
+        # Remember this epoch's gather so the matching push can reuse
+        # the same edges with exact per-child deltas.
+        self._tree_gather[epoch] = edges
+        for old in [e for e in self._tree_gather if e < epoch - 1]:
+            del self._tree_gather[old]
+        if degraded:
+            self._note_degraded()
+        if qhash is not None and all_same:
+            # Our content and every responding child's subtree hash to
+            # the probe's digest: the aggregate is provably "no news".
             self.quiescent_replies += 1
             rpc.reply({"same": True, "host": self.server.name,
                        "basis": self._sync_basis, "full": False},
                       size=_PROBE_WIRE_BYTES)
             return
-        monitor = self.server.monitor
-        entries = monitor.table.snapshot()
+        local = sorted(self.server.monitor.active_local_jobs())
+        self._set_presence(self.server.name, local)
+        subtree[self.server.name] = local
         reply, size, wire = self._encode_gather_reply(
-            body.get("host"), body.get("have"), entries)
-        reply.update(host=self.server.name,
-                     host_jobs=sorted(monitor.active_local_jobs()),
-                     basis=self._sync_basis,
-                     full=self._needs_full_sync)
+            body["host"], body["have"],
+            self.server.monitor.table.snapshot())
+        reply.update(host=self.server.name, presence=subtree,
+                     basis=self._sync_basis, full=self._needs_full_sync)
         rpc.reply(reply, size=size, payload_bytes=wire)
 
     def _apply_push(self, rpc):
-        """A coordinator scattered the merged state: apply and ack.
+        """Our parent scattered the merged state: apply it, forward it
+        down our gather edges, then ack (the ack therefore covers the
+        whole subtree — the root's round ends when every reachable
+        descendant holds the merged table).
 
         When the push's content hash matches the last one we applied,
         the merge would be a byte-for-byte no-op (entries merge by
@@ -704,243 +717,18 @@ class Controller:
         if self.server.crashed:
             return  # crashed mid-processing: stale merge + ack lost
         body = rpc.body
-        rpc.reply({"ok": True}, size=_PROBE_WIRE_BYTES)
-        self.sync_rounds += 1
-        if body.get("delta"):
-            if body["basis"] != self._sync_basis:
-                # We restarted between our pull reply and this push: the
-                # delta was computed against state we no longer hold, so
-                # applying it could leave silently-omitted entries
-                # missing forever. Drop it and pull the full table next
-                # round (our next reply advertises ``full``). This is
-                # the protocol's designed degraded window: until that
-                # resync lands we run on the post-restart local view,
-                # exactly as a crash already implies.
-                self.basis_mismatches += 1
-                self._needs_full_sync = True
-                return
-        elif self._needs_full_sync:
-            self._needs_full_sync = False
-            self.full_resyncs += 1
-        digest = body["hash"]
-        if _HASH_SKIP_ENABLED and digest == self._last_push_hash:
-            self.push_hash_skips += 1
-            return
-        self.server.monitor.table.merge(body["entries"])
-        for host, jobs in body["presence"].items():
-            if host != self.server.name:
-                self._set_presence(host, jobs)
-        self._last_push_hash = digest
-        self.refresh_tokens()
-
-    # ---------------------------------------------------------- tree protocol
-    def _edge_timeout(self, order_len: int, fanout: int,
-                      child_pos: int) -> Optional[float]:
-        """Per-edge RPC budget, scaled by the child's subtree depth
-        (its answer transitively awaits its whole subtree)."""
-        t = self.server.config.sync_timeout
-        if t <= 0:
-            return None
-        return t * (1.0 + subtree_height(order_len, fanout, child_pos))
-
-    def _tree_round(self, epoch: int):
-        """One aggregation-tree epoch, if we are its rotating root.
-
-        The root's round mirrors the flat one but only touches its k
-        children; interior nodes answer :meth:`_answer_tree_pull` by
-        recursively gathering their own subtree first, and
-        :meth:`_apply_tree_push` forwards the scatter down the same
-        edges. Merged content per epoch is identical to the flat round
-        (merge is order-independent and the member set is the same).
-        """
-        members = self._members()
-        order = tree_order(members, epoch)
-        if order[0] != self.server.name:
-            return
-        self.coordinated_rounds += 1
-        self.tree_rounds += 1
-        fanout = self.server.config.sync_tree_fanout
-        n = len(order)
-
-        qhash, pre_map = self._quiescence_state()
-        pulls = []
-        for pos in tree_children(n, fanout, 0):
-            name = order[pos]
-            probe = {"kind": "tpull", "epoch": epoch,
-                     "host": self.server.name,
-                     "have": self._have_basis.get(name), "qhash": qhash}
-            pulls.append((name, pos, self._peer(name).call(
-                "sync", probe, size=_PROBE_WIRE_BYTES,
-                timeout=self._edge_timeout(n, fanout, pos))))
-        self.max_gather_fanin = max(self.max_gather_fanin, len(pulls))
-        degraded = False
-        all_same = True
-        responders: List[tuple] = []
-        for name, pos, call in pulls:
-            try:
-                resp = yield call
-            except RpcTimeout:
-                degraded = True
-                continue
-            if resp.get("same"):
-                self.coord_gather_payload_bytes += _PROBE_WIRE_BYTES
-                responders.append((name, pos, resp, pre_map))
-                continue
-            all_same = False
-            seen, wire = self._harvest_reply(name, resp)
-            self.coord_gather_payload_bytes += wire
-            responders.append((name, pos, resp, seen))
-
-        if qhash is not None and all_same:
-            # Every subtree hashed identical to the last merged state:
-            # nothing to merge, nothing to scatter, cluster-wide.
-            self._quiescent_finish(epoch, qhash, degraded)
-            return
-
-        self._set_presence(self.server.name,
-                           self.server.monitor.active_local_jobs())
-        entries = self.server.monitor.table.snapshot()
-        presence = {host: sorted(jobs)
-                    for host, jobs in self.presence.items()}
-        digest = _content_hash(entries, presence)
-        self.digest_log.append((epoch, digest))
-        size = _ENTRY_WIRE_BYTES * max(1, len(entries))
-        acks = []
-        for name, pos, resp, seen in responders:
-            push, wire = self._encode_push(entries, presence, digest,
-                                           resp, seen, kind="tpush",
-                                           epoch=epoch)
-            acks.append((name, self._peer(name).call(
-                "sync", push, size=size,
-                timeout=self._edge_timeout(n, fanout, pos),
-                payload_bytes=wire)))
-        for name, call in acks:
-            try:
-                yield call
-            except RpcTimeout:
-                degraded = True
-
-        if degraded:
-            self.degraded_rounds += 1
-            if self.server.fault_stats is not None:
-                self.server.fault_stats.degraded_sync_rounds += 1
-        self._last_push_hash = digest
-        self.sync_rounds += 1
-        self.refresh_tokens()
-
-    def _answer_tree_pull(self, rpc):
-        """A tree parent probed us: gather our subtree, merge it, and
-        reply the aggregate (delta-encoded against what the parent has
-        confirmed from us). Leaves skip straight to the reply."""
-        processing = self.server.config.sync_processing_time
-        if processing > 0:
-            yield self.server.engine.timeout(processing)
-        if self.server.crashed:
-            return  # crashed mid-processing: the reply is lost
-        body = rpc.body
-        epoch = body["epoch"]
-        fanout = self.server.config.sync_tree_fanout
-        members = self._members()
-        order = tree_order(members, epoch)
-        n = len(order)
-        try:
-            pos = order.index(self.server.name)
-        except ValueError:  # pragma: no cover - membership drift
-            pos = 0
-        child_pos = tree_children(n, fanout, pos)
-
-        qhash = body.get("qhash")
-        quiet = self._quiescent_match(qhash)
-        pre_map = None
-        if quiet:
-            pre_map = {e["info"].job_id: e["last_heartbeat"]
-                       for e in self.server.monitor.table.snapshot()}
-
-        gather: dict = {}
-        degraded = False
-        all_same = True
-        if child_pos:
-            self.max_gather_fanin = max(self.max_gather_fanin,
-                                        len(child_pos))
-            pulls = []
-            for cp in child_pos:
-                name = order[cp]
-                probe = {"kind": "tpull", "epoch": epoch,
-                         "host": self.server.name,
-                         "have": self._have_basis.get(name),
-                         "qhash": qhash if quiet else None}
-                pulls.append((name, cp, self._peer(name).call(
-                    "sync", probe, size=_PROBE_WIRE_BYTES,
-                    timeout=self._edge_timeout(n, fanout, cp))))
-            for name, cp, call in pulls:
-                try:
-                    resp = yield call
-                except RpcTimeout:
-                    degraded = True
-                    continue
-                if resp.get("same"):
-                    self.relay_gather_payload_bytes += _PROBE_WIRE_BYTES
-                    gather[name] = (pre_map, resp["basis"],
-                                    resp.get("full", False))
-                    continue
-                all_same = False
-                seen, wire = self._harvest_reply(name, resp)
-                self.relay_gather_payload_bytes += wire
-                gather[name] = (seen, resp.get("basis"),
-                                resp.get("full", False))
-        if self.server.crashed:
-            return
-        # Remember this epoch's gather so the matching push can reuse
-        # the same edges with exact per-child deltas.
-        self._tree_gather[epoch] = gather
-        for old in [e for e in self._tree_gather if e < epoch - 1]:
-            del self._tree_gather[old]
-        if degraded:
-            self.degraded_rounds += 1
-            if self.server.fault_stats is not None:
-                self.server.fault_stats.degraded_sync_rounds += 1
-
-        if quiet and all_same:
-            # Our content and every responding child's subtree hash to
-            # the probe's digest: the aggregate is provably "no news".
-            self.quiescent_replies += 1
-            rpc.reply({"same": True, "host": self.server.name,
-                       "basis": self._sync_basis, "full": False},
-                      size=_PROBE_WIRE_BYTES)
-            return
-
-        self._set_presence(self.server.name,
-                           self.server.monitor.active_local_jobs())
-        entries = self.server.monitor.table.snapshot()
-        presence = {host: sorted(jobs)
-                    for host, jobs in self.presence.items()}
-        reply, size, wire = self._encode_gather_reply(
-            body.get("host"), body.get("have"), entries)
-        reply.update(host=self.server.name,
-                     host_jobs=sorted(presence.get(self.server.name, [])),
-                     presence=presence,
-                     basis=self._sync_basis,
-                     full=self._needs_full_sync)
-        rpc.reply(reply, size=size, payload_bytes=wire)
-
-    def _apply_tree_push(self, rpc):
-        """A tree parent scattered the merged state: apply it, forward
-        it down our gather edges, then ack (the ack therefore covers
-        the whole subtree — the root's round ends when every reachable
-        descendant holds the merged table)."""
-        processing = self.server.config.sync_processing_time
-        if processing > 0:
-            yield self.server.engine.timeout(processing)
-        if self.server.crashed:
-            return  # crashed mid-processing: stale merge + ack lost
-        body = rpc.body
-        epoch = body["epoch"]
         self.sync_rounds += 1
         if body.get("delta") and body["basis"] != self._sync_basis:
-            # Restarted between our subtree reply and this push: the
-            # delta's basis is gone. Drop it, request a full resync,
-            # and forward nothing — our children heal on a later
-            # epoch's edges (the tree reshapes every epoch).
+            # We restarted between our gather reply and this push: the
+            # delta was computed against state we no longer hold, so
+            # applying it could leave silently-omitted entries missing
+            # forever. Drop it, forward nothing — our children heal on
+            # a later epoch's edges (the tree reshapes every epoch) —
+            # and pull the full table next round (our next reply
+            # advertises ``full``). This is the protocol's designed
+            # degraded window: until that resync lands we run on the
+            # post-restart local view, exactly as a crash already
+            # implies.
             self.basis_mismatches += 1
             rpc.reply({"ok": True}, size=_PROBE_WIRE_BYTES)
             self._needs_full_sync = True
@@ -958,126 +746,11 @@ class Controller:
                     self._set_presence(host, jobs)
             self._last_push_hash = digest
             self.refresh_tokens()
-        yield from self._forward_tree_push(epoch, digest)
+        if (yield from self._forward_tree_push(body["epoch"], digest)):
+            self._note_degraded()
         if self.server.crashed:
             return
         rpc.reply({"ok": True}, size=_PROBE_WIRE_BYTES)
-
-    def _forward_tree_push(self, epoch: int, digest: str):
-        """Scatter the merged state down this epoch's gather edges."""
-        gather = self._tree_gather.pop(epoch, None)
-        fanout = self.server.config.sync_tree_fanout
-        members = self._members()
-        order = tree_order(members, epoch)
-        n = len(order)
-        try:
-            pos = order.index(self.server.name)
-        except ValueError:  # pragma: no cover - membership drift
-            return
-        child_pos = tree_children(n, fanout, pos)
-        if not child_pos:
-            return
-        self._set_presence(self.server.name,
-                           self.server.monitor.active_local_jobs())
-        entries = self.server.monitor.table.snapshot()
-        presence = {host: sorted(jobs)
-                    for host, jobs in self.presence.items()}
-        size = _ENTRY_WIRE_BYTES * max(1, len(entries))
-        acks = []
-        for cp in child_pos:
-            name = order[cp]
-            if gather is None:
-                # Our gather bookkeeping for this epoch is gone (we
-                # restarted in between and the parent pushed full):
-                # resync the whole subtree with full tables.
-                self.subtree_full_pushes += 1
-                self.full_pushes += 1
-                push = {"kind": "tpush", "host": self.server.name,
-                        "entries": entries, "presence": presence,
-                        "hash": digest, "epoch": epoch}
-                wire = None
-            elif name in gather:
-                seen, basis, wants_full = gather[name]
-                push, wire = self._encode_push(
-                    entries, presence, digest,
-                    {"basis": basis, "full": wants_full}, seen,
-                    kind="tpush", epoch=epoch)
-            else:
-                # The child never answered this epoch's gather
-                # (crash/partition on the edge): it holds no basis for
-                # a push, and a full push would race its recovery —
-                # skip it; a later epoch's reshaped tree resyncs it.
-                continue
-            acks.append((name, self._peer(name).call(
-                "sync", push, size=size,
-                timeout=self._edge_timeout(n, fanout, cp),
-                payload_bytes=wire)))
-        degraded = False
-        for name, call in acks:
-            try:
-                yield call
-            except RpcTimeout:
-                degraded = True
-        if degraded:
-            self.degraded_rounds += 1
-            if self.server.fault_stats is not None:
-                self.server.fault_stats.degraded_sync_rounds += 1
-
-    # ------------------------------------------------------ pairwise protocol
-    def _pairwise_round(self):
-        """One round of the original per-pair exchange protocol."""
-        engine = self.server.engine
-        table = self.server.monitor.table
-        payload = self._payload()
-        size = _ENTRY_WIRE_BYTES * max(1, len(payload["entries"]))
-        timeout = self.server.config.sync_timeout
-        if timeout <= 0:
-            # Lock-step all-gather (original behaviour, byte-
-            # identical traces when timeouts are disabled).
-            calls = [self._peer(name).call("sync", payload, size=size)
-                     for name in sorted(self._peer_addrs)]
-            responses = yield engine.all_of(calls)
-            for resp in responses:
-                table.merge(resp["entries"])
-                self._set_presence(resp["host"], resp["host_jobs"])
-        else:
-            # Per-peer timeout: issue every exchange up front, then
-            # harvest; a silent peer costs at most `timeout` and the
-            # round proceeds on the partial table (degraded mode).
-            calls = [(name, self._peer(name).call(
-                        "sync", payload, size=size, timeout=timeout))
-                     for name in sorted(self._peer_addrs)]
-            degraded = False
-            for name, call in calls:
-                try:
-                    resp = yield call
-                except RpcTimeout:
-                    degraded = True
-                    continue
-                table.merge(resp["entries"])
-                self._set_presence(resp["host"], resp["host_jobs"])
-            if degraded:
-                self.degraded_rounds += 1
-                if self.server.fault_stats is not None:
-                    self.server.fault_stats.degraded_sync_rounds += 1
-        self.sync_rounds += 1
-        self.refresh_tokens()
-
-    def _answer_pairwise(self, rpc):
-        """Peer pushed its snapshot (pairwise protocol): merge and reply
-        after the controller's processing time (§5.6)."""
-        processing = self.server.config.sync_processing_time
-        if processing > 0:
-            yield self.server.engine.timeout(processing)
-        if self.server.crashed:
-            return  # crashed mid-processing: stale merge + reply lost
-        table = self.server.monitor.table
-        table.merge(rpc.body["entries"])
-        self._set_presence(rpc.body["host"], rpc.body["host_jobs"])
-        payload = self._payload()
-        rpc.reply(payload,
-                  size=_ENTRY_WIRE_BYTES * max(1, len(payload["entries"])))
-        self.refresh_tokens()
 
     def handle_sync(self, rpc) -> None:
         """Dispatch an inbound sync message by protocol role."""
@@ -1088,19 +761,18 @@ class Controller:
             self.server.engine.process(self._answer_pull(rpc))
         elif kind == "push":
             self.server.engine.process(self._apply_push(rpc))
-        elif kind == "tpull":
-            self.server.engine.process(self._answer_tree_pull(rpc))
-        elif kind == "tpush":
-            self.server.engine.process(self._apply_tree_push(rpc))
         else:
-            self.server.engine.process(self._answer_pairwise(rpc))
+            raise UCXError(f"unknown λ-sync message kind {kind!r}")
+
+
+def _heartbeats(entries: List[dict]) -> Dict[int, float]:
+    """The content map of a snapshot: job id -> heartbeat stamp."""
+    return {e["info"].job_id: e["last_heartbeat"] for e in entries}
 
 
 def _reply_wire(resp: dict) -> int:
     """Effective wire bytes of one gather reply (for the fan-in
     accounting; mirrors the payload_bytes the responder attached)."""
-    if resp.get("same"):
-        return _PROBE_WIRE_BYTES
     if resp.get("gather_delta"):
         return max(_PROBE_WIRE_BYTES,
                    _ENTRY_WIRE_BYTES * len(resp["entries"])

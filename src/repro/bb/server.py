@@ -73,17 +73,12 @@ class ServerConfig:
     #: original lock-step exchange, which a dead peer would wedge — keep
     #: it 0 only for runs that never crash servers.
     sync_timeout: float = 0.0
-    #: λ-sync wire protocol: True (default) runs one coordinator-driven
-    #: gather→merge→scatter round per epoch (2·(N-1) message pairs
-    #: cluster-wide, content-hash skip on unchanged state); False runs
-    #: the original per-pair exchange (N·(N-1) pairs per epoch).
-    batched_sync: bool = True
-    #: branching factor of the hierarchical λ-sync aggregation tree
-    #: (DESIGN.md §13). 0 (default) keeps the flat batched round; k >= 2
-    #: arranges each epoch's members in a deterministic k-ary tree under
-    #: the rotating root, with interior nodes merging their subtree
-    #: before forwarding — peak per-node fan-in drops from N−1 to k and
-    #: the two layouts produce identical merged tables per epoch.
+    #: branching factor of the λ-sync aggregation tree (DESIGN.md §13):
+    #: each epoch's members form a deterministic k-ary tree under the
+    #: rotating root, interior nodes merging their subtree before
+    #: forwarding, so peak per-node fan-in is k. 0 (default) is the flat
+    #: round — the height-1 tree, k = N−1, worked out from the member
+    #: list; every k produces identical merged tables per epoch.
     sync_tree_fanout: int = 0
     #: skip the entire merge round when nothing changed cluster-wide:
     #: the gather probes carry the last merged content hash, peers whose
@@ -101,8 +96,6 @@ class ServerConfig:
         if self.sync_tree_fanout < 0 or self.sync_tree_fanout == 1:
             raise ConfigError(
                 "sync_tree_fanout must be 0 (flat round) or >= 2")
-        if self.sync_tree_fanout and not self.batched_sync:
-            raise ConfigError("tree sync requires batched_sync=True")
 
 
 class Server:

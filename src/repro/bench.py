@@ -20,7 +20,7 @@ Kernel inventory
   policy (exercises the incremental :class:`CompositeShareCache`).
 - ``engine_timeout_churn`` — raw DES event loop throughput.
 - ``lambda_sync_round`` — cluster-wide λ-sync epochs on 8 servers with
-  live client heartbeats (batched gather→merge→scatter protocol).
+  live client heartbeats (gather→merge→scatter at the default fanout).
 - ``gift_epoch`` — GIFT allocation boundaries through a steady
   donate/redeem cycle (exercises the warm-started coupon LP).
 - ``fs_write_path`` — metadata + striping + extent-allocator fast path:
@@ -189,10 +189,9 @@ def bench_lambda_sync_round() -> int:
 
     One op is one sync epoch (every server's table exchange for one λ
     window). No clients are attached, so every simulated event is sync
-    traffic: the batched protocol's coordinator gather→merge→scatter
-    (2·(N−1) message pairs) against the pairwise N·(N−1) exchange that
-    ``ServerConfig.batched_sync=False`` restores for an apples-to-apples
-    comparison.
+    traffic: the rotating root's gather→merge→scatter at the default
+    fanout (the flat round, 2·(N−1) message pairs per epoch; the
+    paper's all-gather would cost N·(N−1)).
     """
     epochs = 60
     cluster = Cluster(ClusterConfig(

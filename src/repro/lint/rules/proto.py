@@ -1,8 +1,8 @@
 """PROTO-class rules: RPC message-vocabulary conformance.
 
 The cluster's RPC surface is stringly typed: a sender builds
-``{"kind": "tpush", ...}`` and a handler three modules away matches
-``elif kind == "tpush":`` — nothing but convention keeps the two in
+``{"kind": "push", ...}`` and a handler three modules away matches
+``elif kind == "push":`` — nothing but convention keeps the two in
 sync. These rules extract both halves of the vocabulary from the
 :class:`~repro.lint.graph.ProjectIndex` (send sites through one-hop
 builder helpers and ``kind=`` parameter indirection; handler branches
@@ -11,10 +11,11 @@ three drift modes: a kind sent that no handler matches, a handler for a
 kind nothing sends, and a payload key a handler requires that no send
 site of that kind provides.
 
-Kindless sends (the pairwise λ-sync bodies) are matched against the
-``else`` arm of dispatchers that demonstrably share an RPC op with the
-kinds they *do* name; a dispatcher whose ops cannot be linked to any
-send is left alone. All checks go silent rather than guess when a kind
+Kindless sends (the client's ``io`` request bodies; λ-sync speaks only
+``pull``/``push`` and its dispatcher raises on anything else) are
+matched against the ``else`` arm of dispatchers that demonstrably share
+an RPC op with the kinds they *do* name; a dispatcher whose ops cannot
+be linked to any send is left alone. All checks go silent rather than guess when a kind
 or body is dynamic.
 """
 

@@ -1,6 +1,8 @@
-"""Batched λ-sync protocol: equivalence with the pairwise/lock-step
-exchange, determinism, hash-skip trace-neutrality, and the message
-economy the batching buys (2·(N−1) pairs per epoch vs N·(N−1))."""
+"""The flat λ-sync round (the height-1 tree): equivalence with the
+paper's lock-step all-gather (the pure reference
+``core.fairness.all_gather_merge``), determinism, hash-skip
+trace-neutrality, and the message economy one rotating root buys
+(2·(N−1) pairs per epoch vs the all-gather's N·(N−1))."""
 
 import numpy as np
 
@@ -23,12 +25,10 @@ from repro.core import policy as policymod
 from repro.units import GB, MB
 
 
-def _run_cluster(batched, *, seed=0, until=6.0, n_servers=3, n_jobs=4,
-                 writes=12):
+def _run_cluster(*, seed=0, until=6.0, n_servers=3, n_jobs=4, writes=12):
     cluster = Cluster(ClusterConfig(
         n_servers=n_servers, policy="job-fair", seed=seed,
-        server=ServerConfig(bandwidth=1 * GB, n_workers=2,
-                            batched_sync=batched)))
+        server=ServerConfig(bandwidth=1 * GB, n_workers=2)))
     cluster.fs.makedirs("/fs/d")
     engine = cluster.engine
 
@@ -53,37 +53,42 @@ def _trace(cluster):
             cluster.engine.now, cluster.total_served_bytes())
 
 
+def _lockstep_reference(cluster, local_only=False):
+    """The paper's all-gather, offline: every server's snapshot (or only
+    the rows of the jobs it hosts itself, i.e. what it knew before any
+    sync) merged into every other's by the pure ``all_gather_merge``."""
+    tables = []
+    for server in cluster.servers.values():
+        table = JobStatusTable(server.monitor.table.heartbeat_timeout)
+        local = server.monitor.active_local_jobs()
+        table.merge([e for e in server.monitor.table.snapshot()
+                     if not local_only or e["info"].job_id in local])
+        tables.append(table)
+    all_gather_merge(tables)
+    return tables
+
+
 class TestProtocolEquivalence:
     def test_batched_converges_to_lockstep_merged_table(self):
-        batched = _run_cluster(True)
-        pairwise = _run_cluster(False)
-        for cluster in (batched, pairwise):
-            views = [server.monitor.table.active_jobs()
-                     for server in cluster.servers.values()]
-            # Every server has converged on the same global view...
-            ids = [sorted(j.job_id for j in view) for view in views]
-            assert all(x == ids[0] for x in ids), ids
+        batched = _run_cluster()
+        views = [server.monitor.table.active_jobs()
+                 for server in batched.servers.values()]
+        # Every server has converged on the same global view...
+        ids = [sorted(j.job_id for j in view) for view in views]
+        assert all(x == ids[0] for x in ids), ids
         # ...and the view is the same one the lock-step protocol reaches.
-        b_view = {j.job_id: (j.user, j.size)
-                  for j in next(iter(batched.servers.values()))
-                  .monitor.table.active_jobs()}
-        p_view = {j.job_id: (j.user, j.size)
-                  for j in next(iter(pairwise.servers.values()))
-                  .monitor.table.active_jobs()}
-        assert b_view == p_view
+        b_view = {j.job_id: (j.user, j.size) for j in views[0]}
+        for table in _lockstep_reference(batched, local_only=True):
+            p_view = {j.job_id: (j.user, j.size)
+                      for j in table.active_jobs()}
+            assert b_view == p_view
         assert b_view  # the run actually registered jobs
 
     def test_batched_matches_reference_all_gather(self):
         """The converged batched table equals an offline all-gather merge
         of the same per-server snapshots."""
-        cluster = _run_cluster(True)
-        tables = []
-        for server in cluster.servers.values():
-            table = JobStatusTable(
-                server.monitor.table.heartbeat_timeout)
-            table.merge(server.monitor.table.snapshot())
-            tables.append(table)
-        all_gather_merge(tables)
+        cluster = _run_cluster()
+        tables = _lockstep_reference(cluster)
         reference = sorted(j.job_id for j in tables[0].active_jobs())
         for server in cluster.servers.values():
             got = sorted(j.job_id for j in
@@ -91,12 +96,12 @@ class TestProtocolEquivalence:
             assert got == reference
 
     def test_same_seed_same_trace(self):
-        a = _trace(_run_cluster(True, seed=3))
-        b = _trace(_run_cluster(True, seed=3))
+        a = _trace(_run_cluster(seed=3))
+        b = _trace(_run_cluster(seed=3))
         assert a == b
 
     def test_batched_round_counters(self):
-        cluster = _run_cluster(True)
+        cluster = _run_cluster()
         coordinated = sum(s.controller.coordinated_rounds
                           for s in cluster.servers.values())
         assert coordinated > 0
@@ -108,10 +113,10 @@ class TestProtocolEquivalence:
 class TestHashSkip:
     def test_hash_skip_is_trace_neutral(self):
         assert sync_hash_skip_enabled()
-        skipping = _trace(_run_cluster(True, seed=1))
+        skipping = _trace(_run_cluster(seed=1))
         set_sync_hash_skip_enabled(False)
         try:
-            merging = _trace(_run_cluster(True, seed=1))
+            merging = _trace(_run_cluster(seed=1))
         finally:
             set_sync_hash_skip_enabled(True)
         assert skipping == merging
@@ -119,34 +124,37 @@ class TestHashSkip:
     def test_skips_happen_on_quiescent_tables(self):
         # No clients: the merged table never changes, so after the first
         # scatter every push carries a repeated digest.
-        cluster = _sync_only_cluster(True, until=8.0)
+        cluster = _sync_only_cluster(until=8.0)
         skips = sum(s.controller.push_hash_skips
                     for s in cluster.servers.values())
         assert skips > 0
 
 
-def _sync_only_cluster(batched, n_servers=4, until=5.0):
+def _sync_only_cluster(n_servers=4, until=5.0):
     # No clients: every fabric message is λ-sync traffic.
     cluster = Cluster(ClusterConfig(
         n_servers=n_servers, policy="job-fair",
-        server=ServerConfig(bandwidth=1 * GB, n_workers=1,
-                            batched_sync=batched)))
+        server=ServerConfig(bandwidth=1 * GB, n_workers=1)))
     cluster.run(until=until)
     return cluster
 
 
 class TestMessageEconomy:
     def test_batched_sends_fewer_sync_messages(self):
-        batched = _sync_only_cluster(True)
-        pairwise = _sync_only_cluster(False)
-        assert batched.fabric.messages_sent < pairwise.fabric.messages_sent
+        n = 4
+        batched = _sync_only_cluster(n)
+        epochs = batched.sync_stats()["coordinated_rounds"]
+        assert epochs > 0
+        # The paper's all-gather as a cost model: N(N-1) request/response
+        # pairs per epoch, two wire messages each.
+        pairwise_messages = epochs * n * (n - 1) * 2
+        assert batched.fabric.messages_sent < pairwise_messages
         # 2(N-1) pairs vs N(N-1) per epoch: ~N/2 fewer wire messages
         # (at N=4, 12 vs 24 per epoch, modulo boundary epochs).
-        assert (batched.fabric.messages_sent
-                <= 0.6 * pairwise.fabric.messages_sent)
+        assert batched.fabric.messages_sent <= 0.6 * pairwise_messages
 
     def test_fabric_counter_reset(self):
-        cluster = _sync_only_cluster(True)
+        cluster = _sync_only_cluster()
         assert cluster.fabric.messages_sent > 0
         cluster.fabric.reset_counters()
         assert cluster.fabric.messages_sent == 0
@@ -158,10 +166,10 @@ class TestDeltaSync:
 
     def test_delta_is_trace_neutral(self):
         assert sync_delta_enabled()
-        delta = _trace(_run_cluster(True, seed=4, n_servers=4))
+        delta = _trace(_run_cluster(seed=4, n_servers=4))
         set_sync_delta_enabled(False)
         try:
-            full = _trace(_run_cluster(True, seed=4, n_servers=4))
+            full = _trace(_run_cluster(seed=4, n_servers=4))
         finally:
             set_sync_delta_enabled(True)
         assert delta == full
@@ -170,7 +178,7 @@ class TestDeltaSync:
         def measure(flag):
             set_sync_delta_enabled(flag)
             try:
-                c = _run_cluster(True, seed=4, n_servers=4, writes=20)
+                c = _run_cluster(seed=4, n_servers=4, writes=20)
             finally:
                 set_sync_delta_enabled(True)
             pushes = sum(s.controller.delta_pushes
@@ -187,7 +195,7 @@ class TestDeltaSync:
         assert payload_off == size_off  # no encoding => payload == wire
 
     def test_hash_skip_still_functions_with_delta(self):
-        cluster = _sync_only_cluster(True, until=8.0)
+        cluster = _sync_only_cluster(until=8.0)
         skips = sum(s.controller.push_hash_skips
                     for s in cluster.servers.values())
         assert skips > 0
@@ -213,11 +221,11 @@ class TestAllTogglesEquivalence:
 
     def test_caches_on_equals_caches_off(self):
         assert all(get() for _, get in self.TOGGLES)
-        cached = _trace(_run_cluster(True, seed=2, n_servers=2))
+        cached = _trace(_run_cluster(seed=2, n_servers=2))
         for setter, _ in self.TOGGLES:
             setter(False)
         try:
-            uncached = _trace(_run_cluster(True, seed=2, n_servers=2))
+            uncached = _trace(_run_cluster(seed=2, n_servers=2))
         finally:
             for setter, _ in self.TOGGLES:
                 setter(True)

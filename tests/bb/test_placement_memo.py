@@ -6,6 +6,8 @@ cost one solve — and a server that crashed and came back must still end
 up with the row its own state calls for.
 """
 
+import pytest
+
 import repro.bb.controller as controller_module
 from repro.bb import Cluster, ClusterConfig, ServerConfig
 from repro.core import JobInfo, TokenAssignment
@@ -107,3 +109,24 @@ def test_reset_after_crash_installs_the_right_row(monkeypatch):
     assert len(set(requests)) == 2 and requests[-1] == requests[0]
     assert stats["placement_solves"] == 2
     assert len(cluster.placement_memo) == 2
+
+
+@pytest.mark.parametrize("fanout", [0, 2, 4])
+def test_restarted_server_hosting_nothing_is_forgotten(monkeypatch, fanout):
+    """A gather reply speaks for its own subtree only: no sibling's older
+    copy of ``presence["bb3"]`` may overwrite the empty set the restarted
+    bb3 itself reports (presence rows carry no freshness stamp)."""
+    cluster, _ = _tree_cluster(monkeypatch, fanout=fanout)
+    controllers = [s.controller for s in cluster.servers.values()]
+    cluster.run(until=3.4 * LAMBDA)
+    assert all(c.presence["bb3"] == {103} for c in controllers)
+
+    cluster.crash_server("bb3")
+    cluster.run(until=5.4 * LAMBDA)
+    cluster.restart_server("bb3")          # job 103's client is gone
+    height = controller_module.subtree_height(
+        len(controllers), fanout or len(controllers) - 1, 0)
+    cluster.run(until=(5.4 + height + 1) * LAMBDA)
+    stale = {c.server.name: set(c.presence["bb3"])
+             for c in controllers if c.presence["bb3"]}
+    assert not stale

@@ -1,15 +1,20 @@
-"""Hierarchical λ-sync: the k-ary aggregation tree (DESIGN.md §13).
+"""λ-sync over the k-ary aggregation tree (DESIGN.md §13).
 
-The tree restructures the flat gather→merge→scatter epoch so per-node
-peak fan-in is bounded by the branching factor and the root's inbound
-gather bytes stop scaling with N, while merging exactly the same
-content per epoch — flat and tree must produce identical per-epoch
-digest sequences. Also covered here: the gather-direction per-peer
-basis deltas (useful to the flat round on their own) and the
-cluster-quiescence whole-round skip with its content-hash guard.
+A fanout k bounds per-node peak fan-in by k and stops the root's
+inbound gather bytes scaling with N, while merging exactly the same
+content per epoch as the default fanout 0 (the flat round, i.e. the
+height-1 tree) — every fanout must produce identical per-epoch digest
+sequences. Also covered here: the shape functions, the two-kind
+dispatch, the gather-direction per-peer basis deltas (useful at any
+fanout) and the cluster-quiescence whole-round skip with its
+content-hash guard.
 """
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.bb import Cluster, ClusterConfig, ServerConfig
 from repro.bb.controller import (set_sync_delta_enabled,
@@ -18,7 +23,7 @@ from repro.bb.controller import (set_sync_delta_enabled,
                                  sync_gather_delta_enabled,
                                  tree_children, tree_order)
 from repro.core import JobInfo
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.units import GB, MB
 
 
@@ -27,7 +32,6 @@ def _run_cluster(*, fanout=0, quiescence=False, seed=0, until=6.0,
     cluster = Cluster(ClusterConfig(
         n_servers=n_servers, policy="job-fair", seed=seed,
         server=ServerConfig(bandwidth=1 * GB, n_workers=2,
-                            batched_sync=True,
                             sync_tree_fanout=fanout,
                             sync_quiescence_skip=quiescence)))
     cluster.fs.makedirs("/fs/d")
@@ -56,7 +60,6 @@ def _sync_only_cluster(*, fanout=0, quiescence=False, n_servers=6,
     cluster = Cluster(ClusterConfig(
         n_servers=n_servers, policy="job-fair",
         server=ServerConfig(bandwidth=1 * GB, n_workers=1,
-                            batched_sync=True,
                             sync_tree_fanout=fanout,
                             sync_quiescence_skip=quiescence)))
     for j in range(n_jobs):
@@ -105,6 +108,25 @@ class TestTreeShape:
                 # parent; the root (position 0) of none.
                 assert sorted(seen) == list(range(1, n))
 
+    @given(n=st.integers(2, 64), pick=st.integers(0, 4),
+           epoch=st.integers(0, 10_000))
+    def test_shape_properties(self, n, pick, epoch):
+        fanout = (2, 3, 8, n - 1, n + 5)[pick]
+        if fanout < 2:          # n == 2: the controller's max(2, N-1)
+            fanout = 2
+        parents = {}
+        for pos in range(n):
+            for kid in tree_children(n, fanout, pos):
+                assert kid not in parents    # exactly one parent each
+                parents[kid] = pos
+        assert sorted(parents) == list(range(1, n))   # root has none
+        if fanout >= n - 1:
+            assert subtree_height(n, fanout, 0) == 1  # the flat round
+        members = [f"bb{i:02d}" for i in range(n)]
+        order = tree_order(members, epoch)
+        assert order[0] == members[epoch % n]
+        assert sorted(order) == members
+
     def test_subtree_height(self):
         assert subtree_height(1, 2, 0) == 0           # singleton
         assert subtree_height(7, 2, 0) == 2           # full binary, 7
@@ -112,6 +134,15 @@ class TestTreeShape:
         assert subtree_height(7, 2, 3) == 0           # leaf
         assert subtree_height(9, 8, 0) == 1           # one level, k=8
         assert subtree_height(73, 8, 0) == 2          # 1 + 8 + 64
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("body", [{"kind": "bogus"}, {"entries": []}])
+    def test_unknown_kind_is_rejected_by_name(self, body):
+        cluster = _sync_only_cluster(n_servers=2, until=0.1)
+        ctl = cluster.servers["bb0"].controller
+        with pytest.raises(ReproError, match=repr(body.get("kind"))):
+            ctl.handle_sync(SimpleNamespace(body=body))
 
 
 class TestConfigValidation:
@@ -125,10 +156,6 @@ class TestConfigValidation:
             ServerConfig(sync_tree_fanout=1)
         with pytest.raises(ConfigError):
             ServerConfig(sync_tree_fanout=-2)
-
-    def test_tree_requires_batched_sync(self):
-        with pytest.raises(ConfigError):
-            ServerConfig(sync_tree_fanout=4, batched_sync=False)
 
 
 class TestTreeConvergence:
@@ -157,12 +184,18 @@ class TestTreeConvergence:
         t_log = tree.sync_digest_log()
         assert f_log
         assert f_log == t_log
+        # The flat round *is* the height-1 tree: any fanout >= N-1 also
+        # sends exactly the flat round's messages.
+        for fanout in (8, 14):
+            wide = _sync_only_cluster(fanout=fanout, n_servers=9, n_jobs=12)
+            assert wide.sync_digest_log() == f_log, fanout
+            assert (wide.fabric.messages_sent
+                    == flat.fabric.messages_sent), fanout
 
     def test_root_rotates_across_servers(self):
         cluster = _sync_only_cluster(fanout=2, n_servers=4, until=6.0)
         for server in cluster.servers.values():
             assert server.controller.coordinated_rounds > 0
-            assert server.controller.tree_rounds > 0
 
 
 class TestFanInAndRootBytes:

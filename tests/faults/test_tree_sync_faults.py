@@ -81,7 +81,7 @@ class TestRootCrash:
         assert ctl.full_resyncs >= 1
         assert not ctl._needs_full_sync
         _assert_converged(cluster)
-        assert cluster.sync_stats()["tree_rounds"] > 0
+        assert cluster.sync_stats()["coordinated_rounds"] > 0
 
     def test_fanin_stays_bounded_through_the_fault(self, make_cluster, job):
         cluster = _run_crash(make_cluster, job, "bb1")

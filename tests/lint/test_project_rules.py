@@ -129,7 +129,7 @@ def test_det007_sorted_wrapper_stays_silent():
 # ------------------------------------------------- real-tree anchoring
 def test_real_tree_protocol_surface_is_modelled():
     """Guard against vacuous cleanliness: the index must actually see
-    the tree-sync vocabulary and the perf toggles of the real tree."""
+    the λ-sync vocabulary and the perf toggles of the real tree."""
     import os
 
     from repro.lint.runner import _discover, _parse_module
@@ -146,12 +146,12 @@ def test_real_tree_protocol_surface_is_modelled():
     sent_kinds = set()
     for _fn, _site, kinds, _keys in index.resolved_sends():
         sent_kinds.update(kinds)
-    assert {"pull", "push", "tpull", "tpush",
+    assert {"pull", "push",
             "register", "heartbeat", "goodbye"} <= sent_kinds
 
     handled = {br.kind for _fn, br in index.dispatchers()
                if br.kind is not None}
-    assert {"pull", "push", "tpull", "tpush",
+    assert {"pull", "push",
             "register", "heartbeat", "goodbye"} <= handled
 
     toggle_names = {flag.name for flag in index.toggles.values()}
