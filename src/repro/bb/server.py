@@ -189,9 +189,13 @@ class Server:
         self._work_waiters.append(ev)
         return ev
 
-    def _notify_work(self) -> None:
-        waiters, self._work_waiters = self._work_waiters, []
-        for ev in waiters:
+    def _notify_work(self, limit: Optional[int] = None) -> None:
+        """Wake parked workers, longest-parked first: all of them, or at
+        most *limit*."""
+        waiters = self._work_waiters
+        n = len(waiters) if limit is None else limit
+        self._work_waiters = waiters[n:]
+        for ev in waiters[:n]:
             ev.succeed()
 
     def record_error(self, request: IORequest, exc: Exception) -> None:
@@ -249,7 +253,9 @@ class Server:
             groups=body.get("groups"),
         )
         self.scheduler.enqueue(request, self.engine.now)
-        self._notify_work()
+        # One worker per queued request is all that can find work: the
+        # rest would dequeue nothing and park again in the same order.
+        self._notify_work(self.scheduler.backlog)
 
     def cache_reply(self, req_id: str, body: Any, size: int) -> None:
         """Remember a completed reply for client request id *req_id*."""

@@ -64,9 +64,12 @@ class IOWorker:
                     wake = scheduler.next_eligible_time(engine.now)
                     if wake == float("inf"):
                         # Backlogged but the scheduler cannot name a
-                        # wake-up time: park until new work or a token
-                        # refresh triggers a notify (event-driven; the
-                        # old path polled on a 1 ms timer here).
+                        # wake-up time: park until the next request
+                        # arrives, which wakes up to `backlog` parked
+                        # workers (a crash or restart wakes all).
+                        # Nothing else notifies — a token refresh does
+                        # not — so a scheduler that blocks a backlog
+                        # must name a finite next_eligible_time.
                         self.throttle_waits += 1
                         yield server.work_event()
                     else:

@@ -5,7 +5,8 @@ and how fast bytes drain — without simulating routing. Each node owns a
 transmit :class:`~repro.sim.resources.BandwidthPipe` (its NIC injection
 channel) and an inbox :class:`~repro.sim.resources.Store`. A send
 serialises on the sender's NIC, crosses the fabric after a fixed latency,
-and lands in the receiver's inbox. Receive-side serialisation is folded
+and lands in the receiver's inbox — one scheduled event per message, at
+the arrival time (DESIGN.md §2). Receive-side serialisation is folded
 into the single NIC pipe (full-duplex links are modelled with separate tx
 pipes per node, which is where contention matters for our workloads).
 """
@@ -156,13 +157,17 @@ class Fabric:
         """Transmit *message*; the event fires when it is enqueued remotely.
 
         The message occupies the sender's NIC for ``size / link_bandwidth``
-        seconds, then arrives ``latency`` later. Sends are fire-and-forget
-        for fault purposes: a dropped or blackholed message still
-        triggers the returned event (the sender cannot observe the loss
-        — only a missing response can).
+        seconds, then arrives ``latency`` later: one scheduled event at
+        ``t1 + (latency + extra_delay)``, ``t1`` being the NIC's drain
+        time (:meth:`~repro.sim.resources.BandwidthPipe.reserve`), so
+        messages that arrive at the same instant are handed over in
+        send order. Sends are fire-and-forget for fault purposes: a
+        dropped or blackholed message still triggers the returned event
+        (the sender cannot observe the loss — only a missing response
+        can).
         """
         src = self.node(message.src)
-        dst = self.node(message.dst)
+        self.node(message.dst)  # validate
         self.messages_sent += 1
         self.bytes_sent += message.size
         effective = (message.size if message.payload_bytes is None
@@ -173,41 +178,39 @@ class Fabric:
         self.messages_to[message.dst] = (
             self.messages_to.get(message.dst, 0) + 1)
 
-        delivered = Event(self.engine)
+        arrival = Event(self.engine)
         if self._down and message.src in self._down:
-            # A dead node transmits nothing: vanish without NIC events.
+            # A dead node transmits nothing: vanish without NIC time.
             self.dropped_messages += 1
-            delivered.succeed(message)
-            return delivered
+            return arrival.succeed(message)
         extra_delay = 0.0
-        dropped = False
+        on_arrival = self._arrive
         if self._fault_filter is not None:
             verdict = self._fault_filter(message)
             if verdict == DROP:
-                dropped = True
+                on_arrival = self._lose
             elif verdict is not None:
                 extra_delay = float(verdict)
                 self.delayed_messages += 1
-        sent = src.tx.transfer(message.size)
+        arrival.callbacks.append(on_arrival)
+        return arrival.succeed_at(
+            src.tx.reserve(message.size) + (self.latency + extra_delay),
+            message)
 
-        def _arrive(_ev: Event) -> None:
-            # Destination liveness is re-checked at arrival time so a
-            # node that crashed while the message was in flight still
-            # loses it.
-            if dropped or (self._down and message.dst in self._down):
-                self.dropped_messages += 1
-            else:
-                dst.inbox.put(message)
-            delivered.succeed(message)
+    def _arrive(self, arrival: Event) -> None:
+        """Hand an arrived message to its inbox. Destination liveness is
+        checked now, not at send time, so a node that crashed while the
+        message was in flight still loses it."""
+        message = arrival.value
+        if self._down and message.dst in self._down:
+            self.dropped_messages += 1
+        else:
+            self._nodes[message.dst].inbox.put_nowait(message)
 
-        def _after_wire(_ev: Event) -> None:
-            # Fixed propagation latency after serialisation.
-            # lint: disable=PERF104 -- pure propagation delay, always fires
-            wire = self.engine.timeout(self.latency + extra_delay)
-            wire.callbacks.append(_arrive)
-
-        sent.callbacks.append(_after_wire)
-        return delivered
+    def _lose(self, _arrival: Event) -> None:
+        """Arrival of a message the fault filter dropped: it crossed the
+        wire (and held the NIC) but reaches no inbox."""
+        self.dropped_messages += 1
 
     def inbox(self, name: str) -> Store:
         """The receive queue of node *name*."""

@@ -35,7 +35,7 @@ class Message:
     size: int = 0
     worker: str = ""  # destination UCP worker name ("" = node default)
     payload_bytes: Optional[int] = None
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    msg_id: int = field(default_factory=_msg_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.size < 0:

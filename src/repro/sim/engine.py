@@ -139,6 +139,19 @@ class Engine:
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
+        self.schedule_at(event, self._now + delay)
+
+    def schedule_at(self, event: Event, when: float) -> None:
+        """Enqueue *event* to fire at absolute simulated time *when*.
+
+        The same contract as :meth:`schedule`, for callers that have
+        already worked out the firing time (a message's arrival): the
+        time is queued as given, not re-derived from a delay, so no
+        rounding is added. Ties at *when* fire in scheduling order.
+        """
+        if when < self._now:
+            raise SimulationError(
+                f"schedule_at({when!r}) is in the past (now={self._now!r})")
         if event._scheduled:
             raise SimulationError(f"{event!r} already scheduled")
         if event._cancelled:
@@ -148,9 +161,9 @@ class Engine:
         self._seq = seq + 1
         q = self._eventq
         if q is None:
-            _heappush(self._heap, (self._now + delay, seq, event))
+            _heappush(self._heap, (when, seq, event))
         else:
-            q.push(self._now + delay, seq, event)
+            q.push(when, seq, event)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Return an event that fires after ``delay`` simulated seconds."""
@@ -190,12 +203,14 @@ class Engine:
         self._compactions += 1
 
     def stats(self) -> Dict[str, Any]:
-        """Event-queue census: pending/dead counts, cancels, compactions."""
+        """Event-queue census: events ever scheduled, pending/dead counts,
+        cancels, compactions."""
         q = self._eventq
         pending = len(self._heap) if q is None else len(q)
         return {
             "now": self._now,
             "eventq": "heap" if q is None else type(q).__name__,
+            "scheduled_total": self._seq,
             "pending": pending,
             "dead_pending": self._dead,
             "live_pending": pending - self._dead,

@@ -110,6 +110,16 @@ class Event:
         self.engine.schedule(self)
         return self
 
+    def succeed_at(self, when: float, value: Any = None) -> "Event":
+        """Mark the event successful with *value*, to fire at the
+        absolute simulated time *when* (:meth:`Engine.schedule_at`)."""
+        if self.triggered:
+            raise SimulationError(f"{self!r} already triggered")
+        self._ok = True
+        self._value = value
+        self.engine.schedule_at(self, when)
+        return self
+
     def fail(self, exception: BaseException) -> "Event":
         """Mark the event failed with *exception* and schedule it now."""
         if self.triggered:

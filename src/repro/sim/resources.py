@@ -52,6 +52,18 @@ class Store:
         self._dispatch()
         return ev
 
+    def put_nowait(self, item: Any) -> None:
+        """Insert *item* with no completion event; the store must have
+        room (an unbounded store always has)."""
+        if self._putters or len(self.items) >= self.capacity:
+            raise SimulationError("put_nowait on a full store")
+        self._insert(item)
+        if self._getters:
+            self._dispatch()
+
+    def _insert(self, item: Any) -> None:
+        self.items.append(item)
+
     def get(self) -> Event:
         """Remove the oldest item; the event's value is the item."""
         ev = Event(self.engine)
@@ -104,6 +116,9 @@ class PriorityStore(Store):
     def __init__(self, engine: "Engine", capacity: float = float("inf")):
         super().__init__(engine, capacity)
         self.items: List[Any] = []  # heap
+
+    def _insert(self, item: Any) -> None:
+        heapq.heappush(self.items, item)
 
     def _dispatch(self) -> None:
         while self._putters and len(self.items) < self.capacity:
@@ -194,8 +209,10 @@ class BandwidthPipe:
 
     Models a NIC or device channel where transmissions queue behind each
     other; the pipe is busy until its last accepted transfer drains.
-    ``transfer(nbytes)`` returns an event succeeding at the completion time.
-    A per-transfer fixed ``latency`` is added after serialisation.
+    ``transfer(nbytes)`` returns an event succeeding at the completion time;
+    ``reserve(nbytes)`` only returns that time, for a caller that schedules
+    its own event. A per-transfer fixed ``latency`` is added after
+    serialisation.
     """
 
     __slots__ = ("engine", "rate", "latency", "_free_at", "bytes_moved")
@@ -215,18 +232,26 @@ class BandwidthPipe:
     def busy_until(self) -> float:
         return max(self._free_at, self.engine.now)
 
-    def transfer(self, nbytes: float, value: Any = None) -> Event:
-        """Queue a transfer of *nbytes*; the event fires when it completes."""
+    def reserve(self, nbytes: float) -> float:
+        """Queue *nbytes* behind what the pipe already holds and return
+        the absolute time they have drained (plus the pipe's latency).
+
+        The one place the drain time is worked out: :meth:`transfer`
+        fires its event at it and the fabric starts a message's wire
+        time from it. It is written ``now + (free_at + latency - now)``,
+        not ``free_at + latency``: the two can differ in the last bit,
+        and every committed trace digest was produced with the first.
+        """
         if nbytes < 0:
             raise SimulationError("nbytes must be non-negative")
-        start = max(self._free_at, self.engine.now)
-        self._free_at = start + nbytes / self.rate
+        now = self.engine.now
+        self._free_at = max(self._free_at, now) + nbytes / self.rate
         self.bytes_moved += int(nbytes)
-        done = Event(self.engine)
-        done._ok = True
-        done._value = value
-        self.engine.schedule(done, self._free_at + self.latency - self.engine.now)
-        return done
+        return now + (self._free_at + self.latency - now)
+
+    def transfer(self, nbytes: float, value: Any = None) -> Event:
+        """Queue a transfer of *nbytes*; the event fires when it completes."""
+        return Event(self.engine).succeed_at(self.reserve(nbytes), value)
 
     def eta(self, nbytes: float) -> float:
         """Completion time a transfer of *nbytes* would get if queued now."""

@@ -202,3 +202,47 @@ def test_process_return_value_is_event_value():
     eng.process(parent())
     eng.run()
     assert results == [42]
+
+
+def test_schedule_at_queues_the_time_as_given():
+    # The clock reads exactly the time given (no delay arithmetic in
+    # between), and ties at it fire in scheduling order.
+    eng = Engine(start=0.1)
+    fired = []
+    for tag in "ab":
+        ev = eng.event()
+        ev.callbacks.append(lambda _ev, tag=tag: fired.append((tag, eng.now)))
+        ev.succeed_at(0.3, tag)
+    eng.run()
+    assert fired == [("a", 0.3), ("b", 0.3)]
+
+
+def test_schedule_at_rejects_the_past_and_double_scheduling():
+    eng = Engine(start=1.0)
+    with pytest.raises(SimulationError):
+        eng.schedule_at(eng.event(), 0.5)
+    ev = eng.event().succeed_at(2.0)
+    with pytest.raises(SimulationError):
+        eng.schedule_at(ev, 3.0)
+    with pytest.raises(SimulationError):
+        ev.succeed_at(3.0)
+
+
+def test_stats_scheduled_total_matches_a_hand_count():
+    eng = Engine()
+    assert eng.stats()["scheduled_total"] == 0
+
+    def proc():
+        yield eng.timeout(1.0)          # 2: the timeout
+        yield eng.event().succeed()     # 3: a triggered event
+        # 4: the process's own completion event when it returns
+
+    eng.process(proc())                 # 1: the Initialize kick-off
+    cancelled = eng.timeout(5.0)        # 5: scheduled, then cancelled —
+    cancelled.cancel()                  #    still counts as scheduled
+    eng.event()                         # never scheduled: not counted
+    eng.run()
+    stats = eng.stats()
+    assert stats["scheduled_total"] == 5
+    assert stats["cancelled_total"] == 1
+    assert stats["pending"] == 0

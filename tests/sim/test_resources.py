@@ -250,3 +250,55 @@ class TestBandwidthPipe:
         pipe = BandwidthPipe(eng, rate=1.0)
         with pytest.raises(SimulationError):
             pipe.transfer(-5.0)
+
+
+def test_pipe_reserve_is_the_time_transfer_fires_at():
+    eng = Engine(start=0.7)
+    reserved, fired = BandwidthPipe(eng, rate=3.0, latency=0.1), \
+        BandwidthPipe(eng, rate=3.0, latency=0.1)
+    times = []
+    for nbytes in (1, 10, 0):
+        when = reserved.reserve(nbytes)
+        fired.transfer(nbytes).callbacks.append(
+            lambda _ev, when=when: times.append((eng.now, when)))
+    eng.run()
+    assert len(times) == 3 and all(now == when for now, when in times)
+    assert reserved.bytes_moved == fired.bytes_moved == 11
+    assert reserved.busy_until == fired.busy_until
+    with pytest.raises(SimulationError):
+        reserved.reserve(-1)
+
+
+def test_store_put_nowait_schedules_only_the_getter():
+    eng = Engine()
+    store = Store(eng)
+    got = []
+
+    def getter():
+        for _ in range(2):
+            got.append((yield store.get()))
+
+    eng.process(getter())
+    eng.run()
+    before = eng.stats()["scheduled_total"]
+    store.put_nowait("a")        # wakes the parked getter: one event
+    store.put_nowait("b")        # no getter parked: queued, no event
+    assert eng.stats()["scheduled_total"] == before + 1
+    eng.run()
+    assert got == ["a", "b"]
+
+
+def test_store_put_nowait_needs_room():
+    eng = Engine()
+    store = Store(eng, capacity=1)
+    store.put_nowait("a")
+    with pytest.raises(SimulationError):
+        store.put_nowait("b")
+
+
+def test_priority_store_put_nowait_keeps_heap_order():
+    eng = Engine()
+    store = PriorityStore(eng)
+    for item in (3, 1, 2):
+        store.put_nowait(item)
+    assert [store.try_get() for _ in range(3)] == [1, 2, 3]
