@@ -13,6 +13,7 @@ corresponding UCP worker mapping entries (§4.2).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..core.jobinfo import JobInfo, JobStatusTable
@@ -34,6 +35,8 @@ class JobMonitor:
         self.check_interval = check_interval
         self.on_expire = on_expire
         self._client_job: Dict[str, int] = {}
+        #: how many client ids map to each job.
+        self._job_clients: Counter = Counter()
         #: jobs that have contacted THIS server directly (vs. learned via
         #: λ-sync merges) — the placement information Fig. 5's token
         #: adjustment needs.
@@ -44,7 +47,12 @@ class JobMonitor:
     def observe(self, info: JobInfo, client_id: str = "") -> bool:
         """Record job metadata from a register or I/O request."""
         if client_id:
-            self._client_job[client_id] = info.job_id
+            previous = self._client_job.get(client_id)
+            if previous != info.job_id:
+                if previous is not None:
+                    self._job_clients[previous] -= 1
+                self._client_job[client_id] = info.job_id
+                self._job_clients[info.job_id] += 1
         self.local_jobs.add(info.job_id)
         return self.table.observe(info, self.engine.now)
 
@@ -58,11 +66,19 @@ class JobMonitor:
         loop keeps running — an empty table expires nothing."""
         self.table = JobStatusTable(self.table.heartbeat_timeout)
         self._client_job.clear()
+        self._job_clients.clear()
         self.local_jobs.clear()
 
     def client_exit(self, client_id: str) -> Optional[int]:
         """Forget a client; returns its job id if it was known."""
-        return self._client_job.pop(client_id, None)
+        job_id = self._client_job.pop(client_id, None)
+        if job_id is not None:
+            self._job_clients[job_id] -= 1
+        return job_id
+
+    def client_count(self, job_id: int) -> int:
+        """How many client ids are currently mapped to *job_id*."""
+        return self._job_clients[job_id]
 
     def clients_of(self, job_id: int) -> List[str]:
         """Client ids currently mapped to *job_id*, sorted."""
@@ -83,4 +99,4 @@ class JobMonitor:
 
     def active_local_jobs(self) -> set:
         """Active jobs whose files/clients touch this server directly."""
-        return {j for j in self.local_jobs if self.table.is_active(j)}
+        return self.local_jobs & self.table.active_ids

@@ -290,7 +290,7 @@ class Server:
         elif kind == "goodbye":
             self.pool.release(client_id)
             job_id = self.monitor.client_exit(client_id)
-            if job_id is not None and not self.monitor.clients_of(job_id):
+            if job_id is not None and not self.monitor.client_count(job_id):
                 if self.monitor.table.deactivate(job_id):
                     self.controller.refresh_tokens()
             rpc.reply({"ok": True})

@@ -13,9 +13,8 @@ all-gather merge over snapshots and the unfairness metric used by the
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
-
-import numpy as np
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Sequence, Set
 
 from .jobinfo import JobStatusTable
 
@@ -48,14 +47,15 @@ class PlacementMemo:
     """Bounded content-keyed memo of :func:`placement_shares` results,
     owned by one cluster: its N controllers hold the same merged table
     after a scatter and would otherwise each solve the same projection.
-    Counts projection *requests* and actual *solves*."""
+    Every requester is handed the same read-only rows. Counts projection
+    *requests* and actual *solves*."""
 
     BOUND = 8
 
     def __init__(self) -> None:
         self.requests = 0
         self.solves = 0
-        self._rows: Dict[tuple, Dict[str, Dict[int, float]]] = {}
+        self._rows: Dict[tuple, Mapping[str, Mapping[int, float]]] = {}
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -65,7 +65,7 @@ def placement_shares(presence: Dict[str, Set[int]],
                      global_shares: Dict[int, float],
                      iterations: int = 100, tol: float = 1e-9,
                      memo: Optional[PlacementMemo] = None,
-                     ) -> Dict[str, Dict[int, float]]:
+                     ) -> Mapping[str, Mapping[int, float]]:
     """Per-server token assignments honouring global shares under
     placement constraints (the Fig. 5 adjustment).
 
@@ -88,7 +88,9 @@ def placement_shares(presence: Dict[str, Set[int]],
     *iterations* sweeps and end at the closest feasible point.
 
     A *memo* answers an input equal in content to one of its last
-    ``BOUND`` distinct ones without solving; the caller owns the rows.
+    ``BOUND`` distinct ones without solving. Its rows are shared by
+    every requester and therefore read-only (mutation raises
+    ``TypeError``); without a memo the caller owns plain dicts.
     """
     if memo is None:
         return _solve_placement(presence, global_shares, iterations, tol)
@@ -98,54 +100,90 @@ def placement_shares(presence: Dict[str, Set[int]],
     rows = memo._rows.get(key)
     if rows is None:
         memo.solves += 1
-        rows = _solve_placement(presence, global_shares, iterations, tol)
+        solved = _solve_placement(presence, global_shares, iterations, tol)
+        rows = MappingProxyType({server: MappingProxyType(row)
+                                 for server, row in solved.items()})
         if len(memo._rows) >= memo.BOUND:
             del memo._rows[next(iter(memo._rows))]
         memo._rows[key] = rows
-    return {server: dict(row) for server, row in rows.items()}
+    return rows
 
 
 def _solve_placement(presence, global_shares, iterations: int,
                      tol: float) -> Dict[str, Dict[int, float]]:
-    """The RAS projection behind :func:`placement_shares`."""
+    """The RAS projection behind :func:`placement_shares`, solved over
+    host-set classes.
+
+    Every job hosted by the same set of servers is scaled by the same
+    factors in every sweep, so the S x J problem is (in exact
+    arithmetic) an S x K problem over the K distinct host sets: a class
+    weighs the sum of its members' shares, its column passes the check
+    when its largest member's would, and a member's cell is
+    ``share / weight`` of the class cell. Only the non-zero class cells
+    are kept, as one flat list in column order.
+    """
     servers = sorted(presence)
-    jobs = sorted(global_shares)
     rows: Dict[str, Dict[int, float]] = {s: {} for s in servers}
-    if not servers or not jobs:
-        return rows
-    index = {j: k for k, j in enumerate(jobs)}
-    A = np.zeros((len(servers), len(jobs)))
-    for row, server in enumerate(servers):
+    hosts: Dict[int, tuple] = {}
+    for r, server in enumerate(servers):
         for job_id in presence[server]:
-            col = index.get(job_id)
-            if col is not None and global_shares[job_id] > 0:
-                A[row, col] = global_shares[job_id]
-    targets = np.array([global_shares[j] for j in jobs]) * len(servers)
+            if global_shares.get(job_id, 0.0) > 0:
+                hosts[job_id] = hosts.get(job_id, ()) + (r,)
+    if not hosts:
+        return rows
+    classes: Dict[tuple, list] = {}
+    for job_id in sorted(hosts):
+        classes.setdefault(hosts[job_id], []).append(job_id)
+    n = len(servers)
+    members = list(classes.values())
+    member_shares = [[global_shares[j] for j in jobs] for jobs in members]
+    weights = [sum(shares) for shares in member_shares]
+    targets = [w * n for w in weights]
     row_bound = tol + _RTOL
-    col_bound = tol + _RTOL * np.abs(targets)
+    col_bounds = [tol * w / max(shares) + _RTOL * t
+                  for w, shares, t in zip(weights, member_shares, targets)]
+    # (cell, row, column) of every non-zero class cell, in column order.
+    index = [(c, r, k) for c, (r, k) in enumerate(
+        (r, k) for k, rs in enumerate(classes) for r in rs)]
+    cells = [weights[k] for _, _, k in index]
+    row_sums = [0.0] * n
+    for c, r, _ in index:
+        row_sums[r] += cells[c]
     # One row and one column reduction per sweep: the row sums the check
     # reads are the next sweep's (and the final renormalisation's)
     # divisors; the check's own column sums are taken once the rows pass.
-    row_sums = A.sum(axis=1, keepdims=True)
-    scale = np.empty_like(targets)
     for _ in range(iterations):
-        np.divide(A, row_sums, out=A, where=row_sums > 0)
-        col_sums = A.sum(axis=0)
-        live = col_sums > 0
-        scale.fill(1.0)
-        np.divide(targets, col_sums, out=scale, where=live)
-        np.multiply(A, scale, out=A)
-        row_sums = A.sum(axis=1, keepdims=True)
-        if ((row_sums > 0) & ~(np.abs(row_sums - 1.0) <= row_bound)).any():
-            continue
-        if not (live & ~(np.abs(A.sum(axis=0) - targets) <= col_bound)).any():
-            break
-    # Leave each server with a proper distribution.
-    np.divide(A, row_sums, out=A, where=row_sums > 0)
-    hit_rows, hit_cols = np.nonzero(A > 0)
-    for r, c, share in zip(hit_rows.tolist(), hit_cols.tolist(),
-                           A[hit_rows, hit_cols].tolist()):
-        rows[servers[r]][jobs[c]] = share
+        if 0.0 in row_sums:
+            row_sums = [s or 1.0 for s in row_sums]
+        col_sums = [0.0] * len(targets)
+        for c, r, k in index:
+            cells[c] = v = cells[c] / row_sums[r]
+            col_sums[k] += v
+        scale = [t / s if s > 0 else 1.0 for t, s in zip(targets, col_sums)]
+        row_sums = [0.0] * n
+        for c, r, k in index:
+            cells[c] = v = cells[c] * scale[k]
+            row_sums[r] += v
+        for s in row_sums:
+            if s > 0 and not abs(s - 1.0) <= row_bound:
+                break
+        else:
+            scaled = [0.0] * len(targets)
+            for c, _, k in index:
+                scaled[k] += cells[c]
+            if all(abs(x - t) <= bound
+                   for x, t, bound, s in zip(scaled, targets, col_bounds,
+                                             col_sums) if s > 0):
+                break
+    # Leave each server with a proper distribution; a member's cell is
+    # its ``share / weight`` of the class cell.
+    for c, r, k in index:
+        unit = cells[c] / (row_sums[r] or 1.0) / weights[k]
+        row = rows[servers[r]]
+        for job_id, share in zip(members[k], member_shares[k]):
+            cell = share * unit
+            if cell > 0:
+                row[job_id] = cell
     return rows
 
 

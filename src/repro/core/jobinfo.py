@@ -12,7 +12,7 @@ and, for jobs known to both, the newest heartbeat wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import AbstractSet, Dict, Iterable, List, Optional, Set
 
 from ..errors import SchedulerError
 
@@ -58,6 +58,9 @@ class JobStatusTable:
             raise SchedulerError("heartbeat_timeout must be positive")
         self.heartbeat_timeout = float(heartbeat_timeout)
         self._entries: Dict[int, _Entry] = {}
+        #: ids of the entries whose ``active`` flag is set, kept current
+        #: by every method that changes a flag or drops an entry.
+        self._active_ids: Set[int] = set()
         self.version = 0  # bumped on any membership/activity change
 
     # --------------------------------------------------------------- updates
@@ -70,6 +73,7 @@ class JobStatusTable:
         entry = self._entries.get(info.job_id)
         if entry is None:
             self._entries[info.job_id] = _Entry(info=info, last_heartbeat=now)
+            self._active_ids.add(info.job_id)
             self.version += 1
             return True
         changed = not entry.active or entry.info != info
@@ -77,6 +81,7 @@ class JobStatusTable:
         entry.last_heartbeat = now
         if not entry.active:
             entry.active = True
+            self._active_ids.add(info.job_id)
         if changed:
             self.version += 1
         return changed
@@ -89,6 +94,7 @@ class JobStatusTable:
         entry.last_heartbeat = now
         if not entry.active:
             entry.active = True
+            self._active_ids.add(job_id)
             self.version += 1
 
     def expire(self, now: float) -> List[int]:
@@ -99,6 +105,7 @@ class JobStatusTable:
                 entry.active = False
                 expired.append(job_id)
         if expired:
+            self._active_ids.difference_update(expired)
             self.version += 1
         return expired
 
@@ -108,12 +115,14 @@ class JobStatusTable:
         if entry is None or not entry.active:
             return False
         entry.active = False
+        self._active_ids.discard(job_id)
         self.version += 1
         return True
 
     def remove(self, job_id: int) -> bool:
         """Drop a job entirely (post-exit garbage collection)."""
         if self._entries.pop(job_id, None) is not None:
+            self._active_ids.discard(job_id)
             self.version += 1
             return True
         return False
@@ -140,9 +149,17 @@ class JobStatusTable:
                 self._entries[info.job_id] = _Entry(
                     info=info, last_heartbeat=remote["last_heartbeat"],
                     active=remote["active"])
+                if remote["active"]:
+                    self._active_ids.add(info.job_id)
                 changed = True
             elif remote["last_heartbeat"] > entry.last_heartbeat:
-                if entry.active != remote["active"] or entry.info != info:
+                if entry.active != remote["active"]:
+                    changed = True
+                    if remote["active"]:
+                        self._active_ids.add(info.job_id)
+                    else:
+                        self._active_ids.discard(info.job_id)
+                elif entry.info != info:
                     changed = True
                 entry.info = info
                 entry.last_heartbeat = remote["last_heartbeat"]
@@ -159,13 +176,17 @@ class JobStatusTable:
 
     def is_active(self, job_id: int) -> bool:
         """True if the job is known and currently active."""
-        entry = self._entries.get(job_id)
-        return bool(entry and entry.active)
+        return job_id in self._active_ids
+
+    @property
+    def active_ids(self) -> AbstractSet[int]:
+        """Ids of the active jobs: a live view, not to be mutated."""
+        return self._active_ids
 
     def active_jobs(self) -> List[JobInfo]:
         """Active jobs, sorted by job id for determinism."""
-        return sorted((e.info for e in self._entries.values() if e.active),
-                      key=lambda info: info.job_id)
+        entries = self._entries
+        return [entries[job_id].info for job_id in sorted(self._active_ids)]
 
     def all_jobs(self) -> List[JobInfo]:
         """Every known job (active or not), sorted by job id."""

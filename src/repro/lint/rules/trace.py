@@ -45,8 +45,10 @@ TRACE_STATE: Dict[str, str] = {
     "membership_version": "queue-membership version counter",
     # Job/status tables (bb/monitor.py, core/jobinfo.py).
     "_entries": "job status table entries",
+    "_active_ids": "job status table active-id index",
     "local_jobs": "job monitor local-job set",
     "_client_job": "client-to-job mapping",
+    "_job_clients": "per-job client count",
     # FS metadata (fs/filesystem.py StorageNode).
     "inodes": "storage-node inode table",
     "paths": "storage-node path namespace",

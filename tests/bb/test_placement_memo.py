@@ -56,8 +56,8 @@ def _assert_rows_installed(cluster):
                     if jobs}
         shares = server.policy_shares(server.monitor.table.active_jobs())
         row = reference_placement_shares(presence, shares)[server.name]
-        assert (server.scheduler.assignment.as_dict()
-                == TokenAssignment(row).as_dict()), server.name
+        assert server.scheduler.assignment.as_dict() == pytest.approx(
+            TokenAssignment(row).as_dict(), rel=1e-12, abs=0.0), server.name
 
 
 def test_one_solve_per_distinct_merged_state(monkeypatch):

@@ -1,7 +1,10 @@
-"""Reference oracle: ``placement_shares`` as it stood before the lean
-rewrite (5 reductions and 2 ``np.allclose`` per sweep, Python double
-loop for the rows). ``repro.core.fairness.placement_shares`` must return
-rows ``==`` to this one's, bit for bit. Not a test module.
+"""Reference oracle: ``placement_shares`` as the dense S x J numpy RAS it
+first was (5 reductions and 2 ``np.allclose`` per sweep, Python double
+loop for the rows) — the only dense solver left in the tree.
+``repro.core.fairness.placement_shares`` solves the same projection over
+host-set classes and must return the same servers, the same job keys per
+row and every cell within 1e-12 relative of this one's. Not a test
+module.
 """
 
 import numpy as np

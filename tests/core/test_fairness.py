@@ -138,21 +138,33 @@ def _placement_inputs(draw):
     return presence, shares
 
 
+def assert_rows_match(rows, expected, rel=1e-12):
+    """Same servers, same job keys per row, every cell within *rel* of
+    the reference's (a sweep-count divergence shows as ~1e-5)."""
+    assert set(rows) == set(expected)
+    for server, row in expected.items():
+        assert set(rows[server]) == set(row), server
+        for job_id, cell in row.items():
+            assert rows[server][job_id] == pytest.approx(cell, rel=rel,
+                                                         abs=0.0)
+
+
 class TestPlacementSharesExact:
-    """The lean solver against the reference copy of the old one."""
+    """The host-set-class solver against the dense numpy reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(_placement_inputs(), st.sampled_from([0, 1, 7, 100]),
            st.sampled_from([1e-9, 1e-6, 0.0]))
-    def test_rows_equal_reference_bit_for_bit(self, inputs, iterations, tol):
+    def test_rows_match_reference_within_1e12(self, inputs, iterations, tol):
         presence, shares = inputs
         expected = reference_placement_shares(presence, shares,
                                               iterations, tol)
-        assert placement_shares(presence, shares, iterations, tol) == expected
+        assert_rows_match(placement_shares(presence, shares, iterations, tol),
+                          expected)
         memo = PlacementMemo()
         for _ in range(2):
-            assert placement_shares(presence, shares, iterations, tol,
-                                    memo=memo) == expected
+            assert_rows_match(placement_shares(presence, shares, iterations,
+                                               tol, memo=memo), expected)
         assert (memo.requests, memo.solves) == (2, 1)
 
     def test_cluster_shaped_input_equals_reference(self):
@@ -167,26 +179,81 @@ class TestPlacementSharesExact:
                 presence[server].add(job)
         total = sum(sizes.values())
         shares = {j: s / total for j, s in sizes.items()}
-        assert (placement_shares(presence, shares)
-                == reference_placement_shares(presence, shares))
+        assert_rows_match(placement_shares(presence, shares),
+                          reference_placement_shares(presence, shares))
+
+    def test_fig5_example_is_exact(self):
+        rows = placement_shares({"s1": {1, 2}, "s2": {1, 3}},
+                                {1: 0.5, 2: 0.25, 3: 0.25})
+        assert rows == {"s1": {1: 0.5, 2: 0.5}, "s2": {1: 0.5, 3: 0.5}}
+
+    def test_one_host_set_splits_cells_in_share_proportion(self):
+        """Jobs 2, 3 and 4 share a host set, so they are one class: each
+        gets its ``share`` fraction of the class cell, on every server."""
+        presence = {"s1": {1, 2, 3, 4}, "s2": {2, 3, 4, 5}, "s3": {1, 5}}
+        shares = {1: 0.2, 2: 0.125, 3: 0.25, 4: 0.0625, 5: 0.3625}
+        rows = placement_shares(presence, shares)
+        assert_rows_match(rows, reference_placement_shares(presence, shares))
+        for server in ("s1", "s2"):
+            row = rows[server]
+            # Power-of-two share ratios survive the float products.
+            assert row[3] == 2 * row[2] == 4 * row[4]
+
+    def test_relabelling_permutes_rows_and_nothing_else(self):
+        presence = {"a": {1, 2, 7}, "b": {2, 3}, "c": {1, 3, 7}, "d": set()}
+        shares = {1: 0.4, 2: 0.3, 3: 0.2, 7: 0.1}
+        rows = placement_shares(presence, shares)
+        jobs = {1: 30, 2: 7, 3: 1, 7: 2}
+        servers = {"a": "z", "b": "m", "c": "b", "d": "a"}
+        relabelled = placement_shares(
+            {servers[s]: {jobs[j] for j in hosted}
+             for s, hosted in presence.items()},
+            {jobs[j]: share for j, share in shares.items()})
+        assert_rows_match(
+            relabelled,
+            {servers[s]: {jobs[j]: cell for j, cell in row.items()}
+             for s, row in rows.items()})
+
+    def test_unhosted_and_shareless_jobs_are_ignored(self):
+        """Job 8 has a share but no host, job 9 a host but no share, job
+        4 a zero share: none gets a cell, none moves the others' cells."""
+        presence = {"s1": {1, 2, 9}, "s2": {1, 3, 4}}
+        shares = {1: 0.5, 2: 0.25, 3: 0.25, 4: 0.0, 8: 0.5}
+        rows = placement_shares(presence, shares)
+        assert rows == {"s1": {1: 0.5, 2: 0.5}, "s2": {1: 0.5, 3: 0.5}}
+        assert_rows_match(rows, reference_placement_shares(presence, shares))
+
+    def test_infeasible_entitlement_runs_every_sweep(self):
+        """Job 1 is owed 1.8 servers and hosted on one: the check never
+        passes, so each extra sweep still moves the rows."""
+        presence, shares = {"s1": {1, 2}, "s2": {2}}, {1: 0.9, 2: 0.1}
+        cells = [placement_shares(presence, shares, iterations=n)["s1"][2]
+                 for n in (40, 41, 100, 101)]
+        assert cells[0] > cells[1] > cells[2] > cells[3] > 0
+        assert_rows_match(placement_shares(presence, shares),
+                          reference_placement_shares(presence, shares))
 
 
 class TestPlacementMemo:
-    def test_results_are_not_aliased(self):
+    def test_memoised_rows_are_read_only(self):
         memo = PlacementMemo()
         presence = {"s1": {1, 2}, "s2": {1, 3}}
         shares = {1: 0.5, 2: 0.25, 3: 0.25}
         expected = reference_placement_shares(presence, shares)
         first = placement_shares(presence, shares, memo=memo)
-        first["s1"][1] = 99.0
-        first["s2"].clear()
-        del first["s1"]
+        with pytest.raises(TypeError):
+            first["s1"][1] = 99.0
+        with pytest.raises(TypeError):
+            del first["s1"]
+        with pytest.raises(AttributeError):
+            first["s2"].clear()
         assert placement_shares(presence, shares, memo=memo) == expected
         # The caller's sets and share map are keyed by content, not held.
         presence["s1"].add(3)
         shares[3] = 0.5
         changed = placement_shares(presence, shares, memo=memo)
-        assert changed == reference_placement_shares(presence, shares)
+        assert_rows_match(changed,
+                          reference_placement_shares(presence, shares))
         assert changed != expected
         presence["s1"].discard(3)
         shares[3] = 0.25
@@ -212,8 +279,8 @@ class TestPlacementMemo:
         presence, shares = {"s1": {1, 2}, "s2": {2}}, {1: 0.9, 2: 0.1}
         one = placement_shares(presence, shares, iterations=1, memo=memo)
         full = placement_shares(presence, shares, memo=memo)
-        assert one == reference_placement_shares(presence, shares, 1)
-        assert full == reference_placement_shares(presence, shares)
+        assert_rows_match(one, reference_placement_shares(presence, shares, 1))
+        assert_rows_match(full, reference_placement_shares(presence, shares))
         assert one != full and memo.solves == 2
 
 

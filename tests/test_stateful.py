@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (Bundle, RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-from repro.core import JobInfo, Policy, StatisticalTokenScheduler
-from repro.errors import NoSpace
+from repro.core import (JobInfo, JobStatusTable, Policy,
+                        StatisticalTokenScheduler)
+from repro.errors import NoSpace, SchedulerError
 from repro.fs import LogStructuredStore
 from repro.posix import FDTable
 
@@ -148,11 +149,99 @@ class SchedulerConservationMachine(RuleBasedStateMachine):
         assert self.scheduler.backlog == len(self.pending)
 
 
+class JobStatusTableMachine(RuleBasedStateMachine):
+    """The table's active-id index against the entries' own flags: two
+    tables observe, expire, deactivate, remove and merge each other's
+    snapshots in arbitrary order on one advancing clock."""
+
+    JOBS = st.integers(0, 3)
+    SIDE = st.sampled_from([0, 1])
+    #: every timestamped rule first moves the shared clock: not at all,
+    #: a little, or past both heartbeat timeouts.
+    DT = st.sampled_from([0.0, 0.5, 3.5])
+
+    def __init__(self):
+        super().__init__()
+        self.tables = [JobStatusTable(heartbeat_timeout=2.0),
+                       JobStatusTable(heartbeat_timeout=3.0)]
+        self.now = 0.0
+
+    @rule(side=SIDE, job_id=JOBS, size=st.integers(1, 2), dt=DT)
+    def observe(self, side, job_id, size, dt):
+        self.now += dt
+        table = self.tables[side]
+        entry = table._entries.get(job_id)
+        was_active = entry is not None and entry.active
+        changed = table.observe(JobInfo(job_id, f"u{job_id}", size=size),
+                                self.now)
+        assert table.is_active(job_id)
+        assert changed or was_active
+
+    @rule(side=SIDE, job_id=JOBS, dt=DT)
+    def heartbeat(self, side, job_id, dt):
+        self.now += dt
+        table = self.tables[side]
+        if job_id in table:
+            table.heartbeat(job_id, self.now)
+            assert table.is_active(job_id)
+        else:
+            try:
+                table.heartbeat(job_id, self.now)
+            except SchedulerError:
+                return
+            raise AssertionError("heartbeat for an unknown job accepted")
+
+    @rule(side=SIDE, dt=DT)
+    def expire(self, side, dt):
+        self.now += dt
+        table = self.tables[side]
+        before = set(table.active_ids)
+        expired = table.expire(self.now)
+        assert set(expired) <= before
+        assert table.active_ids == before - set(expired)
+
+    @rule(side=SIDE, job_id=JOBS)
+    def deactivate(self, side, job_id):
+        table = self.tables[side]
+        entry = table._entries.get(job_id)
+        was_active = entry is not None and entry.active
+        assert table.deactivate(job_id) == was_active
+        assert not table.is_active(job_id)
+
+    @rule(side=SIDE, job_id=JOBS)
+    def remove(self, side, job_id):
+        table = self.tables[side]
+        known = job_id in table
+        assert table.remove(job_id) == known
+        assert job_id not in table and not table.is_active(job_id)
+
+    @rule(side=SIDE)
+    def merge(self, side):
+        self.tables[side].merge(self.tables[1 - side].snapshot())
+
+    @invariant()
+    def index_matches_flags(self):
+        for table in self.tables:
+            entries = table._entries
+            flagged = {j for j, e in entries.items() if e.active}
+            assert table.active_ids == flagged
+            assert table.active_jobs() == sorted(
+                (e.info for e in entries.values() if e.active),
+                key=lambda info: info.job_id)
+            assert all(table.is_active(j) == (j in flagged)
+                       for j in range(4))
+
+
 TestFDTableMachine = FDTableMachine.TestCase
 TestLogStoreMachine = LogStoreMachine.TestCase
 TestSchedulerConservationMachine = SchedulerConservationMachine.TestCase
+TestJobStatusTableMachine = JobStatusTableMachine.TestCase
 
 for case in (TestFDTableMachine, TestLogStoreMachine,
-             TestSchedulerConservationMachine):
+             TestSchedulerConservationMachine, TestJobStatusTableMachine):
     case.settings = settings(max_examples=30, stateful_step_count=40,
                              deadline=None)
+# Four jobs, eight rules: a merge that flips a flag needs a five-step
+# prefix, so this machine gets more and longer runs.
+TestJobStatusTableMachine.settings = settings(
+    max_examples=100, stateful_step_count=60, deadline=None)
