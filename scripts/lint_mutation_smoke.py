@@ -9,13 +9,10 @@ with the expected rule:
 * ``proto``: disable the ``pull`` branch of
   ``Controller.handle_sync`` (simulates deleting a λ-sync handler)
   -> PROTO101 on the pull send site.
-* ``trace``: add a presence-map write to the hash-skip fast path in
-  ``Controller._apply_push`` (a toggle-guarded trace-state mutation)
-  -> TRACE101 on the guard.
 
 Each mutation is a textual anchor replacement; if an anchor stops
 matching after a refactor the script fails loudly rather than passing
-vacuously. Exit 0 iff both mutants are caught.
+vacuously. Exit 0 iff every mutant is caught.
 
 Usage: ``PYTHONPATH=src python scripts/lint_mutation_smoke.py``
 """
@@ -40,15 +37,6 @@ MUTATIONS = [
         "replacement": 'if kind == "pull-disabled":',
         "expect_rule": "PROTO101",
         "expect_fragment": "'pull'",
-    },
-    {
-        "name": "trace-state write under toggle guard",
-        "file": CONTROLLER,
-        "anchor": "self.push_hash_skips += 1",
-        "replacement": ("self.push_hash_skips += 1\n"
-                        "            self.local_jobs.add(body['host'])"),
-        "expect_rule": "TRACE101",
-        "expect_fragment": "local_jobs",
     },
 ]
 

@@ -276,9 +276,7 @@ class Client:
 
         Interrupts the loop out of its inter-beat sleep and cancels the
         abandoned timer, so a long run with client churn doesn't carry
-        one dead wake per departed client in the event queue. (With
-        cancellation disabled the timer simply fires into the detached
-        event — the pre-cancellation behaviour.)
+        one dead wake per departed client in the event queue.
         """
         proc = self._heartbeat_proc
         if proc is None:

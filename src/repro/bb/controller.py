@@ -59,11 +59,7 @@ from ..ucx import Address, RpcClient
 if TYPE_CHECKING:  # pragma: no cover
     from .server import Server
 
-__all__ = ["Controller", "set_sync_hash_skip_enabled",
-           "sync_hash_skip_enabled", "set_sync_delta_enabled",
-           "sync_delta_enabled", "set_sync_gather_delta_enabled",
-           "sync_gather_delta_enabled", "tree_order", "tree_children",
-           "subtree_height"]
+__all__ = ["Controller", "tree_order", "tree_children", "subtree_height"]
 
 #: Estimated wire bytes per job-status-table entry (id, uid, gid, size,
 #: priority, status, heartbeat stamp).
@@ -75,65 +71,6 @@ _PROBE_WIRE_BYTES = 16
 #: Wire bytes of one omitted-entry summary in a delta-encoded gather
 #: reply: the job id plus its heartbeat stamp, no status fields.
 _SUMMARY_WIRE_BYTES = 12
-
-#: Process-wide switch for the push content-hash skip. Skipped and
-#: unskipped application are trace-identical (the skip only elides a
-#: no-op merge and a memoised token refresh); the toggle exists for the
-#: seed-equivalence suite and for measuring the skip's effect.
-_HASH_SKIP_ENABLED = True
-
-
-def set_sync_hash_skip_enabled(enabled: bool) -> None:
-    """Enable/disable the λ-sync push content-hash skip."""
-    global _HASH_SKIP_ENABLED
-    _HASH_SKIP_ENABLED = bool(enabled)
-
-
-def sync_hash_skip_enabled() -> bool:
-    """Whether push application skips on an unchanged content hash."""
-    return _HASH_SKIP_ENABLED
-
-
-#: Process-wide switch for delta-encoded scatter pushes
-#: (:meth:`Controller._encode_push` has the soundness argument).
-#: Omitted entries would merge as byte-for-byte no-ops, so delta and
-#: full pushes leave the receiver in the identical state; the push's
-#: nominal ``size`` (and hence all simulated timing) still reflects
-#: the full table, and the saving is reported separately through
-#: :attr:`~repro.net.message.Message.payload_bytes`.
-_DELTA_SYNC_ENABLED = True
-
-
-def set_sync_delta_enabled(enabled: bool) -> None:
-    """Enable/disable λ-sync delta encoding (both directions)."""
-    global _DELTA_SYNC_ENABLED
-    _DELTA_SYNC_ENABLED = bool(enabled)
-
-
-def sync_delta_enabled() -> bool:
-    """Whether scatter pushes carry only entries the receiver lacks."""
-    return _DELTA_SYNC_ENABLED
-
-
-#: Process-wide switch for the gather-direction per-peer-basis deltas
-#: of :meth:`Controller._encode_gather_reply` (subordinate to the
-#: master delta toggle above: gather deltas run iff both are on).
-#: Heartbeats only move forward and live tables never remove entries,
-#: so an entry the requester confirmed applying merges as a no-op there
-#: forever after. Timing-neutral the same way as scatter deltas:
-#: nominal size covers the full snapshot.
-_GATHER_DELTA_ENABLED = True
-
-
-def set_sync_gather_delta_enabled(enabled: bool) -> None:
-    """Enable/disable gather-direction per-peer-basis delta replies."""
-    global _GATHER_DELTA_ENABLED
-    _GATHER_DELTA_ENABLED = bool(enabled)
-
-
-def sync_gather_delta_enabled() -> bool:
-    """Whether pull replies delta-encode against a confirmed basis."""
-    return _GATHER_DELTA_ENABLED
 
 
 def _content_hash(entries: List[dict], presence: Dict[str, List[int]]) -> str:
@@ -362,7 +299,6 @@ class Controller:
     def _members(self) -> List[str]:
         return sorted([self.server.name, *self._peer_addrs])
 
-
     # ------------------------------------------------------------------ sync
     def _sync_loop(self):
         engine = self.server.engine
@@ -588,10 +524,11 @@ class Controller:
 
         Returns ``(reply_fields, nominal_size, payload_bytes)``. The
         nominal size always covers the full snapshot (timing-neutral);
-        with the gather-delta toggles on and the requester echoing the
-        token of the last reply it applied from us, entries it
-        provably holds are demoted to ``(job_id, heartbeat)`` summary
-        pairs in ``omitted``.
+        when the requester echoes the token of the last reply it
+        applied from us, entries it provably holds (heartbeats only
+        move forward and live tables never remove entries, so they
+        merge as no-ops there forever after) are demoted to
+        ``(job_id, heartbeat)`` summary pairs in ``omitted``.
         """
         full_map = _heartbeats(entries)
         size = _ENTRY_WIRE_BYTES * max(1, len(entries))
@@ -599,8 +536,7 @@ class Controller:
         token = (self._sync_basis, self._gather_seq)
         stored = self._gather_sent.get(requester)
         wire = None
-        if (_DELTA_SYNC_ENABLED and _GATHER_DELTA_ENABLED
-                and have is not None and stored is not None
+        if (have is not None and stored is not None
                 and stored[0] == have
                 and any(stored[1].get(e["info"].job_id, -1.0)
                         >= e["last_heartbeat"] for e in entries)):
@@ -633,8 +569,9 @@ class Controller:
         """The push body for one child, plus its effective wire bytes
         (``None`` = nominal).
 
-        Delta-encodable iff the toggle is on and the child did not
-        request a full resync. The delta keeps exactly the entries
+        Delta-encodable unless the child requested a full resync; the
+        push's nominal ``size`` (and hence all simulated timing) still
+        covers the full table. The delta keeps exactly the entries
         whose merge at the child would do something: the merge updates
         on strictly-newer heartbeats, so an entry the child reported
         with an equal-or-newer heartbeat is provably a no-op there
@@ -643,7 +580,7 @@ class Controller:
         """
         push = {"kind": "push", "host": self.server.name, "epoch": epoch,
                 "entries": entries, "presence": presence, "hash": digest}
-        if not _DELTA_SYNC_ENABLED or wants_full:
+        if wants_full:
             self.full_pushes += 1
             return push, None
         absent = float("-inf")
@@ -737,7 +674,7 @@ class Controller:
             self._needs_full_sync = False
             self.full_resyncs += 1
         digest = body["hash"]
-        if _HASH_SKIP_ENABLED and digest == self._last_push_hash:
+        if digest == self._last_push_hash:
             self.push_hash_skips += 1
         else:
             self.server.monitor.table.merge(body["entries"])

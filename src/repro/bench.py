@@ -17,12 +17,12 @@ Kernel inventory
 - ``scheduler_enqueue_dequeue`` — token-scheduler arbitration cycle.
 - ``token_draw`` — cumulative-boundary search over a 64-job assignment.
 - ``policy_shares_composite`` — Eq. 1 chain evaluation, three-tier
-  policy (exercises the incremental :class:`CompositeShareCache`).
+  policy.
 - ``engine_timeout_churn`` — raw DES event loop throughput.
 - ``lambda_sync_round`` — cluster-wide λ-sync epochs on 8 servers with
   live client heartbeats (gather→merge→scatter at the default fanout).
 - ``gift_epoch`` — GIFT allocation boundaries through a steady
-  donate/redeem cycle (exercises the warm-started coupon LP).
+  donate/redeem cycle (exercises the coupon LP).
 - ``fs_write_path`` — metadata + striping + extent-allocator fast path:
   create/write/stat/truncate/unlink over striped files.
 - ``system_contended_write`` / ``system_disjoint_write`` — 3-job
@@ -35,16 +35,11 @@ Kernel inventory
 Scale-regime kernels (ISSUE 5) probe the paths whose cost used to grow
 with total population instead of with what changed:
 
-- ``scheduler_dequeue_4k_jobs`` — churny dequeue over a 4096-job
-  backlog (every draw changes backlog membership: the worst case for
-  the exact per-draw rebuild, O(log n) for the Fenwick sampler).
 - ``lambda_sync_delta_n16`` — 16-server λ-sync epochs over a populated
   but churn-light table; reports delta-encoded payload bytes against
   the nominal full-table wire bytes.
 - ``contended_lock_fanout`` — one release against hundreds of parked
-  range waiters (range-indexed wake vs wake-everyone-and-retry).
-- ``gift_quiescent_epochs`` — GIFT boundaries over a large idle job
-  population (quiescence forecasting vs full per-boundary allocation).
+  range waiters (the range-indexed wake-up).
 
 Event-queue kernels (ISSUE 10) probe the cancellation/compaction
 machinery under timer-heavy churn:
@@ -57,8 +52,9 @@ machinery under timer-heavy churn:
 - ``heartbeat_storm_n4096`` — 4096 fault-tolerant clients beating two
   servers, half disconnecting mid-run.
 
-``--scale-sweep`` runs those kernels across growing populations with
-each fast path on and off, so the sublinear claims are measured.
+``--scale-sweep`` runs the two λ-sync ladders (delta payload bytes and
+flat-vs-tree fan-in) across cluster sizes; both report sim-deterministic
+wire metrics, not host timings.
 """
 
 from __future__ import annotations
@@ -75,16 +71,12 @@ import numpy as np
 from .bb import ClientConfig, Cluster, ClusterConfig, ServerConfig
 from .core import (JobInfo, Policy, StatisticalTokenScheduler,
                    TokenAssignment)
-from .core import scheduler as _schedmod
 from .core.baselines import GiftScheduler
-from .core.baselines import gift as _giftmod
 from .fs import erasure as _ecmod
-from .fs import locking as _lockmod
 from .fs.filesystem import ThemisFS
 from .fs.locking import RangeLockTable
 from .harness.workspace import code_rev as git_rev
 from .net import Fabric
-from .sim import process as _procmod
 from .sim.engine import Engine
 from .sim.rng import RngRegistry
 from .ucx import RpcClient, RpcServer, UCPContext
@@ -92,9 +84,8 @@ from .units import GB, KiB, MB, MiB
 
 __all__ = ["run_all", "run_and_write", "run_scale_sweep",
            "run_and_write_sweep", "git_rev", "main",
-           "bench_scale_cell", "bench_lambda_delta_cell",
-           "bench_sync_cell", "bench_sync_ladder",
-           "bench_timer_churn_cell"]
+           "bench_lambda_delta_cell", "bench_sync_cell",
+           "bench_sync_ladder"]
 
 
 class _Req:
@@ -321,28 +312,6 @@ def bench_repair_storm(n_files: int = 6, writes_per_file: int = 4) -> int:
     return summary["groups_repaired"] + summary["groups_clean"]
 
 
-def bench_scheduler_dequeue_scale(n_jobs: int = 4096,
-                                  draws: int = 8192) -> int:
-    """Churny dequeue over an *n_jobs*-deep backlog.
-
-    Every job starts backlogged with one request; each cycle pops a
-    request (emptying that job's queue — a backlog-membership change)
-    and refills the same job (another change). The exact path rebuilds
-    its restricted assignment on every draw in this regime, so its
-    per-op cost is O(n); the sampled path's is O(log n).
-    """
-    policy = Policy.parse("job-fair")
-    rng = RngRegistry(0).stream("bench.scheduler_dequeue_scale")
-    scheduler = StatisticalTokenScheduler(policy, rng)
-    scheduler.on_jobs_changed(_jobs(n_jobs), 0.0)
-    for i in range(n_jobs):
-        scheduler.enqueue(_Req(i), 0.0)
-    for _ in range(draws):
-        request = scheduler.dequeue(0.0)
-        scheduler.enqueue(_Req(request.job_id), 0.0)
-    return draws
-
-
 def bench_lambda_sync_delta(n_servers: int = 16,
                             epochs: int = 24) -> Dict[str, float]:
     """λ-sync epochs over a populated, churn-light table.
@@ -427,9 +396,8 @@ def bench_contended_lock_fanout(n_waiters: int = 512,
 
     Waiters park on disjoint byte ranges of one inode; a holder cycles
     lock/release over one waiter's range per round. A range-indexed
-    release wakes exactly the one conflicting waiter; the wake-all path
-    wakes all of them and every loser re-parks — O(n) wakeups per
-    release. Woken waiters re-register, as the server worker loop does.
+    release wakes exactly the one conflicting waiter. Woken waiters
+    re-register, as the server worker loop does.
     """
     woken_log = []
 
@@ -454,27 +422,6 @@ def bench_contended_lock_fanout(n_waiters: int = 512,
         for key in woken_log:  # losers retry, fail, and re-park (FIFO)
             table.wait(1, _Waiter(key), key * 2048, 1024, owner=key)
     return rounds
-
-
-def bench_gift_quiescent_epochs(n_jobs: int = 256,
-                                epochs: int = 2000) -> int:
-    """GIFT boundaries over a large idle population.
-
-    One short burst primes budgets and coupons, then every boundary is
-    quiescent: the forecasting path advances it with coupon accrual
-    only, while the full path re-sorts the job set and rebuilds demand
-    and budget tables for all *n_jobs* each time.
-    """
-    sched = GiftScheduler(capacity=100.0, mu=1.0)
-    sched.on_jobs_changed(_jobs(n_jobs), 0.0)
-    now = 0.0
-    sched.enqueue(_Req(1, 5.0), now)
-    while sched.dequeue(now) is not None:
-        pass
-    for _ in range(epochs):
-        now += 1.0  # lint: disable=PERF102 -- sim-clock step, not a float sum
-        sched.dequeue(now)
-    return epochs
 
 
 def bench_engine_timer_churn(n_timers: int = 20_000, waves: int = 10) -> int:
@@ -663,11 +610,6 @@ def run_all(quick: bool) -> Dict[str, Dict[str, float]]:
         "system_disjoint_write": _bench_system(False, writes),
         # Scale-regime kernels: quick mode shrinks the populations so
         # the CI smoke job still covers the code paths cheaply.
-        "scheduler_dequeue_4k_jobs": _time_kernel(
-            lambda: bench_scheduler_dequeue_scale(
-                n_jobs=512 if quick else 4096,
-                draws=2048 if quick else 8192),
-            min(rounds, 3)),
         "lambda_sync_delta_n16": bench_lambda_sync_delta(
             n_servers=8 if quick else 16,
             epochs=12 if quick else 24),
@@ -675,11 +617,6 @@ def run_all(quick: bool) -> Dict[str, Dict[str, float]]:
             lambda: bench_contended_lock_fanout(
                 n_waiters=128 if quick else 512,
                 rounds=1000 if quick else 4000),
-            min(rounds, 3)),
-        "gift_quiescent_epochs": _time_kernel(
-            lambda: bench_gift_quiescent_epochs(
-                n_jobs=64 if quick else 256,
-                epochs=500 if quick else 2000),
             min(rounds, 3)),
         # Event-queue kernels (ISSUE 10): the cancellation/compaction
         # machinery under timer-heavy churn.
@@ -696,91 +633,6 @@ def run_all(quick: bool) -> Dict[str, Dict[str, float]]:
 
 
 # ------------------------------------------------------------- scale sweep
-#: kernel name -> (factory(population) -> op-counting callable,
-#:                 fast-path toggle setter, population ladder).
-_SCALE_SWEEP = {
-    "scheduler_dequeue": (
-        lambda n: (lambda: bench_scheduler_dequeue_scale(n_jobs=n,
-                                                         draws=4096)),
-        _schedmod.set_sampled_dequeue_enabled,
-        (256, 1024, 4096),
-    ),
-    "contended_lock_fanout": (
-        lambda n: (lambda: bench_contended_lock_fanout(n_waiters=n,
-                                                       rounds=2000)),
-        _lockmod.set_range_wake_enabled,
-        (64, 256, 1024),
-    ),
-    # Same fanout workload, but toggling only the bucket index that
-    # accelerates conflict-candidate selection *within* range-indexed
-    # wakeups (range wake itself stays on for both sides).
-    "lock_waiter_index": (
-        lambda n: (lambda: bench_contended_lock_fanout(n_waiters=n,
-                                                       rounds=2000)),
-        _lockmod.set_waiter_index_enabled,
-        (64, 256, 1024),
-    ),
-    "gift_quiescent_epochs": (
-        lambda n: (lambda: bench_gift_quiescent_epochs(n_jobs=n,
-                                                       epochs=1000)),
-        _giftmod.set_gift_quiescence_enabled,
-        (64, 256, 1024),
-    ),
-}
-
-
-def bench_scale_cell(config: Dict) -> Dict:
-    """One (kernel, population) cell of the scale sweep: the kernel's
-    ops/s with its fast path toggled on and off (sweep point kind
-    ``bench_scale``). Config keys: ``kernel``, ``population``, optional
-    ``rounds`` (5)."""
-    kernel = str(config["kernel"])
-    try:
-        factory, toggle, _ladder = _SCALE_SWEEP[kernel]
-    except KeyError:
-        from .errors import ReproError
-        raise ReproError(f"unknown scale kernel {kernel!r}; known: "
-                         f"{', '.join(sorted(_SCALE_SWEEP))}") from None
-    fn = factory(int(config["population"]))
-    rounds = int(config.get("rounds", 5))
-    try:
-        toggle(True)
-        fast = _time_kernel(fn, rounds)["ops_per_s"]
-        toggle(False)
-        exact = _time_kernel(fn, rounds)["ops_per_s"]
-    finally:
-        toggle(True)
-    return {"population": int(config["population"]),
-            "fast_ops_per_s": fast,
-            "exact_ops_per_s": exact,
-            "speedup": round(fast / exact, 2) if exact else 0.0}
-
-
-def bench_timer_churn_cell(config: Dict) -> Dict:
-    """One population point of the timeout-churn sweep (sweep point
-    kind ``bench_timer_churn``): the churn-phase rate of
-    :func:`bench_rpc_timeout_churn` with cancellation on (fast) vs off
-    (the heap-with-dead-timers baseline). Config keys: ``population``
-    (outstanding calls), optional ``rounds`` (3)."""
-    population = int(config["population"])
-    rounds = int(config.get("rounds", 3))
-
-    def best_wall(cancel: bool) -> float:
-        _procmod.set_cancel_enabled(cancel)
-        try:
-            return min(bench_rpc_timeout_churn(population)["wall_s"]
-                       for _ in range(rounds))
-        finally:
-            _procmod.set_cancel_enabled(True)
-
-    fast_wall = best_wall(True)
-    exact_wall = best_wall(False)
-    return {"population": population,
-            "fast_ops_per_s": round(population / fast_wall, 1),
-            "exact_ops_per_s": round(population / exact_wall, 1),
-            "speedup": round(exact_wall / fast_wall, 2)}
-
-
 def bench_sync_cell(config: Dict) -> Dict:
     """One (cluster size, layout) point of the sync-cost ladder (sweep
     point kind ``bench_sync``). Sim-deterministic wire metrics — see
@@ -799,8 +651,7 @@ def bench_sync_cell(config: Dict) -> Dict:
 def bench_lambda_delta_cell(config: Dict) -> Dict:
     """One cluster-size point of the λ-sync delta sweep (sweep point
     kind ``bench_lambda_delta``). The reported wire bytes are
-    sim-deterministic, unlike the host-timing rates of
-    :func:`bench_scale_cell`. Config keys: ``n_servers``, optional
+    sim-deterministic. Config keys: ``n_servers``, optional
     ``epochs`` (12)."""
     r = bench_lambda_sync_delta(n_servers=int(config["n_servers"]),
                                 epochs=int(config.get("epochs", 12)))
@@ -812,39 +663,19 @@ def bench_lambda_delta_cell(config: Dict) -> Dict:
 
 def run_scale_sweep(quick: bool = False, workspace=None, jobs: int = 1,
                     rerun: bool = False):
-    """Each scale kernel across growing populations, fast path on/off.
+    """The two λ-sync ladders across cluster sizes (sim-deterministic
+    wire metrics, not host timings).
 
-    The op count per kernel is population-independent, so ops/s across
-    the ladder directly exposes how per-op cost grows with population:
-    a sublinear fast path holds its rate roughly flat while the exact
-    path's rate decays ~linearly.
-
-    Every (kernel, population) cell runs as an independent workspace
-    point: with a ``workspace`` attached, cells already stored at this
-    code revision are cache hits (``rerun`` invalidates them first) and
-    ``jobs > 1`` fans cold cells out over processes. Returns
-    ``(sweep, run)``: the ``{kernel: rows}`` table plus the runner's
+    Every cell runs as an independent workspace point: with a
+    ``workspace`` attached, cells already stored at this code revision
+    are cache hits (``rerun`` invalidates them first) and ``jobs > 1``
+    fans cold cells out over processes. Returns ``(sweep, run)``: the
+    ``{ladder: rows}`` table plus the runner's
     :class:`~repro.harness.sweep.SweepRun` (hits/misses/speedup).
     """
     from .harness.sweep import ParallelRunner
-    rounds = 2 if quick else 5
     points = []
-    for name, (_factory, _toggle, ladder) in _SCALE_SWEEP.items():
-        if quick:
-            ladder = ladder[:2]
-        for population in ladder:
-            points.append(("bench_scale",
-                           {"kernel": name, "population": int(population),
-                            "rounds": rounds}))
-    # Timeout churn: cancellation on vs the heap-with-dead-timers
-    # baseline, across outstanding-call counts (ISSUE 10 acceptance:
-    # >=2x at 10^5 outstanding).
-    for population in ((10_000, 40_000) if quick
-                       else (10_000, 40_000, 100_000)):
-        points.append(("bench_timer_churn",
-                       {"population": population,
-                        "rounds": 2 if quick else 3}))
-    # λ-sync delta: the fast path changes wire accounting, not host
+    # λ-sync delta: the encoding changes wire accounting, not host
     # time, so its sweep reports payload savings across cluster sizes.
     for n_servers in ((4, 8) if quick else (4, 8, 16)):
         points.append(("bench_lambda_delta",
@@ -868,18 +699,9 @@ def run_scale_sweep(quick: bool = False, workspace=None, jobs: int = 1,
         points, rerun=rerun)
     sweep: Dict[str, list] = {}
     for outcome in run.points:
-        if outcome.kind == "bench_scale":
-            sweep.setdefault(outcome.config["kernel"],
-                             []).append(dict(outcome.result))
-        elif outcome.kind == "bench_timer_churn":
-            sweep.setdefault("rpc_timeout_churn",
-                             []).append(dict(outcome.result))
-        elif outcome.kind == "bench_sync":
-            sweep.setdefault("lambda_sync_ladder",
-                             []).append(dict(outcome.result))
-        else:
-            sweep.setdefault("lambda_sync_delta",
-                             []).append(dict(outcome.result))
+        ladder = ("lambda_sync_ladder" if outcome.kind == "bench_sync"
+                  else "lambda_sync_delta")
+        sweep.setdefault(ladder, []).append(dict(outcome.result))
     return sweep, run
 
 
@@ -905,12 +727,7 @@ def run_and_write_sweep(quick: bool = False, out: Optional[str] = None,
     for name, rows in sweep.items():
         print(f"\n{name}")
         for row in rows:
-            if "speedup" in row:
-                print(f"  n={row['population']:>5}  "
-                      f"fast {row['fast_ops_per_s']:>12,.0f} ops/s  "
-                      f"exact {row['exact_ops_per_s']:>12,.0f} ops/s  "
-                      f"speedup {row['speedup']:.2f}x")
-            elif "root_in_bytes_per_epoch" in row:
+            if "root_in_bytes_per_epoch" in row:
                 tag = row["mode"] + ("+skip" if row.get("quiescent_skips")
                                      else "")
                 print(f"  n={row['population']:>5}  {tag:<9s}  "
@@ -959,8 +776,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="output path (default BENCH_<rev>.json in cwd)")
     parser.add_argument("--scale-sweep", action="store_true",
-                        help="sweep the scale-regime kernels across "
-                             "populations with fast paths on/off")
+                        help="run the two λ-sync ladders (delta payload, "
+                             "flat vs tree fan-in) across cluster sizes")
     parser.add_argument("--jobs", type=int, default=1,
                         help="parallel workers for cold sweep cells")
     parser.add_argument("--workspace", default=".workspace",

@@ -158,8 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default=None,
                        help="output path (default BENCH_<rev>.json in cwd)")
     bench.add_argument("--scale-sweep", action="store_true",
-                       help="sweep scale-regime kernels across populations "
-                            "with fast paths on/off (writes SWEEP_<rev>.json)")
+                       help="run the two λ-sync ladders across cluster "
+                            "sizes (writes SWEEP_<rev>.json)")
     bench.add_argument("--jobs", type=int, default=1,
                        help="parallel workers for cold --scale-sweep cells")
     bench.add_argument("--workspace", default=".workspace",

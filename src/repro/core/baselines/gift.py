@@ -21,19 +21,11 @@ implementation uses 0.5 s):
 4. Budgets are **hard** within the epoch, and a job arriving mid-epoch
    has no budget until the next boundary — the allocation lag ("long
    delay in I/O resource adjustment") §5.4 attributes to GIFT's mu.
-
-The reward LP is warm-started across epochs: steady workloads present
-the same (redeemers, bounds, spare) problem at consecutive boundaries,
-so solutions are memoized on the exact constraint set and the solver is
-skipped on a hit. HiGHS (via ``scipy.optimize.linprog``) accepts no
-starting basis, so reusing the previous solution outright — rather than
-seeding a new solve — is the strongest warm start available, and it is
-trace-safe: identical inputs would have produced the identical optimum.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -43,23 +35,7 @@ from ..jobinfo import JobInfo
 from ..queues import QueueSet
 from ..scheduler import Scheduler
 
-__all__ = ["GiftScheduler", "set_gift_quiescence_enabled",
-           "gift_quiescence_enabled"]
-
-#: Process-wide switch for skipping ``_allocate`` on provably-quiescent
-#: epoch boundaries (see :meth:`GiftScheduler._skip_quiescent`).
-_QUIESCENCE_ENABLED = True
-
-
-def set_gift_quiescence_enabled(enabled: bool) -> None:
-    """Enable/disable quiescent-epoch forecasting (module-wide)."""
-    global _QUIESCENCE_ENABLED
-    _QUIESCENCE_ENABLED = bool(enabled)
-
-
-def gift_quiescence_enabled() -> bool:
-    """Whether quiescent epoch boundaries bypass the full allocation."""
-    return _QUIESCENCE_ENABLED
+__all__ = ["GiftScheduler"]
 
 
 class GiftScheduler(Scheduler):
@@ -72,21 +48,13 @@ class GiftScheduler(Scheduler):
     #: a job's budget never falls below this fraction of its fair share.
     MIN_BUDGET_FRACTION = 0.5
 
-    #: LP solutions memoized for warm start (distinct constraint sets).
-    LP_MEMO_MAX = 32
-
-    def __init__(self, capacity: float, mu: float = 0.5,
-                 warm_start: bool = True):
+    def __init__(self, capacity: float, mu: float = 0.5):
         if capacity <= 0:
             raise SchedulerError(f"capacity must be positive: {capacity}")
         if mu <= 0:
             raise SchedulerError(f"mu must be positive: {mu}")
         self.capacity = float(capacity)   # bytes/second of the server
         self.mu = float(mu)               # allocation interval (seconds)
-        self.warm_start = bool(warm_start)
-        # (redeemers, bounds, spare) -> solution vector (or None on
-        # solver failure). Exact-input keys keep the memo trace-safe.
-        self._lp_memo: Dict[Any, Optional[Tuple[float, ...]]] = {}
         self.queues = QueueSet()
         self._active: List[JobInfo] = []
         self._epoch_end: Optional[float] = None
@@ -96,14 +64,8 @@ class GiftScheduler(Scheduler):
         self._arrived_epoch: Dict[int, float] = {}  # bytes enqueued this epoch
         self._arrived_last: Dict[int, float] = {}
         self.coupons: Dict[int, float] = {}        # donated-bytes balance
-        # True while _budgets/_fair_last hold the canonical quiescent
-        # form (demand-free fair*MIN_BUDGET_FRACTION budgets) for the
-        # current job set — the precondition for _skip_quiescent.
-        self._quiescent_form = False
         self.epochs = 0
-        self.quiescent_skips = 0
         self.lp_calls = 0
-        self.lp_cache_hits = 0
 
     # ------------------------------------------------------------- interface
     def enqueue(self, request: Any, now: float) -> None:
@@ -115,9 +77,6 @@ class GiftScheduler(Scheduler):
     def on_jobs_changed(self, active_jobs: Sequence[JobInfo],
                         now: float) -> None:
         self._active = list(active_jobs)
-        # A changed job set changes fair shares; the standing budgets no
-        # longer match what _allocate would produce.
-        self._quiescent_form = False
 
     def dequeue(self, now: float) -> Optional[Any]:
         self._maybe_reallocate(now)
@@ -151,39 +110,7 @@ class GiftScheduler(Scheduler):
     def _maybe_reallocate(self, now: float) -> None:
         if self._epoch_end is not None and now < self._epoch_end:
             return
-        if (_QUIESCENCE_ENABLED and self._quiescent_form
-                and not self._used_epoch and not self._arrived_epoch
-                and not self.queues):
-            self._skip_quiescent(now)
-            return
         self._allocate(now)
-
-    def _skip_quiescent(self, now: float) -> None:
-        """Advance a provably-quiescent epoch boundary without
-        :meth:`_allocate`.
-
-        Preconditions (checked by the caller): the standing budgets are
-        in canonical quiescent form — the last allocation saw zero
-        demand, so every budget is exactly ``fair * MIN_BUDGET_FRACTION``
-        with no reward extras — the job set has not changed since, and
-        nothing was served or enqueued this epoch. Under those
-        conditions a full ``_allocate`` would recompute byte-identical
-        ``_budgets`` / ``_fair_last`` (same job set ⇒ same fair share;
-        zero demand ⇒ no claimants, so the reward path and its LP memo
-        are never consulted). The only state it would actually change is
-        what this method replays: the epoch counter, the boundary, and
-        the donors' coupon accrual — each idle job donated its entire
-        fair share. Coupons accrue one boundary at a time (not
-        ``k * fair`` after k skips) so float rounding matches the exact
-        path bit for bit.
-        """
-        self.epochs += 1
-        self._epoch_end = now + self.mu
-        coupons = self.coupons
-        for job_id, fair in self._fair_last.items():
-            coupons[job_id] = coupons.get(job_id, 0.0) + fair
-        self._arrived_last = {}
-        self.quiescent_skips += 1
 
     def _allocate(self, now: float) -> None:
         self.epochs += 1
@@ -193,11 +120,6 @@ class GiftScheduler(Scheduler):
         used, self._used_epoch = self._used_epoch, {}
         arrived, self._arrived_epoch = self._arrived_epoch, {}
         self._arrived_last = arrived
-        # Zero demand at this boundary (no arrivals, no backlog) means
-        # every budget below comes out as fair * MIN_BUDGET_FRACTION
-        # with no reward extras — the canonical quiescent form that
-        # future boundaries may skip re-deriving.
-        self._quiescent_form = not arrived and not self.queues
 
         # Settle last epoch: donors bank unused fair share; spare is what
         # the device did not serve.
@@ -250,10 +172,16 @@ class GiftScheduler(Scheduler):
             # sum(x) <= spare.
             bounds = [(0.0, min(headroom[j], self.coupons[j]))
                       for j in redeemers]
-            solution = self._solve_redemption(tuple(redeemers),
-                                              tuple(bounds), spare)
-            if solution is not None:
-                for j, granted in zip(redeemers, solution):
+            result = linprog(
+                c=-np.ones(len(redeemers)),
+                A_ub=np.ones((1, len(redeemers))),
+                b_ub=np.array([spare]),
+                bounds=bounds,
+                method="highs",
+            )
+            self.lp_calls += 1
+            if result.success:
+                for j, granted in zip(redeemers, result.x):
                     if granted > 0:
                         extra[j] = float(granted)
                         self.coupons[j] -= float(granted)
@@ -266,36 +194,3 @@ class GiftScheduler(Scheduler):
             for j in claimants:
                 extra[j] = extra.get(j, 0.0) + residual[j] * scale
         return extra
-
-    def _solve_redemption(
-            self, redeemers: Tuple[int, ...],
-            bounds: Tuple[Tuple[float, float], ...],
-            spare: float) -> Optional[Tuple[float, ...]]:
-        """Solve the coupon-redemption LP, warm-starting from the memo
-        when the exact constraint set repeats (steady workloads pose the
-        same problem every epoch). Returns the grant vector, or ``None``
-        when the solver failed."""
-        key = (redeemers, bounds, spare)
-        if self.warm_start:
-            try:
-                solution = self._lp_memo[key]
-            except KeyError:
-                pass
-            else:
-                self.lp_cache_hits += 1
-                return solution
-        result = linprog(
-            c=-np.ones(len(redeemers)),
-            A_ub=np.ones((1, len(redeemers))),
-            b_ub=np.array([spare]),
-            bounds=bounds,
-            method="highs",
-        )
-        self.lp_calls += 1
-        solution = tuple(float(x) for x in result.x) \
-            if result.success else None
-        if self.warm_start:
-            if len(self._lp_memo) >= self.LP_MEMO_MAX:
-                self._lp_memo.clear()
-            self._lp_memo[key] = solution
-        return solution

@@ -11,24 +11,12 @@ entity of level *i*, and entry ``T[j, k]`` is entity *k*'s fair share
 column has exactly one non-zero entry (an entity belongs to exactly one
 parent scope). The product collapses the hierarchy into a single row
 vector of per-job shares of [0, 1] — the statistical tokens of Fig. 3.
-
-Incremental evaluation: the chain is on every arbitration hot path (the
-controller re-derives shares whenever the job table changes), yet most
-changes touch a single level — a job joining rarely introduces a new
-group or user. :class:`CompositeShareCache` keys each level's matrix on
-its scope partition (plus, for the terminal level, the per-job weights),
-rebuilds only dirty levels, and re-multiplies the chain from the first
-dirty level while reusing the prefix product. Every matrix and every
-product is built by the same code as the from-scratch path, in the same
-association order, so cached shares are **bit-identical** to
-:func:`chain_shares`.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .policy import Level
 
 __all__ = ["build_transition_matrices", "chain_product", "chain_shares",
-           "validate_transition_matrix", "CompositeShareCache"]
+           "validate_transition_matrix"]
 
 
 def _level_readers(levels: Sequence["Level"]) -> Tuple[list, Callable]:
@@ -61,9 +49,6 @@ def _level_readers(levels: Sequence["Level"]) -> Tuple[list, Callable]:
 
 
 # ------------------------------------------------------------ level builders
-# Shared by the from-scratch chain and the incremental cache: both must
-# run exactly this code so their floating-point results are identical.
-
 def _head_matrix(parent_scopes: Sequence[tuple],
                  parent_rows: Dict[tuple, int],
                  child_scopes: Sequence[tuple],
@@ -173,120 +158,3 @@ def chain_shares(levels: Sequence["Level"],
     shares = chain_product(matrices)
     flat = np.asarray(shares).reshape(-1)
     return {job_id: float(s) for job_id, s in zip(job_ids, flat)}
-
-
-class CompositeShareCache:
-    """Incremental Eq. 1 evaluator for one fixed level chain.
-
-    Per-level matrices are keyed on a *signature* — for a non-terminal
-    level the (parent scopes, child scopes) partition pair, for the
-    terminal level the parent partition plus each job's scope and
-    weight. On evaluation, only levels whose signature changed are
-    rebuilt, and the prefix product ``P_i = T^0 @ ... @ T^i`` is
-    re-multiplied from the first dirty level onward; clean prefixes are
-    reused as-is. An exact-input memo answers the common case (the
-    controller re-deriving shares for an unchanged job table) with a
-    dict copy.
-
-    The matrices and products come from the same builders, in the same
-    association order, as :func:`chain_shares`, so results are
-    bit-identical to a from-scratch rebuild — the property the
-    seed-equivalence suite asserts.
-
-    :meth:`invalidate` discards cached levels explicitly, bumping
-    :attr:`version` so downstream caches keyed on it (e.g. the
-    scheduler's assignment-version draw cache) can compose with this
-    one.
-    """
-
-    def __init__(self, levels: Sequence["Level"]):
-        self.levels = tuple(levels)
-        if not self.levels:
-            raise PolicyError("share cache needs at least one level")
-        self._getters, self._weight = _level_readers(self.levels)
-        #: bumped on every :meth:`invalidate` call.
-        self.version = 0
-        self.hits = 0              # exact-input memo hits
-        self.evaluations = 0       # misses that ran the chain
-        self.levels_rebuilt = 0
-        self.levels_reused = 0
-        n = len(self.levels)
-        self._sigs: List[Optional[tuple]] = [None] * n
-        self._matrices: List[Optional[np.ndarray]] = [None] * n
-        self._prefix: List[Optional[np.ndarray]] = [None] * n
-        self._jobs_key: Optional[tuple] = None
-        self._shares: Dict[int, float] = {}
-
-    def invalidate(self, level: Optional[int] = None) -> None:
-        """Dirty one level index (or every level with ``None``)."""
-        n = len(self.levels)
-        if level is None:
-            self._sigs = [None] * n
-        else:
-            if not 0 <= level < n:
-                raise PolicyError(
-                    f"level index {level} outside chain of depth {n}")
-            self._sigs[level] = None
-        self._jobs_key = None
-        self.version += 1
-
-    def shares(self, jobs: Sequence[JobInfo]) -> Dict[int, float]:
-        """Per-job shares, bit-identical to ``chain_shares(levels, jobs)``."""
-        jobs = sorted(jobs, key=lambda j: j.job_id)
-        key = tuple(jobs)
-        if key == self._jobs_key:
-            self.hits += 1
-            return dict(self._shares)
-        job_ids = [j.job_id for j in jobs]
-        if len(set(job_ids)) != len(job_ids):
-            raise PolicyError(f"duplicate job ids: {job_ids}")
-        if not jobs:
-            self._jobs_key = key
-            self._shares = {}
-            return {}
-        self.evaluations += 1
-
-        n = len(self.levels)
-        scope_chain = _scope_chain(self._getters, jobs)
-        # Distinct scopes at each depth, sorted (matrix row/col order).
-        scopes: List[List[tuple]] = [[()]]
-        for depth in range(1, n):
-            scopes.append(sorted(set(scope_chain[depth])))
-
-        weights = [self._weight(job) for job in jobs]
-        sigs: List[tuple] = []
-        for depth in range(n - 1):
-            sigs.append((tuple(scopes[depth]), tuple(scopes[depth + 1])))
-        sigs.append((tuple(scopes[n - 1]), tuple(scope_chain[-1]),
-                     tuple(weights)))
-
-        first_dirty = None
-        for i in range(n):
-            if sigs[i] != self._sigs[i]:
-                if first_dirty is None:
-                    first_dirty = i
-                parent_scopes = scopes[i]
-                parent_rows = {s: r for r, s in enumerate(parent_scopes)}
-                if i < n - 1:
-                    self._matrices[i] = _head_matrix(
-                        parent_scopes, parent_rows, scopes[i + 1], i)
-                else:
-                    self._matrices[i] = _terminal_matrix(
-                        parent_scopes, parent_rows, scope_chain[-1], weights)
-                self._sigs[i] = sigs[i]
-                self.levels_rebuilt += 1
-            else:
-                self.levels_reused += 1
-
-        if first_dirty is not None:
-            # Re-multiply from the first dirty level, reusing the clean
-            # prefix; association order matches chain_product's left fold.
-            for i in range(first_dirty, n):
-                self._prefix[i] = (self._matrices[i] if i == 0
-                                   else self._prefix[i - 1] @ self._matrices[i])
-
-        flat = np.asarray(self._prefix[n - 1]).reshape(-1)
-        self._shares = {job_id: float(s)
-                        for job_id, s in zip(job_ids, flat)}
-        self._jobs_key = key
-        return dict(self._shares)

@@ -36,27 +36,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..errors import PolicyError
 from .jobinfo import JobInfo
-from .matrix import CompositeShareCache, chain_shares
+from .matrix import chain_shares
 
-__all__ = ["Level", "Policy", "FIFO_POLICY_NAME",
-           "set_share_cache_enabled", "share_cache_enabled"]
-
-#: Process-wide switch for the incremental Eq. 1 cache. Cached and
-#: uncached evaluation are bit-identical (the seed-equivalence suite
-#: replays whole scenarios both ways); the toggle exists for that test
-#: and for measuring the cache's effect.
-_SHARE_CACHE_ENABLED = True
-
-
-def set_share_cache_enabled(enabled: bool) -> None:
-    """Enable/disable the per-policy :class:`CompositeShareCache`."""
-    global _SHARE_CACHE_ENABLED
-    _SHARE_CACHE_ENABLED = bool(enabled)
-
-
-def share_cache_enabled() -> bool:
-    """Whether ``Policy.shares`` uses the incremental cache."""
-    return _SHARE_CACHE_ENABLED
+__all__ = ["Level", "Policy", "FIFO_POLICY_NAME"]
 
 #: Scheduler-selection sentinel: "fifo" is not a fairness policy but the
 #: baseline queueing discipline; harness configs accept it alongside
@@ -143,33 +125,13 @@ class Policy:
         return len(self.levels)
 
     # ------------------------------------------------------------ evaluation
-    @property
-    def share_cache(self) -> CompositeShareCache:
-        """This policy's incremental Eq. 1 evaluator (created lazily).
-
-        The cache is per-``Policy`` instance, attached outside the
-        frozen dataclass fields so it never participates in equality or
-        hashing.
-        """
-        cache = self.__dict__.get("_share_cache")
-        if cache is None:
-            cache = CompositeShareCache(self.levels)
-            object.__setattr__(self, "_share_cache", cache)
-        return cache
-
     def shares(self, jobs: Sequence[JobInfo]) -> Dict[int, float]:
         """The statistical token assignment: job id -> share of [0, 1].
 
         Shares sum to 1 over *jobs*; an empty job list yields ``{}``.
-        Evaluated as the chain of transition-matrix products (Eq. 1) —
-        through the incremental :class:`CompositeShareCache` when
-        enabled (the default; bit-identical to a from-scratch rebuild),
-        or from scratch when disabled via
-        :func:`set_share_cache_enabled`.
+        Evaluated as the chain of transition-matrix products (Eq. 1).
         """
-        if not _SHARE_CACHE_ENABLED:
-            return chain_shares(self.levels, list(jobs))
-        return self.share_cache.shares(jobs)
+        return chain_shares(self.levels, list(jobs))
 
     def __str__(self) -> str:
         return self.name

@@ -41,8 +41,8 @@ class QueueSet:
         #: reads observing the same value are guaranteed to have seen the
         #: same set of backlogged jobs — the scheduler's draw cache keys
         #: on this together with its assignment version. A plain
-        #: attribute (not a property): it is read twice per enqueue and
-        #: dequeue, where descriptor dispatch is measurable.
+        #: attribute (not a property): it is read on every dequeue,
+        #: where descriptor dispatch is measurable.
         self.membership_version = 0
 
     def push(self, item: Any) -> None:
@@ -97,10 +97,6 @@ class QueueSet:
     def nonempty_jobs(self) -> List[int]:
         """Job ids with at least one queued request, sorted."""
         return list(self._sorted_jobs)
-
-    def backlogged_jobs(self) -> int:
-        """Number of jobs with at least one queued request (O(1))."""
-        return len(self._sorted_jobs)
 
     @property
     def total(self) -> int:

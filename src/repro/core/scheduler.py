@@ -27,42 +27,9 @@ from ..errors import SchedulerError
 from .jobinfo import JobInfo
 from .policy import Policy
 from .queues import QueueSet
-from .sampled import BacklogSampler
 from .tokens import TokenAssignment
 
-__all__ = ["Scheduler", "StatisticalTokenScheduler",
-           "set_sampled_dequeue_enabled", "sampled_dequeue_enabled"]
-
-#: Process-wide switch for the Fenwick-sampled opportunity-fair dequeue.
-#: Sampled and exact draws are bit-identical (the sampler's boundary
-#: guard falls back to the exact path whenever float association order
-#: could matter — see :mod:`repro.core.sampled`); the toggle exists for
-#: the trace-equivalence suite and for measuring the structure's effect.
-_SAMPLED_DEQUEUE_ENABLED = True
-
-#: Backlogged-job count below which the exact O(n) draw answers even
-#: with the sampler enabled. Small populations under membership or
-#: reallocation churn spend more on O(log n) tree maintenance and
-#: O(n) bulk reloads than the sampled draws save: the 3-job system
-#: write benches lose ~8 % end-to-end on the sampled path, and the
-#: 16-job enqueue/dequeue kernel ~9 %, while the scale kernels win
-#: from 256 jobs up (1.19x, growing with n). Below the threshold the
-#: tree is never built or maintained (the version stamps go stale and
-#: the first above-threshold draw rebuilds it once), so small
-#: populations pay only this comparison. Either path answers any given
-#: draw bit-identically, so the cutover cannot change a trace.
-_SAMPLED_MIN_JOBS = 64
-
-
-def set_sampled_dequeue_enabled(enabled: bool) -> None:
-    """Enable/disable the Fenwick-sampled dequeue (module-wide)."""
-    global _SAMPLED_DEQUEUE_ENABLED
-    _SAMPLED_DEQUEUE_ENABLED = bool(enabled)
-
-
-def sampled_dequeue_enabled() -> bool:
-    """Whether opportunity-fair draws use the Fenwick sampler."""
-    return _SAMPLED_DEQUEUE_ENABLED
+__all__ = ["Scheduler", "StatisticalTokenScheduler"]
 
 
 class Scheduler(ABC):
@@ -147,22 +114,20 @@ class StatisticalTokenScheduler(Scheduler):
 
     name = "themis"
 
-    __slots__ = ("policy", "rng", "opportunity_fair", "cache_draws",
+    __slots__ = ("policy", "rng", "opportunity_fair",
                  "queues", "assignment", "draws", "wasted_draws",
                  "cache_hits", "cache_misses", "reinstalls_skipped",
                  "_assignment_version", "_restricted_cache", "_fast_key",
-                 "_fast_restricted", "sampled_draws", "sampled_fallbacks",
-                 "_sampler", "_sampler_assign_version", "_sampler_mv")
+                 "_fast_restricted")
 
     #: Cap on distinct backlog signatures cached per assignment version.
     _CACHE_MAX = 256
 
     def __init__(self, policy: Policy, rng: np.random.Generator,
-                 opportunity_fair: bool = True, cache_draws: bool = True):
+                 opportunity_fair: bool = True):
         self.policy = policy
         self.rng = rng
         self.opportunity_fair = bool(opportunity_fair)
-        self.cache_draws = bool(cache_draws)
         self.queues = QueueSet()
         self.assignment: Optional[TokenAssignment] = None
         self.draws = 0
@@ -174,33 +139,10 @@ class StatisticalTokenScheduler(Scheduler):
         self._restricted_cache: dict = {}   # backlog tuple -> TokenAssignment
         self._fast_key: Optional[tuple] = None  # (assign ver, membership ver)
         self._fast_restricted: Optional[TokenAssignment] = None
-        # Fenwick-sampled dequeue state (see repro.core.sampled). The
-        # sampler mirrors the backlog's weight vector incrementally; the
-        # two version stamps detect when it must be rebuilt (assignment
-        # replaced, or the queue set mutated behind our back — drain).
-        self.sampled_draws = 0
-        self.sampled_fallbacks = 0
-        self._sampler: Optional[BacklogSampler] = None
-        self._sampler_assign_version = -1
-        self._sampler_mv = -1
 
     # -------------------------------------------------------------- interface
     def enqueue(self, request: Any, now: float) -> None:
-        queues = self.queues
-        if self._sampler_mv < 0:
-            # No sampler tree was ever built (small-population regime or
-            # toggle off): nothing to keep in step.
-            queues.push(request)
-            return
-        before = queues.membership_version
-        queues.push(request)
-        after = queues.membership_version
-        if after != before and self._sampler_mv == before:
-            # The job just became backlogged: O(log n) weight update
-            # keeps the live sampler in step with the queue set.
-            self._sampler.set_weight(request.job_id,
-                                     self._job_weight(request.job_id))
-            self._sampler_mv = after
+        self.queues.push(request)
 
     def on_jobs_changed(self, active_jobs: Sequence[JobInfo],
                         now: float) -> None:
@@ -251,95 +193,29 @@ class StatisticalTokenScheduler(Scheduler):
 
         self.draws += 1
         u = float(self.rng.random())
-        # len() on the private list dodges a method call on the
-        # per-dequeue hot path (== queues.backlogged_jobs()).
-        if _SAMPLED_DEQUEUE_ENABLED and \
-                len(queues._sorted_jobs) >= _SAMPLED_MIN_JOBS:
-            choice = self._sampled_choice(u)
-        else:
-            choice = self._restricted_assignment().draw(u)
-        if self._sampler_mv < 0:
-            return queues.pop(choice)
-        before = queues.membership_version
-        item = queues.pop(choice)
-        after = queues.membership_version
-        if after != before and self._sampler_mv == before:
-            # The job's queue just drained: zero its segment weight.
-            self._sampler.set_weight(choice, 0.0)
-            self._sampler_mv = after
-        return item
-
-    # ---------------------------------------------------------- sampled draws
-    def _sampled_choice(self, u: float) -> int:
-        """Resolve one opportunity-fair draw via the Fenwick sampler.
-
-        Bit-identical to ``self._restricted_assignment().draw(u)``: the
-        sampler's nonzero slots are exactly the backlogged jobs in
-        ascending-id order carrying exactly the weights
-        :meth:`_build_restricted` would normalise, and its boundary
-        guard hands any draw that floating-point association order
-        could flip back to the exact path (see :mod:`repro.core.sampled`).
-        """
-        queues = self.queues
-        if (self._sampler is None
-                or self._sampler_assign_version != self._assignment_version
-                or self._sampler_mv != queues.membership_version):
-            self._rebuild_sampler()
-        choice = self._sampler.sample(u)
-        if choice is None:
-            # Guarded draw (boundary-adjacent) or desynced weights:
-            # exactly reproduce the O(n) path for this one draw.
-            self.sampled_fallbacks += 1
-            return self._build_restricted(queues.nonempty_jobs()).draw(u)
-        self.sampled_draws += 1
-        return choice
-
-    def _rebuild_sampler(self) -> None:
-        backlogged = self.queues.nonempty_jobs()
-        sampler = self._sampler
-        if sampler is None:
-            sampler = self._sampler = BacklogSampler()
-        sampler.bulk_load(backlogged,
-                          [self._job_weight(j) for j in backlogged])
-        self._sampler_assign_version = self._assignment_version
-        self._sampler_mv = self.queues.membership_version
-
-    def _job_weight(self, job_id: int) -> float:
-        """The unnormalised restricted-draw weight of one backlogged job
-        (identical to the per-job values in :meth:`_build_restricted`)."""
-        assignment = self.assignment
-        if assignment is None:
-            return 0.0
-        i = assignment._index.get(job_id)
-        mean_share = 1.0 / max(len(assignment._index), 1)
-        if i is None:
-            return mean_share
-        share = assignment._shares_list[i]
-        return share if share > 0 else mean_share
+        return queues.pop(self._restricted_assignment().draw(u))
 
     # ------------------------------------------------------------- draw cache
     def _restricted_assignment(self) -> TokenAssignment:
         """The backlog-restricted assignment, cached across dequeues."""
         queues = self.queues
-        if self.cache_draws:
-            key = (self._assignment_version, queues.membership_version)
-            if key == self._fast_key:
-                self.cache_hits += 1
-                return self._fast_restricted
-            signature = tuple(queues.nonempty_jobs())
-            restricted = self._restricted_cache.get(signature)
-            if restricted is None:
-                self.cache_misses += 1
-                restricted = self._build_restricted(signature)
-                if len(self._restricted_cache) >= self._CACHE_MAX:
-                    self._restricted_cache.clear()
-                self._restricted_cache[signature] = restricted
-            else:
-                self.cache_hits += 1
-            self._fast_key = key
-            self._fast_restricted = restricted
-            return restricted
-        return self._build_restricted(queues.nonempty_jobs())
+        key = (self._assignment_version, queues.membership_version)
+        if key == self._fast_key:
+            self.cache_hits += 1
+            return self._fast_restricted
+        signature = tuple(queues.nonempty_jobs())
+        restricted = self._restricted_cache.get(signature)
+        if restricted is None:
+            self.cache_misses += 1
+            restricted = self._build_restricted(signature)
+            if len(self._restricted_cache) >= self._CACHE_MAX:
+                self._restricted_cache.clear()
+            self._restricted_cache[signature] = restricted
+        else:
+            self.cache_hits += 1
+        self._fast_key = key
+        self._fast_restricted = restricted
+        return restricted
 
     def _build_restricted(self, backlogged: Sequence[int]) -> TokenAssignment:
         """Renormalise over backlogged jobs, giving not-yet-assigned jobs

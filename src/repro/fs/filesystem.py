@@ -34,26 +34,10 @@ from .metadata import FileType, Inode, Stat, alloc_ino
 from .striping import (ErasureSpec, StripeSpec, group_range, map_range,
                        parity_slices, server_spans)
 
-__all__ = ["StorageNode", "ThemisFS",
-           "set_path_cache_enabled", "path_cache_enabled"]
-
-#: Process-wide switch for the path-resolution cache (seed-equivalence
-#: suite and benchmarking; cached and uncached lookups are identical).
-_PATH_CACHE_ENABLED = True
+__all__ = ["StorageNode", "ThemisFS"]
 
 #: Cap on cached path resolutions per file system.
 _PATH_CACHE_MAX = 8192
-
-
-def set_path_cache_enabled(enabled: bool) -> None:
-    """Enable/disable the per-FS path→inode resolution cache."""
-    global _PATH_CACHE_ENABLED
-    _PATH_CACHE_ENABLED = bool(enabled)
-
-
-def path_cache_enabled() -> bool:
-    """Whether path resolution uses the cache."""
-    return _PATH_CACHE_ENABLED
 
 
 class StorageNode:
@@ -157,15 +141,14 @@ class ThemisFS:
         return self.nodes[self.ring.lookup(path)]
 
     def _find(self, path: str) -> Optional[Inode]:
-        if _PATH_CACHE_ENABLED:
-            cached = self._path_cache.get(path)
-            if cached is not None:
-                return cached
+        cached = self._path_cache.get(path)
+        if cached is not None:
+            return cached
         norm = pathmod.normalize(path)
         node = self._meta_node(norm)
         ino = node.paths.get(norm)
         inode = node.inodes.get(ino) if ino is not None else None
-        if inode is not None and _PATH_CACHE_ENABLED:
+        if inode is not None:
             if len(self._path_cache) >= _PATH_CACHE_MAX:
                 self._path_cache.clear()
             self._path_cache[path] = inode

@@ -19,37 +19,19 @@ place instead of moving to the back of the queue, so contention
 resolution order is deterministic and independent of how many no-op
 wakeups happen in between.
 
-Release-time wakeup policy is a module toggle
-(:func:`set_range_wake_enabled`):
-
-- **range-indexed** (the default): a write-lock release wakes only the
-  waiters whose byte ranges overlap a released range, in FIFO order; a
-  metadata-mutex release wakes only the head waiter. Waiters that could
-  not possibly acquire are never scheduled, so a release's wakeup cost
-  scales with the *conflicting* waiters, not the inode's total fan-out.
-- **wake-all** (toggle off, the original behaviour): every release
-  wakes every waiter on the inode and losers re-register.
-
-The two policies produce bit-identical simulated traces: a waiter whose
-range overlaps no released range retries against the same set of
-conflicting held locks and deterministically fails, so its wake-all
-wakeup is a pure no-op — and because losers keep their queue position,
-skipping the no-op leaves the acquisition order unchanged. The tables
-stay simulation-agnostic — a waiter is anything with a ``succeed()``
-method, which :class:`repro.sim.process.Event` provides.
-
-Within range-indexed mode, conflict-candidate *selection* has its own
-fast path (:func:`set_waiter_index_enabled`): each inode keeps a bucket
-index over its armed waiter ranges (power-of-two bucket width sized
-from the inode's first waited range; entries spanning too many buckets
-park in a wildcard list). A release collects candidates from only the
-buckets its freed ranges touch plus the wildcards, sorts them by queue
-sequence number, and runs the exact overlap check on that shortlist —
-identical wake set and FIFO order to scanning the whole queue, without
-the O(total waiters) scan on high-fan-in inodes. The index is
-maintained unconditionally (cheap dict ops); the toggle gates only
-whether ``_wake`` consults it, so A/B bench runs compare pure
-candidate-selection cost.
+Release-time wakeups are **range-indexed**: a write-lock release wakes
+only the waiters whose byte ranges overlap a released range, in FIFO
+order; a metadata-mutex release wakes only the head waiter. A release's
+wakeup cost scales with the *conflicting* waiters, not the inode's
+total fan-out, and a waiter retries at the event position of the
+release that actually freed its range. Waking a non-overlapping waiter
+as well is **not** a no-op: when the lock it does conflict with is
+released later in the same instant, its retry — queued by the first
+release — finds the range free and acquires at the wrong place in the
+instant's event order (131 of 436 such wake-ups on the ledger's
+``job_churn``; EXPERIMENTS.md, *Toggle retirement*). The tables stay
+simulation-agnostic — a waiter is anything with a ``succeed()`` method,
+which :class:`repro.sim.process.Event` provides.
 """
 
 from __future__ import annotations
@@ -58,138 +40,20 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import FSError
 
-__all__ = ["RangeLockTable", "MetadataLockTable",
-           "set_range_wake_enabled", "range_wake_enabled",
-           "set_waiter_index_enabled", "waiter_index_enabled"]
-
-#: Process-wide switch for range-indexed (conflict-only) wakeups.
-_RANGE_WAKE_ENABLED = True
-
-#: Process-wide switch for bucket-indexed candidate selection inside
-#: range-indexed wakeups (no effect while range wake is disabled).
-_WAITER_INDEX_ENABLED = True
-
-#: Minimum bucket width exponent: buckets never get finer than 2^10 B.
-_MIN_BUCKET_BITS = 10
-
-#: Bucket width used when an inode's first waiter is unranged.
-_DEFAULT_BUCKET_WIDTH = 1 << 12
-
-#: An entry spanning more than this many buckets indexes as a wildcard
-#: (always a candidate) instead of bloating per-bucket lists.
-_INDEX_SPAN_CAP = 8
-
-
-def set_range_wake_enabled(enabled: bool) -> None:
-    """Enable/disable conflict-indexed wakeups (module-wide)."""
-    global _RANGE_WAKE_ENABLED
-    _RANGE_WAKE_ENABLED = bool(enabled)
-
-
-def range_wake_enabled() -> bool:
-    """Whether releases wake only range-conflicting waiters."""
-    return _RANGE_WAKE_ENABLED
-
-
-def set_waiter_index_enabled(enabled: bool) -> None:
-    """Enable/disable bucket-indexed wake candidate selection."""
-    global _WAITER_INDEX_ENABLED
-    _WAITER_INDEX_ENABLED = bool(enabled)
-
-
-def waiter_index_enabled() -> bool:
-    """Whether releases shortlist candidates via the bucket index."""
-    return _WAITER_INDEX_ENABLED
+__all__ = ["RangeLockTable", "MetadataLockTable"]
 
 
 class _WaitEntry:
     """One parked waiter: its conflict range and one-shot wake event."""
 
-    __slots__ = ("offset", "end", "event", "woken", "seq")
+    __slots__ = ("offset", "end", "event", "woken")
 
     def __init__(self, offset: Optional[int], end: Optional[int],
-                 event: object, seq: int):
+                 event: object):
         self.offset = offset   # None = conflicts with any release
         self.end = end
         self.event = event
         self.woken = False
-        self.seq = seq         # queue position (stable across re-arms)
-
-
-class _RangeIndex:
-    """Bucket index over one inode's armed waiter ranges.
-
-    Owners are placed into ``offset // width`` buckets (dicts used as
-    ordered sets — DET004-safe); unranged or too-wide entries go to the
-    wildcard list. Strictly an over-approximation: ``candidates`` may
-    return non-overlapping owners (the caller re-checks exactly), but
-    never misses an overlapping one — each ranged entry occupies every
-    bucket its byte range touches.
-    """
-
-    __slots__ = ("width", "buckets", "wildcards", "placed")
-
-    def __init__(self, width: int):
-        self.width = width
-        # bucket id -> {owner: None}, insertion-ordered.
-        self.buckets: Dict[int, Dict[object, None]] = {}
-        self.wildcards: Dict[object, None] = {}
-        # owner -> (lo_bucket, hi_bucket), or None for wildcard entries.
-        self.placed: Dict[object, Optional[Tuple[int, int]]] = {}
-
-    def place(self, owner: object, offset: Optional[int],
-              end: Optional[int]) -> None:
-        """(Re-)index *owner* under its current conflict range."""
-        self.remove(owner)
-        if offset is None or end is None:
-            self.placed[owner] = None
-            self.wildcards[owner] = None
-            return
-        lo = offset // self.width
-        hi = max(lo, (end - 1) // self.width)
-        if hi - lo + 1 > _INDEX_SPAN_CAP:
-            self.placed[owner] = None
-            self.wildcards[owner] = None
-            return
-        self.placed[owner] = (lo, hi)
-        for b in range(lo, hi + 1):
-            bucket = self.buckets.get(b)
-            if bucket is None:
-                bucket = self.buckets[b] = {}
-            bucket[owner] = None
-
-    def remove(self, owner: object) -> None:
-        """Drop *owner* from every bucket (no-op if absent)."""
-        if owner not in self.placed:
-            return
-        span = self.placed.pop(owner)
-        if span is None:
-            self.wildcards.pop(owner, None)
-            return
-        lo, hi = span
-        for b in range(lo, hi + 1):
-            bucket = self.buckets.get(b)
-            if bucket is not None:
-                bucket.pop(owner, None)
-                if not bucket:
-                    del self.buckets[b]
-
-    def candidates(self, ranges: List[Tuple[int, int]]
-                   ) -> Dict[object, None]:
-        """Owners possibly overlapping *ranges* (plus all wildcards),
-        deduplicated; the caller orders them by queue sequence."""
-        out: Dict[object, None] = {}
-        for owner in self.wildcards:
-            out[owner] = None
-        for lo, hi in ranges:
-            b0 = lo // self.width
-            b1 = max(b0, (hi - 1) // self.width)
-            for b in range(b0, b1 + 1):
-                bucket = self.buckets.get(b)
-                if bucket:
-                    for owner in bucket:
-                        out[owner] = None
-        return out
 
 
 class _WaiterMixin:
@@ -201,28 +65,11 @@ class _WaiterMixin:
     acquires the lock (``try_lock*`` success) or on the crash reset.
     """
 
-    __slots__ = ("_waiters", "_index", "_next_seq")
+    __slots__ = ("_waiters",)
 
     def __init__(self):
         # ino -> {owner key -> entry}; dicts preserve insertion order.
         self._waiters: Dict[int, Dict[object, _WaitEntry]] = {}
-        # ino -> bucket index over the same entries (kept in lock-step).
-        self._index: Dict[int, _RangeIndex] = {}
-        self._next_seq = 0
-
-    def _index_for(self, ino: int, offset: Optional[int],
-                   length: Optional[int]) -> _RangeIndex:
-        """The inode's bucket index, created on first wait with a width
-        sized to that first range (power of two covering it)."""
-        index = self._index.get(ino)
-        if index is None:
-            if offset is None or length is None or length <= 0:
-                width = _DEFAULT_BUCKET_WIDTH
-            else:
-                width = 1 << max(_MIN_BUCKET_BITS,
-                                 (length - 1).bit_length())
-            index = self._index[ino] = _RangeIndex(width)
-        return index
 
     def wait(self, ino: int, waiter: object, offset: Optional[int] = None,
              length: Optional[int] = None, owner: object = None) -> None:
@@ -241,19 +88,14 @@ class _WaiterMixin:
             queue = self._waiters[ino] = {}
         end = None if offset is None or length is None else offset + length
         entry = queue.get(key)
-        index = self._index_for(ino, offset, length)
         if entry is not None:
             # Re-arm in place: the loser keeps its FIFO position.
-            if entry.offset != offset or entry.end != end:
-                index.place(key, offset, end)
             entry.offset = offset
             entry.end = end
             entry.event = waiter
             entry.woken = False
         else:
-            queue[key] = _WaitEntry(offset, end, waiter, self._next_seq)
-            self._next_seq += 1
-            index.place(key, offset, end)
+            queue[key] = _WaitEntry(offset, end, waiter)
 
     def waiters(self, ino: int) -> int:
         """Number of waiters currently parked (armed) on *ino*."""
@@ -265,45 +107,20 @@ class _WaiterMixin:
     def _discard_waiter(self, ino: int, owner: object) -> None:
         """Drop *owner*'s entry on *ino* (called on lock acquisition)."""
         queue = self._waiters.get(ino)
-        if queue and queue.pop(owner, None) is not None:
-            index = self._index.get(ino)
-            if index is not None:
-                index.remove(owner)
-            if not queue:
-                del self._waiters[ino]
-                self._index.pop(ino, None)
+        if queue and queue.pop(owner, None) is not None and not queue:
+            del self._waiters[ino]
 
-    def _wake(self, ino: int,
-              ranges: Optional[List[Tuple[int, int]]] = None) -> int:
-        """Wake armed waiters on *ino* in FIFO order; returns the count.
-
-        With range-indexed wakeups enabled and *ranges* given, only
-        waiters overlapping a released range are woken; otherwise every
-        armed waiter is. Entries stay queued (one-shot, positional) —
-        the owner either acquires (entry discarded) or re-arms.
-
-        Candidate selection: with the bucket index enabled, only owners
-        in buckets touched by *ranges* (plus wildcards) are considered,
-        sorted back into queue-sequence order before the exact overlap
-        check — the same waiters wake in the same order as a full scan.
-        """
+    def _wake(self, ino: int, ranges: List[Tuple[int, int]]) -> int:
+        """Wake, in FIFO order, the armed waiters on *ino* whose range
+        overlaps a released range (unranged waiters conflict with any
+        release); returns the count. Entries stay queued (one-shot,
+        positional) — the owner either acquires (entry discarded) or
+        re-arms."""
         queue = self._waiters.get(ino)
         if not queue:
             return 0
-        indexed = _RANGE_WAKE_ENABLED and ranges is not None
-        entries = None
-        if indexed and _WAITER_INDEX_ENABLED:
-            index = self._index.get(ino)
-            if index is not None and len(index.placed) == len(queue):
-                shortlist = [queue[owner]
-                             for owner in index.candidates(ranges)
-                             if owner in queue]
-                shortlist.sort(key=lambda e: e.seq)
-                entries = shortlist
-        if entries is None:
-            entries = list(queue.values())
         woken = 0
-        for entry in entries:
+        for entry in list(queue.values()):
             if entry.woken:
                 continue
             if getattr(entry.event, "cancelled", False):
@@ -311,7 +128,7 @@ class _WaiterMixin:
                 # succeed() on it would raise. Retire the entry instead.
                 entry.woken = True
                 continue
-            if indexed and entry.offset is not None:
+            if entry.offset is not None:
                 for lo, hi in ranges:
                     if entry.offset < hi and lo < entry.end:
                         break
@@ -323,7 +140,7 @@ class _WaiterMixin:
         return woken
 
     def _wake_head(self, ino: int) -> int:
-        """Wake only the first armed waiter (mutex release fast path)."""
+        """Wake only the first armed waiter (mutex release)."""
         queue = self._waiters.get(ino)
         if not queue:
             return 0
@@ -341,7 +158,6 @@ class _WaiterMixin:
     def _wake_all(self) -> None:
         """Wake every parked waiter on every inode (crash reset path)."""
         waiters, self._waiters = self._waiters, {}
-        self._index = {}
         for queue in waiters.values():
             for entry in queue.values():
                 if entry.woken or getattr(entry.event, "cancelled", False):
@@ -381,14 +197,14 @@ class RangeLockTable(_WaiterMixin):
         """Release all write locks held by *owner* on *ino*; returns count.
 
         Releasing wakes the waiters parked on *ino* whose ranges overlap
-        a released range (every waiter in wake-all mode).
+        a released range.
         """
         held = self._writes.get(ino)
         if not held:
             return 0
         if not self._waiters.get(ino):
             # Nobody parked on this inode: drop the owner's locks without
-            # collecting the freed ranges (both wake policies no-op).
+            # collecting the freed ranges.
             kept = [t for t in held if t[2] is not owner]
             if kept:
                 self._writes[ino] = kept
@@ -446,20 +262,12 @@ class MetadataLockTable(_WaiterMixin):
         return current is owner  # re-entrant for the same owner
 
     def unlock(self, ino: int, owner: object) -> None:
-        """Release the mutex (must be the owner) and wake waiters.
-
-        With range-indexed wakeups enabled only the head waiter wakes —
-        a mutex has exactly one next holder, and the head deterministically
-        wins the retry, so waking the rest is a no-op the wake-all mode
-        performs and this mode skips.
-        """
+        """Release the mutex (must be the owner) and wake the head
+        waiter: a mutex has exactly one next holder."""
         if self._held.get(ino) is not owner:
             raise FSError(f"unlocking metadata lock not held by owner: ino={ino}")
         del self._held[ino]
-        if _RANGE_WAKE_ENABLED:
-            self._wake_head(ino)
-        else:
-            self._wake(ino)
+        self._wake_head(ino)
 
     def unlock_if_held(self, ino: int, owner: object) -> bool:
         """Release the mutex only if *owner* holds it; True if released.
@@ -471,10 +279,7 @@ class MetadataLockTable(_WaiterMixin):
         if self._held.get(ino) is not owner:
             return False
         del self._held[ino]
-        if _RANGE_WAKE_ENABLED:
-            self._wake_head(ino)
-        else:
-            self._wake(ino)
+        self._wake_head(ino)
         return True
 
     def reset(self) -> None:

@@ -6,12 +6,12 @@ range ``[k*S, (k+1)*S)`` (chunk ``k``) on server ``servers[k % len]``.
 which is all both the client (to route requests) and the server (to hit
 its local extents) need.
 
-Layouts are pure functions of ``(spec, offset, length)`` and workloads
-re-touch the same ranges constantly (a checkpoint loop re-writes one
-range per iteration), so both :func:`map_range` and the per-server
-aggregation :func:`server_spans` memoise their results on the spec.
-Cached results are the exact objects a fresh computation would produce;
-callers iterate them read-only.
+Layouts are pure functions of ``(spec, offset, length)``
+(:func:`split_range`) and workloads re-touch the same ranges constantly
+(a checkpoint loop re-writes one range per iteration), so both
+:func:`map_range` and the per-server aggregation :func:`server_spans`
+memoise their results on the spec. Cached results are the exact objects
+a fresh computation would produce; callers iterate them read-only.
 """
 
 from __future__ import annotations
@@ -22,26 +22,11 @@ from typing import Dict, List, Tuple, Union
 from ..errors import InvalidArgument
 
 __all__ = ["StripeSpec", "ErasureSpec", "ChunkSlice", "ParitySlice",
-           "map_range", "server_spans", "parity_slices", "parity_spans",
-           "group_range", "set_stripe_memo_enabled", "stripe_memo_enabled"]
-
-#: Process-wide switch for the layout memo (seed-equivalence suite and
-#: benchmarking; memoised and recomputed layouts are identical).
-_MEMO_ENABLED = True
+           "split_range", "map_range", "server_spans", "parity_slices",
+           "parity_spans", "group_range"]
 
 #: Cap on memoised ranges per stripe spec (per memo kind).
 _MEMO_MAX = 4096
-
-
-def set_stripe_memo_enabled(enabled: bool) -> None:
-    """Enable/disable the per-spec stripe-layout memo."""
-    global _MEMO_ENABLED
-    _MEMO_ENABLED = bool(enabled)
-
-
-def stripe_memo_enabled() -> bool:
-    """Whether layout computations are memoised on the spec."""
-    return _MEMO_ENABLED
 
 
 @dataclass(frozen=True)
@@ -192,22 +177,16 @@ class ChunkSlice:
 AnySpec = Union[StripeSpec, "ErasureSpec"]
 
 
-def map_range(spec: AnySpec, offset: int, length: int) -> List[ChunkSlice]:
+def split_range(spec: AnySpec, offset: int, length: int) -> List[ChunkSlice]:
     """Split file byte range ``[offset, offset+length)`` into chunk slices.
 
     Slices are returned in file order; adjacent slices on the same server
-    are *not* merged (they are distinct chunks on the device). The result
-    is memoised on *spec*; treat it as read-only. Works for both
-    :class:`StripeSpec` and :class:`ErasureSpec` (data shares only —
-    parity placement is :func:`parity_slices`).
+    are *not* merged (they are distinct chunks on the device). Works for
+    both :class:`StripeSpec` and :class:`ErasureSpec` (data shares only —
+    parity placement is :func:`parity_slices`). Pure: nothing is cached.
     """
     if offset < 0 or length < 0:
         raise InvalidArgument(f"invalid range: offset={offset} length={length}")
-    if _MEMO_ENABLED:
-        memo = spec._memo("_range_memo")
-        cached = memo.get((offset, length))
-        if cached is not None:
-            return cached
     slices: List[ChunkSlice] = []
     pos = offset
     end = offset + length
@@ -224,7 +203,16 @@ def map_range(spec: AnySpec, offset: int, length: int) -> List[ChunkSlice]:
             length=take,
         ))
         pos += take
-    if _MEMO_ENABLED:
+    return slices
+
+
+def map_range(spec: AnySpec, offset: int, length: int) -> List[ChunkSlice]:
+    """:func:`split_range`, memoised on *spec*; treat the result as
+    read-only."""
+    memo = spec._memo("_range_memo")
+    slices = memo.get((offset, length))
+    if slices is None:
+        slices = split_range(spec, offset, length)
         if len(memo) >= _MEMO_MAX:
             memo.clear()
         memo[(offset, length)] = slices
@@ -238,24 +226,22 @@ def server_spans(spec: AnySpec, offset: int,
     The aggregation clients use to split one logical I/O into one
     request per data server. Memoised on *spec*; a fresh dict is
     returned per call (callers may keep or discard it), built from a
-    cached aggregate.
+    cached aggregate. A miss folds the slices of :func:`split_range`
+    and keeps only the aggregate — the slice list is not parked in the
+    :func:`map_range` memo, which nothing on this path reads.
     """
-    if _MEMO_ENABLED:
-        memo = spec._memo("_span_memo")
-        cached = memo.get((offset, length))
-        if cached is not None:
-            return dict(cached)
-    spans: Dict[str, Tuple[int, int]] = {}
-    for piece in map_range(spec, offset, length):
-        first, total = spans.get(piece.server, (piece.file_offset, 0))
-        spans[piece.server] = (min(first, piece.file_offset),
-                               total + piece.length)
-    if _MEMO_ENABLED:
+    memo = spec._memo("_span_memo")
+    spans = memo.get((offset, length))
+    if spans is None:
+        spans = {}
+        for piece in split_range(spec, offset, length):
+            first, total = spans.get(piece.server, (piece.file_offset, 0))
+            spans[piece.server] = (min(first, piece.file_offset),
+                                   total + piece.length)
         if len(memo) >= _MEMO_MAX:
             memo.clear()
         memo[(offset, length)] = spans
-        return dict(spans)
-    return spans
+    return dict(spans)
 
 
 # ----------------------------------------------------------- erasure layout

@@ -30,8 +30,8 @@ across all three execution modes because points share nothing:
    canonical JSON, so a cache replay returns byte-identical documents.
 
 Workers use the ``spawn`` start method: each child imports a fresh
-interpreter instead of inheriting the parent's (possibly toggled or
-warmed) module state, which keeps worker behaviour identical to a
+interpreter instead of inheriting the parent's (possibly warmed)
+module state, which keeps worker behaviour identical to a
 fresh serial process.
 """
 
@@ -62,10 +62,8 @@ POINT_KINDS: Dict[str, Tuple[str, str]] = {
     "fig07_cell": ("repro.harness.experiments", "fig07_cell"),
     "fig14_cell": ("repro.harness.experiments", "fig14_cell"),
     "repair_cell": ("repro.harness.experiments", "repair_cell"),
-    "bench_scale": ("repro.bench", "bench_scale_cell"),
     "bench_lambda_delta": ("repro.bench", "bench_lambda_delta_cell"),
     "bench_sync": ("repro.bench", "bench_sync_cell"),
-    "bench_timer_churn": ("repro.bench", "bench_timer_churn_cell"),
 }
 
 
@@ -404,21 +402,15 @@ def sweep_doc_from_workspace(workspace: Workspace,
                              rev: Optional[str] = None) -> Dict[str, Any]:
     """Assemble a ``SWEEP_<rev>.json``-shaped document from the store.
 
-    Collects every ``bench_scale`` / ``bench_lambda_delta`` blob at
-    *rev* (default: the current code revision) and groups rows by
-    kernel, sorted by population — the shape
+    Collects every ``bench_lambda_delta`` blob at *rev* (default: the
+    current code revision), sorted by population — the shape
     ``scripts/bench_compare.py`` diffs. Returns ``{"rev", "sweep"}``;
     the sweep map is empty when the store holds no bench points at that
     revision.
     """
     rev = rev if rev is not None else code_rev()
-    sweep: Dict[str, List[Dict[str, Any]]] = {}
-    for blob in workspace.blobs(kind="bench_scale", rev=rev):
-        kernel = str(blob["config"].get("kernel", "unknown"))
-        sweep.setdefault(kernel, []).append(dict(blob["result"]))
-    for blob in workspace.blobs(kind="bench_lambda_delta", rev=rev):
-        sweep.setdefault("lambda_sync_delta", []).append(
-            dict(blob["result"]))
-    for rows in sweep.values():
-        rows.sort(key=lambda row: row.get("population", 0))
-    return {"rev": rev, "sweep": sweep}
+    rows = [dict(blob["result"])
+            for blob in workspace.blobs(kind="bench_lambda_delta", rev=rev)]
+    rows.sort(key=lambda row: row.get("population", 0))
+    return {"rev": rev,
+            "sweep": {"lambda_sync_delta": rows} if rows else {}}

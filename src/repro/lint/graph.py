@@ -2,15 +2,13 @@
 
 The per-file rules of :mod:`repro.lint.rules` see one AST at a time;
 the failure modes that matter at cluster scale are *interprocedural* —
-an RPC kind some sender emits that no handler matches, a
-"trace-neutral" toggle whose guarded branch reaches a scheduler-state
-mutation through two helper calls, an RNG draw laundered through a
-wrapper. This module extracts a compact, JSON-serialisable
+an RPC kind some sender emits that no handler matches, an RNG draw
+laundered through a wrapper. This module extracts a compact, JSON-serialisable
 :class:`FileSummary` from each source file (so the incremental cache
 can persist it) and assembles the summaries into a
 :class:`ProjectIndex`: name resolution for imports and ``self.``
 methods, conservative call edges, reachability, and the catalogues the
-PROTO/TRACE/DET project rules consume.
+PROTO/DET project rules consume.
 
 Soundness stance (see DESIGN.md §14): resolution is *conservative for
 silence* — a call that cannot be resolved (dynamic dispatch through an
@@ -31,25 +29,18 @@ from typing import (Any, Deque, Dict, Iterable, List, Optional, Set,
 from .core import Module, dotted_name
 
 __all__ = [
-    "CallRef", "SendSite", "DispatchBranch", "ToggleGuard", "ToggleFlag",
-    "FunctionSummary", "ClassSummary", "FileSummary", "ProjectIndex",
+    "CallRef", "SendSite", "DispatchBranch", "FunctionSummary",
+    "ClassSummary", "FileSummary", "ProjectIndex",
     "summarize_module", "module_dotted_name", "SCHEMA_VERSION",
 ]
 
 #: Bump when the summary shape changes (invalidates the on-disk cache).
-SCHEMA_VERSION = 3
-
-#: Dict/set/list methods whose call mutates the receiver.
-_MUTATING_METHODS = frozenset({
-    "append", "appendleft", "add", "insert", "extend", "remove", "discard",
-    "pop", "popleft", "popitem", "clear", "update", "setdefault", "merge",
-    "observe", "expire", "deactivate",
-})
+SCHEMA_VERSION = 4
 
 #: Builtin container/str method names the unique-bare-name resolution
 #: fallback must never match: ``some_dict.pop(...)`` would otherwise
 #: resolve to the one project function that happens to be named
-#: ``pop``, creating false call-graph edges (and false TRACE findings).
+#: ``pop``, creating false call-graph edges.
 #: Project-specific verbs (merge, observe, ...) stay resolvable.
 _BUILTIN_METHOD_NAMES = frozenset({
     "append", "appendleft", "add", "insert", "extend", "remove",
@@ -122,35 +113,6 @@ class DispatchBranch:
 
 
 @dataclass
-class ToggleGuard:
-    """One ``if`` statement tested against a toggle flag or getter.
-
-    ``on_*`` describe the suite executed when the toggle is *enabled*,
-    ``off_*`` the suite executed when it is disabled (for an
-    early-return guard, the statements following the ``if``).
-    """
-
-    toggle: str          # flag name or getter call expr, as written
-    line: int
-    col: int
-    on_calls: List[str] = field(default_factory=list)
-    off_calls: List[str] = field(default_factory=list)
-    on_mutations: List[str] = field(default_factory=list)
-    off_mutations: List[str] = field(default_factory=list)
-
-
-@dataclass
-class ToggleFlag:
-    """One module-level trace-neutrality toggle (``_X_ENABLED`` style)."""
-
-    name: str
-    module: str
-    line: int
-    setter: Optional[str] = None   # qualname of the set_* function
-    getter: Optional[str] = None   # qualname of the zero-arg reader
-
-
-@dataclass
 class FunctionSummary:
     """Everything the project rules need to know about one function."""
 
@@ -164,15 +126,10 @@ class FunctionSummary:
     calls: List[CallRef] = field(default_factory=list)
     sends: List[SendSite] = field(default_factory=list)
     dispatches: List[DispatchBranch] = field(default_factory=list)
-    guards: List[ToggleGuard] = field(default_factory=list)
     #: payload keys read off an ``<obj>.body`` root: ``body["k"]`` vs
     #: ``body.get("k")``.
     body_required: List[str] = field(default_factory=list)
     body_optional: List[str] = field(default_factory=list)
-    #: ``self.<attr>`` names this function assigns/augments/mutates.
-    mutations: List[str] = field(default_factory=list)
-    #: (line, col) per mutation, aligned with ``mutations``.
-    mutation_locs: List[Tuple[int, int]] = field(default_factory=list)
     returns_set: bool = False
     #: dotted exprs of calls whose result this function returns (first
     #: tuple element counts: message-builder helpers return (dict, ...)).
@@ -186,8 +143,6 @@ class FunctionSummary:
     rng_alias_calls: List[Tuple[int, int, str]] = field(default_factory=list)
     #: True if a banned-ctor (direct or aliased) result is returned.
     returns_rng: bool = False
-    #: module-level names rebound via ``global`` in this function.
-    global_writes: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -209,7 +164,6 @@ class FileSummary:
     imports: Dict[str, str] = field(default_factory=dict)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
-    toggles: List[ToggleFlag] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready payload; inverse of :meth:`from_dict`."""
@@ -232,12 +186,8 @@ class FileSummary:
             fn.sends = [SendSite(**s) for s in raw.get("sends", [])]
             fn.dispatches = [DispatchBranch(**d)
                              for d in raw.get("dispatches", [])]
-            fn.guards = [ToggleGuard(**g) for g in raw.get("guards", [])]
             fn.body_required = list(raw.get("body_required", []))
             fn.body_optional = list(raw.get("body_optional", []))
-            fn.mutations = list(raw.get("mutations", []))
-            fn.mutation_locs = [tuple(loc)  # type: ignore[misc]
-                                for loc in raw.get("mutation_locs", [])]
             fn.returns_set = bool(raw.get("returns_set", False))
             fn.return_calls = list(raw.get("return_calls", []))
             fn.returns_msg_keys = raw.get("returns_msg_keys")
@@ -246,9 +196,7 @@ class FileSummary:
             fn.rng_alias_calls = [tuple(c)  # type: ignore[misc]
                                   for c in raw.get("rng_alias_calls", [])]
             fn.returns_rng = bool(raw.get("returns_rng", False))
-            fn.global_writes = list(raw.get("global_writes", []))
             out.functions[qual] = fn
-        out.toggles = [ToggleFlag(**t) for t in payload.get("toggles", [])]
         return out
 
 
@@ -315,13 +263,6 @@ def _callee_expr(func: ast.AST) -> Optional[str]:
     if isinstance(func, ast.Attribute):
         return "?." + func.attr
     return None
-
-
-def _suite_terminates(stmts: List[ast.stmt]) -> bool:
-    if not stmts:
-        return False
-    last = stmts[-1]
-    return isinstance(last, (ast.Return, ast.Raise, ast.Continue, ast.Break))
 
 
 def _annotation_is_set(node: Optional[ast.AST]) -> bool:
@@ -615,96 +556,29 @@ class _FunctionExtractor:
                             branch.optional)
         return branch
 
-    def _scan_dispatch(self, stmt: ast.If) -> bool:
-        """Record *stmt* as a kind-dispatch chain; True if it was one."""
+    def _scan_dispatch(self, stmt: ast.If) -> None:
+        """Record *stmt* if it heads a kind-dispatch chain."""
         if id(stmt) in self._chain_tails:
-            return True  # suffix of a chain already recorded at its head
+            return  # suffix of a chain already recorded at its head
         chain: List[Tuple[str, ast.If]] = []
-        node: ast.stmt = stmt
-        while isinstance(node, ast.If):
+        orelse: List[ast.stmt] = [stmt]
+        while len(orelse) == 1 and isinstance(orelse[0], ast.If):
+            node = orelse[0]
             kind = self._kind_of_test(node.test)
             if kind is None:
-                # A kindless elif stays guard-scannable on descent.
-                return False if not chain else self._finish_dispatch(
-                    chain, [node])
+                break
             if node is not stmt:
                 self._chain_tails.add(id(node))
             chain.append((kind, node))
             orelse = node.orelse
-            if len(orelse) == 1 and isinstance(orelse[0], ast.If):
-                node = orelse[0]
-                continue
-            return self._finish_dispatch(chain, orelse)
-        return False
-
-    def _finish_dispatch(self, chain: List[Tuple[str, ast.If]],
-                         orelse: List[ast.stmt]) -> bool:
         if not chain:
-            return False
+            return
         for kind, node in chain:
             self.s.dispatches.append(
                 self._branch_summary(kind, node.body, node))
         if orelse:
             self.s.dispatches.append(
                 self._branch_summary(None, orelse, orelse[0]))
-        return True
-
-    # -- toggle guards ----------------------------------------------------
-    def _toggles_in_test(self, test: ast.AST) -> List[Tuple[str, bool]]:
-        """Every (toggle expr, positive polarity) *test* references.
-
-        A toggle reference is an ALL-CAPS ``_X_ENABLED``-style name or a
-        call to a ``*_enabled()`` getter; polarity is negative when the
-        reference sits under a ``not``. With ``A and B`` the suite is
-        reachable only when each conjunct's toggle is on, so one guard
-        per toggle with the shared suites stays sound.
-        """
-        found: List[Tuple[str, bool]] = []
-
-        def visit(node: ast.AST, positive: bool) -> None:
-            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-                visit(node.operand, not positive)
-                return
-            if isinstance(node, ast.BoolOp):
-                for value in node.values:
-                    visit(value, positive)
-                return
-            if isinstance(node, ast.Name) and _is_toggle_name(node.id):
-                found.append((node.id, positive))
-                return
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name is not None and \
-                        name.split(".")[-1].endswith("_enabled"):
-                    found.append((name, positive))
-                return
-
-        visit(test, True)
-        return found
-
-    def _scan_guard(self, stmt: ast.If,
-                    following: List[ast.stmt]) -> None:
-        for toggle, positive in self._toggles_in_test(stmt.test):
-            on_suite, off_suite = stmt.body, stmt.orelse
-            if not off_suite and _suite_terminates(stmt.body):
-                off_suite = following
-            if not positive:
-                on_suite, off_suite = off_suite, on_suite
-            guard = ToggleGuard(toggle=toggle, line=stmt.lineno,
-                                col=stmt.col_offset)
-            for node in _walk_suite(on_suite):
-                if isinstance(node, ast.Call):
-                    expr = _callee_expr(node.func)
-                    if expr is not None:
-                        guard.on_calls.append(expr)
-            for node in _walk_suite(off_suite):
-                if isinstance(node, ast.Call):
-                    expr = _callee_expr(node.func)
-                    if expr is not None:
-                        guard.off_calls.append(expr)
-            guard.on_mutations = _suite_self_mutations(on_suite)
-            guard.off_mutations = _suite_self_mutations(off_suite)
-            self.s.guards.append(guard)
 
     # -- drive ------------------------------------------------------------
     def run(self, func: ast.AST) -> None:
@@ -726,14 +600,10 @@ class _FunctionExtractor:
         self.s.body_required = self._required
         self.s.body_optional = [k for k in self._optional
                                 if k not in self._required]
-        self.s.mutations, self.s.mutation_locs = _self_mutations(body)
         self._scan_returns(body)
-        for node in _walk_suite(body):
-            if isinstance(node, ast.Global):
-                self.s.global_writes.extend(node.names)
 
     def _scan_block(self, stmts: List[ast.stmt]) -> None:
-        for i, stmt in enumerate(stmts):
+        for stmt in stmts:
             self._observe_bindings(stmt)
             for node in ([stmt] if not isinstance(stmt, (ast.FunctionDef,
                          ast.AsyncFunctionDef, ast.ClassDef)) else []):
@@ -742,8 +612,7 @@ class _FunctionExtractor:
                         if isinstance(call, ast.Call):
                             self._record_call(call)
             if isinstance(stmt, ast.If):
-                if not self._scan_dispatch(stmt):
-                    self._scan_guard(stmt, stmts[i + 1:])
+                self._scan_dispatch(stmt)
                 self._scan_block(stmt.body)
                 self._scan_block(stmt.orelse)
             elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
@@ -830,62 +699,6 @@ def _iter_stmt_exprs(stmt: ast.stmt) -> Iterable[ast.AST]:
             for item in value:
                 if isinstance(item, ast.expr):
                     yield item
-
-
-def _self_attr_of(node: ast.AST) -> Optional[str]:
-    """``attr`` for a ``self.<attr>`` (or deeper) reference."""
-    chain: List[str] = []
-    while isinstance(node, ast.Attribute):
-        chain.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name) and node.id == "self" and chain:
-        return chain[-1]
-    return None
-
-
-def _self_mutations(stmts: List[ast.stmt]) -> Tuple[List[str],
-                                                    List[Tuple[int, int]]]:
-    attrs: List[str] = []
-    locs: List[Tuple[int, int]] = []
-
-    def record(attr: Optional[str], node: ast.AST) -> None:
-        if attr is not None:
-            attrs.append(attr)
-            locs.append((getattr(node, "lineno", 1),
-                         getattr(node, "col_offset", 0)))
-
-    for node in _walk_suite(stmts):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Attribute):
-                    record(_self_attr_of(target), node)
-                elif isinstance(target, ast.Subscript):
-                    record(_self_attr_of(target.value), node)
-                elif isinstance(target, ast.Tuple):
-                    for elt in target.elts:
-                        if isinstance(elt, ast.Attribute):
-                            record(_self_attr_of(elt), node)
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript):
-                    record(_self_attr_of(target.value), node)
-                elif isinstance(target, ast.Attribute):
-                    record(_self_attr_of(target), node)
-        elif isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Attribute) and \
-                node.func.attr in _MUTATING_METHODS:
-            record(_self_attr_of(node.func.value), node)
-    return attrs, locs
-
-
-def _suite_self_mutations(stmts: List[ast.stmt]) -> List[str]:
-    return _self_mutations(stmts)[0]
-
-
-def _is_toggle_name(name: str) -> bool:
-    return name.isupper() and name.endswith("_ENABLED")
 
 
 def _module_rng_aliases(tree: ast.Module) -> Set[str]:
@@ -977,7 +790,6 @@ def summarize_module(module: Module) -> FileSummary:
                     add_function(sub, stmt.name)
             summary.classes[stmt.name] = cls_summary
 
-    summary.toggles = _collect_toggles(tree, dotted, summary)
     return summary
 
 
@@ -993,42 +805,6 @@ def _relative_base(dotted: str, level: int,
     return ".".join(base_parts)
 
 
-def _collect_toggles(tree: ast.Module, dotted: str,
-                     summary: FileSummary) -> List[ToggleFlag]:
-    flags: Dict[str, ToggleFlag] = {}
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and \
-                isinstance(stmt.targets[0], ast.Name):
-            name = stmt.targets[0].id
-            if _is_toggle_name(name) and isinstance(stmt.value, ast.Constant) \
-                    and isinstance(stmt.value.value, bool):
-                flags[name] = ToggleFlag(name=name, module=dotted,
-                                         line=stmt.lineno)
-    for qual in sorted(summary.functions):
-        fn = summary.functions[qual]
-        for written in fn.global_writes:
-            flag = flags.get(written)
-            if flag is not None and flag.setter is None:
-                flag.setter = qual
-        # a zero-arg getter: single return of the flag name.
-        if not fn.params and fn.name.endswith("_enabled"):
-            flag2 = flags.get(_getter_flag_name(tree, fn.name))
-            if flag2 is not None and flag2.getter is None:
-                flag2.getter = qual
-    return [flags[name] for name in sorted(flags)]
-
-
-def _getter_flag_name(tree: ast.Module, getter: str) -> str:
-    """The flag a ``x_enabled()`` getter returns (by AST inspection)."""
-    for stmt in tree.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == getter:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Return) and \
-                        isinstance(node.value, ast.Name):
-                    return node.value.id
-    return ""
-
-
 # ------------------------------------------------------------------ index
 class ProjectIndex:
     """Symbol table + call graph over every src-scope file summary."""
@@ -1040,7 +816,6 @@ class ProjectIndex:
         self._class_by_name: Dict[str, List[str]] = {}
         self._fn_by_bare_name: Dict[str, List[str]] = {}
         self._method_index: Dict[Tuple[str, str], str] = {}
-        self.toggles: Dict[str, ToggleFlag] = {}          # "module:NAME"
         #: scratch space for rules sharing derived analyses (e.g. the
         #: PROTO rules' protocol model) across one lint invocation.
         self.memo: Dict[str, Any] = {}
@@ -1056,8 +831,6 @@ class ProjectIndex:
                 for method in cls.methods:
                     self._method_index[(key, method)] = \
                         f"{summary.module}:{cls.name}.{method}"
-            for toggle in summary.toggles:
-                self.toggles[f"{toggle.module}:{toggle.name}"] = toggle
         self._edges: Dict[str, List[str]] = {}
         self._build_edges()
 
@@ -1309,20 +1082,3 @@ class ProjectIndex:
             for branch in fn.dispatches:
                 out.append((fn, branch))
         return out
-
-    def resolve_toggle(self, caller: FunctionSummary,
-                       ref: str) -> Optional[ToggleFlag]:
-        """The :class:`ToggleFlag` a guard's test expression refers to."""
-        module = caller.qualname.split(":", 1)[0]
-        name = ref.split(".")[-1]
-        if _is_toggle_name(name):
-            return self.toggles.get(f"{module}:{name}")
-        # getter call: resolve the function, then find the flag whose
-        # getter it is.
-        target = self.resolve_call(caller, ref)
-        if target is None:
-            return None
-        for key in sorted(self.toggles):
-            if self.toggles[key].getter == target:
-                return self.toggles[key]
-        return None

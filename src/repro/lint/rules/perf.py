@@ -21,8 +21,7 @@ __all__ = ["MissingSlotsRule", "FloatAccumulationRule", "ListHeadShiftRule",
 HOT_MODULE_SUFFIXES = (
     "repro/sim/engine.py", "repro/sim/process.py", "repro/sim/resources.py",
     "repro/core/tokens.py", "repro/core/queues.py",
-    "repro/core/scheduler.py", "repro/core/sampled.py",
-    "repro/fs/striping.py",
+    "repro/core/scheduler.py", "repro/fs/striping.py",
     "repro/fs/storage.py", "repro/fs/locking.py", "repro/net/message.py",
     "repro/bb/request.py",
 )

@@ -24,8 +24,7 @@ class Message:
     :attr:`~repro.net.fabric.Fabric.payload_bytes_sent`. ``None`` (the
     default) means "same as ``size``". Keeping it separate from ``size``
     lets an encoding shrink measured traffic without perturbing the
-    simulated serialisation delay — the trace-neutrality contract the
-    toggle-equivalence suites rely on.
+    simulated serialisation delay.
     """
 
     src: str

@@ -11,19 +11,15 @@ Public surface:
 - :class:`Tracer` — event tracing.
 """
 
-from .engine import Engine, default_eventq, set_default_eventq
-from .eventq import CalendarEventQueue
+from .engine import Engine
 from .process import (AllOf, AnyOf, Condition, Event, Process, Ticker,
-                      Timeout, cancel_enabled, set_cancel_enabled)
+                      Timeout)
 from .resources import BandwidthPipe, PriorityStore, Resource, Store
 from .rng import RngRegistry, stable_hash
 from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Engine",
-    "CalendarEventQueue",
-    "set_default_eventq",
-    "default_eventq",
     "Event",
     "Timeout",
     "Process",
@@ -31,8 +27,6 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
-    "set_cancel_enabled",
-    "cancel_enabled",
     "Store",
     "PriorityStore",
     "Resource",

@@ -8,15 +8,11 @@ times fire in scheduling order (a monotonically increasing sequence
 number breaks ties), which makes every run bit-for-bit reproducible
 given the same seeds.
 
-Two queue backends share that ordering contract (DESIGN.md §15): the
-default binary heap, and a bucketed calendar queue
-(:class:`~repro.sim.eventq.CalendarEventQueue`) selected with
-``Engine(eventq="calendar")`` that gives amortized O(1) schedule/pop
-under heavy timer churn. Cancelled events
-(:meth:`~repro.sim.process.Event.cancel`) are skipped lazily on pop and
-compacted away in O(n) once dead entries dominate, so the queue stays
-sublinear in garbage; live ``(time, seq)`` ordering is untouched either
-way, which is why traces are identical by construction.
+The queue is a binary heap of ``(time, seq, event)`` entries (DESIGN.md
+§15). Cancelled events (:meth:`~repro.sim.process.Event.cancel`) are
+skipped lazily on pop and compacted away in O(n) once dead entries
+dominate, so the queue stays sublinear in garbage; live ``(time, seq)``
+ordering is untouched by cancellation.
 
 Typical usage::
 
@@ -35,13 +31,12 @@ Typical usage::
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Generator, Iterable, Optional, Union
+from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
 from ..errors import SimulationError, StopSimulation
-from .eventq import CalendarEventQueue
 from .process import AllOf, AnyOf, Event, Process, Ticker, Timeout
 
-__all__ = ["Engine", "set_default_eventq", "default_eventq"]
+__all__ = ["Engine"]
 
 # Bound once at import: the schedule/step path runs for every simulated
 # event, where even the module-attribute lookup of heapq.heappush shows
@@ -55,28 +50,6 @@ _heappop = heapq.heappop
 #: bounds the amortized cost at O(1) per cancellation.
 _COMPACT_MIN_DEAD = 1024
 
-#: Module default for Engine(eventq=None): None/"heap" or "calendar".
-#: Lets A/B harnesses flip the whole stack (clusters build their engines
-#: internally) without threading a parameter through every config layer.
-_DEFAULT_EVENTQ: Optional[str] = None
-
-
-def set_default_eventq(kind: Optional[str]) -> None:
-    """Select the queue backend newly built Engines default to.
-
-    *kind* is ``None``/"heap" (binary heap) or "calendar"
-    (:class:`CalendarEventQueue`). Existing engines are unaffected.
-    """
-    if kind not in (None, "heap", "calendar"):
-        raise SimulationError(f"unknown eventq kind: {kind!r}")
-    global _DEFAULT_EVENTQ
-    _DEFAULT_EVENTQ = kind
-
-
-def default_eventq() -> Optional[str]:
-    """The queue-backend kind new Engines currently default to."""
-    return _DEFAULT_EVENTQ
-
 
 class Engine:
     """The simulation kernel: virtual clock plus event queue.
@@ -85,34 +58,18 @@ class Engine:
     ----------
     start:
         Initial value of the simulated clock (seconds).
-    eventq:
-        Queue backend: ``None`` (module default, normally the heap),
-        ``"heap"``, ``"calendar"``, or any object with the
-        push/pop/peek/compact/__len__ protocol of
-        :class:`~repro.sim.eventq.CalendarEventQueue`.
     """
 
     __slots__ = ("_now", "_heap", "_seq", "_active_process",
-                 "_stop_requested", "_eventq", "_dead", "_cancelled_total",
+                 "_stop_requested", "_dead", "_cancelled_total",
                  "_compactions")
 
-    def __init__(self, start: float = 0.0,
-                 eventq: Union[None, str, Any] = None):
+    def __init__(self, start: float = 0.0):
         self._now = float(start)
         self._heap: list = []  # entries: (time, seq, event)
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._stop_requested = False
-        if eventq is None:
-            eventq = _DEFAULT_EVENTQ
-        if eventq is None or eventq == "heap":
-            self._eventq: Optional[Any] = None
-        elif eventq == "calendar":
-            self._eventq = CalendarEventQueue()
-        elif hasattr(eventq, "push") and hasattr(eventq, "pop"):
-            self._eventq = eventq
-        else:
-            raise SimulationError(f"unknown eventq: {eventq!r}")
         self._dead = 0  # cancelled entries still sitting in the queue
         self._cancelled_total = 0
         self._compactions = 0
@@ -159,11 +116,7 @@ class Engine:
         event._scheduled = True
         seq = self._seq
         self._seq = seq + 1
-        q = self._eventq
-        if q is None:
-            _heappush(self._heap, (when, seq, event))
-        else:
-            q.push(when, seq, event)
+        _heappush(self._heap, (when, seq, event))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Return an event that fires after ``delay`` simulated seconds."""
@@ -193,23 +146,17 @@ class Engine:
 
     def _compact(self) -> None:
         """Rebuild the queue without dead entries (O(n); resets census)."""
-        q = self._eventq
-        if q is None:
-            self._heap = [e for e in self._heap if not e[2]._cancelled]
-            heapq.heapify(self._heap)
-        else:
-            q.compact()
+        self._heap = [e for e in self._heap if not e[2]._cancelled]
+        heapq.heapify(self._heap)
         self._dead = 0
         self._compactions += 1
 
     def stats(self) -> Dict[str, Any]:
         """Event-queue census: events ever scheduled, pending/dead counts,
         cancels, compactions."""
-        q = self._eventq
-        pending = len(self._heap) if q is None else len(q)
+        pending = len(self._heap)
         return {
             "now": self._now,
-            "eventq": "heap" if q is None else type(q).__name__,
             "scheduled_total": self._seq,
             "pending": pending,
             "dead_pending": self._dead,
@@ -225,61 +172,34 @@ class Engine:
         Dead (cancelled) entries at the head of the queue are discarded
         as a side effect, so repeated peeks stay O(1) amortized.
         """
-        q = self._eventq
-        if q is None:
-            heap = self._heap
-            while heap:
-                head = heap[0]
-                if head[2]._cancelled:
-                    _heappop(heap)
-                    self._dead -= 1
-                    continue
-                return head[0]
-            return float("inf")
-        while True:
-            entry = q.peek()
-            if entry is None:
-                return float("inf")
-            if entry[2]._cancelled:
-                q.pop()
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head[2]._cancelled:
+                _heappop(heap)
                 self._dead -= 1
                 continue
-            return entry[0]
+            return head[0]
+        return float("inf")
 
     def step(self) -> None:
         """Process exactly one live event; raise SimulationError if none
         remain. Dead entries encountered on the way are discarded (and
         the queue compacted once they dominate)."""
-        q = self._eventq
-        if q is None:
-            heap = self._heap
-            while heap:
-                when, _seq, event = _heappop(heap)
-                if event._cancelled:
-                    dead = self._dead - 1
-                    self._dead = dead
-                    if dead > _COMPACT_MIN_DEAD and dead * 2 > len(heap):
-                        self._compact()
-                        heap = self._heap
-                    continue
-                self._now = when
-                event._fire()
-                return
-            raise SimulationError("no scheduled events")
-        while True:
-            entry = q.pop()
-            if entry is None:
-                raise SimulationError("no scheduled events")
-            when, _seq, event = entry
+        heap = self._heap
+        while heap:
+            when, _seq, event = _heappop(heap)
             if event._cancelled:
                 dead = self._dead - 1
                 self._dead = dead
-                if dead > _COMPACT_MIN_DEAD and dead * 2 > len(q):
+                if dead > _COMPACT_MIN_DEAD and dead * 2 > len(heap):
                     self._compact()
+                    heap = self._heap
                 continue
             self._now = when
             event._fire()
             return
+        raise SimulationError("no scheduled events")
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or the clock reaches *until*.
@@ -296,31 +216,9 @@ class Engine:
                     f"until={until!r} is in the past (now={self._now!r})"
                 )
         self._stop_requested = False
-        q = self._eventq
         heap = self._heap
         try:
-            if q is not None:
-                while True:
-                    if self._stop_requested:
-                        return
-                    entry = q.peek()
-                    if entry is None:
-                        break
-                    if until is not None and entry[0] > until:
-                        self._now = until
-                        return
-                    event = entry[2]
-                    if event._cancelled:
-                        q.pop()
-                        dead = self._dead - 1
-                        self._dead = dead
-                        if dead > _COMPACT_MIN_DEAD and dead * 2 > len(q):
-                            self._compact()
-                        continue
-                    q.pop()
-                    self._now = entry[0]
-                    event._fire()
-            elif until is None:
+            if until is None:
                 # Unbounded run: tight loop without the deadline check.
                 while heap:
                     if self._stop_requested:
@@ -400,6 +298,4 @@ class Engine:
         return Ticker(self, interval, fn, first)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        q = self._eventq
-        pending = len(self._heap) if q is None else len(q)
-        return f"<Engine now={self._now:.6f} pending={pending}>"
+        return f"<Engine now={self._now:.6f} pending={len(self._heap)}>"

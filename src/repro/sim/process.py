@@ -17,27 +17,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import Engine
 
 __all__ = ["Event", "Timeout", "Process", "Ticker", "Condition", "AllOf",
-           "AnyOf", "set_cancel_enabled", "cancel_enabled"]
+           "AnyOf"]
 
 _PENDING = object()
-
-# Timer cancellation (DESIGN.md §15). When enabled, Event.cancel() marks a
-# scheduled-but-untriggered event dead: the engine skips it on pop and
-# compacts the queue when corpses accumulate. When disabled, cancel() is a
-# no-op and the event fires exactly as it always did (with any detached
-# callbacks skipped) — the baseline semantics used by the A/B digest suite.
-_CANCEL_ENABLED = True
-
-
-def set_cancel_enabled(enabled: bool) -> None:
-    """Toggle timer cancellation (trace-neutral; see DESIGN.md §15)."""
-    global _CANCEL_ENABLED
-    _CANCEL_ENABLED = bool(enabled)
-
-
-def cancel_enabled() -> bool:
-    """True while Event.cancel() actually marks events dead."""
-    return _CANCEL_ENABLED
 
 
 class Event:
@@ -141,16 +123,10 @@ class Event:
         Cancellation is idempotent and illegal once the event has
         triggered (it has a value) or fired. A cancelled event is lazily
         discarded by the engine on pop, so cancel() is O(1); the engine
-        compacts the queue when dead entries accumulate. With the
-        cancellation toggle off this is a no-op returning False: the
-        event stays in the queue and fires exactly as before (callers
-        must already tolerate the firing — that *is* the baseline
-        behaviour the A/B suite compares against).
+        compacts the queue when dead entries accumulate (DESIGN.md §15).
         """
         if self.triggered or self._processed:
             raise SimulationError(f"cannot cancel {self!r}: already triggered")
-        if not _CANCEL_ENABLED:
-            return False
         if self._cancelled:
             return True
         self._cancelled = True
@@ -382,8 +358,7 @@ class Ticker(Process):
 
     A plain :class:`Process` (joinable, interruptible) plus a
     :meth:`stop` that ends the loop cleanly: the in-flight sleep timer
-    is detached and cancelled through the new cancel path instead of
-    firing forever.
+    is detached and cancelled instead of firing forever.
     """
 
     __slots__ = ("_stopped", "_sleep")

@@ -153,8 +153,6 @@ class RpcClient:
         timer = self._timers.pop(cid, None)
         if timer is not None and not timer.processed:
             # The response won the race: the expiry timer is garbage now.
-            # With cancellation off this is a no-op and the timer fires
-            # into _expire, which finds the cid gone and returns.
             timer.cancel()
         done.succeed(msg.payload["body"])
 

@@ -17,12 +17,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bb import Cluster, ClusterConfig, ServerConfig
-from repro.bb.controller import (set_sync_delta_enabled,
-                                 set_sync_gather_delta_enabled,
-                                 subtree_height,
-                                 sync_gather_delta_enabled,
-                                 tree_children, tree_order)
+from repro.bb.controller import subtree_height, tree_children, tree_order
 from repro.core import JobInfo
+from repro.core.fairness import all_gather_merge
+from repro.core.jobinfo import JobStatusTable
 from repro.errors import ConfigError, ReproError
 from repro.units import GB, MB
 
@@ -70,22 +68,9 @@ def _sync_only_cluster(*, fanout=0, quiescence=False, n_servers=6,
     return cluster
 
 
-def _trace(cluster):
-    s = cluster.sampler
-    return (list(zip(s._times, s._jobs, s._bytes, s._ops)),
-            cluster.engine.now, cluster.total_served_bytes())
-
-
 def _table_view(server):
     return sorted((e["info"].job_id, e["last_heartbeat"], e["active"])
                   for e in server.monitor.table.snapshot())
-
-
-@pytest.fixture(autouse=True)
-def _restore_toggles():
-    yield
-    set_sync_delta_enabled(True)
-    set_sync_gather_delta_enabled(True)
 
 
 class TestTreeShape:
@@ -224,58 +209,47 @@ class TestGatherDelta:
     off for the flat round on their own (the tree merely reuses them
     per edge)."""
 
-    def test_gather_delta_is_trace_neutral(self):
-        assert sync_gather_delta_enabled()
-        on = _trace(_run_cluster(seed=4, n_servers=4))
-        set_sync_gather_delta_enabled(False)
-        try:
-            off = _trace(_run_cluster(seed=4, n_servers=4))
-        finally:
-            set_sync_gather_delta_enabled(True)
-        assert on == off
-
     def test_gather_delta_shrinks_flat_gather_payload(self):
         # Stable entries are where the encoding pays: a live job's
         # heartbeat advances every round (so its entry re-ships), but
         # the pre-seeded idle entries re-confirm as 12-byte summaries
         # instead of 64-byte snapshot rows.
-        def measure(flag):
-            set_sync_gather_delta_enabled(flag)
-            try:
-                c = _sync_only_cluster(fanout=0, n_servers=6, n_jobs=12)
-            finally:
-                set_sync_gather_delta_enabled(True)
-            stats = c.sync_stats()
-            return (c.fabric.bytes_sent, c.fabric.payload_bytes_sent,
-                    stats["gather_delta_replies"],
-                    stats["coord_gather_payload_bytes"])
-
-        size_on, payload_on, deltas_on, coord_on = measure(True)
-        size_off, payload_off, deltas_off, coord_off = measure(False)
-        assert deltas_on > 0 and deltas_off == 0
-        # Nominal (timing-bearing) traffic identical; effective payload
-        # and the coordinator's inbound gather bytes both shrink.
-        assert size_on == size_off
-        assert payload_on < payload_off
-        assert coord_on < coord_off
+        n, jobs = 6, 12
+        c = _sync_only_cluster(fanout=0, n_servers=n, n_jobs=jobs)
+        stats = c.sync_stats()
+        assert stats["gather_delta_replies"] > 0
+        # Nominal (timing-bearing) traffic still covers full snapshots;
+        # effective payload and the coordinator's inbound gather bytes
+        # both sit under it. A full reply from a converged peer is 64 B
+        # per entry.
+        assert c.fabric.payload_bytes_sent < c.fabric.bytes_sent
+        full_gather = stats["coordinated_rounds"] * (n - 1) * 64 * jobs
+        assert stats["coord_gather_payload_bytes"] < full_gather
 
     def test_gather_delta_fires_in_tree_mode_too(self):
         cluster = _sync_only_cluster(fanout=2, n_servers=6, n_jobs=8)
         assert cluster.sync_stats()["gather_delta_replies"] > 0
 
-    def test_tree_state_identical_gather_delta_on_off(self):
-        def run(flag):
-            set_sync_gather_delta_enabled(flag)
-            try:
-                return _sync_only_cluster(fanout=2, n_servers=6, n_jobs=8)
-            finally:
-                set_sync_gather_delta_enabled(True)
-
-        on, off = run(True), run(False)
-        for name in on.servers:
-            assert (_table_view(on.servers[name])
-                    == _table_view(off.servers[name])), name
-        assert on.sync_digest_log() == off.sync_digest_log()
+    def test_tree_state_with_gather_deltas_equals_all_gather(self):
+        """Omitted entries are provably held: with delta replies on
+        every tree edge, each server ends on exactly the table the pure
+        all-gather of the seeded rows produces."""
+        n = 6
+        cluster = _sync_only_cluster(fanout=2, n_servers=n, n_jobs=8)
+        assert cluster.sync_stats()["gather_delta_replies"] > 0
+        servers = list(cluster.servers.values())
+        tables = []
+        for index, server in enumerate(servers):
+            table = JobStatusTable(server.monitor.table.heartbeat_timeout)
+            table.merge([e for e in server.monitor.table.snapshot()
+                         if (e["info"].job_id - 1) % n == index])
+            tables.append(table)
+        all_gather_merge(tables)
+        reference = sorted((e["info"].job_id, e["last_heartbeat"], e["active"])
+                           for e in tables[0].snapshot())
+        assert len(reference) == 8
+        for server in servers:
+            assert _table_view(server) == reference, server.name
 
 
 class TestQuiescenceSkip:

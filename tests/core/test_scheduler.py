@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import JobInfo, Policy, QueueSet, StatisticalTokenScheduler
-from repro.core import scheduler as schedmod
 from repro.errors import SchedulerError
 
 
@@ -223,27 +222,20 @@ class TestTokenScheduler:
 
 
 class TestDrawCache:
-    """The cached restricted assignment must be invisible to callers.
+    """The cached restricted assignment must be invisible to callers."""
 
-    These tests exercise the exact-path draw cache specifically, so the
-    Fenwick-sampled dequeue (which bypasses that cache — its own
-    equivalence tests live in ``TestSampledDequeue``) is switched off
-    around each test.
-    """
+    class _Uncached(StatisticalTokenScheduler):
+        """The oracle: a fresh restricted assignment per dequeue."""
 
-    @pytest.fixture(autouse=True)
-    def _exact_path(self):
-        schedmod.set_sampled_dequeue_enabled(False)
-        yield
-        schedmod.set_sampled_dequeue_enabled(True)
+        def _restricted_assignment(self):
+            return self._build_restricted(self.queues.nonempty_jobs())
 
-    @staticmethod
-    def _run(cache, seed=9, steps=15000):
+    @classmethod
+    def _run(cls, cache, seed=9, steps=15000):
         import random
 
-        s = StatisticalTokenScheduler(
-            Policy.parse("size-fair"), np.random.default_rng(seed),
-            cache_draws=cache)
+        s = (StatisticalTokenScheduler if cache else cls._Uncached)(
+            Policy.parse("size-fair"), np.random.default_rng(seed))
         s.on_jobs_changed([job(i, user=f"u{i % 3}", size=(i % 5) + 1)
                            for i in range(12)], 0.0)
         workload = random.Random(seed)
@@ -294,85 +286,7 @@ class TestDrawCache:
             {1: 1 / 3, 2: 1 / 3, 3: 1 / 3})
 
 
-class TestSampledDequeue:
-    """The Fenwick-sampled dequeue must be bit-identical to the exact
-    restricted-assignment path (same seed, same choice sequence)."""
-
-    @staticmethod
-    def _run(sampled, seed=7, steps=20000, n_jobs=96):
-        import random
-
-        schedmod.set_sampled_dequeue_enabled(sampled)
-        try:
-            s = StatisticalTokenScheduler(
-                Policy.parse("size-fair"), np.random.default_rng(seed))
-            s.on_jobs_changed(
-                [job(i, user=f"u{i % 5}", size=(i % 6) + 1)
-                 for i in range(n_jobs)], 0.0)
-            workload = random.Random(seed)
-            choices = []
-            for step in range(steps):
-                if workload.random() < 0.5 or not s.queues:
-                    # Ids beyond the token table exercise the mean-share
-                    # weight; heavy churn forces membership transitions.
-                    s.enqueue(Req(workload.randrange(n_jobs + 6)), 0.0)
-                else:
-                    req = s.dequeue(0.0)
-                    choices.append(None if req is None else req.job_id)
-                if step % 5000 == 4999:
-                    # Token reallocation mid-run rebuilds the sampler.
-                    s.on_jobs_changed(
-                        [job(i, size=(i % 4) + 1)
-                         for i in range(step % 17 + 2)], 0.0)
-            return choices, s
-        finally:
-            schedmod.set_sampled_dequeue_enabled(True)
-
-    def test_sampled_and_exact_sequences_identical(self):
-        for seed in (7, 21, 1234):
-            sampled, s_on = self._run(True, seed=seed)
-            exact, s_off = self._run(False, seed=seed)
-            assert sampled == exact
-            # The sampled run actually used the Fenwick path.
-            assert s_on.sampled_draws > 0
-            assert s_off.sampled_draws == 0
-
-    def test_fallbacks_are_rare(self):
-        _, s = self._run(True)
-        # The boundary guard fires ~2**-29 of the time; any systematic
-        # fallback (desynced sampler) would show up as a large count.
-        assert s.sampled_fallbacks <= 2
-
-    def test_out_of_order_job_id_rebuilds_slot_map(self):
-        from repro.core.sampled import BacklogSampler
-
-        sampler = BacklogSampler()
-        sampler.bulk_load([2, 5, 9], [0.2, 0.3, 0.5])
-        sampler.set_weight(4, 0.25)  # splices between 2 and 5
-        assert len(sampler) == 4
-        total = sampler.total_weight()
-        assert total == pytest.approx(1.25)
-        # Prefix structure stays consistent after the splice.
-        assert sampler.sample(0.5 * (0.2 + 0.125) / 1.25) in (2, 4)
-
-    def test_small_backlogs_stay_on_exact_path(self):
-        # Below _SAMPLED_MIN_JOBS the tree is never even built: tiny
-        # populations must not pay Fenwick maintenance (the exact path's
-        # cached assignment is faster there).
-        s = StatisticalTokenScheduler(
-            Policy.parse("job-fair"), np.random.default_rng(0))
-        s.on_jobs_changed([job(i) for i in range(4)], 0.0)
-        for i in range(4):
-            s.enqueue(Req(i), 0.0)
-        for _ in range(32):
-            req = s.dequeue(0.0)
-            if req is not None:
-                s.enqueue(Req(req.job_id), 0.0)
-        assert s.sampled_draws == 0
-        assert s._sampler is None
-
-    def test_sampler_survives_drain(self, monkeypatch):
-        monkeypatch.setattr(schedmod, "_SAMPLED_MIN_JOBS", 1)
+    def test_draw_cache_survives_drain(self):
         s = make("job-fair")
         s.on_jobs_changed([job(1), job(2), job(3)], 0.0)
         for _ in range(6):

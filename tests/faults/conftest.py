@@ -12,6 +12,8 @@ import pytest
 from repro.bb import Cluster, ClusterConfig, ServerConfig
 from repro.bb.client import ClientConfig
 from repro.core import JobInfo
+from repro.core.fairness import all_gather_merge
+from repro.core.jobinfo import JobStatusTable
 
 #: seconds of real time a single fault test may take before it is
 #: declared deadlocked.
@@ -69,3 +71,39 @@ def job():
         return JobInfo(job_id=jid, user=user, group=group, size=size)
 
     return make
+
+
+def assert_all_gather_state(cluster):
+    """Every live server's job table equals the paper's all-gather.
+
+    The reference is pure: each live server contributes only the rows of
+    the jobs it hosts itself (what it knows without any sync; a job no
+    live server hosts any more — departed — is contributed by whoever
+    still lists it), and ``core.fairness.all_gather_merge`` merges them
+    everywhere. A live table must list exactly the reference's jobs
+    with the same identity and activity, and may never hold a heartbeat
+    newer than the hosting server's own — whatever a delta omitted or a
+    fault delayed.
+    """
+    live = [s for s in cluster.servers.values() if not s.crashed]
+    hosted = set().union(*(s.monitor.active_local_jobs() for s in live))
+    tables = []
+    for server in live:
+        local = server.monitor.active_local_jobs()
+        table = JobStatusTable(server.monitor.table.heartbeat_timeout)
+        table.merge([e for e in server.monitor.table.snapshot()
+                     if e["info"].job_id in local
+                     or e["info"].job_id not in hosted])
+        tables.append(table)
+    all_gather_merge(tables)
+    reference = {e["info"].job_id: e for e in tables[0].snapshot()}
+    assert reference  # jobs actually registered
+    for server in live:
+        rows = {e["info"].job_id: e for e in server.monitor.table.snapshot()}
+        assert sorted(rows) == sorted(reference), server.name
+        for job_id, row in rows.items():
+            ref = reference[job_id]
+            assert row["info"] == ref["info"], (server.name, job_id)
+            assert row["active"] == ref["active"], (server.name, job_id)
+            assert row["last_heartbeat"] <= ref["last_heartbeat"], (
+                server.name, job_id)

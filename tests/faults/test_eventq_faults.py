@@ -1,56 +1,37 @@
-"""Event-queue kernel vs the fault machinery: trace neutrality under
-crashes and partitions.
+"""Cancellable timers vs the fault machinery: a crash plus a partition.
 
 Timeout/retry/failover paths are where cancellation earns its keep —
 and where a subtly wrong skip or compaction would shuffle the trace.
-The same faulted workload must be digest-identical on the heap and the
-calendar queue, and with cancellation on and off.
+The faulted workload must finish, must actually cancel expiry timers,
+and must repeat bit for bit for the same seed.
 """
 
-import pytest
-
 from repro.faults import FaultInjector, FaultPlan, LinkFault, ServerCrash
-from repro.sim import set_cancel_enabled, set_default_eventq
 from repro.units import MB
 
 
-@pytest.fixture(autouse=True)
-def _restore_kernel_toggles():
-    set_cancel_enabled(True)
-    set_default_eventq(None)
-    yield
-    set_cancel_enabled(True)
-    set_default_eventq(None)
+def _faulted_run(make_cluster, job, seed=0):
+    cluster = make_cluster(n_servers=3, seed=seed, rpc_retries=-1)
+    plan = FaultPlan([
+        ServerCrash("bb1", at=0.4, restart_at=1.2),
+        LinkFault(start=1.6, stop=2.2, a="bb0", drop_prob=1.0),
+    ])
+    FaultInjector(cluster, plan).arm()
+    done = []
 
+    def app(client, idx):
+        yield from client.register_all()
+        path = f"/fs/d/f{idx}"
+        yield from client.create(path)
+        for k in range(8):
+            yield from client.write(path, k * MB, 1 * MB)
+        done.append(idx)
 
-def _faulted_run(make_cluster, job, *, eventq, cancel=True, seed=0):
-    set_cancel_enabled(cancel)
-    set_default_eventq(eventq)
-    try:
-        cluster = make_cluster(n_servers=3, seed=seed, rpc_retries=-1)
-        plan = FaultPlan([
-            ServerCrash("bb1", at=0.4, restart_at=1.2),
-            LinkFault(start=1.6, stop=2.2, a="bb0", drop_prob=1.0),
-        ])
-        FaultInjector(cluster, plan).arm()
-        done = []
-
-        def app(client, idx):
-            yield from client.register_all()
-            path = f"/fs/d/f{idx}"
-            yield from client.create(path)
-            for k in range(8):
-                yield from client.write(path, k * MB, 1 * MB)
-            done.append(idx)
-
-        for idx in range(3):
-            client = cluster.add_client(job(idx + 1), client_id=f"c{idx}")
-            cluster.engine.process(app(client, idx))
-        cluster.run(until=6.0)
-        return cluster, done
-    finally:
-        set_cancel_enabled(True)
-        set_default_eventq(None)
+    for idx in range(3):
+        client = cluster.add_client(job(idx + 1), client_id=f"c{idx}")
+        cluster.engine.process(app(client, idx))
+    cluster.run(until=6.0)
+    return cluster, done
 
 
 def _digest(cluster, done):
@@ -63,23 +44,15 @@ def _digest(cluster, done):
             cluster.total_served_bytes())
 
 
-def test_calendar_equals_heap_under_faults(make_cluster, job):
-    heap = _digest(*_faulted_run(make_cluster, job, eventq=None))
-    cal = _digest(*_faulted_run(make_cluster, job, eventq="calendar"))
-    assert heap == cal
-
-
-def test_cancel_toggle_neutral_under_faults(make_cluster, job):
-    on = _digest(*_faulted_run(make_cluster, job, eventq=None, cancel=True))
-    off = _digest(*_faulted_run(make_cluster, job, eventq=None, cancel=False))
-    assert on == off
+def test_faulted_run_repeats_for_the_same_seed(make_cluster, job):
+    first = _digest(*_faulted_run(make_cluster, job))
+    again = _digest(*_faulted_run(make_cluster, job))
+    assert first == again
 
 
 def test_faulted_run_cancels_and_completes(make_cluster, job):
-    """Sanity for the pair above: the scenario exercises the machinery
-    (expiry timers get cancelled) and the workload still finishes."""
-    cluster, done = _faulted_run(make_cluster, job, eventq="calendar")
+    """The scenario exercises the machinery (expiry timers get
+    cancelled) and the workload still finishes."""
+    cluster, done = _faulted_run(make_cluster, job)
     assert sorted(done) == [0, 1, 2]
-    stats = cluster.engine.stats()
-    assert stats["eventq"] == "CalendarEventQueue"
-    assert stats["cancelled_total"] > 0
+    assert cluster.engine.stats()["cancelled_total"] > 0

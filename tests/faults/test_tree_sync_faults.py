@@ -16,22 +16,15 @@ completes. Covered here:
 - **partition mid-round**: the cut child misses the gather, the
   parent's scatter skips the edge (no basis to delta against), and a
   later epoch's reshaped tree heals it;
-- the acceptance-criteria check: fault scenarios leave identical
-  tables with the delta encodings on vs. off.
+- the acceptance-criteria check: with both delta encodings live on
+  every edge, the fault scenarios leave every table equal to the pure
+  all-gather reference (``conftest.assert_all_gather_state``).
 """
 
-import pytest
-
-from repro.bb import controller as ctlmod
 from repro.faults import FaultInjector, FaultPlan, LinkFault, ServerCrash
 from repro.units import MB
 
-
-@pytest.fixture(autouse=True)
-def _restore_toggles():
-    yield
-    ctlmod.set_sync_delta_enabled(True)
-    ctlmod.set_sync_gather_delta_enabled(True)
+from .conftest import assert_all_gather_state
 
 
 def _one_write(cluster, client, path):
@@ -55,9 +48,7 @@ def _assert_converged(cluster):
 
 
 def _run_crash(make_cluster, job, crashed, *, n_servers=7, fanout=2,
-               delta=True, until=3.0):
-    ctlmod.set_sync_delta_enabled(delta)
-    ctlmod.set_sync_gather_delta_enabled(delta)
+               until=3.0):
     cluster = make_cluster(n_servers=n_servers, sync_interval=0.1,
                            sync_timeout=0.1, sync_tree_fanout=fanout)
     plan = FaultPlan([ServerCrash(crashed, at=0.75, restart_at=1.25)])
@@ -87,14 +78,13 @@ class TestRootCrash:
         cluster = _run_crash(make_cluster, job, "bb1")
         assert cluster.sync_stats()["max_gather_fanin"] <= 2
 
-    def test_crash_state_identical_deltas_on_off(self, make_cluster, job):
-        with_delta = _run_crash(make_cluster, job, "bb1", delta=True)
-        without = _run_crash(make_cluster, job, "bb1", delta=False)
-        for name in with_delta.servers:
-            assert (_table_view(with_delta.servers[name])
-                    == _table_view(without.servers[name])), name
-        assert (with_delta.total_served_bytes()
-                == without.total_served_bytes())
+    def test_crash_state_equals_all_gather(self, make_cluster, job):
+        cluster = _run_crash(make_cluster, job, "bb1")
+        stats = cluster.sync_stats()
+        assert stats["delta_pushes"] > 0
+        assert stats["gather_delta_replies"] > 0
+        assert_all_gather_state(cluster)
+        assert cluster.total_served_bytes() == 3 * MB
 
 
 class TestInteriorCrash:
@@ -104,7 +94,6 @@ class TestInteriorCrash:
     # epoch 12 lands at t=1.2 < 1.25. Use a window that dodges it.
     def test_interior_crash_degrades_only_its_subtree(self, make_cluster,
                                                       job):
-        ctlmod.set_sync_delta_enabled(True)
         cluster = make_cluster(n_servers=7, sync_interval=0.1,
                                sync_timeout=0.1, sync_tree_fanout=2)
         # Crash bb6 across epochs 8..11 (roots bb1..bb4): bb6 is interior
@@ -152,9 +141,7 @@ class TestSubtreeResync:
 
 
 class TestPartitionMidRound:
-    def _run(self, make_cluster, job, delta):
-        ctlmod.set_sync_delta_enabled(delta)
-        ctlmod.set_sync_gather_delta_enabled(delta)
+    def _run(self, make_cluster, job):
         cluster = make_cluster(n_servers=5, sync_interval=0.1,
                                sync_timeout=0.1, sync_tree_fanout=2)
         # Cut bb4 off from every peer for a window covering several
@@ -171,7 +158,7 @@ class TestPartitionMidRound:
         return cluster
 
     def test_heal_reconverges_the_cut_subtree(self, make_cluster, job):
-        cluster = self._run(make_cluster, job, delta=True)
+        cluster = self._run(make_cluster, job)
         assert cluster.fault_stats.degraded_sync_rounds > 0
         _assert_converged(cluster)
         # No controller restarted: partitions never void a basis (the
@@ -180,10 +167,10 @@ class TestPartitionMidRound:
         for server in cluster.servers.values():
             assert server.controller.basis_mismatches == 0
 
-    def test_partition_state_identical_deltas_on_off(self, make_cluster,
-                                                     job):
-        with_delta = self._run(make_cluster, job, delta=True)
-        without = self._run(make_cluster, job, delta=False)
-        for name in with_delta.servers:
-            assert (_table_view(with_delta.servers[name])
-                    == _table_view(without.servers[name])), name
+    def test_partition_state_equals_all_gather(self, make_cluster, job):
+        cluster = self._run(make_cluster, job)
+        stats = cluster.sync_stats()
+        assert stats["delta_pushes"] > 0
+        assert stats["gather_delta_replies"] > 0
+        assert stats["full_resyncs"] == 0  # nobody restarted
+        assert_all_gather_state(cluster)

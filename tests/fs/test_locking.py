@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import FSError
 from repro.fs import MetadataLockTable, RangeLockTable
-from repro.fs import locking as lockmod
 
 
 class TestRangeLocks:
@@ -121,9 +120,9 @@ class TestWaiterQueues:
         assert t.try_lock(7, "w")  # lock is free for the woken waiter
 
 
-class TestWaiterIndex:
-    """Bucket-indexed wake candidate selection must be trace-neutral:
-    the same waiters wake in the same FIFO order as the full scan."""
+class TestRangeScopedWake:
+    """A release wakes exactly the waiters it can unblock — overlapping
+    or unranged — in arrival order, and nobody else."""
 
     KB = 1024
 
@@ -139,37 +138,26 @@ class TestWaiterIndex:
         t.wait(1, _Waiter("out-of-range"), offset=64 * self.KB,
                length=self.KB, owner="out-of-range")
         t.wait(1, _Waiter("unranged"), owner="unranged")
-        # Spans far more than _INDEX_SPAN_CAP buckets: wildcard entry.
         t.wait(1, _Waiter("wide"), offset=0, length=1 << 22, owner="wide")
         return t
 
-    def _run_release(self, indexed):
-        lockmod.set_waiter_index_enabled(indexed)
-        try:
-            _Waiter.log = []
-            t = self._contended_scenario()
-            t.unlock_write(1, "holder")
-            return list(_Waiter.log)
-        finally:
-            lockmod.set_waiter_index_enabled(True)
+    def test_release_wakes_overlapping_and_unranged_in_fifo_order(self):
+        t = self._contended_scenario()
+        t.unlock_write(1, "holder")
+        assert _Waiter.log == ["in-range", "unranged", "wide"]
+        assert t.waiters(1) == 1  # the disjoint waiter stays parked
 
-    def test_index_on_off_produce_identical_wake_trace(self):
-        # Overlapping + unranged + wildcard wake, in arrival order; the
-        # disjoint waiter stays parked — with or without the index.
-        assert self._run_release(True) == \
-            self._run_release(False) == ["in-range", "unranged", "wide"]
-
-    def test_rearm_moves_entry_between_buckets(self):
+    def test_rearm_with_a_new_range_is_woken_by_it(self):
         t = RangeLockTable()
         t.try_lock_write(1, 0, self.KB, "holder")
         w = _Waiter("w")
         t.wait(1, w, offset=512 * self.KB, length=self.KB, owner="w")
-        # Re-arm onto the held range: the index must follow the move.
+        # Re-arm onto the held range: the wake-up must follow the move.
         t.wait(1, w, offset=0, length=self.KB, owner="w")
         t.unlock_write(1, "holder")
         assert _Waiter.log == ["w"]
 
-    def test_acquisition_removes_entry_from_index(self):
+    def test_acquisition_discards_the_waiter_entry(self):
         t = RangeLockTable()
         t.try_lock_write(1, 0, self.KB, "holder")
         t.wait(1, _Waiter("w"), offset=0, length=self.KB, owner="w")
@@ -178,10 +166,10 @@ class TestWaiterIndex:
         t.unlock_write(1, "holder")
         assert _Waiter.log == []  # discarded entry never wakes
 
-    def test_reset_clears_index_with_queues(self):
+    def test_reset_clears_queues_and_table_keeps_working(self):
         t = self._contended_scenario()
         t.reset()
-        assert t._index == {} and t._waiters == {}
+        assert t._waiters == {}
         # The table keeps working after the crash path.
         t.try_lock_write(1, 0, self.KB, "h2")
         t.wait(1, _Waiter("again"), offset=0, length=self.KB, owner="again")
@@ -189,13 +177,40 @@ class TestWaiterIndex:
         t.unlock_write(1, "h2")
         assert _Waiter.log == ["again"]
 
-    def test_index_toggle_roundtrip(self):
-        assert lockmod.waiter_index_enabled()
-        lockmod.set_waiter_index_enabled(False)
-        try:
-            assert not lockmod.waiter_index_enabled()
-        finally:
-            lockmod.set_waiter_index_enabled(True)
+    def test_two_releases_in_one_instant_keep_fifo_per_range(self):
+        """Why a release wakes only its own waiters. Were A's release to
+        wake W1 and W2 as well (wake-all), their retries would be queued
+        by A's release, run after B's in the same instant, and W1 would
+        acquire on a wake-up that was supposed to be a no-op — at A's
+        place in the instant's event order, not B's. That is the
+        divergence EXPERIMENTS.md records (*Toggle retirement*); with
+        range-scoped wake-ups each waiter is woken by the release that
+        freed its range, once, in queue order."""
+        K = 64 * self.KB
+        t = RangeLockTable()
+        assert t.try_lock_write(1, 0, K, "A")
+        assert t.try_lock_write(1, K, K, "B")
+        t.wait(1, _Waiter("W1"), offset=K, length=K, owner="W1")
+        t.wait(1, _Waiter("W2"), offset=K, length=K, owner="W2")
+        t.wait(1, _Waiter("W0"), offset=0, length=K, owner="W0")
+        # Two releases land before any woken waiter gets to retry.
+        t.unlock_write(1, "A")
+        assert _Waiter.log == ["W0"]
+        t.unlock_write(1, "B")
+        assert _Waiter.log == ["W0", "W1", "W2"]
+        # Retries run in wake order: W1 takes B's range, W2 loses...
+        assert t.try_lock_write(1, 0, K, "W0")
+        assert t.try_lock_write(1, K, K, "W1")
+        assert not t.try_lock_write(1, K, K, "W2")
+        # ...re-arms in place, and stays ahead of a later arrival.
+        t.wait(1, _Waiter("W2"), offset=K, length=K, owner="W2")
+        t.wait(1, _Waiter("W3"), offset=K, length=K, owner="W3")
+        _Waiter.log = []
+        t.unlock_write(1, "W1")
+        assert _Waiter.log == ["W2", "W3"]
+        # No armed waiter is left without a conflicting holder.
+        assert t.try_lock_write(1, K, K, "W2")
+        assert t.waiters(1) == 0 and t.write_locks_held(1) == 2
 
 
 class TestMetadataLocks:

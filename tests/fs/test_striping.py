@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import InvalidArgument
 from repro.fs import StripeSpec, map_range
+from repro.fs.striping import ErasureSpec, server_spans, split_range
 
 
 def spec(size=100, servers=("a", "b", "c")):
@@ -72,3 +73,47 @@ def test_property_slices_tile_the_range(stripe_size, n_servers, offset, length):
         assert p.file_offset == p.chunk_index * stripe_size + p.chunk_offset
         pos += p.length
     assert pos == offset + length
+
+
+def _fold(pieces):
+    """Per-server (first offset, total bytes) of a slice list."""
+    spans = {}
+    for p in pieces:
+        first, total = spans.get(p.server, (p.file_offset, 0))
+        spans[p.server] = (min(first, p.file_offset), total + p.length)
+    return spans
+
+
+@st.composite
+def _specs(draw):
+    """A fresh spec of either layout kind (so its memos start empty)."""
+    size = draw(st.integers(min_value=1, max_value=300))
+    servers = tuple(f"s{i}" for i in range(draw(st.integers(2, 5))))
+    if draw(st.booleans()):
+        return StripeSpec(size, servers)
+    return ErasureSpec(size, servers, k=draw(st.integers(1, len(servers) - 1)))
+
+
+@settings(max_examples=80)
+@given(_specs(), st.lists(st.tuples(st.integers(0, 2000), st.integers(0, 2000)),
+                          min_size=1, max_size=6))
+def test_property_memoised_layouts_equal_the_pure_splitter(spec, ranges):
+    """The memo oracle is the pure splitter, not a switch: first and
+    memoised calls of both layout functions return what it returns."""
+    for offset, length in ranges + ranges:  # second pass: memo hits
+        pure = split_range(spec, offset, length)
+        assert map_range(spec, offset, length) == pure
+        assert server_spans(spec, offset, length) == _fold(pure)
+
+
+def test_server_spans_miss_parks_no_slice_list():
+    s = spec()
+    spans = server_spans(s, 50, 300)
+    # Only the aggregate is kept: nothing reads the slices on this path.
+    assert "_range_memo" not in s.__dict__
+    assert spans == _fold(map_range(s, 50, 300))
+    # A fresh dict per call; the cached aggregate cannot be corrupted.
+    spans["a"] = (0, 0)
+    assert server_spans(s, 50, 300) == _fold(map_range(s, 50, 300))
+    with pytest.raises(InvalidArgument):
+        server_spans(s, -1, 10)

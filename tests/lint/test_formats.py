@@ -30,7 +30,7 @@ def test_sarif_structure_and_level_mapping():
     driver = run["tool"]["driver"]
     assert driver["name"] == "repro-lint"
     rule_ids = {r["id"] for r in driver["rules"]}
-    assert {"DET002", "PROTO101", "TRACE101", "DET007"} <= rule_ids
+    assert {"DET002", "PROTO101", "DET007"} <= rule_ids
     results = run["results"]
     assert results[0]["level"] == "error"
     assert results[1]["level"] == "note"

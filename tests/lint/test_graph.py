@@ -73,33 +73,6 @@ def test_dispatch_chain_recorded_once(tmp_path):
     assert by_kind[None].required == ["y"]
 
 
-def test_toggle_and_guard_extraction(tmp_path):
-    s = make_pkg(tmp_path, "p", t="""
-        _FAST_ENABLED = True
-
-        def set_fast_enabled(value):
-            global _FAST_ENABLED
-            _FAST_ENABLED = bool(value)
-
-        def fast_enabled():
-            return _FAST_ENABLED
-
-        class C:
-            def go(self):
-                if not _FAST_ENABLED:
-                    self.slow()
-                else:
-                    self.quick()
-    """)["t"]
-    flag = next(t for t in s.toggles if t.name == "_FAST_ENABLED")
-    assert flag.setter == "p.t:set_fast_enabled"
-    assert flag.getter == "p.t:fast_enabled"
-    guard = s.functions["p.t:C.go"].guards[0]
-    # polarity under `not`: the else-suite is the enabled path
-    assert guard.on_calls == ["self.quick"]
-    assert guard.off_calls == ["self.slow"]
-
-
 def test_resolution_self_method_import_and_unresolved(tmp_path):
     mods = make_pkg(tmp_path, "p",
                     util="""
@@ -164,25 +137,19 @@ def test_reachability_closure(tmp_path):
 
 def test_file_summary_round_trips_through_json(tmp_path):
     s = make_pkg(tmp_path, "p", a="""
-        _X_ENABLED = False
-
-        def set_x_enabled(v):
-            global _X_ENABLED
-            _X_ENABLED = bool(v)
-
         class C:
             def go(self, rpc):
-                if _X_ENABLED:
-                    self._entries.append(1)
+                kind = rpc.body["kind"]
+                if kind == "pull":
+                    self._entries.append(rpc.body["host"])
                 rpc.call("sync", {"kind": "pull"})
     """)["a"]
     clone = FileSummary.from_dict(s.to_dict())
     assert clone.to_dict() == s.to_dict()
     fn = clone.functions["p.a:C.go"]
     assert fn.sends[0].kind == "pull"
-    assert fn.guards[0].toggle == "_X_ENABLED"
-    flag = next(t for t in clone.toggles if t.name == "_X_ENABLED")
-    assert flag.setter == "p.a:set_x_enabled"
+    assert fn.dispatches[0].kind == "pull"
+    assert fn.dispatches[0].required == ["host"]
 
 
 def test_builder_return_keys_union_across_forms(tmp_path):

@@ -2,7 +2,7 @@
 
 Each fixture package under ``tests/lint/fixtures/`` seeds one hazard
 family (or one documented non-finding). These tests prove every
-PROTO/TRACE/DET-interprocedural rule fires where promised and stays
+PROTO/DET-interprocedural rule fires where promised and stays
 silent where promised — the acceptance bar for trusting a clean sweep
 of the real tree.
 """
@@ -73,33 +73,6 @@ def test_dynamic_dispatch_is_a_documented_non_finding():
     assert not findings, [f.render() for f in findings]
 
 
-# ---------------------------------------------------------------- TRACE
-def test_trace101_flags_toggle_reaching_trace_state():
-    findings = run_rule("TRACE101", fixture_index("traclean"))
-    assert len(findings) == 1, [f.render() for f in findings]
-    f = findings[0]
-    assert "_entries" in f.message
-    assert "_COALESCE_ENABLED" in f.message
-
-
-def test_trace101_allows_counter_only_skip_guard():
-    # Table.lookup's guard (counter bump + memo read) must not appear.
-    findings = run_rule("TRACE101", fixture_index("traclean"))
-    lookup_line = None
-    source = (FIXTURES / "traclean" / "toggled.py").read_text()
-    for i, line in enumerate(source.splitlines(), 1):
-        if "key in self._memo" in line:
-            lookup_line = i
-    assert lookup_line is not None
-    assert all(f.line != lookup_line for f in findings)
-
-
-def test_trace102_flags_rogue_flag_writer():
-    findings = run_rule("TRACE102", fixture_index("traclean"))
-    assert len(findings) == 1, [f.render() for f in findings]
-    assert "'rogue_disable'" in findings[0].message
-
-
 # ------------------------------------------------------------------ DET
 def test_det006_flags_rng_laundered_through_two_hops():
     findings = run_rule("DET006", fixture_index("rnglaund"))
@@ -129,7 +102,7 @@ def test_det007_sorted_wrapper_stays_silent():
 # ------------------------------------------------- real-tree anchoring
 def test_real_tree_protocol_surface_is_modelled():
     """Guard against vacuous cleanliness: the index must actually see
-    the λ-sync vocabulary and the perf toggles of the real tree."""
+    the λ-sync vocabulary of the real tree."""
     import os
 
     from repro.lint.runner import _discover, _parse_module
@@ -153,7 +126,3 @@ def test_real_tree_protocol_surface_is_modelled():
                if br.kind is not None}
     assert {"pull", "push",
             "register", "heartbeat", "goodbye"} <= handled
-
-    toggle_names = {flag.name for flag in index.toggles.values()}
-    assert {"_DELTA_SYNC_ENABLED", "_GATHER_DELTA_ENABLED",
-            "_HASH_SKIP_ENABLED"} <= toggle_names

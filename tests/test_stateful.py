@@ -15,7 +15,8 @@ from hypothesis.stateful import (Bundle, RuleBasedStateMachine, invariant,
 from repro.core import (JobInfo, JobStatusTable, Policy,
                         StatisticalTokenScheduler)
 from repro.errors import NoSpace, SchedulerError
-from repro.fs import LogStructuredStore
+from repro.fs import JournaledFS, LogStructuredStore
+from repro.fs import path as pathmod
 from repro.posix import FDTable
 
 
@@ -232,13 +233,72 @@ class JobStatusTableMachine(RuleBasedStateMachine):
                        for j in range(4))
 
 
+class PathCacheMachine(RuleBasedStateMachine):
+    """Path-cache coherence: whatever create / unlink / rmdir / server
+    crash-and-recover interleaving ran, the cached resolver answers
+    every spelling of every name exactly as an uncached normalise ->
+    ring -> ``node.paths`` lookup does (and as a plain set model says).
+
+    A removed name is never made again: single-node recovery replays the
+    whole journal against the live namespace, so an old unlink / rmdir
+    record would hit the re-created name (a journal defect recorded in
+    ROADMAP item E, not a cache one)."""
+
+    NAMES = [f"/d{d}" + (f"/f{f}" if f else "") for d in (0, 1)
+             for f in (0, 1, 2)]  # /d0, /d0/f1, /d0/f2, /d1, ...
+    NAME = st.sampled_from(NAMES)
+
+    def __init__(self):
+        super().__init__()
+        self.fs = JournaledFS(["a", "b", "c"], 1 << 20)
+        self.model = set()
+        self.retired = set()
+
+    @rule(name=NAME)
+    def make(self, name):
+        parent = pathmod.split(name)[0]
+        if name in self.model | self.retired or (
+                parent != "/" and parent not in self.model):
+            return
+        (self.fs.mkdir if parent == "/" else self.fs.create)(name)
+        self.model.add(name)
+
+    @rule(name=NAME)
+    def remove(self, name):
+        if name not in self.model or any(
+                other.startswith(name + "/") for other in self.model):
+            return
+        (self.fs.rmdir if pathmod.split(name)[0] == "/"
+         else self.fs.unlink)(name)
+        self.model.discard(name)
+        self.retired.add(name)
+
+    @rule(server=st.sampled_from(["a", "b", "c"]))
+    def crash_and_recover(self, server):
+        self.fs.crash_node(server)
+        self.fs.recover_node(server)
+
+    @invariant()
+    def cached_lookup_equals_uncached(self):
+        fs = self.fs
+        for name in self.NAMES:
+            for spelling in (name, "/" + name, name + "/", "/./" + name[1:]):
+                norm = pathmod.normalize(spelling)
+                node = fs.nodes[fs.ring.lookup(norm)]
+                uncached = node.inodes.get(node.paths.get(norm))
+                assert fs._find(spelling) is uncached, spelling
+                assert (uncached is not None) == (name in self.model)
+
+
+TestPathCacheMachine = PathCacheMachine.TestCase
 TestFDTableMachine = FDTableMachine.TestCase
 TestLogStoreMachine = LogStoreMachine.TestCase
 TestSchedulerConservationMachine = SchedulerConservationMachine.TestCase
 TestJobStatusTableMachine = JobStatusTableMachine.TestCase
 
 for case in (TestFDTableMachine, TestLogStoreMachine,
-             TestSchedulerConservationMachine, TestJobStatusTableMachine):
+             TestSchedulerConservationMachine, TestJobStatusTableMachine,
+             TestPathCacheMachine):
     case.settings = settings(max_examples=30, stateful_step_count=40,
                              deadline=None)
 # Four jobs, eight rules: a merge that flips a flag needs a five-step
