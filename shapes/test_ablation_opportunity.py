@@ -31,11 +31,8 @@ def _run(opportunity_fair: bool):
     return result.window_throughput(0.5, 3.0)
 
 
-def test_opportunity_fairness_reclaims_idle_cycles(once):
-    def run_both():
-        return _run(True), _run(False)
-
-    with_of, without_of = once(run_both)
+def test_opportunity_fairness_reclaims_idle_cycles():
+    with_of, without_of = _run(True), _run(False)
     print(f"\nopportunity fairness ON : {with_of / 1e9:6.2f} GB/s")
     print(f"opportunity fairness OFF: {without_of / 1e9:6.2f} GB/s "
           f"(mandatory assignment wastes the idle job's segment)")

@@ -28,13 +28,9 @@ def _throughput(n_workers: int) -> float:
     return result.window_throughput(0.2, 1.0)
 
 
-def test_worker_count_sweep(once):
+def test_worker_count_sweep():
     counts = (1, 2, 4, 8)
-
-    def sweep():
-        return {n: _throughput(n) for n in counts}
-
-    rates = once(sweep)
+    rates = {n: _throughput(n) for n in counts}
     print("\nworkers -> aggregate throughput")
     for n in counts:
         print(f"  {n:2d}: {rates[n] / 1e9:6.2f} GB/s")

@@ -11,8 +11,8 @@ from repro.harness import fig01_interference
 APPS = ("namd", "wrf", "specfem3d", "resnet50", "bert")
 
 
-def test_fig01_interference(once):
-    out = once(fig01_interference, apps=APPS, seed=0)
+def test_fig01_interference():
+    out = fig01_interference(apps=APPS, seed=0)
     print("\n" + out.report())
     slowdowns = {app: out.slowdown(app, "fifo") for app in APPS}
     print("FIFO slowdowns:",

@@ -7,16 +7,16 @@ code; pass a larger tuple when you have the minutes to spare).
 """
 
 from repro.harness import fig07_scaling
-from repro.metrics import scaling_efficiency
 
 COUNTS = (1, 2, 4, 8)
 
 
-def test_fig07_scaling(once):
-    out = once(fig07_scaling, server_counts=COUNTS, duration=1.5)
+def test_fig07_scaling():
+    out = fig07_scaling(server_counts=COUNTS, duration=1.5)
     print("\n" + out.report())
+    efficiencies = out.efficiencies
     for key, series in out.rows.items():
-        eff = scaling_efficiency(series, list(COUNTS))
+        eff = efficiencies[key]
         # Near-linear scaling that degrades gently with node count.
         assert eff[-1] > 0.6, (key, eff)
         assert all(e < 1.25 for e in eff), (key, eff)

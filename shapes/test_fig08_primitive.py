@@ -15,8 +15,8 @@ SCALE = 0.1
 SEED = 0
 
 
-def test_fig08a_size_fair(once):
-    out = once(fig08_primitive, "size-fair", scale=SCALE, seed=SEED)
+def test_fig08a_size_fair():
+    out = fig08_primitive("size-fair", scale=SCALE, seed=SEED)
     print("\n" + out.report())
     print(f"throughput ratio: {out.ratio:.2f}x (paper: 3.96x)")
     assert 3.0 < out.ratio < 5.5
@@ -24,16 +24,16 @@ def test_fig08a_size_fair(once):
     assert out.peak_throughput > 18e9       # sharing keeps the device busy
 
 
-def test_fig08b_job_fair(once):
-    out = once(fig08_primitive, "job-fair", scale=SCALE, seed=SEED)
+def test_fig08b_job_fair():
+    out = fig08_primitive("job-fair", scale=SCALE, seed=SEED)
     print("\n" + out.report())
     print(f"throughput ratio: {out.ratio:.2f}x (paper: ~1.0x)")
     assert 0.75 < out.ratio < 1.35
     assert out.shared_medians[2] > 0.35 * out.peak_throughput
 
 
-def test_fig08c_user_fair(once):
-    out = once(fig08c_user_fair, scale=SCALE, seed=SEED)
+def test_fig08c_user_fair():
+    out = fig08c_user_fair(scale=SCALE, seed=SEED)
     print("\n" + out.report())
     a, b = out.user_totals["userA"], out.user_totals["userB"]
     print(f"user totals: A={a / 1e9:.2f} GB/s, B={b / 1e9:.2f} GB/s "

@@ -11,8 +11,8 @@ import pytest
 from repro.harness import fig09_user_then_size
 
 
-def test_fig09_user_then_size(once):
-    out = once(fig09_user_then_size, scale=0.1, seed=0)
+def test_fig09_user_then_size():
+    out = fig09_user_then_size(scale=0.1, seed=0)
     print("\n" + out.report())
     u1, u2 = out.user_totals["user1"], out.user_totals["user2"]
     print(f"user totals: {u1 / 1e9:.2f} vs {u2 / 1e9:.2f} GB/s "

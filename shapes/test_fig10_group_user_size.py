@@ -11,8 +11,8 @@ import pytest
 from repro.harness import fig10_group_user_size
 
 
-def test_fig10_group_user_size(once):
-    out = once(fig10_group_user_size, scale=0.1, seed=0)
+def test_fig10_group_user_size():
+    out = fig10_group_user_size(scale=0.1, seed=0)
     print("\n" + out.report())
     g1, g2 = out.group_totals["group1"], out.group_totals["group2"]
     print(f"group totals: {g1 / 1e9:.2f} vs {g2 / 1e9:.2f} GB/s "

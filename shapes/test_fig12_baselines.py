@@ -14,8 +14,8 @@ deviation, recorded in EXPERIMENTS.md: our byte-granular TBF is
 from repro.harness import fig12_baselines
 
 
-def test_fig12_baselines(once):
-    out = once(fig12_baselines, scale=0.1, seed=0)
+def test_fig12_baselines():
+    out = fig12_baselines(scale=0.1, seed=0)
     print("\n" + out.report())
     adv = out.themis_advantage()
     print("ThemisIO peak advantage:",

@@ -14,9 +14,9 @@ from repro.harness import fig13_applications
 APPS = ("namd", "wrf", "specfem3d", "resnet50", "bert")
 
 
-def test_fig13_applications(once):
-    out = once(fig13_applications, apps=APPS, seed=0,
-               include_sync_resnet=True)
+def test_fig13_applications():
+    out = fig13_applications(apps=APPS, seed=0,
+                             include_sync_resnet=True)
     print("\n" + out.report())
     for app in APPS:
         fifo_s = out.slowdown(app, "fifo")

@@ -12,8 +12,8 @@ from repro.harness import fig14_lambda
 LAMBDAS = (0.010, 0.050, 0.200, 0.500)
 
 
-def test_fig14_lambda(once):
-    out = once(fig14_lambda, lambdas=LAMBDAS, seed=0)
+def test_fig14_lambda():
+    out = fig14_lambda(lambdas=LAMBDAS, seed=0)
     print("\n" + out.report())
     # Every interval length eventually reaches global fairness.
     assert all(conv is not None for conv in out.convergence.values()), \

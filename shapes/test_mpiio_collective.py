@@ -45,11 +45,8 @@ def _run(collective: bool):
     return max(finished.values()), cluster.sampler.op_count(op="write")
 
 
-def test_collective_buffering(once):
-    def run_both():
-        return _run(False), _run(True)
-
-    (t_ind, req_ind), (t_col, req_col) = once(run_both)
+def test_collective_buffering():
+    (t_ind, req_ind), (t_col, req_col) = _run(False), _run(True)
     print(f"\nindependent: {req_ind} requests in {t_ind * 1000:.2f} ms")
     print(f"collective : {req_col} requests in {t_col * 1000:.2f} ms "
           f"({t_ind / t_col:.2f}x faster, {req_ind / req_col:.0f}x fewer "

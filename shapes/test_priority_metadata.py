@@ -18,7 +18,7 @@ from repro.units import MB
 from repro.workloads import IopsStat, JobSpec, MdtestWorkload, WriteReadCycle
 
 
-def test_priority_fair_three_to_one(once):
+def test_priority_fair_three_to_one():
     jobs = [
         JobRun(spec=JobSpec(job_id=1, user="urgent", nodes=1, priority=3.0),
                workload=WriteReadCycle(file_size=10 * MB,
@@ -29,8 +29,8 @@ def test_priority_fair_three_to_one(once):
                                        streams_per_node=16),
                start=0.0, stop=3.0),
     ]
-    result = once(run_sharing_experiment, "priority-fair", jobs,
-                  scale=0.05, seed=0)
+    result = run_sharing_experiment("priority-fair", jobs,
+                                    scale=0.05, seed=0)
     r1 = result.window_throughput(0.5, 3.0, 1)
     r2 = result.window_throughput(0.5, 3.0, 2)
     print(f"\npriority-fair 3:1 -> measured {r1 / r2:.2f}:1 "
@@ -56,11 +56,9 @@ def _metadata_contention(policy: str):
             result.sampler.op_count(job_id=2))
 
 
-def test_metadata_storm_fair_sharing(once):
-    def run_both():
-        return _metadata_contention("fifo"), _metadata_contention("job-fair")
-
-    (fifo_storm, fifo_victim), (fair_storm, fair_victim) = once(run_both)
+def test_metadata_storm_fair_sharing():
+    fifo_storm, fifo_victim = _metadata_contention("fifo")
+    fair_storm, fair_victim = _metadata_contention("job-fair")
     print(f"\nmetadata ops served  FIFO: storm={fifo_storm} "
           f"victim={fifo_victim} (victim share "
           f"{fifo_victim / (fifo_storm + fifo_victim):.1%})")

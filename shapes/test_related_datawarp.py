@@ -16,8 +16,8 @@ while giving light jobs several times their FIFO throughput.
 from repro.harness.experiments import related_datawarp
 
 
-def test_related_datawarp(once):
-    out = once(related_datawarp, seed=0, duration=1.5)
+def test_related_datawarp():
+    out = related_datawarp(seed=0, duration=1.5)
     print("\n" + out.report())
     heavy = (1, 2)
     light = (3, 4)

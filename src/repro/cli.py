@@ -23,9 +23,6 @@ Commands
     mid-run server crash, once per sharing policy; prints the policy x
     metric matrix (foreground slowdown, repair completion, loss
     counters) and whether size-fair starves the size-1 repair job.
-``bench``
-    Run the hot-path benchmark kernels and write ``BENCH_<rev>.json``
-    (see :mod:`repro.bench`; compare with ``scripts/bench_compare.py``).
 ``sweep``
     Expand a declarative sweep (JSON spec file or ``--grid`` name) and
     run it through the content-addressed workspace: unchanged points
@@ -84,6 +81,8 @@ FIGURES = {
     "fig14": lambda a: exps.fig14_lambda(
         seed=a.seed, workspace=_figure_workspace(a), jobs=a.jobs),
     "datawarp": lambda a: exps.related_datawarp(seed=a.seed),
+    "sync-ladder": lambda a: exps.sync_ladder(
+        workspace=_figure_workspace(a), jobs=a.jobs),
 }
 
 _POLICY_EXAMPLES = [
@@ -110,9 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--seed", type=int, default=0)
     fig.add_argument("--jobs", type=int, default=1,
                      help="parallel workers for point-structured figures "
-                          "(fig07, fig14)")
+                          "(fig07, fig14, sync-ladder)")
     fig.add_argument("--workspace", default=None,
-                     help="cache fig07/fig14 cells in this workspace dir")
+                     help="cache fig07/fig14/sync-ladder cells in this "
+                          "workspace dir")
 
     share = sub.add_parser("sharing", help="ad-hoc two-phase sharing run")
     share.add_argument("--policy", default="size-fair",
@@ -150,25 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "lint", add_help=False,
         help="static determinism & sim-safety analysis (repro.lint)")
-
-    bench = sub.add_parser(
-        "bench", help="run benchmark kernels, write BENCH_<rev>.json")
-    bench.add_argument("--quick", action="store_true",
-                       help="fewer rounds / smaller system run (CI smoke)")
-    bench.add_argument("--out", default=None,
-                       help="output path (default BENCH_<rev>.json in cwd)")
-    bench.add_argument("--scale-sweep", action="store_true",
-                       help="run the two λ-sync ladders across cluster "
-                            "sizes (writes SWEEP_<rev>.json)")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for cold --scale-sweep cells")
-    bench.add_argument("--workspace", default=".workspace",
-                       help="content-addressed store for --scale-sweep "
-                            "cells (default .workspace)")
-    bench.add_argument("--no-workspace", action="store_true",
-                       help="compute every sweep cell, bypassing the store")
-    bench.add_argument("--rerun", action="store_true",
-                       help="invalidate stored sweep cells before running")
 
     sweep = sub.add_parser(
         "sweep", help="run a declarative sweep through the "
@@ -325,17 +306,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_repair(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
-        if args.command == "bench":
-            # Imported lazily: the bench kernels pull in the whole stack.
-            from .bench import run_and_write, run_and_write_sweep
-            if args.scale_sweep:
-                from .harness.workspace import Workspace
-                ws = (None if args.no_workspace
-                      else Workspace(args.workspace))
-                return run_and_write_sweep(quick=args.quick, out=args.out,
-                                           workspace=ws, jobs=args.jobs,
-                                           rerun=args.rerun)
-            return run_and_write(quick=args.quick, out=args.out)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

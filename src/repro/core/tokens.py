@@ -50,7 +50,7 @@ def _pairwise_sum(values: List[float]) -> float:
     if n < 8:
         total = 0.0
         for v in values:
-            total += v  # lint: disable=PERF102 -- replicates numpy's exact order
+            total += v
         return total
     r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
     i = 8
@@ -67,7 +67,7 @@ def _pairwise_sum(values: List[float]) -> float:
         i += 8
     total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
     while i < n:
-        total += values[i]  # lint: disable=PERF102 -- replicates numpy's exact order
+        total += values[i]
         i += 1
     return total
 
@@ -129,7 +129,7 @@ class TokenAssignment:
             cum_list = []
             acc = 0.0
             for s in shares_list:
-                acc += s  # lint: disable=PERF102 -- cumsum boundaries, bit-identical to numpy
+                acc += s  # cumsum boundaries, bit-identical to numpy
                 cum_list.append(acc)
             cum_list[-1] = 1.0  # guard against floating-point shortfall
             self._shares_arr = None  # materialised lazily by .shares

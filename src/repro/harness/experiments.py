@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bb.client import ClientConfig
-from ..bb.cluster import ClusterConfig
+from ..bb.cluster import Cluster, ClusterConfig
 from ..bb.server import ServerConfig
+from ..core.jobinfo import JobInfo
 from ..faults import FaultInjector, FaultPlan, ServerCrash
+from ..fs.hashing import ConsistentHashRing
 from ..metrics.stats import jain_index, scaling_efficiency, share_ratio
 from ..metrics.timeline import ShareTimeline, convergence_interval
 from ..units import GB, MB, fmt_bw
@@ -39,9 +41,11 @@ __all__ = [
     "fig13_applications", "fig14_lambda", "related_datawarp",
     "InterferenceResult", "ScalingResult", "BaselineComparison",
     "LambdaResult", "CompositeResult", "ProvisioningResult",
+    "SyncLadderResult", "sync_ladder",
     "AvailabilityResult", "availability_outage",
     "RepairFairnessResult", "repair_fairness", "REPAIR_POLICIES",
-    "sharing_cell", "fig07_cell", "fig14_cell", "repair_cell",
+    "sharing_cell", "fig07_cell", "fig14_cell", "sync_cost_cell",
+    "repair_cell",
 ]
 
 #: background interference job of §5.5: one node of small write/read cycles.
@@ -207,6 +211,22 @@ def fig07_cell(config: Dict) -> Dict:
                                                          duration))}
 
 
+def _pinned_paths(n_servers: int, per_server: int) -> Dict[str, List[str]]:
+    """*per_server* file paths that the hash ring places on each of
+    *n_servers* servers (placement depends on the server names only)."""
+    names = [f"bb{i}" for i in range(n_servers)]
+    ring = ConsistentHashRing(names)
+    by_server: Dict[str, List[str]] = {name: [] for name in names}
+    i = 0
+    while any(len(paths) < per_server for paths in by_server.values()):
+        path = f"/fs/pin/file-{i}"
+        owner = ring.lookup(path)
+        if len(by_server[owner]) < per_server:
+            by_server[owner].append(path)
+        i += 1
+    return by_server
+
+
 def fig14_cell(config: Dict) -> Dict:
     """One λ point of the Fig. 14 ladder (the Fig. 5 scenario measured).
 
@@ -215,7 +235,7 @@ def fig14_cell(config: Dict) -> Dict:
     """
     lam = float(config["lam"])
     seed = int(config.get("seed", 0))
-    by_server, _ = _pinned_paths(seed)
+    by_server = _pinned_paths(2, 2)
     s0_paths, s1_paths = by_server["bb0"], by_server["bb1"]
     fair = {1: 0.5, 2: 0.25, 3: 0.25}
     duration = max(8 * lam, 0.8)
@@ -248,6 +268,51 @@ def fig14_cell(config: Dict) -> Dict:
     return {
         "intervals_to_fairness": None if conv is None else int(conv),
         "share_variance": float(tail.var()) if len(tail) else 0.0,
+    }
+
+
+def sync_cost_cell(config: Dict) -> Dict:
+    """One (cluster size, fanout) point of the λ-sync cost ladder.
+
+    Config keys: ``n_servers``, optional ``fanout`` (0: the height-1
+    tree, every peer a child of the root), ``epochs`` (6),
+    ``quiescence`` (False).
+
+    Every server starts knowing the same 48 idle jobs (converged,
+    churn-free tables), so the traffic is the protocol's steady-state
+    floor. All results are simulated wire accounting, per driven epoch:
+    ``root_in_bytes_per_epoch`` is the gather payload the epoch's root
+    absorbs (linear in N at fanout 0, bounded by fanout x table size
+    under a tree), ``payload_bytes_per_epoch`` the delta-encoded bytes
+    on all links against the full-table ``nominal_bytes_per_epoch``
+    that carry the timing, ``max_fanin`` the most gather replies any
+    node awaited at once.
+    """
+    epochs = int(config.get("epochs", 6))
+    cluster = Cluster(ClusterConfig(
+        n_servers=int(config["n_servers"]), policy="job-fair",
+        server=ServerConfig(
+            bandwidth=1 * GB, n_workers=1, client_pool_workers=1,
+            sync_tree_fanout=int(config.get("fanout", 0)),
+            sync_quiescence_skip=bool(config.get("quiescence", False)))))
+    for server in cluster.servers.values():
+        for i in range(48):
+            server.monitor.table.observe(
+                JobInfo(job_id=i, user=f"u{i % 4}", group=f"g{i % 2}",
+                        size=i % 8 + 1), 0.0)
+    cluster.run(until=(epochs + 0.5) * cluster.config.server.sync_interval)
+    stats = cluster.sync_stats()
+    fabric = cluster.fabric
+    driven = max(1, stats["coordinated_rounds"])
+    return {
+        "epochs": int(stats["coordinated_rounds"]),
+        "root_in_bytes_per_epoch":
+            round(stats["coord_gather_payload_bytes"] / driven),
+        "payload_bytes_per_epoch": round(fabric.payload_bytes_sent / driven),
+        "nominal_bytes_per_epoch": round(fabric.bytes_sent / driven),
+        "messages_per_epoch": round(fabric.messages_sent / driven),
+        "max_fanin": int(stats["max_gather_fanin"]),
+        "quiescent_skips": int(stats["quiescent_skips"]),
     }
 
 
@@ -359,7 +424,12 @@ def fig10_group_user_size(scale: float = 0.25, seed: int = 0) -> CompositeResult
 class ScalingResult:
     server_counts: List[int]
     rows: Dict[str, List[float]]  # "<policy>-<op>" -> GB/s per count
-    efficiencies: Dict[str, List[float]] = field(default_factory=dict)
+
+    @property
+    def efficiencies(self) -> Dict[str, List[float]]:
+        """Per-series scaling efficiency relative to the first count."""
+        return {key: list(scaling_efficiency(series, self.server_counts))
+                for key, series in self.rows.items()}
 
     def report(self) -> str:
         """The Fig. 7 throughput table plus efficiency summary."""
@@ -368,11 +438,8 @@ class ScalingResult:
         for i, n in enumerate(self.server_counts):
             body.append([n] + [f"{self.rows[k][i] / GB:.1f} GB/s"
                                for k in self.rows])
-        eff = []
-        for key, series in self.rows.items():
-            e = scaling_efficiency(series, self.server_counts)
-            self.efficiencies[key] = list(e)
-            eff.append(f"{key}: {e[-1] * 100:.0f}% at {self.server_counts[-1]}")
+        eff = [f"{key}: {e[-1] * 100:.0f}% at {self.server_counts[-1]}"
+               for key, e in self.efficiencies.items()]
         return (table(headers, body, title="Fig. 7 scaling") +
                 "\nefficiency vs 1 server: " + "; ".join(eff))
 
@@ -606,25 +673,11 @@ def related_datawarp(seed: int = 0, duration: float = 2.0
     toward the heavy jobs beyond their entitlement; size-fair keeps the
     total high while holding jobs near their node-count shares.
     """
-    from ..fs.hashing import ConsistentHashRing
-    from ..workloads.custom import PinnedWriter
-
     n_servers = 4
     heavy = {1: 16, 2: 16}   # job -> streams (demand far above one server)
     light = {3: 2, 4: 2}
     nodes = {1: 8, 2: 8, 3: 1, 4: 1}
-
-    ring = ConsistentHashRing([f"bb{i}" for i in range(n_servers)])
-
-    def pinned_paths(server: str, count: int) -> List[str]:
-        found = []
-        i = 0
-        while len(found) < count:
-            path = f"/fs/pin/{server}-f{i}"
-            if ring.lookup(path) == server:
-                found.append(path)
-            i += 1
-        return found
+    pinned = _pinned_paths(n_servers, max(heavy.values()))
 
     def run(regime: str) -> ExperimentResult:
         jobs = []
@@ -632,7 +685,7 @@ def related_datawarp(seed: int = 0, duration: float = 2.0
                                                  *light.items()]):
             if regime == "isolated":
                 # DataWarp interference policy: job -> its own server.
-                paths = pinned_paths(f"bb{idx}", streams)
+                paths = pinned[f"bb{idx}"][:streams]
                 workload = PinnedWriter(paths, request_size=4 * MB,
                                         streams_per_node=streams)
             else:
@@ -687,24 +740,6 @@ class LambdaResult:
                      body, title="Fig. 14 lambda-delayed fairness")
 
 
-def _pinned_paths(cluster_seed: int, n_servers: int = 2
-                  ) -> Tuple[Dict[str, List[str]], ClusterConfig]:
-    """Find file paths whose placement pins each job to chosen servers."""
-    cfg = ClusterConfig(n_servers=n_servers, policy="size-fair",
-                        seed=cluster_seed)
-    from ..fs.hashing import ConsistentHashRing
-    ring = ConsistentHashRing([f"bb{i}" for i in range(n_servers)])
-    by_server: Dict[str, List[str]] = {f"bb{i}": [] for i in range(n_servers)}
-    i = 0
-    while any(len(v) < 4 for v in by_server.values()):
-        path = f"/fs/pin/file-{i}"
-        owner = ring.lookup(path)
-        if len(by_server[owner]) < 4:
-            by_server[owner].append(path)
-        i += 1
-    return by_server, cfg
-
-
 def fig14_lambda(lambdas: Sequence[float] = (0.010, 0.050, 0.200, 0.500),
                  seed: int = 0, workspace=None, jobs: int = 1
                  ) -> LambdaResult:
@@ -728,6 +763,53 @@ def fig14_lambda(lambdas: Sequence[float] = (0.010, 0.050, 0.200, 0.500),
         variance[lam] = float(outcome.result["share_variance"])
     return LambdaResult(lambdas=list(lambdas), convergence=convergence,
                         variance=variance)
+
+
+# =====================================================================
+# λ-sync cost ladder — what the tree fanout does to the one protocol
+# =====================================================================
+
+@dataclass
+class SyncLadderResult:
+    """``(n_servers, fanout)`` -> :func:`sync_cost_cell` result."""
+
+    rows: Dict[Tuple[int, int], Dict[str, int]]
+
+    def report(self) -> str:
+        """Per-epoch wire cost of each (cluster size, fanout) point."""
+        body = [(f"{n:,}", fanout,
+                 f"{r['root_in_bytes_per_epoch']:,}",
+                 f"{r['payload_bytes_per_epoch']:,}",
+                 f"{r['nominal_bytes_per_epoch']:,}",
+                 f"{r['messages_per_epoch']:,}",
+                 f"{r['max_fanin']:,}")
+                for (n, fanout), r in self.rows.items()]
+        return table(("servers", "fanout", "root-in B/epoch",
+                      "total B/epoch", "nominal B/epoch", "msgs/epoch",
+                      "peak fan-in"),
+                     body, title="lambda-sync cost ladder")
+
+
+def sync_ladder(server_counts: Sequence[int] = (16, 64, 256, 1024),
+                fanouts: Sequence[int] = (0, 8), epochs: int = 6,
+                workspace=None, jobs: int = 1) -> SyncLadderResult:
+    """The λ-sync cost ladder: root-inbound gather bytes per epoch stay
+    linear in N at fanout 0 and become constant under the fanout-8
+    tree, at ~4(N-1) messages per epoch either way.
+
+    Each (N, fanout) runs as an independent sweep point (see
+    :func:`sync_cost_cell`); ``workspace``/``jobs`` enable caching and
+    parallel fan-out.
+    """
+    from .sweep import ParallelRunner
+    keys = [(int(n), int(fanout)) for n in server_counts
+            for fanout in fanouts]
+    points = [("sync_cost", {"n_servers": n, "fanout": fanout,
+                             "epochs": int(epochs)})
+              for n, fanout in keys]
+    run = ParallelRunner(workspace=workspace, jobs=jobs).run_points(points)
+    return SyncLadderResult(rows={key: outcome.result for key, outcome
+                                  in zip(keys, run.points)})
 
 
 # =====================================================================

@@ -50,8 +50,7 @@ from .workspace import Workspace, code_rev, content_digest, point_key
 
 __all__ = ["SweepSpec", "PointOutcome", "SweepRun", "ParallelRunner",
            "POINT_KINDS", "BUILTIN_GRIDS", "load_spec",
-           "resolve_point_kind", "run_point", "derive_replica_seed",
-           "sweep_doc_from_workspace"]
+           "resolve_point_kind", "run_point", "derive_replica_seed"]
 
 #: point kind -> (module, attribute) of the function computing one point.
 #: Resolved lazily so importing this module stays light and the registry
@@ -62,8 +61,7 @@ POINT_KINDS: Dict[str, Tuple[str, str]] = {
     "fig07_cell": ("repro.harness.experiments", "fig07_cell"),
     "fig14_cell": ("repro.harness.experiments", "fig14_cell"),
     "repair_cell": ("repro.harness.experiments", "repair_cell"),
-    "bench_lambda_delta": ("repro.bench", "bench_lambda_delta_cell"),
-    "bench_sync": ("repro.bench", "bench_sync_cell"),
+    "sync_cost": ("repro.harness.experiments", "sync_cost_cell"),
 }
 
 
@@ -205,14 +203,12 @@ BUILTIN_GRIDS: Dict[str, SweepSpec] = {
         name="fig14", kind="fig14_cell",
         base={"seed": 0},
         axes={"lam": [0.010, 0.050, 0.200, 0.500]}),
-    # λ-sync server-count ladder, flat vs aggregation tree (the
-    # committed SWEEP artifact runs the full N=16→1024 version via
-    # `repro bench --scale-sweep`; this grid is the spec-file form).
+    # The λ-sync cost ladder: fanout 0 (height-1 tree) vs fanout 8.
     "sync_ladder": SweepSpec(
-        name="sync_ladder", kind="bench_sync",
-        base={"fanout": 8, "epochs": 6},
-        axes={"mode": ["flat", "tree"],
-              "n_servers": [16, 64, 256]}),
+        name="sync_ladder", kind="sync_cost",
+        base={"epochs": 6},
+        axes={"fanout": [0, 8],
+              "n_servers": [16, 64, 256, 1024]}),
 }
 
 
@@ -395,22 +391,3 @@ class ParallelRunner:
         ordered = [outcomes[key] for key, _kind, _config in keyed]
         return SweepRun(points=ordered, rev=self.rev, jobs=self.jobs,
                         wall_s=time.perf_counter() - t_start)
-
-
-# ================================================================ artifacts
-def sweep_doc_from_workspace(workspace: Workspace,
-                             rev: Optional[str] = None) -> Dict[str, Any]:
-    """Assemble a ``SWEEP_<rev>.json``-shaped document from the store.
-
-    Collects every ``bench_lambda_delta`` blob at *rev* (default: the
-    current code revision), sorted by population — the shape
-    ``scripts/bench_compare.py`` diffs. Returns ``{"rev", "sweep"}``;
-    the sweep map is empty when the store holds no bench points at that
-    revision.
-    """
-    rev = rev if rev is not None else code_rev()
-    rows = [dict(blob["result"])
-            for blob in workspace.blobs(kind="bench_lambda_delta", rev=rev)]
-    rows.sort(key=lambda row: row.get("population", 0))
-    return {"rev": rev,
-            "sweep": {"lambda_sync_delta": rows} if rows else {}}

@@ -274,25 +274,6 @@ class Workspace:
     def __len__(self) -> int:
         return len(self.index())
 
-    def blobs(self, kind: Optional[str] = None,
-              rev: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Every stored blob matching *kind* and/or *rev*, in key order.
-
-        Reads each matching blob from disk (corrupt ones self-heal to
-        misses and are skipped); used by artifact assembly and
-        ``scripts/bench_compare.py --sweep-workspace``.
-        """
-        out = []
-        for key, entry in sorted(self.index().items()):
-            if kind is not None and entry.get("kind") != kind:
-                continue
-            if rev is not None and entry.get("rev") != rev:
-                continue
-            blob = self.get(key)
-            if blob is not None:
-                out.append(blob)
-        return out
-
     def clear(self) -> int:
         """Delete every stored blob; returns how many were dropped."""
         dropped = 0

@@ -8,8 +8,6 @@ bit-identical event trace*) at review time instead of three PRs later:
   ``id()``-based ordering.
 - **SIM rules** catch host-blocking calls in DES processes, stale
   write-backs across a ``yield`` (lost updates), and mutable defaults.
-- **PERF advisories** flag missing ``__slots__`` on bench-hot classes
-  and float ``+=`` accumulation.
 
 Run ``python -m repro lint [paths]``; see DESIGN.md §9 for the rule
 catalogue and the waiver/baseline policy.

@@ -5,6 +5,6 @@ Third-party/experiment rules can self-register by importing
 subclass before the runner calls :func:`repro.lint.core.all_rules`.
 """
 
-from . import det, perf, proto, sim  # noqa: F401  (registers rules)
+from . import det, proto, sim  # noqa: F401  (registers rules)
 
-__all__ = ["det", "perf", "proto", "sim"]
+__all__ = ["det", "proto", "sim"]

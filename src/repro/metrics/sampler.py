@@ -244,10 +244,8 @@ class ThroughputSampler:
             for b in range(lo_bin, hi_bin):
                 nbytes = get(b)
                 if nbytes:
-                    # lint: disable=PERF102 -- hot query path; bins are few
                     total += contrib(b, nbytes)
         else:
             for b, nbytes in bins.items():
-                # lint: disable=PERF102 -- hot query path; bins are few
                 total += contrib(b, nbytes)
         return total / (t1 - t0)

@@ -8,7 +8,6 @@ Public surface:
 - :class:`Store`, :class:`PriorityStore`, :class:`Resource`,
   :class:`BandwidthPipe` — shared resources.
 - :class:`RngRegistry` — named deterministic random streams.
-- :class:`Tracer` — event tracing.
 """
 
 from .engine import Engine
@@ -16,7 +15,6 @@ from .process import (AllOf, AnyOf, Condition, Event, Process, Ticker,
                       Timeout)
 from .resources import BandwidthPipe, PriorityStore, Resource, Store
 from .rng import RngRegistry, stable_hash
-from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Engine",
@@ -33,6 +31,4 @@ __all__ = [
     "BandwidthPipe",
     "RngRegistry",
     "stable_hash",
-    "Tracer",
-    "TraceRecord",
 ]

@@ -193,11 +193,10 @@ class TestFanInAndRootBytes:
     def test_tree_cuts_root_inbound_bytes(self):
         """ISSUE acceptance: the tree cuts the per-epoch root-inbound
         gather bytes by at least 40% versus the flat round (measured
-        at N=32; the committed SWEEP ladder covers N=256/1024)."""
-        from repro.bench import bench_sync_ladder
-        flat = bench_sync_ladder(n_servers=32, mode="flat", epochs=4)
-        tree = bench_sync_ladder(n_servers=32, mode="tree", fanout=8,
-                                 epochs=4)
+        at N=32; ``repro figure sync-ladder`` covers N=256/1024)."""
+        from repro.harness.experiments import sync_cost_cell
+        flat = sync_cost_cell({"n_servers": 32, "epochs": 4})
+        tree = sync_cost_cell({"n_servers": 32, "fanout": 8, "epochs": 4})
         assert flat["max_fanin"] == 31
         assert tree["max_fanin"] <= 8
         assert (tree["root_in_bytes_per_epoch"]

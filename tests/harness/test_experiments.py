@@ -1,7 +1,8 @@
 """Miniature versions of every figure experiment: shape assertions only.
 
-These run the same code paths as the full benchmarks at tiny scales, so
-the suite stays fast while covering the experiment logic end-to-end.
+These run the same code paths as the full-scale checks under ``shapes/``
+at tiny scales, so the suite stays fast while covering the experiment
+logic end-to-end.
 """
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from repro.harness import (fig08_primitive, fig08c_user_fair,
                            fig09_user_then_size, fig12_baselines,
                            fig14_lambda)
-from repro.harness.experiments import _run_app
+from repro.harness import ScalingResult
+from repro.harness.experiments import _run_app, sync_cost_cell
 from repro.units import MB
 from repro.workloads import AppProfile
 
@@ -112,3 +114,44 @@ class TestFig14:
         conv = out.convergence[0.05]
         assert conv is not None
         assert conv <= 3
+
+
+class TestFig07:
+    def test_efficiencies_populated_without_report(self):
+        out = ScalingResult(server_counts=[1, 2, 4],
+                            rows={"fifo-write": [10.0, 18.0, 32.0]})
+        assert out.efficiencies == {
+            "fifo-write": pytest.approx([1.0, 0.9, 0.8])}
+        with pytest.raises(AttributeError):
+            out.efficiencies = {}
+
+
+class TestSyncCostLadder:
+    """EXPERIMENTS.md's λ-sync cost ladder rows, pinned exactly: they
+    are simulated wire counts, not host measurements."""
+
+    #: (n_servers, fanout) -> (root-in B, total B, nominal B, messages,
+    #: peak fan-in), per epoch
+    ROWS = {
+        (16, 0): (46_080, 47_520, 92_640, 60, 15),
+        (16, 8): (22_496, 45_440, 92_640, 60, 8),
+        (64, 0): (193_536, 199_584, 389_088, 252, 63),
+        (64, 8): (22_496, 185_024, 389_088, 252, 8),
+    }
+
+    @pytest.mark.parametrize("n_servers,fanout", sorted(ROWS))
+    def test_ladder_rows(self, n_servers, fanout):
+        out = sync_cost_cell({"n_servers": n_servers, "fanout": fanout,
+                              "epochs": 6})
+        assert (out["root_in_bytes_per_epoch"],
+                out["payload_bytes_per_epoch"],
+                out["nominal_bytes_per_epoch"],
+                out["messages_per_epoch"],
+                out["max_fanin"]) == self.ROWS[n_servers, fanout]
+        assert out["epochs"] == 6 and out["quiescent_skips"] == 0
+
+    def test_quiescent_tree_skips_whole_rounds(self):
+        out = sync_cost_cell({"n_servers": 64, "fanout": 8, "epochs": 6,
+                              "quiescence": True})
+        assert out["root_in_bytes_per_epoch"] == 4_203
+        assert out["quiescent_skips"] == 5 and out["epochs"] == 6

@@ -140,16 +140,6 @@ class TestStore:
         assert ws.get(key) is None
         assert not ws.discard(key)
 
-    def test_blobs_filtered_by_kind_and_rev(self, tmp_path):
-        ws = Workspace(str(tmp_path / "ws"))
-        self._put(ws, {"x": 1}, kind="a", rev="r1")
-        self._put(ws, {"x": 2}, kind="a", rev="r2")
-        self._put(ws, {"x": 3}, kind="b", rev="r1")
-        assert len(ws.blobs()) == 3
-        assert len(ws.blobs(kind="a")) == 2
-        assert len(ws.blobs(kind="a", rev="r1")) == 1
-        assert ws.blobs(kind="a", rev="r1")[0]["config"] == {"x": 1}
-
     def test_clear(self, tmp_path):
         ws = Workspace(str(tmp_path / "ws"))
         for i in range(3):

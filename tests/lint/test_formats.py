@@ -13,9 +13,9 @@ def sample_findings():
         Finding(rule="DET002", severity=Severity.ERROR,
                 path="src/demo/hazard.py", line=4, col=11,
                 message="ad-hoc generator"),
-        Finding(rule="PERF101", severity=Severity.ADVISORY,
-                path="src/demo/slow.py", line=9, col=0,
-                message="50% of hot-path, consider __slots__"),
+        Finding(rule="LINT002", severity=Severity.ADVISORY,
+                path="src/demo/stale.py", line=9, col=0,
+                message="waiver for DET004 suppressed nothing"),
     ]
 
 

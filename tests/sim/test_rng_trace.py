@@ -1,9 +1,8 @@
-"""Tests for the named RNG registry and the tracer."""
+"""Tests for the named RNG registry."""
 
 import numpy as np
-import pytest
 
-from repro.sim import Engine, RngRegistry, Tracer, stable_hash
+from repro.sim import RngRegistry, stable_hash
 
 
 class TestRng:
@@ -52,49 +51,3 @@ class TestRng:
     def test_stable_hash_is_stable(self):
         assert stable_hash("abc") == stable_hash("abc")
         assert stable_hash("abc") != stable_hash("abd")
-
-
-class TestTracer:
-    def test_records_time_and_payload(self):
-        eng = Engine()
-        tr = Tracer(eng)
-
-        def proc():
-            yield eng.timeout(1.0)
-            tr.emit("io.done", {"bytes": 10})
-
-        eng.process(proc())
-        eng.run()
-        recs = list(tr.select("io.done"))
-        assert len(recs) == 1
-        assert recs[0].time == pytest.approx(1.0)
-        assert recs[0].payload == {"bytes": 10}
-
-    def test_enabled_filter(self):
-        eng = Engine()
-        tr = Tracer(eng, enabled={"keep"})
-        tr.emit("keep", 1)
-        tr.emit("drop", 2)
-        assert len(tr) == 1
-
-    def test_select_prefix(self):
-        eng = Engine()
-        tr = Tracer(eng)
-        tr.emit("io.read", 1)
-        tr.emit("io.write", 2)
-        tr.emit("sync.gather", 3)
-        assert len(list(tr.select_prefix("io."))) == 2
-
-    def test_clear(self):
-        eng = Engine()
-        tr = Tracer(eng)
-        tr.emit("x")
-        tr.clear()
-        assert len(tr) == 0
-
-    def test_record_unpacks(self):
-        eng = Engine()
-        tr = Tracer(eng)
-        tr.emit("cat", "pay")
-        t, c, p = tr.records[0]
-        assert (t, c, p) == (0.0, "cat", "pay")

@@ -29,6 +29,25 @@ class TestFigure:
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
 
+    def test_sync_ladder_prints_a_row_per_point(self, capsys, monkeypatch):
+        import functools
+        from repro.harness import experiments as exps
+        monkeypatch.setattr(exps, "sync_ladder", functools.partial(
+            exps.sync_ladder, server_counts=(4, 8)))
+        assert main(["figure", "sync-ladder"]) == 0
+        cells = [[cell.strip() for cell in line.split("|")]
+                 for line in capsys.readouterr().out.splitlines()]
+        assert [(row[0], row[1]) for row in cells if row[0].isdigit()] == [
+            ("4", "0"), ("4", "8"), ("8", "0"), ("8", "8")]
+
+
+class TestRemovedCommands:
+    def test_bench_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestSharing:
     def test_adhoc_sharing_run(self, capsys):
