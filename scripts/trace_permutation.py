@@ -59,7 +59,7 @@ def dump(tree: str, workload: str, seed: int, out: str) -> int:
         json.dump({"workload": workload, "seed": seed,
                    "now": sc.cluster.engine.now.hex(),
                    "served_bytes": sc.cluster.total_served_bytes(),
-                   "events": sc.cluster.engine._seq,
+                   "events": sc.cluster.engine.stats()["scheduled_total"],
                    "records": log}, fh)
     print(f"{workload} seed {seed}: {len(log)} records -> {out}")
     return 0

@@ -117,7 +117,7 @@ class FaultInjector:
             for fault in self._hb_faults:
                 if not fault.start <= now < fault.stop:
                     continue
-                body = message.payload.get("body") or {}
+                body = message.payload.body or {}
                 if (fault.client_id is None
                         or body.get("client_id") == fault.client_id):
                     self.stats.heartbeats_dropped += 1
@@ -143,5 +143,4 @@ class FaultInjector:
     def _is_heartbeat(message: Message) -> bool:
         """True for RPC heartbeat requests (control-plane beats only)."""
         return (message.tag == _REQ_TAG
-                and isinstance(message.payload, dict)
-                and message.payload.get("op") == "heartbeat")
+                and getattr(message.payload, "op", None) == "heartbeat")

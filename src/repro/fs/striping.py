@@ -226,18 +226,29 @@ def server_spans(spec: AnySpec, offset: int,
     The aggregation clients use to split one logical I/O into one
     request per data server. Memoised on *spec*; a fresh dict is
     returned per call (callers may keep or discard it), built from a
-    cached aggregate. A miss folds the slices of :func:`split_range`
-    and keeps only the aggregate — the slice list is not parked in the
-    :func:`map_range` memo, which nothing on this path reads.
+    cached aggregate. A miss walks the chunks of :func:`split_range`
+    with its arithmetic but builds no slice objects: the memo is per
+    file, so a many-file workload misses once per file and range.
     """
     memo = spec._memo("_span_memo")
     spans = memo.get((offset, length))
     if spans is None:
+        if offset < 0 or length < 0:
+            raise InvalidArgument(
+                f"invalid range: offset={offset} length={length}")
         spans = {}
-        for piece in split_range(spec, offset, length):
-            first, total = spans.get(piece.server, (piece.file_offset, 0))
-            spans[piece.server] = (min(first, piece.file_offset),
-                                   total + piece.length)
+        size = spec.stripe_size
+        pos = offset
+        end = offset + length
+        while pos < end:
+            chunk = pos // size
+            take = min(end - pos, size - (pos - chunk * size))
+            server = spec.server_of_chunk(chunk)
+            span = spans.get(server)
+            # Chunks come in file order: a server's first is its lowest.
+            spans[server] = ((pos, take) if span is None
+                             else (span[0], span[1] + take))
+            pos += take
         if len(memo) >= _MEMO_MAX:
             memo.clear()
         memo[(offset, length)] = spans

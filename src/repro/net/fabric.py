@@ -3,22 +3,25 @@
 The model captures what arbitration cares about — *when* requests arrive
 and how fast bytes drain — without simulating routing. Each node owns a
 transmit :class:`~repro.sim.resources.BandwidthPipe` (its NIC injection
-channel) and an inbox :class:`~repro.sim.resources.Store`. A send
-serialises on the sender's NIC, crosses the fabric after a fixed latency,
-and lands in the receiver's inbox — one scheduled event per message, at
-the arrival time (DESIGN.md §2). Receive-side serialisation is folded
-into the single NIC pipe (full-duplex links are modelled with separate tx
-pipes per node, which is where contention matters for our workloads).
+channel) and a receive queue. A send serialises on the sender's NIC,
+crosses the fabric after a fixed latency, and lands in the receiver's
+queue — one scheduled event per message, at the arrival time. The node's
+*progress event* then hands the queue to the attached receiver one
+message per zero-delay event, never from inside the arrival callback
+(DESIGN.md §2). Receive-side serialisation is folded into the single NIC
+pipe (full-duplex links are modelled with separate tx pipes per node,
+which is where contention matters for our workloads).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Union
+from collections import deque
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, Optional, Set,
+                    Union)
 
 from ..errors import NetworkError
 from ..sim.process import Event
-from ..sim.resources import BandwidthPipe, Store
+from ..sim.resources import BandwidthPipe
 from ..units import GB, USEC
 from .message import Message
 
@@ -35,13 +38,56 @@ DROP = "drop"
 FaultVerdict = Optional[Union[str, float]]
 
 
-@dataclass
 class NodeHandle:
-    """A node attached to the fabric: its NIC pipe and inbox."""
+    """A node attached to the fabric: its NIC pipe and receive queue.
 
-    name: str
-    tx: BandwidthPipe
-    inbox: Store
+    Arrived messages wait in ``queue`` for the node's progress event,
+    which hands **one** message to ``receiver`` and, after the receiver
+    returns, re-arms itself while the queue is non-empty — the tie order
+    of a process pulling from a ``Store``, without the process.
+    A node with no receiver attached keeps its messages queued.
+    """
+
+    __slots__ = ("engine", "name", "tx", "queue", "receiver",
+                 "progress_pending")
+
+    def __init__(self, engine: "Engine", name: str, tx: BandwidthPipe):
+        self.engine = engine
+        self.name = name
+        self.tx = tx
+        self.queue: Deque[Message] = deque()
+        self.receiver: Optional[Callable[[Message], None]] = None
+        #: True while a progress event is scheduled or firing.
+        self.progress_pending = False
+
+    def attach(self, receiver: Callable[[Message], None]) -> None:
+        """Make *receiver* the consumer of this node's messages (one per
+        node); anything already queued starts flowing to it."""
+        if self.receiver is not None:
+            raise NetworkError(f"node {self.name!r} already has a receiver")
+        self.receiver = receiver
+        if self.queue:
+            self._arm()
+
+    def deliver(self, message: Message) -> None:
+        """Queue an arrived *message*; wake the progress event if idle."""
+        self.queue.append(message)
+        if not self.progress_pending and self.receiver is not None:
+            self._arm()
+
+    def _arm(self) -> None:
+        self.progress_pending = True
+        progress = Event(self.engine)
+        progress.callbacks.append(self._progress)
+        progress.succeed()
+
+    def _progress(self, _event: Event) -> None:
+        self.receiver(self.queue.popleft())
+        # Re-armed only now: what the receiver scheduled goes first.
+        if self.queue:
+            self._arm()
+        else:
+            self.progress_pending = False
 
 
 class Fabric:
@@ -91,10 +137,8 @@ class Fabric:
         if name in self._nodes:
             raise NetworkError(f"duplicate node name: {name!r}")
         handle = NodeHandle(
-            name=name,
-            tx=BandwidthPipe(self.engine, rate=self.link_bandwidth),
-            inbox=Store(self.engine),
-        )
+            self.engine, name,
+            BandwidthPipe(self.engine, rate=self.link_bandwidth))
         self._nodes[name] = handle
         return handle
 
@@ -198,20 +242,16 @@ class Fabric:
             message)
 
     def _arrive(self, arrival: Event) -> None:
-        """Hand an arrived message to its inbox. Destination liveness is
-        checked now, not at send time, so a node that crashed while the
-        message was in flight still loses it."""
-        message = arrival.value
+        """Hand an arrived message to its node's queue. Destination
+        liveness is checked now, not at send time, so a node that crashed
+        while the message was in flight still loses it."""
+        message = arrival._value
         if self._down and message.dst in self._down:
             self.dropped_messages += 1
         else:
-            self._nodes[message.dst].inbox.put_nowait(message)
+            self._nodes[message.dst].deliver(message)
 
     def _lose(self, _arrival: Event) -> None:
         """Arrival of a message the fault filter dropped: it crossed the
-        wire (and held the NIC) but reaches no inbox."""
+        wire (and held the NIC) but reaches no queue."""
         self.dropped_messages += 1
-
-    def inbox(self, name: str) -> Store:
-        """The receive queue of node *name*."""
-        return self.node(name).inbox

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 __all__ = ["Message"]
@@ -11,7 +10,6 @@ __all__ = ["Message"]
 _msg_ids = itertools.count()
 
 
-@dataclass
 class Message:
     """One network message.
 
@@ -25,20 +23,31 @@ class Message:
     default) means "same as ``size``". Keeping it separate from ``size``
     lets an encoding shrink measured traffic without perturbing the
     simulated serialisation delay.
+
+    One is built per send, so the class is slotted and its fields are in
+    the order :meth:`~repro.ucx.ucp.Endpoint.send` passes them.
     """
 
-    src: str
-    dst: str
-    tag: str
-    payload: Any = None
-    size: int = 0
-    worker: str = ""  # destination UCP worker name ("" = node default)
-    payload_bytes: Optional[int] = None
-    msg_id: int = field(default_factory=_msg_ids.__next__)
+    __slots__ = ("src", "dst", "tag", "payload", "size", "worker",
+                 "payload_bytes", "msg_id")
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"negative message size: {self.size}")
-        if self.payload_bytes is not None and self.payload_bytes < 0:
-            raise ValueError(
-                f"negative payload bytes: {self.payload_bytes}")
+    def __init__(self, src: str, dst: str, tag: str, payload: Any = None,
+                 size: int = 0, worker: str = "",
+                 payload_bytes: Optional[int] = None):
+        if size < 0:
+            raise ValueError(f"negative message size: {size}")
+        if payload_bytes is not None and payload_bytes < 0:
+            raise ValueError(f"negative payload bytes: {payload_bytes}")
+        self.src = src
+        self.dst = dst
+        self.tag = tag
+        self.payload = payload
+        self.size = size
+        #: destination UCP worker name ("" = node default)
+        self.worker = worker
+        self.payload_bytes = payload_bytes
+        self.msg_id = next(_msg_ids)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"<Message #{self.msg_id} {self.src}->{self.dst}/"
+                f"{self.worker} {self.tag!r} {self.size}B>")

@@ -9,10 +9,16 @@ number breaks ties), which makes every run bit-for-bit reproducible
 given the same seeds.
 
 The queue is a binary heap of ``(time, seq, event)`` entries (DESIGN.md
-§15). Cancelled events (:meth:`~repro.sim.process.Event.cancel`) are
-skipped lazily on pop and compacted away in O(n) once dead entries
-dominate, so the queue stays sublinear in garbage; live ``(time, seq)``
-ordering is untouched by cancellation.
+§15) plus a FIFO *now-queue* for events scheduled at the current
+instant, which need no ordering work: a heap entry stamped ``now`` was
+scheduled while the clock was earlier, so its ``seq`` is below that of
+every now-queue entry, and the now-queue is in ``seq`` order by
+construction — heap entries at ``now`` first, then the now-queue, is
+exactly ``(time, seq)`` order. Cancelled events
+(:meth:`~repro.sim.process.Event.cancel`) are skipped lazily on pop and
+compacted away in O(n) once dead entries dominate, so the queue stays
+sublinear in garbage; live ``(time, seq)`` ordering is untouched by
+cancellation.
 
 Typical usage::
 
@@ -31,6 +37,7 @@ Typical usage::
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
 from ..errors import SimulationError, StopSimulation
@@ -60,14 +67,17 @@ class Engine:
         Initial value of the simulated clock (seconds).
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_active_process",
+    __slots__ = ("_now", "_heap", "_nowq", "_seq", "_active_process",
                  "_stop_requested", "_dead", "_cancelled_total",
                  "_compactions")
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
         self._heap: list = []  # entries: (time, seq, event)
-        self._seq = 0
+        #: events scheduled at the current instant, in scheduling order;
+        #: the clock only advances while this is empty.
+        self._nowq: deque = deque()
+        self._seq = 0  # events ever scheduled, both containers
         self._active_process: Optional[Process] = None
         self._stop_requested = False
         self._dead = 0  # cancelled entries still sitting in the queue
@@ -106,9 +116,10 @@ class Engine:
         time is queued as given, not re-derived from a delay, so no
         rounding is added. Ties at *when* fire in scheduling order.
         """
-        if when < self._now:
+        now = self._now
+        if when < now:
             raise SimulationError(
-                f"schedule_at({when!r}) is in the past (now={self._now!r})")
+                f"schedule_at({when!r}) is in the past (now={now!r})")
         if event._scheduled:
             raise SimulationError(f"{event!r} already scheduled")
         if event._cancelled:
@@ -116,7 +127,10 @@ class Engine:
         event._scheduled = True
         seq = self._seq
         self._seq = seq + 1
-        _heappush(self._heap, (when, seq, event))
+        if when == now:
+            self._nowq.append(event)
+        else:
+            _heappush(self._heap, (when, seq, event))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Return an event that fires after ``delay`` simulated seconds."""
@@ -144,17 +158,34 @@ class Engine:
         self._dead += 1
         self._cancelled_total += 1
 
+    def _buried(self) -> None:
+        """A popped entry turned out dead: take it off the census and
+        compact once dead entries dominate what is left."""
+        dead = self._dead - 1
+        self._dead = dead
+        if (dead > _COMPACT_MIN_DEAD
+                and dead * 2 > len(self._heap) + len(self._nowq)):
+            self._compact()
+
     def _compact(self) -> None:
-        """Rebuild the queue without dead entries (O(n); resets census)."""
-        self._heap = [e for e in self._heap if not e[2]._cancelled]
-        heapq.heapify(self._heap)
+        """Rebuild the queue without dead entries (O(n); resets census).
+
+        Both containers are rebuilt in place: a running loop holds them
+        in locals.
+        """
+        heap, nowq = self._heap, self._nowq
+        heap[:] = [e for e in heap if not e[2]._cancelled]
+        heapq.heapify(heap)
+        live = [ev for ev in nowq if not ev._cancelled]
+        nowq.clear()
+        nowq.extend(live)
         self._dead = 0
         self._compactions += 1
 
     def stats(self) -> Dict[str, Any]:
         """Event-queue census: events ever scheduled, pending/dead counts,
         cancels, compactions."""
-        pending = len(self._heap)
+        pending = len(self._heap) + len(self._nowq)
         return {
             "now": self._now,
             "scheduled_total": self._seq,
@@ -172,34 +203,41 @@ class Engine:
         Dead (cancelled) entries at the head of the queue are discarded
         as a side effect, so repeated peeks stay O(1) amortized.
         """
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[2]._cancelled:
+        heap, nowq = self._heap, self._nowq
+        while True:
+            # Heap entries stamped `now` precede the now-queue.
+            from_nowq = nowq and not (heap and heap[0][0] == self._now)
+            if from_nowq:
+                when, event = self._now, nowq[0]
+            elif heap:
+                when, _seq, event = heap[0]
+            else:
+                return float("inf")
+            if not event._cancelled:
+                return when
+            if from_nowq:
+                nowq.popleft()
+            else:
                 _heappop(heap)
-                self._dead -= 1
-                continue
-            return head[0]
-        return float("inf")
+            self._dead -= 1
 
     def step(self) -> None:
         """Process exactly one live event; raise SimulationError if none
         remain. Dead entries encountered on the way are discarded (and
         the queue compacted once they dominate)."""
-        heap = self._heap
-        while heap:
-            when, _seq, event = _heappop(heap)
-            if event._cancelled:
-                dead = self._dead - 1
-                self._dead = dead
-                if dead > _COMPACT_MIN_DEAD and dead * 2 > len(heap):
-                    self._compact()
-                    heap = self._heap
-                continue
-            self._now = when
-            event._fire()
-            return
-        raise SimulationError("no scheduled events")
+        heap, nowq = self._heap, self._nowq
+        while True:
+            if nowq and not (heap and heap[0][0] == self._now):
+                when, event = self._now, nowq.popleft()
+            elif heap:
+                when, _seq, event = _heappop(heap)
+            else:
+                raise SimulationError("no scheduled events")
+            if not event._cancelled:
+                self._now = when
+                event._fire()
+                return
+            self._buried()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or the clock reaches *until*.
@@ -207,7 +245,8 @@ class Engine:
         If *until* is given, the clock is advanced to exactly ``until`` when
         the run ends because of the deadline (even if the queue still holds
         later events). An unhandled failure in any process propagates out of
-        this call.
+        this call. A run ended by :meth:`stop` / :meth:`request_stop` may
+        leave events of the current instant queued for the next run.
         """
         if until is not None:
             until = float(until)
@@ -216,42 +255,51 @@ class Engine:
                     f"until={until!r} is in the past (now={self._now!r})"
                 )
         self._stop_requested = False
-        heap = self._heap
+        heap, nowq = self._heap, self._nowq
+        popleft = nowq.popleft
+        now = self._now
         try:
             if until is None:
                 # Unbounded run: tight loop without the deadline check.
-                while heap:
+                while nowq or heap:
                     if self._stop_requested:
                         return
-                    when, _seq, event = _heappop(heap)
+                    if nowq:
+                        # Heap entries stamped `now` precede the now-queue.
+                        if heap and heap[0][0] == now:
+                            event = _heappop(heap)[2]
+                        else:
+                            event = popleft()
+                    else:
+                        when, _seq, event = _heappop(heap)
+                        if not event._cancelled:
+                            now = self._now = when
                     if event._cancelled:
-                        dead = self._dead - 1
-                        self._dead = dead
-                        if dead > _COMPACT_MIN_DEAD and dead * 2 > len(heap):
-                            self._compact()
-                            heap = self._heap
-                        continue
-                    self._now = when
-                    event._fire()
+                        self._buried()
+                    else:
+                        event._fire()
             else:
-                while heap:
+                while nowq or heap:
                     if self._stop_requested:
                         return
-                    if heap[0][0] > until:
-                        # Works on a dead head too: every live entry is
-                        # at or beyond it, hence also past the deadline.
-                        self._now = until
-                        return
-                    when, _seq, event = _heappop(heap)
+                    if nowq:
+                        if heap and heap[0][0] == now:
+                            event = _heappop(heap)[2]
+                        else:
+                            event = popleft()
+                    else:
+                        if heap[0][0] > until:
+                            # Works on a dead head too: every live entry is
+                            # at or beyond it, hence also past the deadline.
+                            self._now = until
+                            return
+                        when, _seq, event = _heappop(heap)
+                        if not event._cancelled:
+                            now = self._now = when
                     if event._cancelled:
-                        dead = self._dead - 1
-                        self._dead = dead
-                        if dead > _COMPACT_MIN_DEAD and dead * 2 > len(heap):
-                            self._compact()
-                            heap = self._heap
-                        continue
-                    self._now = when
-                    event._fire()
+                        self._buried()
+                    else:
+                        event._fire()
         except StopSimulation:
             return
         if until is not None:
@@ -298,4 +346,5 @@ class Engine:
         return Ticker(self, interval, fn, first)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Engine now={self._now:.6f} pending={len(self._heap)}>"
+        return (f"<Engine now={self._now:.6f} "
+                f"pending={len(self._heap) + len(self._nowq)}>")

@@ -85,11 +85,21 @@ class Event:
     # ---------------------------------------------------------- triggering
     def succeed(self, value: Any = None) -> "Event":
         """Mark the event successful with *value* and schedule it now."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.engine.schedule(self)
+        # Engine.schedule_at(self, now) written out (the call every hop
+        # of the request path makes): same checks, then straight onto
+        # the now-queue.
+        if self._scheduled:
+            raise SimulationError(f"{self!r} already scheduled")
+        if self._cancelled:
+            raise SimulationError(f"cannot schedule cancelled {self!r}")
+        self._scheduled = True
+        engine = self.engine
+        engine._seq += 1
+        engine._nowq.append(self)
         return self
 
     def succeed_at(self, when: float, value: Any = None) -> "Event":

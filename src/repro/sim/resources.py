@@ -215,7 +215,8 @@ class BandwidthPipe:
     serialisation.
     """
 
-    __slots__ = ("engine", "rate", "latency", "_free_at", "bytes_moved")
+    __slots__ = ("engine", "rate", "latency", "_free_at", "_last_reserved",
+                 "bytes_moved")
 
     def __init__(self, engine: "Engine", rate: float, latency: float = 0.0):
         if rate <= 0:
@@ -226,6 +227,7 @@ class BandwidthPipe:
         self.rate = float(rate)
         self.latency = float(latency)
         self._free_at = 0.0  # time the pipe drains
+        self._last_reserved = 0.0  # what reserve() last returned
         self.bytes_moved = 0
 
     @property
@@ -241,13 +243,20 @@ class BandwidthPipe:
         time from it. It is written ``now + (free_at + latency - now)``,
         not ``free_at + latency``: the two can differ in the last bit,
         and every committed trace digest was produced with the first.
+        That expression is not monotone in ``now`` — a later reservation
+        can round one ulp *below* an earlier one — so the result is
+        clamped to what the pipe last returned: FIFO order survives
+        rounding.
         """
         if nbytes < 0:
             raise SimulationError("nbytes must be non-negative")
         now = self.engine.now
         self._free_at = max(self._free_at, now) + nbytes / self.rate
         self.bytes_moved += int(nbytes)
-        return now + (self._free_at + self.latency - now)
+        drained = now + (self._free_at + self.latency - now)
+        if drained > self._last_reserved:
+            self._last_reserved = drained
+        return self._last_reserved
 
     def transfer(self, nbytes: float, value: Any = None) -> Event:
         """Queue a transfer of *nbytes*; the event fires when it completes."""

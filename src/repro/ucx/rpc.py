@@ -11,7 +11,7 @@ so the reply path must be detachable from the receive path.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import RpcTimeout, UCXError
 from ..sim.process import Event
@@ -26,15 +26,21 @@ _call_ids = itertools.count(1)
 
 
 class RpcRequest:
-    """An inbound call as seen by the server."""
+    """One call, built once by the caller: it *is* the request message's
+    payload, and the object the server's request callback receives."""
 
-    def __init__(self, server: "RpcServer", msg_payload: Dict[str, Any]):
-        self._server = server
-        self.op: str = msg_payload["op"]
-        self.body: Any = msg_payload["body"]
-        self.size: int = msg_payload["size"]
-        self.cid: int = msg_payload["cid"]
-        self.reply_to: Address = msg_payload["reply_to"]
+    __slots__ = ("op", "body", "size", "cid", "reply_to", "_server",
+                 "replied")
+
+    def __init__(self, op: str, body: Any, size: int, cid: int,
+                 reply_to: Address):
+        self.op = op
+        self.body = body
+        self.size = size
+        self.cid = cid
+        self.reply_to = reply_to
+        #: the RpcServer that received the call (set on receipt).
+        self._server: Optional["RpcServer"] = None
         self.replied = False
 
     def reply(self, body: Any = None, size: int = 0,
@@ -43,9 +49,9 @@ class RpcRequest:
         if self.replied:
             raise UCXError(f"duplicate reply to call {self.cid}")
         self.replied = True
-        ep = self._server.worker.create_endpoint(self.reply_to)
-        return ep.send(RESP_TAG, {"cid": self.cid, "body": body}, size=size,
-                       payload_bytes=payload_bytes)
+        return self._server._endpoint(self.reply_to).send(
+            RESP_TAG, (self.cid, body), size=size,
+            payload_bytes=payload_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RpcRequest op={self.op!r} cid={self.cid}>"
@@ -63,12 +69,23 @@ class RpcServer:
         #: inbound calls per op name (protocol accounting: e.g. how many
         #: λ-sync pulls vs pushes a server answered).
         self.calls_by_op: Dict[str, int] = {}
+        #: one reply endpoint per caller address, made on first reply.
+        self._endpoints: Dict[Address, Endpoint] = {}
 
     def _handle(self, msg) -> None:
         self.calls_received += 1
-        op = msg.payload["op"]
+        request = msg.payload
+        op = request.op
         self.calls_by_op[op] = self.calls_by_op.get(op, 0) + 1
-        self.on_request(RpcRequest(self, msg.payload))
+        request._server = self
+        self.on_request(request)
+
+    def _endpoint(self, remote: Address) -> Endpoint:
+        endpoint = self._endpoints.get(remote)
+        if endpoint is None:
+            endpoint = self._endpoints[remote] = self.worker.create_endpoint(
+                remote)
+        return endpoint
 
 
 class RpcClient:
@@ -77,11 +94,12 @@ class RpcClient:
     def __init__(self, worker: UCPWorker, remote: Address):
         self.worker = worker
         self.endpoint: Endpoint = worker.create_endpoint(remote)
-        self._pending: Dict[int, Event] = {}
-        #: expiry timers for pending timed calls, cancelled when the
-        #: response wins the race (keeps the event queue corpse-free
-        #: under heavy call churn; see DESIGN.md §15).
-        self._timers: Dict[int, Event] = {}
+        self._reply_to: Address = worker.address
+        #: cid -> (completion event, expiry timer or None). The timer of
+        #: a timed call is cancelled when the response wins the race
+        #: (keeps the event queue corpse-free under heavy call churn;
+        #: see DESIGN.md §15).
+        self._pending: Dict[int, Tuple[Event, Optional[Event]]] = {}
         #: calls whose timeout expired before the response arrived.
         self.timeouts = 0
         #: responses for calls no longer pending (late reply after a
@@ -106,55 +124,48 @@ class RpcClient:
         (counted in :attr:`unmatched_responses`).
         """
         cid = next(_call_ids)
-        done = Event(self.worker.engine)
-        self._pending[cid] = done
+        engine = self.worker.context.engine
+        done = Event(engine)
         self.endpoint.send(
-            REQ_TAG,
-            {
-                "op": op,
-                "body": body,
-                "size": size,
-                "cid": cid,
-                "reply_to": self.worker.address,
-            },
-            size=size,
-            payload_bytes=payload_bytes,
-        )
-        if timeout is not None:
-            timer = self.worker.engine.timeout(timeout)
-            timer.callbacks.append(
-                lambda _ev: self._expire(cid, done, op, timeout))
-            self._timers[cid] = timer
+            REQ_TAG, RpcRequest(op, body, size, cid, self._reply_to),
+            size=size, payload_bytes=payload_bytes)
+        if timeout is None:
+            self._pending[cid] = (done, None)
+        else:
+            # The timer's value names the call it expires.
+            timer = engine.timeout(timeout, (cid, op))
+            timer.callbacks.append(self._expire)
+            self._pending[cid] = (done, timer)
         return done
 
-    def _expire(self, cid: int, done: Event, op: str,
-                timeout: float) -> None:
-        self._timers.pop(cid, None)
-        # Only fail the call if it is still the pending one for this cid
-        # (the response may have raced the timer).
-        if self._pending.get(cid) is not done:
+    def _expire(self, timer: Event) -> None:
+        cid, op = timer.value
+        # Only fail the call if it is still pending (the response may
+        # have raced the timer).
+        entry = self._pending.pop(cid, None)
+        if entry is None:
             return
-        del self._pending[cid]
         self.timeouts += 1
         # Defuse first: a timed-out call nobody is waiting on must not
         # crash the kernel; waiters still get RpcTimeout thrown in.
+        done = entry[0]
         done.defuse()
         done.fail(RpcTimeout(
             f"call {cid} ({op!r}) to {self.endpoint.remote} timed out "
-            f"after {timeout}s"))
+            f"after {timer.delay}s"))
 
     def _on_response(self, msg) -> None:
-        cid = msg.payload["cid"]
-        done = self._pending.pop(cid, None)
-        if done is None:
+        cid, body = msg.payload
+        entry = self._pending.pop(cid, None)
+        if entry is None:
             # Late response after a timeout (or a duplicate): drop it.
             self.unmatched_responses += 1
             return
-        timer = self._timers.pop(cid, None)
-        if timer is not None and not timer.processed:
+        done, timer = entry
+        if timer is not None and not timer._processed:
             # The response won the race: the expiry timer is garbage now.
             timer.cancel()
-        done.succeed(msg.payload["body"])
+        done.succeed(body)
 
     @property
     def in_flight(self) -> int:

@@ -10,9 +10,11 @@ clients. Mappings are destroyed when a client exits or its job goes
 inactive, exactly as §4.2 describes.
 
 Addressing: a worker's address is ``(node_name, worker_name)``. The
-context runs one dispatcher process per node that routes inbox messages
-to workers; workers deliver by *tag*, either to a registered push handler
-or to a matching pending ``recv``.
+context is its node's receiver on the fabric: the node's progress event
+hands it one arrived message at a time (never inside the arrival
+callback — UCX forbids progressing transfers from a receive callback),
+and it routes each to a worker; workers deliver by *tag*, either to a
+registered push handler or to a matching pending ``recv``.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ class UCPContext:
         # assert on the total via dropped_count.
         self.dropped: Deque[Message] = deque(maxlen=64)
         self.dropped_count = 0
-        #: crash flag: while True the dispatcher drops everything.
+        #: crash flag: while True every delivered message is dropped.
         self.down = False
-        self._dispatcher = engine.process(self._dispatch())
+        fabric.node(node_name).attach(self._receive)
 
     def create_worker(self, name: str) -> "UCPWorker":
         """Create a named worker on this node (names unique per node)."""
@@ -60,16 +62,14 @@ class UCPContext:
         self.workers[name] = worker
         return worker
 
-    def _dispatch(self):
-        inbox = self.fabric.inbox(self.node_name)
-        while True:
-            msg = yield inbox.get()
-            worker = self.workers.get(msg.worker)
-            if self.down or worker is None or worker.closed:
-                self.dropped.append(msg)
-                self.dropped_count += 1
-                continue
-            worker._deliver(msg)
+    def _receive(self, msg: Message) -> None:
+        """Route one message the node's progress event handed over."""
+        worker = self.workers.get(msg.worker)
+        if self.down or worker is None or worker.closed:
+            self.dropped.append(msg)
+            self.dropped_count += 1
+            return
+        worker._deliver(msg)
 
 
 class UCPWorker:
@@ -163,17 +163,11 @@ class Endpoint:
         after payload-level encoding (see :class:`~repro.net.message.Message`).
         """
         self.worker._check_open()
+        context = self.worker.context
         node, worker_name = self.remote
-        msg = Message(
-            src=self.worker.context.node_name,
-            dst=node,
-            tag=tag,
-            payload=payload,
-            size=size,
-            worker=worker_name,
-            payload_bytes=payload_bytes,
-        )
-        return self.worker.context.fabric.send(msg)
+        return context.fabric.send(Message(
+            context.node_name, node, tag, payload, size, worker_name,
+            payload_bytes))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Endpoint {self.worker.address} -> {self.remote}>"

@@ -22,27 +22,33 @@ def make_fabric(eng, **kw):
 def test_send_delivers_to_inbox(eng):
     fabric = make_fabric(eng, latency=0.001, link_bandwidth=1000.0)
     got = []
-
-    def receiver():
-        msg = yield fabric.inbox("b").get()
-        got.append((eng.now, msg.payload))
-
-    eng.process(receiver())
+    fabric.node("b").attach(lambda msg: got.append((eng.now, msg.payload)))
     fabric.send(Message(src="a", dst="b", tag="t", payload="hello", size=100))
     eng.run()
     # 100 bytes @ 1000 B/s = 0.1 s serialisation + 1 ms latency
     assert got == [(pytest.approx(0.101), "hello")]
 
 
+def test_messages_wait_for_a_receiver_and_a_node_takes_one(eng):
+    fabric = make_fabric(eng, latency=0.001, link_bandwidth=1000.0)
+    for payload in (1, 2):
+        fabric.send(Message(src="a", dst="b", tag="t", payload=payload))
+    eng.run()
+    node = fabric.node("b")
+    assert [m.payload for m in node.queue] == [1, 2]   # nobody to hand to
+    got = []
+    node.attach(lambda msg: got.append(msg.payload))
+    assert got == []                 # handed over by events, not by attach
+    eng.run()
+    assert got == [1, 2] and not node.queue
+    with pytest.raises(NetworkError):
+        node.attach(got.append)
+
+
 def test_zero_size_message_costs_latency_only(eng):
     fabric = make_fabric(eng, latency=0.5, link_bandwidth=1000.0)
     got = []
-
-    def receiver():
-        yield fabric.inbox("b").get()
-        got.append(eng.now)
-
-    eng.process(receiver())
+    fabric.node("b").attach(lambda msg: got.append(eng.now))
     fabric.send(Message(src="a", dst="b", tag="t", size=0))
     eng.run()
     assert got == [pytest.approx(0.5)]
@@ -51,13 +57,8 @@ def test_zero_size_message_costs_latency_only(eng):
 def test_sender_nic_serialises_messages(eng):
     fabric = make_fabric(eng, latency=0.0, link_bandwidth=100.0)
     arrivals = []
-
-    def receiver():
-        for _ in range(2):
-            msg = yield fabric.inbox("b").get()
-            arrivals.append((msg.payload, eng.now))
-
-    eng.process(receiver())
+    fabric.node("b").attach(
+        lambda msg: arrivals.append((msg.payload, eng.now)))
     fabric.send(Message(src="a", dst="b", tag="t", payload=1, size=100))
     fabric.send(Message(src="a", dst="b", tag="t", payload=2, size=100))
     eng.run()
@@ -68,13 +69,7 @@ def test_different_senders_do_not_contend(eng):
     fabric = make_fabric(eng, latency=0.0, link_bandwidth=100.0)
     fabric.add_node("c")
     arrivals = []
-
-    def receiver():
-        for _ in range(2):
-            msg = yield fabric.inbox("b").get()
-            arrivals.append((msg.src, eng.now))
-
-    eng.process(receiver())
+    fabric.node("b").attach(lambda msg: arrivals.append((msg.src, eng.now)))
     fabric.send(Message(src="a", dst="b", tag="t", size=100))
     fabric.send(Message(src="c", dst="b", tag="t", size=100))
     eng.run()
@@ -91,7 +86,7 @@ def test_duplicate_node_rejected(eng):
 def test_unknown_node_rejected(eng):
     fabric = Fabric(eng)
     with pytest.raises(NetworkError):
-        fabric.inbox("ghost")
+        fabric.node("ghost")
     fabric.add_node("a")
     with pytest.raises(NetworkError):
         fabric.send(Message(src="a", dst="ghost", tag="t"))

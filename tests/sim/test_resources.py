@@ -1,6 +1,8 @@
 """Tests for Store, PriorityStore, Resource, and BandwidthPipe."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import BandwidthPipe, Engine, PriorityStore, Resource, Store
@@ -267,6 +269,30 @@ def test_pipe_reserve_is_the_time_transfer_fires_at():
     assert reserved.busy_until == fired.busy_until
     with pytest.raises(SimulationError):
         reserved.reserve(-1)
+
+
+@given(st.lists(st.tuples(
+    st.one_of(st.just(0.0), st.floats(1e-9, 1e-2)),          # gap before it
+    st.one_of(st.sampled_from([0, 1, 64, 8 * 10 ** 6]),
+              st.integers(0, 10 ** 9))), min_size=1, max_size=30))
+# now + (free_at - now) alone puts the last reservation (0 bytes, 1e-7 s
+# after the 8 MB one) at 3.3e-4 against 3.3000000000000005e-4.
+@example([(1e-5, 8 * 10 ** 6), (1e-7, 0)])
+def test_pipe_reserve_never_goes_backwards(sequence):
+    eng = Engine()
+    pipe = BandwidthPipe(eng, rate=25e9)
+    reserved = []
+
+    def reserver():
+        for gap, nbytes in sequence:
+            if gap:
+                yield eng.timeout(gap)
+            reserved.append(pipe.reserve(nbytes))
+            assert reserved[-1] >= eng.now
+
+    eng.process(reserver())
+    eng.run()
+    assert reserved == sorted(reserved)
 
 
 def test_store_put_nowait_schedules_only_the_getter():

@@ -1,0 +1,141 @@
+"""The progress callback delivers what the dispatcher process delivered.
+
+Until PR 19 every ``UCPContext`` ran a process looping on ``yield
+inbox.get()`` over a ``Store`` the fabric filled. :class:`DispatcherContext`
+keeps that loop, and only here, as the oracle: random arrival schedules at
+one node — same-instant bursts, handlers that send, schedule zero-delay
+events, close a worker or take the context down with messages still queued
+— must produce the same delivery log through both, interleaving with the
+handlers' own events included, and the same drop ring.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.net import Fabric, Message
+from repro.net.fabric import NodeHandle
+from repro.sim import Engine, Store
+from repro.ucx import UCPContext
+
+NODE = "z"
+WORKERS = ("w0", "w1")
+
+
+class _StoreNode(NodeHandle):
+    """A node whose arrivals land in a Store inbox instead."""
+
+    __slots__ = ("inbox",)
+
+    def deliver(self, message):
+        self.inbox.put_nowait(message)
+
+
+class DispatcherContext(UCPContext):
+    """The parent commit's receive path: one dispatcher process per node."""
+
+    def __init__(self, engine, fabric, node_name):
+        node = _StoreNode(engine, node_name, fabric.add_node(node_name).tx)
+        node.inbox = Store(engine)
+        fabric._nodes[node_name] = node
+        super().__init__(engine, fabric, node_name)
+        engine.process(self._dispatch(node.inbox))
+
+    def _dispatch(self, inbox):
+        while True:
+            msg = yield inbox.get()
+            worker = self.workers.get(msg.worker)
+            if self.down or worker is None or worker.closed:
+                self.dropped.append(msg)
+                self.dropped_count += 1
+                continue
+            worker._deliver(msg)
+
+
+# One planned message: (gap before it, sending node, destination worker,
+# what its handler does). Gap 0 from different senders makes a
+# same-instant burst; "ghost" is a worker that never existed.
+plans = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.0, 1e-6, 5e-6]),
+        st.sampled_from("abc"),
+        st.sampled_from(WORKERS + ("ghost",)),
+        st.sampled_from(["log", "log", "send", "event", "close-self",
+                         "close-other", "down", "down-for-a-while"]),
+    ), min_size=1, max_size=25)
+
+
+def run(context_class, plan, latency):
+    eng = Engine()
+    fabric = Fabric(eng, latency=latency, link_bandwidth=1e9)
+    for name in "abc":
+        fabric.add_node(name)
+    ctx = context_class(eng, fabric, NODE)
+    log = []            # position in it = global firing index
+    extra = iter(range(len(plan), 10 ** 6))
+
+    def handler(msg):
+        ident, action = msg.payload
+        log.append((eng.now, "deliver", ident, msg.worker))
+        worker = ctx.workers[msg.worker]
+        other = WORKERS[1 - WORKERS.index(msg.worker)]
+        if action == "send":
+            # Loopback: arrives `latency` later (the same instant at 0).
+            fabric.send(Message(NODE, NODE, "t", (next(extra), "event"),
+                                0, other))
+        elif action == "event":
+            tag = next(extra)
+            eng.event().succeed().callbacks.append(
+                lambda _ev: log.append((eng.now, "event", tag, "")))
+        elif action == "close-self":
+            worker.close()
+        elif action == "close-other" and other in ctx.workers:
+            ctx.workers[other].close()
+        elif action == "down":
+            ctx.down = True
+        elif action == "down-for-a-while":
+            ctx.down = True
+            eng.timeout(2e-6).callbacks.append(
+                lambda _ev: setattr(ctx, "down", False))
+
+    for name in WORKERS:
+        ctx.create_worker(name).on("t", handler)
+
+    def sender():
+        for ident, (gap, src, worker, action) in enumerate(plan):
+            if gap:
+                yield eng.timeout(gap)
+            fabric.send(Message(src, NODE, "t", (ident, action), 0, worker))
+
+    eng.process(sender())
+    eng.run()
+    node = fabric.node(NODE)
+    assert not node.queue and not getattr(node, "inbox", ())  # all handed on
+    return log, [m.payload for m in ctx.dropped], ctx.dropped_count, eng.now
+
+
+@settings(max_examples=300, deadline=None)
+@given(plans, st.sampled_from([0.0, 1e-6]))
+def test_progress_callback_delivers_what_the_dispatcher_did(plan, latency):
+    assert (run(UCPContext, plan, latency)
+            == run(DispatcherContext, plan, latency))
+
+
+def test_one_message_per_progress_event():
+    # Two messages land at one instant; the first handler's zero-delay
+    # event fires between the deliveries: the queue is not drained in
+    # one event.
+    log, dropped, count, _now = run(
+        UCPContext, [(0.0, "a", "w0", "event"), (0.0, "b", "w0", "log")],
+        1e-6)
+    assert [entry[1:3] for entry in log] == [
+        ("deliver", 0), ("event", 2), ("deliver", 1)]
+    assert dropped == [] and count == 0
+
+
+def test_context_owns_no_process_and_schedules_none():
+    eng = Engine()
+    fabric = Fabric(eng)
+    before = eng.stats()["scheduled_total"]
+    ctx = UCPContext(eng, fabric, "n")
+    assert eng.stats()["scheduled_total"] == before
+    assert fabric.node("n").receiver == ctx._receive

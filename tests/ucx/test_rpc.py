@@ -119,6 +119,55 @@ def test_duplicate_reply_rejected(env):
         req.reply("twice")
 
 
+def test_request_object_is_the_payload_and_replies_share_an_endpoint(env):
+    eng, cw, sw = env
+    seen = []
+    server = RpcServer(sw, seen.append)
+    client = RpcClient(cw, sw.address)
+    sent, real_send = [], client.endpoint.send
+
+    def spy(tag, payload, **kw):
+        sent.append(payload)
+        return real_send(tag, payload, **kw)
+
+    client.endpoint.send = spy
+    got = []
+
+    def proc():
+        got.append((yield client.call("a", body=1, size=7)))
+        got.append((yield client.call("b", body=2)))
+
+    eng.process(proc())
+    eng.run(until=0.01)
+    seen[0].reply("first")
+    eng.run(until=0.02)
+    seen[1].reply("second")
+    eng.run()
+    assert got == ["first", "second"]
+    # What the caller built is what the server's callback received.
+    assert seen == sent and [r.op for r in seen] == ["a", "b"]
+    assert (seen[0].body, seen[0].size, seen[0].reply_to) == (
+        1, 7, cw.address)
+    assert list(server._endpoints) == [cw.address]   # one, made once
+
+
+def test_reply_through_cached_endpoint_of_closed_worker_raises(env):
+    eng, cw, sw = env
+    seen = []
+    RpcServer(sw, seen.append)
+    client = RpcClient(cw, sw.address)
+    client.call("a")
+    client.call("b")
+    eng.run()
+    seen[0].reply("caches the endpoint")
+    sw.close()
+    with pytest.raises(UCXError):
+        seen[1].reply("the worker is gone")
+    assert seen[1].replied     # spent, as before: no second attempt
+    with pytest.raises(UCXError):
+        seen[1].reply()
+
+
 def test_in_flight_tracking(env):
     eng, cw, sw = env
     pending = []
@@ -209,6 +258,31 @@ class TestTimeouts:
         # and was absorbed, not raised into anyone's process.
         assert outcome == ["timeout"]
         assert client.unmatched_responses == 1
+
+    def test_timed_call_arms_one_timer_and_the_reply_cancels_it(self, env):
+        eng, cw, sw = env
+        RpcServer(sw, lambda req: req.reply("ok"))
+        client = RpcClient(cw, sw.address)
+        before = eng.stats()["scheduled_total"]
+        done = client.call("x", timeout=5.0)
+        # The arrival and the expiry timer: nothing else per timed call.
+        assert eng.stats()["scheduled_total"] == before + 2
+        eng.run()
+        assert done.value == "ok" and client.in_flight == 0
+        assert eng.stats()["cancelled_total"] == 1
+        assert eng.now < 5.0        # the dead timer did not hold the run
+
+    def test_timeout_names_the_call_it_expired(self, env):
+        eng, cw, sw = env
+        RpcServer(sw, lambda req: None)
+        client = RpcClient(cw, sw.address)
+        first = client.call("slow-op", timeout=0.25)
+        second = client.call("other", timeout=0.5)
+        first.defuse()
+        eng.run(until=0.3)
+        assert not first.ok and "'slow-op'" in str(first.value)
+        assert "0.25s" in str(first.value)
+        assert not second.triggered and client.in_flight == 1
 
     def test_no_timeout_keeps_legacy_behaviour(self, env):
         eng, cw, sw = env
