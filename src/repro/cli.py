@@ -31,8 +31,8 @@ Commands
     (see :mod:`repro.harness.sweep`).
 ``lint``
     Static determinism & sim-safety analysis over the tree (see
-    :mod:`repro.lint` and DESIGN.md §9); exits non-zero on new
-    violations. ``python -m repro lint --list-rules`` prints the
+    :mod:`repro.lint` and DESIGN.md §9); exits non-zero on any
+    finding. ``python -m repro lint --list-rules`` prints the
     catalogue.
 """
 
@@ -287,7 +287,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "lint":
         # Delegated before parsing so the analyzer owns its own argparse
-        # surface (paths, --baseline, --select, ...).
+        # surface (paths, --select, --list-rules).
         from .lint import main as lint_main
         return lint_main(argv[1:])
     args = _build_parser().parse_args(argv)

@@ -123,21 +123,24 @@ class JournaledFS(ThemisFS):
 
     def unlink(self, path: str) -> None:
         norm = pathmod.normalize(path)
+        ino = self._ino(norm)
         super().unlink(norm)
         if not self._replaying:
-            self.journal.log("unlink", path=norm)
+            self.journal.log("unlink", path=norm, ino=ino)
 
     def rmdir(self, path: str) -> None:
         norm = pathmod.normalize(path)
+        ino = self._ino(norm)
         super().rmdir(norm)
         if not self._replaying:
-            self.journal.log("rmdir", path=norm)
+            self.journal.log("rmdir", path=norm, ino=ino)
 
     def truncate(self, path: str, size: int = 0) -> None:
         norm = pathmod.normalize(path)
         super().truncate(norm, size)
         if not self._replaying:
-            self.journal.log("truncate", path=norm, size=size)
+            self.journal.log("truncate", path=norm, ino=self._ino(norm),
+                             size=size)
 
     def write(self, path: str, offset: int, data: bytes) -> int:
         return self._logged_extend(path, super().write(path, offset, data),
@@ -152,8 +155,8 @@ class JournaledFS(ThemisFS):
         norm = pathmod.normalize(path)
         super().restripe(norm, old_server, new_server)
         if not self._replaying:
-            self.journal.log("restripe", path=norm, old=old_server,
-                             new=new_server)
+            self.journal.log("restripe", path=norm, ino=self._ino(norm),
+                             old=old_server, new=new_server)
 
     def _logged_extend(self, path: str, result: int, offset: int,
                        length: int) -> int:
@@ -161,8 +164,19 @@ class JournaledFS(ThemisFS):
             inode = self.lookup(path)
             if inode is not None and inode.size == offset + length:
                 # The write extended the file: record the new size.
-                self.journal.log("extend", path=inode.path, size=inode.size)
+                self.journal.log("extend", path=inode.path, ino=inode.ino,
+                                 size=inode.size)
         return result
+
+    def _ino(self, path: str) -> Optional[int]:
+        """The inode number *path* names right now (None if absent).
+
+        Every path-addressed record carries it, because a path can be
+        removed and made again: replay must be able to tell the inode a
+        record acted on from a later one under the same name.
+        """
+        inode = self.lookup(path)
+        return None if inode is None else inode.ino
 
     # ------------------------------------------------------ raw (unlogged)
     def _mkdir_raw(self, path: str, ino: Optional[int]) -> Inode:
@@ -292,34 +306,35 @@ class JournaledFS(ThemisFS):
 
     def _apply(self, record: JournalRecord) -> None:
         op, args = record.op, record.args
+        path = args["path"]
         if op == "mkdir":
-            if not self.exists(args["path"]):
-                self.mkdir(args["path"], ino=args["ino"])
-        elif op == "create":
-            if not self.exists(args["path"]):
-                inode = self.create(args["path"], uid=args["uid"],
-                                    ino=args["ino"])
+            if not self.exists(path):
+                self.mkdir(path, ino=args["ino"])
+            return
+        if op == "create":
+            if not self.exists(path):
+                inode = self.create(path, uid=args["uid"], ino=args["ino"])
                 inode.stripe = _spec_from(self.stripe_size, args)
-        elif op == "restripe":
-            # Idempotent: node recovery replays against live metadata
-            # that may already reflect the swap.
-            inode = self.lookup(args["path"])
-            if (inode is not None
-                    and isinstance(inode.stripe, ErasureSpec)
-                    and args["old"] in inode.stripe.servers):
-                super().restripe(args["path"], args["old"], args["new"])
-        elif op == "unlink":
-            if self.exists(args["path"]):
-                super().unlink(args["path"])
-        elif op == "rmdir":
-            if self.exists(args["path"]):
-                super().rmdir(args["path"])
-        elif op == "truncate":
-            if self.exists(args["path"]):
-                super().truncate(args["path"], args["size"])
-        elif op == "extend":
-            inode = self.lookup(args["path"])
-            if inode is not None:
-                inode.size = max(inode.size, args["size"])
-        else:
+            return
+        if op not in ("restripe", "unlink", "rmdir", "truncate", "extend"):
             raise FSError(f"unknown journal record {op!r}")
+        # Node recovery replays the whole history against the live
+        # namespace, so a record may find its path already gone, or made
+        # again since under another inode number: either way it is
+        # stale, and applying it would hit a file it never acted on.
+        inode = self.lookup(path)
+        if inode is None or inode.ino != args["ino"]:
+            return
+        if op == "restripe":
+            # Idempotent: the live metadata may already reflect the swap.
+            if (isinstance(inode.stripe, ErasureSpec)
+                    and args["old"] in inode.stripe.servers):
+                super().restripe(path, args["old"], args["new"])
+        elif op == "unlink":
+            super().unlink(path)
+        elif op == "rmdir":
+            super().rmdir(path)
+        elif op == "truncate":
+            super().truncate(path, args["size"])
+        else:
+            inode.size = max(inode.size, args["size"])

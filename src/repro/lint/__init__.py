@@ -7,20 +7,19 @@ bit-identical event trace*) at review time instead of three PRs later:
   ``default_rng``), wall-clock reads, unordered-set iteration, and
   ``id()``-based ordering.
 - **SIM rules** catch host-blocking calls in DES processes, stale
-  write-backs across a ``yield`` (lost updates), and mutable defaults.
+  write-backs across a ``yield`` (lost updates), mutable defaults, and
+  forked workers.
 
 Run ``python -m repro lint [paths]``; see DESIGN.md §9 for the rule
-catalogue and the waiver/baseline policy.
+catalogue, the bar a rule must clear to stay, and the waiver policy.
 """
 
-from .baseline import Baseline, BaselineError
-from .core import (Finding, Module, Rule, Severity, all_rules, register,
-                   rule_by_id)
+from .core import Finding, Module, Rule, Severity, all_rules, register
 from .runner import LintResult, lint_paths, lint_source, main
 from .waivers import Waiver, WaiverSet, collect_waivers
 
 __all__ = [
-    "Baseline", "BaselineError", "Finding", "LintResult", "Module", "Rule",
-    "Severity", "Waiver", "WaiverSet", "all_rules", "collect_waivers",
-    "lint_paths", "lint_source", "main", "register", "rule_by_id",
+    "Finding", "LintResult", "Module", "Rule", "Severity", "Waiver",
+    "WaiverSet", "all_rules", "collect_waivers", "lint_paths",
+    "lint_source", "main", "register",
 ]

@@ -3,51 +3,24 @@
 The linter's contract mirrors the repo's: *same seed => bit-identical
 event trace*. Rules are small AST visitors registered in a global
 registry; the runner parses each file once into a :class:`Module` and
-hands it to every applicable rule. Findings carry a per-rule severity:
+hands it to every applicable rule. Findings carry a per-rule severity,
+and every finding fails the run:
 
 ``ERROR``
-    A determinism or correctness hazard. Fails the run.
+    A determinism or correctness hazard.
 ``WARNING``
     A strong heuristic (e.g. the yield-race detector) that may need a
-    waiver when the code is actually safe. Fails the run.
-``ADVISORY``
-    Perf guidance (``__slots__``, ``math.fsum``). Reported, never fails
-    unless ``--strict``.
+    waiver when the code is actually safe.
 """
 
 from __future__ import annotations
 
 import ast
 import enum
-import hashlib
-from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple,
-                    Type)
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, List, Tuple, Type
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .graph import ProjectIndex
-
-__all__ = [
-    "Severity", "Finding", "Module", "Rule", "ProjectRule", "register",
-    "all_rules", "rule_by_id", "line_fingerprint", "dotted_name",
-]
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None.
-
-    Lives here (not in ``rules._util``) so the semantic model in
-    :mod:`repro.lint.graph` can use it without importing the rules
-    package, which imports the graph back.
-    """
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+__all__ = ["Severity", "Finding", "Module", "Rule", "register", "all_rules"]
 
 
 class Severity(enum.Enum):
@@ -55,24 +28,6 @@ class Severity(enum.Enum):
 
     ERROR = "error"
     WARNING = "warning"
-    ADVISORY = "advisory"
-
-    @property
-    def fails(self) -> bool:
-        """Whether findings of this severity make the run exit non-zero."""
-        return self is not Severity.ADVISORY
-
-
-def line_fingerprint(line: str) -> str:
-    """Stable content hash of one source line, whitespace-insensitive.
-
-    Baseline entries match on (rule, path, line hash) rather than line
-    *numbers*, so unrelated edits above a grandfathered finding do not
-    invalidate the baseline.
-    """
-    stripped = "".join(line.split())
-    return hashlib.blake2b(stripped.encode("utf-8"),
-                           digest_size=8).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -86,10 +41,6 @@ class Finding:
     col: int
     message: str
 
-    def fingerprint(self, source_line: str) -> Tuple[str, str, str]:
-        """Baseline identity: (rule, path, hash of the offending line)."""
-        return (self.rule, self.path, line_fingerprint(source_line))
-
     def render(self) -> str:
         """Human-readable one-line report (path:line:col: sev RULE: msg)."""
         return (f"{self.path}:{self.line}:{self.col}: "
@@ -100,28 +51,18 @@ class Finding:
 class Module:
     """One parsed source file plus everything rules need to inspect it.
 
-    ``tree`` is ``None`` for a file restored from the incremental cache:
-    its per-file findings and semantic summary were loaded instead of
-    recomputed, so no AST exists. Per-file rules never see such a
-    module; baseline fingerprinting and waiver parsing only need
-    ``source``/``lines``.
+    ``set_returning`` is the one cross-file fact any rule uses: the bare
+    names of the project's set-returning functions (see
+    :func:`repro.lint.rules.det.set_returning_names`), which DET007
+    needs to see that ``for j in monitor.active_local_jobs()`` iterates
+    a set.
     """
 
     path: str            # path as given on the command line (for output)
     source: str
-    tree: Optional[ast.Module]
-    scope: str           # "src" | "tests" | "other", from the path
-    lines: List[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            self.lines = self.source.splitlines()
-
-    def line_text(self, lineno: int) -> str:
-        """1-based source line (empty string past EOF)."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
+    tree: ast.Module
+    scope: str           # "src" | "tests", from the path
+    set_returning: FrozenSet[str] = frozenset()
 
 
 class Rule:
@@ -162,33 +103,6 @@ class Rule:
                        message=message)
 
 
-class ProjectRule(Rule):
-    """Base class for whole-program rules.
-
-    Project rules run once per lint invocation over the
-    :class:`~repro.lint.graph.ProjectIndex` (symbol table + call graph
-    assembled from every src-scope file) instead of once per file.
-    Findings are anchored in individual files as usual, so waivers and
-    the baseline apply unchanged. ``check`` is never called.
-    """
-
-    #: project rules only ever analyse production code; test files do
-    #: not participate in the protocol/reachability model at all.
-    scopes: Tuple[str, ...] = ("src",)
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
-        """Yield every violation found in the whole-program *index*."""
-        raise NotImplementedError
-
-    def at(self, path: str, line: int, col: int, message: str) -> Finding:
-        """A finding of this rule at an explicit location."""
-        return Finding(rule=self.id, severity=self.severity, path=path,
-                       line=line, col=col, message=message)
-
-
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
 
@@ -206,9 +120,3 @@ def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, sorted by id."""
     from . import rules  # noqa: F401  (import populates the registry)
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
-
-
-def rule_by_id(rule_id: str) -> Optional[Type[Rule]]:
-    """The registered rule class for *rule_id*, or None."""
-    from . import rules  # noqa: F401
-    return _REGISTRY.get(rule_id)

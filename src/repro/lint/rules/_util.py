@@ -3,27 +3,26 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Union
-
-from ..core import dotted_name
+from typing import Dict, Iterator, List, Optional, Union
 
 __all__ = [
-    "FuncDef", "dotted_name", "import_aliases", "iter_functions",
-    "is_generator", "SetExprTracker",
+    "FuncDef", "dotted_name", "iter_functions", "is_generator",
+    "SetExprTracker", "statements_in_order",
 ]
 
 FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
-def import_aliases(tree: ast.Module, module: str) -> Set[str]:
-    """Local names bound to *module* (``import numpy as np`` -> {"np"})."""
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == module:
-                    names.add(alias.asname or alias.name.split(".")[0])
-    return names
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
 
 
 def iter_functions(tree: ast.Module) -> Iterator[FuncDef]:

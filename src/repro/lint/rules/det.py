@@ -1,27 +1,24 @@
 """DET-class rules: violations of the same-seed => same-trace contract.
 
-DET001-005 are per-file pattern rules; DET006/DET007 are whole-program
-rules over the :class:`~repro.lint.graph.ProjectIndex` that catch the
-same hazards when they hide behind helper indirection.
+DET001-005 look at one file. DET007 needs one cross-file fact, the bare
+names of the project's set-returning functions
+(:func:`set_returning_names`, collected by the runner before any rule
+runs and handed over as ``Module.set_returning``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, List, Set
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Set)
 
-from ..core import Finding, Module, ProjectRule, Rule, Severity, register
-from ._util import SetExprTracker, dotted_name, statements_in_order
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..graph import ProjectIndex
+from ..core import Finding, Module, Rule, Severity, register
+from ._util import (FuncDef, SetExprTracker, dotted_name, iter_functions,
+                    statements_in_order)
 
 __all__ = ["RawRandomRule", "AdHocNumpyRngRule", "WallClockRule",
            "UnorderedIterationRule", "IdOrderingRule",
-           "LaunderedRngRule", "UnorderedEscapeRule"]
-
-#: module allowed to construct numpy generators (the registry itself).
-_RNG_EXEMPT_SUFFIX = "repro/sim/rng.py"
+           "UnorderedEscapeRule", "set_returning_names"]
 
 
 @register
@@ -64,7 +61,11 @@ class AdHocNumpyRngRule(Rule):
 
     An ad-hoc ``default_rng(0)`` is a second seeding root: its draws
     are not derived from the experiment seed, and adding one perturbs
-    nothing *visibly* until a trace diff three PRs later.
+    nothing *visibly* until a trace diff three PRs later. Any reference
+    to a banned constructor is flagged, not only a call: ``_mk =
+    np.random.default_rng`` launders every later ``_mk(...)``.
+    Annotations (``rng: np.random.Generator``) construct nothing and
+    are skipped.
     """
 
     id = "DET002"
@@ -91,12 +92,25 @@ class AdHocNumpyRngRule(Rule):
                         names.add(alias.asname or alias.name)
         return names
 
+    def _annotation_nodes(self, module: Module) -> Set[ast.AST]:
+        """Every node inside a parameter, return or variable annotation."""
+        roots: List[Optional[ast.AST]] = []
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.arg, ast.AnnAssign)):
+                roots.append(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                roots.append(node.returns)
+        return {sub for root in roots if root is not None
+                for sub in ast.walk(root)}
+
     def check(self, module: Module) -> Iterator[Finding]:
         bare = self._bare_imports(module)
+        annotations = self._annotation_nodes(module)
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+            if not isinstance(node, (ast.Attribute, ast.Name)) or \
+                    node in annotations:
                 continue
-            name = dotted_name(node.func)
+            name = dotted_name(node)
             if name is None:
                 continue
             if any(name == sfx or name.endswith("." + sfx)
@@ -270,91 +284,66 @@ class IdOrderingRule(Rule):
                         "hash(id(...)) is run-dependent; hash a stable key")
 
 
-@register
-class LaunderedRngRule(ProjectRule):
-    """DET006: an ad-hoc RNG laundered through helper indirection.
+#: Builtin container/str method names DET007 never matches by bare
+#: name: ``some_dict.pop(...)`` is far more likely a plain dict than the
+#: one project class that happens to define the same verb.
+_BUILTIN_METHOD_NAMES = frozenset({
+    "append", "appendleft", "add", "insert", "extend", "remove",
+    "discard", "pop", "popleft", "popitem", "clear", "update",
+    "setdefault", "get", "keys", "values", "items", "copy", "count",
+    "index", "sort", "reverse", "split", "join", "strip", "format",
+    "encode", "decode",
+})
 
-    DET002 catches ``np.random.default_rng(...)`` spelled at the call
-    site; this rule catches the two ways the same second seeding root
-    hides from it: a module-level *alias* of a banned constructor
-    (``_mk = np.random.default_rng``; calling ``_mk`` looks innocent
-    per-file), and a helper that *returns* an ad-hoc generator so its
-    callers receive unregistered randomness N hops away. The
-    ``RngRegistry`` module itself stays exempt — wrappers that bottom
-    out in a named registry stream are the sanctioned pattern and are
-    not flagged.
+_SET_ANNOTATIONS = {"set", "Set", "frozenset", "FrozenSet", "AbstractSet",
+                    "MutableSet"}
+
+
+def _returns_set(func: FuncDef) -> bool:
+    """Whether *func* is annotated ``-> Set[...]`` or every value it
+    returns is syntactically a set (what DET004 calls a set expression,
+    locals bound to one included)."""
+    annotation = func.returns
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    name = dotted_name(annotation) if annotation is not None else None
+    if name is not None and name.rpartition(".")[2] in _SET_ANNOTATIONS:
+        return True
+    tracker = SetExprTracker()
+    returned: List[bool] = []
+    for stmt in statements_in_order(func):
+        if isinstance(stmt, ast.Return) and stmt.value is not None:
+            returned.append(tracker.is_set_expr(stmt.value))
+        tracker.observe(stmt)
+    return bool(returned) and all(returned)
+
+
+def set_returning_names(trees: Iterable[ast.Module]) -> FrozenSet[str]:
+    """Bare function names that mean "a set comes back" across *trees*.
+
+    A name qualifies when *every* function or method so named returns a
+    set, so a call site can be judged by the name alone: no symbol
+    table, no import resolution. Builtin container verbs never qualify.
     """
-
-    id = "DET006"
-    severity = Severity.ERROR
-    title = "RNG construction laundered through helpers"
-    rationale = ("every generator must trace back to a named RngRegistry "
-                 "stream, even through aliases and wrapper functions")
-
-    def _exempt(self, index: "ProjectIndex", module: str) -> bool:
-        summary = index.files.get(module)
-        if summary is None:
-            return True
-        return summary.path.replace("\\", "/").endswith(_RNG_EXEMPT_SUFFIX)
-
-    def check_project(self,
-                      index: "ProjectIndex") -> Iterator[Finding]:
-        # Seed set: functions in non-exempt modules that return an
-        # ad-hoc generator directly (or via a module-level alias).
-        sources: Set[str] = set()
-        for qual in sorted(index.functions):
-            fn = index.functions[qual]
-            if fn.returns_rng and not self._exempt(
-                    index, qual.split(":", 1)[0]):
-                sources.add(qual)
-        # Propagate through return-value indirection to a fixpoint.
-        changed = True
-        while changed:
-            changed = False
-            for qual in sorted(index.functions):
-                if qual in sources:
-                    continue
-                fn = index.functions[qual]
-                for expr in fn.return_calls:
-                    target = index.resolve_call(fn, expr)
-                    if target in sources:
-                        sources.add(qual)
-                        changed = True
-                        break
-        for qual in sorted(index.functions):
-            fn = index.functions[qual]
-            module = qual.split(":", 1)[0]
-            if self._exempt(index, module):
-                continue
-            path = index.files[module].path
-            for line, col, alias in fn.rng_alias_calls:
-                yield self.at(
-                    path, line, col,
-                    f"call through '{alias}', a module-level alias of a "
-                    "banned numpy RNG constructor; draw from a named "
-                    "RngRegistry stream instead")
-            for expr in fn.return_calls:
-                target = index.resolve_call(fn, expr)
-                if target in sources:
-                    yield self.at(
-                        path, fn.line, fn.col,
-                        f"'{fn.name}' returns the ad-hoc RNG constructed "
-                        f"in '{target}'; thread a named RngRegistry "
-                        "stream through instead")
-                    break
+    verdict: Dict[str, bool] = {}
+    for tree in trees:
+        for func in iter_functions(tree):
+            verdict[func.name] = verdict.get(func.name, True) and \
+                _returns_set(func)
+    return frozenset(name for name, every in verdict.items()
+                     if every and name not in _BUILTIN_METHOD_NAMES)
 
 
 @register
-class UnorderedEscapeRule(ProjectRule):
+class UnorderedEscapeRule(Rule):
     """DET007: iterating a set returned across a function boundary.
 
     DET004 sees ``for x in some_set`` inside one file; it cannot know
     that ``monitor.active_local_jobs()`` three modules away returns a
-    set. This rule marks every function whose returns are set-valued
-    (literals, comprehensions, ``set()`` calls, or a ``-> set``
-    annotation) and flags call sites that iterate the result directly
-    in a for-loop or comprehension — the order then leaks into whatever
-    the loop schedules. ``sorted(...)`` at the call site silences it.
+    set. This rule flags a for-loop or comprehension whose iterable is
+    a call to one of ``module.set_returning`` — the order then leaks
+    into whatever the loop schedules. ``sorted(...)`` at the call site
+    silences it.
     """
 
     id = "DET007"
@@ -363,22 +352,25 @@ class UnorderedEscapeRule(ProjectRule):
     rationale = ("a set-returning helper plus a bare for-loop at the "
                  "caller reorders events across runs; sort at the "
                  "iteration site")
+    scopes = ("src",)
 
-    def check_project(self,
-                      index: "ProjectIndex") -> Iterator[Finding]:
-        for qual in sorted(index.functions):
-            fn = index.functions[qual]
-            module = qual.split(":", 1)[0]
-            for call in fn.calls:
-                if not call.in_iter:
+    def check(self, module: Module) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.For, ast.AsyncFor)):
+                iters = [node.iter]
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                   ast.GeneratorExp)):
+                iters = [gen.iter for gen in node.generators]
+            else:
+                continue
+            for call in iters:
+                if not isinstance(call, ast.Call):
                     continue
-                target = index.resolve_call(fn, call.expr)
-                if target is None:
-                    continue
-                callee = index.functions.get(target)
-                if callee is None or not callee.returns_set:
-                    continue
-                yield self.at(
-                    index.files[module].path, call.line, call.col,
-                    f"iterating the set returned by '{target}' in "
-                    "arbitrary order; wrap the call in sorted(...)")
+                func = call.func
+                name = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if name in module.set_returning:
+                    yield self.finding(
+                        module, call,
+                        f"iterating the set returned by '{name}()' in "
+                        "arbitrary order; wrap the call in sorted(...)")

@@ -1,41 +1,28 @@
 """File discovery, rule execution, reporting, and the CLI.
 
-``python -m repro lint [paths]`` walks the given files/directories and
-runs two passes: the per-file rules (cached by content hash in
-``.lint_cache/``), then the whole-program rules over a
-:class:`~repro.lint.graph.ProjectIndex` built from every src-scope
-file's semantic summary. Inline waivers and the committed baseline are
-subtracted at the end — project findings anchor in ordinary files, so
-both apply to them unchanged — and the run exits non-zero iff a *new*
-error- or warning-severity finding remains. ``--write-baseline``
-grandfathers the current state; ``--strict`` makes advisories fail
-too; ``--format sarif|github`` renders CI-consumable output.
+``python -m repro lint [paths]`` parses the given files / directories,
+collects the one cross-file fact a rule needs (the names of the
+set-returning functions, for DET007), runs every rule on every file and
+subtracts the inline waivers. The run exits non-zero iff a finding
+remains; a waiver with its reason is the only way to excuse one.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import json
 import os
-import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .baseline import Baseline, BaselineError
-from .cache import DEFAULT_CACHE_DIR, LintCache
-from .core import Finding, Module, ProjectRule, Rule, Severity, all_rules
-from .formats import FORMATS, to_github, to_sarif
-from .graph import FileSummary, ProjectIndex, summarize_module
+from .core import Finding, Module, Rule, Severity, all_rules
+from .rules.det import set_returning_names
 from .waivers import collect_waivers, stale_waiver_findings
 
-__all__ = ["LintResult", "lint_paths", "lint_source", "main",
-           "DEFAULT_BASELINE"]
-
-DEFAULT_BASELINE = "LINT_BASELINE.json"
+__all__ = ["LintResult", "lint_paths", "lint_source", "main"]
 
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules", ".mypy_cache",
-              ".ruff_cache", ".lint_cache", "fixtures"}
+              ".ruff_cache", "fixtures"}
 
 
 def _discover(paths: Sequence[str]) -> List[str]:
@@ -71,229 +58,128 @@ def path_scope(path: str) -> str:
 
 @dataclass
 class LintResult:
-    """Everything one run produced, pre-partitioned."""
+    """Everything one run produced."""
 
-    new: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)
+    files: int = 0
     waived_count: int = 0
-    modules: Dict[str, Module] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    def failures(self, strict: bool = False) -> List[Finding]:
-        """New findings that fail the run (advisories only when *strict*)."""
-        return [f for f in self.new if f.severity.fails or strict]
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.failures() else 0
+        return 1 if self.findings else 0
 
 
-def _parse_module(path: str, source: str) -> Tuple[Optional[Module],
-                                                   Optional[Finding]]:
+def _parse_module(path: str, source: str) -> Union[Module, Finding]:
+    """The parsed module, or the LINT000 finding for its syntax error."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return None, Finding(
+        return Finding(
             rule="LINT000", severity=Severity.ERROR, path=path,
             line=exc.lineno or 1, col=exc.offset or 0,
             message=f"syntax error: {exc.msg}")
     return Module(path=path, source=source, tree=tree,
-                  scope=path_scope(path)), None
+                  scope=path_scope(path))
 
 
-def _split_rules(rules: Sequence[Rule]) -> Tuple[List[Rule],
-                                                 List[ProjectRule]]:
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    return file_rules, project_rules
-
-
-def lint_paths(paths: Sequence[str],
-               baseline: Optional[Baseline] = None,
-               select: Optional[Sequence[str]] = None,
-               cache: Optional[LintCache] = None) -> LintResult:
-    """Lint every file under *paths* against the registered rules.
-
-    Pass 1 runs the per-file rules and extracts each src-scope file's
-    semantic summary (both served from *cache* when the content hash
-    matches); pass 2 assembles the :class:`ProjectIndex` and runs the
-    whole-program rules. Waivers, LINT001/002 meta-findings, and the
-    baseline split happen after both passes so they see every finding.
-    """
+def _selected(select: Optional[Sequence[str]]) -> List[Rule]:
     rules = all_rules()
     if select:
         wanted = set(select)
         rules = [r for r in rules if r.id in wanted]
-        cache = None    # cached artifacts always carry the full rule set
-    file_rules, project_rules = _split_rules(rules)
+    return rules
 
+
+def _check(module: Module, rules: Sequence[Rule],
+           full: bool) -> Tuple[List[Finding], int]:
+    """What *rules* find in *module* after its waivers, plus the waiver
+    meta-findings (LINT001; LINT002 only on a *full* run — a selection
+    cannot tell a stale waiver from one for a rule that did not run),
+    and how many findings the waivers suppressed."""
+    waivers, findings = collect_waivers(module)
+    raw = [f for rule in rules if rule.applies_to(module)
+           for f in rule.check(module)]
+    kept = [f for f in raw if not waivers.suppresses(f)]
+    findings.extend(kept)
+    if full:
+        findings.extend(stale_waiver_findings(module, waivers))
+    return findings, len(raw) - len(kept)
+
+
+def _in_order(findings: List[Finding]) -> List[Finding]:
+    return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
+
+
+def lint_paths(paths: Sequence[str],
+               select: Optional[Sequence[str]] = None) -> LintResult:
+    """Lint every file under *paths* against the registered rules."""
+    rules = _selected(select)
     result = LintResult()
-    findings: List[Finding] = []
-    raw_by_path: Dict[str, List[Finding]] = {}
-    summaries: List[FileSummary] = []
-
+    modules: List[Module] = []
     for path in _discover(paths):
         rel = os.path.relpath(path).replace("\\", "/")
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 source = fh.read()
         except OSError as exc:
-            findings.append(Finding(
+            result.findings.append(Finding(
                 rule="LINT000", severity=Severity.ERROR, path=rel,
                 line=1, col=0, message=f"cannot read file: {exc}"))
             continue
-        scope = path_scope(rel)
-        cached = cache.load(rel, source) if cache is not None else None
-        if cached is not None:
-            raw, summary = cached
-            module = Module(path=rel, source=source, tree=None, scope=scope)
+        parsed = _parse_module(rel, source)
+        if isinstance(parsed, Finding):
+            result.findings.append(parsed)
         else:
-            module, parse_error = _parse_module(rel, source)
-            if parse_error is not None:
-                findings.append(parse_error)
-                continue
-            assert module is not None
-            raw = []
-            for rule in file_rules:
-                if rule.applies_to(module):
-                    raw.extend(rule.check(module))
-            summary = summarize_module(module) if scope == "src" else None
-            if cache is not None:
-                cache.store(rel, source, raw, summary)
-        result.modules[rel] = module
-        raw_by_path[rel] = raw
-        if summary is not None and scope == "src":
-            summaries.append(summary)
-    if cache is not None:
-        result.cache_hits = cache.hits
-        result.cache_misses = cache.misses
-
-    # ---- whole-program pass ------------------------------------------
-    if project_rules and summaries:
-        index = ProjectIndex(summaries)
-        for project_rule in project_rules:
-            for finding in project_rule.check_project(index):
-                raw_by_path.setdefault(finding.path, []).append(finding)
-
-    # ---- waivers + meta-findings -------------------------------------
-    for rel in sorted(result.modules):
-        module = result.modules[rel]
-        waivers, waiver_problems = collect_waivers(module)
-        findings.extend(waiver_problems)
-        raw = raw_by_path.get(rel, [])
-        kept = [f for f in raw if not waivers.suppresses(f)]
-        result.waived_count += len(raw) - len(kept)
-        findings.extend(kept)
-        findings.extend(stale_waiver_findings(module, waivers))
-
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    baseline = baseline or Baseline()
-    result.new, result.baselined = baseline.split(findings, result.modules)
+            modules.append(parsed)
+    names = set_returning_names(m.tree for m in modules if m.scope == "src")
+    for module in modules:
+        module.set_returning = names
+        findings, waived = _check(module, rules, full=not select)
+        result.findings.extend(findings)
+        result.waived_count += waived
+    result.files = len(modules)
+    result.findings = _in_order(result.findings)
     return result
 
 
 def lint_source(source: str, path: str = "src/repro/snippet.py",
                 select: Optional[Sequence[str]] = None,
-                project: bool = False) -> List[Finding]:
+                set_returning: Optional[FrozenSet[str]] = None
+                ) -> List[Finding]:
     """Lint one in-memory snippet (the unit-test entry point).
 
     *path* controls rule scoping ("src" vs "tests") and exemptions.
-    With ``project=True`` the whole-program rules also run, over an
-    index containing just this one module.
+    *set_returning* is the project's name table for DET007; by default
+    it is collected from the snippet alone.
     """
-    module, parse_error = _parse_module(path, source)
-    if parse_error is not None:
-        return [parse_error]
-    assert module is not None
-    rules = all_rules()
-    if select:
-        wanted = set(select)
-        rules = [r for r in rules if r.id in wanted]
-    file_rules, project_rules = _split_rules(rules)
-
-    waivers, waiver_problems = collect_waivers(module)
-    findings: List[Finding] = list(waiver_problems)
-    raw: List[Finding] = []
-    for rule in file_rules:
-        if rule.applies_to(module):
-            raw.extend(rule.check(module))
-    if project and project_rules and module.scope == "src":
-        assert module.tree is not None
-        index = ProjectIndex([summarize_module(module)])
-        for project_rule in project_rules:
-            raw.extend(project_rule.check_project(index))
-    findings.extend(f for f in raw if not waivers.suppresses(f))
-    findings.extend(stale_waiver_findings(module, waivers))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    module = _parse_module(path, source)
+    if isinstance(module, Finding):
+        return [module]
+    if set_returning is None:
+        set_returning = set_returning_names([module.tree])
+    module.set_returning = set_returning
+    findings, _waived = _check(module, _selected(select), full=not select)
+    return _in_order(findings)
 
 
 def _print_catalogue() -> None:
     for rule in all_rules():
         scopes = ",".join(rule.scopes)
-        kind = "project" if isinstance(rule, ProjectRule) else "file"
-        print(f"{rule.id}  [{rule.severity.value:8s}] ({scopes}; {kind}) "
+        print(f"{rule.id}  [{rule.severity.value:7s}] ({scopes}) "
               f"{rule.title}")
         print(f"        {rule.rationale}")
-
-
-def _render(args: "argparse.Namespace", result: LintResult,
-            rules: List[Rule]) -> str:
-    """The full report in the requested format."""
-    if args.format == "sarif":
-        return json.dumps(to_sarif(result.new, rules), indent=2,
-                          sort_keys=True) + "\n"
-    lines: List[str] = []
-    if args.format == "github":
-        lines.extend(to_github(result.new))
-    else:
-        lines.extend(f.render() for f in result.new)
-        lines.extend(f"{f.render()}  [baselined]" for f in result.baselined)
-    errors = sum(1 for f in result.new if f.severity is Severity.ERROR)
-    warnings = sum(1 for f in result.new if f.severity is Severity.WARNING)
-    advisories = sum(1 for f in result.new
-                     if f.severity is Severity.ADVISORY)
-    cache_note = ""
-    if result.cache_hits or result.cache_misses:
-        cache_note = (f", cache {result.cache_hits}/"
-                      f"{result.cache_hits + result.cache_misses} hits")
-    lines.append(f"{len(result.modules)} files: {errors} errors, "
-                 f"{warnings} warnings, {advisories} advisories "
-                 f"({len(result.baselined)} baselined, "
-                 f"{result.waived_count} waived{cache_note})")
-    return "\n".join(lines) + "\n"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point for ``python -m repro lint``; returns exit code."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="AST + whole-program determinism & protocol analyzer "
+        description="AST determinism & sim-safety analyzer "
                     "(same seed => same trace, enforced statically).")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
-    parser.add_argument("--baseline", default=None,
-                        help=f"baseline file (default: {DEFAULT_BASELINE} "
-                             "if it exists)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="grandfather all current findings and exit 0")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
     parser.add_argument("--select", default=None,
                         help="comma-separated rule ids to run")
-    parser.add_argument("--strict", action="store_true",
-                        help="advisories also fail the run")
-    parser.add_argument("--format", choices=FORMATS, default="text",
-                        help="report format (default: text)")
-    parser.add_argument("--output", default=None,
-                        help="write the report to this file instead of "
-                             "stdout")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental per-file cache")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="cache directory (default: "
-                             f"{DEFAULT_CACHE_DIR})")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     args = parser.parse_args(argv)
@@ -302,46 +188,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _print_catalogue()
         return 0
 
-    baseline_path = args.baseline or (
-        DEFAULT_BASELINE if os.path.exists(DEFAULT_BASELINE) else None)
-    if args.no_baseline:
-        baseline_path = None
-    try:
-        baseline = Baseline.load_or_empty(baseline_path)
-    except BaselineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     select = [s.strip() for s in args.select.split(",")] if args.select \
         else None
-    cache = None if args.no_cache else LintCache(args.cache_dir)
-    paths = args.paths or ["src"]
-    result = lint_paths(paths, baseline=baseline, select=select,
-                        cache=cache)
-
-    if args.write_baseline:
-        out = args.baseline or DEFAULT_BASELINE
-        all_findings = result.new + result.baselined
-        Baseline.from_findings(all_findings, result.modules,
-                               path=out).save()
-        print(f"wrote {out} ({len(all_findings)} grandfathered findings)")
-        return 0
-
-    report = _render(args, result, all_rules())
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report)
-        if args.format != "text":
-            # still give the terminal the one-line verdict
-            print(report.rstrip("\n").splitlines()[-1]
-                  if args.format == "github" else
-                  f"wrote {args.format} report to {args.output}")
-    else:
-        sys.stdout.write(report)
-
-    failures = result.failures(strict=args.strict)
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    result = lint_paths(args.paths, select=select)
+    for finding in result.findings:
+        print(finding.render())
+    errors = sum(1 for f in result.findings if f.severity is Severity.ERROR)
+    print(f"{result.files} files: {errors} errors, "
+          f"{len(result.findings) - errors} warnings "
+          f"({result.waived_count} waived)")
+    return result.exit_code

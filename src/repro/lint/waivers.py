@@ -112,11 +112,11 @@ def _comment_lines(module: Module) -> Iterator[Tuple[int, str, bool]]:
 
 def stale_waiver_findings(module: Module,
                           waivers: WaiverSet) -> List[Finding]:
-    """LINT002 advisories for waivers that suppressed nothing."""
+    """LINT002 for each waiver that suppressed nothing."""
     out: List[Finding] = []
     for waiver in waivers.stale():
         out.append(Finding(
-            rule="LINT002", severity=Severity.ADVISORY,
+            rule="LINT002", severity=Severity.WARNING,
             path=module.path, line=waiver.comment_line, col=0,
             message=f"stale waiver for {', '.join(waiver.rules)}: "
                     "no finding on its target line"))

@@ -5,15 +5,14 @@ Public surface:
 - :class:`Engine` — the kernel: clock + event heap.
 - :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`AllOf`,
   :class:`AnyOf` — concurrency primitives.
-- :class:`Store`, :class:`PriorityStore`, :class:`Resource`,
-  :class:`BandwidthPipe` — shared resources.
+- :class:`BandwidthPipe` — the serialising link.
 - :class:`RngRegistry` — named deterministic random streams.
 """
 
 from .engine import Engine
 from .process import (AllOf, AnyOf, Condition, Event, Process, Ticker,
                       Timeout)
-from .resources import BandwidthPipe, PriorityStore, Resource, Store
+from .resources import BandwidthPipe
 from .rng import RngRegistry, stable_hash
 
 __all__ = [
@@ -25,9 +24,6 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
-    "Store",
-    "PriorityStore",
-    "Resource",
     "BandwidthPipe",
     "RngRegistry",
     "stable_hash",

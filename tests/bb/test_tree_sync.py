@@ -129,6 +129,27 @@ class TestDispatch:
         with pytest.raises(ReproError, match=repr(body.get("kind"))):
             ctl.handle_sync(SimpleNamespace(body=body))
 
+    def test_unknown_control_kind_is_answered_with_an_error_naming_it(self):
+        # The control surface (register / heartbeat / goodbye share one
+        # dispatcher) replies instead of raising: its caller is a client.
+        cluster = _sync_only_cluster(n_servers=2, until=0.1)
+        replies = []
+        cluster.servers["bb0"]._on_control(SimpleNamespace(
+            body={"kind": "goodby", "client_id": "c0", "job": 1},
+            reply=replies.append))
+        assert len(replies) == 1 and replies[0]["ok"] is False
+        assert "'goodby'" in replies[0]["error"]
+
+    @pytest.mark.parametrize("kind", ["register", "heartbeat"])
+    def test_control_body_without_job_fails_at_the_server(self, kind):
+        cluster = _sync_only_cluster(n_servers=2, until=0.1)
+        replies = []
+        with pytest.raises(KeyError, match="job"):
+            cluster.servers["bb0"]._on_control(SimpleNamespace(
+                body={"kind": kind, "client_id": "c0"},
+                reply=replies.append))
+        assert replies == []
+
 
 class TestConfigValidation:
     def test_defaults_are_flat_and_no_skip(self):

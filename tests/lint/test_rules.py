@@ -1,8 +1,11 @@
 """Per-rule fixture tests: one positive and one negative snippet each."""
 
+import ast
+
 import pytest
 
 from repro.lint import lint_source
+from repro.lint.rules.det import set_returning_names
 
 SRC = "src/repro/somewhere/mod.py"      # src scope
 TEST = "tests/somewhere/test_mod.py"    # tests scope
@@ -59,6 +62,24 @@ class TestAdHocNumpyRng:
                "g = np.random.Generator(np.random.PCG64(1))\n")
         assert hits(src, "DET002")
         assert not hits(src, "DET002", path="src/repro/sim/rng.py")
+
+    def test_alias_flagged_at_the_assignment(self):
+        # A reference launders every later call through the alias.
+        src = ("import numpy as np\n"
+               "_mk = np.random.default_rng\n"
+               "rng = _mk(0)\n")
+        assert [f.line for f in hits(src, "DET002")] == [2]
+
+    def test_call_reported_once(self):
+        src = "import numpy as np\nrng = np.random.default_rng(0)\n"
+        assert len(hits(src, "DET002")) == 1
+
+    def test_annotations_construct_nothing(self):
+        src = ("import numpy as np\n"
+               "def f(rng: np.random.Generator) -> np.random.Generator:\n"
+               "    held: np.random.Generator = rng\n"
+               "    return held\n")
+        assert not hits(src, "DET002")
 
 
 # ------------------------------------------------------------------ DET003
@@ -137,6 +158,48 @@ class TestIdOrdering:
     def test_repr_id_allowed(self):
         # id() for debugging output is fine; only ordering/hashing is not.
         assert not hits("label = f'<obj at {id(self):#x}>'\n", "DET005")
+
+
+# ------------------------------------------------------------------ DET007
+@pytest.mark.parametrize("snippet,expect", [
+    ("def f():\n    return set(a) | set(b)\n", True),
+    ("def f():\n    return {1, 2}\n", True),
+    ("def f():\n    return sorted(set(a))\n", False),
+    ("def f():\n    return list(a)\n", False),
+], ids=["union", "literal", "sorted", "list"])
+def test_returns_set_detection(snippet, expect):
+    assert (set_returning_names([ast.parse(snippet)]) == {"f"}) is expect
+
+
+class TestUnorderedEscape:
+    HELPER = "def live(self):\n    return set(self.jobs)\n"
+
+    def test_loop_and_comprehension_over_the_call_flagged(self):
+        src = (self.HELPER + "for j in monitor.live():\n    wake(j)\n"
+               "order = [j for j in live()]\n")
+        assert [f.line for f in hits(src, "DET007")] == [3, 5]
+
+    def test_annotation_and_tainted_local_count_as_set_returns(self):
+        src = ("def a(x) -> Set[int]:\n    return x\n"
+               "def b(x):\n    out = set(x)\n    return out\n"
+               "for j in a(1):\n    pass\n"
+               "for j in b(1):\n    pass\n")
+        assert [f.line for f in hits(src, "DET007")] == [6, 8]
+
+    def test_sorted_wrapper_clean(self):
+        assert not hits(self.HELPER + "for j in sorted(live()):\n    pass\n",
+                        "DET007")
+
+    def test_name_shared_with_a_non_set_function_clean(self):
+        src = (self.HELPER + "class Other:\n"
+               "    def live(self):\n        return [1]\n"
+               "for j in monitor.live():\n    pass\n")
+        assert not hits(src, "DET007")
+
+    def test_builtin_container_verb_clean(self):
+        src = ("def keys(self):\n    return set(self.d)\n"
+               "for k in mapping.keys():\n    pass\n")
+        assert not hits(src, "DET007")
 
 
 # ------------------------------------------------------------------ SIM001
@@ -311,7 +374,9 @@ class TestFramework:
         )
         assert lint_source(src) == []
 
-    def test_advisories_do_not_fail(self):
-        from repro.lint import Severity
-        assert not Severity.ADVISORY.fails
-        assert Severity.ERROR.fails and Severity.WARNING.fails
+    def test_partial_run_reports_no_stale_waiver(self):
+        # A selection cannot tell a stale waiver from one whose rule
+        # did not run.
+        src = ("import time\n"
+               "x = time.time()  # lint: disable=DET003 -- host metadata\n")
+        assert lint_source(src, select=["DET001"]) == []

@@ -54,7 +54,7 @@ class TestWaivers:
         src = "y = 1  # lint: disable=DET004 -- nothing here anymore\n"
         findings = lint_source(src)
         assert rules_of(findings) == {"LINT002"}
-        assert findings[0].severity.value == "advisory"
+        assert findings[0].severity.value == "warning"  # fails the run
 
     def test_used_waiver_not_stale(self):
         src = ("import time\n"

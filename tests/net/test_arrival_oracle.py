@@ -131,7 +131,7 @@ def test_down_source_reserves_no_nic_time():
     assert ev.triggered and ev.value.size == 10 ** 9
     assert eng.stats()["scheduled_total"] == before + 1
     assert fabric.node("a").tx.bytes_moved == 0
-    assert fabric.node("a").tx.busy_until == eng.now
+    assert fabric.node("a").tx.reserve(0) == eng.now
     eng.run()
     assert eng.now == 0.0 and fabric.dropped_messages == 1
     assert len(fabric.node("z").queue) == 0

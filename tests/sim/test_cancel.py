@@ -133,33 +133,6 @@ def test_compaction_preserves_live_ordering():
 
 
 # -------------------------------------------------- cancellation downstream
-def test_resource_release_skips_cancelled_waiter():
-    from repro.sim import Resource
-    eng = Engine()
-    res = Resource(eng, capacity=1)
-    first = res.request()
-    quitter = res.request()
-    third = res.request()
-    quitter.cancel()
-    res.release(first)
-    eng.run()
-    assert third.processed and third.ok
-    assert not quitter.processed
-
-
-def test_store_dispatch_skips_cancelled_getter():
-    from repro.sim import Store
-    eng = Engine()
-    store = Store(eng)
-    quitter = store.get()
-    keeper = store.get()
-    quitter.cancel()
-    store.put("x")
-    eng.run()
-    assert keeper.processed and keeper.value == "x"
-    assert not quitter.processed
-
-
 def test_lock_wake_skips_cancelled_waiter():
     from repro.fs.locking import RangeLockTable
     eng = Engine()

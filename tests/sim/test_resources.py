@@ -1,11 +1,14 @@
-"""Tests for Store, PriorityStore, Resource, and BandwidthPipe."""
+"""Tests for BandwidthPipe, and for the Store the dispatcher oracle in
+``tests/ucx/test_progress_oracle.py`` is built on (it lived in
+``repro.sim`` until the fabric's inbox stopped being one)."""
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import BandwidthPipe, Engine, PriorityStore, Resource, Store
+from repro.sim import BandwidthPipe, Engine
+from tests.ucx.test_progress_oracle import Store
 
 
 @pytest.fixture
@@ -88,160 +91,32 @@ class TestStore:
         assert len(store) == 2
 
 
-class TestPriorityStore:
-    def test_get_returns_smallest(self, eng):
-        store = PriorityStore(eng)
-        got = []
-
-        def run():
-            yield store.put((3, "c"))
-            yield store.put((1, "a"))
-            yield store.put((2, "b"))
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item[1])
-
-        eng.process(run())
-        eng.run()
-        assert got == ["a", "b", "c"]
-
-    def test_try_get_pops_min(self, eng):
-        store = PriorityStore(eng)
-        store.put((5, "z"))
-        store.put((1, "a"))
-        eng.run()
-        assert store.try_get() == (1, "a")
-
-
-class TestResource:
-    def test_exclusive_access_serialises(self, eng):
-        res = Resource(eng, capacity=1)
-        trail = []
-
-        def user(tag, hold):
-            req = res.request()
-            yield req
-            trail.append((tag, "in", eng.now))
-            yield eng.timeout(hold)
-            res.release(req)
-            trail.append((tag, "out", eng.now))
-
-        eng.process(user("A", 2.0))
-        eng.process(user("B", 1.0))
-        eng.run()
-        assert trail == [
-            ("A", "in", pytest.approx(0.0)),
-            ("A", "out", pytest.approx(2.0)),
-            ("B", "in", pytest.approx(2.0)),
-            ("B", "out", pytest.approx(3.0)),
-        ]
-
-    def test_capacity_allows_concurrency(self, eng):
-        res = Resource(eng, capacity=2)
-        starts = []
-
-        def user(tag):
-            req = res.request()
-            yield req
-            starts.append((tag, eng.now))
-            yield eng.timeout(1.0)
-            res.release(req)
-
-        for tag in "abc":
-            eng.process(user(tag))
-        eng.run()
-        assert starts == [
-            ("a", pytest.approx(0.0)),
-            ("b", pytest.approx(0.0)),
-            ("c", pytest.approx(1.0)),
-        ]
-
-    def test_release_without_hold_raises(self, eng):
-        res = Resource(eng)
-        stray = eng.event()
-        with pytest.raises(SimulationError):
-            res.release(stray)
-
-    def test_count_and_queued(self, eng):
-        res = Resource(eng, capacity=1)
-        r1 = res.request()
-        res.request()
-        assert res.count == 1
-        assert res.queued == 1
-        res.release(r1)
-        assert res.count == 1  # waiter promoted
-        assert res.queued == 0
-
-
 class TestBandwidthPipe:
     def test_transfer_time_is_size_over_rate(self, eng):
         pipe = BandwidthPipe(eng, rate=100.0)
-        done_at = []
-
-        def proc():
-            yield pipe.transfer(250.0)
-            done_at.append(eng.now)
-
-        eng.process(proc())
-        eng.run()
-        assert done_at == [pytest.approx(2.5)]
+        assert pipe.reserve(250.0) == pytest.approx(2.5)
 
     def test_transfers_serialise(self, eng):
         pipe = BandwidthPipe(eng, rate=100.0)
-        done = []
-
-        def proc(tag, size):
-            yield pipe.transfer(size)
-            done.append((tag, eng.now))
-
-        eng.process(proc("first", 100.0))
-        eng.process(proc("second", 100.0))
-        eng.run()
-        assert done == [("first", pytest.approx(1.0)), ("second", pytest.approx(2.0))]
+        assert pipe.reserve(100.0) == pytest.approx(1.0)
+        assert pipe.reserve(100.0) == pytest.approx(2.0)
 
     def test_latency_added_after_serialisation(self, eng):
         pipe = BandwidthPipe(eng, rate=100.0, latency=0.5)
-        done = []
-
-        def proc():
-            yield pipe.transfer(100.0)
-            done.append(eng.now)
-
-        eng.process(proc())
-        eng.run()
-        assert done == [pytest.approx(1.5)]
+        assert pipe.reserve(100.0) == pytest.approx(1.5)
+        # ... per transfer, not to the pipe's own drain time.
+        assert pipe.reserve(100.0) == pytest.approx(2.5)
 
     def test_idle_pipe_restarts_from_now(self, eng):
         pipe = BandwidthPipe(eng, rate=100.0)
-        done = []
-
-        def proc():
-            yield pipe.transfer(100.0)
-            yield eng.timeout(10.0)  # pipe idles
-            yield pipe.transfer(100.0)
-            done.append(eng.now)
-
-        eng.process(proc())
-        eng.run()
-        assert done == [pytest.approx(12.0)]
-
-    def test_eta_matches_actual_completion(self, eng):
-        pipe = BandwidthPipe(eng, rate=50.0, latency=0.1)
-        eta = pipe.eta(100.0)
-        done = []
-
-        def proc():
-            yield pipe.transfer(100.0)
-            done.append(eng.now)
-
-        eng.process(proc())
-        eng.run()
-        assert done == [pytest.approx(eta)]
+        assert pipe.reserve(100.0) == pytest.approx(1.0)
+        eng.run(until=11.0)  # pipe idles
+        assert pipe.reserve(100.0) == pytest.approx(12.0)
 
     def test_bytes_moved_accumulates(self, eng):
         pipe = BandwidthPipe(eng, rate=10.0)
-        pipe.transfer(30.0)
-        pipe.transfer(20.0)
+        pipe.reserve(30.0)
+        pipe.reserve(20.0)
         assert pipe.bytes_moved == 50
 
     def test_invalid_parameters(self, eng):
@@ -251,24 +126,7 @@ class TestBandwidthPipe:
             BandwidthPipe(eng, rate=1.0, latency=-1.0)
         pipe = BandwidthPipe(eng, rate=1.0)
         with pytest.raises(SimulationError):
-            pipe.transfer(-5.0)
-
-
-def test_pipe_reserve_is_the_time_transfer_fires_at():
-    eng = Engine(start=0.7)
-    reserved, fired = BandwidthPipe(eng, rate=3.0, latency=0.1), \
-        BandwidthPipe(eng, rate=3.0, latency=0.1)
-    times = []
-    for nbytes in (1, 10, 0):
-        when = reserved.reserve(nbytes)
-        fired.transfer(nbytes).callbacks.append(
-            lambda _ev, when=when: times.append((eng.now, when)))
-    eng.run()
-    assert len(times) == 3 and all(now == when for now, when in times)
-    assert reserved.bytes_moved == fired.bytes_moved == 11
-    assert reserved.busy_until == fired.busy_until
-    with pytest.raises(SimulationError):
-        reserved.reserve(-1)
+            pipe.reserve(-5.0)
 
 
 @given(st.lists(st.tuples(
@@ -320,11 +178,3 @@ def test_store_put_nowait_needs_room():
     store.put_nowait("a")
     with pytest.raises(SimulationError):
         store.put_nowait("b")
-
-
-def test_priority_store_put_nowait_keeps_heap_order():
-    eng = Engine()
-    store = PriorityStore(eng)
-    for item in (3, 1, 2):
-        store.put_nowait(item)
-    assert [store.try_get() for _ in range(3)] == [1, 2, 3]

@@ -238,11 +238,8 @@ class PathCacheMachine(RuleBasedStateMachine):
     crash-and-recover interleaving ran, the cached resolver answers
     every spelling of every name exactly as an uncached normalise ->
     ring -> ``node.paths`` lookup does (and as a plain set model says).
-
-    A removed name is never made again: single-node recovery replays the
-    whole journal against the live namespace, so an old unlink / rmdir
-    record would hit the re-created name (a journal defect recorded in
-    ROADMAP item E, not a cache one)."""
+    Removed names are made again, so single-node recovery replays
+    records about earlier incarnations of a live name."""
 
     NAMES = [f"/d{d}" + (f"/f{f}" if f else "") for d in (0, 1)
              for f in (0, 1, 2)]  # /d0, /d0/f1, /d0/f2, /d1, ...
@@ -252,12 +249,11 @@ class PathCacheMachine(RuleBasedStateMachine):
         super().__init__()
         self.fs = JournaledFS(["a", "b", "c"], 1 << 20)
         self.model = set()
-        self.retired = set()
 
     @rule(name=NAME)
     def make(self, name):
         parent = pathmod.split(name)[0]
-        if name in self.model | self.retired or (
+        if name in self.model or (
                 parent != "/" and parent not in self.model):
             return
         (self.fs.mkdir if parent == "/" else self.fs.create)(name)
@@ -271,7 +267,6 @@ class PathCacheMachine(RuleBasedStateMachine):
         (self.fs.rmdir if pathmod.split(name)[0] == "/"
          else self.fs.unlink)(name)
         self.model.discard(name)
-        self.retired.add(name)
 
     @rule(server=st.sampled_from(["a", "b", "c"]))
     def crash_and_recover(self, server):

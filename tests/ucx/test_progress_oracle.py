@@ -2,23 +2,93 @@
 
 Until PR 19 every ``UCPContext`` ran a process looping on ``yield
 inbox.get()`` over a ``Store`` the fabric filled. :class:`DispatcherContext`
-keeps that loop, and only here, as the oracle: random arrival schedules at
-one node — same-instant bursts, handlers that send, schedule zero-delay
+keeps that loop, and only here, as the oracle (with the :class:`Store`,
+which left ``repro.sim`` when its last reader did): random arrival
+schedules at one node — same-instant bursts, handlers that send, schedule zero-delay
 events, close a worker or take the context down with messages still queued
 — must produce the same delivery log through both, interleaving with the
 handlers' own events included, and the same drop ring.
 """
 
+from collections import deque
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.net import Fabric, Message
 from repro.net.fabric import NodeHandle
-from repro.sim import Engine, Store
+from repro.sim import Engine, Event
 from repro.ucx import UCPContext
 
 NODE = "z"
 WORKERS = ("w0", "w1")
+
+
+class Store:
+    """An unbounded-or-bounded FIFO queue of arbitrary items.
+
+    ``put(item)`` and ``get()`` both return events. With a finite
+    *capacity*, puts block while the store is full.
+    """
+
+    def __init__(self, engine, capacity=float("inf")):
+        if capacity <= 0:
+            raise SimulationError("capacity must be positive")
+        self.engine = engine
+        self.capacity = capacity
+        self.items = deque()
+        self._getters = deque()
+        self._putters = deque()
+
+    def __len__(self):
+        return len(self.items)
+
+    def put(self, item):
+        """Insert *item*; the returned event succeeds once the item is stored."""
+        ev = Event(self.engine)
+        self._putters.append((ev, item))
+        self._dispatch()
+        return ev
+
+    def put_nowait(self, item):
+        """Insert *item* with no completion event; the store must have
+        room (an unbounded store always has)."""
+        if self._putters or len(self.items) >= self.capacity:
+            raise SimulationError("put_nowait on a full store")
+        self.items.append(item)
+        if self._getters:
+            self._dispatch()
+
+    def get(self):
+        """Remove the oldest item; the event's value is the item."""
+        ev = Event(self.engine)
+        self._getters.append(ev)
+        self._dispatch()
+        return ev
+
+    def try_get(self):
+        """Non-blocking get: pop and return an item, or None if empty."""
+        if self.items:
+            item = self.items.popleft()
+            self._dispatch()
+            return item
+        return None
+
+    def _admit(self):
+        # Admit queued puts while there is room.
+        while self._putters and len(self.items) < self.capacity:
+            put_ev, item = self._putters.popleft()
+            self.items.append(item)
+            put_ev.succeed()
+
+    def _dispatch(self):
+        self._admit()
+        # Satisfy queued gets while items exist; an item left may
+        # unblock a putter.
+        while self._getters and self.items:
+            self._getters.popleft().succeed(self.items.popleft())
+            self._admit()
 
 
 class _StoreNode(NodeHandle):
