@@ -1,13 +1,12 @@
 """The ThemisIO burst-buffer system: servers, clients, cluster assembly."""
 
-from .cache import ClientCache
 from .client import Client, ClientConfig
 from .cluster import Cluster, ClusterConfig, make_scheduler
 from .controller import Controller
 from .monitor import JobMonitor
 from .request import IORequest, META_COST_BYTES, OpType
 from .server import Server, ServerConfig
-from .stats import ServerStats, cluster_summary, server_stats
+from .stats import ServerStats, server_stats
 from .worker import IOWorker
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "ServerConfig",
     "Client",
     "ClientConfig",
-    "ClientCache",
     "Controller",
     "JobMonitor",
     "IOWorker",
@@ -27,5 +25,4 @@ __all__ = [
     "META_COST_BYTES",
     "ServerStats",
     "server_stats",
-    "cluster_summary",
 ]

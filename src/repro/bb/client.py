@@ -30,7 +30,6 @@ from ..metrics.faultstats import FaultStats
 from ..net.fabric import Fabric
 from ..sim.process import Event
 from ..ucx import Address, RpcClient, UCPContext
-from .cache import ClientCache
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Engine
@@ -44,10 +43,6 @@ _HEADER_BYTES = 64
 @dataclass
 class ClientConfig:
     heartbeat_interval: float = 0.5
-    #: client read-cache size; 0 disables caching, as every experiment
-    #: in the paper does (§5.1).
-    cache_bytes: int = 0
-    cache_block: int = 1 << 20
     #: per-RPC timeout in seconds; 0 disables the fault-tolerant path
     #: entirely (requests wait forever, exactly the original behaviour —
     #: and the original event traces, bit for bit).
@@ -62,8 +57,6 @@ class ClientConfig:
     def __post_init__(self):
         if self.heartbeat_interval <= 0:
             raise ConfigError("heartbeat_interval must be positive")
-        if self.cache_bytes < 0:
-            raise ConfigError("cache_bytes must be >= 0")
         if self.rpc_timeout < 0:
             raise ConfigError("rpc_timeout must be >= 0")
         if self.retry_backoff <= 0 or self.retry_backoff_max < self.retry_backoff:
@@ -93,9 +86,6 @@ class Client:
         self._hb_sleep: Optional[Event] = None  # pending inter-beat timer
         self.closed = False
         self.ops_completed = 0
-        self.cache = (ClientCache(self.config.cache_bytes,
-                                  self.config.cache_block)
-                      if self.config.cache_bytes > 0 else None)
         #: fault tolerance on? (timeout + retry + failover + req ids)
         self._ft = self.config.rpc_timeout > 0
         self._rng = rng  # jitter source (optional; None = no jitter)
@@ -393,9 +383,7 @@ class Client:
         return (yield from self._io_call(server, "readdir", path))
 
     def unlink(self, path: str):
-        """Generator: remove *path*, invalidating any cached blocks."""
-        if self.cache is not None:
-            self.cache.invalidate_path(path)
+        """Generator: remove *path* on its metadata server."""
         server = self.fs.metadata_server(path)
         return (yield from self._io_call(server, "unlink", path))
 
@@ -408,8 +396,6 @@ class Client:
         bytes go to the exact chunks (verification paths).
         """
         inode = yield from self._require_inode(path)
-        if self.cache is not None:
-            self.cache.invalidate(path, offset, size)
         down = set()
         if isinstance(inode.stripe, ErasureSpec):
             # Degraded write: skip down share servers instead of
@@ -543,9 +529,6 @@ class Client:
         avail = max(0, min(size, inode.size - offset))
         if avail == 0:
             return 0
-        if self.cache is not None and self.cache.covers(path, offset, avail):
-            self.ops_completed += 1
-            return avail  # served locally, no server round trip
         per_server = self._split(inode, offset, avail)
         if isinstance(inode.stripe, ErasureSpec):
             down = {s for s in sorted(per_server)
@@ -573,8 +556,6 @@ class Client:
                     size=_HEADER_BYTES))
         results = yield self.engine.all_of(pending)
         self.ops_completed += 1
-        if self.cache is not None:
-            self.cache.fill(path, offset, avail)
         return sum(r["bytes"] for r in results)
 
     def _degraded_read(self, path: str, inode, offset: int, avail: int,

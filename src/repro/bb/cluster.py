@@ -72,8 +72,11 @@ class ClusterConfig:
     def __post_init__(self):
         if self.n_servers < 1:
             raise ConfigError("n_servers must be >= 1")
-        if self.stripe_count < 1:
-            raise ConfigError("stripe_count must be >= 1")
+        if self.stripe_count < 1 or self.stripe_size < 1:
+            raise ConfigError("stripe_count and stripe_size must be >= 1")
+        if self.storage_backend not in ("extent", "log"):
+            raise ConfigError(
+                f"unknown storage_backend {self.storage_backend!r}")
         if self.erasure is not None:
             k, n = self.erasure
             if not 1 <= k < n:
@@ -183,10 +186,6 @@ class Cluster:
         """Advance the simulation until *until* (or until idle)."""
         self.engine.run(until=until)
 
-    @property
-    def scheduler_name(self) -> str:
-        return next(iter(self.servers.values())).scheduler.name
-
     def total_served_bytes(self) -> int:
         """Data bytes served across every server."""
         return sum(server.served_bytes for server in self.servers.values())
@@ -211,22 +210,24 @@ class Cluster:
         inbound gather bytes per epoch-driving node (the fan-in hotspot
         the aggregation tree exists to flatten) and the Fig. 5 projection
         requests the controllers made against the solves they cost."""
-        totals = {
-            "sync_rounds": 0, "coordinated_rounds": 0,
-            "degraded_rounds": 0, "delta_pushes": 0, "full_pushes": 0,
-            "gather_delta_replies": 0, "gather_full_replies": 0,
-            "quiescent_skips": 0, "quiescent_replies": 0,
-            "push_hash_skips": 0, "basis_mismatches": 0,
-            "full_resyncs": 0, "subtree_full_pushes": 0,
-            "coord_gather_payload_bytes": 0, "relay_gather_payload_bytes": 0,
+        ctls = [server.controller for server in self.servers.values()]
+        return {
+            "sync_rounds": sum(c.sync_rounds for c in ctls),
+            "coordinated_rounds": sum(c.coordinated_rounds for c in ctls),
+            "degraded_rounds": sum(c.degraded_rounds for c in ctls),
+            "delta_pushes": sum(c.delta_pushes for c in ctls),
+            "full_pushes": sum(c.full_pushes for c in ctls),
+            "gather_delta_replies": sum(c.gather_delta_replies for c in ctls),
+            "gather_full_replies": sum(c.gather_full_replies for c in ctls),
+            "push_hash_skips": sum(c.push_hash_skips for c in ctls),
+            "basis_mismatches": sum(c.basis_mismatches for c in ctls),
+            "full_resyncs": sum(c.full_resyncs for c in ctls),
+            "subtree_full_pushes": sum(c.subtree_full_pushes for c in ctls),
+            "coord_gather_payload_bytes":
+                sum(c.coord_gather_payload_bytes for c in ctls),
+            "relay_gather_payload_bytes":
+                sum(c.relay_gather_payload_bytes for c in ctls),
+            "max_gather_fanin": max(c.max_gather_fanin for c in ctls),
+            "placement_requests": self.placement_memo.requests,
+            "placement_solves": self.placement_memo.solves,
         }
-        max_fanin = 0
-        for server in self.servers.values():
-            ctl = server.controller
-            for key in totals:
-                totals[key] += getattr(ctl, key)
-            max_fanin = max(max_fanin, ctl.max_gather_fanin)
-        totals["max_gather_fanin"] = max_fanin
-        totals["placement_requests"] = self.placement_memo.requests
-        totals["placement_solves"] = self.placement_memo.solves
-        return totals

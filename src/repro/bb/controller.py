@@ -183,11 +183,6 @@ class Controller:
         #: gather replies sent delta-encoded vs. as the full snapshot.
         self.gather_delta_replies = 0
         self.gather_full_replies = 0
-        #: whole merge rounds skipped because every responder proved
-        #: (by content hash) it already holds the merged state.
-        self.quiescent_skips = 0
-        #: probe-sized "same" replies sent instead of a snapshot.
-        self.quiescent_replies = 0
         #: pushes forwarded as full tables because the same-epoch
         #: gather basis for that child was lost (subtree resync).
         self.subtree_full_pushes = 0
@@ -363,69 +358,51 @@ class Controller:
         if tree_order(self._members(), epoch)[0] != self.server.name:
             return
         self.coordinated_rounds += 1
-        qhash, pre_map = self._quiescence_state()
-        edges, _, degraded, all_same = yield from self._gather(
-            epoch, qhash, pre_map, root=True)
-        quiet = qhash is not None and all_same
-        digest = qhash if quiet else _content_hash(*self._view())
+        edges, _, degraded = yield from self._gather(epoch, root=True)
+        digest = _content_hash(*self._view())
         self.digest_log.append((epoch, digest))
-        if quiet:
-            # Every subtree proved (by content hash) it already holds
-            # exactly the state a merge+scatter would reproduce: skip
-            # both, cluster-wide. Merged content is by definition qhash.
-            self.quiescent_skips += 1
-        else:
-            self._tree_gather[epoch] = edges
-            degraded |= yield from self._forward_tree_push(epoch, digest)
+        self._tree_gather[epoch] = edges
+        degraded |= yield from self._forward_tree_push(epoch, digest)
         if degraded:
             self._note_degraded()
         self._last_push_hash = digest
         self.sync_rounds += 1
         self.refresh_tokens()
 
-    def _gather(self, epoch: int, qhash, pre_map, root: bool = False):
+    def _gather(self, epoch: int, root: bool = False):
         """Probe our children in *epoch*'s tree and merge their replies.
 
-        Returns ``(edges, subtree, degraded, all_same)``: per answering
-        child the ``(seen, basis, wants_full)`` its scatter push is
-        encoded against; the placement rows of the hosts behind those
-        children; whether a child stayed silent (it costs at most its
-        edge timeout and the round proceeds on the partial table); and
-        whether every answer was a quiescent "same".
+        Returns ``(edges, subtree, degraded)``: per answering child the
+        ``(seen, basis, wants_full)`` its scatter push is encoded
+        against; the placement rows of the hosts behind those children;
+        and whether a child stayed silent (it costs at most its edge
+        timeout and the round proceeds on the partial table).
         """
         pulls = []
         for name, timeout in self._children(epoch):
             probe = {"kind": "pull", "epoch": epoch,
                      "host": self.server.name,
-                     "have": self._have_basis.get(name), "qhash": qhash}
+                     "have": self._have_basis.get(name)}
             pulls.append((name, self._peer(name).call(
                 "sync", probe, size=_PROBE_WIRE_BYTES, timeout=timeout)))
         self.max_gather_fanin = max(self.max_gather_fanin, len(pulls))
         edges: Dict[str, tuple] = {}
         subtree: Dict[str, List[int]] = {}
         degraded = False
-        all_same = True
         for name, call in pulls:
             try:
                 resp = yield call
             except RpcTimeout:
                 degraded = True
                 continue
-            if resp.get("same"):
-                # Content-hash equal to ours: pre_map is exactly what
-                # the child holds, and our placement rows for its
-                # subtree already equal its own, so it reports none.
-                seen, wire = pre_map, _PROBE_WIRE_BYTES
-            else:
-                all_same = False
-                seen, wire = self._harvest_reply(name, resp)
-                subtree.update(resp["presence"])
+            seen, wire = self._harvest_reply(name, resp)
+            subtree.update(resp["presence"])
             edges[name] = (seen, resp["basis"], resp["full"])
             if root:
                 self.coord_gather_payload_bytes += wire
             else:
                 self.relay_gather_payload_bytes += wire
-        return edges, subtree, degraded, all_same
+        return edges, subtree, degraded
 
     def _forward_tree_push(self, epoch: int, digest: str):
         """Scatter our merged view down *epoch*'s gather edges, each
@@ -465,37 +442,6 @@ class Controller:
             except RpcTimeout:
                 degraded = True
         return degraded
-
-    # ------------------------------------------------------------ quiescence
-    def _quiescence_state(self):
-        """``(qhash, pre_map)`` when the round we drive may quiesce.
-
-        A round may quiesce only if our own current content still
-        hashes to the last merged digest we scattered/applied — any
-        local traffic since then voids the guard and the round runs in
-        full.
-        """
-        if not self.server.config.sync_quiescence_skip:
-            return None, None
-        return self._quiet_basis(self._last_push_hash)
-
-    def _quiet_basis(self, qhash):
-        """``(qhash, pre_map)`` if our content provably hashes to
-        *qhash*, else ``(None, None)``. ``pre_map`` doubles as the exact
-        ``seen`` map for scatter deltas to children that answer "same".
-        """
-        if not self._quiescent_match(qhash):
-            return None, None
-        return qhash, _heartbeats(self.server.monitor.table.snapshot())
-
-    def _quiescent_match(self, qhash) -> bool:
-        """The quiescence guard: may a probe carrying *qhash* be
-        answered with a probe-sized "same" instead of a snapshot? Only
-        if our own content provably hashes to it."""
-        if (qhash is None or self._needs_full_sync
-                or self._last_push_hash != qhash):
-            return False
-        return _content_hash(*self._view()) == qhash
 
     # ----------------------------------------------------------------- codec
     def _harvest_reply(self, name: str, resp: dict):
@@ -603,11 +549,7 @@ class Controller:
             return  # crashed mid-processing: the reply is lost
         body = rpc.body
         epoch = body["epoch"]
-        # Children may quiesce only if we do: a node that cannot vouch
-        # for the probe's digest needs their snapshots to answer.
-        qhash, pre_map = self._quiet_basis(body["qhash"])
-        edges, subtree, degraded, all_same = yield from self._gather(
-            epoch, qhash, pre_map)
+        edges, subtree, degraded = yield from self._gather(epoch)
         if self.server.crashed:
             return
         # Remember this epoch's gather so the matching push can reuse
@@ -617,14 +559,6 @@ class Controller:
             del self._tree_gather[old]
         if degraded:
             self._note_degraded()
-        if qhash is not None and all_same:
-            # Our content and every responding child's subtree hash to
-            # the probe's digest: the aggregate is provably "no news".
-            self.quiescent_replies += 1
-            rpc.reply({"same": True, "host": self.server.name,
-                       "basis": self._sync_basis, "full": False},
-                      size=_PROBE_WIRE_BYTES)
-            return
         local = sorted(self.server.monitor.active_local_jobs())
         self._set_presence(self.server.name, local)
         subtree[self.server.name] = local

@@ -80,19 +80,17 @@ class ServerConfig:
     #: round — the height-1 tree, k = N−1, worked out from the member
     #: list; every k produces identical merged tables per epoch.
     sync_tree_fanout: int = 0
-    #: skip the entire merge round when nothing changed cluster-wide:
-    #: the gather probes carry the last merged content hash, peers whose
-    #: state still hashes identically answer with a probe-sized "same",
-    #: and if everyone does the coordinator skips the merge and scatter
-    #: outright. Off by default — the skip changes wire traffic, so it
-    #: is not trace-neutral the way the delta encodings are.
-    sync_quiescence_skip: bool = False
 
     def __post_init__(self):
         if self.bandwidth <= 0 or self.n_workers < 1:
             raise ConfigError("bandwidth must be > 0 and n_workers >= 1")
         if self.op_latency < 0 or self.meta_latency < 0:
             raise ConfigError("latencies must be non-negative")
+        if self.sync_processing_time < 0 or self.sync_timeout < 0:
+            raise ConfigError(
+                "sync_processing_time and sync_timeout must be >= 0")
+        if self.client_pool_workers < 1:
+            raise ConfigError("client_pool_workers must be >= 1")
         if self.sync_tree_fanout < 0 or self.sync_tree_fanout == 1:
             raise ConfigError(
                 "sync_tree_fanout must be 0 (flat round) or >= 2")

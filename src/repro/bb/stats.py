@@ -1,25 +1,19 @@
 """Operational statistics: what a burst-buffer operator would watch.
 
-:func:`server_stats` snapshots one server's counters;
-:func:`cluster_summary` renders the whole deployment as a table —
-useful at the end of an experiment to see where cycles went (service,
-idle throttling, lock waits) and whether the token scheduler wasted
-draws.
+:func:`server_stats` snapshots one server's counters — where cycles
+went (service, idle throttling, lock waits) and whether the token
+scheduler wasted draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List
-
-from ..harness.report import table
-from ..units import fmt_bw, fmt_bytes
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .cluster import Cluster
     from .server import Server
 
-__all__ = ["ServerStats", "server_stats", "cluster_summary"]
+__all__ = ["ServerStats", "server_stats"]
 
 
 @dataclass(frozen=True)
@@ -40,15 +34,6 @@ class ServerStats:
     wasted_draws: int
     used_bytes: int
 
-    def as_row(self) -> List[object]:
-        """The snapshot as a table row for :func:`cluster_summary`."""
-        return [self.name, self.scheduler, self.served_requests,
-                fmt_bytes(self.served_bytes), self.backlog,
-                self.idle_cycles, self.lock_waits, self.errors,
-                self.active_jobs, self.sync_rounds,
-                f"{self.wasted_draws}/{self.draws}",
-                fmt_bytes(self.used_bytes)]
-
 
 def server_stats(server: "Server") -> ServerStats:
     """Collect *server*'s counters into a snapshot."""
@@ -68,18 +53,3 @@ def server_stats(server: "Server") -> ServerStats:
         wasted_draws=getattr(scheduler, "wasted_draws", 0),
         used_bytes=server.fs.nodes[server.name].backend.used_bytes,
     )
-
-
-def cluster_summary(cluster: "Cluster") -> str:
-    """A per-server counter table plus the aggregate service rate."""
-    rows = [server_stats(server).as_row()
-            for server in cluster.servers.values()]
-    text = table(
-        ("server", "sched", "reqs", "served", "backlog", "idle",
-         "lock-waits", "errors", "jobs", "syncs", "wasted-draws", "device"),
-        rows, title="cluster summary")
-    now = cluster.engine.now
-    if now > 0:
-        rate = cluster.total_served_bytes() / now
-        text += f"\naggregate service rate: {fmt_bw(rate)} over {now:.2f}s"
-    return text

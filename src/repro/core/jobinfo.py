@@ -188,11 +188,6 @@ class JobStatusTable:
         entries = self._entries
         return [entries[job_id].info for job_id in sorted(self._active_ids)]
 
-    def all_jobs(self) -> List[JobInfo]:
-        """Every known job (active or not), sorted by job id."""
-        return sorted((e.info for e in self._entries.values()),
-                      key=lambda info: info.job_id)
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -119,11 +119,6 @@ class Policy:
     def name(self) -> str:
         return "-then-".join(lvl.value for lvl in self.levels) + "-fair"
 
-    @property
-    def depth(self) -> int:
-        """N in Eq. 1: the number of sharing-entity levels."""
-        return len(self.levels)
-
     # ------------------------------------------------------------ evaluation
     def shares(self, jobs: Sequence[JobInfo]) -> Dict[int, float]:
         """The statistical token assignment: job id -> share of [0, 1].

@@ -6,9 +6,10 @@ random number within [0, 1]. The I/O request of a job is processed if
 the random number falls in its corresponding segment."
 
 :class:`TokenAssignment` is that segmentation: built from a share map,
-it answers ``draw(u)`` in O(log n) via a cumulative-boundary search, and
-``restrict(eligible)`` renormalises over a subset — the mechanism behind
-*opportunity fairness* (unused cycles flow to jobs that can use them).
+it answers ``draw(u)`` in O(log n) via a cumulative-boundary search.
+The scheduler rebuilds it over the backlogged subset — the mechanism
+behind *opportunity fairness* (unused cycles flow to jobs that can use
+them).
 
 ``draw`` is the server's per-request hot path. Below
 :data:`SMALL_N_THRESHOLD` jobs — which covers every population the
@@ -23,7 +24,7 @@ both search paths return bit-identical choices.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -193,25 +194,6 @@ class TokenAssignment:
 
     def __len__(self) -> int:
         return len(self.job_ids)
-
-    # --------------------------------------------------------- restriction
-    def restrict(self, eligible: Iterable[int]) -> Optional["TokenAssignment"]:
-        """Renormalise over the *eligible* subset (opportunity fairness).
-
-        Jobs outside this assignment are ignored; returns None when no
-        eligible job remains. The relative proportions among eligible
-        jobs are preserved, so a backlogged job never receives less than
-        its policy share of the server.
-        """
-        index, shares = self._index, self._shares_list
-        subset = {}
-        for job_id in eligible:
-            i = index.get(job_id)
-            if i is not None and shares[i] > 0:
-                subset[job_id] = shares[i]
-        if not subset:
-            return None
-        return TokenAssignment(subset)
 
     def as_dict(self) -> Dict[int, float]:
         """The assignment as a plain ``{job_id: share}`` map."""

@@ -32,7 +32,7 @@ from .hashing import ConsistentHashRing
 from .locking import MetadataLockTable, RangeLockTable
 from .metadata import FileType, Inode, Stat, alloc_ino
 from .striping import (ErasureSpec, StripeSpec, group_range, map_range,
-                       parity_slices, server_spans)
+                       parity_slices)
 
 __all__ = ["StorageNode", "ThemisFS"]
 
@@ -590,19 +590,6 @@ class ThemisFS:
         if hasattr(node.backend, "recover"):
             scans[name] = node.backend.recover()
         return {"applied": 0, "scans": scans}
-
-    # --------------------------------------------------------------- routing
-    def data_servers(self, path: str, offset: int, length: int) -> Set[str]:
-        """Servers touched by an I/O to ``[offset, offset+length)`` of *path*.
-
-        Clients use this (the layout is deterministic) to route requests.
-        """
-        inode = self._require(path)
-        if inode.is_dir:
-            raise IsADirectory(path)
-        if length == 0:
-            return {inode.stripe.servers[0]}
-        return set(server_spans(inode.stripe, offset, length))
 
     def used_bytes(self) -> Dict[str, int]:
         """Per-server device usage."""

@@ -131,11 +131,6 @@ class LogStructuredStore:
     def live_bytes(self) -> int:
         return sum(self._live_bytes.values())
 
-    def utilization(self) -> float:
-        """Live bytes as a fraction of written bytes (1.0 when empty)."""
-        used = self.used_bytes
-        return (self.live_bytes / used) if used else 1.0
-
     # ------------------------------------------------------------------- I/O
     def write(self, key: Hashable, data: bytes) -> None:
         """Append a new version of *key*."""

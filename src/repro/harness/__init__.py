@@ -9,7 +9,7 @@ from .experiments import (BaselineComparison, CompositeResult,
                           fig09_user_then_size, fig10_group_user_size,
                           fig12_baselines, fig13_applications, fig14_lambda,
                           run_sharing_experiment)
-from .report import pct, ratio, series_text, sparkline, table
+from .report import pct, ratio, sparkline, table
 from .runner import ExperimentResult, JobOutcome, run_experiment
 from .sweep import BUILTIN_GRIDS, ParallelRunner, SweepRun, SweepSpec
 from .workspace import Workspace, code_rev, point_key
@@ -37,7 +37,6 @@ __all__ = [
     "fig13_applications",
     "fig14_lambda",
     "table",
-    "series_text",
     "sparkline",
     "pct",
     "ratio",

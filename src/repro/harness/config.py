@@ -32,14 +32,12 @@ class JobRun:
             raise ConfigError(f"start must be >= 0: {self.start}")
         if self.stop is not None and self.stop <= self.start:
             raise ConfigError("stop must be after start")
+        if self.client_nodes is not None and self.client_nodes < 1:
+            raise ConfigError("client_nodes must be >= 1")
 
     @property
     def n_clients(self) -> int:
-        if self.client_nodes is not None:
-            if self.client_nodes < 1:
-                raise ConfigError("client_nodes must be >= 1")
-            return self.client_nodes
-        return min(self.spec.nodes, 8)
+        return self.client_nodes or min(self.spec.nodes, 8)
 
 
 @dataclass
@@ -57,8 +55,8 @@ class ExperimentConfig:
     stop_when_jobs_finish: bool = True
 
     def __post_init__(self):
-        if self.max_time <= 0:
-            raise ConfigError("max_time must be positive")
+        if self.max_time <= 0 or self.sample_interval <= 0:
+            raise ConfigError("max_time and sample_interval must be positive")
         if not self.jobs:
             raise ConfigError("experiment needs at least one job")
         ids = [run.spec.job_id for run in self.jobs]

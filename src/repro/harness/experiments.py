@@ -275,8 +275,7 @@ def sync_cost_cell(config: Dict) -> Dict:
     """One (cluster size, fanout) point of the λ-sync cost ladder.
 
     Config keys: ``n_servers``, optional ``fanout`` (0: the height-1
-    tree, every peer a child of the root), ``epochs`` (6),
-    ``quiescence`` (False).
+    tree, every peer a child of the root), ``epochs`` (6).
 
     Every server starts knowing the same 48 idle jobs (converged,
     churn-free tables), so the traffic is the protocol's steady-state
@@ -293,8 +292,7 @@ def sync_cost_cell(config: Dict) -> Dict:
         n_servers=int(config["n_servers"]), policy="job-fair",
         server=ServerConfig(
             bandwidth=1 * GB, n_workers=1, client_pool_workers=1,
-            sync_tree_fanout=int(config.get("fanout", 0)),
-            sync_quiescence_skip=bool(config.get("quiescence", False)))))
+            sync_tree_fanout=int(config.get("fanout", 0)))))
     for server in cluster.servers.values():
         for i in range(48):
             server.monitor.table.observe(
@@ -312,7 +310,6 @@ def sync_cost_cell(config: Dict) -> Dict:
         "nominal_bytes_per_epoch": round(fabric.bytes_sent / driven),
         "messages_per_epoch": round(fabric.messages_sent / driven),
         "max_fanin": int(stats["max_gather_fanin"]),
-        "quiescent_skips": int(stats["quiescent_skips"]),
     }
 
 

@@ -10,9 +10,7 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..units import fmt_bw
-
-__all__ = ["table", "series_text", "sparkline", "pct", "ratio"]
+__all__ = ["table", "sparkline", "pct", "ratio"]
 
 _SPARK_CHARS = " ▁▂▃▄▅▆▇█"
 
@@ -73,13 +71,3 @@ def sparkline(values: Sequence[float], width: int = 60,
     top = max(top, 1e-12)
     levels = np.clip(arr / top, 0.0, 1.0) * (len(_SPARK_CHARS) - 1)
     return "".join(_SPARK_CHARS[int(round(v))] for v in levels)
-
-
-def series_text(label: str, times: np.ndarray, values: np.ndarray,
-                max_points: int = 30) -> str:
-    """One throughput series as a compact text row (subsampled)."""
-    n = len(times)
-    step = max(1, n // max_points)
-    pieces = [f"t={times[i]:.0f}s:{fmt_bw(values[i])}"
-              for i in range(0, n, step)]
-    return f"{label}: " + "  ".join(pieces)

@@ -90,35 +90,6 @@ class ExperimentResult:
                 f"job {job_id} did not finish by max_time={self.config.max_time}")
         return outcome.time_to_solution
 
-    def to_dict(self) -> dict:
-        """JSON-ready export: config summary, per-job outcomes and series.
-
-        Everything a plotting script needs to redraw the paper's figures
-        from a run (`json.dump(result.to_dict(), fh)`).
-        """
-        per_job = {}
-        for job_id, outcome in self.outcomes.items():
-            times, rates = self.series(job_id)
-            per_job[str(job_id)] = {
-                "start": outcome.start,
-                "end": outcome.end,
-                "time_to_solution": outcome.time_to_solution,
-                "streams": outcome.streams,
-                "bytes_moved": outcome.bytes_moved,
-                "series_times": [float(t) for t in times],
-                "series_bytes_per_sec": [float(r) for r in rates],
-            }
-        return {
-            "policy": self.config.cluster.policy,
-            "n_servers": self.config.cluster.n_servers,
-            "seed": self.config.cluster.seed,
-            "sample_interval": self.config.sample_interval,
-            "end_time": self.end_time,
-            "total_bytes": self.sampler.total_bytes(),
-            "jobs": per_job,
-        }
-
-
 def run_experiment(config: ExperimentConfig,
                    on_cluster: Optional[Callable[[Cluster], None]] = None
                    ) -> ExperimentResult:

@@ -18,15 +18,11 @@ across all three execution modes because points share nothing:
    simulated lives at module scope, so there is no state a fork could
    duplicate or a worker could race on (``repro.lint`` rule SIM004
    polices the worker boundary).
-2. **Pure seed derivation.** Replica expansion derives per-replica
-   seeds as ``RngRegistry(base_seed).spawn(f"sweep.replica.{i}").seed``
-   — a pure function of (base seed, replica index), independent of
-   execution order, worker count, or host.
-3. **Order-independent assembly.** Workers return ``(key, result)``
+2. **Order-independent assembly.** Workers return ``(key, result)``
    pairs in completion order; the runner reassembles them by key into
    the deterministic spec order, so ``imap_unordered`` scheduling noise
    never reaches the results document.
-4. **Canonical persistence.** Results are stored and digested as
+3. **Canonical persistence.** Results are stored and digested as
    canonical JSON, so a cache replay returns byte-identical documents.
 
 Workers use the ``spawn`` start method: each child imports a fresh
@@ -50,7 +46,7 @@ from .workspace import Workspace, code_rev, content_digest, point_key
 
 __all__ = ["SweepSpec", "PointOutcome", "SweepRun", "ParallelRunner",
            "POINT_KINDS", "BUILTIN_GRIDS", "load_spec",
-           "resolve_point_kind", "run_point", "derive_replica_seed"]
+           "resolve_point_kind", "run_point"]
 
 #: point kind -> (module, attribute) of the function computing one point.
 #: Resolved lazily so importing this module stays light and the registry
@@ -98,36 +94,19 @@ def _pool_worker(task: Tuple[str, str, Dict[str, Any]]
     return key, result, time.perf_counter() - t0
 
 
-def derive_replica_seed(base_seed: int, replica: int) -> int:
-    """The sim seed of replica *replica* of a point seeded *base_seed*.
-
-    Pure and order-independent: derived through
-    :meth:`~repro.sim.rng.RngRegistry.spawn`, so replica streams are
-    decorrelated from the base seed and from each other no matter which
-    worker computes them or in what order.
-    """
-    from ..sim.rng import RngRegistry
-    return RngRegistry(int(base_seed)).spawn(
-        f"sweep.replica.{int(replica)}").seed
-
-
 # ===================================================================== spec
 @dataclass
 class SweepSpec:
-    """A declarative sweep: base config x axis grid (x replicas).
+    """A declarative sweep: base config x axis grid.
 
     ``points()`` expands the cartesian product deterministically: axis
-    names in sorted order, each axis's values in listed order. With
-    ``replicas > 1`` every grid cell is repeated with derived seeds
-    (see :func:`derive_replica_seed`); replica 0 keeps the declared
-    seed so a 1-replica sweep is unchanged by the feature.
+    names in sorted order, each axis's values in listed order.
     """
 
     name: str
     kind: str
     base: Dict[str, Any] = field(default_factory=dict)
     axes: Dict[str, List[Any]] = field(default_factory=dict)
-    replicas: int = 1
 
     def points(self) -> List[Dict[str, Any]]:
         """The fully-resolved point configs, in deterministic order."""
@@ -140,35 +119,21 @@ class SweepSpec:
                     "non-empty list of values")
             configs = [dict(config, **{axis: value})
                        for config in configs for value in values]
-        if self.replicas <= 1:
-            return configs
-        expanded = []
-        for config in configs:
-            base_seed = int(config.get("seed", 0))
-            for i in range(self.replicas):
-                replica = dict(config)
-                replica["replica"] = i
-                if i > 0:
-                    replica["seed"] = derive_replica_seed(base_seed, i)
-                expanded.append(replica)
-        return expanded
-
-    def to_doc(self) -> Dict[str, Any]:
-        """JSON-able form (inverse of :func:`spec_from_doc`)."""
-        return {"name": self.name, "kind": self.kind, "base": self.base,
-                "axes": self.axes, "replicas": self.replicas}
+        return configs
 
 
 def spec_from_doc(doc: Dict[str, Any]) -> SweepSpec:
     """Build a :class:`SweepSpec` from a parsed JSON document."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ReproError("sweep spec must be a JSON object with a 'kind'")
+    unknown = sorted(set(doc) - {"name", "kind", "base", "axes"})
+    if unknown:
+        raise ReproError(f"sweep spec has unknown keys: {unknown}")
     return SweepSpec(
         name=str(doc.get("name", "unnamed")),
         kind=str(doc["kind"]),
         base=dict(doc.get("base", {})),
-        axes={str(k): list(v) for k, v in dict(doc.get("axes", {})).items()},
-        replicas=int(doc.get("replicas", 1)))
+        axes={str(k): list(v) for k, v in dict(doc.get("axes", {})).items()})
 
 
 def load_spec(path: str) -> SweepSpec:

@@ -274,13 +274,5 @@ class Workspace:
     def __len__(self) -> int:
         return len(self.index())
 
-    def clear(self) -> int:
-        """Delete every stored blob; returns how many were dropped."""
-        dropped = 0
-        for key in self.keys():
-            if self.discard(key):
-                dropped += 1
-        return dropped
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Workspace root={self.root!r} points={len(self)}>"

@@ -2,9 +2,8 @@
 
 from .faultstats import FaultStats
 from .sampler import ThroughputSampler
-from .stats import (jain_index, median_nonzero, percentile_nonzero,
-                    scaling_efficiency, share_ratio, size_fair_bound,
-                    slowdown, speedup, stddev_nonzero)
+from .stats import (jain_index, median_nonzero, scaling_efficiency,
+                    share_ratio, size_fair_bound, slowdown, stddev_nonzero)
 from .timeline import ShareTimeline, convergence_interval
 
 __all__ = [
@@ -12,10 +11,8 @@ __all__ = [
     "ThroughputSampler",
     "median_nonzero",
     "stddev_nonzero",
-    "percentile_nonzero",
     "size_fair_bound",
     "slowdown",
-    "speedup",
     "jain_index",
     "scaling_efficiency",
     "share_ratio",

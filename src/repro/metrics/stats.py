@@ -13,9 +13,8 @@ import numpy as np
 
 from ..errors import ConfigError
 
-__all__ = ["median_nonzero", "stddev_nonzero", "percentile_nonzero",
-           "slowdown", "speedup", "jain_index", "scaling_efficiency",
-           "share_ratio", "size_fair_bound"]
+__all__ = ["median_nonzero", "stddev_nonzero", "slowdown", "jain_index",
+           "scaling_efficiency", "share_ratio", "size_fair_bound"]
 
 
 def _active(values: Sequence[float]) -> np.ndarray:
@@ -40,14 +39,6 @@ def stddev_nonzero(values: Sequence[float]) -> float:
     return float(np.std(active)) if active.size else 0.0
 
 
-def percentile_nonzero(values: Sequence[float], q: float) -> float:
-    """The q-th percentile (0-100) over non-zero samples (0.0 if all zero)."""
-    if not 0 <= q <= 100:
-        raise ConfigError(f"percentile must be in [0, 100]: {q}")
-    active = _active(values)
-    return float(np.percentile(active, q)) if active.size else 0.0
-
-
 def size_fair_bound(app_nodes: int, background_nodes: int = 1) -> float:
     """The paper's maximum-possible size-fair slowdown for an app sharing
     with a background job: the background's node-count share (§5.5's
@@ -62,13 +53,6 @@ def slowdown(baseline_time: float, measured_time: float) -> float:
     if baseline_time <= 0:
         raise ConfigError(f"baseline_time must be positive: {baseline_time}")
     return measured_time / baseline_time - 1.0
-
-
-def speedup(reference_time: float, measured_time: float) -> float:
-    """How much faster *measured* is than *reference* (>1 = faster)."""
-    if measured_time <= 0:
-        raise ConfigError(f"measured_time must be positive: {measured_time}")
-    return reference_time / measured_time
 
 
 def jain_index(values: Sequence[float]) -> float:

@@ -3,9 +3,9 @@
 The paper's applications reach the burst buffer through "I/O libraries
 such as MPI-IO" (§2.1). MPI's expressiveness comes from *file views*:
 each rank sees a (possibly strided) subset of the file. This module
-provides the two views the collective layer needs — contiguous blocks
-and ROMIO-style vectors — as generators of ``(offset, size)`` pieces,
-plus interval utilities used by the two-phase aggregator.
+provides the view the collective layer needs — the ROMIO-style vector —
+as a generator of ``(offset, size)`` pieces, plus interval utilities
+used by the two-phase aggregator.
 """
 
 from __future__ import annotations
@@ -15,32 +15,9 @@ from typing import Iterable, List, Tuple
 
 from ..errors import ConfigError
 
-__all__ = ["ContiguousView", "VectorView", "coalesce", "total_bytes"]
+__all__ = ["VectorView", "coalesce", "total_bytes"]
 
 Piece = Tuple[int, int]  # (file offset, length)
-
-
-@dataclass(frozen=True)
-class ContiguousView:
-    """Rank *rank* owns one contiguous block of ``block`` bytes.
-
-    The classic N-ranks-write-N-blocks pattern: rank i covers
-    ``[disp + i*block, disp + (i+1)*block)``.
-    """
-
-    block: int
-    disp: int = 0
-
-    def __post_init__(self):
-        if self.block <= 0 or self.disp < 0:
-            raise ConfigError("block must be > 0 and disp >= 0")
-
-    def pieces(self, rank: int, count: int = 1) -> List[Piece]:
-        """The pieces rank *rank* touches for *count* view repetitions."""
-        if rank < 0 or count < 1:
-            raise ConfigError("rank >= 0 and count >= 1 required")
-        return [(self.disp + rank * self.block * count + i * self.block,
-                 self.block) for i in range(count)]
 
 
 @dataclass(frozen=True)

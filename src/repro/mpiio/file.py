@@ -95,14 +95,6 @@ class MPIFile:
             written += yield from client.write(self.path, offset, size)
         return written
 
-    def read_at(self, rank: int, pieces: Sequence[Piece]) -> int:
-        """Generator: independent reads of *pieces*."""
-        client = self.comm.client(rank)
-        read = 0
-        for offset, size in pieces:
-            read += yield from client.read(self.path, offset, size)
-        return read
-
     # ------------------------------------------------------------- collective
     def write_at_all(self, rank: int, pieces: Sequence[Piece]) -> int:
         """Generator: collective write; every rank must call it once per

@@ -153,10 +153,6 @@ class Fabric:
         """True if a node called *name* is attached."""
         return name in self._nodes
 
-    @property
-    def node_names(self):
-        return list(self._nodes)
-
     # --------------------------------------------------------------- faults
     def set_fault_filter(
             self, fn: Optional[Callable[[Message], FaultVerdict]]) -> None:
@@ -182,19 +178,6 @@ class Fabric:
     def node_is_down(self, name: str) -> bool:
         """True if *name* is currently marked down."""
         return name in self._down
-
-    # ------------------------------------------------------------ accounting
-    def reset_counters(self) -> None:
-        """Zero the traffic counters (per-phase accounting: benchmarks
-        and tests isolate one window's messages without rebuilding the
-        cluster). Topology and fault state are untouched."""
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.payload_bytes_sent = 0
-        self.payload_bytes_to.clear()
-        self.messages_to.clear()
-        self.dropped_messages = 0
-        self.delayed_messages = 0
 
     # ------------------------------------------------------------- transport
     def send(self, message: Message) -> Event:

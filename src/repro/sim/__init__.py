@@ -10,8 +10,7 @@ Public surface:
 """
 
 from .engine import Engine
-from .process import (AllOf, AnyOf, Condition, Event, Process, Ticker,
-                      Timeout)
+from .process import AllOf, AnyOf, Condition, Event, Process, Timeout
 from .resources import BandwidthPipe
 from .rng import RngRegistry, stable_hash
 
@@ -20,7 +19,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Ticker",
     "Condition",
     "AllOf",
     "AnyOf",

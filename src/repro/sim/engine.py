@@ -41,7 +41,7 @@ from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
 from ..errors import SimulationError, StopSimulation
-from .process import AllOf, AnyOf, Event, Process, Ticker, Timeout
+from .process import AllOf, AnyOf, Event, Process, Timeout
 
 __all__ = ["Engine"]
 
@@ -325,25 +325,6 @@ class Engine:
         ev = Timeout(self, when - self._now)
         ev.callbacks.append(lambda _e: fn())
         return ev
-
-    def every(self, interval: float, fn: Callable[[], Any],
-              start_delay: Optional[float] = None) -> Ticker:
-        """Run ``fn()`` every *interval* seconds; returns a stoppable
-        :class:`~repro.sim.process.Ticker`.
-
-        *start_delay* defaults to one full interval before the first
-        tick; ``start_delay=0`` fires the first tick immediately (at the
-        current time, after pending events). It must be non-negative.
-        Call :meth:`~repro.sim.process.Ticker.stop` on the returned
-        handle to end the loop cleanly.
-        """
-        if interval <= 0:
-            raise SimulationError(f"interval must be positive: {interval!r}")
-        if start_delay is not None and start_delay < 0:
-            raise SimulationError(
-                f"start_delay must be non-negative: {start_delay!r}")
-        first = interval if start_delay is None else start_delay
-        return Ticker(self, interval, fn, first)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Engine now={self._now:.6f} "

@@ -16,8 +16,7 @@ from ..errors import InterruptError, SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Engine
 
-__all__ = ["Event", "Timeout", "Process", "Ticker", "Condition", "AllOf",
-           "AnyOf"]
+__all__ = ["Event", "Timeout", "Process", "Condition", "AllOf", "AnyOf"]
 
 _PENDING = object()
 
@@ -58,10 +57,6 @@ class Event:
     def processed(self) -> bool:
         """True once callbacks have been invoked."""
         return self._processed
-
-    @property
-    def scheduled(self) -> bool:
-        return self._scheduled
 
     @property
     def cancelled(self) -> bool:
@@ -361,60 +356,6 @@ class Condition(Event):
         if self._evaluate(self._events, self._count):
             self.succeed([ev._value for ev in self._events if ev.triggered and ev._ok])
             self._detach_rest()
-
-
-class Ticker(Process):
-    """Periodic callback process returned by :meth:`Engine.every`.
-
-    A plain :class:`Process` (joinable, interruptible) plus a
-    :meth:`stop` that ends the loop cleanly: the in-flight sleep timer
-    is detached and cancelled instead of firing forever.
-    """
-
-    __slots__ = ("_stopped", "_sleep")
-
-    def __init__(self, engine: "Engine", interval: float,
-                 fn: Callable[[], Any], first: float):
-        self._stopped = False
-        self._sleep: Optional[Event] = None
-        super().__init__(engine, self._tick(engine, interval, fn, first))
-
-    def _tick(self, engine: "Engine", interval: float,
-              fn: Callable[[], Any], first: float) -> Generator:
-        try:
-            if self._stopped:
-                return
-            self._sleep = engine.timeout(first)
-            yield self._sleep
-            while not self._stopped:
-                fn()
-                if self._stopped:
-                    return
-                self._sleep = engine.timeout(interval)
-                yield self._sleep
-        except InterruptError:
-            return
-
-    def stop(self) -> None:
-        """Stop ticking; idempotent, safe from inside the tick callback.
-
-        Called from outside the ticker, the loop ends immediately (the
-        pending sleep is abandoned and cancelled); called from within
-        ``fn()`` itself, the generator returns right after ``fn()``
-        without scheduling another sleep.
-        """
-        if self._stopped or self.triggered:
-            self._stopped = True
-            return
-        self._stopped = True
-        if self.engine.active_process is self:
-            return  # mid-tick: the loop checks the flag after fn() returns
-        sleep = self._sleep
-        if sleep is None:
-            return  # not yet started: the generator checks the flag first
-        self.interrupt("ticker stopped")
-        if not sleep.processed and not sleep.cancelled:
-            sleep.cancel()
 
 
 class AllOf(Condition):

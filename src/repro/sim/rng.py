@@ -40,13 +40,5 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def uniform(self, name: str) -> float:
-        """One U[0,1) draw from the named stream."""
-        return float(self.stream(name).random())
-
-    def spawn(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are independent of this one's."""
-        return RngRegistry(self.seed ^ stable_hash(name))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RngRegistry seed={self.seed} streams={sorted(self._streams)}>"

@@ -170,7 +170,3 @@ class RpcClient:
     @property
     def in_flight(self) -> int:
         return len(self._pending)
-
-    def close(self) -> None:
-        """Tear down the response handler (no further calls)."""
-        self.worker.off(RESP_TAG)

@@ -13,14 +13,14 @@ Addressing: a worker's address is ``(node_name, worker_name)``. The
 context is its node's receiver on the fabric: the node's progress event
 hands it one arrived message at a time (never inside the arrival
 callback — UCX forbids progressing transfers from a receive callback),
-and it routes each to a worker; workers deliver by *tag*, either to a
-registered push handler or to a matching pending ``recv``.
+and it routes each to a worker; workers deliver by *tag* to the
+registered push handler, queueing what arrives before one is registered.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Tuple
 
 from ..errors import UCXError
 from ..net.fabric import Fabric
@@ -81,15 +81,10 @@ class UCPWorker:
         self.closed = False
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         self._queues: Dict[str, Deque[Message]] = {}
-        self._recvers: Dict[str, Deque[Event]] = {}
 
     @property
     def address(self) -> Address:
         return (self.context.node_name, self.name)
-
-    @property
-    def engine(self) -> "Engine":
-        return self.context.engine
 
     def create_endpoint(self, remote: Address) -> "Endpoint":
         """Connect this worker to a remote worker address."""
@@ -108,29 +103,10 @@ class UCPWorker:
             for msg in queued:
                 handler(msg)
 
-    def off(self, tag: str) -> None:
-        """Remove the push handler for *tag* (no-op if absent)."""
-        self._handlers.pop(tag, None)
-
-    def recv(self, tag: str) -> Event:
-        """Event delivering the next message with *tag* (pull style)."""
-        self._check_open()
-        ev = Event(self.engine)
-        queue = self._queues.get(tag)
-        if queue:
-            ev.succeed(queue.popleft())
-        else:
-            self._recvers.setdefault(tag, deque()).append(ev)
-        return ev
-
     def _deliver(self, msg: Message) -> None:
         handler = self._handlers.get(msg.tag)
         if handler is not None:
             handler(msg)
-            return
-        recvers = self._recvers.get(msg.tag)
-        if recvers:
-            recvers.popleft().succeed(msg)
             return
         self._queues.setdefault(msg.tag, deque()).append(msg)
 
@@ -197,10 +173,6 @@ class WorkerPool:
             self._next += 1
             self._mapping[client_id] = worker
         return worker
-
-    def lookup(self, client_id: str) -> Optional[UCPWorker]:
-        """The worker mapped to *client_id*, or None."""
-        return self._mapping.get(client_id)
 
     def release(self, client_id: str) -> bool:
         """Destroy the client's mapping entry; True if one existed."""

@@ -1,4 +1,4 @@
-"""Size and time unit constants plus small formatting helpers.
+"""Size and time unit constants plus a bandwidth formatter.
 
 The simulator's base units are **bytes** and **seconds** (floats). All
 bandwidths are bytes/second. These constants keep magnitudes readable at
@@ -27,15 +27,6 @@ MINUTE = 60.0
 HOUR = 3600.0
 
 
-def fmt_bytes(n: float) -> str:
-    """Format a byte count with a binary suffix, e.g. ``fmt_bytes(2*MiB)``."""
-    n = float(n)
-    for unit, name in ((TiB, "TiB"), (GiB, "GiB"), (MiB, "MiB"), (KiB, "KiB")):
-        if abs(n) >= unit:
-            return f"{n / unit:.2f} {name}"
-    return f"{n:.0f} B"
-
-
 def fmt_bw(bytes_per_sec: float) -> str:
     """Format a bandwidth in decimal GB/s or MB/s like the paper reports."""
     v = float(bytes_per_sec)
@@ -44,13 +35,3 @@ def fmt_bw(bytes_per_sec: float) -> str:
     if abs(v) >= MB:
         return f"{v / MB:.1f} MB/s"
     return f"{v / KB:.1f} KB/s"
-
-
-def fmt_time(seconds: float) -> str:
-    """Format a duration adaptively (us/ms/s)."""
-    s = float(seconds)
-    if abs(s) < MSEC:
-        return f"{s / USEC:.1f} us"
-    if abs(s) < SEC:
-        return f"{s / MSEC:.1f} ms"
-    return f"{s:.3f} s"

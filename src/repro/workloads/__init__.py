@@ -6,7 +6,6 @@ from .base import JobSpec, Workload
 from .custom import IopsStat, IopsWriteRead, PinnedWriter, WriteReadCycle
 from .ior import IORWorkload
 from .mdtest import MdtestWorkload
-from .traces import TraceOp, TraceWorkload, format_trace_csv, parse_trace_csv
 
 __all__ = [
     "Workload",
@@ -17,10 +16,6 @@ __all__ = [
     "PinnedWriter",
     "IORWorkload",
     "MdtestWorkload",
-    "TraceOp",
-    "TraceWorkload",
-    "parse_trace_csv",
-    "format_trace_csv",
     "ApplicationWorkload",
     "AppProfile",
     "APP_PROFILES",

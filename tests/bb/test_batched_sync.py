@@ -129,14 +129,6 @@ class TestMessageEconomy:
         # (at N=4, 12 vs 24 per epoch, modulo boundary epochs).
         assert batched.fabric.messages_sent <= 0.6 * pairwise_messages
 
-    def test_fabric_counter_reset(self):
-        cluster = _sync_only_cluster()
-        assert cluster.fabric.messages_sent > 0
-        cluster.fabric.reset_counters()
-        assert cluster.fabric.messages_sent == 0
-        assert cluster.fabric.bytes_sent == 0
-
-
 class TestDeltaSync:
     """Delta-encoded scatter pushes: fewer payload bytes, same nominal
     (timing-bearing) wire size."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bb import Cluster, ClusterConfig, cluster_summary, server_stats
+from repro.bb import Cluster, ClusterConfig, server_stats
 from repro.core import JobInfo
 from repro.units import MB
 
@@ -43,16 +43,3 @@ class TestServerStats:
         total = sum(server_stats(s).sync_rounds
                     for s in busy_cluster.servers.values())
         assert total >= 2
-
-
-class TestClusterSummary:
-    def test_renders_all_servers(self, busy_cluster):
-        text = cluster_summary(busy_cluster)
-        assert "bb0" in text and "bb1" in text
-        assert "aggregate service rate" in text
-        assert "themis" in text
-
-    def test_summary_on_idle_cluster(self):
-        cluster = Cluster(ClusterConfig(n_servers=1))
-        text = cluster_summary(cluster)
-        assert "bb0" in text

@@ -5,9 +5,8 @@ inbound gather bytes scaling with N, while merging exactly the same
 content per epoch as the default fanout 0 (the flat round, i.e. the
 height-1 tree) — every fanout must produce identical per-epoch digest
 sequences. Also covered here: the shape functions, the two-kind
-dispatch, the gather-direction per-peer basis deltas (useful at any
-fanout) and the cluster-quiescence whole-round skip with its
-content-hash guard.
+dispatch and the gather-direction per-peer basis deltas (useful at any
+fanout).
 """
 
 from types import SimpleNamespace
@@ -25,13 +24,12 @@ from repro.errors import ConfigError, ReproError
 from repro.units import GB, MB
 
 
-def _run_cluster(*, fanout=0, quiescence=False, seed=0, until=6.0,
+def _run_cluster(*, fanout=0, seed=0, until=6.0,
                  n_servers=3, n_jobs=4, writes=12):
     cluster = Cluster(ClusterConfig(
         n_servers=n_servers, policy="job-fair", seed=seed,
         server=ServerConfig(bandwidth=1 * GB, n_workers=2,
-                            sync_tree_fanout=fanout,
-                            sync_quiescence_skip=quiescence)))
+                            sync_tree_fanout=fanout)))
     cluster.fs.makedirs("/fs/d")
     engine = cluster.engine
 
@@ -50,16 +48,14 @@ def _run_cluster(*, fanout=0, quiescence=False, seed=0, until=6.0,
     return cluster
 
 
-def _sync_only_cluster(*, fanout=0, quiescence=False, n_servers=6,
-                       until=5.0, n_jobs=0):
+def _sync_only_cluster(*, fanout=0, n_servers=6, until=5.0, n_jobs=0):
     # No clients: every fabric message is λ-sync traffic. Optional
     # pre-seeded job entries make the snapshots non-trivial without
     # introducing any timing interplay with client traffic.
     cluster = Cluster(ClusterConfig(
         n_servers=n_servers, policy="job-fair",
         server=ServerConfig(bandwidth=1 * GB, n_workers=1,
-                            sync_tree_fanout=fanout,
-                            sync_quiescence_skip=quiescence)))
+                            sync_tree_fanout=fanout)))
     for j in range(n_jobs):
         info = JobInfo(job_id=j + 1, user=f"u{j % 3}", size=j + 1)
         server = list(cluster.servers.values())[j % n_servers]
@@ -152,10 +148,8 @@ class TestDispatch:
 
 
 class TestConfigValidation:
-    def test_defaults_are_flat_and_no_skip(self):
-        cfg = ServerConfig()
-        assert cfg.sync_tree_fanout == 0
-        assert cfg.sync_quiescence_skip is False
+    def test_default_is_flat(self):
+        assert ServerConfig().sync_tree_fanout == 0
 
     def test_fanout_one_rejected(self):
         with pytest.raises(ConfigError):
@@ -224,6 +218,22 @@ class TestFanInAndRootBytes:
                 <= 0.6 * flat["root_in_bytes_per_epoch"])
 
 
+class TestSyncStats:
+    def test_key_set_is_pinned(self):
+        """`ledger/worker.py` and `sync_cost_cell` index this dict by
+        name; the ledger's own tests are not tier-1, so a renamed or
+        dropped counter has to fail here."""
+        stats = _sync_only_cluster(n_servers=3, n_jobs=3).sync_stats()
+        assert set(stats) == {
+            "sync_rounds", "coordinated_rounds", "degraded_rounds",
+            "delta_pushes", "full_pushes", "gather_delta_replies",
+            "gather_full_replies", "push_hash_skips", "basis_mismatches",
+            "full_resyncs", "subtree_full_pushes",
+            "coord_gather_payload_bytes", "relay_gather_payload_bytes",
+            "max_gather_fanin", "placement_requests", "placement_solves"}
+        assert stats["sync_rounds"] > stats["coordinated_rounds"] > 0
+
+
 class TestGatherDelta:
     """Per-peer-basis delta replies in the gather direction — they pay
     off for the flat round on their own (the tree merely reuses them
@@ -270,46 +280,3 @@ class TestGatherDelta:
         assert len(reference) == 8
         for server in servers:
             assert _table_view(server) == reference, server.name
-
-
-class TestQuiescenceSkip:
-    def test_idle_cluster_skips_whole_rounds(self):
-        for fanout in (0, 2):
-            cluster = _sync_only_cluster(fanout=fanout, quiescence=True,
-                                         n_servers=6, n_jobs=6, until=8.0)
-            stats = cluster.sync_stats()
-            assert stats["quiescent_skips"] > 0, fanout
-            assert stats["quiescent_replies"] > 0, fanout
-
-    def test_skip_off_by_default(self):
-        cluster = _sync_only_cluster(fanout=0, n_servers=4, n_jobs=4)
-        assert cluster.sync_stats()["quiescent_skips"] == 0
-
-    def test_digest_log_identical_skip_on_off(self):
-        # A skipped round logs the guarded qhash — by construction the
-        # digest the merge would have produced — so the per-epoch
-        # digest sequence is invariant under the skip.
-        on = _sync_only_cluster(fanout=0, quiescence=True,
-                                n_servers=5, n_jobs=6, until=8.0)
-        off = _sync_only_cluster(fanout=0, quiescence=False,
-                                 n_servers=5, n_jobs=6, until=8.0)
-        assert on.sync_stats()["quiescent_skips"] > 0
-        assert on.sync_digest_log() == off.sync_digest_log()
-        for name in on.servers:
-            assert (_table_view(on.servers[name])
-                    == _table_view(off.servers[name])), name
-
-    def test_content_hash_guard_voids_skip_on_local_change(self):
-        cluster = _sync_only_cluster(fanout=0, quiescence=True,
-                                     n_servers=4, n_jobs=4, until=5.0)
-        server = next(iter(cluster.servers.values()))
-        ctl = server.controller
-        qhash, pre_map = ctl._quiescence_state()
-        assert qhash is not None and pre_map
-        assert ctl._quiescent_match(qhash)
-        # Any local table change since the last merged digest must void
-        # the guard: a skip now would hide the new entry cluster-wide.
-        server.monitor.table.observe(
-            JobInfo(job_id=999, user="new", size=1), cluster.engine.now)
-        assert ctl._quiescence_state() == (None, None)
-        assert not ctl._quiescent_match(qhash)

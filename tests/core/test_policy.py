@@ -42,10 +42,6 @@ class TestParsing:
         p = Policy.parse("group-user-then-size-fair")
         assert Policy.parse(p.name) == p
 
-    def test_depth_is_eq1_N(self):
-        assert Policy.parse("size-fair").depth == 1
-        assert Policy.parse("group-user-size-fair").depth == 3
-
     def test_direct_construction_validates(self):
         with pytest.raises(PolicyError):
             Policy(())

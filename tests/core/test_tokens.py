@@ -74,29 +74,6 @@ class TestDraws:
         assert 0.73 < hits / 20000 < 0.77
 
 
-class TestRestrict:
-    def test_restrict_renormalises(self):
-        a = TokenAssignment({1: 0.5, 2: 0.25, 3: 0.25})
-        r = a.restrict([2, 3])
-        assert r.share(2) == pytest.approx(0.5)
-        assert r.share(3) == pytest.approx(0.5)
-
-    def test_restrict_preserves_proportions(self):
-        a = TokenAssignment({1: 0.6, 2: 0.3, 3: 0.1})
-        r = a.restrict([2, 3])
-        assert r.share(2) / r.share(3) == pytest.approx(3.0)
-
-    def test_restrict_ignores_unknown_jobs(self):
-        a = TokenAssignment({1: 1.0})
-        r = a.restrict([1, 99])
-        assert len(r) == 1
-
-    def test_restrict_to_nothing_returns_none(self):
-        a = TokenAssignment({1: 1.0})
-        assert a.restrict([99]) is None
-        assert a.restrict([]) is None
-
-
 class TestDrawBoundaries:
     """Edge geometry of the segment search (both search paths)."""
 
@@ -115,12 +92,6 @@ class TestDrawBoundaries:
         for u in (0.0, 0.3, 0.999999):
             assert a.draw(u) == 7
         assert a.segment(7) == (0.0, 1.0)
-
-    def test_zero_share_job_excluded_by_restrict(self):
-        a = TokenAssignment({1: 1.0, 2: 0.0, 3: 1.0})
-        r = a.restrict([1, 2, 3])
-        assert 2 not in r
-        assert r.share(1) == pytest.approx(0.5)
 
     def test_large_population_uses_numpy_path_consistently(self):
         # Above SMALL_N_THRESHOLD the numpy search runs; results must

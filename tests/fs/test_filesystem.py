@@ -180,19 +180,6 @@ class TestPlacement:
         fs = make_fs(n_servers=4)
         assert fs.metadata_server("/fs/a") == fs.metadata_server("/fs/a")
 
-    def test_data_servers_match_stripe(self):
-        fs = make_fs(n_servers=4, stripe_count=2, stripe_size=10)
-        fs.mkdir("/fs")
-        inode = fs.create("/fs/f")
-        servers = fs.data_servers("/fs/f", 0, 20)
-        assert servers == set(inode.stripe.servers[:2])
-
-    def test_data_servers_small_io_single_server(self):
-        fs = make_fs(n_servers=4, stripe_count=4, stripe_size=100)
-        fs.mkdir("/fs")
-        fs.create("/fs/f")
-        assert len(fs.data_servers("/fs/f", 0, 50)) == 1
-
     def test_files_spread_across_servers(self):
         fs = make_fs(n_servers=4)
         fs.mkdir("/fs")

@@ -67,12 +67,6 @@ class TestSegments:
             store.write(("f", i), b"x" * 200)
         assert store.segment_count > 1
 
-    def test_utilization_drops_with_overwrites(self):
-        store = make()
-        for _ in range(10):
-            store.write("same-key", b"y" * 100)
-        assert store.utilization() < 0.5
-
     def test_live_bytes_tracks_newest_versions_only(self):
         store = make()
         store.write("k", b"a" * 100)

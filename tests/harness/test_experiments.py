@@ -148,10 +148,4 @@ class TestSyncCostLadder:
                 out["nominal_bytes_per_epoch"],
                 out["messages_per_epoch"],
                 out["max_fanin"]) == self.ROWS[n_servers, fanout]
-        assert out["epochs"] == 6 and out["quiescent_skips"] == 0
-
-    def test_quiescent_tree_skips_whole_rounds(self):
-        out = sync_cost_cell({"n_servers": 64, "fanout": 8, "epochs": 6,
-                              "quiescence": True})
-        assert out["root_in_bytes_per_epoch"] == 4_203
-        assert out["quiescent_skips"] == 5 and out["epochs"] == 6
+        assert out["epochs"] == 6

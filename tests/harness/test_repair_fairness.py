@@ -48,4 +48,7 @@ class TestRepairFairnessMatrix:
         assert "fifo" in text and "size-fair" in text
         assert "size-fair verdict" in text
         for policy in ("fifo", "size-fair"):
-            assert out.rows[policy]["data_lost_groups"] == 0
+            row = out.rows[policy]
+            assert row["data_lost_groups"] == 0
+            assert row["repair_completion_s"] is not None, policy
+            assert row["groups_rebuilt"] > 0, policy

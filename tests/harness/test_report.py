@@ -1,8 +1,6 @@
 """Tests for the plain-text reporting helpers."""
 
-import numpy as np
-
-from repro.harness import pct, ratio, series_text, sparkline, table
+from repro.harness import pct, ratio, sparkline, table
 
 
 class TestTable:
@@ -53,13 +51,3 @@ class TestSparkline:
 
     def test_all_zero_safe(self):
         assert sparkline([0.0, 0.0], width=2) == "  "
-
-
-class TestSeries:
-    def test_series_text_subsamples(self):
-        times = np.arange(100, dtype=float)
-        values = np.full(100, 1e9)
-        out = series_text("job1", times, values, max_points=5)
-        assert out.startswith("job1: ")
-        assert out.count("t=") <= 10
-        assert "1.00 GB/s" in out

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bb import ClusterConfig
+from repro.bb import ClusterConfig, ServerConfig
 from repro.errors import ConfigError
 from repro.harness import ExperimentConfig, JobRun, run_experiment
 from repro.units import MB
@@ -38,6 +38,25 @@ class TestConfig:
         run = JobRun(spec=spec(1, nodes=64), workload=small_cycle(),
                      client_nodes=4)
         assert run.n_clients == 4
+
+    @pytest.mark.parametrize("build", [
+        lambda: ServerConfig(sync_timeout=-1),
+        lambda: ServerConfig(sync_processing_time=-1),
+        lambda: ServerConfig(client_pool_workers=0),
+        lambda: JobRun(spec=spec(1), workload=small_cycle(), client_nodes=0),
+        lambda: ExperimentConfig(
+            jobs=[JobRun(spec=spec(1), workload=small_cycle())],
+            sample_interval=0),
+        lambda: ClusterConfig(stripe_size=0),
+        lambda: ClusterConfig(storage_backend="nope"),
+    ], ids=["sync_timeout", "sync_processing_time", "client_pool_workers",
+            "client_nodes", "sample_interval", "stripe_size",
+            "storage_backend"])
+    def test_bad_values_rejected_at_construction(self, build):
+        """Values that reach a run from CLI flags or a sweep-spec JSON
+        fail where they enter, not where they are first used."""
+        with pytest.raises(ConfigError):
+            build()
 
 
 class TestRunner:
@@ -92,20 +111,6 @@ class TestRunner:
         result = run_experiment(cfg)
         with pytest.raises(ConfigError):
             result.time_to_solution(1)
-
-    def test_to_dict_is_json_serialisable_and_complete(self):
-        import json
-        cfg = ExperimentConfig(
-            cluster=ClusterConfig(n_servers=1, policy="size-fair"),
-            jobs=[JobRun(spec=spec(1), workload=small_cycle(), stop=0.3)],
-            max_time=1.0, sample_interval=0.1)
-        result = run_experiment(cfg)
-        exported = result.to_dict()
-        text = json.dumps(exported)  # must not raise
-        assert json.loads(text)["policy"] == "size-fair"
-        job = exported["jobs"]["1"]
-        assert job["bytes_moved"] > 0
-        assert len(job["series_times"]) == len(job["series_bytes_per_sec"])
 
     def test_two_jobs_share_metrics_are_separable(self):
         cfg = ExperimentConfig(

@@ -8,8 +8,7 @@ import pytest
 from repro.errors import ReproError
 from repro.harness import sweep as sweepmod
 from repro.harness.sweep import (BUILTIN_GRIDS, ParallelRunner, SweepSpec,
-                                 derive_replica_seed, load_spec,
-                                 spec_from_doc)
+                                 load_spec, spec_from_doc)
 from repro.harness.workspace import Workspace, canonical_json
 
 
@@ -32,24 +31,15 @@ class TestSpecExpansion:
         with pytest.raises(ReproError):
             spec.points()
 
-    def test_replicas_derive_seeds(self):
-        spec = SweepSpec(name="t", kind="sharing", base={"seed": 5},
-                         replicas=3)
-        points = spec.points()
-        assert [p["replica"] for p in points] == [0, 1, 2]
-        assert points[0]["seed"] == 5  # replica 0 keeps the declared seed
-        assert points[1]["seed"] == derive_replica_seed(5, 1)
-        assert points[2]["seed"] == derive_replica_seed(5, 2)
-        assert len({p["seed"] for p in points}) == 3
-
-    def test_replica_seed_derivation_is_pure(self):
-        assert derive_replica_seed(5, 1) == derive_replica_seed(5, 1)
-        assert derive_replica_seed(5, 1) != derive_replica_seed(6, 1)
-
     def test_spec_doc_roundtrip(self):
         spec = BUILTIN_GRIDS["quick"]
-        again = spec_from_doc(spec.to_doc())
+        again = spec_from_doc({"name": spec.name, "kind": spec.kind,
+                               "base": spec.base, "axes": spec.axes})
         assert again.points() == spec.points()
+
+    def test_unknown_spec_key_rejected(self):
+        with pytest.raises(ReproError, match="replicas"):
+            spec_from_doc({"kind": "sharing", "replicas": 3})
 
     def test_load_spec_file(self, tmp_path):
         path = tmp_path / "spec.json"

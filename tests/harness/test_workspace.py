@@ -139,10 +139,3 @@ class TestStore:
         assert len(ws) == 0
         assert ws.get(key) is None
         assert not ws.discard(key)
-
-    def test_clear(self, tmp_path):
-        ws = Workspace(str(tmp_path / "ws"))
-        for i in range(3):
-            self._put(ws, {"x": i})
-        assert ws.clear() == 3
-        assert len(ws) == 0

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.metrics import ThroughputSampler
 
 
@@ -43,8 +42,8 @@ class TestSeries:
         assert list(rates) == [100.0, 150.0, 100.0]
 
     def test_per_job_series(self, sampler):
-        series = sampler.per_job_series(interval=1.0, start=0.0, end=3.0)
-        assert list(series[2][1]) == [0.0, 50.0, 0.0]
+        _, rates = sampler.series(2, interval=1.0, start=0.0, end=3.0)
+        assert list(rates) == [0.0, 50.0, 0.0]
 
     def test_interval_scaling(self, sampler):
         _, rates = sampler.series(interval=0.5, start=0.0, end=3.0)
@@ -115,177 +114,3 @@ class TestIncrementalAggregatesMatchBruteForce:
             expected = expected / (t1 - t0) if t1 > t0 else 0.0
             got = sampler.window_throughput(t0, t1, job_id=job)
             assert got == pytest.approx(expected), (t0, t1, job)
-
-
-class TestBinnedMode:
-    """On-the-fly binning: bounded memory, aggregate-exact answers."""
-
-    def test_bin_interval_validated(self):
-        with pytest.raises(ConfigError):
-            ThroughputSampler(bin_interval=0.0)
-        with pytest.raises(ConfigError):
-            ThroughputSampler(bin_interval=-1.0)
-
-    @staticmethod
-    def _pair():
-        raw = ThroughputSampler()
-        binned = ThroughputSampler(bin_interval=0.5)
-        for rec in [(0.5, 1, 100, "write"), (1.2, 2, 50, "read"),
-                    (1.5, 1, 100, "write"), (2.5, 1, 100, "read")]:
-            raw.record(*rec)
-            binned.record(*rec)
-        return raw, binned
-
-    def test_aggregates_match_raw_mode(self):
-        raw, binned = self._pair()
-        assert len(binned) == len(raw)
-        assert binned.job_ids() == raw.job_ids()
-        assert binned.total_bytes() == raw.total_bytes()
-        assert binned.total_bytes(1) == raw.total_bytes(1)
-        assert binned.op_count(op="write") == raw.op_count(op="write")
-        assert binned.op_count(1, "read") == raw.op_count(1, "read")
-
-    def test_series_matches_at_bin_resolution(self):
-        raw, binned = self._pair()
-        for job in (None, 1, 2):
-            t_r, v_r = raw.series(job, interval=0.5, start=0.0, end=3.0)
-            t_b, v_b = binned.series(job, interval=0.5, start=0.0, end=3.0)
-            assert list(t_r) == list(t_b)
-            assert list(v_r) == list(v_b)
-
-    def test_window_throughput_on_aligned_windows(self):
-        raw, binned = self._pair()
-        for t0, t1 in [(0.0, 2.0), (0.5, 1.5), (1.0, 3.0), (0.0, 3.0)]:
-            for job in (None, 1, 2):
-                assert binned.window_throughput(t0, t1, job) == pytest.approx(
-                    raw.window_throughput(t0, t1, job)), (t0, t1, job)
-
-    def test_fractional_window_apportions_bins(self):
-        binned = ThroughputSampler(bin_interval=1.0)
-        binned.record(0.5, 1, 100, "write")
-        binned.record(2.5, 1, 80, "write")  # recording continues past bin 0
-        # Half of the (full) [0, 1) bin overlaps [0.5, 1.5): 50 B over 1 s.
-        assert binned.window_throughput(0.5, 1.5) == pytest.approx(50.0)
-
-    def test_memory_is_bounded_by_duration_not_records(self):
-        binned = ThroughputSampler(bin_interval=1.0)
-        for i in range(10_000):
-            binned.record(i * 0.001, 1, 10, "write")  # all within 10 s
-        assert len(binned) == 10_000
-        assert len(binned._total_bins) == 10
-        assert binned._times == []  # no raw records retained
-
-    def test_empty_binned_series_and_window(self):
-        binned = ThroughputSampler(bin_interval=1.0)
-        times, rates = binned.series(interval=1.0)
-        assert len(times) == 1 and rates[0] == 0.0
-        assert binned.window_throughput(0.0, 5.0) == 0.0
-
-
-class TestBinnedPartialFinalBin:
-    """A run rarely ends on a ``bin_interval`` boundary; the default
-    series() window must flush the partial final bin instead of
-    truncating it when *interval* is finer than ``bin_interval``."""
-
-    def test_tail_bytes_survive_fine_interval_series(self):
-        s = ThroughputSampler(bin_interval=10.0)
-        s.record(2.0, 1, 100, "write")
-        s.record(12.0, 1, 200, "write")
-        s.record(25.0, 1, 300, "write")   # partial bin [20, 30), sim ends
-        for interval in (1.0, 2.5, 10.0):
-            times, rates = s.series(interval=interval)
-            assert sum(rates) * interval == pytest.approx(600.0), interval
-
-    def test_series_window_covers_last_bin_centre(self):
-        s = ThroughputSampler(bin_interval=10.0)
-        s.record(21.0, 1, 300, "write")
-        times, rates = s.series(interval=1.0)
-        # The [20, 30) bin's point mass sits at t=25; the default window
-        # must reach past it even though the last completion was t=21.
-        assert times[-1] + 1.0 > 25.0
-        assert sum(rates) * 1.0 == pytest.approx(300.0)
-
-    def test_explicit_end_still_honoured(self):
-        s = ThroughputSampler(bin_interval=10.0)
-        s.record(25.0, 1, 300, "write")
-        times, rates = s.series(interval=1.0, end=20.0)
-        # Caller-chosen window excludes the tail bin: nothing invented.
-        assert sum(rates) == 0.0
-
-    def test_per_job_series_flushes_tail(self):
-        s = ThroughputSampler(bin_interval=5.0)
-        s.record(1.0, 1, 50, "write")
-        s.record(8.0, 2, 70, "write")     # partial final bin [5, 10)
-        per_job = s.per_job_series(interval=1.0)
-        assert sum(per_job[1][1]) * 1.0 == pytest.approx(50.0)
-        assert sum(per_job[2][1]) * 1.0 == pytest.approx(70.0)
-
-
-class TestBinnedPartialFinalBinWindow:
-    """window_throughput() in binned mode (ISSUE 5 satellite): the final
-    stored bin only spans up to the last completion time. Spreading its
-    bytes across the full ``bin_interval`` width made any window that
-    covers the whole recording under-count the tail — the same truncation
-    bug series() had, on the windowed-query path."""
-
-    def test_full_recording_window_matches_raw(self):
-        raw = ThroughputSampler()
-        binned = ThroughputSampler(bin_interval=10.0)
-        for rec in [(2.0, 1, 100, "write"), (12.0, 1, 200, "write"),
-                    (25.0, 2, 300, "write")]:   # sim ends mid-bin [20, 30)
-            raw.record(*rec)
-            binned.record(*rec)
-        # A window ending at the last completion must see *all* bytes;
-        # the old full-width apportioning returned 600 - 300/2 = 450.
-        assert binned.window_throughput(0.0, 25.0) == pytest.approx(
-            raw.window_throughput(0.0, 25.0) + 300 / 25.0)
-        # (Raw mode's half-open [t0, t1) excludes the record at exactly
-        # t=25; the binned model spreads it across (20, 25] so the same
-        # window captures it — total bytes over the recorded span.)
-        assert binned.window_throughput(0.0, 25.0) * 25.0 == pytest.approx(
-            binned.total_bytes())
-
-    def test_partial_final_bin_is_not_diluted(self):
-        s = ThroughputSampler(bin_interval=10.0)
-        s.record(22.0, 1, 300, "write")
-        s.record(24.0, 1, 100, "write")
-        # All 400 B lie in [20, 24]; a window covering that span gets
-        # every byte (old behaviour: 400 * 4/10 = 160 B).
-        assert s.window_throughput(20.0, 24.0) * 4.0 == pytest.approx(400.0)
-        # Fractional overlap *within* the truncated span still scales:
-        # [20, 22) is half of the 4-second effective bin.
-        assert s.window_throughput(20.0, 22.0) * 2.0 == pytest.approx(200.0)
-        # Past the last completion there is nothing to apportion.
-        assert s.window_throughput(24.0, 30.0) == 0.0
-
-    def test_zero_width_final_bin_is_a_point_mass(self):
-        s = ThroughputSampler(bin_interval=10.0)
-        s.record(5.0, 1, 100, "write")
-        s.record(20.0, 1, 300, "write")   # exactly on the [20, 30) edge
-        # The final bin's span collapses to the instant t=20: windows
-        # covering it get the whole mass, windows stopping at it get none.
-        assert s.window_throughput(0.0, 20.0) * 20.0 == pytest.approx(100.0)
-        assert s.window_throughput(0.0, 21.0) * 21.0 == pytest.approx(400.0)
-        assert s.window_throughput(20.0, 25.0) * 5.0 == pytest.approx(300.0)
-
-    def test_per_job_windows_share_the_clamp(self):
-        s = ThroughputSampler(bin_interval=10.0)
-        s.record(2.0, 1, 100, "write")
-        s.record(25.0, 2, 300, "write")
-        # Job 2's bytes all sit in [20, 25]; job 1's bin [0, 10) is a
-        # full-width bin because recording continued past it.
-        assert s.window_throughput(0.0, 25.0, job_id=2) * 25.0 \
-            == pytest.approx(300.0)
-        assert s.window_throughput(0.0, 5.0, job_id=1) * 5.0 \
-            == pytest.approx(50.0)
-
-    def test_dense_scan_and_sparse_iterate_agree(self):
-        # Both _binned_window branches (range scan for narrow windows,
-        # dict iteration for wide ones) must apply the same clamp.
-        s = ThroughputSampler(bin_interval=1.0)
-        for i in range(20):
-            s.record(i * 0.25, 1, 10, "write")   # last bin [4, 5) partial
-        wide = s.window_throughput(0.0, 100.0)   # range >> len(bins)
-        narrow = s.window_throughput(0.0, 5.0)
-        assert wide * 100.0 == pytest.approx(narrow * 5.0)
-        assert narrow * 5.0 == pytest.approx(s.total_bytes())

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.metrics import (jain_index, median_nonzero, percentile_nonzero,
-                           scaling_efficiency, share_ratio, size_fair_bound,
-                           slowdown, speedup, stddev_nonzero)
+from repro.metrics import (jain_index, median_nonzero, scaling_efficiency,
+                           share_ratio, size_fair_bound, slowdown,
+                           stddev_nonzero)
 
 
 class TestMedianStd:
@@ -21,19 +21,6 @@ class TestMedianStd:
     def test_stddev_nonzero(self):
         assert stddev_nonzero([0, 5, 5, 5]) == 0.0
         assert stddev_nonzero([0, 4, 8]) == pytest.approx(2.0)
-
-
-class TestPercentile:
-    def test_percentile_ignores_zeros(self):
-        assert percentile_nonzero([0, 0, 10, 20, 30, 40], 50) == 25.0
-        assert percentile_nonzero([0, 5], 100) == 5.0
-
-    def test_all_zero(self):
-        assert percentile_nonzero([0.0], 99) == 0.0
-
-    def test_invalid_q(self):
-        with pytest.raises(ConfigError):
-            percentile_nonzero([1.0], 101)
 
 
 class TestSizeFairBound:
@@ -55,14 +42,9 @@ class TestSlowdown:
         assert slowdown(10.0, 16.0) == pytest.approx(0.6)
         assert slowdown(10.0, 10.0) == pytest.approx(0.0)
 
-    def test_speedup(self):
-        assert speedup(16.0, 10.0) == pytest.approx(1.6)
-
     def test_invalid(self):
         with pytest.raises(ConfigError):
             slowdown(0.0, 5.0)
-        with pytest.raises(ConfigError):
-            speedup(1.0, 0.0)
 
 
 class TestJain:

@@ -5,28 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.mpiio import ContiguousView, VectorView, coalesce, total_bytes
-
-
-class TestContiguousView:
-    def test_rank_blocks_are_disjoint_and_ordered(self):
-        view = ContiguousView(block=100)
-        assert view.pieces(0) == [(0, 100)]
-        assert view.pieces(1) == [(100, 100)]
-        assert view.pieces(2, count=1) == [(200, 100)]
-
-    def test_count_repeats(self):
-        view = ContiguousView(block=10)
-        assert view.pieces(1, count=3) == [(30, 10), (40, 10), (50, 10)]
-
-    def test_displacement(self):
-        assert ContiguousView(block=10, disp=5).pieces(0) == [(5, 10)]
-
-    def test_invalid(self):
-        with pytest.raises(ConfigError):
-            ContiguousView(block=0)
-        with pytest.raises(ConfigError):
-            ContiguousView(block=10).pieces(-1)
+from repro.mpiio import VectorView, coalesce, total_bytes
 
 
 class TestVectorView:

@@ -1,4 +1,4 @@
-"""Event cancellation: semantics, queue hygiene, and the Ticker."""
+"""Event cancellation: semantics and queue hygiene."""
 
 import pytest
 
@@ -146,66 +146,6 @@ def test_lock_wake_skips_cancelled_waiter():
     eng.run()
     assert ev_c.processed and ev_c.ok
     assert not ev_b.processed
-
-
-# ------------------------------------------------------------------ ticker
-def test_ticker_stop_ends_loop_and_cancels_sleep():
-    eng = Engine()
-    ticks = []
-    ticker = eng.every(1.0, lambda: ticks.append(eng.now))
-    eng.run(until=3.5)
-    assert ticks == [1.0, 2.0, 3.0]
-    ticker.stop()
-    assert eng.stats()["dead_pending"] == 1  # the abandoned sleep
-    eng.run(until=10.0)
-    assert ticks == [1.0, 2.0, 3.0]
-    assert ticker.processed  # the ticker process ended cleanly
-    assert eng.stats()["pending"] == 0
-
-
-def test_ticker_stop_is_idempotent():
-    eng = Engine()
-    ticker = eng.every(1.0, lambda: None)
-    eng.run(until=1.5)
-    ticker.stop()
-    ticker.stop()
-    eng.run()
-    assert ticker.processed
-
-
-def test_ticker_stop_before_start():
-    eng = Engine()
-    ticks = []
-    ticker = eng.every(1.0, lambda: ticks.append(eng.now))
-    ticker.stop()
-    eng.run(until=5.0)
-    assert ticks == []
-    assert ticker.processed
-
-
-def test_ticker_stop_from_within_tick():
-    eng = Engine()
-    ticks = []
-    holder = {}
-
-    def tick():
-        ticks.append(eng.now)
-        if len(ticks) == 2:
-            holder["t"].stop()
-
-    holder["t"] = eng.every(1.0, tick)
-    eng.run(until=10.0)
-    assert ticks == [1.0, 2.0]
-    assert holder["t"].processed
-
-
-def test_ticker_interval_start_delay_interplay():
-    eng = Engine()
-    ticks = []
-    eng.every(2.0, lambda: ticks.append(eng.now), start_delay=0.5)
-    eng.run(until=7.0)
-    # First tick at start_delay, then strictly every interval after it.
-    assert ticks == [0.5, 2.5, 4.5, 6.5]
 
 
 # ------------------------------------------------------- interrupt regression

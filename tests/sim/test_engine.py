@@ -139,42 +139,6 @@ def test_call_at_past_raises():
         eng.call_at(1.0, lambda: None)
 
 
-def test_every_ticks_at_interval():
-    eng = Engine()
-    ticks = []
-    eng.every(1.0, lambda: ticks.append(eng.now))
-    eng.run(until=3.5)
-    assert ticks == [pytest.approx(1.0), pytest.approx(2.0), pytest.approx(3.0)]
-
-
-def test_every_with_start_delay():
-    eng = Engine()
-    ticks = []
-    eng.every(2.0, lambda: ticks.append(eng.now), start_delay=0.5)
-    eng.run(until=5.0)
-    assert ticks == [pytest.approx(0.5), pytest.approx(2.5), pytest.approx(4.5)]
-
-
-def test_every_rejects_nonpositive_interval():
-    eng = Engine()
-    with pytest.raises(SimulationError):
-        eng.every(0.0, lambda: None)
-
-
-def test_every_rejects_negative_start_delay():
-    eng = Engine()
-    with pytest.raises(SimulationError, match="start_delay"):
-        eng.every(1.0, lambda: None, start_delay=-1.0)
-
-
-def test_every_zero_start_delay_fires_immediately():
-    eng = Engine()
-    ticks = []
-    eng.every(2.0, lambda: ticks.append(eng.now), start_delay=0.0)
-    eng.run(until=5.0)
-    assert ticks == [pytest.approx(0.0), pytest.approx(2.0), pytest.approx(4.0)]
-
-
 def test_unhandled_process_exception_propagates():
     eng = Engine()
 

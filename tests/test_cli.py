@@ -87,12 +87,16 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "sweep cli-test (sharing): 2 points" in out
         assert "misses 2" in out
-        assert main(["sweep", spec, "--workspace", ws]) == 0
-        warm = capsys.readouterr().out
-        assert "hits 2" in warm and "misses 0" in warm
         import json
-        doc = json.load(open(out_json))
-        assert doc["points"] == 2 and doc["digest"]
+        with open(out_json) as fh:
+            cold = json.load(fh)
+        assert cold["points"] == cold["misses"] == 2 and cold["digest"]
+        assert main(["sweep", spec, "--workspace", ws,
+                     "--json", out_json]) == 0
+        assert "hits 2  misses 0" in capsys.readouterr().out
+        with open(out_json) as fh:
+            warm = json.load(fh)
+        assert warm["hits"] == 2 and warm["digest"] == cold["digest"]
 
     def test_no_workspace_flag(self, tmp_path, capsys):
         spec = self._spec(tmp_path)

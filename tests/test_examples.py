@@ -23,8 +23,7 @@ def test_examples_directory_contents():
     names = {p.name for p in EXAMPLES.glob("*.py")}
     assert {"quickstart.py", "policy_composition.py",
             "interference_study.py", "posix_shim.py",
-            "lambda_sync.py", "fault_tolerance.py",
-            "cluster_simulation.py"} <= names
+            "lambda_sync.py", "fault_tolerance.py"} <= names
 
 
 def test_fault_tolerance_example():
@@ -37,13 +36,6 @@ def test_collective_io_example():
     result = run_script("collective_io.py", timeout=60)
     assert result.returncode == 0, result.stderr
     assert "request-count reduction" in result.stdout
-
-
-@pytest.mark.slow
-def test_cluster_simulation_example():
-    result = run_script("cluster_simulation.py")
-    assert result.returncode == 0, result.stderr
-    assert "makespan" in result.stdout
 
 
 def test_posix_shim_example():

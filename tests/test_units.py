@@ -1,7 +1,6 @@
 """Tests for unit constants and formatting helpers."""
 
-from repro.units import (GB, GiB, KiB, MB, MiB, MSEC, SEC, USEC, fmt_bw,
-                         fmt_bytes, fmt_time)
+from repro.units import GB, GiB, KiB, MB, MiB, MSEC, SEC, USEC, fmt_bw
 
 
 class TestConstants:
@@ -21,18 +20,7 @@ class TestConstants:
 
 
 class TestFormatting:
-    def test_fmt_bytes(self):
-        assert fmt_bytes(512) == "512 B"
-        assert fmt_bytes(2 * KiB) == "2.00 KiB"
-        assert fmt_bytes(3 * MiB) == "3.00 MiB"
-        assert fmt_bytes(1.5 * GiB) == "1.50 GiB"
-
     def test_fmt_bw(self):
         assert fmt_bw(22 * GB) == "22.00 GB/s"
         assert fmt_bw(504 * MB) == "504.0 MB/s"
         assert fmt_bw(10_000) == "10.0 KB/s"
-
-    def test_fmt_time(self):
-        assert fmt_time(5e-7) == "0.5 us"
-        assert fmt_time(0.05) == "50.0 ms"
-        assert fmt_time(2.0) == "2.000 s"

@@ -18,22 +18,6 @@ def env():
 
 
 class TestWorker:
-    def test_endpoint_send_and_recv(self, env):
-        eng, _, ctx_a, ctx_b = env
-        wa = ctx_a.create_worker("w")
-        wb = ctx_b.create_worker("w")
-        got = []
-
-        def receiver():
-            msg = yield wb.recv("greet")
-            got.append(msg.payload)
-
-        eng.process(receiver())
-        ep = wa.create_endpoint(wb.address)
-        ep.send("greet", payload="hi", size=8)
-        eng.run()
-        assert got == ["hi"]
-
     def test_push_handler_receives(self, env):
         eng, _, ctx_a, ctx_b = env
         wa = ctx_a.create_worker("w")
@@ -61,12 +45,7 @@ class TestWorker:
         wa = ctx_a.create_worker("w")
         wb = ctx_b.create_worker("w")
         got = []
-
-        def receiver():
-            msg = yield wb.recv("wanted")
-            got.append(msg.payload)
-
-        eng.process(receiver())
+        wb.on("wanted", lambda msg: got.append(msg.payload))
         ep = wa.create_endpoint(wb.address)
         ep.send("other", payload="no")
         ep.send("wanted", payload="yes")
@@ -121,7 +100,7 @@ class TestWorker:
         w = ctx_a.create_worker("w")
         w.close()
         with pytest.raises(UCXError):
-            w.recv("t")
+            w.on("t", lambda m: None)
         with pytest.raises(UCXError):
             w.create_endpoint(("node-b", "w"))
 
@@ -172,7 +151,7 @@ class TestWorkerPool:
         pool = WorkerPool(ctx_a, "cs-", n_workers=1)
         pool.assign("c")
         assert pool.release("c") is True
-        assert pool.lookup("c") is None
+        assert pool.mapped_clients == []
         assert pool.release("c") is False
 
     def test_release_many(self, env):
