@@ -11,7 +11,7 @@ magnitude worse.
 Run:  python examples/interference_study.py   (~30 s)
 """
 
-from repro.harness.experiments import _run_app
+from repro.harness.experiments import app_cell
 from repro.harness.report import pct
 from repro.workloads import NAMD
 
@@ -21,14 +21,18 @@ def main() -> None:
           f"{NAMD.steps} steps, trajectory burst every {NAMD.io_every})")
     print("Background: one node of 4 MB write/read cycles\n")
 
-    baseline = _run_app(NAMD, "fifo", with_background=False, seed=0)
+    def run(policy: str, background: bool) -> float:
+        return app_cell({"app": NAMD.name, "policy": policy,
+                         "background": background})["time_to_solution"]
+
+    baseline = run("fifo", background=False)
     print(f"exclusive access        : {baseline:6.2f} s")
 
-    fifo = _run_app(NAMD, "fifo", with_background=True, seed=0)
+    fifo = run("fifo", background=True)
     print(f"FIFO + background       : {fifo:6.2f} s   "
           f"({pct(fifo / baseline - 1)})")
 
-    fair = _run_app(NAMD, "size-fair", with_background=True, seed=0)
+    fair = run("size-fair", background=True)
     print(f"size-fair + background  : {fair:6.2f} s   "
           f"({pct(fair / baseline - 1)})")
 

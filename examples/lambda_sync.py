@@ -11,7 +11,7 @@ prints job 1's observed share per interval for two λ values.
 Run:  python examples/lambda_sync.py   (~20 s)
 """
 
-from repro.harness import fig14_lambda
+from repro.harness import FIGURES, run_figure
 
 
 def main() -> None:
@@ -19,14 +19,15 @@ def main() -> None:
     print("Fair split: job1 (16 nodes) = 50%, jobs 2 and 3 (8 nodes) = 25%")
     print("Files are pinned so servers start with disjoint local views.\n")
 
-    out = fig14_lambda(lambdas=lambdas, seed=0)
-    print(out.report())
+    rows = run_figure("fig14", lambdas=lambdas, seed=0)
+    print(FIGURES["fig14"].report(rows))
     print()
-    for lam, conv in out.convergence.items():
+    for row in rows:
+        conv = row["intervals_to_fairness"]
         status = ("did not converge" if conv is None
                   else f"globally fair from interval {conv}")
-        print(f"lambda = {lam * 1000:4.0f} ms: {status}; "
-              f"steady-state share variance {out.variance[lam]:.5f}")
+        print(f"lambda = {row['lam'] * 1000:4.0f} ms: {status}; "
+              f"steady-state share variance {row['share_variance']:.5f}")
     print("\nShorter intervals converge in more (shorter) intervals and "
           "show higher share variance — §5.6's observation.")
 

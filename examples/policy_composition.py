@@ -13,7 +13,7 @@ Run:  python examples/policy_composition.py
 
 from collections import defaultdict
 
-from repro.harness import fig09_user_then_size, fig10_group_user_size
+from repro.harness import FIGURES, run_figure
 from repro.units import fmt_bw
 
 SCALE = 0.1
@@ -21,18 +21,17 @@ SCALE = 0.1
 
 def print_tree(out) -> None:
     """Render the Fig. 11 tree: group -> user -> job percentages."""
-    total = out.total
+    total = out["total"]
     by_group = defaultdict(lambda: defaultdict(list))
-    spec_of = {run.spec.job_id: run.spec for run in out.result.config.jobs}
-    for job_id, rate in sorted(out.job_medians.items()):
-        spec = spec_of[job_id]
-        by_group[spec.group][spec.user].append((job_id, spec.nodes, rate))
+    for job_id, job in enumerate(out["jobs"], start=1):
+        by_group[job["group"]][job["user"]].append(
+            (job_id, job["nodes"], out["job_medians"][str(job_id)]))
     print(f"all jobs: {fmt_bw(total)} (100%)")
     for group in sorted(by_group):
-        g_rate = out.group_totals[group]
+        g_rate = out["group_totals"][group]
         print(f"  {group}: {fmt_bw(g_rate)} ({g_rate / total * 100:.0f}%)")
         for user in sorted(by_group[group]):
-            u_rate = out.user_totals[user]
+            u_rate = out["user_totals"][user]
             print(f"    {user}: {fmt_bw(u_rate)} "
                   f"({u_rate / total * 100:.0f}%)")
             for job_id, nodes, rate in by_group[group][user]:
@@ -44,13 +43,12 @@ def main() -> None:
     print("=== user-then-size-fair (Fig. 9) ===")
     print("Two users; user 1 runs 1- and 2-node jobs, user 2 runs 4- and")
     print("6-node jobs. Users split evenly; jobs split 1:2 and 4:6.\n")
-    out9 = fig09_user_then_size(scale=SCALE, seed=0)
-    print(out9.report())
+    print(FIGURES["fig09"].report(run_figure("fig09", scale=SCALE, seed=0)))
 
     print("\n=== group-user-size-fair (Figs. 10-11) ===")
     print("Two groups, four users, eight jobs; user 2's three jobs have")
     print("node counts 2:3:2.\n")
-    out10 = fig10_group_user_size(scale=SCALE, seed=0)
+    (out10,) = run_figure("fig10", scale=SCALE, seed=0)
     print_tree(out10)
 
 

@@ -10,7 +10,8 @@ prints what the union of the runs merged so far never called: function
 lines outside ``lint/`` per package (first decorator through last line),
 then each function. Child processes are not followed: drive
 ``ledger/worker.py``, not ``ledger/run.py``, and keep ``--jobs 1``.
-EXPERIMENTS.md (*Perimeter audit*) lists the audit's commands.
+``git show 64ca599:EXPERIMENTS.md`` (*Perimeter audit*) lists the
+audit's commands; EXPERIMENTS.md keeps its decision-record row.
 """
 
 import ast
@@ -30,9 +31,9 @@ def record(out: str, target: str, args: list) -> set:
     if os.path.exists(out):
         with open(out) as fh:
             called = {tuple(entry) for entry in json.load(fh)}
-    seen = set()
+    seen = {}  # code object -> None, in first-call order
     sys.setprofile(lambda frame, event, arg:
-                   seen.add(frame.f_code) if event == "call" else None)
+                   seen.setdefault(frame.f_code) if event == "call" else None)
     try:
         if target == "-m":
             sys.argv = args

@@ -8,7 +8,7 @@ job busy, one mostly idle — the mandatory variant wastes the idle job's
 cycles and loses throughput; opportunity fairness keeps the device busy.
 """
 
-from repro.harness import JobRun, run_sharing_experiment
+from repro.harness import JobRun, run_experiment, scenario
 from repro.units import MB
 from repro.workloads import JobSpec, WriteReadCycle
 
@@ -25,9 +25,9 @@ def _run(opportunity_fair: bool):
                                        streams_per_node=1),
                start=0.0, stop=3.0),
     ]
-    result = run_sharing_experiment(
+    result = run_experiment(scenario(
         "job-fair", jobs, scale=0.05, seed=0,
-        opportunity_fair=opportunity_fair)
+        opportunity_fair=opportunity_fair))
     return result.window_throughput(0.5, 3.0)
 
 

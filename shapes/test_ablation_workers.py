@@ -8,7 +8,7 @@ worker and the device starves. The sweep shows throughput climbing with
 worker count until the device (not the workers) is the bottleneck.
 """
 
-from repro.harness import JobRun, run_sharing_experiment
+from repro.harness import JobRun, run_experiment, scenario
 from repro.bb.server import ServerConfig
 from repro.units import GB, KiB, MB
 from repro.workloads import JobSpec, WriteReadCycle
@@ -22,9 +22,9 @@ def _throughput(n_workers: int) -> float:
         workload=WriteReadCycle(file_size=2 * MB, request_size=256 * KiB,
                                 streams_per_node=16),
         start=0.0, stop=1.0)]
-    result = run_sharing_experiment("job-fair", jobs, scale=1 / 60,
-                                    seed=0, server=server,
-                                    sample_interval=0.1)
+    result = run_experiment(scenario("job-fair", jobs, scale=1 / 60,
+                                     seed=0, server=server,
+                                     sample_interval=0.1))
     return result.window_throughput(0.2, 1.0)
 
 

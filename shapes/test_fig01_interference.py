@@ -6,15 +6,16 @@ exclusive access (NAMD and WRF worst among the synchronous apps,
 ResNet-50's async pipeline collapsing hardest).
 """
 
-from repro.harness import fig01_interference
+from repro.harness import FIGURES, run_figure
+from repro.harness.experiments import slowdown
 
 APPS = ("namd", "wrf", "specfem3d", "resnet50", "bert")
 
 
 def test_fig01_interference():
-    out = fig01_interference(apps=APPS, seed=0)
-    print("\n" + out.report())
-    slowdowns = {app: out.slowdown(app, "fifo") for app in APPS}
+    out = run_figure("fig01", apps=APPS, seed=0)
+    print("\n" + FIGURES["fig01"].report(out))
+    slowdowns = {app: slowdown(out, app, "fifo") for app in APPS}
     print("FIFO slowdowns:",
           {k: f"{v * 100:+.1f}%" for k, v in slowdowns.items()},
           "(paper range: +3% to +173%)")

@@ -11,18 +11,20 @@ deviation, recorded in EXPERIMENTS.md: our byte-granular TBF is
 *smoother* than ThemisIO, unlike the paper's RPC-granular Lustre NRS.
 """
 
-from repro.harness import fig12_baselines
+from repro.harness import FIGURES, run_figure
+from repro.harness.experiments import themis_advantage
 
 
 def test_fig12_baselines():
-    out = fig12_baselines(scale=0.1, seed=0)
-    print("\n" + out.report())
-    adv = out.themis_advantage()
+    out = run_figure("fig12", scale=0.1, seed=0)
+    print("\n" + FIGURES["fig12"].report(out))
+    themis, gift, tbf = out
+    adv = themis_advantage(out)
     print("ThemisIO peak advantage:",
           {k: f"{v * 100:+.1f}%" for k, v in adv.items()},
           "(paper: gift +13.5%, tbf +13.7%)")
-    latencies = {name: r.time_to_fair_share(2)
-                 for name, r in out.rows.items()}
+    latencies = {name: r["time_to_fair_share"] for name, r in
+                 (("themis", themis), ("gift", gift), ("tbf", tbf))}
     print("latency to fair-sharing (job 2):",
           {k: (f"{v:.2f}s" if v is not None else "never")
            for k, v in latencies.items()})
@@ -30,16 +32,15 @@ def test_fig12_baselines():
     assert latencies["themis"] is not None
     if latencies["gift"] is not None:
         assert latencies["themis"] <= latencies["gift"] + 1e-9
-    themis = out.rows["themis"]
-    gift = out.rows["gift"]
-    tbf = out.rows["tbf"]
     # Peak throughput: ThemisIO >= GIFT, strictly above TBF.
-    assert themis.solo_median >= gift.solo_median * 0.98
+    assert themis["solo_median"] >= gift["solo_median"] * 0.98
     assert adv["tbf"] > 0.08
     # Job 2 during sharing: ThemisIO highest.
-    assert themis.shared_medians[2] >= gift.shared_medians[2] * 0.98
-    assert themis.shared_medians[2] >= tbf.shared_medians[2] * 0.98
+    assert (themis["shared_medians"]["2"]
+            >= gift["shared_medians"]["2"] * 0.98)
+    assert (themis["shared_medians"]["2"]
+            >= tbf["shared_medians"]["2"] * 0.98)
     # Variation: ThemisIO more stable than GIFT.
-    assert themis.shared_stddev[2] < gift.shared_stddev[2]
+    assert themis["shared_stddev"]["2"] < gift["shared_stddev"]["2"]
     # Everyone keeps the device busy while sharing.
-    assert themis.peak_throughput > 18e9
+    assert themis["total"] > 18e9

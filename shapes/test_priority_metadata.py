@@ -13,7 +13,7 @@
 
 import pytest
 
-from repro.harness import JobRun, run_sharing_experiment
+from repro.harness import JobRun, run_experiment, scenario
 from repro.units import MB
 from repro.workloads import IopsStat, JobSpec, MdtestWorkload, WriteReadCycle
 
@@ -29,8 +29,8 @@ def test_priority_fair_three_to_one():
                                        streams_per_node=16),
                start=0.0, stop=3.0),
     ]
-    result = run_sharing_experiment("priority-fair", jobs,
-                                    scale=0.05, seed=0)
+    result = run_experiment(scenario("priority-fair", jobs,
+                                     scale=0.05, seed=0))
     r1 = result.window_throughput(0.5, 3.0, 1)
     r2 = result.window_throughput(0.5, 3.0, 2)
     print(f"\npriority-fair 3:1 -> measured {r1 / r2:.2f}:1 "
@@ -50,8 +50,8 @@ def _metadata_contention(policy: str):
                                        streams_per_node=4),
                start=0.0, stop=1.0),
     ]
-    result = run_sharing_experiment(policy, jobs, scale=1.0 / 60.0, seed=0,
-                                    sample_interval=0.1)
+    result = run_experiment(scenario(policy, jobs, scale=1.0 / 60.0, seed=0,
+                                     sample_interval=0.1))
     return (result.sampler.op_count(job_id=1),
             result.sampler.op_count(job_id=2))
 

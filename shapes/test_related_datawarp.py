@@ -13,22 +13,25 @@ light jobs; size-fair sharing keeps the aggregate at the FIFO level
 while giving light jobs several times their FIFO throughput.
 """
 
-from repro.harness.experiments import related_datawarp
+from repro.harness import FIGURES, run_figure
 
 
 def test_related_datawarp():
-    out = related_datawarp(seed=0, duration=1.5)
-    print("\n" + out.report())
-    heavy = (1, 2)
-    light = (3, 4)
+    out = run_figure("datawarp", seed=0, duration=1.5)
+    print("\n" + FIGURES["datawarp"].report(out))
+    totals = {r["regime"]: r["total"] for r in out}
+    per_job = {r["regime"]: r["per_job"] for r in out}
+    jain = {r["regime"]: r["jain"] for r in out}
+    heavy = ("1", "2")
+    light = ("3", "4")
     # Sharing (either discipline) recovers the capacity isolation wastes.
-    assert out.totals["themis"] > 1.4 * out.totals["isolated"]
-    assert out.totals["themis"] > 0.9 * out.totals["fifo-shared"]
+    assert totals["themis"] > 1.4 * totals["isolated"]
+    assert totals["themis"] > 0.9 * totals["fifo-shared"]
     # FIFO buries the light jobs; ThemisIO lifts them severalfold.
     for j in light:
-        assert out.per_job["themis"][j] > 2.5 * out.per_job["fifo-shared"][j]
+        assert per_job["themis"][j] > 2.5 * per_job["fifo-shared"][j]
     # Heavy jobs still get the lion's share under size-fair.
     for j in heavy:
-        assert out.per_job["themis"][j] > 5 * out.per_job["themis"][light[0]]
+        assert per_job["themis"][j] > 5 * per_job["themis"][light[0]]
     # Per-entitled-node fairness: ThemisIO well above FIFO sharing.
-    assert out.jain["themis"] > out.jain["fifo-shared"] + 0.15
+    assert jain["themis"] > jain["fifo-shared"] + 0.15

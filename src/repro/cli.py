@@ -1,89 +1,40 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-``figures``
-    List the reproducible paper figures.
-``figure NAME``
-    Run one figure experiment and print its paper-style report
-    (e.g. ``python -m repro figure fig08a --scale 0.1``).
-``policies``
-    List accepted sharing-policy spellings with their parsed levels.
-``sharing``
-    Ad-hoc two-phase sharing run: ``--policy size-fair --jobs
-    4:alice,1:bob`` runs one job per entry (``nodes:user[:group]``),
-    first job for the whole window, the rest joining a quarter in.
-``faults``
-    Availability scenario: N jobs through one server crash + restart
-    with journaling, log-structured storage and fault-tolerant clients
-    enabled; prints recovery time, fairness through the outage, and the
-    run's fault counters.
-``repair``
-    Repair-vs-fairness study: erasure-coded jobs burst through a
-    mid-run server crash, once per sharing policy; prints the policy x
-    metric matrix (foreground slowdown, repair completion, loss
-    counters) and whether size-fair starves the size-1 repair job.
-``sweep``
-    Expand a declarative sweep (JSON spec file or ``--grid`` name) and
-    run it through the content-addressed workspace: unchanged points
-    are cache hits, cold points fan out over ``--jobs`` processes, and
-    the summary reports hits/misses/speedup plus the results digest
-    (see :mod:`repro.harness.sweep`).
-``lint``
-    Static determinism & sim-safety analysis over the tree (see
-    :mod:`repro.lint` and DESIGN.md §9); exits non-zero on any
-    finding. ``python -m repro lint --list-rules`` prints the
-    catalogue.
+``figures`` lists the experiments of the figure table
+(:data:`repro.harness.experiments.FIGURES`: the paper's figures plus
+``datawarp``, ``outage``, ``repair`` and ``sync-ladder``) and ``figure
+NAME`` runs one and prints its paper-style report. Every figure is a
+grid of independent points: ``--workspace DIR`` caches them (the
+hits/misses summary goes to stderr), ``--jobs N`` fans cold ones out.
+``sweep`` runs any grid of points — a JSON spec file, ``--grid quick``,
+or ``--grid FIGURE`` for a figure's default points — through the same
+content-addressed workspace (:mod:`repro.harness.sweep`) and prints
+hits/misses/speedup plus the results digest. ``sharing`` is an ad-hoc
+two-phase run: ``--jobs 4:alice,1:bob`` runs one job per
+``nodes:user[:group]`` entry, the first for the whole window, the rest
+joining a quarter in. ``policies`` lists accepted sharing-policy
+spellings; ``lint`` is the static determinism analysis
+(:mod:`repro.lint`, DESIGN.md §9).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import List, Optional
 
 from .core.policy import Policy
 from .errors import ReproError
-from .harness import experiments as exps
-from .harness.config import JobRun
-from .harness.experiments import REPAIR_POLICIES, run_sharing_experiment
-from .harness.sweep import BUILTIN_GRIDS
+from .harness.experiments import FIGURES, timeline
+from .harness.runner import run_experiment
+from .harness.sweep import BUILTIN_GRIDS, ParallelRunner, load_spec
+from .harness.workspace import Workspace
 from .units import fmt_bw
-from .workloads import JobSpec, WriteReadCycle
-from .units import MB
+from .workloads import JobSpec
 
-__all__ = ["main", "FIGURES"]
-
-
-def _figure_workspace(args):
-    """The figure ladders' optional workspace (``--workspace DIR``)."""
-    if getattr(args, "workspace", None):
-        from .harness.workspace import Workspace
-        return Workspace(args.workspace)
-    return None
-
-
-#: figure name -> (callable, kwargs builder from args)
-FIGURES = {
-    "fig01": lambda a: exps.fig01_interference(seed=a.seed),
-    "fig07": lambda a: exps.fig07_scaling(
-        workspace=_figure_workspace(a), jobs=a.jobs),
-    "fig08a": lambda a: exps.fig08_primitive("size-fair", scale=a.scale,
-                                             seed=a.seed),
-    "fig08b": lambda a: exps.fig08_primitive("job-fair", scale=a.scale,
-                                             seed=a.seed),
-    "fig08c": lambda a: exps.fig08c_user_fair(scale=a.scale, seed=a.seed),
-    "fig09": lambda a: exps.fig09_user_then_size(scale=a.scale, seed=a.seed),
-    "fig10": lambda a: exps.fig10_group_user_size(scale=a.scale, seed=a.seed),
-    "fig12": lambda a: exps.fig12_baselines(scale=a.scale, seed=a.seed),
-    "fig13": lambda a: exps.fig13_applications(seed=a.seed),
-    "fig14": lambda a: exps.fig14_lambda(
-        seed=a.seed, workspace=_figure_workspace(a), jobs=a.jobs),
-    "datawarp": lambda a: exps.related_datawarp(seed=a.seed),
-    "sync-ladder": lambda a: exps.sync_ladder(
-        workspace=_figure_workspace(a), jobs=a.jobs),
-}
+__all__ = ["main"]
 
 _POLICY_EXAMPLES = [
     "job-fair", "size-fair", "user-fair", "priority-fair", "group-fair",
@@ -105,14 +56,14 @@ def _build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("figure", help="run one figure experiment")
     fig.add_argument("name", choices=sorted(FIGURES))
     fig.add_argument("--scale", type=float, default=0.1,
-                     help="timeline scale vs the paper's 60 s (default 0.1)")
-    fig.add_argument("--seed", type=int, default=0)
+                     help="timeline scale vs the paper's 60 s (default 0.1; "
+                          "figures on a scaled timeline)")
+    fig.add_argument("--seed", type=int, default=0,
+                     help="workload seed (figures that take one)")
     fig.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers for point-structured figures "
-                          "(fig07, fig14, sync-ladder)")
+                     help="parallel workers for the figure's points")
     fig.add_argument("--workspace", default=None,
-                     help="cache fig07/fig14/sync-ladder cells in this "
-                          "workspace dir")
+                     help="cache the figure's points in this workspace dir")
 
     share = sub.add_parser("sharing", help="ad-hoc two-phase sharing run")
     share.add_argument("--policy", default="size-fair",
@@ -122,30 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     share.add_argument("--scale", type=float, default=0.1)
     share.add_argument("--seed", type=int, default=0)
     share.add_argument("--servers", type=int, default=1)
-
-    faults = sub.add_parser(
-        "faults", help="availability run through a server crash + restart")
-    faults.add_argument("--jobs", type=int, default=3,
-                        help="number of concurrent jobs (default 3)")
-    faults.add_argument("--servers", type=int, default=2)
-    faults.add_argument("--duration", type=float, default=6.0)
-    faults.add_argument("--crash-at", type=float, default=2.0)
-    faults.add_argument("--restart-at", type=float, default=3.5)
-    faults.add_argument("--seed", type=int, default=0)
-
-    repair = sub.add_parser(
-        "repair", help="repair-vs-fairness study: erasure-coded burst "
-                       "through a crash, one run per policy")
-    repair.add_argument("--policies", default=",".join(REPAIR_POLICIES),
-                        help="comma list of policies (default: "
-                             f"{','.join(REPAIR_POLICIES)})")
-    repair.add_argument("--duration", type=float, default=6.0)
-    repair.add_argument("--crash-at", type=float, default=2.0)
-    repair.add_argument("--seed", type=int, default=0)
-    repair.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers, one policy per point")
-    repair.add_argument("--workspace", default=None,
-                        help="cache policy points in this workspace dir")
 
     sub.add_parser(
         "lint", add_help=False,
@@ -157,8 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("spec", nargs="?", default=None,
                        help="JSON sweep spec file (default: --grid)")
     sweep.add_argument("--grid", default="quick",
-                       choices=sorted(BUILTIN_GRIDS),
-                       help="built-in grid to run when no spec file is given")
+                       choices=sorted(BUILTIN_GRIDS) + sorted(FIGURES),
+                       help="grid to run when no spec file is given: quick, "
+                            "or a figure's default points")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="parallel workers for cold points (default 1)")
     sweep.add_argument("--workspace", default=".workspace",
@@ -203,27 +131,32 @@ def _cmd_policies() -> int:
     return 0
 
 
+def _runner(workspace: Optional[str], jobs: int) -> ParallelRunner:
+    return ParallelRunner(
+        workspace=Workspace(workspace) if workspace else None, jobs=jobs)
+
+
 def _cmd_figure(args) -> int:
-    result = FIGURES[args.name](args)
-    print(result.report())
+    figure = FIGURES[args.name]
+    takes = inspect.signature(figure.points).parameters
+    params = {name: getattr(args, name) for name in ("scale", "seed")
+              if name in takes}
+    run = _runner(args.workspace, args.jobs).run_points(
+        figure.expand(**params))
+    print(figure.report(run.rows()))
+    if args.workspace:
+        print(run.summary(), file=sys.stderr)
     return 0
 
 
 def _cmd_sharing(args) -> int:
     specs = _parse_jobs(args.jobs)
-    window = 60.0 * args.scale
-    join_at = window / 4
-    runs = []
-    for i, spec in enumerate(specs):
-        start = 0.0 if i == 0 else join_at
-        runs.append(JobRun(
-            spec=spec,
-            workload=WriteReadCycle(file_size=10 * MB, streams_per_node=16),
-            start=start, stop=window))
-    result = run_sharing_experiment(args.policy, runs,
-                                    n_servers=args.servers,
-                                    scale=args.scale, seed=args.seed)
+    result = run_experiment(timeline(
+        args.policy, specs, args.scale, args.seed, n_servers=args.servers,
+        leave=60.0))
     interval = result.config.sample_interval
+    window = result.config.jobs[0].stop
+    join_at = window / 4
     print(f"policy={args.policy} servers={args.servers} "
           f"window={window:.1f}s")
     for spec in specs:
@@ -237,47 +170,22 @@ def _cmd_sharing(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .harness.sweep import ParallelRunner, load_spec
-    from .harness.workspace import Workspace
-    if args.spec:
-        spec = load_spec(args.spec)
+    if args.spec or args.grid in BUILTIN_GRIDS:
+        spec = load_spec(args.spec) if args.spec else BUILTIN_GRIDS[args.grid]
+        name, kind = spec.name, spec.kind
+        points = [(kind, config) for config in spec.points()]
     else:
-        spec = BUILTIN_GRIDS[args.grid]
-    workspace = None if args.no_workspace else Workspace(args.workspace)
-    runner = ParallelRunner(workspace=workspace, jobs=args.jobs)
-    run = runner.run_spec(spec, rerun=args.rerun)
-    print(f"sweep {spec.name} ({spec.kind}): "
-          f"{len(run.points)} points")
+        name, kind = args.grid, FIGURES[args.grid].kind
+        points = FIGURES[args.grid].expand()
+    runner = _runner(None if args.no_workspace else args.workspace, args.jobs)
+    run = runner.run_points(points, rerun=args.rerun)
+    print(f"sweep {name} ({kind}): {len(run.points)} points")
     print(run.summary())
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(run.to_summary(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {args.json_out}")
-    return 0
-
-
-def _cmd_faults(args) -> int:
-    out = exps.availability_outage(
-        n_jobs=args.jobs, n_servers=args.servers, duration=args.duration,
-        crash_at=args.crash_at, restart_at=args.restart_at, seed=args.seed)
-    print(out.report())
-    print()
-    print("fault counters:")
-    print(out.stats.report())
-    return 0
-
-
-def _cmd_repair(args) -> int:
-    workspace = None
-    if args.workspace:
-        from .harness.workspace import Workspace
-        workspace = Workspace(args.workspace)
-    out = exps.repair_fairness(
-        policies=[p.strip() for p in args.policies.split(",") if p.strip()],
-        seed=args.seed, duration=args.duration, crash_at=args.crash_at,
-        workspace=workspace, jobs=args.jobs)
-    print(out.report())
     return 0
 
 
@@ -300,10 +208,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_figure(args)
         if args.command == "sharing":
             return _cmd_sharing(args)
-        if args.command == "faults":
-            return _cmd_faults(args)
-        if args.command == "repair":
-            return _cmd_repair(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
     except ReproError as exc:

@@ -217,40 +217,9 @@ class JournaledFS(ThemisFS):
         self._path_cache.clear()
 
     def recover(self) -> Dict[str, Any]:
-        """Rebuild from the journal (checkpoint + replay) and rescan
-        log-backed stores. Returns recovery statistics."""
-        # Recreate the root, then apply checkpoint and records.
-        now = self.clock()
-        root = Inode(ino=1, ftype=FileType.DIRECTORY, path="/",
-                     ctime=now, mtime=now)
-        self._meta_node("/").add_inode(root)
-
-        self._replaying = True
-        try:
-            applied = 0
-            if self.journal.checkpoint:
-                for entry in self.journal.checkpoint:
-                    if entry["path"] == "/":
-                        continue
-                    if entry["ftype"] == FileType.DIRECTORY.value:
-                        self.mkdir(entry["path"], ino=entry["ino"])
-                    else:
-                        inode = self.create(entry["path"], uid=entry["uid"],
-                                            ino=entry["ino"])
-                        inode.stripe = _spec_from(self.stripe_size, entry)
-                        inode.size = entry["size"]
-                    applied += 1
-            for record in self.journal.records:
-                self._apply(record)
-                applied += 1
-        finally:
-            self._replaying = False
-
-        scans = {}
-        for name, node in self.nodes.items():
-            if hasattr(node.backend, "recover"):
-                scans[name] = node.backend.recover()
-        return {"applied": applied, "scans": scans}
+        """Rebuild every server from the journal (checkpoint + replay)
+        and rescan log-backed stores. Returns recovery statistics."""
+        return self._recover(list(self.nodes))
 
     def crash_node(self, name: str) -> None:
         """Crash one server: its namespace tables, locks, and (for log
@@ -263,78 +232,95 @@ class JournaledFS(ThemisFS):
 
     def recover_node(self, name: str) -> Dict[str, Any]:
         """Rebuild one server from the journal, then rescan its store.
+        Returns recovery statistics."""
+        return self._recover([name])
 
-        The journal is namespace-wide, so recovery replays the full
-        checkpoint + record stream with exists-guards: entries owned by
-        surviving servers still exist and are skipped, entries owned by
-        the recovering server are recreated with their original inode
-        numbers (lining up with the log store's ``(ino, chunk)`` keys).
-        Returns recovery statistics.
+    def _recover(self, names: List[str]) -> Dict[str, Any]:
+        """Re-make the inodes whose metadata the servers *names* own.
+
+        The journal is namespace-wide, but only what those servers'
+        tables held is replayed, and as metadata only: entries owned by
+        a survivor are live, and chunk data is the stores' own durable
+        state (a log store's tombstones already record every drop), so
+        a replayed ``truncate`` or ``unlink`` must not free anything.
+        Inodes a later record removed are skipped outright: the rest
+        are alive at the end, hence so are all their parents. Re-made
+        inodes keep their original numbers (lining up with the log
+        store's ``(ino, chunk)`` keys), and a re-made directory is
+        linked again to the children that survived on other servers.
         """
-        if self.lookup("/") is None and self.metadata_server("/") == name:
-            now = self.clock()
-            root = Inode(ino=1, ftype=FileType.DIRECTORY, path="/",
-                         ctime=now, mtime=now)
-            self._meta_node("/").add_inode(root)
+        owned = set(names)
+        removed = {r.args["ino"] for r in self.journal.records
+                   if r.op in ("unlink", "rmdir")}
 
+        def mine(args: Dict[str, Any]) -> bool:
+            return (args["ino"] not in removed
+                    and self.metadata_server(args["path"]) in owned)
+
+        if self.lookup("/") is None and self.metadata_server("/") in owned:
+            now = self.clock()
+            self._meta_node("/").add_inode(Inode(
+                ino=1, ftype=FileType.DIRECTORY, path="/",
+                ctime=now, mtime=now))
+        applied = 0
         self._replaying = True
         try:
-            applied = 0
-            if self.journal.checkpoint:
-                for entry in self.journal.checkpoint:
-                    if entry["path"] == "/" or self.exists(entry["path"]):
-                        continue
-                    if entry["ftype"] == FileType.DIRECTORY.value:
-                        self.mkdir(entry["path"], ino=entry["ino"])
-                    else:
-                        inode = self.create(entry["path"], uid=entry["uid"],
-                                            ino=entry["ino"])
-                        inode.stripe = _spec_from(self.stripe_size, entry)
-                        inode.size = entry["size"]
+            for entry in self.journal.checkpoint or ():
+                if entry["path"] != "/" and mine(entry):
+                    self._remake(entry, entry["ftype"])
                     applied += 1
             for record in self.journal.records:
-                self._apply(record)
-                applied += 1
+                if mine(record.args):
+                    self._apply(record)
+                    applied += 1
         finally:
             self._replaying = False
-
+        for node in self.nodes.values():
+            for inode in node.inodes.values():
+                if inode.path == "/":
+                    continue
+                parent_path, child = pathmod.split(inode.path)
+                if self.metadata_server(parent_path) in owned:
+                    self._require_dir(parent_path).link_child(child,
+                                                              inode.ino)
         scans = {}
-        node = self.nodes[name]
-        if hasattr(node.backend, "recover"):
-            scans[name] = node.backend.recover()
+        for name in names:
+            backend = self.nodes[name].backend
+            if hasattr(backend, "recover"):
+                scans[name] = backend.recover()
         return {"applied": applied, "scans": scans}
+
+    def _remake(self, args: Dict[str, Any], ftype: str) -> None:
+        """Re-create the inode a checkpoint entry or a ``mkdir`` /
+        ``create`` record describes, unless its path is live."""
+        if self.exists(args["path"]):
+            return
+        if ftype == FileType.DIRECTORY.value:
+            self.mkdir(args["path"], ino=args["ino"])
+            return
+        inode = self.create(args["path"], uid=args["uid"], ino=args["ino"])
+        inode.stripe = _spec_from(self.stripe_size, args)
+        inode.size = args.get("size", 0)
 
     def _apply(self, record: JournalRecord) -> None:
         op, args = record.op, record.args
-        path = args["path"]
         if op == "mkdir":
-            if not self.exists(path):
-                self.mkdir(path, ino=args["ino"])
-            return
+            return self._remake(args, FileType.DIRECTORY.value)
         if op == "create":
-            if not self.exists(path):
-                inode = self.create(path, uid=args["uid"], ino=args["ino"])
-                inode.stripe = _spec_from(self.stripe_size, args)
-            return
-        if op not in ("restripe", "unlink", "rmdir", "truncate", "extend"):
+            return self._remake(args, FileType.FILE.value)
+        if op not in ("restripe", "truncate", "extend"):
             raise FSError(f"unknown journal record {op!r}")
-        # Node recovery replays the whole history against the live
-        # namespace, so a record may find its path already gone, or made
-        # again since under another inode number: either way it is
-        # stale, and applying it would hit a file it never acted on.
-        inode = self.lookup(path)
+        # A path can be removed and made again: a record is stale if
+        # its path now names another inode than the one it acted on.
+        inode = self.lookup(args["path"])
         if inode is None or inode.ino != args["ino"]:
             return
         if op == "restripe":
             # Idempotent: the live metadata may already reflect the swap.
             if (isinstance(inode.stripe, ErasureSpec)
                     and args["old"] in inode.stripe.servers):
-                super().restripe(path, args["old"], args["new"])
-        elif op == "unlink":
-            super().unlink(path)
-        elif op == "rmdir":
-            super().rmdir(path)
+                super().restripe(args["path"], args["old"], args["new"])
         elif op == "truncate":
-            super().truncate(path, args["size"])
+            inode.size = min(inode.size, args["size"])
         else:
             inode.size = max(inode.size, args["size"])

@@ -29,7 +29,7 @@ as well is **not** a no-op: when the lock it does conflict with is
 released later in the same instant, its retry — queued by the first
 release — finds the range free and acquires at the wrong place in the
 instant's event order (131 of 436 such wake-ups on the ledger's
-``job_churn``; EXPERIMENTS.md, *Toggle retirement*). The tables stay
+``job_churn``; EXPERIMENTS.md, *Decision records*, PR 17). The tables stay
 simulation-agnostic — a waiter is anything with a ``succeed()`` method,
 which :class:`repro.sim.process.Event` provides.
 """

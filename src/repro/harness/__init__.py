@@ -1,14 +1,8 @@
-"""Experiment harness: configs, runner, reporting, per-figure
-experiments, and the content-addressed sweep workspace."""
+"""Experiment harness: configs, runner, reporting, the figure table,
+and the content-addressed sweep workspace."""
 
 from .config import ExperimentConfig, JobRun
-from .experiments import (BaselineComparison, CompositeResult,
-                          InterferenceResult, LambdaResult, ScalingResult,
-                          SharingResult, fig01_interference, fig07_scaling,
-                          fig08_primitive, fig08c_user_fair,
-                          fig09_user_then_size, fig10_group_user_size,
-                          fig12_baselines, fig13_applications, fig14_lambda,
-                          run_sharing_experiment)
+from .experiments import FIGURES, run_figure, scenario
 from .report import pct, ratio, sparkline, table
 from .runner import ExperimentResult, JobOutcome, run_experiment
 from .sweep import BUILTIN_GRIDS, ParallelRunner, SweepRun, SweepSpec
@@ -20,22 +14,9 @@ __all__ = [
     "run_experiment",
     "ExperimentResult",
     "JobOutcome",
-    "run_sharing_experiment",
-    "SharingResult",
-    "CompositeResult",
-    "ScalingResult",
-    "BaselineComparison",
-    "InterferenceResult",
-    "LambdaResult",
-    "fig01_interference",
-    "fig07_scaling",
-    "fig08_primitive",
-    "fig08c_user_fair",
-    "fig09_user_then_size",
-    "fig10_group_user_size",
-    "fig12_baselines",
-    "fig13_applications",
-    "fig14_lambda",
+    "FIGURES",
+    "run_figure",
+    "scenario",
     "table",
     "sparkline",
     "pct",

@@ -7,6 +7,7 @@ from typing import List, Optional
 
 from ..bb.cluster import ClusterConfig
 from ..errors import ConfigError
+from ..faults.plan import FaultPlan
 from ..workloads.base import JobSpec, Workload
 
 __all__ = ["JobRun", "ExperimentConfig"]
@@ -42,7 +43,8 @@ class JobRun:
 
 @dataclass
 class ExperimentConfig:
-    """A full experiment: a cluster plus the jobs run against it."""
+    """A full experiment: a cluster, the jobs run against it, and the
+    faults injected into it — the whole description of a run."""
 
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     jobs: List[JobRun] = field(default_factory=list)
@@ -53,6 +55,9 @@ class ExperimentConfig:
     #: with ``stop=None``) has finished, instead of simulating open-ended
     #: background jobs out to max_time.
     stop_when_jobs_finish: bool = True
+    #: armed against the freshly built cluster before any simulated
+    #: time passes (see :class:`~repro.faults.FaultInjector`).
+    faults: Optional[FaultPlan] = None
 
     def __post_init__(self):
         if self.max_time <= 0 or self.sample_interval <= 0:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..bb.cluster import Cluster
 from ..errors import ConfigError
+from ..faults.injector import FaultInjector
 from ..metrics.sampler import ThroughputSampler
 from ..metrics.stats import median_nonzero, stddev_nonzero
 from .config import ExperimentConfig, JobRun
@@ -90,18 +91,13 @@ class ExperimentResult:
                 f"job {job_id} did not finish by max_time={self.config.max_time}")
         return outcome.time_to_solution
 
-def run_experiment(config: ExperimentConfig,
-                   on_cluster: Optional[Callable[[Cluster], None]] = None
-                   ) -> ExperimentResult:
-    """Build the cluster, run every job, return the measurements.
 
-    *on_cluster* is called with the freshly built cluster before any
-    simulated time passes — the hook point for arming a
-    :class:`~repro.faults.FaultInjector` or other instrumentation.
-    """
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Build the cluster, arm ``config.faults``, run every job, return
+    the measurements — the one place a harness cluster is assembled."""
     cluster = Cluster(config.cluster)
-    if on_cluster is not None:
-        on_cluster(cluster)
+    if config.faults is not None:
+        FaultInjector(cluster, config.faults).arm()
     engine = cluster.engine
     cluster.fs.makedirs(config.base_dir)
     outcomes: Dict[int, JobOutcome] = {}

@@ -33,7 +33,6 @@ fresh serial process.
 
 from __future__ import annotations
 
-import importlib
 import json
 import math
 import multiprocessing
@@ -45,32 +44,25 @@ from ..errors import ReproError
 from .workspace import Workspace, code_rev, content_digest, point_key
 
 __all__ = ["SweepSpec", "PointOutcome", "SweepRun", "ParallelRunner",
-           "POINT_KINDS", "BUILTIN_GRIDS", "load_spec",
-           "resolve_point_kind", "run_point"]
-
-#: point kind -> (module, attribute) of the function computing one point.
-#: Resolved lazily so importing this module stays light and the registry
-#: is identical in pool workers (spawned children re-import and see the
-#: same mapping).
-POINT_KINDS: Dict[str, Tuple[str, str]] = {
-    "sharing": ("repro.harness.experiments", "sharing_cell"),
-    "fig07_cell": ("repro.harness.experiments", "fig07_cell"),
-    "fig14_cell": ("repro.harness.experiments", "fig14_cell"),
-    "repair_cell": ("repro.harness.experiments", "repair_cell"),
-    "sync_cost": ("repro.harness.experiments", "sync_cost_cell"),
-}
+           "BUILTIN_GRIDS", "load_spec", "resolve_point_kind", "run_point"]
 
 
 def resolve_point_kind(kind: str) -> Callable[[Dict[str, Any]],
                                               Dict[str, Any]]:
-    """The point function registered under *kind* (lazily imported)."""
+    """The point function registered under *kind*.
+
+    The registry is the figure table (``experiments.POINT_KINDS``),
+    imported here rather than at module scope because that module runs
+    its figures through this one; spawned pool workers re-import it and
+    see the same mapping.
+    """
+    from .experiments import POINT_KINDS
     try:
-        module_name, attr = POINT_KINDS[kind]
+        return POINT_KINDS[kind]
     except KeyError:
         raise ReproError(
             f"unknown point kind {kind!r}; known: "
             f"{', '.join(sorted(POINT_KINDS))}") from None
-    return getattr(importlib.import_module(module_name), attr)
 
 
 def run_point(kind: str, config: Dict[str, Any]) -> Dict[str, Any]:
@@ -146,34 +138,16 @@ def load_spec(path: str) -> SweepSpec:
     return spec_from_doc(doc)
 
 
-#: Named grids runnable without a spec file: ``repro sweep --grid NAME``.
+#: The one named grid that is not a figure (``repro sweep --grid`` also
+#: takes every figure name): 8 short two-job sharing runs, the
+#: cold/warm timing grid EXPERIMENTS.md reports on.
 BUILTIN_GRIDS: Dict[str, SweepSpec] = {
-    # 8 short two-job sharing runs: the cold/warm timing grid CI runs
-    # twice and EXPERIMENTS.md reports on.
     "quick": SweepSpec(
         name="quick", kind="sharing",
         base={"nodes1": 4, "scale": 0.05, "n_servers": 1},
         axes={"policy": ["job-fair", "size-fair"],
               "seed": [0, 1],
               "nodes2": [1, 2]}),
-    # The Fig. 7 scaling ladder, one point per (policy, mode, N) cell.
-    "fig07": SweepSpec(
-        name="fig07", kind="fig07_cell",
-        base={"duration": 3.0, "block": 8 * 1024 * 1024, "seed": 0},
-        axes={"policy": ["fifo", "job-fair"],
-              "mode": ["write", "read"],
-              "n_servers": [1, 2, 4, 8]}),
-    # The Fig. 14 λ ladder.
-    "fig14": SweepSpec(
-        name="fig14", kind="fig14_cell",
-        base={"seed": 0},
-        axes={"lam": [0.010, 0.050, 0.200, 0.500]}),
-    # The λ-sync cost ladder: fanout 0 (height-1 tree) vs fanout 8.
-    "sync_ladder": SweepSpec(
-        name="sync_ladder", kind="sync_cost",
-        base={"epochs": 6},
-        axes={"fanout": [0, 8],
-              "n_servers": [16, 64, 256, 1024]}),
 }
 
 
@@ -238,9 +212,14 @@ class SweepRun:
                             "result": p.result}
                            for p in self.points]}
 
+    def rows(self) -> List[Dict[str, Any]]:
+        """Every point's config merged with its result, in spec order —
+        what a figure's ``report`` and shape checks read."""
+        return [dict(p.config, **p.result) for p in self.points]
+
     def digest(self) -> str:
-        """Content digest of :meth:`results_doc` (the identity the CI
-        sweep-smoke job asserts stable across passes)."""
+        """Content digest of :meth:`results_doc` (stable across serial,
+        parallel and replayed passes)."""
         return content_digest(self.results_doc())
 
     def to_summary(self) -> Dict[str, Any]:
@@ -294,11 +273,6 @@ class ParallelRunner:
             # No store, so the rev only namespaces in-memory keys.
             self.rev = "local"
 
-    def run_spec(self, spec: SweepSpec, rerun: bool = False) -> SweepRun:
-        """Expand *spec* and run every point (see :meth:`run_points`)."""
-        return self.run_points([(spec.kind, config)
-                                for config in spec.points()], rerun=rerun)
-
     def run_points(self, points: Sequence[Tuple[str, Dict[str, Any]]],
                    rerun: bool = False) -> SweepRun:
         """Run ``(kind, config)`` *points*; returns outcomes in order.
@@ -312,10 +286,7 @@ class ParallelRunner:
         outcomes: Dict[str, PointOutcome] = {}
         pending: Dict[str, Tuple[str, Dict[str, Any]]] = {}
         for kind, config in points:
-            if kind not in POINT_KINDS:
-                raise ReproError(
-                    f"unknown point kind {kind!r}; known: "
-                    f"{', '.join(sorted(POINT_KINDS))}")
+            resolve_point_kind(kind)  # unknown kinds fail before any runs
             key = point_key(kind, config, self.rev)
             keyed.append((key, kind, config))
             if key in outcomes or key in pending:

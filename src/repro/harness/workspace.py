@@ -77,7 +77,7 @@ def point_key(kind: str, config: Dict[str, Any], rev: str) -> str:
     """The content-addressed store key of one experiment point.
 
     *kind* names the point function (see
-    :data:`repro.harness.sweep.POINT_KINDS`), *config* is the fully
+    :data:`repro.harness.experiments.POINT_KINDS`), *config* is the fully
     resolved parameter dict, *rev* the code revision. Any change to any
     of the three produces a different key, which is exactly the
     invalidation rule: unchanged points are free, changed points rerun.

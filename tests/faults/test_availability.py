@@ -2,43 +2,53 @@
 
 import pytest
 
-from repro.harness.experiments import AvailabilityResult, availability_outage
+from repro.harness import FIGURES, run_experiment
+from repro.harness.experiments import outage_row, outage_scenario
 
 
 @pytest.fixture(scope="module")
-def outage():
-    """One shared availability run (module-scoped: it is the slow part)."""
-    return availability_outage(n_jobs=3, n_servers=2, duration=4.0,
-                               crash_at=1.5, restart_at=2.5, seed=0)
+def result():
+    """One shared availability run (module-scoped: it is the slow part),
+    kept live so the tests can look at the cluster behind the row the
+    ``"outage"`` figure would print."""
+    return run_experiment(outage_scenario(
+        n_jobs=3, n_servers=2, duration=4.0, crash_at=1.5, restart_at=2.5,
+        seed=0))
+
+
+@pytest.fixture(scope="module")
+def outage(result):
+    return outage_row(result)
 
 
 class TestAvailabilityScenario:
-    def test_run_completes_without_deadlock(self, outage):
-        assert isinstance(outage, AvailabilityResult)
-        assert outage.result.end_time <= 5.0 + 1e-9
+    def test_run_completes_without_deadlock(self, result, outage):
+        assert outage["end_time"] == result.end_time <= 5.0 + 1e-9
 
-    def test_crash_and_recovery_happened(self, outage):
-        stats = outage.stats
+    def test_crash_and_recovery_happened(self, result, outage):
+        stats = result.cluster.fault_stats
         assert stats.server_crashes == 1
         assert stats.server_recoveries == 1
         assert stats.rpc_timeouts > 0
         assert stats.retries > 0
+        assert outage["counters"] == stats.snapshot()
 
     def test_no_request_is_lost_with_infinite_retries(self, outage):
-        assert outage.stats.requests_failed == 0
+        assert outage["counters"]["requests_failed"] == 0
 
     def test_recovery_time_is_short(self, outage):
         # The crashed server serves again within a few client-timeout
         # periods of its restart.
-        assert outage.recovery_time is not None
-        assert outage.recovery_time < 1.5
+        assert outage["recovery_time"] is not None
+        assert outage["recovery_time"] < 1.5
 
     def test_fairness_returns_after_rejoin(self, outage):
-        assert outage.jain_before > 0.9
+        assert outage["jain_before"] > 0.9
         # Acceptance: Jain within 5% of the pre-crash level after rejoin.
-        assert outage.jain_after >= outage.jain_before - 0.05
+        assert outage["jain_after"] >= outage["jain_before"] - 0.05
 
     def test_report_renders(self, outage):
-        text = outage.report()
+        text = FIGURES["outage"].report([outage])
         assert "recovery time" in text
         assert "Jain" in text
+        assert "[1.50s, 2.50s)" in text

@@ -131,12 +131,14 @@ class TestAvailabilityScenarioEquivalence:
     by the same reference and by same-seed repeatability."""
 
     def _run(self):
-        from repro.harness.experiments import availability_outage
-        return availability_outage(n_jobs=3, n_servers=2, duration=4.0,
-                                   crash_at=1.5, restart_at=2.5, seed=0)
+        from repro.harness import run_experiment
+        from repro.harness.experiments import outage_scenario
+        return run_experiment(outage_scenario(
+            n_jobs=3, n_servers=2, duration=4.0, crash_at=1.5,
+            restart_at=2.5, seed=0))
 
     def test_availability_tables_equal_all_gather_after_restart(self):
-        cluster = self._run().result.cluster
+        cluster = self._run().cluster
         stats = cluster.sync_stats()
         assert stats["delta_pushes"] > 0
         # The restarted server was healed by a full push; no delta
@@ -146,10 +148,11 @@ class TestAvailabilityScenarioEquivalence:
         assert_all_gather_state(cluster)
 
     def test_availability_trace_identical_for_the_same_seed(self):
-        def trace(out):
-            s = out.result.cluster.sampler
+        from repro.harness.experiments import outage_row
+
+        def trace(result):
+            s = result.cluster.sampler
             return (list(zip(s._times, s._jobs, s._bytes, s._ops)),
-                    out.recovery_time, out.jain_before, out.jain_during,
-                    out.jain_after)
+                    outage_row(result))
 
         assert trace(self._run()) == trace(self._run())

@@ -105,9 +105,11 @@ class TestRecovery:
 
 
 class TestNodeRecoveryAfterRemake:
-    """``recover_node`` replays the whole history against the live
-    namespace; a record about a removed inode must not hit the name's
-    later incarnation (records carry the inode number they acted on)."""
+    """``recover_node`` re-makes one server's metadata beside a live
+    namespace: a record about a removed inode must not hit the name's
+    later incarnation (records carry the inode number they acted on),
+    nothing replayed may free data that survived, and a re-made
+    directory keeps the children whose metadata lives elsewhere."""
 
     SERVERS = ("a", "b", "c")
 
@@ -142,10 +144,6 @@ class TestNodeRecoveryAfterRemake:
             assert fs.stat("/d/f").size == 8, server
             assert fs.read("/d/f", 0, 8) == b"new-data", server  # was: zeros
 
-    # Two shapes the inode stamp does not fix (ROADMAP item E): replay
-    # against a live namespace is not idempotent.
-    @pytest.mark.xfail(strict=True, reason="a replayed truncate of the "
-                       "same inode drops the live file's later data")
     def test_old_truncate_spares_later_data_of_the_same_file(self):
         for server in self.SERVERS:
             fs = self.fresh()
@@ -157,8 +155,6 @@ class TestNodeRecoveryAfterRemake:
             fs.recover_node(server)
             assert fs.read("/f", 0, 8) == b"new-data", server
 
-    @pytest.mark.xfail(strict=True, reason="a re-made directory is not "
-                       "re-linked to children that survived elsewhere")
     def test_recovered_directory_keeps_children_on_other_servers(self):
         for server in self.SERVERS:
             fs = self.fresh()

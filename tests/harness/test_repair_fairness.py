@@ -3,8 +3,8 @@ sweep registration, and the zero-loss acceptance per policy."""
 
 import pytest
 
-from repro.harness.experiments import (RepairFairnessResult, repair_cell,
-                                       repair_fairness)
+from repro.harness import FIGURES, run_figure
+from repro.harness.experiments import repair_cell
 from repro.harness.sweep import resolve_point_kind
 
 
@@ -41,14 +41,13 @@ class TestRepairCell:
 
 class TestRepairFairnessMatrix:
     def test_matrix_and_verdict(self):
-        out = repair_fairness(policies=("fifo", "size-fair"),
-                              duration=4.0, crash_at=1.5)
-        assert isinstance(out, RepairFairnessResult)
-        text = out.report()
+        rows = run_figure("repair", policies=("fifo", "size-fair"),
+                          duration=4.0, crash_at=1.5)
+        text = FIGURES["repair"].report(rows)
         assert "fifo" in text and "size-fair" in text
         assert "size-fair verdict" in text
-        for policy in ("fifo", "size-fair"):
-            row = out.rows[policy]
+        assert [row["policy"] for row in rows] == ["fifo", "size-fair"]
+        for row in rows:
             assert row["data_lost_groups"] == 0
-            assert row["repair_completion_s"] is not None, policy
-            assert row["groups_rebuilt"] > 0, policy
+            assert row["repair_completion_s"] is not None, row["policy"]
+            assert row["groups_rebuilt"] > 0, row["policy"]

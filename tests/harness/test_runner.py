@@ -112,6 +112,20 @@ class TestRunner:
         with pytest.raises(ConfigError):
             result.time_to_solution(1)
 
+    def test_a_job_without_a_stop_needs_an_explicit_horizon(self):
+        """``scenario`` used to give such a job a silent 1.0 s horizon
+        (``max(stop or 0) + 1``): the run ended with the job unfinished
+        and ``time_to_solution`` raised long after the cause."""
+        from repro.harness import scenario
+        from repro.workloads import NAMD, ApplicationWorkload
+        jobs = [JobRun(spec=spec(1, nodes=NAMD.nodes),
+                       workload=ApplicationWorkload(NAMD), client_nodes=4)]
+        with pytest.raises(ConfigError, match="horizon"):
+            scenario("fifo", jobs)
+        assert scenario("fifo", jobs, horizon=40.0).max_time == 40.0
+        timed = [JobRun(spec=spec(1), workload=small_cycle(), stop=0.5)]
+        assert scenario("fifo", timed).max_time == 1.5
+
     def test_two_jobs_share_metrics_are_separable(self):
         cfg = ExperimentConfig(
             cluster=ClusterConfig(n_servers=1, policy="job-fair"),

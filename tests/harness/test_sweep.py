@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.harness import sweep as sweepmod
+from repro.harness.experiments import POINT_KINDS
 from repro.harness.sweep import (BUILTIN_GRIDS, ParallelRunner, SweepSpec,
                                  load_spec, spec_from_doc)
 from repro.harness.workspace import Workspace, canonical_json
@@ -78,8 +79,7 @@ class TestRunnerCaching:
             calls.append((kind, dict(config)))
             return _fake_point(config)
 
-        monkeypatch.setitem(sweepmod.POINT_KINDS, "echo",
-                            ("tests.harness.test_sweep", "_fake_point"))
+        monkeypatch.setitem(POINT_KINDS, "echo", _fake_point)
         monkeypatch.setattr(sweepmod, "run_point", run_point)
         return calls
 
@@ -176,9 +176,10 @@ class TestBitIdentity:
         monkeypatch.setenv("REPRO_CODE_REV", "bit-identity-test")
         ws = Workspace(str(tmp_path / "ws"))
 
-        serial = ParallelRunner(jobs=1).run_spec(self.SPEC)
-        parallel = ParallelRunner(workspace=ws, jobs=4).run_spec(self.SPEC)
-        replay = ParallelRunner(workspace=ws, jobs=1).run_spec(self.SPEC)
+        points = [(self.SPEC.kind, config) for config in self.SPEC.points()]
+        serial = ParallelRunner(jobs=1).run_points(points)
+        parallel = ParallelRunner(workspace=ws, jobs=4).run_points(points)
+        replay = ParallelRunner(workspace=ws, jobs=1).run_points(points)
 
         assert serial.misses == 4 and parallel.misses == 4
         assert replay.hits == 4 and replay.misses == 0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import FIGURES, main
+from repro.cli import main
+from repro.harness import FIGURES
 
 
 class TestListing:
@@ -29,17 +30,6 @@ class TestFigure:
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
 
-    def test_sync_ladder_prints_a_row_per_point(self, capsys, monkeypatch):
-        import functools
-        from repro.harness import experiments as exps
-        monkeypatch.setattr(exps, "sync_ladder", functools.partial(
-            exps.sync_ladder, server_counts=(4, 8)))
-        assert main(["figure", "sync-ladder"]) == 0
-        cells = [[cell.strip() for cell in line.split("|")]
-                 for line in capsys.readouterr().out.splitlines()]
-        assert [(row[0], row[1]) for row in cells if row[0].isdigit()] == [
-            ("4", "0"), ("4", "8"), ("8", "0"), ("8", "8")]
-
 
 class TestRemovedCommands:
     def test_bench_is_an_argparse_error(self, capsys):
@@ -47,6 +37,16 @@ class TestRemovedCommands:
             main(["bench"])
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["faults", "repair"])
+    def test_figures_that_were_subcommands(self, command, capsys):
+        """``faults`` and ``repair`` are rows of the figure table now:
+        ``figure outage`` and ``figure repair``."""
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+        assert {"outage", "repair"} <= set(FIGURES)
 
 
 class TestSharing:
@@ -112,3 +112,12 @@ class TestSweep:
     def test_unknown_grid_rejected(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--grid", "no-such-grid"])
+
+    def test_a_figure_name_is_a_grid(self, capsys, monkeypatch):
+        from functools import partial
+        ladder = FIGURES["sync-ladder"]
+        monkeypatch.setitem(FIGURES, "sync-ladder", ladder._replace(
+            points=partial(ladder.points, server_counts=(4,))))
+        assert main(["sweep", "--grid", "sync-ladder", "--no-workspace"]) == 0
+        assert ("sweep sync-ladder (sync_cost): 2 points"
+                in capsys.readouterr().out)

@@ -1,11 +1,10 @@
-"""Quality gate: README.md and DESIGN.md name nothing that is not there.
+"""Quality gate: README.md, DESIGN.md and EXPERIMENTS.md name nothing
+that is not there.
 
 Every backticked ``src/``, ``tests/``, ``scripts/``, ``shapes/`` or
 ``examples/`` path (globs and ``::Test`` suffixes allowed), every
 dotted ``repro.<package>`` name and every backticked ``Class.member``
-of a class the package defines must exist in the tree. EXPERIMENTS.md
-and CHANGES.md are per-PR records that name deleted things on purpose
-and are exempt.
+of a class the package defines must exist in the tree.
 """
 
 import glob
@@ -56,7 +55,8 @@ def missing_references(text):
     return sorted(missing)
 
 
-@pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
+@pytest.mark.parametrize("doc", ["README.md", "DESIGN.md",
+                                 "EXPERIMENTS.md"])
 def test_docs_name_only_what_exists(doc):
     assert missing_references((ROOT / doc).read_text()) == []
 

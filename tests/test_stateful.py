@@ -237,9 +237,11 @@ class PathCacheMachine(RuleBasedStateMachine):
     """Path-cache coherence: whatever create / unlink / rmdir / server
     crash-and-recover interleaving ran, the cached resolver answers
     every spelling of every name exactly as an uncached normalise ->
-    ring -> ``node.paths`` lookup does (and as a plain set model says).
-    Removed names are made again, so single-node recovery replays
-    records about earlier incarnations of a live name."""
+    ring -> ``node.paths`` lookup does (and as a plain model says).
+    Removed names are made again, so single-node recovery meets records
+    about earlier incarnations of a live name; files are truncated and
+    rewritten and directories listed, so it must neither free data that
+    survived nor lose a child whose metadata lives on another server."""
 
     NAMES = [f"/d{d}" + (f"/f{f}" if f else "") for d in (0, 1)
              for f in (0, 1, 2)]  # /d0, /d0/f1, /d0/f2, /d1, ...
@@ -247,8 +249,9 @@ class PathCacheMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.fs = JournaledFS(["a", "b", "c"], 1 << 20)
-        self.model = set()
+        self.fs = JournaledFS(["a", "b", "c"], 1 << 20, stripe_size=128,
+                              storage_backend="log")
+        self.model = {}  # name -> file content (b"" for a directory)
 
     @rule(name=NAME)
     def make(self, name):
@@ -257,7 +260,7 @@ class PathCacheMachine(RuleBasedStateMachine):
                 parent != "/" and parent not in self.model):
             return
         (self.fs.mkdir if parent == "/" else self.fs.create)(name)
-        self.model.add(name)
+        self.model[name] = b""
 
     @rule(name=NAME)
     def remove(self, name):
@@ -266,7 +269,23 @@ class PathCacheMachine(RuleBasedStateMachine):
             return
         (self.fs.rmdir if pathmod.split(name)[0] == "/"
          else self.fs.unlink)(name)
-        self.model.discard(name)
+        del self.model[name]
+
+    @rule(name=NAME, data=st.binary(min_size=1, max_size=8))
+    def truncate(self, name, data):
+        if name not in self.model or pathmod.split(name)[0] == "/":
+            return
+        self.fs.truncate(name, 0)
+        self.fs.write(name, 0, data)
+        self.model[name] = data
+
+    @rule(name=st.sampled_from(["/", "/d0", "/d1"]))
+    def readdir(self, name):
+        if name != "/" and name not in self.model:
+            return
+        assert self.fs.readdir(name) == sorted(
+            pathmod.split(other)[1] for other in self.model
+            if pathmod.split(other)[0] == name)
 
     @rule(server=st.sampled_from(["a", "b", "c"]))
     def crash_and_recover(self, server):
@@ -283,6 +302,8 @@ class PathCacheMachine(RuleBasedStateMachine):
                 uncached = node.inodes.get(node.paths.get(norm))
                 assert fs._find(spelling) is uncached, spelling
                 assert (uncached is not None) == (name in self.model)
+            if uncached is not None and not uncached.is_dir:
+                assert fs.read(name, 0, 16) == self.model[name]
 
 
 TestPathCacheMachine = PathCacheMachine.TestCase
