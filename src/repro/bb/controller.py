@@ -53,6 +53,7 @@ from typing import (TYPE_CHECKING, Deque, Dict, FrozenSet, List, Optional,
                     Tuple)
 
 from ..core.fairness import placement_shares
+from ..core.jobinfo import JobRecord
 from ..errors import RpcTimeout, UCXError
 from ..ucx import Address, RpcClient
 
@@ -73,7 +74,8 @@ _PROBE_WIRE_BYTES = 16
 _SUMMARY_WIRE_BYTES = 12
 
 
-def _content_hash(entries: List[dict], presence: Dict[str, List[int]]) -> str:
+def _content_hash(entries: List[JobRecord],
+                  presence: Dict[str, FrozenSet[int]]) -> str:
     """Deterministic digest of a merged table + placement map.
 
     Canonical order (entries by job id, hosts sorted) and exact float
@@ -81,11 +83,9 @@ def _content_hash(entries: List[dict], presence: Dict[str, List[int]]) -> str:
     hash equal iff applying them is the same no-op.
     """
     h = blake2b(digest_size=16)
-    for entry in sorted(entries, key=lambda e: e["info"].job_id):
-        info = entry["info"]
+    for info, stamp, active in sorted(entries, key=lambda r: r.info.job_id):
         h.update(repr((info.job_id, info.user, info.group, info.size,
-                       info.priority, entry["last_heartbeat"],
-                       entry["active"])).encode())
+                       info.priority, stamp, active)).encode())
     for host in sorted(presence):
         h.update(repr((host, sorted(presence[host]))).encode())
     return h.hexdigest()
@@ -140,6 +140,8 @@ class Controller:
         # Worker creation has no simulation side effects, so laziness
         # is trace-neutral.
         self._peer_addrs: Dict[str, Address] = {}
+        #: this server and its peers, sorted: every epoch's tree order.
+        self._members: List[str] = [server.name]
         self._peers: Dict[str, RpcClient] = {}
         #: which jobs each server hosts, learned via sync (self included);
         #: written only through :meth:`_set_presence`.
@@ -232,6 +234,16 @@ class Controller:
             self.presence[host] = jobs
             self._presence_dirty = True
 
+    def _learn_presence(self, rows: Dict[str, FrozenSet[int]]) -> None:
+        """Take the peers' rows of a sync message. Rows travel as the
+        frozensets the sender's map holds, so a row that has not
+        changed since we last took it is the object we hold already."""
+        presence = self.presence
+        own = self.server.name
+        for host, jobs in rows.items():
+            if presence.get(host) is not jobs and host != own:
+                self._set_presence(host, jobs)
+
     def refresh_tokens(self, force: bool = False) -> bool:
         """Recompute the scheduler's tokens if anything relevant changed."""
         server = self.server
@@ -279,6 +291,7 @@ class Controller:
             if name == self.server.name:
                 continue
             self._peer_addrs[name] = address
+        self._members = sorted([self.server.name, *self._peer_addrs])
         if self._peer_addrs and self.sync_interval > 0 \
                 and self._sync_process is None:
             self._sync_process = engine.process(self._sync_loop())
@@ -290,9 +303,6 @@ class Controller:
             client = RpcClient(worker, self._peer_addrs[name])
             self._peers[name] = client
         return client
-
-    def _members(self) -> List[str]:
-        return sorted([self.server.name, *self._peer_addrs])
 
     # ------------------------------------------------------------------ sync
     def _sync_loop(self):
@@ -323,7 +333,7 @@ class Controller:
         child's subtree depth — its answer transitively awaits its
         whole subtree.
         """
-        order = tree_order(self._members(), epoch)
+        order = tree_order(self._members, epoch)
         n = len(order)
         fanout = self.server.config.sync_tree_fanout or max(2, n - 1)
         budget = self.server.config.sync_timeout
@@ -337,8 +347,7 @@ class Controller:
         """Our table snapshot and placement map (own row refreshed)."""
         self._set_presence(self.server.name,
                            self.server.monitor.active_local_jobs())
-        return (self.server.monitor.table.snapshot(),
-                {host: sorted(jobs) for host, jobs in self.presence.items()})
+        return self.server.monitor.table.snapshot(), dict(self.presence)
 
     def _note_degraded(self) -> None:
         self.degraded_rounds += 1
@@ -355,7 +364,7 @@ class Controller:
         epoch does not depend on the fanout: the merge is
         order-independent and the member set is the same.
         """
-        if tree_order(self._members(), epoch)[0] != self.server.name:
+        if tree_order(self._members, epoch)[0] != self.server.name:
             return
         self.coordinated_rounds += 1
         edges, _, degraded = yield from self._gather(epoch, root=True)
@@ -387,7 +396,7 @@ class Controller:
                 "sync", probe, size=_PROBE_WIRE_BYTES, timeout=timeout)))
         self.max_gather_fanin = max(self.max_gather_fanin, len(pulls))
         edges: Dict[str, tuple] = {}
-        subtree: Dict[str, List[int]] = {}
+        subtree: Dict[str, FrozenSet[int]] = {}
         degraded = False
         for name, call in pulls:
             try:
@@ -456,12 +465,9 @@ class Controller:
         # The reply speaks for the responder's subtree only: a host's
         # row reaches us through the one chain of edges it answered on,
         # never through a sibling's older copy.
-        for host, jobs in resp["presence"].items():
-            self._set_presence(host, jobs)
+        self._learn_presence(resp["presence"])
         seen = _heartbeats(resp["entries"])
-        omitted = resp.get("omitted")
-        if omitted:
-            seen.update(omitted)
+        seen.update(resp.get("omitted", ()))
         self._have_basis[name] = resp["gather_basis"]
         return seen, _reply_wire(resp)
 
@@ -481,34 +487,25 @@ class Controller:
         self._gather_seq += 1
         token = (self._sync_basis, self._gather_seq)
         stored = self._gather_sent.get(requester)
-        wire = None
-        if (have is not None and stored is not None
-                and stored[0] == have
-                and any(stored[1].get(e["info"].job_id, -1.0)
-                        >= e["last_heartbeat"] for e in entries)):
+        self._gather_sent[requester] = (token, full_map)
+        if have is not None and stored is not None and stored[0] == have:
+            delta = _newer_than(stored[1], entries)
             # Only take the delta form when it actually omits
             # something: a delta that re-ships every entry (all
             # heartbeats moved) costs the summary bookkeeping for
             # zero wire savings.
-            base = stored[1]
-            absent = float("-inf")
-            delta = [e for e in entries
-                     if base.get(e["info"].job_id,
-                                 absent) < e["last_heartbeat"]]
-            delta_ids = {e["info"].job_id for e in delta}
-            omitted = {jid: hb for jid, hb in full_map.items()
-                       if jid not in delta_ids}
-            reply = {"entries": delta, "omitted": omitted,
-                     "gather_delta": True, "gather_basis": token}
-            wire = max(_PROBE_WIRE_BYTES,
-                       _ENTRY_WIRE_BYTES * len(delta)
-                       + _SUMMARY_WIRE_BYTES * len(omitted))
-            self.gather_delta_replies += 1
-        else:
-            reply = {"entries": entries, "gather_basis": token}
-            self.gather_full_replies += 1
-        self._gather_sent[requester] = (token, full_map)
-        return reply, size, wire
+            if len(delta) < len(entries):
+                omitted = dict(full_map)
+                for record in delta:
+                    del omitted[record.info.job_id]
+                self.gather_delta_replies += 1
+                return ({"entries": delta, "omitted": omitted,
+                         "gather_delta": True, "gather_basis": token}, size,
+                        max(_PROBE_WIRE_BYTES,
+                            _ENTRY_WIRE_BYTES * len(delta)
+                            + _SUMMARY_WIRE_BYTES * len(omitted)))
+        self.gather_full_replies += 1
+        return {"entries": entries, "gather_basis": token}, size, None
 
     def _encode_push(self, entries, presence, digest, epoch: int,
                      seen, basis, wants_full):
@@ -529,9 +526,7 @@ class Controller:
         if wants_full:
             self.full_pushes += 1
             return push, None
-        absent = float("-inf")
-        delta = [e for e in entries
-                 if seen.get(e["info"].job_id, absent) < e["last_heartbeat"]]
+        delta = _newer_than(seen, entries)
         push = dict(push, entries=delta, delta=True, basis=basis)
         self.delta_pushes += 1
         return push, _ENTRY_WIRE_BYTES * max(1, len(delta))
@@ -559,12 +554,10 @@ class Controller:
             del self._tree_gather[old]
         if degraded:
             self._note_degraded()
-        local = sorted(self.server.monitor.active_local_jobs())
-        self._set_presence(self.server.name, local)
-        subtree[self.server.name] = local
+        entries, presence = self._view()
+        subtree[self.server.name] = presence[self.server.name]
         reply, size, wire = self._encode_gather_reply(
-            body["host"], body["have"],
-            self.server.monitor.table.snapshot())
+            body["host"], body["have"], entries)
         reply.update(host=self.server.name, presence=subtree,
                      basis=self._sync_basis, full=self._needs_full_sync)
         rpc.reply(reply, size=size, payload_bytes=wire)
@@ -612,9 +605,7 @@ class Controller:
             self.push_hash_skips += 1
         else:
             self.server.monitor.table.merge(body["entries"])
-            for host, jobs in body["presence"].items():
-                if host != self.server.name:
-                    self._set_presence(host, jobs)
+            self._learn_presence(body["presence"])
             self._last_push_hash = digest
             self.refresh_tokens()
         if (yield from self._forward_tree_push(body["epoch"], digest)):
@@ -636,9 +627,18 @@ class Controller:
             raise UCXError(f"unknown λ-sync message kind {kind!r}")
 
 
-def _heartbeats(entries: List[dict]) -> Dict[int, float]:
+def _heartbeats(entries: List[JobRecord]) -> Dict[int, float]:
     """The content map of a snapshot: job id -> heartbeat stamp."""
-    return {e["info"].job_id: e["last_heartbeat"] for e in entries}
+    return {info.job_id: stamp for info, stamp, _ in entries}
+
+
+def _newer_than(held: Dict[int, float],
+                entries: List[JobRecord]) -> List[JobRecord]:
+    """The records whose merge at a peer holding the content map *held*
+    would do something: a job it lacks, or a strictly newer stamp."""
+    absent = float("-inf")
+    return [record for record in entries
+            if held.get(record.info.job_id, absent) < record.last_heartbeat]
 
 
 def _reply_wire(resp: dict) -> int:

@@ -45,7 +45,7 @@ class JobMonitor:
 
     # ---------------------------------------------------------------- intake
     def observe(self, info: JobInfo, client_id: str = "") -> bool:
-        """Record job metadata from a register or I/O request."""
+        """Record job metadata from a register, heartbeat or I/O request."""
         if client_id:
             previous = self._client_job.get(client_id)
             if previous != info.job_id:
@@ -55,10 +55,6 @@ class JobMonitor:
                 self._job_clients[info.job_id] += 1
         self.local_jobs.add(info.job_id)
         return self.table.observe(info, self.engine.now)
-
-    def heartbeat(self, info: JobInfo, client_id: str = "") -> None:
-        """Refresh a job's liveness (observe covers unknown jobs too)."""
-        self.observe(info, client_id)
 
     def reset(self) -> None:
         """Forget everything (server crash): the job table, client→job

@@ -283,7 +283,7 @@ class Server:
             worker = self.pool.assign(client_id)
             rpc.reply({"ok": True, "io_worker": worker.name})
         elif kind == "heartbeat":
-            self.monitor.heartbeat(body["job"], client_id)
+            self.monitor.observe(body["job"], client_id)
             rpc.reply({"ok": True})
         elif kind == "goodbye":
             self.pool.release(client_id)

@@ -6,7 +6,7 @@ and the comparator disciplines (FIFO / GIFT / TBF).
 from .baselines import FifoScheduler, GiftScheduler, TbfScheduler
 from .fairness import (all_gather_merge, global_share_error,
                        placement_shares, total_variation)
-from .jobinfo import JobInfo, JobStatusTable
+from .jobinfo import JobInfo, JobRecord, JobStatusTable
 from .matrix import (build_transition_matrices, chain_product, chain_shares,
                      validate_transition_matrix)
 from .policy import FIFO_POLICY_NAME, Level, Policy
@@ -16,6 +16,7 @@ from .tokens import TokenAssignment
 
 __all__ = [
     "JobInfo",
+    "JobRecord",
     "JobStatusTable",
     "Level",
     "Policy",

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ...errors import SchedulerError
 from ..jobinfo import JobInfo
@@ -168,6 +167,8 @@ class GiftScheduler(Scheduler):
 
         redeemers = [j for j in claimants if self.coupons.get(j, 0.0) > 0]
         if redeemers:
+            # Here, not at module top: 0.45 s and 43 MiB for a GIFT LP only.
+            from scipy.optimize import linprog
             # maximize sum(x): x_j <= min(headroom_j, coupons_j),
             # sum(x) <= spare.
             bounds = [(0.0, min(headroom[j], self.coupons[j]))

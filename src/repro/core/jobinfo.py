@@ -12,11 +12,12 @@ and, for jobs known to both, the newest heartbeat wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, Iterable, List, Optional, Set
+from typing import (AbstractSet, Dict, Iterable, List, NamedTuple, Optional,
+                    Set)
 
 from ..errors import SchedulerError
 
-__all__ = ["JobInfo", "JobStatusTable"]
+__all__ = ["JobInfo", "JobRecord", "JobStatusTable"]
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,14 @@ class JobInfo:
             raise SchedulerError(f"priority must be positive: {self.priority}")
 
 
-@dataclass
-class _Entry:
+class JobRecord(NamedTuple):
+    """One job's status, immutable: the value a :class:`JobStatusTable`
+    stores, its snapshot lists and the λ-sync messages carry, and a
+    merge installs by reference. A change of status is a new record."""
+
     info: JobInfo
     last_heartbeat: float
-    active: bool = True
+    active: bool
 
 
 class JobStatusTable:
@@ -57,9 +61,9 @@ class JobStatusTable:
         if heartbeat_timeout <= 0:
             raise SchedulerError("heartbeat_timeout must be positive")
         self.heartbeat_timeout = float(heartbeat_timeout)
-        self._entries: Dict[int, _Entry] = {}
-        #: ids of the entries whose ``active`` flag is set, kept current
-        #: by every method that changes a flag or drops an entry.
+        self._entries: Dict[int, JobRecord] = {}
+        #: ids of the records whose ``active`` flag is set, kept current
+        #: by every method that installs a record.
         self._active_ids: Set[int] = set()
         self.version = 0  # bumped on any membership/activity change
 
@@ -70,40 +74,23 @@ class JobStatusTable:
         Returns True if the active-job set changed (new job or a
         reactivation), which tells the controller to recompute tokens.
         """
-        entry = self._entries.get(info.job_id)
-        if entry is None:
-            self._entries[info.job_id] = _Entry(info=info, last_heartbeat=now)
-            self._active_ids.add(info.job_id)
-            self.version += 1
-            return True
-        changed = not entry.active or entry.info != info
-        entry.info = info
-        entry.last_heartbeat = now
-        if not entry.active:
-            entry.active = True
-            self._active_ids.add(info.job_id)
+        job_id = info.job_id
+        old = self._entries.get(job_id)
+        self._entries[job_id] = JobRecord(info, now, True)
+        changed = (old is None or not old.active
+                   or (old.info is not info and old.info != info))
         if changed:
+            self._active_ids.add(job_id)
             self.version += 1
         return changed
 
-    def heartbeat(self, job_id: int, now: float) -> None:
-        """Refresh the heartbeat timestamp of a known job."""
-        entry = self._entries.get(job_id)
-        if entry is None:
-            raise SchedulerError(f"heartbeat for unknown job {job_id}")
-        entry.last_heartbeat = now
-        if not entry.active:
-            entry.active = True
-            self._active_ids.add(job_id)
-            self.version += 1
-
     def expire(self, now: float) -> List[int]:
         """Deactivate jobs whose heartbeat is older than the timeout."""
-        expired = []
-        for job_id, entry in self._entries.items():
-            if entry.active and now - entry.last_heartbeat > self.heartbeat_timeout:
-                entry.active = False
-                expired.append(job_id)
+        entries = self._entries
+        expired = [job_id for job_id, (_, stamp, active) in entries.items()
+                   if active and now - stamp > self.heartbeat_timeout]
+        for job_id in expired:
+            entries[job_id] = entries[job_id]._replace(active=False)
         if expired:
             self._active_ids.difference_update(expired)
             self.version += 1
@@ -111,59 +98,44 @@ class JobStatusTable:
 
     def deactivate(self, job_id: int) -> bool:
         """Explicitly mark a job inactive (client exit notification)."""
-        entry = self._entries.get(job_id)
-        if entry is None or not entry.active:
+        record = self._entries.get(job_id)
+        if record is None or not record.active:
             return False
-        entry.active = False
+        self._entries[job_id] = record._replace(active=False)
         self._active_ids.discard(job_id)
         self.version += 1
         return True
 
-    def remove(self, job_id: int) -> bool:
-        """Drop a job entirely (post-exit garbage collection)."""
-        if self._entries.pop(job_id, None) is not None:
-            self._active_ids.discard(job_id)
-            self.version += 1
-            return True
-        return False
-
     # ---------------------------------------------------------------- merging
-    def snapshot(self) -> List[dict]:
-        """Serializable entries for the λ-sync all-gather."""
-        return [
-            {"info": entry.info, "last_heartbeat": entry.last_heartbeat,
-             "active": entry.active}
-            for entry in self._entries.values()
-        ]
+    def snapshot(self) -> List[JobRecord]:
+        """The records, for the λ-sync all-gather: a new list of the
+        immutable values the table holds, so nothing is copied per job
+        and no later update of the table shows through."""
+        return list(self._entries.values())
 
-    def merge(self, remote_entries: Iterable[dict]) -> bool:
-        """Union remote entries into this table; newest heartbeat wins.
+    def merge(self, remote_entries: Iterable[JobRecord]) -> bool:
+        """Union remote records into this table; newest heartbeat wins
+        and is installed by reference.
 
         Returns True if the active-job set (or any job's info) changed.
         """
+        entries = self._entries
         changed = False
         for remote in remote_entries:
-            info: JobInfo = remote["info"]
-            entry = self._entries.get(info.job_id)
-            if entry is None:
-                self._entries[info.job_id] = _Entry(
-                    info=info, last_heartbeat=remote["last_heartbeat"],
-                    active=remote["active"])
-                if remote["active"]:
-                    self._active_ids.add(info.job_id)
+            info, stamp, active = remote
+            job_id = info.job_id
+            mine = entries.get(job_id)
+            if mine is not None and not stamp > mine.last_heartbeat:
+                continue
+            entries[job_id] = remote
+            if mine is None or mine.active != active:
                 changed = True
-            elif remote["last_heartbeat"] > entry.last_heartbeat:
-                if entry.active != remote["active"]:
-                    changed = True
-                    if remote["active"]:
-                        self._active_ids.add(info.job_id)
-                    else:
-                        self._active_ids.discard(info.job_id)
-                elif entry.info != info:
-                    changed = True
-                entry.info = info
-                entry.last_heartbeat = remote["last_heartbeat"]
-                entry.active = remote["active"]
+                if active:
+                    self._active_ids.add(job_id)
+                else:
+                    self._active_ids.discard(job_id)
+            elif mine.info is not info and mine.info != info:
+                changed = True
         if changed:
             self.version += 1
         return changed
@@ -171,8 +143,8 @@ class JobStatusTable:
     # ----------------------------------------------------------------- reads
     def get(self, job_id: int) -> Optional[JobInfo]:
         """The job's metadata, or None if unknown."""
-        entry = self._entries.get(job_id)
-        return entry.info if entry else None
+        record = self._entries.get(job_id)
+        return record.info if record else None
 
     def is_active(self, job_id: int) -> bool:
         """True if the job is known and currently active."""

@@ -15,6 +15,7 @@ vector of per-job shares of [0, 1] — the statistical tokens of Fig. 3.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
@@ -74,6 +75,15 @@ def _terminal_matrix(parent_scopes: Sequence[tuple],
     return np.divide(T, row_sums, out=np.zeros_like(T), where=row_sums > 0)
 
 
+def _by_id(jobs: Sequence[JobInfo]) -> Tuple[List[JobInfo], List[int]]:
+    """*jobs* in ascending id order and their (distinct) ids."""
+    jobs = sorted(jobs, key=attrgetter("job_id"))
+    job_ids = [job.job_id for job in jobs]
+    if len(set(job_ids)) != len(job_ids):
+        raise PolicyError(f"duplicate job ids: {job_ids}")
+    return jobs, job_ids
+
+
 def _scope_chain(getters: Sequence[Callable],
                  jobs: Sequence[JobInfo]) -> List[List[tuple]]:
     """Per-depth scope key of each (already sorted) job, by level getter.
@@ -98,10 +108,7 @@ def build_transition_matrices(
     Returns ``(matrices, job_ids)`` where the final matrix's columns are
     ordered by ``job_ids`` (ascending). Jobs must have distinct ids.
     """
-    jobs = sorted(jobs, key=lambda j: j.job_id)
-    job_ids = [j.job_id for j in jobs]
-    if len(set(job_ids)) != len(job_ids):
-        raise PolicyError(f"duplicate job ids: {job_ids}")
+    jobs, job_ids = _by_id(jobs)
     if not jobs:
         return [], []
 
@@ -151,10 +158,33 @@ def chain_product(matrices: Sequence[np.ndarray]) -> np.ndarray:
 
 def chain_shares(levels: Sequence["Level"],
                  jobs: Sequence[JobInfo]) -> Dict[int, float]:
-    """Per-job shares of [0, 1] for *levels* over *jobs* (sums to 1)."""
+    """Per-job shares of [0, 1] for *levels* over *jobs* (sums to 1).
+
+    Eq. 1 in closed form: every column of a transition matrix has one
+    non-zero entry, so a job's entry of the product is one path — the
+    even splits ``1 / siblings`` of its enclosing scopes, multiplied
+    left to right, times its weight over its innermost scope's weight
+    sum. These are the products :func:`chain_product` forms (the other
+    terms of each dot product are exact zeros), so the result is
+    bit-equal to the dense chain when the weight sums are exact
+    (integer sizes) and within rounding of it for fractional
+    priorities, whose row sum numpy adds pairwise.
+    """
     if not jobs:
         return {}
-    matrices, job_ids = build_transition_matrices(levels, jobs)
-    shares = chain_product(matrices)
-    flat = np.asarray(shares).reshape(-1)
-    return {job_id: float(s) for job_id, s in zip(job_ids, flat)}
+    jobs, job_ids = _by_id(jobs)
+    getters, weight = _level_readers(levels)
+    scope_chain = _scope_chain(getters, jobs)
+    reach: Dict[tuple, float] = {(): 1.0}  # the part of [0, 1] a scope gets
+    for depth in range(len(getters)):
+        children = dict.fromkeys(scope_chain[depth + 1])
+        siblings = Counter(child[:depth] for child in children)
+        reach = {child: reach[child[:depth]] * (1.0 / siblings[child[:depth]])
+                 for child in children}
+    scopes = scope_chain[-1]
+    weights = [weight(job) for job in jobs]
+    totals: Dict[tuple, float] = {}
+    for scope, w in zip(scopes, weights):
+        totals[scope] = totals.get(scope, 0.0) + w
+    return {job_id: reach[scope] * (w / totals[scope])
+            for job_id, scope, w in zip(job_ids, scopes, weights)}

@@ -48,7 +48,7 @@ def _lockstep_reference(cluster, local_only=False):
         table = JobStatusTable(server.monitor.table.heartbeat_timeout)
         local = server.monitor.active_local_jobs()
         table.merge([e for e in server.monitor.table.snapshot()
-                     if not local_only or e["info"].job_id in local])
+                     if not local_only or e.info.job_id in local])
         tables.append(table)
     all_gather_merge(tables)
     return tables

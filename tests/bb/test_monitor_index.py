@@ -30,9 +30,9 @@ def _job(job_id):
 
 
 def _assert_scans_agree(monitor):
-    entries = monitor.table._entries
-    assert monitor.active_local_jobs() == {
-        j for j in monitor.local_jobs if j in entries and entries[j].active}
+    flagged = {record.info.job_id for record in monitor.table.snapshot()
+               if record.active}
+    assert monitor.active_local_jobs() == monitor.local_jobs & flagged
     for job_id in range(4):
         assert (monitor.client_count(job_id)
                 == len(monitor.clients_of(job_id))), job_id

@@ -65,7 +65,7 @@ def _sync_only_cluster(*, fanout=0, n_servers=6, until=5.0, n_jobs=0):
 
 
 def _table_view(server):
-    return sorted((e["info"].job_id, e["last_heartbeat"], e["active"])
+    return sorted((e.info.job_id, e.last_heartbeat, e.active)
                   for e in server.monitor.table.snapshot())
 
 
@@ -272,10 +272,10 @@ class TestGatherDelta:
         for index, server in enumerate(servers):
             table = JobStatusTable(server.monitor.table.heartbeat_timeout)
             table.merge([e for e in server.monitor.table.snapshot()
-                         if (e["info"].job_id - 1) % n == index])
+                         if (e.info.job_id - 1) % n == index])
             tables.append(table)
         all_gather_merge(tables)
-        reference = sorted((e["info"].job_id, e["last_heartbeat"], e["active"])
+        reference = sorted((e.info.job_id, e.last_heartbeat, e.active)
                            for e in tables[0].snapshot())
         assert len(reference) == 8
         for server in servers:

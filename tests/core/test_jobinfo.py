@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import JobInfo, JobStatusTable
+from repro.core import JobInfo, JobRecord, JobStatusTable
 from repro.errors import SchedulerError
 
 
@@ -55,26 +55,20 @@ class TestStatusTable:
         assert not table.is_active(1)
         assert table.active_jobs() == []
 
-    def test_heartbeat_keeps_alive_and_reactivates(self):
+    def test_observe_reactivates_an_expired_job(self):
         table = JobStatusTable(heartbeat_timeout=2.0)
         table.observe(job(1), now=0.0)
         table.expire(now=5.0)
-        table.heartbeat(1, now=6.0)
+        assert table.observe(job(1), now=6.0) is True
         assert table.is_active(1)
 
-    def test_heartbeat_unknown_job_raises(self):
-        table = JobStatusTable()
-        with pytest.raises(SchedulerError):
-            table.heartbeat(9, now=0.0)
-
-    def test_deactivate_and_remove(self):
+    def test_deactivate_once(self):
         table = JobStatusTable()
         table.observe(job(1), now=0.0)
         assert table.deactivate(1) is True
         assert table.deactivate(1) is False
-        assert table.remove(1) is True
-        assert 1 not in table
-        assert table.remove(1) is False
+        assert table.deactivate(9) is False
+        assert 1 in table and not table.is_active(1)
 
     def test_active_jobs_sorted_by_id(self):
         table = JobStatusTable()
@@ -126,10 +120,8 @@ class TestMerge:
         # a's knowledge is newer only if its heartbeat stamp is newer; give
         # b a merge from a snapshot carrying active=False at a later stamp.
         b.observe(job(2), now=0.0)
-        snap = a.snapshot()
-        for entry in snap:
-            entry["last_heartbeat"] = 11.0
-        b.merge(snap)
+        b.merge([record._replace(last_heartbeat=11.0)
+                 for record in a.snapshot()])
         assert not b.is_active(1)
 
     def test_merge_is_idempotent(self):
@@ -138,3 +130,42 @@ class TestMerge:
         b.observe(job(2), now=0.0)
         a.merge(b.snapshot())
         assert a.merge(b.snapshot()) is False
+
+
+class TestRecordsAreValues:
+    """A record is immutable and shared by reference: nothing a table
+    does later may show through a snapshot or a peer that merged it."""
+
+    def test_snapshot_is_unchanged_by_later_updates(self):
+        table = JobStatusTable(heartbeat_timeout=2.0)
+        table.observe(job(1, size=4), now=0.0)
+        table.observe(job(2), now=0.0)
+        snap = table.snapshot()
+        frozen = [tuple(record) for record in snap]
+        table.observe(job(1, size=8), now=1.0)
+        table.observe(job(3), now=1.0)
+        table.deactivate(2)
+        table.expire(now=10.0)
+        assert [tuple(record) for record in snap] == frozen
+        assert snap[0] == JobRecord(job(1, size=4), 0.0, True)
+
+    def test_merge_installs_the_record_and_peers_diverge_afterwards(self):
+        source = JobStatusTable()
+        source.observe(job(1), now=1.0)
+        (record,) = source.snapshot()
+        a, b = JobStatusTable(heartbeat_timeout=2.0), JobStatusTable()
+        a.merge([record])
+        b.merge([record])
+        assert a.snapshot()[0] is record and b.snapshot()[0] is record
+        a.expire(now=10.0)
+        b.observe(job(1, size=2), now=3.0)
+        assert not a.is_active(1) and b.is_active(1)
+        assert source.snapshot() == [record]
+        assert record == JobRecord(job(1), 1.0, True)
+        assert b.get(1).size == 2 and a.get(1).size == 1
+
+    def test_record_cannot_be_mutated(self):
+        table = JobStatusTable()
+        table.observe(job(1), now=0.0)
+        with pytest.raises(AttributeError):
+            table.snapshot()[0].active = False

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import (JobInfo, Level, build_transition_matrices,
+from repro.core import (JobInfo, Level, Policy, build_transition_matrices,
                         chain_product, chain_shares,
                         validate_transition_matrix)
 from repro.errors import PolicyError
@@ -99,3 +101,49 @@ class TestChain:
                 for i in range(20)]
         shares = chain_shares((Level.GROUP, Level.USER, Level.SIZE), jobs)
         assert sum(shares.values()) == pytest.approx(1.0)
+
+
+def dense_shares(levels, jobs):
+    """Eq. 1 as written: the dense chain product, the oracle of the
+    closed form ``chain_shares`` evaluates."""
+    matrices, job_ids = build_transition_matrices(levels, jobs)
+    return dict(zip(job_ids, chain_product(matrices).reshape(-1).tolist()))
+
+
+POLICIES = st.sampled_from([
+    "job-fair", "size-fair", "priority-fair", "user-fair",
+    "user-then-size-fair", "group-then-user-fair", "group-user-size-fair"])
+
+
+def populations(priority):
+    return st.lists(
+        st.builds(JobInfo, job_id=st.integers(0, 10_000),
+                  user=st.sampled_from(["u0", "u1", "u2", "u3"]),
+                  group=st.sampled_from(["g0", "g1", "g2"]),
+                  size=st.integers(1, 4096), priority=priority),
+        min_size=1, max_size=40, unique_by=lambda job: job.job_id)
+
+
+class TestClosedFormAgainstDenseChain:
+    @settings(max_examples=300, deadline=None)
+    @given(POLICIES, populations(st.integers(1, 64).map(float)))
+    def test_integer_weights_are_bit_equal(self, spec, jobs):
+        levels = Policy.parse(spec).levels
+        closed = chain_shares(levels, jobs)
+        assert closed == dense_shares(levels, jobs)
+        assert list(closed) == sorted(job.job_id for job in jobs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["priority-fair", "user-then-priority-fair",
+                            "group-user-priority-fair"]),
+           populations(st.floats(0.01, 100.0)))
+    def test_fractional_priorities_agree_within_rounding(self, spec, jobs):
+        # numpy adds the terminal row pairwise, the closed form in job
+        # order: the weight sums may differ in the last bits.
+        levels = Policy.parse(spec).levels
+        assert chain_shares(levels, jobs) == pytest.approx(
+            dense_shares(levels, jobs), rel=1e-12, abs=1e-12)
+
+    def test_duplicate_job_ids_rejected(self):
+        with pytest.raises(PolicyError):
+            chain_shares((Level.JOB,), [job(1), job(1)])

@@ -92,18 +92,18 @@ def assert_all_gather_state(cluster):
         local = server.monitor.active_local_jobs()
         table = JobStatusTable(server.monitor.table.heartbeat_timeout)
         table.merge([e for e in server.monitor.table.snapshot()
-                     if e["info"].job_id in local
-                     or e["info"].job_id not in hosted])
+                     if e.info.job_id in local
+                     or e.info.job_id not in hosted])
         tables.append(table)
     all_gather_merge(tables)
-    reference = {e["info"].job_id: e for e in tables[0].snapshot()}
+    reference = {e.info.job_id: e for e in tables[0].snapshot()}
     assert reference  # jobs actually registered
     for server in live:
-        rows = {e["info"].job_id: e for e in server.monitor.table.snapshot()}
+        rows = {e.info.job_id: e for e in server.monitor.table.snapshot()}
         assert sorted(rows) == sorted(reference), server.name
         for job_id, row in rows.items():
             ref = reference[job_id]
-            assert row["info"] == ref["info"], (server.name, job_id)
-            assert row["active"] == ref["active"], (server.name, job_id)
-            assert row["last_heartbeat"] <= ref["last_heartbeat"], (
+            assert row.info == ref.info, (server.name, job_id)
+            assert row.active == ref.active, (server.name, job_id)
+            assert row.last_heartbeat <= ref.last_heartbeat, (
                 server.name, job_id)

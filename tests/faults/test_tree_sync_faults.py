@@ -36,7 +36,7 @@ def _one_write(cluster, client, path):
 
 
 def _table_view(server):
-    return sorted((e["info"].job_id, e["last_heartbeat"], e["active"])
+    return sorted((e.info.job_id, e.last_heartbeat, e.active)
                   for e in server.monitor.table.snapshot())
 
 

@@ -31,8 +31,8 @@ MUTANTS = [
          "_mk = np.random.default_rng\n"),
         (STAT, "name = int(_mk(stream_idx).integers(0, self.name_space))")]),
     ("DET003", "core/jobinfo.py", [
-        ("_Entry(info=info, last_heartbeat=now)",
-         "_Entry(info=info, last_heartbeat=now + 0 * time.time())")]),
+        ("JobRecord(info, now, True)",
+         "JobRecord(info, now + 0 * time.time(), True)")]),
     ("DET004", "core/baselines/tbf.py", [
         ("for j in sorted(backlogged))", "for j in backlogged)")]),
     ("DET004", "core/fairness.py", [        # flagged where it is iterated
@@ -42,8 +42,8 @@ MUTANTS = [
         ("key=lambda kv: (kv[1] == 0, kv[0]))",
          "key=lambda kv: (kv[1] == 0, id(kv[0])))")]),
     ("DET007", "bb/controller.py", [
-        ("local = sorted(self.server.monitor.active_local_jobs())",
-         "local = [j for j in self.server.monitor.active_local_jobs()]")]),
+        ("self.server.monitor.active_local_jobs())",
+         "[j for j in self.server.monitor.active_local_jobs()])")]),
     ("SIM001", "bb/worker.py", [
         ("            yield from self._acquire_locks(request)",
          "            import time; time.sleep(0)\n"

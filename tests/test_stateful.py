@@ -14,7 +14,7 @@ from hypothesis.stateful import (Bundle, RuleBasedStateMachine, invariant,
 
 from repro.core import (JobInfo, JobStatusTable, Policy,
                         StatisticalTokenScheduler)
-from repro.errors import NoSpace, SchedulerError
+from repro.errors import NoSpace
 from repro.fs import JournaledFS, LogStructuredStore
 from repro.fs import path as pathmod
 from repro.posix import FDTable
@@ -150,10 +150,64 @@ class SchedulerConservationMachine(RuleBasedStateMachine):
         assert self.scheduler.backlog == len(self.pending)
 
 
+class _EntryTable:
+    """The job status table as it was before records: one mutable
+    ``[info, last_heartbeat, active]`` entry per job, updated in place
+    and copied out per snapshot; the active set is a scan."""
+
+    def __init__(self, heartbeat_timeout):
+        self.timeout = heartbeat_timeout
+        self.entries = {}
+        self.version = 0
+
+    def observe(self, info, now):
+        entry = self.entries.get(info.job_id)
+        changed = entry is None or not entry[2] or entry[0] != info
+        self.entries[info.job_id] = [info, now, True]
+        self.version += changed
+        return changed
+
+    def expire(self, now):
+        expired = [job_id for job_id, entry in self.entries.items()
+                   if entry[2] and now - entry[1] > self.timeout]
+        for job_id in expired:
+            self.entries[job_id][2] = False
+        self.version += bool(expired)
+        return expired
+
+    def deactivate(self, job_id):
+        entry = self.entries.get(job_id)
+        if entry is None or not entry[2]:
+            return False
+        entry[2] = False
+        self.version += 1
+        return True
+
+    def snapshot(self):
+        return [tuple(entry) for entry in self.entries.values()]
+
+    def merge(self, remote):
+        changed = False
+        for info, stamp, active in remote:
+            entry = self.entries.get(info.job_id)
+            if entry is None:
+                self.entries[info.job_id] = [info, stamp, active]
+                changed = True
+            elif stamp > entry[1]:
+                changed |= entry[2] != active or entry[0] != info
+                entry[:] = [info, stamp, active]
+        self.version += changed
+        return changed
+
+    def active_ids(self):
+        return {job_id for job_id, entry in self.entries.items() if entry[2]}
+
+
 class JobStatusTableMachine(RuleBasedStateMachine):
-    """The table's active-id index against the entries' own flags: two
-    tables observe, expire, deactivate, remove and merge each other's
-    snapshots in arbitrary order on one advancing clock."""
+    """The record table against the entry table it replaced: two pairs
+    observe, expire, deactivate and merge each other's snapshots in
+    arbitrary order on one advancing clock, and after every step each
+    table returns, counts, indexes and snapshots what its model does."""
 
     JOBS = st.integers(0, 3)
     SIDE = st.sampled_from([0, 1])
@@ -165,72 +219,49 @@ class JobStatusTableMachine(RuleBasedStateMachine):
         super().__init__()
         self.tables = [JobStatusTable(heartbeat_timeout=2.0),
                        JobStatusTable(heartbeat_timeout=3.0)]
+        self.models = [_EntryTable(2.0), _EntryTable(3.0)]
         self.now = 0.0
 
     @rule(side=SIDE, job_id=JOBS, size=st.integers(1, 2), dt=DT)
     def observe(self, side, job_id, size, dt):
         self.now += dt
-        table = self.tables[side]
-        entry = table._entries.get(job_id)
-        was_active = entry is not None and entry.active
-        changed = table.observe(JobInfo(job_id, f"u{job_id}", size=size),
-                                self.now)
-        assert table.is_active(job_id)
-        assert changed or was_active
-
-    @rule(side=SIDE, job_id=JOBS, dt=DT)
-    def heartbeat(self, side, job_id, dt):
-        self.now += dt
-        table = self.tables[side]
-        if job_id in table:
-            table.heartbeat(job_id, self.now)
-            assert table.is_active(job_id)
-        else:
-            try:
-                table.heartbeat(job_id, self.now)
-            except SchedulerError:
-                return
-            raise AssertionError("heartbeat for an unknown job accepted")
+        info = JobInfo(job_id, f"u{job_id}", size=size)
+        assert (self.tables[side].observe(info, self.now)
+                == self.models[side].observe(info, self.now))
+        assert self.tables[side].is_active(job_id)
 
     @rule(side=SIDE, dt=DT)
     def expire(self, side, dt):
         self.now += dt
-        table = self.tables[side]
-        before = set(table.active_ids)
-        expired = table.expire(self.now)
-        assert set(expired) <= before
-        assert table.active_ids == before - set(expired)
+        assert (self.tables[side].expire(self.now)
+                == self.models[side].expire(self.now))
 
     @rule(side=SIDE, job_id=JOBS)
     def deactivate(self, side, job_id):
-        table = self.tables[side]
-        entry = table._entries.get(job_id)
-        was_active = entry is not None and entry.active
-        assert table.deactivate(job_id) == was_active
-        assert not table.is_active(job_id)
-
-    @rule(side=SIDE, job_id=JOBS)
-    def remove(self, side, job_id):
-        table = self.tables[side]
-        known = job_id in table
-        assert table.remove(job_id) == known
-        assert job_id not in table and not table.is_active(job_id)
+        assert (self.tables[side].deactivate(job_id)
+                == self.models[side].deactivate(job_id))
 
     @rule(side=SIDE)
     def merge(self, side):
-        self.tables[side].merge(self.tables[1 - side].snapshot())
+        # The same records go to both: a reference a table installed
+        # must behave like the copy the model took.
+        snapshot = self.tables[1 - side].snapshot()
+        assert (self.tables[side].merge(snapshot)
+                == self.models[side].merge(snapshot))
 
     @invariant()
-    def index_matches_flags(self):
-        for table in self.tables:
-            entries = table._entries
-            flagged = {j for j, e in entries.items() if e.active}
+    def table_equals_model(self):
+        for table, model in zip(self.tables, self.models):
+            assert table.version == model.version
+            assert table.snapshot() == model.snapshot()
+            flagged = model.active_ids()
             assert table.active_ids == flagged
-            assert table.active_jobs() == sorted(
-                (e.info for e in entries.values() if e.active),
-                key=lambda info: info.job_id)
+            assert [info.job_id for info in table.active_jobs()] \
+                == sorted(flagged)
             assert all(table.is_active(j) == (j in flagged)
+                       and (j in table) == (j in model.entries)
                        for j in range(4))
+            assert len(table) == len(model.entries)
 
 
 class PathCacheMachine(RuleBasedStateMachine):
