@@ -9,6 +9,12 @@ they can destroy the worker mapping entries.
 Data placement is deterministic (consistent hashing + stripe records),
 so the client computes each operation's target servers itself and splits
 multi-server operations into per-server requests, awaiting all slices.
+Every slice is one :class:`~repro.bb.request.IORequest`, built here and
+sent one way: :meth:`Client._start` fans it out, :meth:`Client._request`
+awaits it. ``ClientConfig.rpc_timeout`` is the one physical parameter
+behind the remaining mode differences: 0 means a call waits forever, so
+nothing is ever sent twice and no request needs an idempotency id; a
+positive timeout brings retry with backoff, failover and dedup ids.
 
 All operations are simulation generators: drive them with
 ``yield from client.write(...)`` inside a process, or wrap with
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..core.jobinfo import JobInfo
 from ..errors import ConfigError, FileNotFound, InterruptError, RpcTimeout
@@ -30,22 +36,19 @@ from ..metrics.faultstats import FaultStats
 from ..net.fabric import Fabric
 from ..sim.process import Event
 from ..ucx import Address, RpcClient, UCPContext
+from .request import HEADER_BYTES, IORequest, OpType
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Engine
 
 __all__ = ["Client", "ClientConfig"]
 
-#: Fixed wire bytes of a request header (op, path, job metadata, offsets).
-_HEADER_BYTES = 64
-
 
 @dataclass
 class ClientConfig:
     heartbeat_interval: float = 0.5
-    #: per-RPC timeout in seconds; 0 disables the fault-tolerant path
-    #: entirely (requests wait forever, exactly the original behaviour —
-    #: and the original event traces, bit for bit).
+    #: per-RPC timeout in seconds; 0 = no timer: a call waits forever,
+    #: so there is no retry, no failover and no idempotency id.
     rpc_timeout: float = 0.0
     #: retry budget per logical request; negative = retry forever.
     rpc_retries: int = -1
@@ -69,14 +72,13 @@ class Client:
 
     def __init__(self, engine: "Engine", fabric: Fabric, node_name: str,
                  client_id: str, job: JobInfo, fs: ThemisFS,
-                 server_ctl: Dict[str, Address],
-                 config: Optional[ClientConfig] = None,
-                 rng=None, fault_stats: Optional[FaultStats] = None):
+                 server_ctl: Dict[str, Address], config: ClientConfig,
+                 fault_stats: FaultStats, rng):
         self.engine = engine
         self.client_id = client_id
         self.job = job
         self.fs = fs
-        self.config = config or ClientConfig()
+        self.config = config
         self.ctx = UCPContext(engine, fabric, node_name)
         self._server_ctl = dict(server_ctl)   # server name -> ctl address
         self._ctl: Dict[str, RpcClient] = {}
@@ -85,11 +87,10 @@ class Client:
         self._heartbeat_proc = None
         self._hb_sleep: Optional[Event] = None  # pending inter-beat timer
         self.closed = False
-        self.ops_completed = 0
-        #: fault tolerance on? (timeout + retry + failover + req ids)
-        self._ft = self.config.rpc_timeout > 0
-        self._rng = rng  # jitter source (optional; None = no jitter)
-        self.stats = fault_stats if fault_stats is not None else FaultStats()
+        #: do calls time out? (then: retry + failover + request ids)
+        self._ft = config.rpc_timeout > 0
+        self._rng = rng  # backoff jitter stream (None without timeouts)
+        self.stats = fault_stats
         self._req_seq = itertools.count(1)
 
     # ------------------------------------------------------------ connection
@@ -100,6 +101,29 @@ class Client:
             client = RpcClient(worker, self._server_ctl[server])
             self._ctl[server] = client
         return client
+
+    def _control(self, server: str, kind: str) -> Event:
+        """Send one register / heartbeat / goodbye; the call's event."""
+        return self._ctl_client(server).call(
+            kind, {"kind": kind, "client_id": self.client_id,
+                   "job": self.job},
+            size=HEADER_BYTES, timeout=self.config.rpc_timeout or None)
+
+    def _backoff(self):
+        """One timer per retry the budget allows: exponentially spaced,
+        plus up to 10% jitter from the client's rng stream, which keeps
+        retry storms de-synchronised while staying deterministic per
+        seed. Running out counts the request as failed."""
+        cfg = self.config
+        delay = cfg.retry_backoff
+        attempt = 0
+        while cfg.rpc_retries < 0 or attempt < cfg.rpc_retries:
+            attempt += 1
+            self.stats.retries += 1
+            yield self.engine.timeout(
+                delay + float(self._rng.random()) * delay * 0.1)
+            delay = min(delay * 2, cfg.retry_backoff_max)
+        self.stats.requests_failed += 1
 
     def _ensure_io(self, server: str):
         """Generator: the RPC client for *server*'s assigned IO worker.
@@ -117,14 +141,7 @@ class Client:
         pending = Event(self.engine)
         self._io_pending[server] = pending
         try:
-            if self._ft:
-                resp = yield from self._register_ft(server)
-            else:
-                resp = yield self._ctl_client(server).call(
-                    "register",
-                    {"kind": "register", "client_id": self.client_id,
-                     "job": self.job},
-                    size=_HEADER_BYTES)
+            resp = yield from self._register(server)
         except BaseException:
             # Registration gave up (bounded retry budget): unblock any
             # ops sharing this registration with the same failure.
@@ -142,84 +159,85 @@ class Client:
             self._heartbeat_proc = self.engine.process(self._heartbeat_loop())
         return client
 
-    def _register_ft(self, server: str):
+    def _register(self, server: str):
         """Generator: register with *server*, retrying through outages."""
-        cfg = self.config
-        delay = cfg.retry_backoff
-        attempt = 0
+        pauses = self._backoff()
         while True:
-            call = self._ctl_client(server).call(
-                "register",
-                {"kind": "register", "client_id": self.client_id,
-                 "job": self.job},
-                size=_HEADER_BYTES, timeout=cfg.rpc_timeout)
             try:
-                return (yield call)
+                return (yield self._control(server, "register"))
             except RpcTimeout:
                 self.stats.rpc_timeouts += 1
-                attempt += 1
-                if 0 <= cfg.rpc_retries < attempt:
-                    self.stats.requests_failed += 1
+                pause = next(pauses, None)
+                if pause is None:
                     raise
-                self.stats.retries += 1
-                yield self.engine.timeout(delay + self._jitter(delay))
-                delay = min(delay * 2, cfg.retry_backoff_max)
+            yield pause
 
-    def _jitter(self, delay: float) -> float:
-        """Up to 10% extra backoff from the client's rng stream (0 if
-        no rng was supplied); keeps retry storms de-synchronised while
-        staying deterministic per seed."""
-        if self._rng is None:
-            return 0.0
-        return float(self._rng.random()) * delay * 0.1
+    def _failover(self, server: str, client: RpcClient) -> None:
+        """Tear down the IO connection *client* to *server*; the next
+        request re-registers (the server may assign a different pool
+        worker). All of a client's streams share that connection, so a
+        timeout that comes in after another stream already failed over
+        must leave the fresh connection alone."""
+        if self._io.get(server) is client:
+            del self._io[server]
+            self.stats.failovers += 1
+            client.worker.close()
 
-    def _failover(self, server: str) -> None:
-        """Tear down the IO connection to *server*; the next request
-        re-registers (the server may assign a different pool worker)."""
-        client = self._io.pop(server, None)
-        if client is None:
-            return
-        self.stats.failovers += 1
-        client.worker.close()
+    def _new(self, op: OpType, path: str, offset: int = 0, size: int = 0,
+             payload: Optional[bytes] = None, share: bool = False,
+             groups: Optional[Tuple[int, ...]] = None) -> IORequest:
+        """This client's request record for one single-server slice."""
+        req_id = (f"{self.client_id}#{next(self._req_seq)}" if self._ft
+                  else None)
+        return IORequest(op, self.job, path, offset, size, self.client_id,
+                         payload, share, groups, req_id)
 
-    def _next_req_id(self) -> str:
-        """A fresh idempotency id, reused verbatim across retries."""
-        return f"{self.client_id}#{next(self._req_seq)}"
+    def _start(self, server: str, request: IORequest):
+        """Generator: send *request* to *server* without waiting for the
+        reply; returns the event that carries it."""
+        if self._ft:
+            return self.engine.process(self._request(server, request))
+        client = yield from self._ensure_io(server)
+        return client.call("io", request, size=request.wire_bytes)
 
-    def _request(self, server: str, body: Dict[str, Any], wire_size: int):
-        """Generator: deliver one idempotent request, retrying with
-        exponential backoff + jitter through timeouts, error replies,
-        and server restarts. *body* carries a ``req_id`` so the server
-        deduplicates retries that raced a slow original.
-        """
-        cfg = self.config
-        delay = cfg.retry_backoff
-        attempt = 0
-        last_error = "timeout"
+    def _request(self, server: str, request: IORequest):
+        """Generator: deliver *request* and return the reply. With
+        timeouts on the request is idempotent (its ``req_id`` lets the
+        server deduplicate a retry that raced a slow original) and is
+        retried with backoff through timeouts, error replies and server
+        restarts."""
+        timeout = self.config.rpc_timeout or None
+        pauses = self._backoff()
         while True:
             client = yield from self._ensure_io(server)
-            call = client.call("io", body, size=wire_size,
-                               timeout=cfg.rpc_timeout)
             try:
-                resp = yield call
+                resp = yield client.call("io", request,
+                                         size=request.wire_bytes,
+                                         timeout=timeout)
             except RpcTimeout:
                 self.stats.rpc_timeouts += 1
-                self._failover(server)
-                resp = None
+                self._failover(server, client)
                 last_error = "timeout"
-            if resp is not None:
-                if resp.get("ok", True):
+            else:
+                if not self._ft or resp.get("ok", True):
                     return resp
                 last_error = resp.get("error", "EIO")
-            attempt += 1
-            if 0 <= cfg.rpc_retries < attempt:
-                self.stats.requests_failed += 1
+            pause = next(pauses, None)
+            if pause is None:
                 raise RpcTimeout(
-                    f"request to {server} abandoned after {attempt} "
-                    f"attempts (last error: {last_error})")
-            self.stats.retries += 1
-            yield self.engine.timeout(delay + self._jitter(delay))
-            delay = min(delay * 2, cfg.retry_backoff_max)
+                    f"request to {server} abandoned after "
+                    f"{self.config.rpc_retries + 1} attempts "
+                    f"(last error: {last_error})")
+            yield pause
+            request = request.retry()
+
+    def _gather(self, slices):
+        """Generator: start every ``(server, request)`` of *slices* in
+        order, await them all, return their replies."""
+        pending = []
+        for server, request in slices:
+            pending.append((yield from self._start(server, request)))
+        return (yield self.engine.all_of(pending))
 
     def register_all(self):
         """Generator: eagerly register with every known server."""
@@ -228,38 +246,22 @@ class Client:
 
     def _heartbeat_loop(self):
         try:
-            yield from self._beat()
+            while not self.closed:
+                self._hb_sleep = self.engine.timeout(
+                    self.config.heartbeat_interval)
+                yield self._hb_sleep
+                if self.closed:
+                    return
+                calls = [self._control(server, "heartbeat")
+                         for server in sorted(self._io)]
+                # With timeouts on the beats are fire-and-forget: a dead
+                # server must not stall the beats that keep live
+                # servers' tables warm.
+                if calls and not self._ft:
+                    yield self.engine.all_of(calls)
         except InterruptError:
             # _stop_heartbeat() retired us between beats.
             return
-
-    def _beat(self):
-        while not self.closed:
-            self._hb_sleep = self.engine.timeout(
-                self.config.heartbeat_interval)
-            yield self._hb_sleep
-            if self.closed:
-                return
-            if self._ft:
-                # Fire-and-forget with a timeout: a dead server must not
-                # stall the beats that keep live servers' tables warm.
-                for server in sorted(self._io):
-                    self._ctl_client(server).call(
-                        "heartbeat",
-                        {"kind": "heartbeat", "client_id": self.client_id,
-                         "job": self.job},
-                        size=_HEADER_BYTES, timeout=self.config.rpc_timeout)
-                continue
-            calls = [
-                self._ctl_client(server).call(
-                    "heartbeat",
-                    {"kind": "heartbeat", "client_id": self.client_id,
-                     "job": self.job},
-                    size=_HEADER_BYTES)
-                for server in sorted(self._io)
-            ]
-            if calls:
-                yield self.engine.all_of(calls)
 
     def _stop_heartbeat(self) -> None:
         """Retire the heartbeat loop now instead of at its next wake.
@@ -284,27 +286,17 @@ class Client:
         self.closed = True
         self._stop_heartbeat()
         if self._ft:
-            # Best-effort farewell: a crashed server will expire us via
-            # heartbeats instead; don't block shutdown on it.
+            # Best-effort farewell, one server at a time: a crashed
+            # server will expire us via heartbeats instead; don't block
+            # shutdown on it.
             for server in sorted(self._io):
-                call = self._ctl_client(server).call(
-                    "goodbye",
-                    {"kind": "goodbye", "client_id": self.client_id,
-                     "job": self.job},
-                    size=_HEADER_BYTES, timeout=self.config.rpc_timeout)
                 try:
-                    yield call
+                    yield self._control(server, "goodbye")
                 except RpcTimeout:
                     self.stats.rpc_timeouts += 1
             return
-        calls = [
-            self._ctl_client(server).call(
-                "goodbye",
-                {"kind": "goodbye", "client_id": self.client_id,
-                 "job": self.job},
-                size=_HEADER_BYTES)
-            for server in sorted(self._io)
-        ]
+        calls = [self._control(server, "goodbye")
+                 for server in sorted(self._io)]
         if calls:
             yield self.engine.all_of(calls)
 
@@ -316,84 +308,63 @@ class Client:
         self.stats.client_disconnects += 1
 
     # ------------------------------------------------------------------- I/O
-    def _io_call(self, server: str, op: str, path: str, offset: int = 0,
-                 size: int = 0, payload: Optional[bytes] = None,
-                 wire: Optional[int] = None,
-                 extra: Optional[Dict[str, Any]] = None):
+    def _io_call(self, server: str, op: OpType, path: str, offset: int = 0,
+                 size: int = 0, share: bool = False):
         """Generator: one request/response against *server*."""
-        body = {"op": op, "path": path, "offset": offset, "size": size,
-                "payload": payload, "client_id": self.client_id,
-                "job": self.job}
-        if extra:
-            body.update(extra)
-        wire_size = _HEADER_BYTES + (wire if wire is not None else 0)
-        if self._ft:
-            body["req_id"] = self._next_req_id()
-            resp = yield from self._request(server, body, wire_size)
-        else:
-            client = yield from self._ensure_io(server)
-            resp = yield client.call("io", body, size=wire_size)
-        self.ops_completed += 1
-        return resp
+        return (yield from self._request(
+            server, self._new(op, path, offset, size, share=share)))
 
     def _require_inode(self, path: str):
         """Generator: the inode of *path*; raises FileNotFound if absent.
 
-        In fault-tolerant mode a miss is retried with backoff: the
-        metadata may live on a crashed server and reappear once journal
-        replay recovers it.
+        With timeouts on a miss is retried with backoff: the metadata
+        may live on a crashed server and reappear once journal replay
+        recovers it.
         """
         inode = self.fs.lookup(path)
-        if inode is not None:
-            return inode
-        if not self._ft:
+        if inode is None and self._ft:
+            for pause in self._backoff():
+                yield pause
+                inode = self.fs.lookup(path)
+                if inode is not None:
+                    break
+        if inode is None:
             raise FileNotFound(path)
-        cfg = self.config
-        delay = cfg.retry_backoff
-        attempt = 0
-        while inode is None:
-            attempt += 1
-            if 0 <= cfg.rpc_retries < attempt:
-                self.stats.requests_failed += 1
-                raise FileNotFound(path)
-            self.stats.retries += 1
-            yield self.engine.timeout(delay + self._jitter(delay))
-            delay = min(delay * 2, cfg.retry_backoff_max)
-            inode = self.fs.lookup(path)
         return inode
 
     def create(self, path: str):
         """Generator: create-or-open *path* (metadata server handles it)."""
         server = self.fs.metadata_server(path)
-        return (yield from self._io_call(server, "open", path))
+        return (yield from self._io_call(server, OpType.OPEN, path))
 
     def mkdir(self, path: str):
         """Generator: create directory *path* on its metadata server."""
         server = self.fs.metadata_server(path)
-        return (yield from self._io_call(server, "mkdir", path))
+        return (yield from self._io_call(server, OpType.MKDIR, path))
 
     def stat(self, path: str):
         """Generator: stat *path* on its metadata server."""
         server = self.fs.metadata_server(path)
-        return (yield from self._io_call(server, "stat", path))
+        return (yield from self._io_call(server, OpType.STAT, path))
 
     def readdir(self, path: str):
         """Generator: list directory *path* on its metadata server."""
         server = self.fs.metadata_server(path)
-        return (yield from self._io_call(server, "readdir", path))
+        return (yield from self._io_call(server, OpType.READDIR, path))
 
     def unlink(self, path: str):
         """Generator: remove *path* on its metadata server."""
         server = self.fs.metadata_server(path)
-        return (yield from self._io_call(server, "unlink", path))
+        return (yield from self._io_call(server, OpType.UNLINK, path))
 
     def write(self, path: str, offset: int, size: int,
               payload: Optional[bytes] = None) -> int:
         """Generator: write *size* bytes at *offset*; returns bytes written.
 
         Without *payload* (the default for workloads) the write is
-        accounted but bytes are not materialised; with *payload* real
-        bytes go to the exact chunks (verification paths).
+        accounted but bytes are not materialised — one request per
+        server; with *payload* real bytes go to the exact chunks, one
+        request per chunk (verification paths).
         """
         inode = yield from self._require_inode(path)
         down = set()
@@ -404,87 +375,38 @@ class Client:
             down = {s for s in inode.stripe.servers
                     if self.ctx.fabric.node_is_down(s)}
         if payload is not None:
-            calls = []
-            skipped = False
-            for piece in map_range(inode.stripe, offset, size):
-                if piece.server in down:
-                    skipped = True
-                    continue
-                lo = piece.file_offset - offset
-                calls.append((piece.server, piece.file_offset, piece.length,
-                              payload[lo:lo + piece.length]))
-            if skipped:
-                self.stats.degraded_writes += 1
-            total = 0
-            pending = []
-            if self._ft:
-                for server, s_off, s_len, chunk in calls:
-                    body = {"op": "write", "path": path, "offset": s_off,
-                            "size": s_len, "payload": chunk,
-                            "client_id": self.client_id, "job": self.job,
-                            "req_id": self._next_req_id()}
-                    pending.append(self.engine.process(self._request(
-                        server, body, _HEADER_BYTES + s_len)))
-            else:
-                for server, s_off, s_len, chunk in calls:
-                    client = yield from self._ensure_io(server)
-                    pending.append(client.call(
-                        "io",
-                        {"op": "write", "path": path, "offset": s_off,
-                         "size": s_len, "payload": chunk,
-                         "client_id": self.client_id, "job": self.job},
-                        size=_HEADER_BYTES + s_len))
-            results = yield self.engine.all_of(pending)
-            total = sum(r["bytes"] for r in results)
-            if isinstance(inode.stripe, ErasureSpec):
-                yield from self._parity_fanout(path, inode.stripe, offset,
-                                               size, down=down,
-                                               payload=payload)
-            self.ops_completed += 1
-            return total
-
-        per_server = self._split(inode, offset, size)
-        if down and any(server in down for server in per_server):
-            per_server = {server: span
-                          for server, span in per_server.items()
-                          if server not in down}
-            self.stats.degraded_writes += 1
-        pending = []
-        if self._ft:
-            for server, (first_offset, nbytes) in sorted(per_server.items()):
-                body = {"op": "write", "path": path, "offset": first_offset,
-                        "size": nbytes, "payload": None,
-                        "client_id": self.client_id, "job": self.job,
-                        "req_id": self._next_req_id()}
-                pending.append(self.engine.process(self._request(
-                    server, body, _HEADER_BYTES + nbytes)))
+            slices = [
+                (piece.server, piece.file_offset, piece.length,
+                 payload[piece.file_offset - offset:
+                         piece.file_offset - offset + piece.length])
+                for piece in map_range(inode.stripe, offset, size)]
         else:
-            for server, (first_offset, nbytes) in sorted(per_server.items()):
-                client = yield from self._ensure_io(server)
-                pending.append(client.call(
-                    "io",
-                    {"op": "write", "path": path, "offset": first_offset,
-                     "size": nbytes, "payload": None,
-                     "client_id": self.client_id, "job": self.job},
-                    size=_HEADER_BYTES + nbytes))
-        results = yield self.engine.all_of(pending)
-        # Accounting writes extend per-server; make sure the logical end
-        # is visible even if this server's last slice ends earlier. (In
-        # fault-tolerant mode re-resolve: recovery may have rebuilt the
-        # inode object while our slices were retrying.)
-        if self._ft:
-            inode = self.fs.lookup(path) or inode
-        if inode.size < offset + size:
-            inode.size = offset + size
+            slices = [(server, first, nbytes, None)
+                      for server, (first, nbytes) in sorted(
+                          server_spans(inode.stripe, offset, size).items())]
+        live = [(server, self._new(OpType.WRITE, path, first, nbytes, chunk))
+                for server, first, nbytes, chunk in slices
+                if server not in down]
+        if len(live) < len(slices):
+            self.stats.degraded_writes += 1
+        results = yield from self._gather(live)
+        if payload is None:
+            # Accounting writes extend per-server; make sure the logical
+            # end is visible even if this server's last slice ends
+            # earlier. (With timeouts on re-resolve: recovery may have
+            # rebuilt the inode object while our slices were retrying.)
+            if self._ft:
+                inode = self.fs.lookup(path) or inode
+            if inode.size < offset + size:
+                inode.size = offset + size
+        # Read the stripe only now: repair restripes files in flight.
         if isinstance(inode.stripe, ErasureSpec):
             yield from self._parity_fanout(path, inode.stripe, offset, size,
-                                           down=down)
-        self.ops_completed += 1
+                                           down, payload)
         return sum(r["bytes"] for r in results)
 
     def _parity_fanout(self, path: str, spec: ErasureSpec, offset: int,
-                       size: int, down=frozenset(),
-                       payload: Optional[bytes] = None):
+                       size: int, down, payload: Optional[bytes]):
         """Generator: parity share updates of an erasure write — one
         share request per parity server, awaited after the data shares
         land (the serving side rebuilds exactly the dirtied groups).
@@ -496,27 +418,14 @@ class Client:
         that is what makes the skipped share reconstructible.
         """
         spans = parity_spans(spec, offset, size)
-        skipped = any(server in down for server in spans)
-        pending = []
-        for server, (anchor, nbytes, groups) in sorted(spans.items()):
-            if server in down:
-                continue
-            body = {"op": "write", "path": path, "offset": anchor,
-                    "size": nbytes, "payload": None,
-                    "client_id": self.client_id, "job": self.job,
-                    "share": True, "groups": groups}
-            if self._ft:
-                body["req_id"] = self._next_req_id()
-                pending.append(self.engine.process(self._request(
-                    server, body, _HEADER_BYTES + nbytes)))
-            else:
-                client = yield from self._ensure_io(server)
-                pending.append(client.call("io", body,
-                                           size=_HEADER_BYTES + nbytes))
-        if skipped:
+        live = [(server, self._new(OpType.WRITE, path, anchor, nbytes,
+                                   share=True, groups=groups))
+                for server, (anchor, nbytes, groups) in sorted(spans.items())
+                if server not in down]
+        if len(live) < len(spans):
             self.stats.degraded_writes += 1
-        if pending:
-            yield self.engine.all_of(pending)
+        if live:
+            yield from self._gather(live)
         if payload is not None and down:
             for group, _ in group_range(spec, offset, size):
                 self.fs.rebuild_parity(path, group,
@@ -529,37 +438,20 @@ class Client:
         avail = max(0, min(size, inode.size - offset))
         if avail == 0:
             return 0
-        per_server = self._split(inode, offset, avail)
+        per_server = server_spans(inode.stripe, offset, avail)
         if isinstance(inode.stripe, ErasureSpec):
             down = {s for s in sorted(per_server)
                     if self.ctx.fabric.node_is_down(s)}
             if down:
                 return (yield from self._degraded_read(
-                    path, inode, offset, avail, down))
-        pending = []
-        if self._ft:
-            for server, (first_offset, nbytes) in sorted(per_server.items()):
-                body = {"op": "read", "path": path, "offset": first_offset,
-                        "size": nbytes, "payload": None,
-                        "client_id": self.client_id, "job": self.job,
-                        "req_id": self._next_req_id()}
-                pending.append(self.engine.process(self._request(
-                    server, body, _HEADER_BYTES)))
-        else:
-            for server, (first_offset, nbytes) in sorted(per_server.items()):
-                client = yield from self._ensure_io(server)
-                pending.append(client.call(
-                    "io",
-                    {"op": "read", "path": path, "offset": first_offset,
-                     "size": nbytes, "payload": None,
-                     "client_id": self.client_id, "job": self.job},
-                    size=_HEADER_BYTES))
-        results = yield self.engine.all_of(pending)
-        self.ops_completed += 1
+                    path, inode.stripe, per_server, offset, avail, down))
+        results = yield from self._gather(
+            [(server, self._new(OpType.READ, path, first, nbytes))
+             for server, (first, nbytes) in sorted(per_server.items())])
         return sum(r["bytes"] for r in results)
 
-    def _degraded_read(self, path: str, inode, offset: int, avail: int,
-                       down: set) -> int:
+    def _degraded_read(self, path: str, spec: ErasureSpec, per_server,
+                       offset: int, avail: int, down: set) -> int:
         """Generator: erasure degraded read around *down* share servers.
 
         Pieces on up servers are read normally; for every stripe group
@@ -569,9 +461,7 @@ class Client:
         than ``k`` reachable shares are accounted as lost — zero-filled,
         never an exception. Returns bytes read (``avail`` minus loss).
         """
-        spec = inode.stripe
         self.stats.degraded_reads += 1
-        per_server = self._split(inode, offset, avail)
         affected: Dict[int, int] = {}
         for piece in map_range(spec, offset, avail):
             if piece.server in down:
@@ -595,38 +485,17 @@ class Client:
                 first, nbytes = share_reads.get(server, (anchor, 0))
                 share_reads[server] = (min(first, anchor),
                                        nbytes + spec.stripe_size)
-        plan = [(server, span, False)
-                for server, span in sorted(per_server.items())
+        plan = [(server, self._new(OpType.READ, path, first, nbytes))
+                for server, (first, nbytes) in sorted(per_server.items())
                 if server not in down]
-        plan += [(server, span, True)
-                 for server, span in sorted(share_reads.items())]
-        pending = []
-        for server, (first_offset, nbytes), share in plan:
-            body = {"op": "read", "path": path, "offset": first_offset,
-                    "size": nbytes, "payload": None,
-                    "client_id": self.client_id, "job": self.job}
-            if share:
-                body["share"] = True
-            if self._ft:
-                body["req_id"] = self._next_req_id()
-                pending.append(self.engine.process(self._request(
-                    server, body, _HEADER_BYTES)))
-            else:
-                client = yield from self._ensure_io(server)
-                pending.append(client.call("io", body, size=_HEADER_BYTES))
-        if pending:
-            yield self.engine.all_of(pending)
-        self.ops_completed += 1
+        plan += [(server, self._new(OpType.READ, path, first, nbytes,
+                                    share=True))
+                 for server, (first, nbytes) in sorted(share_reads.items())]
+        if plan:
+            yield from self._gather(plan)
         return avail - lost
 
     def write_read_cycle(self, path: str, size: int) -> int:
         """Generator: one §5.3.1 benchmark cycle (write then read back)."""
         yield from self.write(path, 0, size)
         return (yield from self.read(path, 0, size))
-
-    # --------------------------------------------------------------- routing
-    @staticmethod
-    def _split(inode, offset: int, size: int) -> Dict[str, Tuple[int, int]]:
-        """Per-server ``(first_offset, total_bytes)`` of a byte range
-        (memoised on the stripe spec — see :func:`server_spans`)."""
-        return server_spans(inode.stripe, offset, size)

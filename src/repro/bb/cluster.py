@@ -138,9 +138,8 @@ class Cluster:
                 self.config, name, self.rng.stream(f"sched.{name}"))
             self.servers[name] = Server(
                 self.engine, self.fabric, name, self.fs, scheduler,
-                config=self.config.server, sampler=self.sampler,
-                fault_stats=self.fault_stats,
-                placement_memo=self.placement_memo)
+                self.config.server, self.sampler, self.fault_stats,
+                self.placement_memo)
         # λ-delayed fairness wiring (no-op for a single server).
         sync_addresses = {name: server.sync_address
                           for name, server in self.servers.items()}
@@ -156,19 +155,23 @@ class Cluster:
                 self, detect_interval=self.config.repair_detect_interval)
 
     # ---------------------------------------------------------------- clients
-    def add_client(self, job: JobInfo,
-                   client_id: Optional[str] = None) -> Client:
-        """Create a compute-node client for *job* (one per node typically)."""
+    def add_client(self, job: JobInfo, client_id: Optional[str] = None,
+                   config: Optional[ClientConfig] = None) -> Client:
+        """Create a compute-node client for *job* (one per node
+        typically), with the cluster's client config unless the caller
+        brings its own (the repair manager bounds its retries)."""
         self._client_seq += 1
         client_id = client_id or f"client-{self._client_seq}"
+        config = config or self.config.client
         node_name = f"cn-{client_id}"
         ctl_addresses = {name: (name, Server.CTL_WORKER)
                          for name in self.servers}
+        # Only a client whose calls time out backs off, and draws jitter.
         rng = (self.rng.stream(f"client.{client_id}")
-               if self.config.client.rpc_timeout > 0 else None)
+               if config.rpc_timeout > 0 else None)
         client = Client(self.engine, self.fabric, node_name, client_id, job,
-                        self.fs, ctl_addresses, config=self.config.client,
-                        rng=rng, fault_stats=self.fault_stats)
+                        self.fs, ctl_addresses, config, self.fault_stats,
+                        rng)
         self.clients[client_id] = client
         return client
 

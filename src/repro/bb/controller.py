@@ -351,8 +351,7 @@ class Controller:
 
     def _note_degraded(self) -> None:
         self.degraded_rounds += 1
-        if self.server.fault_stats is not None:
-            self.server.fault_stats.degraded_sync_rounds += 1
+        self.server.fault_stats.degraded_sync_rounds += 1
 
     # ---------------------------------------------------------- round driver
     def _round(self, epoch: int):

@@ -33,7 +33,7 @@ from ..core.jobinfo import JobInfo
 from ..errors import FileNotFound, RpcTimeout
 from ..fs.striping import ErasureSpec
 from .client import Client
-from .server import Server
+from .request import OpType
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import Cluster
@@ -111,14 +111,7 @@ class RepairManager:
                           else 8)
             job = JobInfo(job_id=REPAIR_JOB_ID, user=REPAIR_USER,
                           group=REPAIR_USER, size=1)
-            ctl = {name: (name, Server.CTL_WORKER)
-                   for name in self.cluster.servers}
-            self._client = Client(
-                self.engine, self.cluster.fabric, "cn-repair", "repair-0",
-                job, self.fs, ctl, config=cfg,
-                rng=self.cluster.rng.stream("client.repair"),
-                fault_stats=self.stats)
-            self.cluster.clients["repair-0"] = self._client
+            self._client = self.cluster.add_client(job, REPAIR_USER, cfg)
         return self._client
 
     # --------------------------------------------------------------- episode
@@ -219,9 +212,8 @@ class RepairManager:
         for s in sources:
             server = spec.server_of_share(group, s)
             reads.append(self.engine.process(self._safe_call(
-                client._io_call(server, "read", path, offset=anchor,
-                                size=spec.stripe_size,
-                                extra={"share": True}))))
+                client._io_call(server, OpType.READ, path, anchor,
+                                spec.stripe_size, share=True))))
         results = yield self.engine.all_of(reads)
         for ok in results:
             if ok is None:
@@ -229,9 +221,8 @@ class RepairManager:
             else:
                 moved += spec.stripe_size
         if (yield from self._safe_call(client._io_call(
-                substitute, "write", path, offset=anchor,
-                size=spec.stripe_size, wire=spec.stripe_size,
-                extra={"share": True}))) is None:
+                substitute, OpType.WRITE, path, anchor, spec.stripe_size,
+                share=True))) is None:
             episode["io_failures"] += 1
         else:
             moved += spec.stripe_size

@@ -23,7 +23,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Tuple)
 
 from ..core.fairness import PlacementMemo
-from ..core.jobinfo import JobInfo
 from ..core.scheduler import Scheduler
 from ..errors import ConfigError
 from ..fs.filesystem import ThemisFS
@@ -35,7 +34,7 @@ from ..ucx import Address, RpcRequest, RpcServer, UCPContext, WorkerPool
 from ..units import GB, USEC
 from .controller import Controller
 from .monitor import JobMonitor
-from .request import IORequest, OpType
+from .request import IORequest
 from .worker import IOWorker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -106,20 +105,18 @@ class Server:
     _REQ_CACHE_MAX = 1024
 
     def __init__(self, engine: "Engine", fabric: Fabric, name: str,
-                 fs: ThemisFS, scheduler: Scheduler,
-                 config: Optional[ServerConfig] = None,
-                 sampler: Optional[ThroughputSampler] = None,
-                 fault_stats: Optional[FaultStats] = None,
-                 placement_memo: Optional[PlacementMemo] = None):
+                 fs: ThemisFS, scheduler: Scheduler, config: ServerConfig,
+                 sampler: ThroughputSampler, fault_stats: FaultStats,
+                 placement_memo: PlacementMemo):
         self.engine = engine
         self.fabric = fabric
         self.name = name
         self.fs = fs
         self.scheduler = scheduler
-        self.config = config or ServerConfig()
-        self.sampler = sampler if sampler is not None else ThroughputSampler()
+        self.config = config
+        self.sampler = sampler
         self.fault_stats = fault_stats
-        #: the cluster's shared Fig. 5 projection memo (None: always solve).
+        #: the cluster's shared Fig. 5 projection memo.
         self.placement_memo = placement_memo
 
         # --- crash/restart lifecycle state -----------------------------
@@ -127,9 +124,6 @@ class Server:
         #: bumped on every crash; workers snapshot it per request and
         #: abandon work that straddles a crash.
         self.crash_epoch = 0
-        self.crashes = 0
-        self.recoveries = 0
-        self.crashed_at: Optional[float] = None
         self.restarted_at: Optional[float] = None
         #: time of the first request served after the latest restart
         #: (recovery-time metric); None until it happens.
@@ -140,8 +134,6 @@ class Server:
         #: returns an exception to fail the op with, or None.
         self.storage_fault: Optional[
             Callable[[IORequest, float], Optional[Exception]]] = None
-        self.requests_dropped_in_crash = 0
-        self.duplicate_requests = 0
         # Idempotency: completed replies by client request id (LRU) plus
         # the ids currently being serviced (duplicates of those are
         # dropped; the original's reply answers the retry too).
@@ -210,46 +202,29 @@ class Server:
 
     # ----------------------------------------------------------- communicator
     def _on_request(self, rpc: RpcRequest) -> None:
-        """An I/O request arrived on a pool worker."""
-        body = rpc.body
-        creq = body.get("req_id")
-        if creq is not None:
-            cached = self._req_cache.get(creq)
+        """An I/O request arrived on a pool worker: the body is the
+        client's :class:`IORequest`."""
+        request: IORequest = rpc.body
+        req_id = request.req_id
+        if req_id is not None:
+            cached = self._req_cache.get(req_id)
             if cached is not None:
                 # Retry of an already-completed request: replay the
                 # stored reply instead of re-executing (idempotency).
-                self._req_cache.move_to_end(creq)
-                self.duplicate_requests += 1
-                if self.fault_stats is not None:
-                    self.fault_stats.duplicate_requests += 1
+                self._req_cache.move_to_end(req_id)
+                self.fault_stats.duplicate_requests += 1
                 rpc.reply(cached[0], size=cached[1])
                 return
-            if creq in self._inflight_req:
+            if req_id in self._inflight_req:
                 # Retry raced the original, which is still being
                 # serviced; its eventual reply answers this retry too.
-                self.duplicate_requests += 1
-                if self.fault_stats is not None:
-                    self.fault_stats.duplicate_requests += 1
+                self.fault_stats.duplicate_requests += 1
                 return
-            self._inflight_req.add(creq)
-        info: JobInfo = body["job"]
-        changed = self.monitor.observe(info, body.get("client_id", ""))
-        if changed:
+            self._inflight_req.add(req_id)
+        if self.monitor.observe(request.job, request.client_id):
             self.controller.refresh_tokens()
-        request = IORequest(
-            op=OpType(body["op"]),
-            job=info,
-            path=body["path"],
-            offset=body.get("offset", 0),
-            size=body.get("size", 0),
-            client_id=body.get("client_id", ""),
-            payload=body.get("payload"),
-            rpc=rpc,
-            arrival=self.engine.now,
-            client_req_id=creq,
-            share=body.get("share", False),
-            groups=body.get("groups"),
-        )
+        request.rpc = rpc
+        request.arrival = self.engine.now
         self.scheduler.enqueue(request, self.engine.now)
         # One worker per queued request is all that can find work: the
         # rest would dequeue nothing and park again in the same order.
@@ -277,8 +252,7 @@ class Server:
         kind = body["kind"]
         client_id = body["client_id"]
         if kind == "register":
-            info: JobInfo = body["job"]
-            if self.monitor.observe(info, client_id):
+            if self.monitor.observe(body["job"], client_id):
                 self.controller.refresh_tokens()
             worker = self.pool.assign(client_id)
             rpc.reply({"ok": True, "io_worker": worker.name})
@@ -323,23 +297,17 @@ class Server:
             return
         self.crashed = True
         self.crash_epoch += 1
-        self.crashes += 1
-        self.crashed_at = self.engine.now
-        if self.fault_stats is not None:
-            self.fault_stats.server_crashes += 1
+        self.fault_stats.server_crashes += 1
         self.ctx.down = True
         self.fabric.set_node_down(self.name)
-        dropped = self.scheduler.drain()
-        self.requests_dropped_in_crash += len(dropped)
-        if self.fault_stats is not None:
-            self.fault_stats.requests_dropped_in_crash += len(dropped)
+        self.fault_stats.requests_dropped_in_crash += len(
+            self.scheduler.drain())
         self._req_cache.clear()
         self._inflight_req.clear()
         self.pool.release_many(self.pool.mapped_clients)
         self.monitor.reset()
         self.controller.reset()
-        if hasattr(self.fs, "crash_node"):
-            self.fs.crash_node(self.name)
+        self.fs.crash_node(self.name)
         # Wake idle workers so they observe the crash and park on the
         # restart event instead of the (now meaningless) work event.
         self._notify_work()
@@ -355,14 +323,11 @@ class Server:
         """
         if not self.crashed:
             return
-        if hasattr(self.fs, "recover_node"):
-            self.last_recovery = self.fs.recover_node(self.name)
+        self.last_recovery = self.fs.recover_node(self.name)
         self.crashed = False
-        self.recoveries += 1
         self.restarted_at = self.engine.now
         self.first_completion_after_restart = None
-        if self.fault_stats is not None:
-            self.fault_stats.server_recoveries += 1
+        self.fault_stats.server_recoveries += 1
         self.ctx.down = False
         self.fabric.set_node_down(self.name, down=False)
         self.controller.refresh_tokens(force=True)

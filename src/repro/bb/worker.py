@@ -40,7 +40,6 @@ class IOWorker:
         self.idle_cycles = 0
         self.lock_waits = 0
         self.throttle_waits = 0  # parks with backlog but no wake time
-        self.abandoned = 0       # requests dropped mid-service by a crash
         self.locked_ino = None   # range-locked inode during a write
         self.locked_meta = None  # metadata-locked parent during namespace ops
         self.process = server.engine.process(self._loop())
@@ -94,12 +93,8 @@ class IOWorker:
 
     def _abandon(self, request: IORequest) -> None:
         """Drop a request whose service straddled a crash (no reply)."""
-        self.abandoned += 1
         self._release_locks(request)
-        server = self.server
-        server.requests_dropped_in_crash += 1
-        if server.fault_stats is not None:
-            server.fault_stats.requests_dropped_in_crash += 1
+        self.server.fault_stats.requests_dropped_in_crash += 1
 
     # --------------------------------------------------------------- locking
     def _lock_node(self):
@@ -166,8 +161,7 @@ class IOWorker:
                 # touching the FS; the reply carries ok=False.
                 self.server.record_error(request, exc)
                 request.error = exc
-                if self.server.fault_stats is not None:
-                    self.server.fault_stats.storage_errors += 1
+                self.server.fault_stats.storage_errors += 1
                 return 0
         try:
             if request.share and op.is_data:
@@ -259,22 +253,21 @@ class IOWorker:
         if (server.restarted_at is not None
                 and server.first_completion_after_restart is None):
             server.first_completion_after_restart = server.engine.now
-        if request.rpc is not None:
-            resp_size = moved if request.op is OpType.READ else 0
+        # The RPC's body is this request: drop the back-pointer as it is
+        # answered, so the pair is freed by reference count.
+        rpc, request.rpc = request.rpc, None
+        resp_size = moved if request.op is OpType.READ else 0
+        if request.error is None:
+            body = {"ok": True, "bytes": moved}
+        else:
+            body = {"ok": False, "bytes": moved,
+                    "error": getattr(request.error, "errno_name", "EIO")}
+            server.fault_stats.error_replies += 1
+        rpc.reply(body, size=resp_size)
+        if request.req_id is not None:
             if request.error is None:
-                body = {"ok": True, "bytes": moved}
+                server.cache_reply(request.req_id, body, resp_size)
             else:
-                body = {"ok": False, "bytes": moved,
-                        "error": getattr(request.error, "errno_name",
-                                         "EIO")}
-                if server.fault_stats is not None:
-                    server.fault_stats.error_replies += 1
-            request.rpc.reply(body, size=resp_size)
-            if request.client_req_id is not None:
-                if request.error is None:
-                    server.cache_reply(request.client_req_id, body,
-                                       resp_size)
-                else:
-                    # Failed requests were not applied: let a retry of
-                    # the same id re-execute instead of replaying EIO.
-                    server.forget_request(request.client_req_id)
+                # Failed requests were not applied: let a retry of the
+                # same id re-execute instead of replaying EIO.
+                server.forget_request(request.req_id)

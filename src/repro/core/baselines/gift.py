@@ -61,9 +61,7 @@ class GiftScheduler(Scheduler):
         self._fair_last: Dict[int, float] = {}     # last epoch's fair shares
         self._used_epoch: Dict[int, float] = {}    # bytes served this epoch
         self._arrived_epoch: Dict[int, float] = {}  # bytes enqueued this epoch
-        self._arrived_last: Dict[int, float] = {}
         self.coupons: Dict[int, float] = {}        # donated-bytes balance
-        self.epochs = 0
         self.lp_calls = 0
 
     # ------------------------------------------------------------- interface
@@ -112,13 +110,11 @@ class GiftScheduler(Scheduler):
         self._allocate(now)
 
     def _allocate(self, now: float) -> None:
-        self.epochs += 1
         self._epoch_end = now + self.mu
         epoch_bytes = self.capacity * self.mu
 
         used, self._used_epoch = self._used_epoch, {}
         arrived, self._arrived_epoch = self._arrived_epoch, {}
-        self._arrived_last = arrived
 
         # Settle last epoch: donors bank unused fair share; spare is what
         # the device did not serve.

@@ -77,10 +77,7 @@ class Scheduler(ABC):
         The default covers schedulers built on a :class:`QueueSet`
         ``queues`` attribute; others override.
         """
-        queues = getattr(self, "queues", None)
-        if queues is not None and hasattr(queues, "drain"):
-            return queues.drain()
-        return []
+        return self.queues.drain()
 
 
 class StatisticalTokenScheduler(Scheduler):
@@ -116,7 +113,7 @@ class StatisticalTokenScheduler(Scheduler):
 
     __slots__ = ("policy", "rng", "opportunity_fair",
                  "queues", "assignment", "draws", "wasted_draws",
-                 "cache_hits", "cache_misses", "reinstalls_skipped",
+                 "cache_hits", "cache_misses",
                  "_assignment_version", "_restricted_cache", "_fast_key",
                  "_fast_restricted")
 
@@ -134,7 +131,6 @@ class StatisticalTokenScheduler(Scheduler):
         self.wasted_draws = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        self.reinstalls_skipped = 0
         self._assignment_version = 0
         self._restricted_cache: dict = {}   # backlog tuple -> TokenAssignment
         self._fast_key: Optional[tuple] = None  # (assign ver, membership ver)
@@ -161,7 +157,6 @@ class StatisticalTokenScheduler(Scheduler):
                 self._install(None)
             return
         if self.assignment is not None and self.assignment.same_source(shares):
-            self.reinstalls_skipped += 1
             return
         self._install(TokenAssignment(shares))
 

@@ -18,7 +18,7 @@ from abc import ABC, abstractmethod
 from typing import Dict, Optional, Tuple
 
 from ..errors import InvalidArgument
-from .logstore import LogStructuredStore
+from .logstore import LogStructuredStore, RecoveryReport
 from .storage import Extent, NVMeRegion
 
 __all__ = ["ChunkBackend", "ExtentBackend", "LogBackend", "make_backend"]
@@ -51,6 +51,14 @@ class ChunkBackend(ABC):
     def has_chunk(self, ino: int, chunk_index: int) -> bool:
         """True if the chunk has ever been written."""
         return self.read_chunk(ino, chunk_index, 0, 0) is not None
+
+    def crash(self) -> None:
+        """Lose volatile state (an in-place backend keeps none)."""
+
+    def recover(self) -> RecoveryReport:
+        """Rebuild the volatile state :meth:`crash` lost from the
+        durable one; reports what had to be scanned."""
+        return RecoveryReport(0, 0, 0, 0)
 
 
 class ExtentBackend(ChunkBackend):
@@ -144,7 +152,7 @@ class LogBackend(ChunkBackend):
         self.store.crash()
         self._files = {}
 
-    def recover(self):
+    def recover(self) -> RecoveryReport:
         """Rebuild from the durable log; returns the recovery report."""
         report = self.store.recover()
         self._files = {}

@@ -575,8 +575,7 @@ class ThemisFS:
         node = self.nodes[name]
         node.range_locks.reset()
         node.meta_locks.reset()
-        if hasattr(node.backend, "crash"):
-            node.backend.crash()
+        node.backend.crash()
         self._path_cache.clear()
 
     def recover_node(self, name: str) -> Dict[str, object]:
@@ -585,11 +584,8 @@ class ThemisFS:
         Returns recovery statistics (``applied`` journal entries — always
         zero here — and per-backend ``scans``).
         """
-        node = self.nodes[name]
-        scans = {}
-        if hasattr(node.backend, "recover"):
-            scans[name] = node.backend.recover()
-        return {"applied": 0, "scans": scans}
+        return {"applied": 0,
+                "scans": {name: self.nodes[name].backend.recover()}}
 
     def used_bytes(self) -> Dict[str, int]:
         """Per-server device usage."""

@@ -212,8 +212,7 @@ class JournaledFS(ThemisFS):
         for node in self.nodes.values():
             node.inodes.clear()
             node.paths.clear()
-            if hasattr(node.backend, "crash"):
-                node.backend.crash()
+            node.backend.crash()
         self._path_cache.clear()
 
     def recover(self) -> Dict[str, Any]:
@@ -283,11 +282,7 @@ class JournaledFS(ThemisFS):
                 if self.metadata_server(parent_path) in owned:
                     self._require_dir(parent_path).link_child(child,
                                                               inode.ino)
-        scans = {}
-        for name in names:
-            backend = self.nodes[name].backend
-            if hasattr(backend, "recover"):
-                scans[name] = backend.recover()
+        scans = {name: self.nodes[name].backend.recover() for name in names}
         return {"applied": applied, "scans": scans}
 
     def _remake(self, args: Dict[str, Any], ftype: str) -> None:

@@ -113,7 +113,6 @@ class LogStructuredStore:
         self._index: Dict[Hashable, Tuple[int, LogRecord]] = {}
         self._live_bytes: Dict[int, int] = {}  # seg_id -> live record bytes
         self.gc_runs = 0
-        self.gc_copied_bytes = 0
 
     # -------------------------------------------------------------- geometry
     @property
@@ -214,7 +213,6 @@ class LogStructuredStore:
                 if (current is not None and current[0] == seg.seg_id
                         and current[1].seq == record.seq):
                     # Still the live version: rewrite at the head.
-                    self.gc_copied_bytes += record.size
                     self._append(LogRecord(key=record.key,
                                            seq=next(self._seq),
                                            data=record.data))

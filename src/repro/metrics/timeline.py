@@ -31,13 +31,11 @@ class ShareTimeline:
                   for job_id in self.job_ids}
         if series:
             n = max(len(v) for v in series.values())
-            self.times = start + np.arange(n) * interval
             self._matrix = np.zeros((len(self.job_ids), n))
             for row, job_id in enumerate(self.job_ids):
                 v = series[job_id]
                 self._matrix[row, :len(v)] = v
         else:
-            self.times = np.zeros(0)
             self._matrix = np.zeros((0, 0))
 
     def shares_at(self, index: int) -> Dict[int, float]:

@@ -66,17 +66,12 @@ class RpcServer:
         self.on_request = on_request
         worker.on(REQ_TAG, self._handle)
         self.calls_received = 0
-        #: inbound calls per op name (protocol accounting: e.g. how many
-        #: λ-sync pulls vs pushes a server answered).
-        self.calls_by_op: Dict[str, int] = {}
         #: one reply endpoint per caller address, made on first reply.
         self._endpoints: Dict[Address, Endpoint] = {}
 
     def _handle(self, msg) -> None:
         self.calls_received += 1
         request = msg.payload
-        op = request.op
-        self.calls_by_op[op] = self.calls_by_op.get(op, 0) + 1
         request._server = self
         self.on_request(request)
 

@@ -113,3 +113,39 @@ class TestStorageErrors:
         cluster.run(until=5.0)
         assert "abandoned" in caught["error"]
         assert cluster.fault_stats.requests_failed >= 1
+
+
+class TestFailover:
+    def test_a_stale_timeout_leaves_the_fresh_connection_alone(
+            self, make_cluster, job):
+        """All of a client's streams share one connection per server.
+        Stream a's write times out at 0.30 and fails over; stream b's,
+        sent on the *old* connection at 0.25, times out at 0.35 — and
+        must not tear down the connection a has re-made since (that
+        strands a's in-flight call: more timeouts, duplicates, and half
+        the writes)."""
+        cluster = make_cluster(n_servers=1, rpc_timeout=0.1,
+                               retry_backoff=0.01)
+        cluster.config.client.retry_backoff_max = 0.01
+        client = cluster.add_client(job(1), client_id="c0")
+        plan = FaultPlan([LinkFault(start=0.20, stop=0.26, a="cn-c0",
+                                    drop_prob=1.0)])
+        FaultInjector(cluster, plan).arm()
+        writes = []
+
+        def stream(path, start):
+            yield from client.create(path)
+            yield cluster.engine.timeout(start - cluster.engine.now)
+            k = 0
+            while cluster.engine.now < 0.6:
+                yield from client.write(path, (k % 4) * MB, MB)
+                writes.append(path)
+                k += 1
+
+        cluster.engine.process(stream("/fs/d/a", 0.20))
+        cluster.engine.process(stream("/fs/d/b", 0.25))
+        cluster.run(until=2.0)
+        stats = cluster.fault_stats
+        assert (stats.failovers, stats.rpc_timeouts,
+                stats.duplicate_requests) == (1, 2, 0)
+        assert len(writes) == 1282

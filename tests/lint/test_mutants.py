@@ -49,12 +49,13 @@ MUTANTS = [
          "            import time; time.sleep(0)\n"
          "            yield from self._acquire_locks(request)")]),
     ("SIM002", "bb/client.py", [
-        ("        wire_size = _HEADER_BYTES + (wire if wire is not None "
-         "else 0)\n",
-         "        wire_size = _HEADER_BYTES + (wire if wire is not None "
-         "else 0)\n        done = self.ops_completed\n"),
-        ("        self.ops_completed += 1\n        return resp",
-         "        self.ops_completed = done + 1\n        return resp")]),
+        ("            self.stats.retries += 1\n"
+         "            yield self.engine.timeout(\n"
+         "                delay + float(self._rng.random()) * delay * 0.1)\n",
+         "            retried = self.stats.retries\n"
+         "            yield self.engine.timeout(\n"
+         "                delay + float(self._rng.random()) * delay * 0.1)\n"
+         "            self.stats.retries = retried + 1\n")]),
     ("SIM003", "bb/monitor.py", [
         ("on_expire: Optional[Callable[[List[int]], None]] = None):",
          "on_expire: Optional[Callable[[List[int]], None]] = None,\n"
