@@ -5,10 +5,12 @@ Runs the perf ledger at smoke sizes (``ledger/run.py --smoke --repeats 1
 --trace``, every output check on) and compares, per workload, the
 ``trace_digest`` and the counts that say how much work a request costs —
 events scheduled, messages sent, RPC calls, requests served, token draws
-— with the committed ``LEDGER_COUNTS.json``. The counts have no noise:
-any difference is a change to the request path or to the simulated
-outcome, so an event or a message creeping back in fails CI without a
-single timing. A change that means to move them re-records the file
+— plus the λ-sync rounds completed and completed degraded, with the
+committed ``LEDGER_COUNTS.json``. The counts have no noise: any
+difference is a change to the request path, to λ-sync or to the
+simulated outcome, so an event, a message or a sync round creeping in
+or out fails CI without a single timing (a sync change can leave the
+sampler's records, and so the digest, alone). A change that means to move them re-records the file
 with ``--update`` and says why in its description; ``--only`` names the
 counts it means to move, so that the re-record cannot absorb a change
 to anything else (the digest above all).
@@ -35,7 +37,7 @@ _COMMITTED = os.path.join(_ROOT, "LEDGER_COUNTS.json")
 
 #: per-layer counts gated next to the trace digest.
 COUNTS = ("sim.events", "net.msgs", "ucx.rpc_calls", "bb.served_ops",
-          "core.draws")
+          "core.draws", "bb.sync_rounds", "bb.degraded_rounds")
 
 
 def measure() -> dict:

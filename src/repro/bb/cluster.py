@@ -218,14 +218,11 @@ class Cluster:
             "sync_rounds": sum(c.sync_rounds for c in ctls),
             "coordinated_rounds": sum(c.coordinated_rounds for c in ctls),
             "degraded_rounds": sum(c.degraded_rounds for c in ctls),
-            "delta_pushes": sum(c.delta_pushes for c in ctls),
+            # Every push carries the full table; the ledger still reads
+            # the delta count (ROADMAP item 5(b) retires the key).
+            "delta_pushes": 0,
             "full_pushes": sum(c.full_pushes for c in ctls),
-            "gather_delta_replies": sum(c.gather_delta_replies for c in ctls),
-            "gather_full_replies": sum(c.gather_full_replies for c in ctls),
             "push_hash_skips": sum(c.push_hash_skips for c in ctls),
-            "basis_mismatches": sum(c.basis_mismatches for c in ctls),
-            "full_resyncs": sum(c.full_resyncs for c in ctls),
-            "subtree_full_pushes": sum(c.subtree_full_pushes for c in ctls),
             "coord_gather_payload_bytes":
                 sum(c.coord_gather_payload_bytes for c in ctls),
             "relay_gather_payload_bytes":

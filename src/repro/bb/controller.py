@@ -16,7 +16,7 @@ policy even when files live on disjoint servers.
 
 λ-delayed fairness: every ``sync_interval`` seconds the servers
 synchronise over the server↔server UCP workers (the all-gather of
-§3.1). One protocol implements it, in four parts (DESIGN.md §13):
+§3.1). One protocol implements it, in three parts (DESIGN.md §13):
 
 - **shape** — :func:`tree_order`, :func:`tree_children`,
   :func:`subtree_height`: each epoch's members form a deterministic
@@ -26,31 +26,27 @@ synchronise over the server↔server UCP workers (the all-gather of
   root pulls every peer directly (the flat round).
 - **gather** (kind ``"pull"``) — a node probed by its parent first
   probes its own children, merges their replies, and answers with its
-  table plus the placement of *its subtree only*. Per-node fan-in is k
-  and the root's inbound bytes stop scaling with N.
+  full table plus the placement of *its subtree only*. Per-node fan-in
+  is k and the root's inbound bytes stop scaling with N.
 - **scatter** (kind ``"push"``) — the root's merged table and placement
   map travel back down exactly the edges that answered the gather; a
   node acks its parent once its own children have acked. A receiver
   that last applied a push with the same content hash skips the merge
   and token refresh (trace-neutral: same wire traffic, same simulated
   timing, only redundant host work elided).
-- **per-edge delta/basis handshake** — both directions omit what the
-  other end provably holds: pushes drop entries the child reported with
-  an equal-or-newer heartbeat, replies drop entries the parent has
-  confirmed applying from this child (an opaque token minted per reply
-  and echoed in the next probe). Every token embeds the minting side's
-  ``_sync_basis``, which :meth:`Controller.reset` bumps, so a crash or
-  lost message on an edge has one recovery path: the basis no longer
-  matches, the delta is dropped, and the next exchange on that edge is
-  a full table — only the subtree behind the edge degrades.
+
+Every message carries the whole table and is charged for it; the merge
+takes only strictly newer heartbeats, so re-sending what a peer already
+holds is a no-op there, and a restarted node is healed by the next push
+that reaches it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from hashlib import blake2b
-from typing import (TYPE_CHECKING, Deque, Dict, FrozenSet, List, Optional,
-                    Tuple)
+from typing import (TYPE_CHECKING, Collection, Deque, Dict, FrozenSet, List,
+                    Optional, Tuple)
 
 from ..core.fairness import placement_shares
 from ..core.jobinfo import JobRecord
@@ -69,9 +65,11 @@ _ENTRY_WIRE_BYTES = 64
 #: Wire bytes of a pull probe / push acknowledgement (headers only).
 _PROBE_WIRE_BYTES = 16
 
-#: Wire bytes of one omitted-entry summary in a delta-encoded gather
-#: reply: the job id plus its heartbeat stamp, no status fields.
-_SUMMARY_WIRE_BYTES = 12
+
+def _table_bytes(entries: List[JobRecord]) -> int:
+    """Wire bytes of a reply or push carrying *entries* (one entry's
+    worth at least: an empty table still has its headers)."""
+    return _ENTRY_WIRE_BYTES * max(1, len(entries))
 
 
 def _content_hash(entries: List[JobRecord],
@@ -157,37 +155,8 @@ class Controller:
         #: pushes applied as a no-op via the content-hash short circuit.
         self.push_hash_skips = 0
         self._last_push_hash: Optional[str] = None
-        # Delta-encoding state. The basis token identifies one
-        # uninterrupted lifetime of this controller's sync state: it is
-        # echoed through pull replies into the matching push, and a
-        # mismatch at apply time proves the state the delta was computed
-        # against is gone (crash/restart in between) — the push is then
-        # discarded and a full-table resync requested instead.
-        self._sync_basis = 0
-        self._needs_full_sync = False
-        #: scatter pushes sent delta-encoded vs. as the full table.
-        self.delta_pushes = 0
+        #: scatter pushes sent (each one the full merged table).
         self.full_pushes = 0
-        #: delta pushes discarded because the receiver restarted between
-        #: its pull reply and the push's arrival.
-        self.basis_mismatches = 0
-        #: full-table pushes applied while a resync was pending.
-        self.full_resyncs = 0
-        # Gather-direction delta state: per requester, the token and
-        # content map of the last reply we sent it; per responder, the
-        # token of the last reply we applied from it. Tokens carry the
-        # minting side's _sync_basis so a crash on either end can never
-        # alias a stale confirmation.
-        self._gather_sent: Dict[str, Tuple[Tuple[int, int],
-                                           Dict[int, float]]] = {}
-        self._have_basis: Dict[str, Tuple[int, int]] = {}
-        self._gather_seq = 0
-        #: gather replies sent delta-encoded vs. as the full snapshot.
-        self.gather_delta_replies = 0
-        self.gather_full_replies = 0
-        #: pushes forwarded as full tables because the same-epoch
-        #: gather basis for that child was lost (subtree resync).
-        self.subtree_full_pushes = 0
         #: gather bytes this node absorbed as the epoch's root (the
         #: hotspot metric) vs. as an interior relay.
         self.coord_gather_payload_bytes = 0
@@ -197,30 +166,22 @@ class Controller:
         self.max_gather_fanin = 0
         #: (epoch, merged-table digest) per round driven from here.
         self.digest_log: Deque[Tuple[int, str]] = deque(maxlen=4096)
-        # Per-epoch gather bookkeeping: child name -> (seen map, child
-        # basis, child wants full), consumed when the matching push
-        # arrives (at the root: once merged) to scatter down.
-        self._tree_gather: Dict[int, dict] = {}
+        # Per-epoch gather bookkeeping of an interior node: the children
+        # that answered, consumed when the matching push arrives.
+        self._tree_gather: Dict[int, FrozenSet[str]] = {}
         self._sync_process = None
 
     def reset(self) -> None:
         """Forget peer-derived state (server crash): presence knowledge,
-        the refresh memo, and the push-hash memo restart cold. Peer RPC
-        clients stay wired — the endpoints are addresses, not
-        connections, and the λ loop resumes using them after restart."""
+        the refresh memo, the push-hash memo and the per-epoch edge
+        lists restart cold, so the next push that reaches us is merged
+        in full. Peer RPC clients stay wired — the endpoints are
+        addresses, not connections, and the λ loop resumes using them
+        after restart."""
         self.presence.clear()
         self._table_version_seen = -1
         self._presence_seen = {}
         self._last_push_hash = None
-        # Invalidate any in-flight delta computed against the old state
-        # and ask the next coordinator for the full table.
-        self._sync_basis += 1
-        self._needs_full_sync = True
-        # Both gather-delta ledgers die with the state they describe:
-        # replies we sent (peers may still echo their tokens — the
-        # basis component no longer matches) and confirmations we hold.
-        self._gather_sent.clear()
-        self._have_basis.clear()
         self._tree_gather.clear()
 
     # ---------------------------------------------------------------- tokens
@@ -366,11 +327,11 @@ class Controller:
         if tree_order(self._members, epoch)[0] != self.server.name:
             return
         self.coordinated_rounds += 1
-        edges, _, degraded = yield from self._gather(epoch, root=True)
+        answered, _, degraded = yield from self._gather(epoch, root=True)
         digest = _content_hash(*self._view())
         self.digest_log.append((epoch, digest))
-        self._tree_gather[epoch] = edges
-        degraded |= yield from self._forward_tree_push(epoch, digest)
+        degraded |= yield from self._forward_tree_push(epoch, digest,
+                                                       answered)
         if degraded:
             self._note_degraded()
         self._last_push_hash = digest
@@ -380,21 +341,18 @@ class Controller:
     def _gather(self, epoch: int, root: bool = False):
         """Probe our children in *epoch*'s tree and merge their replies.
 
-        Returns ``(edges, subtree, degraded)``: per answering child the
-        ``(seen, basis, wants_full)`` its scatter push is encoded
-        against; the placement rows of the hosts behind those children;
-        and whether a child stayed silent (it costs at most its edge
-        timeout and the round proceeds on the partial table).
+        Returns ``(answered, subtree, degraded)``: the children that
+        replied (the edges the scatter goes back down); the placement
+        rows of the hosts behind them; and whether a child stayed
+        silent (it costs at most its edge timeout and the round
+        proceeds on the partial table).
         """
-        pulls = []
-        for name, timeout in self._children(epoch):
-            probe = {"kind": "pull", "epoch": epoch,
-                     "host": self.server.name,
-                     "have": self._have_basis.get(name)}
-            pulls.append((name, self._peer(name).call(
-                "sync", probe, size=_PROBE_WIRE_BYTES, timeout=timeout)))
+        probe = {"kind": "pull", "epoch": epoch}
+        pulls = [(name, self._peer(name).call(
+                     "sync", probe, size=_PROBE_WIRE_BYTES, timeout=timeout))
+                 for name, timeout in self._children(epoch)]
         self.max_gather_fanin = max(self.max_gather_fanin, len(pulls))
-        edges: Dict[str, tuple] = {}
+        answered = []
         subtree: Dict[str, FrozenSet[int]] = {}
         degraded = False
         for name, call in pulls:
@@ -403,46 +361,43 @@ class Controller:
             except RpcTimeout:
                 degraded = True
                 continue
-            seen, wire = self._harvest_reply(name, resp)
+            self.server.monitor.table.merge(resp["entries"])
+            # The reply speaks for the responder's subtree only: a
+            # host's row reaches us through the one chain of edges it
+            # answered on, never through a sibling's older copy.
+            self._learn_presence(resp["presence"])
             subtree.update(resp["presence"])
-            edges[name] = (seen, resp["basis"], resp["full"])
+            answered.append(name)
+            wire = _table_bytes(resp["entries"])
             if root:
                 self.coord_gather_payload_bytes += wire
             else:
                 self.relay_gather_payload_bytes += wire
-        return edges, subtree, degraded
+        return frozenset(answered), subtree, degraded
 
-    def _forward_tree_push(self, epoch: int, digest: str):
-        """Scatter our merged view down *epoch*'s gather edges, each
-        push encoded against what that child reported; returns whether
-        a child failed to ack in time."""
-        edges = self._tree_gather.pop(epoch, None)
+    def _forward_tree_push(self, epoch: int, digest: str,
+                           answered: Optional[Collection[str]]):
+        """Scatter our merged view down the *epoch* edges that answered
+        the gather — to every shape-child when that list is gone
+        (``None``: we restarted between gather and push) — and return
+        whether a child failed to ack in time.
+
+        A child that never answered this epoch's gather (crash or
+        partition on the edge) is skipped: a push would race its
+        recovery, and a later epoch's reshaped tree reaches it.
+        """
         children = self._children(epoch)
         if not children:
             return False
         entries, presence = self._view()
-        size = _ENTRY_WIRE_BYTES * max(1, len(entries))
-        acks = []
-        for name, timeout in children:
-            if edges is None:
-                # Our gather bookkeeping for this epoch is gone (we
-                # restarted in between and the parent pushed full):
-                # resync the whole subtree with full tables.
-                self.subtree_full_pushes += 1
-                edge = (None, None, True)
-            elif name in edges:
-                edge = edges[name]
-            else:
-                # The child never answered this epoch's gather
-                # (crash/partition on the edge): it holds no basis for
-                # a push, and a full push would race its recovery —
-                # skip it; a later epoch's reshaped tree resyncs it.
-                continue
-            push, wire = self._encode_push(entries, presence, digest,
-                                           epoch, *edge)
-            acks.append(self._peer(name).call(
-                "sync", push, size=size, timeout=timeout,
-                payload_bytes=wire))
+        push = {"kind": "push", "epoch": epoch, "entries": entries,
+                "presence": presence, "hash": digest}
+        size = _table_bytes(entries)
+        acks = [self._peer(name).call("sync", push, size=size,
+                                      timeout=timeout)
+                for name, timeout in children
+                if answered is None or name in answered]
+        self.full_pushes += len(acks)
         degraded = False
         for call in acks:
             try:
@@ -451,115 +406,31 @@ class Controller:
                 degraded = True
         return degraded
 
-    # ----------------------------------------------------------------- codec
-    def _harvest_reply(self, name: str, resp: dict):
-        """Merge one gather reply into our table and presence map.
-
-        Returns ``(seen, wire)``: the exact content map the responder
-        holds — delta entries plus the omitted-entry summaries, the
-        basis for this responder's scatter delta — and the reply's
-        effective wire bytes for the fan-in accounting.
-        """
-        self.server.monitor.table.merge(resp["entries"])
-        # The reply speaks for the responder's subtree only: a host's
-        # row reaches us through the one chain of edges it answered on,
-        # never through a sibling's older copy.
-        self._learn_presence(resp["presence"])
-        seen = _heartbeats(resp["entries"])
-        seen.update(resp.get("omitted", ()))
-        self._have_basis[name] = resp["gather_basis"]
-        return seen, _reply_wire(resp)
-
-    def _encode_gather_reply(self, requester: str, have, entries):
-        """Build the entry part of a pull reply for *requester*.
-
-        Returns ``(reply_fields, nominal_size, payload_bytes)``. The
-        nominal size always covers the full snapshot (timing-neutral);
-        when the requester echoes the token of the last reply it
-        applied from us, entries it provably holds (heartbeats only
-        move forward and live tables never remove entries, so they
-        merge as no-ops there forever after) are demoted to
-        ``(job_id, heartbeat)`` summary pairs in ``omitted``.
-        """
-        full_map = _heartbeats(entries)
-        size = _ENTRY_WIRE_BYTES * max(1, len(entries))
-        self._gather_seq += 1
-        token = (self._sync_basis, self._gather_seq)
-        stored = self._gather_sent.get(requester)
-        self._gather_sent[requester] = (token, full_map)
-        if have is not None and stored is not None and stored[0] == have:
-            delta = _newer_than(stored[1], entries)
-            # Only take the delta form when it actually omits
-            # something: a delta that re-ships every entry (all
-            # heartbeats moved) costs the summary bookkeeping for
-            # zero wire savings.
-            if len(delta) < len(entries):
-                omitted = dict(full_map)
-                for record in delta:
-                    del omitted[record.info.job_id]
-                self.gather_delta_replies += 1
-                return ({"entries": delta, "omitted": omitted,
-                         "gather_delta": True, "gather_basis": token}, size,
-                        max(_PROBE_WIRE_BYTES,
-                            _ENTRY_WIRE_BYTES * len(delta)
-                            + _SUMMARY_WIRE_BYTES * len(omitted)))
-        self.gather_full_replies += 1
-        return {"entries": entries, "gather_basis": token}, size, None
-
-    def _encode_push(self, entries, presence, digest, epoch: int,
-                     seen, basis, wants_full):
-        """The push body for one child, plus its effective wire bytes
-        (``None`` = nominal).
-
-        Delta-encodable unless the child requested a full resync; the
-        push's nominal ``size`` (and hence all simulated timing) still
-        covers the full table. The delta keeps exactly the entries
-        whose merge at the child would do something: the merge updates
-        on strictly-newer heartbeats, so an entry the child reported
-        with an equal-or-newer heartbeat is provably a no-op there
-        (local heartbeats only move forward, so the proof survives the
-        reply→push latency) and is omitted.
-        """
-        push = {"kind": "push", "host": self.server.name, "epoch": epoch,
-                "entries": entries, "presence": presence, "hash": digest}
-        if wants_full:
-            self.full_pushes += 1
-            return push, None
-        delta = _newer_than(seen, entries)
-        push = dict(push, entries=delta, delta=True, basis=basis)
-        self.delta_pushes += 1
-        return push, _ENTRY_WIRE_BYTES * max(1, len(delta))
-
     # -------------------------------------------------------------- handlers
     def _answer_pull(self, rpc):
         """Our parent probed us: gather our subtree (leaves have none),
-        merge it, and reply the aggregate after the controller's
-        processing time (serialisation cost, §5.6), delta-encoded
-        against what the parent has confirmed from us."""
+        merge it, and reply our table after the controller's processing
+        time (serialisation cost, §5.6)."""
         processing = self.server.config.sync_processing_time
         if processing > 0:
             yield self.server.engine.timeout(processing)
         if self.server.crashed:
             return  # crashed mid-processing: the reply is lost
-        body = rpc.body
-        epoch = body["epoch"]
-        edges, subtree, degraded = yield from self._gather(epoch)
+        epoch = rpc.body["epoch"]
+        answered, subtree, degraded = yield from self._gather(epoch)
         if self.server.crashed:
             return
-        # Remember this epoch's gather so the matching push can reuse
-        # the same edges with exact per-child deltas.
-        self._tree_gather[epoch] = edges
+        # Remember which children answered so the matching push goes
+        # back down the same edges.
+        self._tree_gather[epoch] = answered
         for old in [e for e in self._tree_gather if e < epoch - 1]:
             del self._tree_gather[old]
         if degraded:
             self._note_degraded()
         entries, presence = self._view()
         subtree[self.server.name] = presence[self.server.name]
-        reply, size, wire = self._encode_gather_reply(
-            body["host"], body["have"], entries)
-        reply.update(host=self.server.name, presence=subtree,
-                     basis=self._sync_basis, full=self._needs_full_sync)
-        rpc.reply(reply, size=size, payload_bytes=wire)
+        rpc.reply({"entries": entries, "presence": subtree},
+                  size=_table_bytes(entries))
 
     def _apply_push(self, rpc):
         """Our parent scattered the merged state: apply it, forward it
@@ -581,24 +452,6 @@ class Controller:
             return  # crashed mid-processing: stale merge + ack lost
         body = rpc.body
         self.sync_rounds += 1
-        if body.get("delta") and body["basis"] != self._sync_basis:
-            # We restarted between our gather reply and this push: the
-            # delta was computed against state we no longer hold, so
-            # applying it could leave silently-omitted entries missing
-            # forever. Drop it, forward nothing — our children heal on
-            # a later epoch's edges (the tree reshapes every epoch) —
-            # and pull the full table next round (our next reply
-            # advertises ``full``). This is the protocol's designed
-            # degraded window: until that resync lands we run on the
-            # post-restart local view, exactly as a crash already
-            # implies.
-            self.basis_mismatches += 1
-            rpc.reply({"ok": True}, size=_PROBE_WIRE_BYTES)
-            self._needs_full_sync = True
-            return
-        if not body.get("delta") and self._needs_full_sync:
-            self._needs_full_sync = False
-            self.full_resyncs += 1
         digest = body["hash"]
         if digest == self._last_push_hash:
             self.push_hash_skips += 1
@@ -607,7 +460,9 @@ class Controller:
             self._learn_presence(body["presence"])
             self._last_push_hash = digest
             self.refresh_tokens()
-        if (yield from self._forward_tree_push(body["epoch"], digest)):
+        epoch = body["epoch"]
+        if (yield from self._forward_tree_push(
+                epoch, digest, self._tree_gather.pop(epoch, None))):
             self._note_degraded()
         if self.server.crashed:
             return
@@ -624,27 +479,3 @@ class Controller:
             self.server.engine.process(self._apply_push(rpc))
         else:
             raise UCXError(f"unknown λ-sync message kind {kind!r}")
-
-
-def _heartbeats(entries: List[JobRecord]) -> Dict[int, float]:
-    """The content map of a snapshot: job id -> heartbeat stamp."""
-    return {info.job_id: stamp for info, stamp, _ in entries}
-
-
-def _newer_than(held: Dict[int, float],
-                entries: List[JobRecord]) -> List[JobRecord]:
-    """The records whose merge at a peer holding the content map *held*
-    would do something: a job it lacks, or a strictly newer stamp."""
-    absent = float("-inf")
-    return [record for record in entries
-            if held.get(record.info.job_id, absent) < record.last_heartbeat]
-
-
-def _reply_wire(resp: dict) -> int:
-    """Effective wire bytes of one gather reply (for the fan-in
-    accounting; mirrors the payload_bytes the responder attached)."""
-    if resp.get("gather_delta"):
-        return max(_PROBE_WIRE_BYTES,
-                   _ENTRY_WIRE_BYTES * len(resp["entries"])
-                   + _SUMMARY_WIRE_BYTES * len(resp.get("omitted") or ()))
-    return _ENTRY_WIRE_BYTES * max(1, len(resp["entries"]))

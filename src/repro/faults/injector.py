@@ -53,8 +53,19 @@ class FaultInjector:
         """Install every fault (idempotent is *not* supported: arm once)."""
         if self.armed:
             raise ConfigError("fault plan already armed")
-        self.armed = True
         cluster = self.cluster
+        server_cfg = cluster.config.server
+        if (len(cluster.servers) > 1 and server_cfg.sync_interval > 0
+                and server_cfg.sync_timeout == 0
+                and any(isinstance(f, ServerCrash)
+                        or (isinstance(f, LinkFault) and f.drop_prob > 0)
+                        for f in self.plan.faults)):
+            # A sync probe that is lost waits forever without a timeout,
+            # and the root that sent it never drives another round.
+            raise ConfigError(
+                "a plan that crashes servers or drops messages needs "
+                "ServerConfig.sync_timeout > 0 when λ-sync is on")
+        self.armed = True
         engine = cluster.engine
 
         storage: dict = {}  # server -> [(fault, rng)]

@@ -388,10 +388,8 @@ def sync_cost_cell(config: Dict) -> Dict:
     floor. All results are simulated wire accounting, per driven epoch:
     ``root_in_bytes_per_epoch`` is the gather payload the epoch's root
     absorbs (linear in N at fanout 0, bounded by fanout x table size
-    under a tree), ``payload_bytes_per_epoch`` the delta-encoded bytes
-    on all links against the full-table ``nominal_bytes_per_epoch``
-    that carry the timing, ``max_fanin`` the most gather replies any
-    node awaited at once.
+    under a tree), ``bytes_per_epoch`` the bytes on all links,
+    ``max_fanin`` the most gather replies any node awaited at once.
     """
     epochs = int(config.get("epochs", 6))
     cluster = Cluster(ClusterConfig(
@@ -412,8 +410,7 @@ def sync_cost_cell(config: Dict) -> Dict:
         "epochs": int(stats["coordinated_rounds"]),
         "root_in_bytes_per_epoch":
             round(stats["coord_gather_payload_bytes"] / driven),
-        "payload_bytes_per_epoch": round(fabric.payload_bytes_sent / driven),
-        "nominal_bytes_per_epoch": round(fabric.bytes_sent / driven),
+        "bytes_per_epoch": round(fabric.bytes_sent / driven),
         "messages_per_epoch": round(fabric.messages_sent / driven),
         "max_fanin": int(stats["max_gather_fanin"]),
     }
@@ -774,12 +771,11 @@ def _sync_ladder_points(server_counts: Sequence[int] = (16, 64, 256, 1024),
 def _sync_ladder_report(rows: List[Dict]) -> str:
     body = [(f"{r['n_servers']:,}", r["fanout"],
              f"{r['root_in_bytes_per_epoch']:,}",
-             f"{r['payload_bytes_per_epoch']:,}",
-             f"{r['nominal_bytes_per_epoch']:,}",
+             f"{r['bytes_per_epoch']:,}",
              f"{r['messages_per_epoch']:,}", f"{r['max_fanin']:,}")
             for r in rows]
     return table(("servers", "fanout", "root-in B/epoch", "total B/epoch",
-                  "nominal B/epoch", "msgs/epoch", "peak fan-in"),
+                  "msgs/epoch", "peak fan-in"),
                  body, title="lambda-sync cost ladder")
 
 

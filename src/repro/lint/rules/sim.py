@@ -200,7 +200,7 @@ class WorkerBoundaryRule(Rule):
     scopes = ("src",)
 
     #: Pool fan-out methods whose worker argument must be picklable by
-    #: qualified name (plain ``.map`` is omitted: too many non-pool
+    #: qualified name (plain ``.map`` is left out: too many non-pool
     #: objects expose it).
     _POOL_METHODS = {"imap", "imap_unordered", "map_async", "apply_async",
                      "starmap", "starmap_async"}

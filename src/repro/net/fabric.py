@@ -116,20 +116,18 @@ class Fabric:
         self._nodes: Dict[str, NodeHandle] = {}
         self.messages_sent = 0
         self.bytes_sent = 0
-        #: effective wire bytes after payload-level encodings (equals
-        #: bytes_sent when no message sets Message.payload_bytes).
-        self.payload_bytes_sent = 0
-        #: the same accounting broken down by destination node — the
-        #: per-node *inbound* view that exposes fan-in hotspots (the
-        #: λ-sync coordinator at large N) invisible in the totals.
-        self.payload_bytes_to: Dict[str, int] = {}
-        self.messages_to: Dict[str, int] = {}
         # Fault-injection hooks: both checks are falsy no-ops in a
         # healthy cluster, so the clean send path pays two branch tests.
         self._fault_filter: Optional[Callable[[Message], FaultVerdict]] = None
         self._down: Set[str] = set()
         self.dropped_messages = 0
         self.delayed_messages = 0
+
+    @property
+    def payload_bytes_sent(self) -> int:
+        """Read-only alias of :attr:`bytes_sent`, the name
+        ``ledger/worker.py`` reads (ROADMAP item 5(b) moves it over)."""
+        return self.bytes_sent
 
     # -------------------------------------------------------------- topology
     def add_node(self, name: str) -> NodeHandle:
@@ -197,13 +195,6 @@ class Fabric:
         self.node(message.dst)  # validate
         self.messages_sent += 1
         self.bytes_sent += message.size
-        effective = (message.size if message.payload_bytes is None
-                     else message.payload_bytes)
-        self.payload_bytes_sent += effective
-        self.payload_bytes_to[message.dst] = (
-            self.payload_bytes_to.get(message.dst, 0) + effective)
-        self.messages_to[message.dst] = (
-            self.messages_to.get(message.dst, 0) + 1)
 
         arrival = Event(self.engine)
         if self._down and message.src in self._down:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional
+from typing import Any
 
 __all__ = ["Message"]
 
@@ -17,27 +17,17 @@ class Message:
     plus payload bytes); ``payload`` is the simulated content and is never
     serialised for real.
 
-    ``payload_bytes`` is the *effective* wire byte count after any
-    payload-level encoding (e.g. λ-sync delta pushes), accounted by
-    :attr:`~repro.net.fabric.Fabric.payload_bytes_sent`. ``None`` (the
-    default) means "same as ``size``". Keeping it separate from ``size``
-    lets an encoding shrink measured traffic without perturbing the
-    simulated serialisation delay.
-
     One is built per send, so the class is slotted and its fields are in
     the order :meth:`~repro.ucx.ucp.Endpoint.send` passes them.
     """
 
     __slots__ = ("src", "dst", "tag", "payload", "size", "worker",
-                 "payload_bytes", "msg_id")
+                 "msg_id")
 
     def __init__(self, src: str, dst: str, tag: str, payload: Any = None,
-                 size: int = 0, worker: str = "",
-                 payload_bytes: Optional[int] = None):
+                 size: int = 0, worker: str = ""):
         if size < 0:
             raise ValueError(f"negative message size: {size}")
-        if payload_bytes is not None and payload_bytes < 0:
-            raise ValueError(f"negative payload bytes: {payload_bytes}")
         self.src = src
         self.dst = dst
         self.tag = tag
@@ -45,7 +35,6 @@ class Message:
         self.size = size
         #: destination UCP worker name ("" = node default)
         self.worker = worker
-        self.payload_bytes = payload_bytes
         self.msg_id = next(_msg_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -43,15 +43,13 @@ class RpcRequest:
         self._server: Optional["RpcServer"] = None
         self.replied = False
 
-    def reply(self, body: Any = None, size: int = 0,
-              payload_bytes: Optional[int] = None) -> Event:
+    def reply(self, body: Any = None, size: int = 0) -> Event:
         """Send the response (once); the event fires on remote enqueue."""
         if self.replied:
             raise UCXError(f"duplicate reply to call {self.cid}")
         self.replied = True
         return self._server._endpoint(self.reply_to).send(
-            RESP_TAG, (self.cid, body), size=size,
-            payload_bytes=payload_bytes)
+            RESP_TAG, (self.cid, body), size=size)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RpcRequest op={self.op!r} cid={self.cid}>"
@@ -103,15 +101,11 @@ class RpcClient:
         worker.on(RESP_TAG, self._on_response)
 
     def call(self, op: str, body: Any = None, size: int = 0,
-             timeout: Optional[float] = None,
-             payload_bytes: Optional[int] = None) -> Event:
+             timeout: Optional[float] = None) -> Event:
         """Invoke *op* remotely; the event's value is the response body.
 
         ``size`` is the request's on-wire byte count (e.g. write payload
         bytes); response size is chosen by the server when replying.
-        ``payload_bytes`` optionally records the effective wire bytes
-        after payload-level encoding (accounting only; timing still
-        follows ``size``).
 
         With *timeout* set, the event instead fails with
         :class:`~repro.errors.RpcTimeout` if no response arrives within
@@ -123,7 +117,7 @@ class RpcClient:
         done = Event(engine)
         self.endpoint.send(
             REQ_TAG, RpcRequest(op, body, size, cid, self._reply_to),
-            size=size, payload_bytes=payload_bytes)
+            size=size)
         if timeout is None:
             self._pending[cid] = (done, None)
         else:

@@ -131,19 +131,13 @@ class Endpoint:
         self.worker = worker
         self.remote = remote
 
-    def send(self, tag: str, payload=None, size: int = 0,
-             payload_bytes=None) -> Event:
-        """Send a tagged message; the event fires on remote enqueue.
-
-        ``payload_bytes`` optionally records the effective wire bytes
-        after payload-level encoding (see :class:`~repro.net.message.Message`).
-        """
+    def send(self, tag: str, payload=None, size: int = 0) -> Event:
+        """Send a tagged message; the event fires on remote enqueue."""
         self.worker._check_open()
         context = self.worker.context
         node, worker_name = self.remote
         return context.fabric.send(Message(
-            context.node_name, node, tag, payload, size, worker_name,
-            payload_bytes))
+            context.node_name, node, tag, payload, size, worker_name))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Endpoint {self.worker.address} -> {self.remote}>"

@@ -1,8 +1,8 @@
 """The flat λ-sync round (the height-1 tree): equivalence with the
 paper's lock-step all-gather (the pure reference
 ``core.fairness.all_gather_merge``), determinism, the push hash skip,
-delta-encoded pushes, and the message economy one rotating root buys
-(2·(N−1) pairs per epoch vs the all-gather's N·(N−1))."""
+and the message economy one rotating root buys (2·(N−1) pairs per
+epoch vs the all-gather's N·(N−1))."""
 
 from repro.bb import Cluster, ClusterConfig, ServerConfig
 from repro.core import JobInfo
@@ -128,27 +128,3 @@ class TestMessageEconomy:
         # 2(N-1) pairs vs N(N-1) per epoch: ~N/2 fewer wire messages
         # (at N=4, 12 vs 24 per epoch, modulo boundary epochs).
         assert batched.fabric.messages_sent <= 0.6 * pairwise_messages
-
-class TestDeltaSync:
-    """Delta-encoded scatter pushes: fewer payload bytes, same nominal
-    (timing-bearing) wire size."""
-
-    def test_delta_shrinks_payload_bytes_not_wire_size(self):
-        c = _run_cluster(seed=4, n_servers=4, writes=20)
-        stats = c.sync_stats()
-        assert stats["delta_pushes"] > 0
-        # Every message is charged its full nominal size; the encoding
-        # only shows in the separately counted payload bytes.
-        assert c.fabric.payload_bytes_sent < c.fabric.bytes_sent
-        # The converged state is still the all-gather's.
-        reference = sorted(
-            j.job_id for j in _lockstep_reference(c)[0].active_jobs())
-        for server in c.servers.values():
-            assert sorted(j.job_id for j in
-                          server.monitor.table.active_jobs()) == reference
-
-    def test_hash_skip_still_functions_with_delta(self):
-        cluster = _sync_only_cluster(until=8.0)
-        skips = sum(s.controller.push_hash_skips
-                    for s in cluster.servers.values())
-        assert skips > 0

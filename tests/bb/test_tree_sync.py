@@ -4,9 +4,8 @@ A fanout k bounds per-node peak fan-in by k and stops the root's
 inbound gather bytes scaling with N, while merging exactly the same
 content per epoch as the default fanout 0 (the flat round, i.e. the
 height-1 tree) — every fanout must produce identical per-epoch digest
-sequences. Also covered here: the shape functions, the two-kind
-dispatch and the gather-direction per-peer basis deltas (useful at any
-fanout).
+sequences. Also covered here: the shape functions and the two-kind
+dispatch.
 """
 
 from types import SimpleNamespace
@@ -197,6 +196,25 @@ class TestTreeConvergence:
         for server in cluster.servers.values():
             assert server.controller.coordinated_rounds > 0
 
+    def test_tree_state_equals_all_gather(self):
+        """Each server ends on exactly the table the pure all-gather of
+        the seeded rows produces."""
+        n = 6
+        cluster = _sync_only_cluster(fanout=2, n_servers=n, n_jobs=8)
+        servers = list(cluster.servers.values())
+        tables = []
+        for index, server in enumerate(servers):
+            table = JobStatusTable(server.monitor.table.heartbeat_timeout)
+            table.merge([e for e in server.monitor.table.snapshot()
+                         if (e.info.job_id - 1) % n == index])
+            tables.append(table)
+        all_gather_merge(tables)
+        reference = sorted((e.info.job_id, e.last_heartbeat, e.active)
+                           for e in tables[0].snapshot())
+        assert len(reference) == 8
+        for server in servers:
+            assert _table_view(server) == reference, server.name
+
 
 class TestFanInAndRootBytes:
     def test_fanin_bounded_by_branching_factor(self):
@@ -226,57 +244,9 @@ class TestSyncStats:
         stats = _sync_only_cluster(n_servers=3, n_jobs=3).sync_stats()
         assert set(stats) == {
             "sync_rounds", "coordinated_rounds", "degraded_rounds",
-            "delta_pushes", "full_pushes", "gather_delta_replies",
-            "gather_full_replies", "push_hash_skips", "basis_mismatches",
-            "full_resyncs", "subtree_full_pushes",
+            "delta_pushes", "full_pushes", "push_hash_skips",
             "coord_gather_payload_bytes", "relay_gather_payload_bytes",
             "max_gather_fanin", "placement_requests", "placement_solves"}
         assert stats["sync_rounds"] > stats["coordinated_rounds"] > 0
+        assert stats["delta_pushes"] == 0 < stats["full_pushes"]
 
-
-class TestGatherDelta:
-    """Per-peer-basis delta replies in the gather direction — they pay
-    off for the flat round on their own (the tree merely reuses them
-    per edge)."""
-
-    def test_gather_delta_shrinks_flat_gather_payload(self):
-        # Stable entries are where the encoding pays: a live job's
-        # heartbeat advances every round (so its entry re-ships), but
-        # the pre-seeded idle entries re-confirm as 12-byte summaries
-        # instead of 64-byte snapshot rows.
-        n, jobs = 6, 12
-        c = _sync_only_cluster(fanout=0, n_servers=n, n_jobs=jobs)
-        stats = c.sync_stats()
-        assert stats["gather_delta_replies"] > 0
-        # Nominal (timing-bearing) traffic still covers full snapshots;
-        # effective payload and the coordinator's inbound gather bytes
-        # both sit under it. A full reply from a converged peer is 64 B
-        # per entry.
-        assert c.fabric.payload_bytes_sent < c.fabric.bytes_sent
-        full_gather = stats["coordinated_rounds"] * (n - 1) * 64 * jobs
-        assert stats["coord_gather_payload_bytes"] < full_gather
-
-    def test_gather_delta_fires_in_tree_mode_too(self):
-        cluster = _sync_only_cluster(fanout=2, n_servers=6, n_jobs=8)
-        assert cluster.sync_stats()["gather_delta_replies"] > 0
-
-    def test_tree_state_with_gather_deltas_equals_all_gather(self):
-        """Omitted entries are provably held: with delta replies on
-        every tree edge, each server ends on exactly the table the pure
-        all-gather of the seeded rows produces."""
-        n = 6
-        cluster = _sync_only_cluster(fanout=2, n_servers=n, n_jobs=8)
-        assert cluster.sync_stats()["gather_delta_replies"] > 0
-        servers = list(cluster.servers.values())
-        tables = []
-        for index, server in enumerate(servers):
-            table = JobStatusTable(server.monitor.table.heartbeat_timeout)
-            table.merge([e for e in server.monitor.table.snapshot()
-                         if (e.info.job_id - 1) % n == index])
-            tables.append(table)
-        all_gather_merge(tables)
-        reference = sorted((e.info.job_id, e.last_heartbeat, e.active)
-                           for e in tables[0].snapshot())
-        assert len(reference) == 8
-        for server in servers:
-            assert _table_view(server) == reference, server.name

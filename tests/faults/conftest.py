@@ -82,8 +82,7 @@ def assert_all_gather_state(cluster):
     still lists it), and ``core.fairness.all_gather_merge`` merges them
     everywhere. A live table must list exactly the reference's jobs
     with the same identity and activity, and may never hold a heartbeat
-    newer than the hosting server's own — whatever a delta omitted or a
-    fault delayed.
+    newer than the hosting server's own — whatever a fault delayed.
     """
     live = [s for s in cluster.servers.values() if not s.crashed]
     hosted = set().union(*(s.monitor.active_local_jobs() for s in live))

@@ -75,6 +75,50 @@ class TestArming:
         assert cluster.fabric._fault_filter is None
 
 
+class TestSyncTimeoutRequired:
+    """A λ-sync probe lost to a crash or a drop is never answered; with
+    ``sync_timeout=0`` its root waits on it forever and drives no other
+    round, so such a plan is refused at arm time."""
+
+    CRASH = ServerCrash("bb1", at=0.35, restart_at=0.6)
+
+    @staticmethod
+    def _cluster(n_servers=3, sync_interval=0.1, **server_kw):
+        return Cluster(ClusterConfig(
+            n_servers=n_servers, policy="job-fair",
+            server=ServerConfig(sync_interval=sync_interval, **server_kw)))
+
+    @pytest.mark.parametrize("fault", [
+        CRASH, LinkFault(start=0.3, stop=0.5, a="bb0", drop_prob=0.5)])
+    def test_lossy_plan_without_sync_timeout_rejected(self, fault):
+        injector = FaultInjector(self._cluster(), FaultPlan([fault]))
+        with pytest.raises(ConfigError, match="sync_timeout"):
+            injector.arm()
+        assert not injector.armed
+
+    @pytest.mark.parametrize("cluster_kw,fault", [
+        ({"n_servers": 1}, ServerCrash("bb0", at=0.35, restart_at=0.6)),
+        ({"sync_interval": 0.0}, CRASH),
+        ({}, LinkFault(start=0.3, stop=0.5, a="bb0", delay=0.01)),
+        ({}, StorageFault("bb0", start=0.3, stop=0.5)),
+    ])
+    def test_plans_that_cannot_lose_a_probe_need_no_timeout(self, cluster_kw,
+                                                            fault):
+        FaultInjector(self._cluster(**cluster_kw), FaultPlan([fault])).arm()
+
+    def test_survivors_keep_syncing_through_the_crash(self):
+        cluster = self._cluster(sync_timeout=0.1)
+        FaultInjector(cluster, FaultPlan([self.CRASH])).arm()
+        cluster.run(until=0.3)
+        before = {name: cluster.servers[name].controller.coordinated_rounds
+                  for name in ("bb0", "bb2")}
+        cluster.run(until=3.0)
+        driven = {name: cluster.servers[name].controller.coordinated_rounds
+                  - rounds for name, rounds in before.items()}
+        assert driven == {"bb0": 10, "bb2": 9}
+        assert cluster.sync_stats()["sync_rounds"] == 82
+
+
 def _run_scenario(seed):
     """A lively 2-server run with probabilistic drops, EIO and a crash."""
     cfg = ClusterConfig(

@@ -124,13 +124,13 @@ class TestSyncCostLadder:
     """EXPERIMENTS.md's λ-sync cost ladder rows, pinned exactly: they
     are simulated wire counts, not host measurements."""
 
-    #: (n_servers, fanout) -> (root-in B, total B, nominal B, messages,
-    #: peak fan-in), per epoch
+    #: (n_servers, fanout) -> (root-in B, total B, messages, peak
+    #: fan-in), per epoch
     ROWS = {
-        (16, 0): (46_080, 47_520, 92_640, 60, 15),
-        (16, 8): (22_496, 45_440, 92_640, 60, 8),
-        (64, 0): (193_536, 199_584, 389_088, 252, 63),
-        (64, 8): (22_496, 185_024, 389_088, 252, 8),
+        (16, 0): (46_080, 92_640, 60, 15),
+        (16, 8): (24_576, 92_640, 60, 8),
+        (64, 0): (193_536, 389_088, 252, 63),
+        (64, 8): (24_576, 389_088, 252, 8),
     }
 
     @pytest.mark.parametrize("n_servers,fanout", sorted(ROWS))
@@ -138,8 +138,7 @@ class TestSyncCostLadder:
         out = sync_cost_cell({"n_servers": n_servers, "fanout": fanout,
                               "epochs": 6})
         assert (out["root_in_bytes_per_epoch"],
-                out["payload_bytes_per_epoch"],
-                out["nominal_bytes_per_epoch"],
+                out["bytes_per_epoch"],
                 out["messages_per_epoch"],
                 out["max_fanin"]) == self.ROWS[n_servers, fanout]
         assert out["epochs"] == 6
