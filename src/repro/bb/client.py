@@ -373,7 +373,7 @@ class Client:
             # retrying into the void — the skipped shares are exactly
             # what repair later rebuilds from the written ones.
             down = {s for s in inode.stripe.servers
-                    if self.ctx.fabric.node_is_down(s)}
+                    if s in self.ctx.fabric.down}
         if payload is not None:
             slices = [
                 (piece.server, piece.file_offset, piece.length,
@@ -441,7 +441,7 @@ class Client:
         per_server = server_spans(inode.stripe, offset, avail)
         if isinstance(inode.stripe, ErasureSpec):
             down = {s for s in sorted(per_server)
-                    if self.ctx.fabric.node_is_down(s)}
+                    if s in self.ctx.fabric.down}
             if down:
                 return (yield from self._degraded_read(
                     path, inode.stripe, per_server, offset, avail, down))

@@ -175,9 +175,9 @@ class Controller:
         """Forget peer-derived state (server crash): presence knowledge,
         the refresh memo, the push-hash memo and the per-epoch edge
         lists restart cold, so the next push that reaches us is merged
-        in full. Peer RPC clients stay wired — the endpoints are
-        addresses, not connections, and the λ loop resumes using them
-        after restart."""
+        in full. Peer RPC clients stay wired — a peer is an address,
+        not a connection, and the λ loop resumes using them after
+        restart."""
         self.presence.clear()
         self._table_version_seen = -1
         self._presence_seen = {}

@@ -72,7 +72,7 @@ class RepairManager:
         while True:
             yield self.engine.timeout(self.detect_interval)
             for name in sorted(self.cluster.servers):
-                if not self.cluster.fabric.node_is_down(name):
+                if name not in self.cluster.fabric.down:
                     self._handled.discard(name)
                 elif name not in self._handled:
                     self._handled.add(name)
@@ -81,7 +81,7 @@ class RepairManager:
 
     def _down_set(self) -> Set[str]:
         return {name for name in sorted(self.cluster.servers)
-                if self.cluster.fabric.node_is_down(name)}
+                if name in self.cluster.fabric.down}
 
     def _pick_substitute(self, spec: ErasureSpec) -> Optional[str]:
         """First live server outside the file's placement (determinism:
@@ -89,7 +89,7 @@ class RepairManager:
         for name in sorted(self.cluster.servers):
             if name in spec.servers:
                 continue
-            if self.cluster.fabric.node_is_down(name):
+            if name in self.cluster.fabric.down:
                 continue
             return name
         return None

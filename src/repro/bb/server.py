@@ -298,7 +298,6 @@ class Server:
         self.crashed = True
         self.crash_epoch += 1
         self.fault_stats.server_crashes += 1
-        self.ctx.down = True
         self.fabric.set_node_down(self.name)
         self.fault_stats.requests_dropped_in_crash += len(
             self.scheduler.drain())
@@ -316,7 +315,7 @@ class Server:
         """Recover and rejoin: rebuild storage state, resume service.
 
         Runs :meth:`ThemisFS.recover_node` (journal replay + log-segment
-        scan when those layers are configured), clears the down flags,
+        scan when those layers are configured), clears the node's down mark,
         recomputes tokens from the empty-but-alive table, and wakes the
         workers. Clients re-register on their next retry; peers re-merge
         this server's table at their next λ-sync round.
@@ -328,7 +327,6 @@ class Server:
         self.restarted_at = self.engine.now
         self.first_completion_after_restart = None
         self.fault_stats.server_recoveries += 1
-        self.ctx.down = False
         self.fabric.set_node_down(self.name, down=False)
         self.controller.refresh_tokens(force=True)
         waiters, self._restart_waiters = self._restart_waiters, []

@@ -234,7 +234,7 @@ class IOWorker:
             lo = piece.file_offset - request.offset
             data = request.payload[lo:lo + piece.length]
             node.write_chunk(inode.ino, piece.chunk_index, piece.chunk_offset,
-                             data, fs.stripe_size)
+                             data)
             written += piece.length
         end = request.offset + request.size
         if end > inode.size:

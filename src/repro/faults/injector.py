@@ -32,11 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["FaultInjector"]
 
-#: RPC request tag (mirrors repro.ucx.rpc.REQ_TAG without the import
-#: cycle risk; asserted equal in tests).
-_REQ_TAG = "rpc.req"
-
-
 class FaultInjector:
     """Binds a fault plan to a cluster; :meth:`arm` makes it live."""
 
@@ -152,6 +147,6 @@ class FaultInjector:
 
     @staticmethod
     def _is_heartbeat(message: Message) -> bool:
-        """True for RPC heartbeat requests (control-plane beats only)."""
-        return (message.tag == _REQ_TAG
-                and getattr(message.payload, "op", None) == "heartbeat")
+        """True for RPC heartbeat requests (control-plane beats only):
+        only a request payload has an ``op``."""
+        return getattr(message.payload, "op", None) == "heartbeat"

@@ -8,7 +8,6 @@ from .logstore import LogRecord, LogStructuredStore, RecoveryReport, Segment
 from .locking import MetadataLockTable, RangeLockTable
 from .metadata import FileType, Inode, Stat
 from .path import DEFAULT_NAMESPACE, components, in_namespace, join, normalize, split
-from .storage import Extent, NVMeRegion
 from .striping import ChunkSlice, StripeSpec, map_range
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "NamespaceJournal",
     "JournalRecord",
     "ConsistentHashRing",
-    "NVMeRegion",
-    "Extent",
     "StripeSpec",
     "ChunkSlice",
     "map_range",

@@ -1,6 +1,7 @@
 """Pluggable chunk-storage backends for a storage node.
 
-Two designs behind one interface:
+Two designs behind one interface, each storing chunks of the one size
+its file system stripes with:
 
 - :class:`ExtentBackend` — the paper's deployed design (§4.3): a
   byte-addressable extent per stripe chunk on the NVMe region; in-place
@@ -17,9 +18,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, Optional, Tuple
 
-from ..errors import InvalidArgument
+from ..errors import FSError, InvalidArgument, NoSpace
 from .logstore import LogStructuredStore, RecoveryReport
-from .storage import Extent, NVMeRegion
 
 __all__ = ["ChunkBackend", "ExtentBackend", "LogBackend", "make_backend"]
 
@@ -29,9 +29,18 @@ class ChunkBackend(ABC):
 
     name: str = "abstract"
 
+    def __init__(self, chunk_size: int):
+        self.chunk_size = chunk_size
+
+    def _check_range(self, chunk_offset: int, length: int) -> None:
+        if chunk_offset < 0 or chunk_offset + length > self.chunk_size:
+            raise InvalidArgument(
+                f"write outside chunk: {chunk_offset}+{length} "
+                f"(chunk {self.chunk_size})")
+
     @abstractmethod
     def write_chunk(self, ino: int, chunk_index: int, chunk_offset: int,
-                    data: bytes, chunk_size: int) -> None:
+                    data: bytes) -> None:
         """Write *data* at *chunk_offset* inside the chunk."""
 
     @abstractmethod
@@ -62,44 +71,53 @@ class ChunkBackend(ABC):
 
 
 class ExtentBackend(ChunkBackend):
-    """One pre-sized extent per chunk; in-place overwrite."""
+    """One chunk-sized extent per written chunk; in-place overwrite.
+
+    Every extent is one chunk long, so the device is a count of chunk
+    slots: best fit with coalescing over equal-sized extents runs out
+    exactly when ``capacity // chunk_size`` chunks are held, and any
+    freed slot fits the next chunk. Unwritten bytes of a chunk read back
+    as zeros.
+    """
 
     name = "extent"
 
-    def __init__(self, capacity: int):
-        self.region = NVMeRegion(capacity)
-        self.chunks: Dict[Tuple[int, int], Extent] = {}
+    def __init__(self, capacity: int, chunk_size: int):
+        if capacity <= 0 or chunk_size <= 0:
+            raise FSError(
+                f"capacity and chunk size must be positive: "
+                f"{capacity}, {chunk_size}")
+        super().__init__(chunk_size)
+        self.max_chunks = capacity // chunk_size
+        self.chunks: Dict[Tuple[int, int], bytearray] = {}
 
-    def _extent(self, ino: int, chunk_index: int,
-                chunk_size: int) -> Extent:
+    def write_chunk(self, ino, chunk_index, chunk_offset, data):
+        self._check_range(chunk_offset, len(data))
         key = (ino, chunk_index)
         extent = self.chunks.get(key)
         if extent is None:
-            extent = self.region.alloc(chunk_size)
-            self.chunks[key] = extent
-        return extent
-
-    def write_chunk(self, ino, chunk_index, chunk_offset, data, chunk_size):
-        extent = self._extent(ino, chunk_index, chunk_size)
-        self.region.write(extent, chunk_offset, data)
+            if len(self.chunks) >= self.max_chunks:
+                raise NoSpace(
+                    f"cannot allocate a {self.chunk_size}-byte chunk "
+                    f"({self.max_chunks} held)")
+            extent = self.chunks[key] = bytearray(self.chunk_size)
+        extent[chunk_offset:chunk_offset + len(data)] = data
 
     def read_chunk(self, ino, chunk_index, chunk_offset, length):
         extent = self.chunks.get((ino, chunk_index))
         if extent is None:
             return None
-        return self.region.read(extent, chunk_offset, length)
+        return bytes(extent[chunk_offset:chunk_offset + length])
 
     def drop_file(self, ino):
-        released = 0
-        for key in [k for k in self.chunks if k[0] == ino]:
-            extent = self.chunks.pop(key)
-            self.region.free(extent)
-            released += extent.length
-        return released
+        keys = [key for key in self.chunks if key[0] == ino]
+        for key in keys:
+            del self.chunks[key]
+        return len(keys) * self.chunk_size
 
     @property
     def used_bytes(self):
-        return self.region.used_bytes
+        return len(self.chunks) * self.chunk_size
 
 
 class LogBackend(ChunkBackend):
@@ -107,25 +125,20 @@ class LogBackend(ChunkBackend):
 
     name = "log"
 
-    def __init__(self, capacity: int, segment_size: Optional[int] = None,
-                 gc_live_threshold: float = 0.5):
-        if segment_size is None:
-            segment_size = min(max(capacity // 64, 1 << 16), capacity // 2)
-        self.store = LogStructuredStore(capacity, segment_size=segment_size,
-                                        gc_live_threshold=gc_live_threshold)
-        self._files: Dict[int, set] = {}  # ino -> chunk indices (volatile)
+    def __init__(self, capacity: int, chunk_size: int):
+        super().__init__(chunk_size)
+        self.store = LogStructuredStore(
+            capacity,
+            segment_size=min(max(capacity // 64, 1 << 16), capacity // 2))
 
-    def write_chunk(self, ino, chunk_index, chunk_offset, data, chunk_size):
-        if chunk_offset < 0 or chunk_offset + len(data) > chunk_size:
-            raise InvalidArgument(
-                f"write outside chunk: {chunk_offset}+{len(data)} "
-                f"(chunk {chunk_size})")
+    def write_chunk(self, ino, chunk_index, chunk_offset, data):
+        self._check_range(chunk_offset, len(data))
         key = (ino, chunk_index)
         current = self.store.read(key)
-        buf = bytearray(current) if current is not None else bytearray(chunk_size)
+        buf = (bytearray(current) if current is not None
+               else bytearray(self.chunk_size))
         buf[chunk_offset:chunk_offset + len(data)] = data
         self.store.write(key, bytes(buf))
-        self._files.setdefault(ino, set()).add(chunk_index)
 
     def read_chunk(self, ino, chunk_index, chunk_offset, length):
         data = self.store.read((ino, chunk_index))
@@ -134,12 +147,12 @@ class LogBackend(ChunkBackend):
         return data[chunk_offset:chunk_offset + length]
 
     def drop_file(self, ino):
+        """Tombstone the file's live chunks, lowest index first (the
+        store's index names them)."""
         released = 0
-        for chunk_index in sorted(self._files.pop(ino, set())):
-            data = self.store.read((ino, chunk_index))
-            if data is not None:
-                released += len(data)
-            self.store.delete((ino, chunk_index))
+        for key in sorted(key for key in self.store.keys() if key[0] == ino):
+            released += len(self.store.read(key))
+            self.store.delete(key)
         return released
 
     @property
@@ -148,23 +161,18 @@ class LogBackend(ChunkBackend):
 
     # ------------------------------------------------------------ recovery
     def crash(self) -> None:
-        """Lose volatile state (index + file map)."""
+        """Lose volatile state (the store's index)."""
         self.store.crash()
-        self._files = {}
 
     def recover(self) -> RecoveryReport:
         """Rebuild from the durable log; returns the recovery report."""
-        report = self.store.recover()
-        self._files = {}
-        for ino, chunk_index in self.store.keys():
-            self._files.setdefault(ino, set()).add(chunk_index)
-        return report
+        return self.store.recover()
 
 
-def make_backend(kind: str, capacity: int, **kwargs) -> ChunkBackend:
+def make_backend(kind: str, capacity: int, chunk_size: int) -> ChunkBackend:
     """Factory: ``"extent"`` (default design) or ``"log"`` (§7)."""
     if kind == "extent":
-        return ExtentBackend(capacity)
+        return ExtentBackend(capacity, chunk_size)
     if kind == "log":
-        return LogBackend(capacity, **kwargs)
+        return LogBackend(capacity, chunk_size)
     raise InvalidArgument(f"unknown storage backend {kind!r}")

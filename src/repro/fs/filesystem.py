@@ -43,10 +43,10 @@ _PATH_CACHE_MAX = 8192
 class StorageNode:
     """One server's storage state: device backend, owned metadata, locks."""
 
-    def __init__(self, name: str, capacity: int,
+    def __init__(self, name: str, capacity: int, chunk_size: int,
                  storage_backend: str = "extent"):
         self.name = name
-        self.backend = make_backend(storage_backend, capacity)
+        self.backend = make_backend(storage_backend, capacity, chunk_size)
         self.inodes: Dict[int, Inode] = {}  # metadata owned by this server
         self.paths: Dict[str, int] = {}  # path -> ino index for fast lookup
         self.range_locks = RangeLockTable()
@@ -63,10 +63,9 @@ class StorageNode:
         self.paths.pop(inode.path, None)
 
     def write_chunk(self, ino: int, chunk_index: int, chunk_offset: int,
-                    data: bytes, chunk_size: int) -> None:
+                    data: bytes) -> None:
         """Write into one stripe chunk via the storage backend."""
-        self.backend.write_chunk(ino, chunk_index, chunk_offset, data,
-                                 chunk_size)
+        self.backend.write_chunk(ino, chunk_index, chunk_offset, data)
 
     def read_chunk(self, ino: int, chunk_index: int, chunk_offset: int,
                    length: int) -> Optional[bytes]:
@@ -123,7 +122,7 @@ class ThemisFS:
         self.erasure = erasure
         self.ring = ConsistentHashRing(names, vnodes=vnodes)
         self.nodes: Dict[str, StorageNode] = {
-            name: StorageNode(name, capacity_per_server,
+            name: StorageNode(name, capacity_per_server, self.stripe_size,
                               storage_backend=storage_backend)
             for name in names}
         self.clock = clock or (lambda: 0.0)
@@ -252,7 +251,7 @@ class ThemisFS:
             node = self.nodes[piece.server]
             lo = piece.file_offset - offset
             node.write_chunk(inode.ino, piece.chunk_index, piece.chunk_offset,
-                             data[lo:lo + piece.length], self.stripe_size)
+                             data[lo:lo + piece.length])
         inode.size = max(inode.size, offset + len(data))
         inode.mtime = self.clock()
         if isinstance(inode.stripe, ErasureSpec):
@@ -430,7 +429,7 @@ class ThemisFS:
                 continue
             self.nodes[server].write_chunk(
                 inode.ino, spec.parity_chunk_index(group, share_index),
-                0, parity, self.stripe_size)
+                0, parity)
             written += len(parity)
         return written
 
@@ -528,7 +527,7 @@ class ThemisFS:
         content = ec.reconstruct_share(spec.k, spec.n, held, lost_share)
         self.nodes[substitute].write_chunk(
             inode.ino, spec.chunk_index_of_share(group, lost_share),
-            0, content, self.stripe_size)
+            0, content)
         return "repaired", len(content)
 
     def restripe(self, path: str, old_server: str, new_server: str) -> None:

@@ -206,14 +206,11 @@ class JournaledFS(ThemisFS):
 
     # ----------------------------------------------------------- fault model
     def crash(self) -> None:
-        """Lose every volatile structure: namespace tables and (for log
-        backends) the chunk indexes. The journal and log segments are the
-        durable state that survives."""
-        for node in self.nodes.values():
-            node.inodes.clear()
-            node.paths.clear()
-            node.backend.crash()
-        self._path_cache.clear()
+        """Crash every server (:meth:`crash_node`): namespace tables,
+        locks and (for log backends) the chunk indexes are lost. The
+        journal and log segments are the durable state that survives."""
+        for name in self.nodes:
+            self.crash_node(name)
 
     def recover(self) -> Dict[str, Any]:
         """Rebuild every server from the journal (checkpoint + replay)

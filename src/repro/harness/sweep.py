@@ -322,8 +322,6 @@ class ParallelRunner:
                 if self.workspace is not None:
                     self.workspace.put(key, kind, config, result,
                                        self.rev, wall)
-            if self.workspace is not None:
-                self.workspace.flush()
         ordered = [outcomes[key] for key, _kind, _config in keyed]
         return SweepRun(points=ordered, rev=self.rev, jobs=self.jobs,
                         wall_s=time.perf_counter() - t_start)

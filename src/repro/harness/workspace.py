@@ -13,20 +13,16 @@ serial == parallel == replay contract).
 Layout under the workspace root (default ``.workspace/``)::
 
     .workspace/
-      index.json            # key -> {kind, rev} summary (rebuildable)
       points/<key>.json     # one atomically-written blob per point
 
 Durability rules:
 
-- **Atomic writes.** Every blob (and the index) is written to a temp
-  file in the same directory and ``os.replace``\\ d into place, so a
-  crashed run never leaves a half-written blob behind.
+- **Atomic writes.** Every blob is written to a temp file in the same
+  directory and ``os.replace``\\ d into place, so a crashed run never
+  leaves a half-written blob behind.
 - **Corruption is a cache miss.** A blob that fails to parse, fails its
   embedded-key check, or lacks the required fields is deleted on read
   and reported as missing; the runner simply recomputes that point.
-- **The index is advisory.** Lookups go to the blob files; the index
-  only summarises the store for listings and is rebuilt from the blob
-  directory whenever it is missing or stale.
 
 Keys never include host metadata (timestamps, hostnames): the same
 config at the same code revision hashes to the same key on any machine.
@@ -39,7 +35,7 @@ import json
 import os
 import subprocess
 import tempfile
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 __all__ = ["canonical_json", "content_digest", "point_key", "code_rev",
            "Workspace"]
@@ -142,15 +138,10 @@ class Workspace:
     def __init__(self, root: str = ".workspace"):
         self.root = root
         self.points_dir = os.path.join(root, "points")
-        self._index: Optional[Dict[str, Dict[str, Any]]] = None
-        self._index_dirty = False
 
     # ------------------------------------------------------------- paths
     def _blob_path(self, key: str) -> str:
         return os.path.join(self.points_dir, f"{key}.json")
-
-    def _index_path(self) -> str:
-        return os.path.join(self.root, "index.json")
 
     def _ensure_dirs(self) -> None:
         os.makedirs(self.points_dir, exist_ok=True)
@@ -170,19 +161,19 @@ class Workspace:
         except FileNotFoundError:
             return None
         except (json.JSONDecodeError, OSError, UnicodeDecodeError, ValueError):
-            self._remove_blob(key)
+            self.discard(key)
             return None
         if (not isinstance(blob, dict)
                 or any(f not in blob for f in self._REQUIRED_FIELDS)
                 or blob["key"] != key):
-            self._remove_blob(key)
+            self.discard(key)
             return None
         return blob
 
     def put(self, key: str, kind: str, config: Dict[str, Any],
             result: Any, rev: str, wall_s: float = 0.0) -> None:
         """Store *result* for the point (*kind*, *config*, *rev*) under
-        *key*, atomically, and record it in the in-memory index.
+        *key*, atomically.
 
         ``wall_s`` is the host wall-clock the point took to compute —
         pure metadata (it never enters the key or the result document)
@@ -198,81 +189,15 @@ class Workspace:
                      "schema": SCHEMA_VERSION},
         }
         _atomic_write_json(self._blob_path(key), blob)
-        index = self.index()
-        index[key] = {"kind": kind, "rev": rev}
-        self._index_dirty = True
 
     def discard(self, key: str) -> bool:
-        """Drop *key*'s blob (used by ``--rerun``); True if one existed."""
-        existed = self._remove_blob(key)
-        index = self.index()
-        if index.pop(key, None) is not None:
-            self._index_dirty = True
-        return existed
-
-    def _remove_blob(self, key: str) -> bool:
+        """Drop *key*'s blob (``--rerun``, or a corrupt read); True if
+        one existed."""
         try:
             os.unlink(self._blob_path(key))
             return True
         except OSError:
             return False
 
-    # ------------------------------------------------------------- index
-    def index(self) -> Dict[str, Dict[str, Any]]:
-        """The key -> ``{kind, rev}`` summary index (loaded lazily).
-
-        Missing or corrupt index files are rebuilt by scanning the blob
-        directory; the index never gates :meth:`get`, so staleness can
-        cost a rebuild but never a wrong answer.
-        """
-        if self._index is None:
-            self._index = self._load_or_rebuild_index()
-        return self._index
-
-    def _load_or_rebuild_index(self) -> Dict[str, Dict[str, Any]]:
-        try:
-            with open(self._index_path()) as fh:
-                doc = json.load(fh)
-            points = doc.get("points")
-            if isinstance(points, dict):
-                return points
-        except (FileNotFoundError, json.JSONDecodeError, OSError,
-                ValueError):
-            pass
-        return self._rebuild_index()
-
-    def _rebuild_index(self) -> Dict[str, Dict[str, Any]]:
-        index: Dict[str, Dict[str, Any]] = {}
-        try:
-            names = sorted(os.listdir(self.points_dir))
-        except OSError:
-            return index
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            blob = self.get(name[:-len(".json")])
-            if blob is not None:
-                index[blob["key"]] = {"kind": blob["kind"],
-                                      "rev": blob["meta"].get("rev", "")}
-        self._index_dirty = True
-        return index
-
-    def flush(self) -> None:
-        """Persist the index if it changed since load (atomic write)."""
-        if self._index is None or not self._index_dirty:
-            return
-        self._ensure_dirs()
-        _atomic_write_json(self._index_path(),
-                           {"schema": SCHEMA_VERSION, "points": self._index})
-        self._index_dirty = False
-
-    # ----------------------------------------------------------- queries
-    def keys(self) -> List[str]:
-        """All stored point keys, sorted."""
-        return sorted(self.index())
-
-    def __len__(self) -> int:
-        return len(self.index())
-
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Workspace root={self.root!r} points={len(self)}>"
+        return f"<Workspace root={self.root!r}>"

@@ -182,8 +182,7 @@ class MPIFile:
                         src, dst = ((src_node, agg_node) if kind == "write"
                                     else (agg_node, src_node))
                         sends.append(fabric.send(Message(
-                            src=src, dst=dst, tag="mpiio.shuffle",
-                            size=overlap)))
+                            src=src, dst=dst, size=overlap)))
             if sends:
                 yield engine.all_of(sends)
 

@@ -1,6 +1,6 @@
 """Interconnect substrate: fabric and message types."""
 
-from .fabric import Fabric, NodeHandle
+from .fabric import Fabric
 from .message import Message
 
-__all__ = ["Fabric", "NodeHandle", "Message"]
+__all__ = ["Fabric", "Message"]

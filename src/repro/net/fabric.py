@@ -3,21 +3,19 @@
 The model captures what arbitration cares about — *when* requests arrive
 and how fast bytes drain — without simulating routing. Each node owns a
 transmit :class:`~repro.sim.resources.BandwidthPipe` (its NIC injection
-channel) and a receive queue. A send serialises on the sender's NIC,
-crosses the fabric after a fixed latency, and lands in the receiver's
-queue — one scheduled event per message, at the arrival time. The node's
-*progress event* then hands the queue to the attached receiver one
-message per zero-delay event, never from inside the arrival callback
-(DESIGN.md §2). Receive-side serialisation is folded into the single NIC
-pipe (full-duplex links are modelled with separate tx pipes per node,
-which is where contention matters for our workloads).
+channel) and a receiver: the callable its arrivals go to. A send
+serialises on the sender's NIC, crosses the fabric after a fixed
+latency, and is handed to the destination's receiver — one scheduled
+event per message, at the arrival time. The receiver (a
+:class:`~repro.ucx.ucp.UCPContext`) queues it for its own progress
+event (DESIGN.md §2). Receive-side serialisation is folded into the
+single NIC pipe (full-duplex links are modelled with separate tx pipes
+per node, which is where contention matters for our workloads).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import (TYPE_CHECKING, Callable, Deque, Dict, Optional, Set,
-                    Union)
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Union
 
 from ..errors import NetworkError
 from ..sim.process import Event
@@ -28,7 +26,7 @@ from .message import Message
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Engine
 
-__all__ = ["Fabric", "NodeHandle", "FaultVerdict", "DROP"]
+__all__ = ["Fabric", "FaultVerdict", "DROP"]
 
 #: Sentinel verdict a fault filter returns to drop a message outright.
 DROP = "drop"
@@ -36,58 +34,6 @@ DROP = "drop"
 #: What a fault filter may return per message: ``None`` (deliver
 #: normally), :data:`DROP`, or a float (extra delivery delay, seconds).
 FaultVerdict = Optional[Union[str, float]]
-
-
-class NodeHandle:
-    """A node attached to the fabric: its NIC pipe and receive queue.
-
-    Arrived messages wait in ``queue`` for the node's progress event,
-    which hands **one** message to ``receiver`` and, after the receiver
-    returns, re-arms itself while the queue is non-empty — the tie order
-    of a process pulling from a ``Store``, without the process.
-    A node with no receiver attached keeps its messages queued.
-    """
-
-    __slots__ = ("engine", "name", "tx", "queue", "receiver",
-                 "progress_pending")
-
-    def __init__(self, engine: "Engine", name: str, tx: BandwidthPipe):
-        self.engine = engine
-        self.name = name
-        self.tx = tx
-        self.queue: Deque[Message] = deque()
-        self.receiver: Optional[Callable[[Message], None]] = None
-        #: True while a progress event is scheduled or firing.
-        self.progress_pending = False
-
-    def attach(self, receiver: Callable[[Message], None]) -> None:
-        """Make *receiver* the consumer of this node's messages (one per
-        node); anything already queued starts flowing to it."""
-        if self.receiver is not None:
-            raise NetworkError(f"node {self.name!r} already has a receiver")
-        self.receiver = receiver
-        if self.queue:
-            self._arm()
-
-    def deliver(self, message: Message) -> None:
-        """Queue an arrived *message*; wake the progress event if idle."""
-        self.queue.append(message)
-        if not self.progress_pending and self.receiver is not None:
-            self._arm()
-
-    def _arm(self) -> None:
-        self.progress_pending = True
-        progress = Event(self.engine)
-        progress.callbacks.append(self._progress)
-        progress.succeed()
-
-    def _progress(self, _event: Event) -> None:
-        self.receiver(self.queue.popleft())
-        # Re-armed only now: what the receiver scheduled goes first.
-        if self.queue:
-            self._arm()
-        else:
-            self.progress_pending = False
 
 
 class Fabric:
@@ -113,13 +59,16 @@ class Fabric:
         self.engine = engine
         self.latency = float(latency)
         self.link_bandwidth = float(link_bandwidth)
-        self._nodes: Dict[str, NodeHandle] = {}
+        # Per node: its NIC pipe and the callable its arrivals go to.
+        self._tx: Dict[str, BandwidthPipe] = {}
+        self._receivers: Dict[str, Callable[[Message], None]] = {}
         self.messages_sent = 0
         self.bytes_sent = 0
         # Fault-injection hooks: both checks are falsy no-ops in a
         # healthy cluster, so the clean send path pays two branch tests.
         self._fault_filter: Optional[Callable[[Message], FaultVerdict]] = None
-        self._down: Set[str] = set()
+        #: names of the nodes marked crashed (:meth:`set_node_down`).
+        self.down: Set[str] = set()
         self.dropped_messages = 0
         self.delayed_messages = 0
 
@@ -130,26 +79,16 @@ class Fabric:
         return self.bytes_sent
 
     # -------------------------------------------------------------- topology
-    def add_node(self, name: str) -> NodeHandle:
-        """Attach a node called *name*; names must be unique."""
-        if name in self._nodes:
+    def add_node(self, name: str,
+                 receiver: Callable[[Message], None]) -> BandwidthPipe:
+        """Attach a node called *name* (names must be unique) whose
+        arrivals go to *receiver*; returns the node's NIC pipe."""
+        if name in self._tx:
             raise NetworkError(f"duplicate node name: {name!r}")
-        handle = NodeHandle(
-            self.engine, name,
-            BandwidthPipe(self.engine, rate=self.link_bandwidth))
-        self._nodes[name] = handle
-        return handle
-
-    def node(self, name: str) -> NodeHandle:
-        """The handle of node *name* (raises NetworkError if unknown)."""
-        try:
-            return self._nodes[name]
-        except KeyError:
-            raise NetworkError(f"unknown node: {name!r}") from None
-
-    def has_node(self, name: str) -> bool:
-        """True if a node called *name* is attached."""
-        return name in self._nodes
+        tx = self._tx[name] = BandwidthPipe(self.engine,
+                                            rate=self.link_bandwidth)
+        self._receivers[name] = receiver
+        return tx
 
     # --------------------------------------------------------------- faults
     def set_fault_filter(
@@ -167,15 +106,12 @@ class Fabric:
     def set_node_down(self, name: str, down: bool = True) -> None:
         """Mark *name* crashed (or back up). A down node neither
         transmits nor receives; traffic involving it is counted dropped."""
-        self.node(name)  # validate
+        if name not in self._tx:
+            raise NetworkError(f"unknown node: {name!r}")
         if down:
-            self._down.add(name)
+            self.down.add(name)
         else:
-            self._down.discard(name)
-
-    def node_is_down(self, name: str) -> bool:
-        """True if *name* is currently marked down."""
-        return name in self._down
+            self.down.discard(name)
 
     # ------------------------------------------------------------- transport
     def send(self, message: Message) -> Event:
@@ -191,13 +127,16 @@ class Fabric:
         (the sender cannot observe the loss — only a missing response
         can).
         """
-        src = self.node(message.src)
-        self.node(message.dst)  # validate
+        tx = self._tx.get(message.src)
+        if tx is None or message.dst not in self._tx:
+            raise NetworkError(
+                f"unknown node in {message.src!r} -> {message.dst!r}")
         self.messages_sent += 1
         self.bytes_sent += message.size
 
         arrival = Event(self.engine)
-        if self._down and message.src in self._down:
+        down = self.down
+        if down and message.src in down:
             # A dead node transmits nothing: vanish without NIC time.
             self.dropped_messages += 1
             return arrival.succeed(message)
@@ -212,20 +151,21 @@ class Fabric:
                 self.delayed_messages += 1
         arrival.callbacks.append(on_arrival)
         return arrival.succeed_at(
-            src.tx.reserve(message.size) + (self.latency + extra_delay),
+            tx.reserve(message.size) + (self.latency + extra_delay),
             message)
 
     def _arrive(self, arrival: Event) -> None:
-        """Hand an arrived message to its node's queue. Destination
+        """Hand an arrived message to its node's receiver. Destination
         liveness is checked now, not at send time, so a node that crashed
         while the message was in flight still loses it."""
         message = arrival._value
-        if self._down and message.dst in self._down:
+        down = self.down
+        if down and message.dst in down:
             self.dropped_messages += 1
         else:
-            self._nodes[message.dst].deliver(message)
+            self._receivers[message.dst](message)
 
     def _lose(self, _arrival: Event) -> None:
         """Arrival of a message the fault filter dropped: it crossed the
-        wire (and held the NIC) but reaches no queue."""
+        wire (and held the NIC) but reaches no receiver."""
         self.dropped_messages += 1

@@ -18,25 +18,23 @@ class Message:
     serialised for real.
 
     One is built per send, so the class is slotted and its fields are in
-    the order :meth:`~repro.ucx.ucp.Endpoint.send` passes them.
+    the order :meth:`~repro.ucx.ucp.UCPWorker.send` passes them.
     """
 
-    __slots__ = ("src", "dst", "tag", "payload", "size", "worker",
-                 "msg_id")
+    __slots__ = ("src", "dst", "payload", "size", "worker", "msg_id")
 
-    def __init__(self, src: str, dst: str, tag: str, payload: Any = None,
+    def __init__(self, src: str, dst: str, payload: Any = None,
                  size: int = 0, worker: str = ""):
         if size < 0:
             raise ValueError(f"negative message size: {size}")
         self.src = src
         self.dst = dst
-        self.tag = tag
         self.payload = payload
         self.size = size
-        #: destination UCP worker name ("" = node default)
+        #: destination UCP worker name ("" = no worker: dropped on arrival)
         self.worker = worker
         self.msg_id = next(_msg_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Message #{self.msg_id} {self.src}->{self.dst}/"
-                f"{self.worker} {self.tag!r} {self.size}B>")
+                f"{self.worker} {self.size}B>")

@@ -244,7 +244,8 @@ class Engine:
 
         If *until* is given, the clock is advanced to exactly ``until`` when
         the run ends because of the deadline (even if the queue still holds
-        later events). An unhandled failure in any process propagates out of
+        later events); without one, the clock stays where the last event
+        put it. An unhandled failure in any process propagates out of
         this call. A run ended by :meth:`stop` / :meth:`request_stop` may
         leave events of the current instant queued for the next run.
         """
@@ -258,48 +259,30 @@ class Engine:
         heap, nowq = self._heap, self._nowq
         popleft = nowq.popleft
         now = self._now
+        deadline = float("inf") if until is None else until
         try:
-            if until is None:
-                # Unbounded run: tight loop without the deadline check.
-                while nowq or heap:
-                    if self._stop_requested:
+            while nowq or heap:
+                if self._stop_requested:
+                    return
+                if nowq:
+                    # Heap entries stamped `now` precede the now-queue.
+                    if heap and heap[0][0] == now:
+                        event = _heappop(heap)[2]
+                    else:
+                        event = popleft()
+                else:
+                    if heap[0][0] > deadline:
+                        # Works on a dead head too: every live entry is
+                        # at or beyond it, hence also past the deadline.
+                        self._now = until
                         return
-                    if nowq:
-                        # Heap entries stamped `now` precede the now-queue.
-                        if heap and heap[0][0] == now:
-                            event = _heappop(heap)[2]
-                        else:
-                            event = popleft()
-                    else:
-                        when, _seq, event = _heappop(heap)
-                        if not event._cancelled:
-                            now = self._now = when
-                    if event._cancelled:
-                        self._buried()
-                    else:
-                        event._fire()
-            else:
-                while nowq or heap:
-                    if self._stop_requested:
-                        return
-                    if nowq:
-                        if heap and heap[0][0] == now:
-                            event = _heappop(heap)[2]
-                        else:
-                            event = popleft()
-                    else:
-                        if heap[0][0] > until:
-                            # Works on a dead head too: every live entry is
-                            # at or beyond it, hence also past the deadline.
-                            self._now = until
-                            return
-                        when, _seq, event = _heappop(heap)
-                        if not event._cancelled:
-                            now = self._now = when
-                    if event._cancelled:
-                        self._buried()
-                    else:
-                        event._fire()
+                    when, _seq, event = _heappop(heap)
+                    if not event._cancelled:
+                        now = self._now = when
+                if event._cancelled:
+                    self._buried()
+                else:
+                    event._fire()
         except StopSimulation:
             return
         if until is not None:

@@ -1,12 +1,11 @@
-"""UCX-like communication substrate: UCP contexts/workers/endpoints + RPC."""
+"""UCX-like communication substrate: UCP contexts/workers + RPC."""
 
 from .rpc import RpcClient, RpcRequest, RpcServer
-from .ucp import Address, Endpoint, UCPContext, UCPWorker, WorkerPool
+from .ucp import Address, UCPContext, UCPWorker, WorkerPool
 
 __all__ = [
     "UCPContext",
     "UCPWorker",
-    "Endpoint",
     "WorkerPool",
     "Address",
     "RpcClient",

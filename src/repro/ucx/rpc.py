@@ -1,11 +1,14 @@
 """Request/response framing on top of UCP workers.
 
-A thin RPC layer: clients issue tagged calls with correlation ids; the
-server hands each inbound call to a request callback as an
-:class:`RpcRequest`, which carries a ``reply()`` method. Replies may be
-sent immediately or after arbitrary simulated processing — ThemisIO's
-servers answer only after the scheduled I/O worker finishes the request,
-so the reply path must be detachable from the receive path.
+A thin RPC layer: clients issue calls with correlation ids; the server
+hands each inbound call to a request callback as an
+:class:`RpcRequest`, which carries a ``reply()`` method. Each side owns
+its worker and is that worker's one handler, so a worker carries one
+kind of traffic: an :class:`RpcServer`'s receives only calls, an
+:class:`RpcClient`'s only responses. Replies may be sent immediately or
+after arbitrary simulated processing — ThemisIO's servers answer only
+after the scheduled I/O worker finishes the request, so the reply path
+must be detachable from the receive path.
 """
 
 from __future__ import annotations
@@ -15,12 +18,9 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import RpcTimeout, UCXError
 from ..sim.process import Event
-from .ucp import Address, Endpoint, UCPWorker
+from .ucp import Address, UCPWorker
 
 __all__ = ["RpcClient", "RpcServer", "RpcRequest"]
-
-REQ_TAG = "rpc.req"
-RESP_TAG = "rpc.resp"
 
 _call_ids = itertools.count(1)
 
@@ -29,7 +29,7 @@ class RpcRequest:
     """One call, built once by the caller: it *is* the request message's
     payload, and the object the server's request callback receives."""
 
-    __slots__ = ("op", "body", "size", "cid", "reply_to", "_server",
+    __slots__ = ("op", "body", "size", "cid", "reply_to", "_worker",
                  "replied")
 
     def __init__(self, op: str, body: Any, size: int, cid: int,
@@ -39,17 +39,16 @@ class RpcRequest:
         self.size = size
         self.cid = cid
         self.reply_to = reply_to
-        #: the RpcServer that received the call (set on receipt).
-        self._server: Optional["RpcServer"] = None
+        #: the server worker that received the call (set on receipt).
+        self._worker: Optional[UCPWorker] = None
         self.replied = False
 
     def reply(self, body: Any = None, size: int = 0) -> Event:
-        """Send the response (once); the event fires on remote enqueue."""
+        """Send the response (once); the event fires on remote arrival."""
         if self.replied:
             raise UCXError(f"duplicate reply to call {self.cid}")
         self.replied = True
-        return self._server._endpoint(self.reply_to).send(
-            RESP_TAG, (self.cid, body), size=size)
+        return self._worker.send(self.reply_to, (self.cid, body), size)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RpcRequest op={self.op!r} cid={self.cid}>"
@@ -62,23 +61,14 @@ class RpcServer:
                  on_request: Callable[[RpcRequest], None]):
         self.worker = worker
         self.on_request = on_request
-        worker.on(REQ_TAG, self._handle)
+        worker.handler = self._handle
         self.calls_received = 0
-        #: one reply endpoint per caller address, made on first reply.
-        self._endpoints: Dict[Address, Endpoint] = {}
 
     def _handle(self, msg) -> None:
         self.calls_received += 1
         request = msg.payload
-        request._server = self
+        request._worker = self.worker
         self.on_request(request)
-
-    def _endpoint(self, remote: Address) -> Endpoint:
-        endpoint = self._endpoints.get(remote)
-        if endpoint is None:
-            endpoint = self._endpoints[remote] = self.worker.create_endpoint(
-                remote)
-        return endpoint
 
 
 class RpcClient:
@@ -86,7 +76,7 @@ class RpcClient:
 
     def __init__(self, worker: UCPWorker, remote: Address):
         self.worker = worker
-        self.endpoint: Endpoint = worker.create_endpoint(remote)
+        self.remote = remote
         self._reply_to: Address = worker.address
         #: cid -> (completion event, expiry timer or None). The timer of
         #: a timed call is cancelled when the response wins the race
@@ -98,7 +88,7 @@ class RpcClient:
         #: responses for calls no longer pending (late reply after a
         #: timeout, or a duplicate from a retried request).
         self.unmatched_responses = 0
-        worker.on(RESP_TAG, self._on_response)
+        worker.handler = self._on_response
 
     def call(self, op: str, body: Any = None, size: int = 0,
              timeout: Optional[float] = None) -> Event:
@@ -115,9 +105,9 @@ class RpcClient:
         cid = next(_call_ids)
         engine = self.worker.context.engine
         done = Event(engine)
-        self.endpoint.send(
-            REQ_TAG, RpcRequest(op, body, size, cid, self._reply_to),
-            size=size)
+        self.worker.send(
+            self.remote, RpcRequest(op, body, size, cid, self._reply_to),
+            size)
         if timeout is None:
             self._pending[cid] = (done, None)
         else:
@@ -140,7 +130,7 @@ class RpcClient:
         done = entry[0]
         done.defuse()
         done.fail(RpcTimeout(
-            f"call {cid} ({op!r}) to {self.endpoint.remote} timed out "
+            f"call {cid} ({op!r}) to {self.remote} timed out "
             f"after {timer.delay}s"))
 
     def _on_response(self, msg) -> None:

@@ -10,17 +10,19 @@ clients. Mappings are destroyed when a client exits or its job goes
 inactive, exactly as §4.2 describes.
 
 Addressing: a worker's address is ``(node_name, worker_name)``. The
-context is its node's receiver on the fabric: the node's progress event
-hands it one arrived message at a time (never inside the arrival
-callback — UCX forbids progressing transfers from a receive callback),
-and it routes each to a worker; workers deliver by *tag* to the
-registered push handler, queueing what arrives before one is registered.
+context is its node's one receiver on the fabric. An arrival only joins
+the context's inbox: UCX forbids progressing transfers from a receive
+callback, so the context's *progress event* hands the inbox on one
+message per zero-delay event, each to the one handler of the worker it
+names (the :class:`~repro.ucx.rpc.RpcServer` or
+:class:`~repro.ucx.rpc.RpcClient` that owns the worker).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Tuple
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
+                    Tuple)
 
 from ..errors import UCXError
 from ..net.fabric import Fabric
@@ -30,29 +32,35 @@ from ..sim.process import Event
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Engine
 
-__all__ = ["UCPContext", "UCPWorker", "Endpoint", "WorkerPool", "Address"]
+__all__ = ["UCPContext", "UCPWorker", "WorkerPool", "Address"]
 
 Address = Tuple[str, str]  # (node_name, worker_name)
 
 
 class UCPContext:
-    """Per-node UCX context: owns workers and dispatches inbound messages."""
+    """Per-node UCX context: the node's receiver, owning its workers.
+
+    Arrived messages wait in the inbox for the progress event, which
+    hands **one** to its worker and, after the handler returns, re-arms
+    itself while the inbox is non-empty — the tie order of a process
+    pulling from a ``Store``, without the process. A message for a
+    worker that does not exist (never made, or closed), or that the
+    progress event reaches while the node is down, is dropped and
+    counted.
+    """
 
     def __init__(self, engine: "Engine", fabric: Fabric, node_name: str):
         self.engine = engine
         self.fabric = fabric
         self.node_name = node_name
-        if not fabric.has_node(node_name):
-            fabric.add_node(node_name)
         self.workers: Dict[str, UCPWorker] = {}
-        # Ring of the most recent drops (closed/unknown worker, or node
-        # down); bounded so long degraded runs don't leak memory. Tests
-        # assert on the total via dropped_count.
-        self.dropped: Deque[Message] = deque(maxlen=64)
         self.dropped_count = 0
-        #: crash flag: while True every delivered message is dropped.
-        self.down = False
-        fabric.node(node_name).attach(self._receive)
+        self._inbox: Deque[Message] = deque()
+        #: True while a progress event is scheduled or firing.
+        self._progress_pending = False
+        #: the fabric's crashed-node set (the server's crash flag).
+        self._down = fabric.down
+        fabric.add_node(node_name, self._arrive)
 
     def create_worker(self, name: str) -> "UCPWorker":
         """Create a named worker on this node (names unique per node)."""
@@ -62,85 +70,65 @@ class UCPContext:
         self.workers[name] = worker
         return worker
 
-    def _receive(self, msg: Message) -> None:
-        """Route one message the node's progress event handed over."""
-        worker = self.workers.get(msg.worker)
-        if self.down or worker is None or worker.closed:
-            self.dropped.append(msg)
+    def _arrive(self, message: Message) -> None:
+        """Queue an arrived *message*; wake the progress event if idle."""
+        self._inbox.append(message)
+        if not self._progress_pending:
+            self._arm()
+
+    def _arm(self) -> None:
+        self._progress_pending = True
+        progress = Event(self.engine)
+        progress.callbacks.append(self._progress)
+        progress.succeed()
+
+    def _progress(self, _event: Event) -> None:
+        message = self._inbox.popleft()
+        worker = self.workers.get(message.worker)
+        if worker is None or self.node_name in self._down:
             self.dropped_count += 1
-            return
-        worker._deliver(msg)
+        else:
+            worker.handler(message)
+        # Re-armed only now: what the handler scheduled goes first.
+        if self._inbox:
+            self._arm()
+        else:
+            self._progress_pending = False
 
 
 class UCPWorker:
-    """A UCP worker: endpoint factory plus tag-matched message delivery."""
+    """A UCP worker: sends to worker addresses, and passes every message
+    it receives to its one handler."""
 
     def __init__(self, context: UCPContext, name: str):
         self.context = context
         self.name = name
         self.closed = False
-        self._handlers: Dict[str, Callable[[Message], None]] = {}
-        self._queues: Dict[str, Deque[Message]] = {}
+        #: the callable this worker's messages go to, installed by the
+        #: RpcServer or RpcClient that owns the worker.
+        self.handler: Optional[Callable[[Message], None]] = None
 
     @property
     def address(self) -> Address:
         return (self.context.node_name, self.name)
 
-    def create_endpoint(self, remote: Address) -> "Endpoint":
-        """Connect this worker to a remote worker address."""
-        self._check_open()
-        return Endpoint(self, remote)
+    def send(self, address: Address, payload, size: int = 0) -> Event:
+        """Send *payload* (*size* bytes on the wire) to the worker at
+        *address*; the event fires on remote arrival."""
+        if self.closed:
+            raise UCXError(f"worker {self.name!r} is closed")
+        context = self.context
+        node, worker_name = address
+        return context.fabric.send(Message(
+            context.node_name, node, payload, size, worker_name))
 
-    # ------------------------------------------------------------- receiving
-    def on(self, tag: str, handler: Callable[[Message], None]) -> None:
-        """Register a push handler for *tag*; drains any queued messages."""
-        self._check_open()
-        if tag in self._handlers:
-            raise UCXError(f"handler for tag {tag!r} already registered")
-        self._handlers[tag] = handler
-        queued = self._queues.pop(tag, None)
-        if queued:
-            for msg in queued:
-                handler(msg)
-
-    def _deliver(self, msg: Message) -> None:
-        handler = self._handlers.get(msg.tag)
-        if handler is not None:
-            handler(msg)
-            return
-        self._queues.setdefault(msg.tag, deque()).append(msg)
-
-    # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Destroy the worker; subsequent traffic to it is dropped."""
         self.closed = True
         self.context.workers.pop(self.name, None)
 
-    def _check_open(self) -> None:
-        if self.closed:
-            raise UCXError(f"worker {self.name!r} is closed")
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<UCPWorker {self.context.node_name}/{self.name}>"
-
-
-class Endpoint:
-    """A connection from a local worker to a remote worker address."""
-
-    def __init__(self, worker: UCPWorker, remote: Address):
-        self.worker = worker
-        self.remote = remote
-
-    def send(self, tag: str, payload=None, size: int = 0) -> Event:
-        """Send a tagged message; the event fires on remote enqueue."""
-        self.worker._check_open()
-        context = self.worker.context
-        node, worker_name = self.remote
-        return context.fabric.send(Message(
-            context.node_name, node, tag, payload, size, worker_name))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Endpoint {self.worker.address} -> {self.remote}>"
 
 
 class WorkerPool:

@@ -5,15 +5,21 @@ import pytest
 from repro.harness import FIGURES, run_experiment
 from repro.harness.experiments import outage_row, outage_scenario
 
+from .conftest import assert_all_gather_state
+
+
+def _run():
+    return run_experiment(outage_scenario(
+        n_jobs=3, n_servers=2, duration=4.0, crash_at=1.5, restart_at=2.5,
+        seed=0))
+
 
 @pytest.fixture(scope="module")
 def result():
     """One shared availability run (module-scoped: it is the slow part),
     kept live so the tests can look at the cluster behind the row the
     ``"outage"`` figure would print."""
-    return run_experiment(outage_scenario(
-        n_jobs=3, n_servers=2, duration=4.0, crash_at=1.5, restart_at=2.5,
-        seed=0))
+    return _run()
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +58,20 @@ class TestAvailabilityScenario:
         assert "recovery time" in text
         assert "Jain" in text
         assert "[1.50s, 2.50s)" in text
+
+
+class TestAvailabilityScenarioEquivalence:
+    """The same run judged by the pure all-gather reference and by
+    same-seed repeatability."""
+
+    def test_availability_tables_equal_all_gather_after_restart(self,
+                                                                result):
+        assert_all_gather_state(result.cluster)
+
+    def test_availability_trace_identical_for_the_same_seed(self, result):
+        def trace(run):
+            s = run.cluster.sampler
+            return (list(zip(s._times, s._jobs, s._bytes, s._ops)),
+                    outage_row(run))
+
+        assert trace(result) == trace(_run())

@@ -198,7 +198,7 @@ class TestCompoundFaults:
         assert summary["episodes"] == 2
         assert cluster.fault_stats.data_lost_groups == 0
         down = {s for s in cluster.servers
-                if cluster.fabric.node_is_down(s)}
+                if s in cluster.fabric.down}
         got, info = cluster.fs.read_reconstruct("/fs/d/f", 0, len(data),
                                                 down)
         assert _sha(got) == _sha(data)
@@ -217,7 +217,7 @@ class TestCompoundFaults:
         assert cluster.engine.now == 6.0  # no deadlock, no exception
         assert cluster.fault_stats.data_lost_groups > 0
         down = {s for s in cluster.servers
-                if cluster.fabric.node_is_down(s)}
+                if s in cluster.fabric.down}
         got, info = cluster.fs.read_reconstruct("/fs/d/f", 0, len(data),
                                                 down)
         assert len(got) == len(data)

@@ -12,17 +12,10 @@ from repro.core import JobInfo
 from repro.errors import ConfigError
 from repro.faults import (FaultInjector, FaultPlan, HeartbeatLoss, LinkFault,
                           ServerCrash, StorageFault)
-from repro.faults.injector import _REQ_TAG
 from repro.net import Message
 from repro.net.fabric import DROP
-from repro.ucx.rpc import REQ_TAG, RpcRequest
+from repro.ucx.rpc import RpcRequest
 from repro.units import MB
-
-
-def test_req_tag_mirrors_rpc_layer():
-    # The injector classifies heartbeats without importing repro.ucx.rpc;
-    # the mirrored constant must never drift.
-    assert _REQ_TAG == REQ_TAG
 
 
 def test_filter_drops_exactly_the_named_clients_heartbeats(make_cluster):
@@ -31,17 +24,18 @@ def test_filter_drops_exactly_the_named_clients_heartbeats(make_cluster):
         HeartbeatLoss(start=0.0, stop=1.0, client_id="c1")]))
     injector.arm()
 
-    def verdict(op, client_id, tag=REQ_TAG):
+    def verdict(op, client_id):
         body = {"kind": op, "client_id": client_id}
         return injector._filter(Message(
-            "cn-x", "bb0", tag, RpcRequest(op, body, 64, 1, ("cn-x", "w"))))
+            "cn-x", "bb0", RpcRequest(op, body, 64, 1, ("cn-x", "w"))))
 
     assert verdict("heartbeat", "c1") == DROP
     assert verdict("heartbeat", "c2") is None
     assert verdict("io", "c1") is None               # not a heartbeat
-    assert verdict("heartbeat", "c1", "rpc.resp") is None   # not a request
-    # A request-tagged message that is no RpcRequest is left alone.
-    assert injector._filter(Message("cn-x", "bb0", REQ_TAG, None)) is None
+    # A reply to a heartbeat, or a payload-less message, is no request.
+    reply = (1, {"kind": "heartbeat", "client_id": "c1"})
+    assert injector._filter(Message("bb0", "cn-x", reply)) is None
+    assert injector._filter(Message("cn-x", "bb0", None)) is None
     assert cluster.fault_stats.heartbeats_dropped == 1
 
 

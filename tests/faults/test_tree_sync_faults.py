@@ -15,9 +15,16 @@ off it, while the rest of the epoch completes. Covered here:
   heals it;
 - the fault scenarios leave every table equal to the pure all-gather
   reference (``conftest.assert_all_gather_state``).
+
+The flat round (fanout 0) heals the same way: every reply and push
+carries the full table and the merge takes only strictly newer
+heartbeats, so a restarted controller that forgot its presence rows and
+edge lists, or a healed peer, is restored by the next full table that
+reaches it.
 """
 
 from repro.faults import FaultInjector, FaultPlan, LinkFault, ServerCrash
+from repro.fs.hashing import ConsistentHashRing
 from repro.units import MB
 
 from .conftest import assert_all_gather_state
@@ -150,5 +157,66 @@ class TestPartitionMidRound:
         _assert_converged(cluster)
 
     def test_partition_state_equals_all_gather(self, make_cluster, job):
+        cluster = self._run(make_cluster, job)
+        assert_all_gather_state(cluster)
+
+
+class TestFlatCrashRestart:
+    def _run(self, make_cluster, job):
+        cluster = make_cluster(n_servers=3, sync_interval=0.1,
+                               sync_timeout=0.1)
+        plan = FaultPlan([ServerCrash("bb1", at=0.8, restart_at=1.2)])
+        FaultInjector(cluster, plan).arm()
+        for i in range(3):
+            client = cluster.add_client(job(i + 1, user=f"u{i}"),
+                                        client_id=f"c{i}")
+            _one_write(cluster, client, f"/fs/d/f{i}")
+        cluster.run(until=3.0)
+        return cluster
+
+    def test_restarted_server_rejoins_the_active_view(self, make_cluster,
+                                                      job):
+        # Every server converges on the same job-status view, including
+        # the one that lost its table.
+        _assert_converged(self._run(make_cluster, job))
+
+    def test_crash_restart_state_equals_all_gather(self, make_cluster, job):
+        cluster = self._run(make_cluster, job)
+        assert_all_gather_state(cluster)
+        assert cluster.total_served_bytes() == 3 * MB
+
+
+class TestFlatPartitionHeal:
+    def _run(self, make_cluster, job):
+        cluster = make_cluster(n_servers=2, sync_interval=0.1,
+                               sync_timeout=0.1)
+        ring = ConsistentHashRing(["bb0", "bb1"])
+        pinned = {}
+        i = 0
+        while len(pinned) < 2:
+            path = f"/fs/d/pin-{i}"
+            pinned.setdefault(ring.lookup(path), path)
+            i += 1
+        plan = FaultPlan([LinkFault(start=0.0, stop=1.0, a="bb0", b="bb1",
+                                    drop_prob=1.0)])
+        FaultInjector(cluster, plan).arm()
+        c1 = cluster.add_client(job(1, user="alice"), client_id="c1")
+        c2 = cluster.add_client(job(2, user="bob"), client_id="c2")
+        _one_write(cluster, c1, pinned["bb0"])
+        _one_write(cluster, c2, pinned["bb1"])
+        cluster.run(until=2.5)
+        return cluster
+
+    def test_heal_reconverges_both_tables(self, make_cluster, job):
+        cluster = self._run(make_cluster, job)
+        bb0, bb1 = cluster.servers["bb0"], cluster.servers["bb1"]
+        # Both sides saw degraded rounds during the partition...
+        assert cluster.fault_stats.degraded_sync_rounds > 0
+        # ...and full tables reconverged after the heal.
+        assert bb0.monitor.table.is_active(2)
+        assert bb1.monitor.table.is_active(1)
+        assert _table_view(bb0) == _table_view(bb1)
+
+    def test_heal_state_equals_all_gather(self, make_cluster, job):
         cluster = self._run(make_cluster, job)
         assert_all_gather_state(cluster)

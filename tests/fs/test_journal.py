@@ -103,6 +103,21 @@ class TestRecovery:
         fs.recover()
         assert fs.exists("/fs/f")
 
+    def test_whole_fs_crash_releases_every_lock(self):
+        # A crash loses the lock tables as crash_node does: a lock held
+        # before fs.crash() must not block another owner after recovery.
+        fs = make_fs()
+        ino = fs.create("/fs/locked").ino
+        for node in fs.nodes.values():
+            assert node.range_locks.try_lock_write(ino, 0, 100, "before")
+            assert node.meta_locks.try_lock(ino, "before")
+        fs.crash()
+        fs.recover()
+        for node in fs.nodes.values():
+            assert node.range_locks.write_locks_held(ino) == 0
+            assert node.range_locks.try_lock_write(ino, 0, 100, "after")
+            assert not node.meta_locks.locked(ino)
+
 
 class TestNodeRecoveryAfterRemake:
     """``recover_node`` re-makes one server's metadata beside a live

@@ -41,12 +41,15 @@ class TwoHopReference:
         return t1 + (self.latency + extra_delay)
 
 
-def make_fabric(names="abz", **kw):
+def make_fabric(receiver=None, **kw):
+    """Senders "a" and "b" (their NIC pipes in ``tx``) and a node "z"
+    whose arrivals go to *receiver*, by default appended to ``inbox``."""
     eng = Engine()
     fabric = Fabric(eng, **kw)
-    for name in names:
-        fabric.add_node(name)
-    return eng, fabric
+    tx = {name: fabric.add_node(name, lambda msg: None) for name in "ab"}
+    inbox = []
+    fabric.add_node("z", receiver or inbox.append)
+    return eng, fabric, inbox, tx
 
 
 sends = st.lists(
@@ -67,10 +70,13 @@ sends = st.lists(
                (3.3e-06, "a", 0, None), (3.3e-06, "a", 8000000, None),
                (1e-07, "a", 0, None)])
 def test_send_fires_at_the_two_hop_time_and_keeps_nic_fifo(plan):
-    eng, fabric = make_fabric(latency=LATENCY, link_bandwidth=BANDWIDTH)
+    received = []
+    eng, fabric, _inbox, _tx = make_fabric(
+        lambda msg: received.append((msg.payload, eng.now)),
+        latency=LATENCY, link_bandwidth=BANDWIDTH)
     fabric.set_fault_filter(lambda msg: plan[msg.payload][3])
     reference = TwoHopReference()
-    expected, fired, received = {}, {}, []
+    expected, fired = {}, {}
 
     def sender():
         for idx, (gap, src, size, delay) in enumerate(plan):
@@ -78,14 +84,12 @@ def test_send_fires_at_the_two_hop_time_and_keeps_nic_fifo(plan):
                 yield eng.timeout(gap)
             expected[idx] = reference.arrival(eng.now, src, size, delay or 0.0)
             before = eng.stats()["scheduled_total"]
-            ev = fabric.send(Message(src=src, dst="z", tag="t", payload=idx,
+            ev = fabric.send(Message(src=src, dst="z", payload=idx,
                                      size=size))
             assert eng.stats()["scheduled_total"] == before + 1
             ev.callbacks.append(
                 lambda ev: fired.__setitem__(ev.value.payload, eng.now))
 
-    fabric.node("z").attach(
-        lambda msg: received.append((msg.payload, eng.now)))
     eng.process(sender())
     eng.run()
     assert fired == expected                      # bit-equal, not approx
@@ -105,64 +109,65 @@ def test_same_instant_arrivals_are_handed_over_in_send_order():
     # large that both sums round to one float: a tie that only rounding
     # makes. It goes to the message sent first; the two-hop chain gave it
     # to the NIC that drained first.
-    eng, fabric = make_fabric(latency=1e17, link_bandwidth=1.0)
-    fabric.send(Message(src="a", dst="z", tag="t", payload="a", size=2))
-    fabric.send(Message(src="b", dst="z", tag="t", payload="b", size=1))
+    eng, fabric, inbox, _tx = make_fabric(latency=1e17, link_bandwidth=1.0)
+    fabric.send(Message(src="a", dst="z", payload="a", size=2))
+    fabric.send(Message(src="b", dst="z", payload="b", size=1))
     eng.run()
     assert eng.now == 1e17
-    assert [m.payload for m in fabric.node("z").queue] == ["a", "b"]
+    assert [m.payload for m in inbox] == ["a", "b"]
 
 
 def test_destination_crashing_in_flight_loses_the_message_once():
-    eng, fabric = make_fabric(latency=1.0, link_bandwidth=1e9)
-    ev = fabric.send(Message(src="a", dst="z", tag="t", size=10))
+    eng, fabric, inbox, _tx = make_fabric(latency=1.0, link_bandwidth=1e9)
+    ev = fabric.send(Message(src="a", dst="z", size=10))
     eng.call_at(0.5, lambda: fabric.set_node_down("z"))
     eng.run()
     assert ev.processed and eng.now == pytest.approx(1.0)
     assert fabric.dropped_messages == 1
-    assert len(fabric.node("z").queue) == 0
+    assert inbox == []
 
 
 def test_down_source_reserves_no_nic_time():
-    eng, fabric = make_fabric()
+    eng, fabric, inbox, tx = make_fabric()
     fabric.set_node_down("a")
     before = eng.stats()["scheduled_total"]
-    ev = fabric.send(Message(src="a", dst="z", tag="t", size=10 ** 9))
+    ev = fabric.send(Message(src="a", dst="z", size=10 ** 9))
     assert ev.triggered and ev.value.size == 10 ** 9
     assert eng.stats()["scheduled_total"] == before + 1
-    assert fabric.node("a").tx.bytes_moved == 0
-    assert fabric.node("a").tx.reserve(0) == eng.now
+    assert tx["a"].bytes_moved == 0
+    assert tx["a"].reserve(0) == eng.now
     eng.run()
     assert eng.now == 0.0 and fabric.dropped_messages == 1
-    assert len(fabric.node("z").queue) == 0
+    assert inbox == []
 
 
 def test_drop_verdict_holds_the_nic_but_reaches_no_inbox():
-    eng, fabric = make_fabric(latency=1.0, link_bandwidth=10.0)
+    eng, fabric, inbox, tx = make_fabric(latency=1.0, link_bandwidth=10.0)
     fabric.set_fault_filter(lambda msg: DROP)
-    ev = fabric.send(Message(src="a", dst="z", tag="t", size=10))
+    ev = fabric.send(Message(src="a", dst="z", size=10))
     assert fabric.dropped_messages == 0          # lost at arrival, not now
     eng.run()
     assert ev.processed and eng.now == pytest.approx(2.0)
-    assert fabric.node("a").tx.bytes_moved == 10
+    assert tx["a"].bytes_moved == 10
     assert fabric.dropped_messages == 1 and fabric.delayed_messages == 0
-    assert len(fabric.node("z").queue) == 0
+    assert inbox == []
 
 
 def test_float_verdict_delays_and_is_counted():
-    eng, fabric = make_fabric(latency=1.0, link_bandwidth=10.0)
+    eng, fabric, inbox, _tx = make_fabric(latency=1.0, link_bandwidth=10.0)
     fabric.set_fault_filter(lambda msg: 0.25)
-    fabric.send(Message(src="a", dst="z", tag="t", size=10))
+    fabric.send(Message(src="a", dst="z", size=10))
     eng.run()
     assert eng.now == pytest.approx(2.25)
     assert fabric.delayed_messages == 1 and fabric.dropped_messages == 0
-    assert len(fabric.node("z").queue) == 1
+    assert len(inbox) == 1
 
 
 def test_mpiio_shuffle_ends_when_its_last_message_arrives():
     from repro.bb import Cluster, ClusterConfig
     from repro.core import JobInfo
     from repro.mpiio import Communicator, MPIFile, VectorView
+    from repro.ucx import RpcRequest
 
     cluster = Cluster(ClusterConfig(n_servers=1, policy="job-fair"))
     cluster.fs.makedirs("/fs/mpi")
@@ -173,11 +178,15 @@ def test_mpiio_shuffle_ends_when_its_last_message_arrives():
     view = VectorView(nranks=4, blocklen=256 * KiB)
     engine, fabric = cluster.engine, cluster.fabric
     reference = TwoHopReference(fabric.latency, fabric.link_bandwidth)
-    log = []                   # (send time, tag, reference arrival time)
+    log = []                  # (send time, kind, reference arrival time)
     real_send = fabric.send
 
     def spy(message):
-        log.append((engine.now, message.tag, reference.arrival(
+        # The shuffle's messages carry no payload; a call carries its
+        # RpcRequest.
+        kind = ("call" if isinstance(message.payload, RpcRequest)
+                else "shuffle" if message.payload is None else "reply")
+        log.append((engine.now, kind, reference.arrival(
             engine.now, message.src, message.size)))
         return real_send(message)
 
@@ -190,11 +199,11 @@ def test_mpiio_shuffle_ends_when_its_last_message_arrives():
     for rank in range(4):
         engine.process(rank_proc(rank))
     cluster.run(until=10.0)
-    last = max(i for i, (_, tag, _) in enumerate(log)
-               if tag == "mpiio.shuffle")
-    shuffle_end = max(arrival for _, tag, arrival in log
-                      if tag == "mpiio.shuffle")
+    last = max(i for i, (_, kind, _) in enumerate(log)
+               if kind == "shuffle")
+    shuffle_end = max(arrival for _, kind, arrival in log
+                      if kind == "shuffle")
     # The aggregators' writes are issued the instant the shuffle's last
     # message lands: nothing sits between that arrival and all_of.
     assert mpifile.shuffled_bytes > 0
-    assert log[last + 1][:2] == (shuffle_end, "rpc.req")
+    assert log[last + 1][:2] == (shuffle_end, "call")

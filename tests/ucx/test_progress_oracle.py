@@ -4,10 +4,11 @@ Until PR 19 every ``UCPContext`` ran a process looping on ``yield
 inbox.get()`` over a ``Store`` the fabric filled. :class:`DispatcherContext`
 keeps that loop, and only here, as the oracle (with the :class:`Store`,
 which left ``repro.sim`` when its last reader did): random arrival
-schedules at one node — same-instant bursts, handlers that send, schedule zero-delay
-events, close a worker or take the context down with messages still queued
-— must produce the same delivery log through both, interleaving with the
-handlers' own events included, and the same drop ring.
+schedules at one node — same-instant bursts, handlers that send, schedule
+zero-delay events, close a worker or take the node down with messages
+still queued — must produce the same delivery log through both,
+interleaving with the handlers' own events included, and the same drop
+counts.
 """
 
 from collections import deque
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.net import Fabric, Message
-from repro.net.fabric import NodeHandle
 from repro.sim import Engine, Event
 from repro.ucx import UCPContext
 
@@ -91,34 +91,26 @@ class Store:
             self._admit()
 
 
-class _StoreNode(NodeHandle):
-    """A node whose arrivals land in a Store inbox instead."""
-
-    __slots__ = ("inbox",)
-
-    def deliver(self, message):
-        self.inbox.put_nowait(message)
-
-
 class DispatcherContext(UCPContext):
-    """The parent commit's receive path: one dispatcher process per node."""
+    """The receive path the progress event replaced: arrivals land in a
+    Store, and one dispatcher process per node pulls them out."""
 
     def __init__(self, engine, fabric, node_name):
-        node = _StoreNode(engine, node_name, fabric.add_node(node_name).tx)
-        node.inbox = Store(engine)
-        fabric._nodes[node_name] = node
         super().__init__(engine, fabric, node_name)
-        engine.process(self._dispatch(node.inbox))
+        self.store = Store(engine)
+        engine.process(self._dispatch())
 
-    def _dispatch(self, inbox):
+    def _arrive(self, message):
+        self.store.put_nowait(message)
+
+    def _dispatch(self):
         while True:
-            msg = yield inbox.get()
+            msg = yield self.store.get()
             worker = self.workers.get(msg.worker)
-            if self.down or worker is None or worker.closed:
-                self.dropped.append(msg)
+            if worker is None or self.node_name in self.fabric.down:
                 self.dropped_count += 1
                 continue
-            worker._deliver(msg)
+            worker.handler(msg)
 
 
 # One planned message: (gap before it, sending node, destination worker,
@@ -138,7 +130,7 @@ def run(context_class, plan, latency):
     eng = Engine()
     fabric = Fabric(eng, latency=latency, link_bandwidth=1e9)
     for name in "abc":
-        fabric.add_node(name)
+        fabric.add_node(name, lambda msg: None)
     ctx = context_class(eng, fabric, NODE)
     log = []            # position in it = global firing index
     extra = iter(range(len(plan), 10 ** 6))
@@ -150,8 +142,8 @@ def run(context_class, plan, latency):
         other = WORKERS[1 - WORKERS.index(msg.worker)]
         if action == "send":
             # Loopback: arrives `latency` later (the same instant at 0).
-            fabric.send(Message(NODE, NODE, "t", (next(extra), "event"),
-                                0, other))
+            fabric.send(Message(NODE, NODE, (next(extra), "event"), 0,
+                                other))
         elif action == "event":
             tag = next(extra)
             eng.event().succeed().callbacks.append(
@@ -161,26 +153,25 @@ def run(context_class, plan, latency):
         elif action == "close-other" and other in ctx.workers:
             ctx.workers[other].close()
         elif action == "down":
-            ctx.down = True
+            fabric.set_node_down(NODE)
         elif action == "down-for-a-while":
-            ctx.down = True
+            fabric.set_node_down(NODE)
             eng.timeout(2e-6).callbacks.append(
-                lambda _ev: setattr(ctx, "down", False))
+                lambda _ev: fabric.set_node_down(NODE, down=False))
 
     for name in WORKERS:
-        ctx.create_worker(name).on("t", handler)
+        ctx.create_worker(name).handler = handler
 
     def sender():
         for ident, (gap, src, worker, action) in enumerate(plan):
             if gap:
                 yield eng.timeout(gap)
-            fabric.send(Message(src, NODE, "t", (ident, action), 0, worker))
+            fabric.send(Message(src, NODE, (ident, action), 0, worker))
 
     eng.process(sender())
     eng.run()
-    node = fabric.node(NODE)
-    assert not node.queue and not getattr(node, "inbox", ())  # all handed on
-    return log, [m.payload for m in ctx.dropped], ctx.dropped_count, eng.now
+    assert not ctx._inbox and not getattr(ctx, "store", ())  # all handed on
+    return log, ctx.dropped_count, fabric.dropped_messages, eng.now
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,12 +185,12 @@ def test_one_message_per_progress_event():
     # Two messages land at one instant; the first handler's zero-delay
     # event fires between the deliveries: the queue is not drained in
     # one event.
-    log, dropped, count, _now = run(
+    log, dropped, lost, _now = run(
         UCPContext, [(0.0, "a", "w0", "event"), (0.0, "b", "w0", "log")],
         1e-6)
     assert [entry[1:3] for entry in log] == [
         ("deliver", 0), ("event", 2), ("deliver", 1)]
-    assert dropped == [] and count == 0
+    assert dropped == 0 and lost == 0
 
 
 def test_context_owns_no_process_and_schedules_none():
@@ -208,4 +199,4 @@ def test_context_owns_no_process_and_schedules_none():
     before = eng.stats()["scheduled_total"]
     ctx = UCPContext(eng, fabric, "n")
     assert eng.stats()["scheduled_total"] == before
-    assert fabric.node("n").receiver == ctx._receive
+    assert fabric._receivers["n"] == ctx._arrive

@@ -119,18 +119,23 @@ def test_duplicate_reply_rejected(env):
         req.reply("twice")
 
 
-def test_request_object_is_the_payload_and_replies_share_an_endpoint(env):
+def test_request_object_is_the_payload_and_replies_go_to_its_caller(env):
     eng, cw, sw = env
     seen = []
-    server = RpcServer(sw, seen.append)
+    RpcServer(sw, seen.append)
     client = RpcClient(cw, sw.address)
-    sent, real_send = [], client.endpoint.send
+    sent, real_send = [], cw.send
+    replies, real_reply = [], sw.send
 
-    def spy(tag, payload, **kw):
+    def spy(address, payload, size):
         sent.append(payload)
-        return real_send(tag, payload, **kw)
+        return real_send(address, payload, size)
 
-    client.endpoint.send = spy
+    def reply_spy(address, payload, size):
+        replies.append((address, payload))
+        return real_reply(address, payload, size)
+
+    cw.send, sw.send = spy, reply_spy
     got = []
 
     def proc():
@@ -148,10 +153,11 @@ def test_request_object_is_the_payload_and_replies_share_an_endpoint(env):
     assert seen == sent and [r.op for r in seen] == ["a", "b"]
     assert (seen[0].body, seen[0].size, seen[0].reply_to) == (
         1, 7, cw.address)
-    assert list(server._endpoints) == [cw.address]   # one, made once
+    assert replies == [(cw.address, (seen[0].cid, "first")),
+                       (cw.address, (seen[1].cid, "second"))]
 
 
-def test_reply_through_cached_endpoint_of_closed_worker_raises(env):
+def test_reply_through_closed_worker_raises(env):
     eng, cw, sw = env
     seen = []
     RpcServer(sw, seen.append)
@@ -159,7 +165,7 @@ def test_reply_through_cached_endpoint_of_closed_worker_raises(env):
     client.call("a")
     client.call("b")
     eng.run()
-    seen[0].reply("caches the endpoint")
+    seen[0].reply("the worker is open")
     sw.close()
     with pytest.raises(UCXError):
         seen[1].reply("the worker is gone")
