@@ -11,6 +11,7 @@ and, for jobs known to both, the newest heartbeat wins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (AbstractSet, Dict, Iterable, List, NamedTuple, Optional,
                     Set)
@@ -33,8 +34,11 @@ class JobInfo:
     def __post_init__(self):
         if self.size < 1:
             raise SchedulerError(f"job size must be >= 1: {self.size}")
-        if self.priority <= 0:
-            raise SchedulerError(f"priority must be positive: {self.priority}")
+        # Written so that NaN fails too: JobInfo arrives from outside the
+        # server, and a NaN or infinite priority would poison every share.
+        if not 0 < self.priority < math.inf:
+            raise SchedulerError(
+                f"priority must be finite and positive: {self.priority}")
 
 
 class JobRecord(NamedTuple):

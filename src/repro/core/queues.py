@@ -8,10 +8,8 @@ burst-buffer request type satisfies this protocol.
 The queue set sits on the scheduler's per-dequeue hot path, so its
 bookkeeping is incremental: the sorted nonempty-job list is maintained
 with ``bisect`` on membership transitions (not re-sorted per call),
-per-job cost totals are running accumulators (O(1) ``queued_cost`` for
-GIFT's demand estimate), and :attr:`membership_version` counts
-membership transitions so schedulers can cache work keyed on "has the
-set of backlogged jobs changed?".
+and per-job cost totals are running accumulators (O(1) ``queued_cost``
+for GIFT's demand estimate).
 """
 
 from __future__ import annotations
@@ -28,22 +26,13 @@ __all__ = ["QueueSet"]
 class QueueSet:
     """A set of FIFO queues keyed by job id."""
 
-    __slots__ = ("_queues", "_sorted_jobs", "_total", "_total_cost",
-                 "_job_cost", "membership_version")
+    __slots__ = ("_queues", "_sorted_jobs", "_total", "_job_cost")
 
     def __init__(self):
         self._queues: Dict[int, Deque[Any]] = {}
         self._sorted_jobs: List[int] = []  # job ids with a nonempty queue
         self._total = 0
-        self._total_cost = 0.0
         self._job_cost: Dict[int, float] = {}
-        #: Counter bumped whenever a job's queue becomes (non)empty. Two
-        #: reads observing the same value are guaranteed to have seen the
-        #: same set of backlogged jobs — the scheduler's draw cache keys
-        #: on this together with its assignment version. A plain
-        #: attribute (not a property): it is read on every dequeue,
-        #: where descriptor dispatch is measurable.
-        self.membership_version = 0
 
     def push(self, item: Any) -> None:
         """Append *item* to its job's queue."""
@@ -52,11 +41,9 @@ class QueueSet:
         if queue is None:
             queue = self._queues[job_id] = deque()
             insort(self._sorted_jobs, job_id)
-            self.membership_version += 1
         queue.append(item)
         cost = item.cost
         self._total += 1
-        self._total_cost += cost
         self._job_cost[job_id] = self._job_cost.get(job_id, 0.0) + cost
 
     def pop(self, job_id: int) -> Any:
@@ -66,11 +53,9 @@ class QueueSet:
             raise SchedulerError(f"pop from empty queue for job {job_id}")
         item = queue.popleft()
         self._total -= 1
-        self._total_cost -= item.cost
         if not queue:
             del self._queues[job_id]
             del self._sorted_jobs[bisect_left(self._sorted_jobs, job_id)]
-            self.membership_version += 1
             # Reset the accumulator at empty so float drift cannot build
             # up across a job's lifetime.
             self._job_cost[job_id] = 0.0
@@ -103,10 +88,6 @@ class QueueSet:
         """Total queued requests across all jobs."""
         return self._total
 
-    @property
-    def total_cost(self) -> float:
-        return self._total_cost
-
     def drain(self) -> List[Any]:
         """Remove and return every queued request (crash path).
 
@@ -120,9 +101,7 @@ class QueueSet:
         self._queues.clear()
         self._sorted_jobs.clear()
         self._total = 0
-        self._total_cost = 0.0
         self._job_cost.clear()
-        self.membership_version += 1
         return items
 
     def __len__(self) -> int:

@@ -96,29 +96,15 @@ class StatisticalTokenScheduler(Scheduler):
     assignment (first requests racing the job-table update) are treated
     as holding the mean share until the controller recomputes tokens.
 
-    The restricted (opportunity-fair) assignment is **cached**: building
-    a :class:`TokenAssignment` costs numpy allocations, a sort, and a
-    cumsum, but its inputs only change when the token assignment itself
-    is replaced or the *membership* of the backlogged-job set changes.
-    The cache is keyed by ``(assignment version, backlog signature)`` —
-    a fast single-entry check against the queue set's membership
-    version, backed by a per-assignment-version dict keyed on the exact
-    backlogged-job tuple so recurring backlog patterns (a job draining
-    and refilling) stay hits. A cached draw is bit-identical to an
-    uncached rebuild: the cache stores exactly the object that
-    reconstruction from the same inputs would produce.
+    The draw keeps no state between dequeues: each one re-cuts [0, 1]
+    over the jobs backlogged at that moment
+    (:meth:`TokenAssignment.draw_among`).
     """
 
     name = "themis"
 
     __slots__ = ("policy", "rng", "opportunity_fair",
-                 "queues", "assignment", "draws", "wasted_draws",
-                 "cache_hits", "cache_misses",
-                 "_assignment_version", "_restricted_cache", "_fast_key",
-                 "_fast_restricted")
-
-    #: Cap on distinct backlog signatures cached per assignment version.
-    _CACHE_MAX = 256
+                 "queues", "assignment", "draws", "wasted_draws")
 
     def __init__(self, policy: Policy, rng: np.random.Generator,
                  opportunity_fair: bool = True):
@@ -129,12 +115,6 @@ class StatisticalTokenScheduler(Scheduler):
         self.assignment: Optional[TokenAssignment] = None
         self.draws = 0
         self.wasted_draws = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._assignment_version = 0
-        self._restricted_cache: dict = {}   # backlog tuple -> TokenAssignment
-        self._fast_key: Optional[tuple] = None  # (assign ver, membership ver)
-        self._fast_restricted: Optional[TokenAssignment] = None
 
     # -------------------------------------------------------------- interface
     def enqueue(self, request: Any, now: float) -> None:
@@ -142,30 +122,13 @@ class StatisticalTokenScheduler(Scheduler):
 
     def on_jobs_changed(self, active_jobs: Sequence[JobInfo],
                         now: float) -> None:
-        self._install_shares(self.policy.shares(active_jobs))
+        self._install(self.policy.shares(active_jobs))
 
     def set_assignment(self, shares, now: float) -> None:
-        self._install_shares({j: s for j, s in shares.items() if s > 0})
+        self._install({j: s for j, s in shares.items() if s > 0})
 
-    def _install_shares(self, shares: "dict[int, float]") -> None:
-        """Install *shares*, skipping the (cache-clearing) reinstall when
-        they are identical to the live assignment's constructor input —
-        a rebuilt assignment would be bit-identical, so keeping the warm
-        restricted-draw caches cannot change any draw."""
-        if not shares:
-            if self.assignment is not None:
-                self._install(None)
-            return
-        if self.assignment is not None and self.assignment.same_source(shares):
-            return
-        self._install(TokenAssignment(shares))
-
-    def _install(self, assignment: Optional[TokenAssignment]) -> None:
-        self.assignment = assignment
-        self._assignment_version += 1
-        self._restricted_cache.clear()
-        self._fast_key = None
-        self._fast_restricted = None
+    def _install(self, shares: "dict[int, float]") -> None:
+        self.assignment = TokenAssignment(shares) if shares else None
 
     def dequeue(self, now: float) -> Optional[Any]:
         queues = self.queues
@@ -178,60 +141,15 @@ class StatisticalTokenScheduler(Scheduler):
             job_id = backlogged[self._draw_index(len(backlogged))]
             return queues.pop(job_id)
 
-        if not self.opportunity_fair:
-            self.draws += 1
-            job_id = assignment.draw(float(self.rng.random()))
-            if queues.depth(job_id) == 0:
-                self.wasted_draws += 1
-                return None
-            return queues.pop(job_id)
-
         self.draws += 1
         u = float(self.rng.random())
-        return queues.pop(self._restricted_assignment().draw(u))
-
-    # ------------------------------------------------------------- draw cache
-    def _restricted_assignment(self) -> TokenAssignment:
-        """The backlog-restricted assignment, cached across dequeues."""
-        queues = self.queues
-        key = (self._assignment_version, queues.membership_version)
-        if key == self._fast_key:
-            self.cache_hits += 1
-            return self._fast_restricted
-        signature = tuple(queues.nonempty_jobs())
-        restricted = self._restricted_cache.get(signature)
-        if restricted is None:
-            self.cache_misses += 1
-            restricted = self._build_restricted(signature)
-            if len(self._restricted_cache) >= self._CACHE_MAX:
-                self._restricted_cache.clear()
-            self._restricted_cache[signature] = restricted
-        else:
-            self.cache_hits += 1
-        self._fast_key = key
-        self._fast_restricted = restricted
-        return restricted
-
-    def _build_restricted(self, backlogged: Sequence[int]) -> TokenAssignment:
-        """Renormalise over backlogged jobs, giving not-yet-assigned jobs
-        the mean share (identical to the uncached per-dequeue rebuild).
-
-        *backlogged* comes from the queue set already sorted, which lets
-        the fast :meth:`TokenAssignment._from_backlog` constructor skip
-        sorting and validation."""
-        assignment = self.assignment
-        index = assignment._index
-        shares_list = assignment._shares_list
-        mean_share = 1.0 / max(len(index), 1)
-        values = []
-        for job_id in backlogged:
-            i = index.get(job_id)
-            if i is None:
-                values.append(mean_share)
-            else:
-                share = shares_list[i]
-                values.append(share if share > 0 else mean_share)
-        return TokenAssignment._from_backlog(list(backlogged), values)
+        if self.opportunity_fair:
+            return queues.pop(assignment.draw_among(queues.nonempty_jobs(), u))
+        job_id = assignment.draw(u)
+        if queues.depth(job_id) == 0:
+            self.wasted_draws += 1
+            return None
+        return queues.pop(job_id)
 
     @property
     def backlog(self) -> int:

@@ -6,46 +6,42 @@ random number within [0, 1]. The I/O request of a job is processed if
 the random number falls in its corresponding segment."
 
 :class:`TokenAssignment` is that segmentation: built from a share map,
-it answers ``draw(u)`` in O(log n) via a cumulative-boundary search.
-The scheduler rebuilds it over the backlogged subset — the mechanism
-behind *opportunity fairness* (unused cycles flow to jobs that can use
-them).
+it answers ``draw(u)`` by :func:`bisect.bisect_right` over the
+cumulative segment boundaries. The token keeps no per-job state beyond
+the shares. Opportunity fairness (unused cycles flow to jobs that can
+use them) re-cuts [0, 1] over the backlogged jobs at every draw
+(:meth:`TokenAssignment.draw_among`).
 
-``draw`` is the server's per-request hot path. Below
-:data:`SMALL_N_THRESHOLD` jobs — which covers every population the
-paper actually runs — a ``np.searchsorted`` call is dominated by numpy's
-per-call dispatch overhead, so the search runs as pure-Python
-:func:`bisect.bisect_right` over a prebuilt cumulative list instead.
-The boundaries are still computed with numpy (identical floating-point
-results either way, since ``tolist()`` round-trips float64 exactly), so
-both search paths return bit-identical choices.
+Both cuts are formed in pure Python in the order numpy would form
+them: the total in numpy's pairwise summation order
+(:func:`_pairwise_sum`), the boundaries left to right as ``np.cumsum``
+adds them, the last one pinned to 1.0. So every draw is bit-identical
+to the numpy seed implementation frozen in
+``tests/core/test_seed_equivalence.py``.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from itertools import accumulate
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import SchedulerError
 
-__all__ = ["TokenAssignment", "SMALL_N_THRESHOLD"]
-
-#: Population size below which ``draw`` uses pure-Python bisect; numpy's
-#: call overhead only amortises above roughly this many jobs.
-SMALL_N_THRESHOLD = 128
+__all__ = ["TokenAssignment"]
 
 
-def _pairwise_sum(values: List[float]) -> float:
+def _pairwise_sum(values: Sequence[float]) -> float:
     """Sum *values* in the exact order ``np.ndarray.sum`` uses.
 
-    numpy's pairwise summation processes blocks of eight with eight
-    partial accumulators, then combines them as ``((r0+r1)+(r2+r3)) +
-    ((r4+r5)+(r6+r7))``; below eight elements it is a plain sequential
-    sum. Replicating that order keeps the pure-Python constructor
-    bit-identical to the numpy one. Only valid for ``len(values) <=
-    128`` (one numpy block) — larger inputs take the numpy path anyway.
+    numpy's pairwise summation adds fewer than eight elements one after
+    the other. Up to 128 (one block) it runs eight partial accumulators
+    over the multiples of eight, combines them as ``((r0+r1)+(r2+r3)) +
+    ((r4+r5)+(r6+r7))`` and adds the remainder one at a time. Above
+    128 it sums two halves, cut at a multiple of eight, and adds the
+    results. The built-in :func:`sum` is compensated from Python 3.12 and
+    :func:`math.fsum` is exact, so neither reproduces it.
     """
     n = len(values)
     if n < 8:
@@ -53,6 +49,10 @@ def _pairwise_sum(values: List[float]) -> float:
         for v in values:
             total += v
         return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
     r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
     i = 8
     limit = n - (n % 8)
@@ -76,112 +76,71 @@ def _pairwise_sum(values: List[float]) -> float:
 class TokenAssignment:
     """An immutable partition of [0, 1] into per-job segments."""
 
-    __slots__ = ("job_ids", "_shares_arr", "_cum", "_cum_list",
-                 "_shares_list", "_small", "_index", "_source_items")
+    __slots__ = ("job_ids", "_shares", "_cum", "_index")
 
     def __init__(self, shares: Dict[int, float]):
         if not shares:
             raise SchedulerError("empty share map")
         items = sorted(shares.items())
-        values = np.array([s for _, s in items], dtype=float)
-        if np.any(values < 0):
-            raise SchedulerError(f"negative share in {shares}")
-        total = values.sum()
-        if total <= 0:
-            raise SchedulerError(f"shares sum to zero: {shares}")
+        for job_id, share in items:
+            if not 0.0 <= share < math.inf:
+                raise SchedulerError(
+                    f"share of job {job_id} must be finite and >= 0: {share}")
+        values = [float(s) for _, s in items]
+        total = _pairwise_sum(values)
+        if not 0.0 < total < math.inf:
+            raise SchedulerError(f"shares sum to {total}: {shares}")
         self.job_ids: List[int] = [job_id for job_id, _ in items]
-        self._shares_arr: Optional[np.ndarray] = values / total
-        self._cum = np.cumsum(self._shares_arr)
+        self._shares: List[float] = [v / total for v in values]
+        self._cum: List[float] = list(accumulate(self._shares))
         self._cum[-1] = 1.0  # guard against floating-point shortfall
-        self._cum_list: List[float] = self._cum.tolist()
-        self._shares_list: List[float] = self._shares_arr.tolist()
-        self._small = len(self.job_ids) < SMALL_N_THRESHOLD
         self._index = {job_id: i for i, job_id in enumerate(self.job_ids)}
-        # Raw constructor input, kept so the scheduler can recognise a
-        # reinstall of identical shares (see :meth:`same_source`).
-        self._source_items: Optional[Tuple[Tuple[int, float], ...]] = \
-            tuple(items)
-
-    @property
-    def shares(self) -> np.ndarray:
-        """Normalised per-job shares, ordered like :attr:`job_ids`."""
-        if self._shares_arr is None:
-            self._shares_arr = np.asarray(self._shares_list)
-        return self._shares_arr
-
-    @classmethod
-    def _from_backlog(cls, job_ids: List[int],
-                      values: List[float]) -> "TokenAssignment":
-        """Internal fast constructor for the scheduler's restricted draws.
-
-        *job_ids* must be sorted ascending and *values* positive — the
-        scheduler guarantees both, so validation and re-sorting are
-        skipped. Below :data:`SMALL_N_THRESHOLD` the normalisation runs
-        in pure Python with :func:`_pairwise_sum` so the resulting
-        segment boundaries are bit-identical to ``TokenAssignment(dict)``
-        without any numpy dispatch on the per-dequeue cache-miss path.
-        """
-        self = object.__new__(cls)
-        self.job_ids = job_ids
-        n = len(job_ids)
-        if n < SMALL_N_THRESHOLD:
-            total = _pairwise_sum(values)
-            shares_list = [v / total for v in values]
-            cum_list = []
-            acc = 0.0
-            for s in shares_list:
-                acc += s  # cumsum boundaries, bit-identical to numpy
-                cum_list.append(acc)
-            cum_list[-1] = 1.0  # guard against floating-point shortfall
-            self._shares_arr = None  # materialised lazily by .shares
-            self._cum = None  # large-n search path unused below threshold
-            self._cum_list = cum_list
-            self._shares_list = shares_list
-            self._small = True
-        else:
-            arr = np.array(values, dtype=float)
-            self._shares_arr = arr / arr.sum()
-            self._cum = np.cumsum(self._shares_arr)
-            self._cum[-1] = 1.0
-            self._cum_list = self._cum.tolist()
-            self._shares_list = self._shares_arr.tolist()
-            self._small = False
-        self._index = {job_id: i for i, job_id in enumerate(job_ids)}
-        self._source_items = None  # restricted draws are never reinstalled
-        return self
-
-    def same_source(self, shares: Dict[int, float]) -> bool:
-        """True if constructing from *shares* would reproduce this object
-        bit for bit (i.e. the raw constructor input is identical).
-
-        Lets the scheduler skip a reinstall — and keep its warm draw
-        caches — when the controller re-derives an unchanged share map.
-        """
-        source = self._source_items
-        if source is None or len(shares) != len(source):
-            return False
-        return sorted(shares.items()) == list(source)
 
     # ----------------------------------------------------------------- draws
     def draw(self, u: float) -> int:
         """The job whose segment contains *u* (u in [0, 1))."""
         if not 0.0 <= u < 1.0:
             raise SchedulerError(f"draw needs u in [0, 1): {u}")
-        if self._small:
-            idx = bisect_right(self._cum_list, u)
-        else:
-            idx = int(np.searchsorted(self._cum, u, side="right"))
-        return self.job_ids[min(idx, len(self.job_ids) - 1)]
+        return self.job_ids[bisect_right(self._cum, u)]
+
+    def draw_among(self, jobs: Sequence[int], u: float) -> int:
+        """The job of *jobs* whose segment contains *u* once [0, 1] is
+        re-cut over *jobs* alone (opportunity fairness).
+
+        *jobs* is sorted ascending. Each keeps its installed share; a
+        job missing from the assignment or holding a zero share gets the
+        mean share. The choice is the one ``TokenAssignment`` built from
+        those shares would draw, bit for bit, without building it.
+        """
+        if not 0.0 <= u < 1.0:
+            raise SchedulerError(f"draw needs u in [0, 1): {u}")
+        if len(jobs) == 1:
+            return jobs[0]
+        index = self._index
+        shares = self._shares
+        mean_share = 1.0 / len(shares)
+        values = []
+        for job_id in jobs:
+            i = index.get(job_id)
+            share = shares[i] if i is not None else 0.0
+            values.append(share if share > 0 else mean_share)
+        total = _pairwise_sum(values)
+        boundary = 0.0
+        for k, value in enumerate(values):
+            boundary += value / total
+            if boundary > u:
+                return jobs[k]
+        return jobs[-1]  # the last boundary is 1.0 > u
 
     def segment(self, job_id: int) -> Tuple[float, float]:
         """The ``[lo, hi)`` segment assigned to *job_id*."""
         i = self._lookup(job_id)
-        lo = self._cum_list[i - 1] if i > 0 else 0.0
-        return lo, self._cum_list[i]
+        lo = self._cum[i - 1] if i > 0 else 0.0
+        return lo, self._cum[i]
 
     def share(self, job_id: int) -> float:
         """The normalised share of *job_id*."""
-        return self._shares_list[self._lookup(job_id)]
+        return self._shares[self._lookup(job_id)]
 
     def _lookup(self, job_id: int) -> int:
         try:
@@ -197,7 +156,7 @@ class TokenAssignment:
 
     def as_dict(self) -> Dict[int, float]:
         """The assignment as a plain ``{job_id: share}`` map."""
-        return {job_id: float(s) for job_id, s in zip(self.job_ids, self.shares)}
+        return dict(zip(self.job_ids, self._shares))
 
     def __repr__(self) -> str:  # pragma: no cover
         parts = ", ".join(f"{j}:{s:.3f}" for j, s in self.as_dict().items())

@@ -306,7 +306,13 @@ class ThemisFS:
         return max(0, min(length, inode.size - offset))
 
     def truncate(self, path: str, size: int = 0) -> None:
-        """Truncate the file to *size* (only shrink-to-zero frees extents)."""
+        """Set the file's size to *size*, as POSIX ``truncate`` does.
+
+        A shrink discards the bytes past *size*: they are zero-filled in
+        the chunks that exist (a hole stays a hole), so a later grow
+        reads them back as zeros. Shrinking to zero frees every chunk
+        instead. A grow extends the file with a hole.
+        """
         inode = self._require(path)
         if inode.is_dir:
             raise IsADirectory(path)
@@ -315,7 +321,17 @@ class ThemisFS:
         if size == 0:
             for node in self.nodes.values():
                 node.drop_file(inode.ino)
-        inode.size = min(inode.size, size) if size else 0
+        elif size < inode.size:
+            cut = inode.size - size
+            for piece in map_range(inode.stripe, size, cut):
+                node = self.nodes[piece.server]
+                if node.backend.has_chunk(inode.ino, piece.chunk_index):
+                    node.write_chunk(inode.ino, piece.chunk_index,
+                                     piece.chunk_offset, bytes(piece.length))
+            if isinstance(inode.stripe, ErasureSpec):
+                for group, _ in group_range(inode.stripe, size, cut):
+                    self.rebuild_parity(path, group)
+        inode.size = size
         inode.mtime = self.clock()
 
     # -------------------------------------------------------------- deletion

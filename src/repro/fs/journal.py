@@ -313,6 +313,6 @@ class JournaledFS(ThemisFS):
                     and args["old"] in inode.stripe.servers):
                 super().restripe(args["path"], args["old"], args["new"])
         elif op == "truncate":
-            inode.size = min(inode.size, args["size"])
+            inode.size = args["size"]
         else:
             inode.size = max(inode.size, args["size"])

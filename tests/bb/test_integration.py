@@ -459,7 +459,7 @@ class TestTimeoutModesAgree:
     call vs. a retrying process, awaited vs. fire-and-forget beats);
     on a healthy cluster they must not differ in what it does."""
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12)
     @given(script=st.lists(_SCRIPT_OP, min_size=1, max_size=8))
     @pytest.mark.parametrize("layout", [dict(stripe_count=3),
                                         dict(erasure=(2, 3))])

@@ -38,7 +38,7 @@ def _assert_scans_agree(monitor):
                 == len(monitor.clients_of(job_id))), job_id
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(OPS, max_size=30))
 def test_index_and_client_counts_equal_the_scans(ops):
     engine = Engine()

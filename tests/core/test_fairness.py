@@ -96,7 +96,7 @@ class TestPlacementShares:
         assert placement_shares({}, {1: 1.0}) == {}
         assert placement_shares({"s1": set()}, {}) == {"s1": {}}
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(2, 4), st.integers(2, 8), st.integers(0, 10_000))
     def test_property_rows_are_distributions(self, n_servers, n_jobs, seed):
         import numpy as np
@@ -152,7 +152,7 @@ def assert_rows_match(rows, expected, rel=1e-12):
 class TestPlacementSharesExact:
     """The host-set-class solver against the dense numpy reference."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(_placement_inputs(), st.sampled_from([0, 1, 7, 100]),
            st.sampled_from([1e-9, 1e-6, 0.0]))
     def test_rows_match_reference_within_1e12(self, inputs, iterations, tol):

@@ -24,6 +24,13 @@ class TestJobInfo:
         with pytest.raises(SchedulerError):
             job(1, priority=0.0)
 
+    @pytest.mark.parametrize("priority", [float("nan"), float("inf")])
+    def test_non_finite_priority_rejected(self, priority):
+        # `priority <= 0` is False for NaN and +inf, so both once passed
+        # and made priority-fair shares NaN, starving the other jobs.
+        with pytest.raises(SchedulerError):
+            job(1, priority=priority)
+
     def test_frozen(self):
         with pytest.raises(Exception):
             job(1).size = 5

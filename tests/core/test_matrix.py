@@ -135,7 +135,7 @@ def populations(priority):
 
 
 class TestClosedFormAgainstDenseChain:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(POLICIES, populations(st.integers(1, 64).map(float)))
     def test_integer_weights_are_bit_equal(self, spec, jobs):
         levels = Policy.parse(spec).levels
@@ -143,7 +143,7 @@ class TestClosedFormAgainstDenseChain:
         assert closed == dense_shares(levels, jobs)
         assert list(closed) == sorted(job.job_id for job in jobs)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.sampled_from(["priority-fair", "user-then-priority-fair",
                             "group-user-priority-fair"]),
            populations(st.floats(0.01, 100.0)))

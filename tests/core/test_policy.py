@@ -127,7 +127,7 @@ class TestCompositeShares:
             assert total == pytest.approx(1.0)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(1, 32),
               st.floats(0.1, 10.0)),

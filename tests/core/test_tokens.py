@@ -26,6 +26,13 @@ class TestConstruction:
         with pytest.raises(SchedulerError):
             TokenAssignment({1: 0.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        # Neither is negative, so both once passed: every draw then went
+        # to the one finite job (NaN boundaries compare False).
+        with pytest.raises(SchedulerError):
+            TokenAssignment({1: bad, 2: 1.0})
+
     def test_contains_and_len(self):
         a = TokenAssignment({1: 0.5, 2: 0.5})
         assert 1 in a and 3 not in a
@@ -75,7 +82,7 @@ class TestDraws:
 
 
 class TestDrawBoundaries:
-    """Edge geometry of the segment search (both search paths)."""
+    """Edge geometry of the segment search."""
 
     def test_u_exactly_on_segment_edge_goes_to_next_job(self):
         # cum boundaries at 0.25 / 0.5 / 0.75: an exact hit belongs to
@@ -92,37 +99,6 @@ class TestDrawBoundaries:
         for u in (0.0, 0.3, 0.999999):
             assert a.draw(u) == 7
         assert a.segment(7) == (0.0, 1.0)
-
-    def test_large_population_uses_numpy_path_consistently(self):
-        # Above SMALL_N_THRESHOLD the numpy search runs; results must
-        # agree with the bisect answer over the same boundaries.
-        from bisect import bisect_right
-
-        from repro.core.tokens import SMALL_N_THRESHOLD
-
-        n = SMALL_N_THRESHOLD + 72
-        a = TokenAssignment({i: float((i % 9) + 1) for i in range(n)})
-        assert not a._small
-        rng = np.random.default_rng(5)
-        for u in rng.random(500):
-            u = float(u)
-            idx = min(bisect_right(a._cum_list, u), n - 1)
-            assert a.draw(u) == a.job_ids[idx]
-
-    def test_fast_constructor_bitwise_equals_dict_constructor(self):
-        from repro.core.tokens import SMALL_N_THRESHOLD
-
-        rng = np.random.default_rng(11)
-        for n in (1, 2, 7, 8, 9, 31, 100, SMALL_N_THRESHOLD,
-                  SMALL_N_THRESHOLD + 10):
-            ids = sorted(int(j) for j in
-                         rng.choice(10 * n, size=n, replace=False))
-            vals = [float(v) + 1e-9 for v in rng.random(n)]
-            a = TokenAssignment(dict(zip(ids, vals)))
-            b = TokenAssignment._from_backlog(ids, vals)
-            assert a.job_ids == b.job_ids
-            assert a._cum_list == b._cum_list        # bitwise, no approx
-            assert a._shares_list == b._shares_list  # bitwise, no approx
 
 
 @settings(max_examples=60)
@@ -143,3 +119,22 @@ def test_property_draw_consistent_with_segments(shares, u):
     assert edges[-1][1] == 1.0
     for (a_lo, a_hi), (b_lo, b_hi) in zip(edges, edges[1:]):
         assert a_hi == pytest.approx(b_lo)
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.integers(0, 300), st.floats(0.0, 100.0),
+                       min_size=1, max_size=200).filter(
+                           lambda d: sum(d.values()) > 0),
+       st.sets(st.integers(0, 320), min_size=1, max_size=200),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_property_draw_among_is_the_draw_of_the_recut_assignment(
+        shares, backlog, u):
+    """draw_among(jobs, u) is bit for bit the draw of an assignment
+    built over *jobs*, a job outside the assignment or with a zero share
+    holding the mean share; *jobs* spans ids in and out of the table."""
+    a = TokenAssignment(shares)
+    jobs = sorted(backlog)
+    mean = 1.0 / len(a)
+    recut = {j: (a.share(j) if j in a and a.share(j) > 0 else mean)
+             for j in jobs}
+    assert a.draw_among(jobs, u) == TokenAssignment(recut).draw(u)

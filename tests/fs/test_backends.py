@@ -124,7 +124,7 @@ class TestThemisFSBackendIntegration:
                      storage_backend="tape")
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
                           st.integers(0, CHUNK - 32),
                           st.binary(min_size=1, max_size=32)),

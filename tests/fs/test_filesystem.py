@@ -175,6 +175,61 @@ class TestDataPath:
         assert fs.stat("/fs/f").mtime == 5.0
 
 
+@pytest.mark.parametrize("backend", ["extent", "log"])
+class TestTruncate:
+    """POSIX ``truncate`` on 16-byte stripes over two servers."""
+
+    def fs(self, backend):
+        fs = ThemisFS(["a", "b"], capacity_per_server=1 << 20,
+                      stripe_size=16, default_stripe_count=2,
+                      storage_backend=backend)
+        fs.create("/f")
+        return fs
+
+    def test_shrink_discards_the_tail(self, backend):
+        fs = self.fs(backend)
+        fs.write("/f", 0, b"ABCDEFGHIJ")
+        fs.truncate("/f", 4)
+        assert fs.stat("/f").size == 4
+        fs.write("/f", 8, b"xy")    # was: ABCDEFGHxy
+        assert fs.read("/f", 0, 10) == b"ABCD\0\0\0\0xy"
+
+    def test_shrink_across_servers_then_grow_reads_zeros(self, backend):
+        fs = self.fs(backend)
+        fs.write("/f", 0, bytes(range(1, 41)))    # chunks on a, b, a
+        fs.truncate("/f", 5)
+        fs.truncate("/f", 40)
+        assert fs.read("/f", 0, 40) == bytes(range(1, 6)) + bytes(35)
+
+    def test_grow_extends_with_a_hole(self, backend):
+        fs = self.fs(backend)
+        fs.write("/f", 0, b"ABCDEFGHIJ")
+        fs.truncate("/f", 20)       # was: size stays 10
+        assert fs.stat("/f").size == 20
+        assert fs.read("/f", 0, 30) == b"ABCDEFGHIJ" + bytes(10)
+
+    def test_shrink_leaves_holes_unallocated(self, backend):
+        fs = self.fs(backend)
+        fs.write_accounting("/f", 0, 64)
+        fs.write("/f", 0, b"x")
+        fs.truncate("/f", 1)
+        assert not any(node.backend.has_chunk(fs.lookup("/f").ino, c)
+                       for node in fs.nodes.values() for c in (1, 2, 3))
+
+    def test_shrink_rebuilds_erasure_parity(self, backend):
+        fs = ThemisFS(["a", "b", "c"], capacity_per_server=1 << 20,
+                      stripe_size=16, storage_backend=backend,
+                      erasure=(2, 3))
+        fs.create("/e")
+        fs.write("/e", 0, bytes(range(1, 33)))     # one group: a, b + parity
+        fs.truncate("/e", 5)
+        fs.truncate("/e", 32)
+        for down in ("a", "b", "c"):
+            data, info = fs.read_reconstruct("/e", 0, 32, {down})
+            assert data == bytes(range(1, 6)) + bytes(27), down
+            assert info["lost_bytes"] == 0
+
+
 class TestPlacement:
     def test_metadata_server_deterministic(self):
         fs = make_fs(n_servers=4)
@@ -187,7 +242,7 @@ class TestPlacement:
         assert len(owners) >= 3  # not all on one server
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.lists(
     st.tuples(st.integers(min_value=0, max_value=300), st.binary(min_size=1, max_size=80)),
     min_size=1, max_size=12))

@@ -84,6 +84,23 @@ class TestRecovery:
         fs.recover()
         assert fs.stat("/fs/t").size == 0
 
+    def test_truncate_replays_the_recorded_size(self):
+        # Replay installs the size a truncate set, grow or shrink (it
+        # once replayed a truncate as min(current, recorded)).
+        fs = make_fs()
+        fs.create("/fs/grown")
+        fs.write("/fs/grown", 0, b"ABCDEFGHIJ")
+        fs.truncate("/fs/grown", 20)
+        fs.create("/fs/cut")
+        fs.write("/fs/cut", 0, b"ABCDEFGHIJ")
+        fs.truncate("/fs/cut", 4)
+        fs.write("/fs/cut", 8, b"xy")
+        fs.crash()
+        fs.recover()
+        assert fs.stat("/fs/grown").size == 20
+        assert fs.read("/fs/grown", 0, 20) == b"ABCDEFGHIJ" + bytes(10)
+        assert fs.read("/fs/cut", 0, 10) == b"ABCD\0\0\0\0xy"
+
     def test_sizes_recovered_via_extend_records(self):
         fs = make_fs()
         fs.create("/fs/sized")
@@ -186,7 +203,7 @@ OPS = st.lists(
     min_size=1, max_size=30)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(OPS, st.randoms(use_true_random=False))
 def test_property_recovered_fs_matches_reference(ops, rnd):
     """Random namespace churn + data writes, then crash/recover: the

@@ -144,7 +144,7 @@ class TestRecovery:
         assert store.read("k") == b"v"
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.lists(
     st.tuples(st.integers(0, 5),             # key
               st.one_of(st.none(), st.binary(min_size=1, max_size=64))),

@@ -62,7 +62,7 @@ sends = st.lists(
     min_size=1, max_size=40)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(sends)
 # Unclamped, the last message (0 bytes, sent 1e-7 s after the 8 MB one)
 # drains at 3.32e-4 against 3.3200000000000005e-4 and overtakes it.

@@ -201,7 +201,7 @@ class Interpreter:
                 self.log.append("nothing to step")
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(ops, st.lists(st.integers(0, 3), min_size=1, max_size=4), commands)
 # A stop requested by the last event does not end the run early: the
 # queue is empty, so the clock still goes to the deadline.

@@ -346,9 +346,8 @@ TestJobStatusTableMachine = JobStatusTableMachine.TestCase
 for case in (TestFDTableMachine, TestLogStoreMachine,
              TestSchedulerConservationMachine, TestJobStatusTableMachine,
              TestPathCacheMachine):
-    case.settings = settings(max_examples=30, stateful_step_count=40,
-                             deadline=None)
+    case.settings = settings(max_examples=30, stateful_step_count=40)
 # Four jobs, eight rules: a merge that flips a flag needs a five-step
 # prefix, so this machine gets more and longer runs.
 TestJobStatusTableMachine.settings = settings(
-    max_examples=100, stateful_step_count=60, deadline=None)
+    max_examples=100, stateful_step_count=60)

@@ -174,7 +174,7 @@ def run(context_class, plan, latency):
     return log, ctx.dropped_count, fabric.dropped_messages, eng.now
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(plans, st.sampled_from([0.0, 1e-6]))
 def test_progress_callback_delivers_what_the_dispatcher_did(plan, latency):
     assert (run(UCPContext, plan, latency)
