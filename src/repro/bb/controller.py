@@ -4,10 +4,13 @@
 of active jobs, and allocates a number of tokens according to the fair
 sharing policy."
 
-Token allocation: whenever the job table's active set changes (new job,
-expiry, merge), the controller recomputes the statistical token
-assignment. With a single server — or before any peer information has
-arrived — shares come straight from the policy over the local table.
+Token allocation: whenever the job table's active set or the placement
+map changes (new job, expiry, merge), the controller captures the
+derivation's inputs and hands the scheduler a pending derivation; the
+statistical token scheduler runs it at the first draw that reads it, so
+changes no worker draws between cost nothing. With a single server — or
+before any peer information has arrived — shares come straight from the
+policy over the local table.
 Once λ-sync has exchanged tables *and placement* (which jobs each server
 hosts), every server solves the same placement-constrained assignment
 (:func:`repro.core.fairness.placement_shares`, the Fig. 5 adjustment)
@@ -49,11 +52,12 @@ from typing import (TYPE_CHECKING, Collection, Deque, Dict, FrozenSet, List,
                     Optional, Tuple)
 
 from ..core.fairness import placement_shares
-from ..core.jobinfo import JobRecord
+from ..core.jobinfo import JobInfo, JobRecord
 from ..errors import RpcTimeout, UCXError
 from ..ucx import Address, RpcClient
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..core.scheduler import Scheduler
     from .server import Server
 
 __all__ = ["Controller", "tree_order", "tree_children", "subtree_height"]
@@ -206,7 +210,10 @@ class Controller:
                 self._set_presence(host, jobs)
 
     def refresh_tokens(self, force: bool = False) -> bool:
-        """Recompute the scheduler's tokens if anything relevant changed."""
+        """Hand the scheduler a token derivation if anything relevant
+        changed. The derivation's inputs are captured here, at the
+        change; when it runs is the scheduler's choice
+        (:meth:`Scheduler.defer_tokens`)."""
         server = self.server
         table = server.monitor.table
         self._set_presence(server.name, server.monitor.active_local_jobs())
@@ -218,30 +225,40 @@ class Controller:
             return False
         self._table_version_seen = table.version
         self._presence_dirty = False
-        self._presence_seen = dict(self.presence)
-
+        self._presence_seen = presence = dict(self.presence)
         active = table.active_jobs()
-        now = server.engine.now
-        informative_peers = [name for name, jobs in self.presence.items()
+        scheduler = server.scheduler
+        scheduler.defer_tokens(
+            lambda: self._derive_tokens(scheduler, active, presence))
+        return True
+
+    def _derive_tokens(self, scheduler: "Scheduler", active: List[JobInfo],
+                       presence: Dict[str, FrozenSet[int]]) -> None:
+        """Eq. 1, then the Fig. 5 projection, over a change's captured
+        inputs (the active jobs and the ``_presence_seen`` snapshot),
+        installed into *scheduler*. Pure: it reads no live table, draws
+        no random number and the memo is keyed by content, so it installs
+        the same bits whenever it runs."""
+        server = self.server
+        informative_peers = [name for name, jobs in presence.items()
                              if name != server.name and jobs]
         if not informative_peers:
-            server.scheduler.on_jobs_changed(active, now)
-            return True
+            scheduler.on_jobs_changed(active)
+            return
         # Placement-aware assignment (Fig. 5): global policy shares,
         # projected onto each server's hosted-job set.
         global_shares = server.policy_shares(active)
         if not global_shares:
-            server.scheduler.on_jobs_changed(active, now)
-            return True
+            scheduler.on_jobs_changed(active)
+            return
         rows = placement_shares(
-            {name: jobs for name, jobs in self.presence.items() if jobs},
+            {name: jobs for name, jobs in presence.items() if jobs},
             global_shares, memo=server.placement_memo)
         row = rows.get(server.name)
         if row:
-            server.scheduler.set_assignment(row, now)
+            scheduler.set_assignment(row)
         else:
-            server.scheduler.on_jobs_changed(active, now)
-        return True
+            scheduler.on_jobs_changed(active)
 
     # ----------------------------------------------------------------- peers
     def connect_peers(self, peers: Dict[str, Address]) -> None:

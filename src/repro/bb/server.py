@@ -257,7 +257,9 @@ class Server:
             worker = self.pool.assign(client_id)
             rpc.reply({"ok": True, "io_worker": worker.name})
         elif kind == "heartbeat":
-            self.monitor.observe(body["job"], client_id)
+            # A beat can reactivate a job that expired in silence.
+            if self.monitor.observe(body["job"], client_id):
+                self.controller.refresh_tokens()
             rpc.reply({"ok": True})
         elif kind == "goodbye":
             self.pool.release(client_id)

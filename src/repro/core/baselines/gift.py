@@ -71,8 +71,7 @@ class GiftScheduler(Scheduler):
             self._arrived_epoch[request.job_id] = (
                 self._arrived_epoch.get(request.job_id, 0.0) + request.cost)
 
-    def on_jobs_changed(self, active_jobs: Sequence[JobInfo],
-                        now: float) -> None:
+    def on_jobs_changed(self, active_jobs: Sequence[JobInfo]) -> None:
         self._active = list(active_jobs)
 
     def dequeue(self, now: float) -> Optional[Any]:

@@ -87,8 +87,7 @@ class TbfScheduler(Scheduler):
             self._deficit[job_id] = 0.0
             self._known = sorted(set(self._known) | {job_id})
 
-    def on_jobs_changed(self, active_jobs: Sequence[JobInfo],
-                        now: float) -> None:
+    def on_jobs_changed(self, active_jobs: Sequence[JobInfo]) -> None:
         for info in active_jobs:
             if info.job_id not in self._tokens:
                 self._tokens[info.job_id] = self._burst(info.job_id)

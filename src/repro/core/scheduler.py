@@ -9,8 +9,13 @@ so the paper's comparators (FIFO, GIFT, TBF — see
 - ``enqueue(request, now)`` — communicator hands over an arrived request;
 - ``dequeue(now)`` — a free worker asks for the next request; ``None``
   means "nothing may run right now" (an idle cycle);
-- ``on_jobs_changed(active_jobs, now)`` — controller pushes the merged
-  job table whenever membership changes (token reallocation);
+- ``defer_tokens(derive)`` — the controller hands over a token
+  derivation whose inputs it captured at a job-set change; the
+  statistical token scheduler runs it at the first draw that reads the
+  assignment, every other scheduler at once;
+- ``on_jobs_changed(active_jobs)`` / ``set_assignment(shares)`` — what a
+  derivation installs: the merged active-job set, or an explicit
+  placement-adjusted share map (Fig. 5);
 - ``next_eligible_time(now)`` — earliest time a blocked backlog could
   become serviceable (lets throttling schedulers tell workers when to
   retry; ``inf`` for work-conserving schedulers).
@@ -19,7 +24,7 @@ so the paper's comparators (FIFO, GIFT, TBF — see
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -53,11 +58,18 @@ class Scheduler(ABC):
     def dequeue(self, now: float) -> Optional[Any]:
         """Pick the next request to serve, or None for an idle cycle."""
 
-    def on_jobs_changed(self, active_jobs: Sequence[JobInfo],
-                        now: float) -> None:
+    def defer_tokens(self, derive: Callable[[], None]) -> None:
+        """Take a token derivation captured at a job-set change.
+
+        Default: run it now. A comparator takes in the job set at the
+        change itself (TBF opens a bucket that its next refill tops up).
+        """
+        derive()
+
+    def on_jobs_changed(self, active_jobs: Sequence[JobInfo]) -> None:
         """React to a change in the active-job set (default: ignore)."""
 
-    def set_assignment(self, shares: "dict[int, float]", now: float) -> None:
+    def set_assignment(self, shares: "dict[int, float]") -> None:
         """Install an explicit share map (placement-adjusted tokens from
         the controller's λ-sync, Fig. 5). Default: ignore — only the
         statistical token scheduler consumes shares."""
@@ -99,12 +111,18 @@ class StatisticalTokenScheduler(Scheduler):
     The draw keeps no state between dequeues: each one re-cuts [0, 1]
     over the jobs backlogged at that moment
     (:meth:`TokenAssignment.draw_among`).
+
+    Tokens are derived on demand: :meth:`defer_tokens` holds at most one
+    pending derivation (a later change replaces it), and the first
+    dequeue or :attr:`assignment` read after it runs it once. The
+    derivation is pure over inputs captured at the change, so every draw
+    sees the assignment an install at the change would have left.
     """
 
     name = "themis"
 
-    __slots__ = ("policy", "rng", "opportunity_fair",
-                 "queues", "assignment", "draws", "wasted_draws")
+    __slots__ = ("policy", "rng", "opportunity_fair", "queues",
+                 "_assignment", "_pending", "draws", "wasted_draws")
 
     def __init__(self, policy: Policy, rng: np.random.Generator,
                  opportunity_fair: bool = True):
@@ -112,7 +130,8 @@ class StatisticalTokenScheduler(Scheduler):
         self.rng = rng
         self.opportunity_fair = bool(opportunity_fair)
         self.queues = QueueSet()
-        self.assignment: Optional[TokenAssignment] = None
+        self._assignment: Optional[TokenAssignment] = None
+        self._pending: Optional[Callable[[], None]] = None
         self.draws = 0
         self.wasted_draws = 0
 
@@ -120,21 +139,39 @@ class StatisticalTokenScheduler(Scheduler):
     def enqueue(self, request: Any, now: float) -> None:
         self.queues.push(request)
 
-    def on_jobs_changed(self, active_jobs: Sequence[JobInfo],
-                        now: float) -> None:
+    def defer_tokens(self, derive: Callable[[], None]) -> None:
+        # Every reader runs the pending derivation first, so the
+        # installed assignment is dead from here on: free it now.
+        self._pending = derive
+        self._assignment = None
+
+    def on_jobs_changed(self, active_jobs: Sequence[JobInfo]) -> None:
         self._install(self.policy.shares(active_jobs))
 
-    def set_assignment(self, shares, now: float) -> None:
+    def set_assignment(self, shares) -> None:
         self._install({j: s for j, s in shares.items() if s > 0})
 
     def _install(self, shares: "dict[int, float]") -> None:
-        self.assignment = TokenAssignment(shares) if shares else None
+        # Installing ends the pending derivation, the running one
+        # included, so each runs once.
+        self._pending = None
+        self._assignment = TokenAssignment(shares) if shares else None
+
+    @property
+    def assignment(self) -> Optional[TokenAssignment]:
+        """The live token assignment (derived first if a change is
+        pending), None before any job is known."""
+        if self._pending is not None:
+            self._pending()
+        return self._assignment
 
     def dequeue(self, now: float) -> Optional[Any]:
         queues = self.queues
         if not queues:
             return None
-        assignment = self.assignment
+        if self._pending is not None:
+            self._pending()
+        assignment = self._assignment
         if assignment is None:
             # No token info yet: serve uniformly among backlogged jobs.
             backlogged = queues.nonempty_jobs()
@@ -177,4 +214,5 @@ class StatisticalTokenScheduler(Scheduler):
 
     def current_shares(self) -> dict:
         """The live token assignment (job id -> share), {} if none."""
-        return self.assignment.as_dict() if self.assignment else {}
+        assignment = self.assignment
+        return assignment.as_dict() if assignment else {}

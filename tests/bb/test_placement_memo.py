@@ -4,6 +4,11 @@ After a scatter every controller of a cluster holds the same merged
 table and placement map, so the N projection requests of one epoch must
 cost one solve — and a server that crashed and came back must still end
 up with the row its own state calls for.
+
+A projection is requested when a server's assignment is first read (a
+worker's draw, or :attr:`StatisticalTokenScheduler.assignment`), not at
+the scatter: these clusters have no clients, so nothing is requested
+until the test reads.
 """
 
 import pytest
@@ -48,6 +53,12 @@ def _tree_cluster(monkeypatch, n_servers=16, fanout=4):
     return cluster, requests
 
 
+def _read_assignments(cluster):
+    """Read every server's assignment, as a draw would."""
+    return {name: server.scheduler.assignment
+            for name, server in cluster.servers.items()}
+
+
 def _assert_rows_installed(cluster):
     """Every live server runs the row its own merged state projects to."""
     for server in cluster.servers.values():
@@ -65,20 +76,25 @@ def test_one_solve_per_distinct_merged_state(monkeypatch):
     late = JobInfo(job_id=2, user="late", size=8)
     bb5 = cluster.servers["bb5"]
     cluster.run(until=3.4 * LAMBDA)
+    # The scatter left one pending derivation per server, none run yet.
+    assert cluster.sync_stats()["placement_requests"] == len(requests) == 0
+    # Reading all 16 assignments: 16 requests, one state, one solve.
+    _read_assignments(cluster)
     stats = cluster.sync_stats()
-    # One scatter reached all 16 controllers: 16 requests, one state.
     assert stats["placement_requests"] == len(requests) == 16
     assert len(set(requests)) == 1
     assert stats["placement_solves"] == 1
+    _read_assignments(cluster)         # derived once, read for free
+    assert cluster.sync_stats()["placement_requests"] == 16
 
     bb5.monitor.observe(late)          # a job arrives on one server
     cluster.run(until=6.4 * LAMBDA)
+    _assert_rows_installed(cluster)
     stats = cluster.sync_stats()
-    assert stats["placement_requests"] == len(requests) > 16
+    assert stats["placement_requests"] == len(requests) == 32
     distinct = len(set(requests))
     assert 2 <= distinct <= cluster.placement_memo.BOUND
     assert stats["placement_solves"] == distinct
-    _assert_rows_installed(cluster)
 
 
 def test_reset_after_crash_installs_the_right_row(monkeypatch):
@@ -93,8 +109,11 @@ def test_reset_after_crash_installs_the_right_row(monkeypatch):
     cluster.run(until=5.4 * LAMBDA)
     cluster.restart_server("bb3")
     cluster.run(until=8.4 * LAMBDA)
-    # Back, but hosting nothing yet: bb3's own view is a second state.
+    # Back, but hosting nothing yet: bb3's own view is a second state,
+    # which every server now holds.
     assert bb3.controller.presence["bb3"] == frozenset()
+    _read_assignments(cluster)
+    assert len(requests) == 32
     assert len(set(requests)) == 2
     assert cluster.sync_stats()["placement_solves"] == 2
 
@@ -105,7 +124,7 @@ def test_reset_after_crash_installs_the_right_row(monkeypatch):
     _assert_rows_installed(cluster)
     assert bb3.scheduler.assignment.as_dict() == before
     stats = cluster.sync_stats()
-    assert stats["placement_requests"] == len(requests) > 17
+    assert stats["placement_requests"] == len(requests) == 48
     assert len(set(requests)) == 2 and requests[-1] == requests[0]
     assert stats["placement_solves"] == 2
     assert len(cluster.placement_memo) == 2

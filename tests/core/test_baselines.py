@@ -62,7 +62,7 @@ class TestGift:
 
     def test_equal_epoch_allocation_between_backlogged_jobs(self):
         s = GiftScheduler(capacity=100.0, mu=1.0)
-        s.on_jobs_changed([job(1), job(2)], 0.0)
+        s.on_jobs_changed([job(1), job(2)])
         for _ in range(100):
             s.enqueue(Req(1, cost=1.0), 0.0)
             s.enqueue(Req(2, cost=1.0), 0.0)
@@ -80,7 +80,7 @@ class TestGift:
         # One job with demand far above the epoch capacity: once its
         # budget is spent, dequeue returns None despite backlog.
         s = GiftScheduler(capacity=10.0, mu=1.0)
-        s.on_jobs_changed([job(1), job(2)], 0.0)
+        s.on_jobs_changed([job(1), job(2)])
         for _ in range(100):
             s.enqueue(Req(1, cost=1.0), 0.0)
         while s.dequeue(0.0) is not None:
@@ -90,7 +90,7 @@ class TestGift:
 
     def test_budget_resets_at_next_epoch(self):
         s = GiftScheduler(capacity=10.0, mu=1.0)
-        s.on_jobs_changed([job(1)], 0.0)
+        s.on_jobs_changed([job(1)])
         for _ in range(30):
             s.enqueue(Req(1, cost=1.0), 0.0)
         n0 = 0
@@ -105,7 +105,7 @@ class TestGift:
         # A solo active job is budgeted the full epoch capacity at once —
         # GIFT throttles contenders, it does not starve.
         s = GiftScheduler(capacity=100.0, mu=1.0)
-        s.on_jobs_changed([job(1)], 0.0)
+        s.on_jobs_changed([job(1)])
         for _ in range(200):
             s.enqueue(Req(1, cost=1.0), 0.0)
         served = 0
@@ -115,7 +115,7 @@ class TestGift:
 
     def test_donor_earns_coupons_at_settlement(self):
         s = GiftScheduler(capacity=100.0, mu=1.0)
-        s.on_jobs_changed([job(1), job(2)], 0.0)
+        s.on_jobs_changed([job(1), job(2)])
         # Epoch 1: job 1 uses only 5 of its 50-byte fair share.
         s.enqueue(Req(1, cost=5.0), 0.0)
         for _ in range(100):
@@ -128,7 +128,7 @@ class TestGift:
 
     def test_spare_flows_to_demanding_job_next_epoch(self):
         s = GiftScheduler(capacity=100.0, mu=1.0)
-        s.on_jobs_changed([job(1), job(2)], 0.0)
+        s.on_jobs_changed([job(1), job(2)])
         s.enqueue(Req(1, cost=5.0), 0.0)
         for _ in range(200):
             s.enqueue(Req(2, cost=1.0), 0.0)
@@ -152,7 +152,7 @@ class TestGift:
 
     def test_coupon_redemption_uses_lp(self):
         s = GiftScheduler(capacity=100.0, mu=1.0)
-        s.on_jobs_changed([job(1), job(2)], 0.0)
+        s.on_jobs_changed([job(1), job(2)])
         # Epoch 1: job 1 donates most of its share; job 2 is capped at 50.
         s.enqueue(Req(1, cost=5.0), 0.0)
         for _ in range(95):
@@ -176,10 +176,10 @@ class TestGift:
     def test_new_job_waits_for_epoch_boundary(self):
         # The adjustment lag: a job arriving mid-epoch has no budget.
         s = GiftScheduler(capacity=100.0, mu=1.0)
-        s.on_jobs_changed([job(1)], 0.0)
+        s.on_jobs_changed([job(1)])
         s.enqueue(Req(1, cost=1.0), 0.0)
         assert s.dequeue(0.0) is not None  # epoch starts, job 1 budgeted
-        s.on_jobs_changed([job(1), job(2)], 0.5)
+        s.on_jobs_changed([job(1), job(2)])
         s.enqueue(Req(2, cost=1.0), 0.5)
         assert s.dequeue(0.5) is None       # job 2 throttled until t=1.0
         assert s.dequeue(1.0) is not None   # budgeted at the boundary
@@ -197,7 +197,7 @@ class TestTbf:
     def test_rate_limits_throughput(self):
         # Rate 10 B/s, burst 0.5 s: over 10 s the class serves ~100 bytes.
         s = TbfScheduler(capacity=20.0, rates={1: 10.0}, burst_seconds=0.5)
-        s.on_jobs_changed([job(1)], 0.0)
+        s.on_jobs_changed([job(1)])
         served = 0.0
         t = 0.0
         while t < 10.0:
@@ -210,7 +210,7 @@ class TestTbf:
 
     def test_insufficient_tokens_blocks(self):
         s = TbfScheduler(capacity=10.0, rates={1: 1.0}, burst_seconds=1.0)
-        s.on_jobs_changed([job(1)], 0.0)
+        s.on_jobs_changed([job(1)])
         s.enqueue(Req(1, cost=5.0), 0.0)
         s.dequeue(0.0)  # burst covers the first; drain it
         s.enqueue(Req(1, cost=5.0), 0.0)
@@ -224,7 +224,7 @@ class TestTbf:
         # effectively refills at ~10 B/s.
         s = TbfScheduler(capacity=10.0, rates={1: 5.0, 2: 5.0},
                          burst_seconds=0.2)
-        s.on_jobs_changed([job(1), job(2)], 0.0)
+        s.on_jobs_changed([job(1), job(2)])
         served = 0.0
         t = 0.0
         while t < 10.0:
@@ -239,7 +239,7 @@ class TestTbf:
         # A class starved past one burst's worth of guaranteed bytes may
         # dispatch on credit.
         s = TbfScheduler(capacity=10.0, rates={1: 10.0}, burst_seconds=0.1)
-        s.on_jobs_changed([job(1)], 0.0)
+        s.on_jobs_changed([job(1)])
         s.enqueue(Req(1, cost=100.0), 0.0)  # cost far above any bucket
         assert s.dequeue(0.0) is None
         # After 2 s starved, deficit (20) exceeds burst (1): HTC kicks in.

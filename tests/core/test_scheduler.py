@@ -76,7 +76,7 @@ class TestDrainAndWake:
 
     def test_scheduler_drain_empties_queues(self):
         s = make()
-        s.on_jobs_changed([job(1), job(2)], 0.0)
+        s.on_jobs_changed([job(1), job(2)])
         for i in range(3):
             s.enqueue(Req(1, seq=i), 0.0)
         s.enqueue(Req(2, seq=0), 0.0)
@@ -87,7 +87,7 @@ class TestDrainAndWake:
 
     def test_dequeue_after_drain_draws_over_the_new_backlog(self):
         s = make("job-fair")
-        s.on_jobs_changed([job(1), job(2), job(3)], 0.0)
+        s.on_jobs_changed([job(1), job(2), job(3)])
         for _ in range(6):
             s.enqueue(Req(1), 0.0)
             s.enqueue(Req(2), 0.0)
@@ -103,7 +103,7 @@ class TestDrainAndWake:
         # backlogged queue must be polled again immediately (the worker
         # keeps its pre-existing _BLOCKED_RETRY cadence, trace-identical).
         s = make(opportunity_fair=False)
-        s.on_jobs_changed([job(1)], 0.0)
+        s.on_jobs_changed([job(1)])
         assert s.next_eligible_time(5.0) == float("inf")  # empty queues
         s.enqueue(Req(1), 5.0)
         assert s.next_eligible_time(5.0) == 5.0
@@ -112,7 +112,7 @@ class TestDrainAndWake:
         # dequeue never returns None with backlog here, so a None means
         # "no work at all" and the worker can park on the work event.
         s = make(opportunity_fair=True)
-        s.on_jobs_changed([job(1)], 0.0)
+        s.on_jobs_changed([job(1)])
         assert s.next_eligible_time(0.0) == float("inf")
         s.enqueue(Req(1), 0.0)
         assert s.next_eligible_time(0.0) == float("inf")
@@ -121,7 +121,7 @@ class TestDrainAndWake:
 class TestTokenScheduler:
     def test_serves_fifo_within_a_job(self):
         s = make()
-        s.on_jobs_changed([job(1)], 0.0)
+        s.on_jobs_changed([job(1)])
         for i in range(3):
             s.enqueue(Req(1, seq=i), 0.0)
         assert [s.dequeue(0.0).seq for _ in range(3)] == [0, 1, 2]
@@ -132,7 +132,7 @@ class TestTokenScheduler:
 
     def test_job_fair_splits_service_evenly(self):
         s = make("job-fair", seed=1)
-        s.on_jobs_changed([job(1), job(2)], 0.0)
+        s.on_jobs_changed([job(1), job(2)])
         for i in range(4000):
             s.enqueue(Req(1), 0.0)
             s.enqueue(Req(2), 0.0)
@@ -144,7 +144,7 @@ class TestTokenScheduler:
 
     def test_size_fair_splits_proportionally(self):
         s = make("size-fair", seed=2)
-        s.on_jobs_changed([job(1, size=4), job(2, size=1)], 0.0)
+        s.on_jobs_changed([job(1, size=4), job(2, size=1)])
         for _ in range(6000):
             s.enqueue(Req(1), 0.0)
             s.enqueue(Req(2), 0.0)
@@ -157,7 +157,7 @@ class TestTokenScheduler:
     def test_opportunity_fairness_gives_idle_cycles_away(self):
         # Job 1 has no backlog: job 2 must receive every cycle.
         s = make("job-fair", seed=3)
-        s.on_jobs_changed([job(1), job(2)], 0.0)
+        s.on_jobs_changed([job(1), job(2)])
         for _ in range(50):
             s.enqueue(Req(2), 0.0)
         for _ in range(50):
@@ -168,7 +168,7 @@ class TestTokenScheduler:
         # Ablation: without opportunity fairness, draws landing on the
         # idle job's segment return None.
         s = make("job-fair", seed=4, opportunity_fair=False)
-        s.on_jobs_changed([job(1), job(2)], 0.0)
+        s.on_jobs_changed([job(1), job(2)])
         for _ in range(200):
             s.enqueue(Req(2), 0.0)
         results = [s.dequeue(0.0) for _ in range(200)]
@@ -178,7 +178,7 @@ class TestTokenScheduler:
     def test_backlogged_job_never_starved(self):
         # With heavy competition, a backlogged job still gets ~its share.
         s = make("size-fair", seed=5)
-        s.on_jobs_changed([job(1, size=15), job(2, size=1)], 0.0)
+        s.on_jobs_changed([job(1, size=15), job(2, size=1)])
         for _ in range(8000):
             s.enqueue(Req(1), 0.0)
             s.enqueue(Req(2), 0.0)
@@ -190,7 +190,7 @@ class TestTokenScheduler:
 
     def test_unknown_backlogged_job_gets_mean_share(self):
         s = make("job-fair", seed=6)
-        s.on_jobs_changed([job(1)], 0.0)
+        s.on_jobs_changed([job(1)])
         s.enqueue(Req(99), 0.0)  # job not yet in the table
         assert s.dequeue(0.0).job_id == 99
 
@@ -206,11 +206,11 @@ class TestTokenScheduler:
 
     def test_jobs_changed_recomputes_shares(self):
         s = make("job-fair", seed=8)
-        s.on_jobs_changed([job(1)], 0.0)
+        s.on_jobs_changed([job(1)])
         assert s.current_shares() == pytest.approx({1: 1.0})
-        s.on_jobs_changed([job(1), job(2)], 1.0)
+        s.on_jobs_changed([job(1), job(2)])
         assert s.current_shares() == pytest.approx({1: 0.5, 2: 0.5})
-        s.on_jobs_changed([], 2.0)
+        s.on_jobs_changed([])
         assert s.current_shares() == {}
 
     def test_backlog_property(self):
@@ -224,7 +224,7 @@ class TestTokenScheduler:
     def test_deterministic_given_seed(self):
         def run(seed):
             s = make("job-fair", seed=seed)
-            s.on_jobs_changed([job(1), job(2)], 0.0)
+            s.on_jobs_changed([job(1), job(2)])
             for _ in range(100):
                 s.enqueue(Req(1), 0.0)
                 s.enqueue(Req(2), 0.0)

@@ -161,7 +161,7 @@ def _same_trace(policy_name, seed, population):
         lambda p, s: StatisticalTokenScheduler(Policy.parse(p),
                                                np.random.default_rng(s)),
         lambda sch: sch.dequeue(0.0),
-        lambda sch, jobs: sch.on_jobs_changed(jobs, 0.0),
+        lambda sch, jobs: sch.on_jobs_changed(jobs),
         population)
     assert seed_trace == new_trace
     return widest

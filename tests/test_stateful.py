@@ -129,7 +129,7 @@ class SchedulerConservationMachine(RuleBasedStateMachine):
     @rule(jobs=st.sets(st.integers(1, 5), min_size=0, max_size=5))
     def membership_change(self, jobs):
         infos = [JobInfo(job_id=j, user=f"u{j}", size=j) for j in sorted(jobs)]
-        self.scheduler.on_jobs_changed(infos, 0.0)
+        self.scheduler.on_jobs_changed(infos)
 
     @rule()
     def dequeue(self):
