@@ -90,6 +90,8 @@ class ServerConfig:
                 "sync_processing_time and sync_timeout must be >= 0")
         if self.client_pool_workers < 1:
             raise ConfigError("client_pool_workers must be >= 1")
+        if self.expire_check_interval <= 0:
+            raise ConfigError("expire_check_interval must be positive")
         if self.sync_tree_fanout < 0 or self.sync_tree_fanout == 1:
             raise ConfigError(
                 "sync_tree_fanout must be 0 (flat round) or >= 2")

@@ -5,11 +5,9 @@
 ``datawarp``, ``outage``, ``repair`` and ``sync-ladder``) and ``figure
 NAME`` runs one and prints its paper-style report. Every figure is a
 grid of independent points: ``--workspace DIR`` caches them (the
-hits/misses summary goes to stderr), ``--jobs N`` fans cold ones out.
-``sweep`` runs any grid of points — a JSON spec file, ``--grid quick``,
-or ``--grid FIGURE`` for a figure's default points — through the same
-content-addressed workspace (:mod:`repro.harness.sweep`) and prints
-hits/misses/speedup plus the results digest. ``sharing`` is an ad-hoc
+one-line hits/misses count goes to stderr), ``--jobs N`` fans cold ones
+out; any other parameterisation of a figure is a keyword argument of
+:func:`repro.harness.experiments.run_figure`. ``sharing`` is an ad-hoc
 two-phase run: ``--jobs 4:alice,1:bob`` runs one job per
 ``nodes:user[:group]`` entry, the first for the whole window, the rest
 joining a quarter in. ``policies`` lists accepted sharing-policy
@@ -21,15 +19,13 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import sys
 from typing import List, Optional
 
 from .core.policy import Policy
 from .errors import ReproError
-from .harness.experiments import FIGURES, timeline
+from .harness.experiments import FIGURES, run_points, timeline
 from .harness.runner import run_experiment
-from .harness.sweep import BUILTIN_GRIDS, ParallelRunner, load_spec
 from .harness.workspace import Workspace
 from .units import fmt_bw
 from .workloads import JobSpec
@@ -77,27 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "lint", add_help=False,
         help="static determinism & sim-safety analysis (repro.lint)")
-
-    sweep = sub.add_parser(
-        "sweep", help="run a declarative sweep through the "
-                      "content-addressed workspace")
-    sweep.add_argument("spec", nargs="?", default=None,
-                       help="JSON sweep spec file (default: --grid)")
-    sweep.add_argument("--grid", default="quick",
-                       choices=sorted(BUILTIN_GRIDS) + sorted(FIGURES),
-                       help="grid to run when no spec file is given: quick, "
-                            "or a figure's default points")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for cold points (default 1)")
-    sweep.add_argument("--workspace", default=".workspace",
-                       help="content-addressed store directory")
-    sweep.add_argument("--no-workspace", action="store_true",
-                       help="compute every point, bypassing the store")
-    sweep.add_argument("--rerun", action="store_true",
-                       help="invalidate this sweep's stored points first")
-    sweep.add_argument("--json", default=None, dest="json_out",
-                       help="also write the run summary (hits/misses/"
-                            "digest) to this path")
     return parser
 
 
@@ -108,7 +83,11 @@ def _parse_jobs(spec: str) -> List[JobSpec]:
         if len(parts) < 2:
             raise ReproError(
                 f"bad job entry {entry!r}: expected nodes:user[:group]")
-        nodes = int(parts[0])
+        try:
+            nodes = int(parts[0])
+        except ValueError:
+            raise ReproError(
+                f"bad job entry {entry!r}: nodes must be an integer") from None
         user = parts[1]
         group = parts[2] if len(parts) > 2 else "g0"
         jobs.append(JobSpec(job_id=idx + 1, user=user, group=group,
@@ -131,21 +110,17 @@ def _cmd_policies() -> int:
     return 0
 
 
-def _runner(workspace: Optional[str], jobs: int) -> ParallelRunner:
-    return ParallelRunner(
-        workspace=Workspace(workspace) if workspace else None, jobs=jobs)
-
-
 def _cmd_figure(args) -> int:
     figure = FIGURES[args.name]
     takes = inspect.signature(figure.points).parameters
     params = {name: getattr(args, name) for name in ("scale", "seed")
               if name in takes}
-    run = _runner(args.workspace, args.jobs).run_points(
-        figure.expand(**params))
-    print(figure.report(run.rows()))
-    if args.workspace:
-        print(run.summary(), file=sys.stderr)
+    workspace = Workspace(args.workspace) if args.workspace else None
+    rows, hits = run_points(figure.cell, figure.points(**params), workspace,
+                            args.jobs)
+    print(figure.report(rows))
+    if workspace is not None:
+        print(f"hits {hits} misses {len(rows) - hits}", file=sys.stderr)
     return 0
 
 
@@ -169,26 +144,6 @@ def _cmd_sharing(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    if args.spec or args.grid in BUILTIN_GRIDS:
-        spec = load_spec(args.spec) if args.spec else BUILTIN_GRIDS[args.grid]
-        name, kind = spec.name, spec.kind
-        points = [(kind, config) for config in spec.points()]
-    else:
-        name, kind = args.grid, FIGURES[args.grid].kind
-        points = FIGURES[args.grid].expand()
-    runner = _runner(None if args.no_workspace else args.workspace, args.jobs)
-    run = runner.run_points(points, rerun=args.rerun)
-    print(f"sweep {name} ({kind}): {len(run.points)} points")
-    print(run.summary())
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(run.to_summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json_out}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     if argv is None:
@@ -208,8 +163,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_figure(args)
         if args.command == "sharing":
             return _cmd_sharing(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,10 @@
-"""Experiment harness: configs, runner, reporting, the figure table,
-and the content-addressed sweep workspace."""
+"""Experiment harness: configs, runner, reporting, the figure table
+and the content-addressed workspace its points are cached in."""
 
 from .config import ExperimentConfig, JobRun
-from .experiments import FIGURES, run_figure, scenario
+from .experiments import FIGURES, run_figure, run_points, scenario
 from .report import pct, ratio, sparkline, table
 from .runner import ExperimentResult, JobOutcome, run_experiment
-from .sweep import BUILTIN_GRIDS, ParallelRunner, SweepRun, SweepSpec
 from .workspace import Workspace, code_rev, point_key
 
 __all__ = [
@@ -16,6 +15,7 @@ __all__ = [
     "JobOutcome",
     "FIGURES",
     "run_figure",
+    "run_points",
     "scenario",
     "table",
     "sparkline",
@@ -24,8 +24,4 @@ __all__ = [
     "Workspace",
     "code_rev",
     "point_key",
-    "SweepSpec",
-    "SweepRun",
-    "ParallelRunner",
-    "BUILTIN_GRIDS",
 ]

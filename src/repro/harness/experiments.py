@@ -2,15 +2,18 @@
 
 **scenario** — a function returning a plain :class:`ExperimentConfig`
 (cluster, jobs, horizon, fault plan): the whole description of a run.
-**cell** — one *point kind*: JSON config dict -> scenario ->
+**cell** — a module-level function: JSON config dict -> scenario ->
 :func:`run_experiment` -> JSON result dict, so every cell can be cached
 in the workspace and fanned out over processes. **figure** — one row of
-:data:`FIGURES`: its point kind, the cell configs its arguments expand
-to (the docstring of that function is the shape the paper expects), and
+:data:`FIGURES`: its cell, the cell configs its arguments expand to (the
+docstring of that function is the shape the paper expects), and
 ``report(rows)`` printing the rows/series the paper shows. A *row* is a
 cell's config merged with its result; everything derived
 (``sharing_ratio``, ``slowdown``, ``efficiencies`` …) is a pure
-function of rows.
+function of rows. :func:`run_points` is the one runner: it reads and
+writes the content-addressed :class:`~repro.harness.workspace.Workspace`
+and fans cold points out over ``spawn`` workers; :func:`run_figure` runs
+a row through it.
 
 Magnitudes are simulation-scale (DESIGN.md §4.4): the shapes — who
 wins, approximate ratios, crossovers — are the reproduction target.
@@ -20,6 +23,7 @@ job 2 7.5 s from +3.75 s); ratios are time-scale invariant.
 
 from __future__ import annotations
 
+import multiprocessing
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -42,10 +46,10 @@ from ..workloads.ior import IORWorkload
 from .config import ExperimentConfig, JobRun
 from .report import pct, table
 from .runner import ExperimentResult, run_experiment
-from .sweep import ParallelRunner
+from .workspace import Workspace, code_rev, point_key
 
 __all__ = [
-    "FIGURES", "POINT_KINDS", "Figure", "run_figure",
+    "FIGURES", "Figure", "run_figure", "run_points",
     "scenario", "timeline", "fig07_scenario", "fig14_scenario",
     "app_scenario", "datawarp_scenario", "outage_scenario",
     "repair_scenario", "outage_row",
@@ -249,7 +253,7 @@ def repair_scenario(policy: str = "job-fair", seed: int = 0,
 # =====================================================================
 # Cells: one fully-resolved JSON config dict -> one JSON result dict.
 # All state lives inside the call, so points are safe to run in any
-# order, in any process (the sweep determinism contract).
+# order, in any process (the contract :func:`run_points` relies on).
 # =====================================================================
 
 def sharing_cell(config: Dict) -> Dict:
@@ -873,55 +877,98 @@ def _repair_report(rows: List[Dict]) -> str:
 class Figure(NamedTuple):
     """One row of :data:`FIGURES`."""
 
-    kind: str                            #: the point kind of its cells
     cell: Callable[[Dict], Dict]         #: config -> result, one point
     points: Callable[..., List[Dict]]    #: keyword arguments -> configs
     report: Callable[[List[Dict]], str]  #: rows -> the printed table
 
-    def expand(self, **params) -> List[Tuple[str, Dict]]:
-        """The ``(kind, config)`` points *params* expand to."""
-        return [(self.kind, config) for config in self.points(**params)]
 
-
-#: The one list of experiments: ``figures``, ``figure NAME``, the sweep's
-#: point kinds and ``sweep --grid`` all read it.
+#: The one list of experiments: ``figures`` and ``figure NAME`` read it.
 FIGURES: Dict[str, Figure] = {
-    "fig01": Figure("app", app_cell, _fig01_points, _interference_report),
-    "fig07": Figure("fig07_cell", fig07_cell, _fig07_points, _fig07_report),
-    "fig08a": Figure("sharing", sharing_cell,
-                     partial(_fig08_points, "size-fair"), _sharing_report),
-    "fig08b": Figure("sharing", sharing_cell,
-                     partial(_fig08_points, "job-fair"), _sharing_report),
-    "fig08c": Figure("steady", steady_cell, _fig08c_points,
-                     _composite_report),
-    "fig09": Figure("steady", steady_cell, _fig09_points, _composite_report),
-    "fig10": Figure("steady", steady_cell, _fig10_points, _composite_report),
-    "fig12": Figure("sharing", sharing_cell, _fig12_points, _fig12_report),
-    "fig13": Figure("app", app_cell, _fig13_points, _interference_report),
-    "fig14": Figure("fig14_cell", fig14_cell, _fig14_points, _fig14_report),
-    "datawarp": Figure("datawarp", datawarp_cell, _datawarp_points,
-                       _datawarp_report),
-    "sync-ladder": Figure("sync_cost", sync_cost_cell, _sync_ladder_points,
+    "fig01": Figure(app_cell, _fig01_points, _interference_report),
+    "fig07": Figure(fig07_cell, _fig07_points, _fig07_report),
+    "fig08a": Figure(sharing_cell, partial(_fig08_points, "size-fair"),
+                     _sharing_report),
+    "fig08b": Figure(sharing_cell, partial(_fig08_points, "job-fair"),
+                     _sharing_report),
+    "fig08c": Figure(steady_cell, _fig08c_points, _composite_report),
+    "fig09": Figure(steady_cell, _fig09_points, _composite_report),
+    "fig10": Figure(steady_cell, _fig10_points, _composite_report),
+    "fig12": Figure(sharing_cell, _fig12_points, _fig12_report),
+    "fig13": Figure(app_cell, _fig13_points, _interference_report),
+    "fig14": Figure(fig14_cell, _fig14_points, _fig14_report),
+    "datawarp": Figure(datawarp_cell, _datawarp_points, _datawarp_report),
+    "sync-ladder": Figure(sync_cost_cell, _sync_ladder_points,
                           _sync_ladder_report),
-    "outage": Figure("outage", outage_cell, _outage_points, _outage_report),
-    "repair": Figure("repair_cell", repair_cell, _repair_points,
-                     _repair_report),
+    "outage": Figure(outage_cell, _outage_points, _outage_report),
+    "repair": Figure(repair_cell, _repair_points, _repair_report),
 }
 
-#: point kind -> the function computing one point (what a sweep spec's
-#: ``kind`` names and a pool worker resolves).
-POINT_KINDS: Dict[str, Callable[[Dict], Dict]] = {
-    figure.kind: figure.cell for figure in FIGURES.values()}
+
+def _compute(task: Tuple[str, Callable[[Dict], Dict], Dict]
+             ) -> Tuple[str, Dict]:
+    """One cold point: ``(key, cell, config) -> (key, result)``.
+
+    Module-level, as is every cell, because ``spawn`` workers receive
+    both by qualified name (pickled by reference): a lambda or a
+    ``partial`` cannot cross the process boundary.
+    """
+    key, cell, config = task
+    return key, cell(dict(config))
 
 
-def run_figure(name: str, workspace=None, jobs: int = 1,
-               **params) -> List[Dict]:
+def run_points(cell: Callable[[Dict], Dict], configs: Sequence[Dict],
+               workspace: Optional[Workspace] = None, jobs: int = 1
+               ) -> Tuple[List[Dict], int]:
+    """Run *cell* on every config: the rows in config order (each config
+    merged with its result) and how many the *workspace* served.
+
+    A point's key is the cell's ``__name__``, its config and
+    :func:`code_rev`; stored points are read back, and cold ones are
+    computed once per distinct key and written back. Cold points run
+    in-process when ``jobs <= 1``, else over a ``spawn`` pool of
+    ``min(jobs, cold)`` workers. Serial, pooled and replayed runs return
+    equal rows because points share nothing: each cell builds its own
+    world from its config and seed (``repro.lint`` rule SIM004 polices
+    the worker boundary), results are reassembled by key, not in
+    completion order, and the store holds canonical JSON.
+    """
+    rev = code_rev() if workspace is not None else ""
+    keys = [point_key(cell.__name__, config, rev) for config in configs]
+    results: Dict[str, Dict] = {}
+    cold: Dict[str, Dict] = {}
+    for key, config in zip(keys, configs):
+        if key in results or key in cold:
+            continue
+        blob = workspace.get(key) if workspace is not None else None
+        if blob is not None:
+            results[key] = blob["result"]
+        else:
+            cold[key] = config
+    tasks = [(key, cell, config) for key, config in cold.items()]
+    if jobs <= 1 or len(tasks) <= 1:
+        computed = [_compute(task) for task in tasks]
+    else:
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
+            computed = list(pool.imap_unordered(_compute, tasks, chunksize=1))
+    for key, result in computed:
+        results[key] = result
+        if workspace is not None:
+            workspace.put(key, cell.__name__, cold[key], result, rev)
+    rows = [dict(config, **results[key]) for key, config in zip(keys, configs)]
+    return rows, sum(key not in cold for key in keys)
+
+
+def run_figure(name: str, workspace: Optional[Workspace] = None,
+               jobs: int = 1, **params) -> List[Dict]:
     """Run figure *name*'s points and return its rows, in point order.
 
-    *params* are the keyword arguments of the figure's points function;
-    each point runs as an independent sweep point: pass a ``workspace``
-    to cache cells across invocations and ``jobs`` to fan cold cells out
-    over processes. ``FIGURES[name].report(rows)`` prints them.
+    *params* are the keyword arguments of the figure's points function
+    (Fig. 7 at the paper's 128 servers is ``run_figure("fig07",
+    server_counts=(1, 2, 4, ..., 128))``); ``workspace`` and ``jobs`` go
+    to :func:`run_points`. ``FIGURES[name].report(rows)`` prints them.
     """
-    runner = ParallelRunner(workspace=workspace, jobs=jobs)
-    return runner.run_points(FIGURES[name].expand(**params)).rows()
+    figure = FIGURES[name]
+    rows, _hits = run_points(figure.cell, figure.points(**params),
+                             workspace, jobs)
+    return rows

@@ -1,13 +1,14 @@
-"""Content-addressed experiment workspace (the sweep results store).
+"""Content-addressed experiment workspace (the figure points' store).
 
 A *workspace* is an on-disk store of experiment point results keyed by
-a canonical content hash of the fully-resolved point configuration plus
-the code revision that produced it (the signac project/statepoint idea
-reduced to what sweeps need). Re-running a sweep only pays for points
-whose config or code changed; everything else is a cache hit read back
-from disk — and because every stored result is a canonical-JSON
-document, a replayed sweep is byte-identical to the run that populated
-the store (see :mod:`repro.harness.sweep` for the runner and the
+a canonical content hash of the cell, the fully-resolved point
+configuration and the code revision that produced it (the signac
+project/statepoint idea reduced to what figures need). Re-running a
+figure only pays for points whose config or code changed; everything
+else is a cache hit read back from disk — and because every stored
+result is a canonical-JSON document, a replay is byte-identical to the
+run that populated the store (see
+:func:`repro.harness.experiments.run_points` for the runner and the
 serial == parallel == replay contract).
 
 Layout under the workspace root (default ``.workspace/``)::
@@ -42,7 +43,7 @@ __all__ = ["canonical_json", "content_digest", "point_key", "code_rev",
 
 #: Bump when the blob schema changes incompatibly; part of every key so
 #: old-schema blobs age out as misses instead of being misread.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Environment override for the code revision (tests pin it; containers
 #: without git metadata can set it to a build id).
@@ -69,16 +70,16 @@ def content_digest(doc: Any) -> str:
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
-def point_key(kind: str, config: Dict[str, Any], rev: str) -> str:
+def point_key(cell: str, config: Dict[str, Any], rev: str) -> str:
     """The content-addressed store key of one experiment point.
 
-    *kind* names the point function (see
-    :data:`repro.harness.experiments.POINT_KINDS`), *config* is the fully
-    resolved parameter dict, *rev* the code revision. Any change to any
-    of the three produces a different key, which is exactly the
+    *cell* is the ``__name__`` of the function computing the point (a
+    cell of :data:`repro.harness.experiments.FIGURES`), *config* the
+    fully resolved parameter dict, *rev* the code revision. Any change
+    to any of the three produces a different key, which is exactly the
     invalidation rule: unchanged points are free, changed points rerun.
     """
-    return content_digest({"kind": kind, "config": config, "rev": rev,
+    return content_digest({"cell": cell, "config": config, "rev": rev,
                            "schema": SCHEMA_VERSION})
 
 
@@ -129,11 +130,11 @@ class Workspace:
     """A content-addressed store of experiment point results on disk.
 
     Blobs are complete, self-describing documents (they embed their own
-    key, kind, config, result, and metadata), so the store can always
+    key, cell, config, result, and metadata), so the store can always
     be audited or rebuilt from the blob directory alone.
     """
 
-    _REQUIRED_FIELDS = ("key", "kind", "config", "result", "meta")
+    _REQUIRED_FIELDS = ("key", "cell", "config", "result", "meta")
 
     def __init__(self, root: str = ".workspace"):
         self.root = root
@@ -170,29 +171,22 @@ class Workspace:
             return None
         return blob
 
-    def put(self, key: str, kind: str, config: Dict[str, Any],
-            result: Any, rev: str, wall_s: float = 0.0) -> None:
-        """Store *result* for the point (*kind*, *config*, *rev*) under
-        *key*, atomically.
-
-        ``wall_s`` is the host wall-clock the point took to compute —
-        pure metadata (it never enters the key or the result document)
-        used by the runner's serial-time estimate on later cache hits.
-        """
+    def put(self, key: str, cell: str, config: Dict[str, Any],
+            result: Any, rev: str) -> None:
+        """Store *result* for the point (*cell*, *config*, *rev*) under
+        *key*, atomically."""
         self._ensure_dirs()
         blob = {
             "key": key,
-            "kind": kind,
+            "cell": cell,
             "config": config,
             "result": result,
-            "meta": {"rev": rev, "wall_s": round(float(wall_s), 6),
-                     "schema": SCHEMA_VERSION},
+            "meta": {"rev": rev, "schema": SCHEMA_VERSION},
         }
         _atomic_write_json(self._blob_path(key), blob)
 
     def discard(self, key: str) -> bool:
-        """Drop *key*'s blob (``--rerun``, or a corrupt read); True if
-        one existed."""
+        """Drop *key*'s blob (a corrupt read); True if one existed."""
         try:
             os.unlink(self._blob_path(key))
             return True

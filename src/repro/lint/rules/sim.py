@@ -182,7 +182,7 @@ class WorkerBoundaryRule(Rule):
     A forked worker duplicates live interpreter state — engine clocks,
     RNG registries, open journal handles — so a point computed in the
     child can silently diverge from the same point computed serially.
-    Sim-safe fan-out (the sweep runner's contract) uses the ``spawn``
+    Sim-safe fan-out (the figure runner's contract) uses the ``spawn``
     start method so each worker re-imports the code and rebuilds its
     world from the point config alone, and passes a *top-level* worker
     function that spawn can re-import by qualified name. This rule

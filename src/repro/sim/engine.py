@@ -302,11 +302,11 @@ class Engine:
 
     # ---------------------------------------------------------------- helpers
     def call_at(self, when: float, fn: Callable[[], Any]) -> Event:
-        """Schedule a plain callback at absolute time *when*."""
-        if when < self._now:
-            raise SimulationError(f"call_at({when}) is in the past")
-        ev = Timeout(self, when - self._now)
+        """Schedule a plain callback at absolute time *when*, queued as
+        given (:meth:`schedule_at`), not as a delay from now."""
+        ev = Event(self)
         ev.callbacks.append(lambda _e: fn())
+        self.schedule_at(ev, when)
         return ev
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,11 +1,10 @@
-"""The repair-vs-fairness scenario: cell contract, matrix assembly,
-sweep registration, and the zero-loss acceptance per policy."""
+"""The repair-vs-fairness scenario: cell contract, matrix assembly and
+the zero-loss acceptance per policy."""
 
 import pytest
 
 from repro.harness import FIGURES, run_figure
 from repro.harness.experiments import repair_cell
-from repro.harness.sweep import resolve_point_kind
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +33,6 @@ class TestRepairCell:
     def test_result_is_json_shaped(self, cell):
         import json
         json.dumps(cell)  # every value must serialise
-
-    def test_registered_as_sweep_point_kind(self):
-        assert resolve_point_kind("repair_cell") is repair_cell
 
 
 class TestRepairFairnessMatrix:

@@ -43,6 +43,8 @@ class TestConfig:
         lambda: ServerConfig(sync_timeout=-1),
         lambda: ServerConfig(sync_processing_time=-1),
         lambda: ServerConfig(client_pool_workers=0),
+        lambda: ServerConfig(expire_check_interval=0),
+        lambda: ServerConfig(expire_check_interval=-1),
         lambda: JobRun(spec=spec(1), workload=small_cycle(), client_nodes=0),
         lambda: ExperimentConfig(
             jobs=[JobRun(spec=spec(1), workload=small_cycle())],
@@ -50,11 +52,13 @@ class TestConfig:
         lambda: ClusterConfig(stripe_size=0),
         lambda: ClusterConfig(storage_backend="nope"),
     ], ids=["sync_timeout", "sync_processing_time", "client_pool_workers",
+            "expire_check_interval_zero", "expire_check_interval_negative",
             "client_nodes", "sample_interval", "stripe_size",
             "storage_backend"])
     def test_bad_values_rejected_at_construction(self, build):
-        """Values that reach a run from CLI flags or a sweep-spec JSON
-        fail where they enter, not where they are first used."""
+        """Values that reach a run from CLI flags or ``run_figure``
+        parameters fail where they enter, not where they are first
+        used."""
         with pytest.raises(ConfigError):
             build()
 

@@ -36,7 +36,7 @@ class TestPointKey:
         assert point_key("k", {"a": 1}, "r1") != \
             point_key("k", {"a": 1}, "r2")
 
-    def test_changes_with_kind(self):
+    def test_changes_with_cell(self):
         assert point_key("k1", {"a": 1}, "r") != point_key("k2", {"a": 1}, "r")
 
 
@@ -51,9 +51,9 @@ class TestCodeRev:
 
 
 class TestStore:
-    def _put(self, ws, config, result=None, kind="k", rev="r"):
-        key = point_key(kind, config, rev)
-        ws.put(key, kind, config, result or {"v": 1}, rev, wall_s=0.25)
+    def _put(self, ws, config, result=None, cell="k", rev="r"):
+        key = point_key(cell, config, rev)
+        ws.put(key, cell, config, result or {"v": 1}, rev)
         return key
 
     def test_put_get_roundtrip(self, tmp_path):
@@ -90,7 +90,7 @@ class TestStore:
         ws = Workspace(str(tmp_path / "ws"))
         key = self._put(ws, {"x": 1})
         with open(ws._blob_path(key), "w") as fh:
-            json.dump({"key": key, "kind": "k"}, fh)
+            json.dump({"key": key, "cell": "k"}, fh)
         assert ws.get(key) is None
 
     def test_blob_key_mismatch_discarded(self, tmp_path):

@@ -60,7 +60,7 @@ MUTANTS = [
         ("on_expire: Optional[Callable[[List[int]], None]] = None):",
          "on_expire: Optional[Callable[[List[int]], None]] = None,\n"
          "                 seen: list = []):")]),
-    ("SIM004", "harness/sweep.py", [
+    ("SIM004", "harness/experiments.py", [
         ('get_context("spawn")', 'get_context("fork")')]),
 ]
 

@@ -331,7 +331,7 @@ class TestWorkerBoundary:
         assert hits(src, "SIM004")
 
     def test_spawn_context_pool_clean(self):
-        # The sweep runner's own pattern: context-derived Pool is fine.
+        # The figure runner's own pattern: context-derived Pool is fine.
         src = ("import multiprocessing\n"
                "ctx = multiprocessing.get_context('spawn')\n"
                "pool = ctx.Pool(4)\n")

@@ -130,7 +130,15 @@ def test_call_at_runs_callback_at_time():
     hits = []
     eng.call_at(3.0, lambda: hits.append(eng.now))
     eng.run()
-    assert hits == [pytest.approx(3.0)]
+    assert hits == [3.0]
+
+    # Armed after the clock moved, it still fires at exactly *when*:
+    # (0.9 - 0.3) + 0.3 would be 0.9000000000000001.
+    eng = Engine()
+    eng.run(until=0.3)
+    eng.call_at(0.9, lambda: hits.append(eng.now))
+    eng.run()
+    assert hits == [3.0, 0.9]
 
 
 def test_call_at_past_raises():
