@@ -9,9 +9,9 @@ process at a time; then the held-out seed 2023 once (seeds and run
 length are ``ledger/spec.py``'s). Each side runs the
 ``ledger/`` of its own checkout, as the driver does. Printed: a markdown
 table of every end-to-end metric (per-side median and quartiles, wins /
-pairs, the gap against the base's quartile distance), the runs pair by
-pair, and whether ``trace_digest``, the ``sim_*`` metrics and every
-count were equal at each seed.
+pairs, the gap against the base's quartile distance), each of those
+metrics pair by pair, and whether ``trace_digest``, the ``sim_*``
+metrics and every count were equal at each seed.
 
 Usage::
 
@@ -40,8 +40,14 @@ sys.path.insert(0, os.path.join(_ROOT, "ledger"))
 import compare  # noqa: E402
 import spec  # noqa: E402
 
-#: the metric listed pair by pair (ROADMAP's headline number).
+#: the metric printed per seed while the pairs run (ROADMAP's headline).
 HEADLINE = "host_s_per_sim_s"
+
+#: the end-to-end metrics judged pair by pair; the exact ones are
+#: judged by equality instead.
+JUDGED = [(metric, better, bound)
+          for metric, _unit, better, bound in spec.END_TO_END
+          if metric not in spec.EXACT]
 
 
 def checkout(rev: str, dest: str) -> None:
@@ -86,9 +92,9 @@ def _median(doc: dict, workload: str, metric: str) -> float:
     return doc["workloads"][workload]["end_to_end"][metric]["median"]
 
 
-def _headline(pair: dict, workload: str) -> str:
-    return (f"{_median(pair['base'], workload, HEADLINE):.4g} / "
-            f"{_median(pair['change'], workload, HEADLINE):.4g}")
+def _pair_values(pair: dict, workload: str, metric: str) -> str:
+    return (f"{_median(pair['base'], workload, metric):.4g} / "
+            f"{_median(pair['change'], workload, metric):.4g}")
 
 
 def _quartiles(values: list) -> tuple:
@@ -107,9 +113,7 @@ def table(workload: str, pairs: list) -> list:
     """The markdown rows of *pairs* (a list of :func:`run_pair` results)."""
     lines = [f"| `{workload}` | base median (q1 .. q3) | change median "
              f"(q1 .. q3) | |", "|---|---|---|---|"]
-    for metric, _unit, better, bound in spec.END_TO_END:
-        if metric in spec.EXACT:
-            continue
+    for metric, better, bound in JUDGED:
         base = [_median(p["base"], workload, metric) for p in pairs]
         change = [_median(p["change"], workload, metric) for p in pairs]
         sign = 1.0 if better == "lower" else -1.0
@@ -150,7 +154,7 @@ def main(argv=None) -> int:
             pairs.append(run_pair(trees, first, args.workload,
                                   spec.DEFAULT_SEED + i, args.smoke, tmp))
             print(f"seed {pairs[-1]['seed']} ({first} first): "
-                  f"{_headline(pairs[-1], args.workload)}",
+                  f"{_pair_values(pairs[-1], args.workload, HEADLINE)}",
                   file=sys.stderr, flush=True)
         held_out = run_pair(trees, "base", args.workload, spec.HELD_OUT_SEED,
                             args.smoke, tmp)
@@ -161,8 +165,10 @@ def main(argv=None) -> int:
           f"{args.workload} --seed N {size}`, seeds {pairs[0]['seed']}-"
           f"{pairs[-1]['seed']}, order flipped every pair:\n")
     print("\n".join(table(args.workload, pairs)))
-    print(f"\nPer pair (base / change, `{HEADLINE}`): "
-          + ", ".join(_headline(p, args.workload) for p in pairs) + ".")
+    print("\nPer pair (base / change):\n")
+    for metric, _better, _bound in JUDGED:
+        print(f"- `{metric}`: " + ", ".join(
+            _pair_values(p, args.workload, metric) for p in pairs) + ".")
     print(f"\nHeld-out seed {spec.HELD_OUT_SEED}, once:\n")
     print("\n".join(table(args.workload, [held_out])))
     mismatches = [f"EXACT MISMATCH seed {pair['seed']} {line}"

@@ -10,7 +10,9 @@ its file system stripes with:
   versioned records in a :class:`~repro.fs.logstore.LogStructuredStore`;
   overwrites append; the index is recoverable by a segment scan, giving
   data-path fault tolerance at the cost of read-modify-write on partial
-  chunk updates and periodic garbage collection.
+  chunk updates and periodic garbage collection. A whole-chunk write
+  stores the caller's bytes as they are (no copy when they already are
+  ``bytes``), and a superseded version holds no payload.
 """
 
 from __future__ import annotations
@@ -134,6 +136,10 @@ class LogBackend(ChunkBackend):
     def write_chunk(self, ino, chunk_index, chunk_offset, data):
         self._check_range(chunk_offset, len(data))
         key = (ino, chunk_index)
+        if len(data) == self.chunk_size:
+            # The whole chunk: nothing of the previous version survives.
+            self.store.write(key, bytes(data))
+            return
         current = self.store.read(key)
         buf = (bytearray(current) if current is not None
                else bytearray(self.chunk_size))

@@ -9,7 +9,10 @@ holding chunk-sized data records keyed by ``(ino, chunk_index)``. The
 key properties fault tolerance needs:
 
 - **append-only writes** — a record is immutable once written; an
-  overwrite appends a new version and obsoletes the old one;
+  overwrite appends a new version and supersedes the old one, which
+  keeps its header (key, sequence, length) and drops its payload, as a
+  device trims a dead extent: no scan, GC pass or read touches a
+  superseded payload again;
 - **monotonic sequence numbers** — total order across segments, so a
   scan can always decide which version of a key is newest;
 - **crash consistency** — the in-memory index is volatile; after a
@@ -19,15 +22,16 @@ key properties fault tolerance needs:
 - **garbage collection** — sealed segments whose live fraction drops
   below a threshold are cleaned by copying live records to the head.
 
-The store is byte-accurate (records carry real bytes) and used by the
-file system's ``backend="log"`` mode; see :mod:`repro.fs.filesystem`.
+The store is byte-accurate (live records carry real bytes; the byte
+accounting counts every record's full length) and used by the file
+system's ``backend="log"`` mode; see :mod:`repro.fs.filesystem`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 from ..errors import FSError, InvalidArgument, NoSpace
 
@@ -37,24 +41,22 @@ __all__ = ["LogStructuredStore", "LogRecord", "Segment", "RecoveryReport"]
 HEADER_BYTES = 32
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One durable record in a segment."""
+class LogRecord(NamedTuple):
+    """One durable record in a segment: a header and, while the record is
+    the newest version of its key, the payload."""
 
     key: Hashable
     seq: int
-    data: Optional[bytes]  # None marks a tombstone (delete)
+    length: int                   # payload bytes the record occupies
+    tombstone: bool = False       # a delete marker (length 0)
+    data: Optional[bytes] = None  # None once superseded (and for tombstones)
 
     @property
     def size(self) -> int:
-        return HEADER_BYTES + (len(self.data) if self.data is not None else 0)
-
-    @property
-    def is_tombstone(self) -> bool:
-        return self.data is None
+        return HEADER_BYTES + self.length
 
 
-@dataclass
+@dataclass(eq=False)
 class Segment:
     """A fixed-capacity append region of the log."""
 
@@ -68,14 +70,16 @@ class Segment:
         """True if *record* fits in the remaining capacity."""
         return self.written + record.size <= self.capacity
 
-    def append(self, record: LogRecord) -> None:
-        """Append *record* (segment must be open and have room)."""
+    def append(self, record: LogRecord) -> int:
+        """Append *record* (segment must be open and have room); returns
+        its slot."""
         if self.sealed:
             raise FSError(f"append to sealed segment {self.seg_id}")
         if not self.fits(record):
             raise FSError(f"segment {self.seg_id} overflow")
         self.records.append(record)
         self.written += record.size
+        return len(self.records) - 1
 
 
 @dataclass
@@ -110,7 +114,7 @@ class LogStructuredStore:
         self.segments: List[Segment] = []
         self._head: Optional[Segment] = None
         # Volatile state (lost on crash, rebuilt by recover()):
-        self._index: Dict[Hashable, Tuple[int, LogRecord]] = {}
+        self._index: Dict[Hashable, Tuple[Segment, int]] = {}  # key -> slot
         self._live_bytes: Dict[int, int] = {}  # seg_id -> live record bytes
         self.gc_runs = 0
 
@@ -135,20 +139,26 @@ class LogStructuredStore:
         """Append a new version of *key*."""
         if not isinstance(data, (bytes, bytearray)):
             raise InvalidArgument(f"data must be bytes: {type(data)}")
-        self._append(LogRecord(key=key, seq=next(self._seq), data=bytes(data)))
+        if HEADER_BYTES + len(data) > self.segment_size:
+            raise InvalidArgument(
+                f"record of {HEADER_BYTES + len(data)} bytes exceeds "
+                f"segment size {self.segment_size}")
+        self._append(LogRecord(key, next(self._seq), len(data),
+                               data=bytes(data)))
 
     def read(self, key: Hashable) -> Optional[bytes]:
         """The newest version of *key*, or None if absent/deleted."""
         entry = self._index.get(key)
         if entry is None:
             return None
-        return entry[1].data
+        seg, slot = entry
+        return seg.records[slot].data
 
     def delete(self, key: Hashable) -> bool:
         """Append a tombstone; True if the key existed."""
         existed = key in self._index
         if existed:
-            self._append(LogRecord(key=key, seq=next(self._seq), data=None))
+            self._append(LogRecord(key, next(self._seq), 0, tombstone=True))
         return existed
 
     def keys(self):
@@ -171,31 +181,32 @@ class LogStructuredStore:
                     raise NoSpace("log full even after garbage collection")
             head = self._head = Segment(seg_id=next(self._seg_ids),
                                         capacity=self.segment_size)
-        if record.size > self.segment_size:
-            raise InvalidArgument(
-                f"record of {record.size} bytes exceeds segment size "
-                f"{self.segment_size}")
-        head.append(record)
-        self._account(head.seg_id, record)
+        slot = head.append(record)
+        self._account(head, slot, record)
 
-    def _account(self, seg_id: int, record: LogRecord) -> None:
-        """Index the new version; de-account the one it replaces."""
+    def _account(self, seg: Segment, slot: int, record: LogRecord) -> None:
+        """Index the new version; de-account the one it supersedes, which
+        keeps its header in its segment and releases its payload."""
         old = self._index.get(record.key)
         if old is not None:
-            old_seg, old_rec = old
-            self._live_bytes[old_seg] = (
-                self._live_bytes.get(old_seg, 0) - old_rec.size)
-        if record.is_tombstone:
+            old_seg, old_slot = old
+            old_rec = old_seg.records[old_slot]
+            old_seg.records[old_slot] = old_rec._replace(data=None)
+            self._live_bytes[old_seg.seg_id] -= old_rec.size
+        if record.tombstone:
             self._index.pop(record.key, None)
         else:
-            self._index[record.key] = (seg_id, record)
-            self._live_bytes[seg_id] = (
-                self._live_bytes.get(seg_id, 0) + record.size)
+            self._index[record.key] = (seg, slot)
+            self._live_bytes[seg.seg_id] = (
+                self._live_bytes.get(seg.seg_id, 0) + record.size)
 
     # ---------------------------------------------------------------- GC
     def gc(self) -> int:
         """Clean sealed segments below the live threshold; returns bytes
-        reclaimed. Live records are re-appended at the head."""
+        reclaimed. Live records are re-appended at the head, and so is a
+        tombstone whose key still has a record in a surviving segment
+        (dropping it would let the next :meth:`recover` resurrect that
+        older version)."""
         self.gc_runs += 1
         victims = [seg for seg in self.segments
                    if (self._live_bytes.get(seg.seg_id, 0) / seg.capacity)
@@ -206,16 +217,22 @@ class LogStructuredStore:
         victim_ids = {seg.seg_id for seg in victims}
         self.segments = [seg for seg in self.segments
                          if seg.seg_id not in victim_ids]
+        shadowed = None  # keys with a record in a surviving sealed segment
         for seg in victims:
             reclaimed += seg.written
-            for record in seg.records:
-                current = self._index.get(record.key)
-                if (current is not None and current[0] == seg.seg_id
-                        and current[1].seq == record.seq):
+            for slot, record in enumerate(seg.records):
+                if record.tombstone:
+                    if record.key in self._index:
+                        continue  # a newer version is live
+                    if shadowed is None:
+                        shadowed = {rec.key for kept in self.segments
+                                    for rec in kept.records}
+                    if record.key in shadowed:
+                        shadowed.discard(record.key)  # one copy suffices
+                        self._append(record._replace(seq=next(self._seq)))
+                elif self._index.get(record.key) == (seg, slot):
                     # Still the live version: rewrite at the head.
-                    self._append(LogRecord(key=record.key,
-                                           seq=next(self._seq),
-                                           data=record.data))
+                    self._append(record._replace(seq=next(self._seq)))
             self._live_bytes.pop(seg.seg_id, None)
         return reclaimed
 
@@ -226,7 +243,9 @@ class LogStructuredStore:
         self._live_bytes = {}
 
     def recover(self) -> RecoveryReport:
-        """Rebuild the index by scanning segments in append order."""
+        """Rebuild the index by scanning segment headers in append order:
+        the newest record per key wins, and a winning tombstone keeps an
+        older version from being resurrected."""
         self._index = {}
         self._live_bytes = {}
         ordered = sorted(self.segments, key=lambda seg: seg.seg_id)
@@ -234,28 +253,21 @@ class LogStructuredStore:
             ordered.append(self._head)
         scanned = 0
         tombstones = 0
-        # Replay in sequence order; the newest record per key wins.
+        newest: Dict[Hashable, Tuple[int, Segment, int]] = {}
         for seg in ordered:
-            for record in seg.records:
+            for slot, record in enumerate(seg.records):
                 scanned += 1
-                if record.is_tombstone:
+                if record.tombstone:
                     tombstones += 1
-                current = self._index.get(record.key)
-                if current is None or record.seq > current[1].seq:
-                    if record.is_tombstone:
-                        self._index.pop(record.key, None)
-                        # Remember tombstone ordering via a sentinel so an
-                        # older data record cannot resurrect the key.
-                        self._index[record.key] = (seg.seg_id, record)
-                    else:
-                        self._index[record.key] = (seg.seg_id, record)
-        # Drop tombstone sentinels and rebuild live accounting.
-        for key in [k for k, (_s, rec) in self._index.items()
-                    if rec.is_tombstone]:
-            del self._index[key]
-        for seg_id, record in self._index.values():
-            self._live_bytes[seg_id] = (
-                self._live_bytes.get(seg_id, 0) + record.size)
+                held = newest.get(record.key)
+                if held is None or record.seq > held[0]:
+                    newest[record.key] = (record.seq, seg, slot)
+        for key, (_seq, seg, slot) in newest.items():
+            record = seg.records[slot]
+            if not record.tombstone:
+                self._index[key] = (seg, slot)
+                self._live_bytes[seg.seg_id] = (
+                    self._live_bytes.get(seg.seg_id, 0) + record.size)
         return RecoveryReport(
             segments_scanned=len(ordered),
             records_scanned=scanned,

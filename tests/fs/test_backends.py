@@ -106,6 +106,48 @@ class TestLogBackendRecovery:
         assert backend.read_chunk(1, 0, 0, 4) is None
 
 
+class TestLogBackendCopySemantics:
+    """A whole-chunk write stores the caller's bytes, copied only when
+    the caller could still change them; a partial one merges."""
+
+    def test_whole_chunk_bytes_held_by_reference(self):
+        backend = LogBackend(1 << 20, CHUNK)
+        data = bytes(range(256))
+        backend.write_chunk(1, 0, 0, data)
+        assert backend.store.read((1, 0)) is data
+        assert backend.read_chunk(1, 0, 0, CHUNK) == data
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_whole_chunk_mutable_buffer_copied(self, wrap):
+        backend = LogBackend(1 << 20, CHUNK)
+        buf = bytearray(b"a" * CHUNK)
+        backend.write_chunk(1, 0, 0, wrap(buf))
+        buf[:] = b"z" * CHUNK
+        assert backend.read_chunk(1, 0, 0, CHUNK) == b"a" * CHUNK
+
+    def test_partial_chunk_merges_with_previous_version(self):
+        backend = LogBackend(1 << 20, CHUNK)
+        first = b"a" * CHUNK
+        backend.write_chunk(1, 0, 0, first)
+        backend.write_chunk(1, 0, 8, bytearray(b"B" * 4))
+        assert backend.read_chunk(1, 0, 0, CHUNK) == (
+            b"a" * 8 + b"B" * 4 + b"a" * (CHUNK - 12))
+        assert first == b"a" * CHUNK
+        backend.write_chunk(1, 0, 0, b"c" * CHUNK)  # whole chunk replaces
+        assert backend.read_chunk(1, 0, 0, CHUNK) == b"c" * CHUNK
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_fs_write_of_a_mutable_buffer_is_copied(self, wrap):
+        fs = ThemisFS(["a", "b"], capacity_per_server=1 << 20,
+                      stripe_size=CHUNK, default_stripe_count=2,
+                      storage_backend="log")
+        fs.create("/f")
+        buf = bytearray(bytes(range(256)) * 3)
+        fs.write("/f", 0, wrap(buf))
+        buf[:] = bytes(len(buf))
+        assert fs.read("/f", 0, len(buf)) == bytes(range(256)) * 3
+
+
 class TestThemisFSBackendIntegration:
     @pytest.mark.parametrize("kind", ["extent", "log"])
     def test_fs_roundtrip_per_backend(self, kind):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import FSError, InvalidArgument, NoSpace
 from repro.fs import LogStructuredStore
+from repro.fs.logstore import HEADER_BYTES
 
 
 def make(capacity=1 << 16, segment_size=1 << 12, **kw):
@@ -51,6 +52,25 @@ class TestBasics:
         with pytest.raises(InvalidArgument):
             store.write("k", b"x" * 256)
 
+    @pytest.mark.parametrize("capacity, held", [
+        (1 << 16, [100]),          # the open head still has room
+        (1 << 13, [3000, 3000]),   # sealing the head would force a GC
+    ])
+    def test_oversized_record_rejected_before_any_side_effect(
+            self, capacity, held):
+        store = make(capacity=capacity)
+        for i, length in enumerate(held):
+            store.write(i, b"h" * length)
+        before = (store.segment_count, store.used_bytes, store.live_bytes,
+                  store.gc_runs, store._head, len(store._head.records))
+        with pytest.raises(InvalidArgument):
+            store.write("big", b"x" * 5000)
+        assert (store.segment_count, store.used_bytes, store.live_bytes,
+                store.gc_runs, store._head,
+                len(store._head.records)) == before
+        assert not store._head.sealed
+        assert store.read(len(held) - 1) == b"h" * held[-1]
+
     def test_invalid_geometry(self):
         with pytest.raises(FSError):
             LogStructuredStore(0)
@@ -73,6 +93,18 @@ class TestSegments:
         first_live = store.live_bytes
         store.write("k", b"b" * 100)
         assert store.live_bytes == first_live
+
+    def test_superseded_record_keeps_header_drops_payload(self):
+        store = make()
+        store.write("k", b"a" * 100)
+        store.write("k", b"b" * 50)
+        store.delete("k")
+        old, new, tomb = store._head.records
+        assert (old.key, old.seq, old.length, old.data) == ("k", 1, 100, None)
+        assert (new.seq, new.length, new.data) == (2, 50, None)
+        assert tomb.tombstone and tomb.length == 0
+        assert store.used_bytes == 3 * HEADER_BYTES + 150
+        assert store.live_bytes == 0
 
 
 class TestGC:
@@ -100,6 +132,24 @@ class TestGC:
         with pytest.raises(NoSpace):
             for i in range(100):
                 store.write(("k", i), b"l" * 500)  # all live, no GC help
+
+    def test_gc_keeps_tombstone_shadowing_a_surviving_version(self):
+        """A deleted key's old record survives in a mostly-live segment
+        while its tombstone's segment is cleaned: the tombstone moves to
+        the head, so recovery does not bring the key back."""
+        store = make(capacity=1 << 14, segment_size=1 << 10)
+        store.write("k", b"a" * 100)
+        for i in range(7):
+            store.write(("live", i), b"x" * 100)
+        store.delete("k")
+        for i in range(8):
+            store.write("hot", b"h" * 100)
+        assert store.gc() > 0
+        store.crash()
+        report = store.recover()
+        assert "k" not in store and store.read("k") is None
+        assert report.live_keys == 8
+        assert store.read("hot") == b"h" * 100
 
 
 class TestRecovery:
@@ -144,27 +194,66 @@ class TestRecovery:
         assert store.read("k") == b"v"
 
 
+def _records(store):
+    """Every record of every segment, the open head's included."""
+    segments = store.segments + ([store._head] if store._head else [])
+    return [rec for seg in segments for rec in seg.records]
+
+
 @settings(max_examples=40)
 @given(st.lists(
-    st.tuples(st.integers(0, 5),             # key
-              st.one_of(st.none(), st.binary(min_size=1, max_size=64))),
-    min_size=1, max_size=40),
-    st.integers(0, 40))
-def test_property_crash_recovery_equals_committed_state(ops, crash_at):
-    """Apply random writes/deletes, crash at an arbitrary point, recover:
-    the store must equal the state of everything applied before the crash."""
-    store = LogStructuredStore(1 << 16, segment_size=1 << 11)
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(0, 5),
+                  st.binary(min_size=1, max_size=400)),
+        st.tuples(st.just("delete"), st.integers(0, 5)),
+        st.tuples(st.just("gc")),
+        st.tuples(st.just("crash"))),
+    min_size=1, max_size=60))
+def test_property_crash_recovery_equals_committed_state(ops):
+    """Apply random writes, deletes, GC passes and crash + recover cycles,
+    then crash once more: after every step the store equals everything
+    applied so far, and the payload bytes its segments still reference
+    are exactly the live keys' payloads (a superseded record holds none)."""
+    store = LogStructuredStore(1 << 14, segment_size=1 << 11)
     reference = {}
-    crash_at = min(crash_at, len(ops))
-    for key, value in ops[:crash_at]:
-        if value is None:
-            store.delete(key)
-            reference.pop(key, None)
+
+    def check_payloads():
+        records = _records(store)
+        assert (sum(len(rec.data) for rec in records if rec.data is not None)
+                == sum(map(len, reference.values())))
+        assert store.used_bytes == sum(rec.size for rec in records)
+
+    def check_state():
+        check_payloads()
+        assert store.keys() == set(reference)
+        for key, value in reference.items():
+            assert store.read(key) == value
+        assert store.live_bytes == sum(HEADER_BYTES + len(value)
+                                       for value in reference.values())
+
+    def crash_and_recover():
+        used = store.used_bytes
+        store.crash()
+        check_payloads()
+        report = store.recover()
+        records = _records(store)
+        assert report.segments_scanned == store.segment_count
+        assert report.records_scanned == len(records)
+        assert report.tombstones == sum(rec.tombstone for rec in records)
+        assert report.live_keys == len(reference)
+        assert store.used_bytes == used
+        check_state()
+
+    for op in ops:
+        if op[0] == "write":
+            store.write(op[1], op[2])
+            reference[op[1]] = op[2]
+        elif op[0] == "delete":
+            assert store.delete(op[1]) == (op[1] in reference)
+            reference.pop(op[1], None)
+        elif op[0] == "gc":
+            store.gc()
         else:
-            store.write(key, value)
-            reference[key] = value
-    store.crash()
-    store.recover()
-    assert store.keys() == set(reference)
-    for key, value in reference.items():
-        assert store.read(key) == value
+            crash_and_recover()
+        check_state()
+    crash_and_recover()
