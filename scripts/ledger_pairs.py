@@ -10,8 +10,11 @@ length are ``ledger/spec.py``'s). Each side runs the
 ``ledger/`` of its own checkout, as the driver does. Printed: a markdown
 table of every end-to-end metric (per-side median and quartiles, wins /
 pairs, the gap against the base's quartile distance), each of those
-metrics pair by pair, and whether ``trace_digest``, the ``sim_*``
-metrics and every count were equal at each seed.
+metrics pair by pair, then two exact rows: at how many seeds
+``trace_digest`` and the exact metrics (``sim_*``, ``ops_failed_frac``)
+were equal, and at how many every count was, naming each count that
+differed. A change meant to move ``sim.events`` alone reads "equal at
+N / N seeds" in the first row and names ``sim.events`` in the second.
 
 Usage::
 
@@ -74,18 +77,24 @@ def run_side(tree: str, workload: str, seed: int, smoke: bool,
 def run_pair(trees: dict, first: str, workload: str, seed: int,
              smoke: bool, tmp: str) -> dict:
     """Both sides at one seed, *first* first: ``{"base": doc, "change":
-    doc, "seed": seed, "differs": [...]}`` with every exact value that
-    differs."""
+    doc, "seed": seed, "outcome": [...], "counts": {...}}``, with a line
+    per differing ``trace_digest`` or exact metric and ``{count: line}``
+    per differing count."""
     second = "change" if first == "base" else "base"
     docs = {side: run_side(trees[side], workload, seed, smoke,
                            os.path.join(tmp, f"{side}.json"))
             for side in (first, second)}
     rows, mismatches = compare.compare(docs["base"], docs["change"])
-    differs = [f"{metric}: {a['median']!r} != {b['median']!r}"
+    outcome = [f"{metric}: {a['median']!r} != {b['median']!r}"
                for _w, metric, a, b, _bound, judged in rows
                if metric in spec.EXACT and judged != "same"]
-    differs += [f"{metric}: {a!r} != {b!r}" for _w, metric, a, b in mismatches]
-    return {**docs, "seed": seed, "differs": differs}
+    counts = {}
+    for _w, metric, a, b in mismatches:
+        if metric == "trace_digest":
+            outcome.append(f"{metric}: {a!r} != {b!r}")
+        else:
+            counts[metric] = f"{metric}: {a!r} != {b!r}"
+    return {**docs, "seed": seed, "outcome": outcome, "counts": counts}
 
 
 def _median(doc: dict, workload: str, metric: str) -> float:
@@ -126,9 +135,15 @@ def table(workload: str, pairs: list) -> list:
             f"(bound {bound:.0%}), change better in {wins} / {len(pairs)} "
             f"pairs; gap {abs(gap):.3g} against a base quartile distance "
             f"of {q3 - q1:.3g} |")
-    equal = sum(not p["differs"] for p in pairs)
+    equal = sum(not p["outcome"] for p in pairs)
     lines.append(f"| `trace_digest`, {', '.join(f'`{m}`' for m in spec.EXACT)}"
-                 f", every count | | | equal at {equal} / {len(pairs)} seeds |")
+                 f" | | | equal at {equal} / {len(pairs)} seeds |")
+    equal = sum(not p["counts"] for p in pairs)
+    moved = ", ".join(
+        f"`{count}` at {sum(count in p['counts'] for p in pairs)}"
+        for count in sorted(set().union(*(p["counts"] for p in pairs))))
+    lines.append(f"| every count | | | equal at {equal} / {len(pairs)} seeds"
+                 f"{'; differ: ' + moved if moved else ''} |")
     return lines
 
 
@@ -172,7 +187,8 @@ def main(argv=None) -> int:
     print(f"\nHeld-out seed {spec.HELD_OUT_SEED}, once:\n")
     print("\n".join(table(args.workload, [held_out])))
     mismatches = [f"EXACT MISMATCH seed {pair['seed']} {line}"
-                  for pair in pairs + [held_out] for line in pair["differs"]]
+                  for pair in pairs + [held_out]
+                  for line in pair["outcome"] + list(pair["counts"].values())]
     for line in mismatches:
         print(line)
     return 1 if mismatches else 0

@@ -10,8 +10,10 @@ Data placement is deterministic (consistent hashing + stripe records),
 so the client computes each operation's target servers itself and splits
 multi-server operations into per-server requests, awaiting all slices.
 Every slice is one :class:`~repro.bb.request.IORequest`, built here and
-sent one way: :meth:`Client._start` fans it out, :meth:`Client._request`
-awaits it. ``ClientConfig.rpc_timeout`` is the one physical parameter
+sent one way: :meth:`Client._request` delivers it and awaits the reply,
+inside the calling stream when an operation has one slice;
+:meth:`Client._start` fans out each slice of one that has more.
+``ClientConfig.rpc_timeout`` is the one physical parameter
 behind the remaining mode differences: 0 means a call waits forever, so
 nothing is ever sent twice and no request needs an idempotency id; a
 positive timeout brings retry with backoff, failover and dedup ids.
@@ -194,9 +196,14 @@ class Client:
 
     def _start(self, server: str, request: IORequest):
         """Generator: send *request* to *server* without waiting for the
-        reply; returns the event that carries it."""
+        reply; returns the event that carries it. A spawned ``Process``
+        is defused: the ``AllOf`` awaiting it raises its failure into
+        the stream, and a second abandoned slice, which the ``AllOf``
+        no longer listens to, must not crash the run."""
         if self._ft:
-            return self.engine.process(self._request(server, request))
+            proc = self.engine.process(self._request(server, request))
+            proc.defuse()
+            return proc
         client = yield from self._ensure_io(server)
         return client.call("io", request, size=request.wire_bytes)
 
@@ -233,7 +240,13 @@ class Client:
 
     def _gather(self, slices):
         """Generator: start every ``(server, request)`` of *slices* in
-        order, await them all, return their replies."""
+        order, await them all, return their replies. One slice is
+        awaited inside the calling stream (:meth:`_request`, as
+        :meth:`_io_call` does): no ``AllOf``, and no ``Process`` with
+        timeouts on."""
+        if len(slices) == 1:
+            ((server, request),) = slices
+            return [(yield from self._request(server, request))]
         pending = []
         for server, request in slices:
             pending.append((yield from self._start(server, request)))

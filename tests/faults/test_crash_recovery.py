@@ -85,6 +85,39 @@ class TestLiveness:
         assert cluster.fault_stats.requests_failed >= 1
         assert cluster.engine.now == 10.0
 
+    def test_two_abandoned_slices_fail_the_request_not_the_run(
+            self, make_cluster, job):
+        # A write striped over two servers, both dead: each slice runs
+        # out of retries on its own. The stream sees the first failure;
+        # the second, which nothing awaits any more, must not escape
+        # Engine.run.
+        cluster = make_cluster(n_servers=2, stripe_count=2,
+                               rpc_timeout=0.01, rpc_retries=1)
+        client = cluster.add_client(job(1), client_id="c0")
+        out = {}
+
+        def crash_all():
+            for name in sorted(cluster.servers):
+                cluster.crash_server(name)
+
+        def app():
+            yield from client.create("/fs/d/f")
+            yield from client.register_all()
+            # Both die once the slices are on the wire (the inode
+            # lookup that precedes them would not find the file on a
+            # dead metadata server).
+            cluster.engine.call_at(cluster.engine.now + 1e-6, crash_all)
+            try:
+                yield from client.write("/fs/d/f", 0, 2 * MB)
+            except RpcTimeout:
+                out["failed"] = True
+
+        cluster.engine.process(app())
+        cluster.run(until=2.0)
+        assert out == {"failed": True}
+        assert cluster.engine.now == 2.0
+        assert cluster.fault_stats.requests_failed == 2
+
     def test_inflight_requests_dropped_on_crash(self, make_cluster, job):
         cluster = make_cluster(n_servers=1)
         client = cluster.add_client(job(1), client_id="c0")
