@@ -10,8 +10,28 @@ prints what the union of the runs merged so far never called: function
 lines outside ``lint/`` per package (first decorator through last line),
 then each function. Child processes are not followed: drive
 ``ledger/worker.py``, not ``ledger/run.py``, and keep ``--jobs 1``.
-``git show 64ca599:EXPERIMENTS.md`` (*Perimeter audit*) lists the
-audit's commands; EXPERIMENTS.md keeps its decision-record row.
+
+The audit is these commands, each prefixed with ``PYTHONPATH=src
+REPRO_CODE_REV=audit python3 scripts/perimeter.py audit.json`` (about
+50 min on a 2-core host; the recorder costs about 2x)::
+
+    # stage 1: ledger workloads, shapes, CLI, examples
+    for w in fig07_write fig07_read job_churn sync_scale outage; do
+      ... ledger/worker.py --workload $w --seed 11 --spawned 0; done
+    ... -m pytest shapes -q -p no:cacheprovider
+    ... -m repro figures;  ... -m repro policies
+    for f in $(PYTHONPATH=src python3 -m repro figures); do
+      ... -m repro figure $f; done                      # all 14
+    ... -m repro figure fig08a --workspace ws           # cold, then
+    ... -m repro figure fig08a --workspace ws           # warm
+    ... -m repro sharing --policy size-fair --jobs 4:alice,1:bob
+    for e in examples/*.py; do ... $e; done             # all 7
+    # stage 2: every fault scenario counts too
+    ... -m pytest tests/faults -q -p no:cacheprovider
+
+Never-called function lines outside ``lint/`` at ``8e0e2b6``, the
+re-audit baseline: 894 / 7,651 after stage 1, 468 / 7,651 after
+stage 2. EXPERIMENTS.md keeps the audit's decision-record rows.
 """
 
 import ast

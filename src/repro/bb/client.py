@@ -11,12 +11,14 @@ so the client computes each operation's target servers itself and splits
 multi-server operations into per-server requests, awaiting all slices.
 Every slice is one :class:`~repro.bb.request.IORequest`, built here and
 sent one way: :meth:`Client._request` delivers it and awaits the reply,
-inside the calling stream when an operation has one slice;
-:meth:`Client._start` fans out each slice of one that has more.
-``ClientConfig.rpc_timeout`` is the one physical parameter
-behind the remaining mode differences: 0 means a call waits forever, so
-nothing is ever sent twice and no request needs an idempotency id; a
-positive timeout brings retry with backoff, failover and dedup ids.
+inside the calling stream when an operation has one slice, in a
+process per slice when it has more. Heartbeats are never awaited;
+``goodbye`` sends to every server, then awaits each reply.
+``ClientConfig.rpc_timeout`` changes only what a lost message does, so
+a timeout that never fires changes nothing simulated. A positive one
+brings what a call that can fail needs: request ids, retry of an error
+reply, retry of a metadata miss through a crash, and re-resolving the
+inode after recovery.
 
 All operations are simulation generators: drive them with
 ``yield from client.write(...)`` inside a process, or wrap with
@@ -49,8 +51,8 @@ __all__ = ["Client", "ClientConfig"]
 @dataclass
 class ClientConfig:
     heartbeat_interval: float = 0.5
-    #: per-RPC timeout in seconds; 0 = no timer: a call waits forever,
-    #: so there is no retry, no failover and no idempotency id.
+    #: per-RPC timeout in seconds; 0 = no timer: a call waits forever.
+    #: A timeout that never fires changes nothing simulated.
     rpc_timeout: float = 0.0
     #: retry budget per logical request; negative = retry forever.
     rpc_retries: int = -1
@@ -60,11 +62,12 @@ class ClientConfig:
     retry_backoff_max: float = 1.0
 
     def __post_init__(self):
-        if self.heartbeat_interval <= 0:
+        # Negated tests: NaN, which compares false both ways, fails them.
+        if not self.heartbeat_interval > 0:
             raise ConfigError("heartbeat_interval must be positive")
-        if self.rpc_timeout < 0:
+        if not self.rpc_timeout >= 0:
             raise ConfigError("rpc_timeout must be >= 0")
-        if self.retry_backoff <= 0 or self.retry_backoff_max < self.retry_backoff:
+        if not 0 < self.retry_backoff <= self.retry_backoff_max:
             raise ConfigError(
                 "need 0 < retry_backoff <= retry_backoff_max")
 
@@ -194,19 +197,6 @@ class Client:
         return IORequest(op, self.job, path, offset, size, self.client_id,
                          payload, share, groups, req_id)
 
-    def _start(self, server: str, request: IORequest):
-        """Generator: send *request* to *server* without waiting for the
-        reply; returns the event that carries it. A spawned ``Process``
-        is defused: the ``AllOf`` awaiting it raises its failure into
-        the stream, and a second abandoned slice, which the ``AllOf``
-        no longer listens to, must not crash the run."""
-        if self._ft:
-            proc = self.engine.process(self._request(server, request))
-            proc.defuse()
-            return proc
-        client = yield from self._ensure_io(server)
-        return client.call("io", request, size=request.wire_bytes)
-
     def _request(self, server: str, request: IORequest):
         """Generator: deliver *request* and return the reply. With
         timeouts on the request is idempotent (its ``req_id`` lets the
@@ -239,17 +229,21 @@ class Client:
             request = request.retry()
 
     def _gather(self, slices):
-        """Generator: start every ``(server, request)`` of *slices* in
+        """Generator: send every ``(server, request)`` of *slices* in
         order, await them all, return their replies. One slice is
         awaited inside the calling stream (:meth:`_request`, as
-        :meth:`_io_call` does): no ``AllOf``, and no ``Process`` with
-        timeouts on."""
+        :meth:`_io_call` does); two or more each run it in a defused
+        ``Process`` under one ``AllOf``, which raises the first failure
+        into the stream: a second abandoned slice, which the ``AllOf``
+        no longer listens to, must not crash the run."""
         if len(slices) == 1:
             ((server, request),) = slices
             return [(yield from self._request(server, request))]
         pending = []
         for server, request in slices:
-            pending.append((yield from self._start(server, request)))
+            proc = self.engine.process(self._request(server, request))
+            proc.defuse()
+            pending.append(proc)
         return (yield self.engine.all_of(pending))
 
     def register_all(self):
@@ -265,13 +259,10 @@ class Client:
                 yield self._hb_sleep
                 if self.closed:
                     return
-                calls = [self._control(server, "heartbeat")
-                         for server in sorted(self._io)]
-                # With timeouts on the beats are fire-and-forget: a dead
-                # server must not stall the beats that keep live
-                # servers' tables warm.
-                if calls and not self._ft:
-                    yield self.engine.all_of(calls)
+                # Fire-and-forget: a dead server must not stall the
+                # beats that keep live servers' tables warm.
+                for server in sorted(self._io):
+                    self._control(server, "heartbeat")
         except InterruptError:
             # _stop_heartbeat() retired us between beats.
             return
@@ -298,20 +289,15 @@ class Client:
         """Generator: notify every registered server, stop heartbeats."""
         self.closed = True
         self._stop_heartbeat()
-        if self._ft:
-            # Best-effort farewell, one server at a time: a crashed
-            # server will expire us via heartbeats instead; don't block
-            # shutdown on it.
-            for server in sorted(self._io):
-                try:
-                    yield self._control(server, "goodbye")
-                except RpcTimeout:
-                    self.stats.rpc_timeouts += 1
-            return
+        # Best-effort farewell: a crashed server will expire us via
+        # heartbeats instead, so a timeout only counts.
         calls = [self._control(server, "goodbye")
                  for server in sorted(self._io)]
-        if calls:
-            yield self.engine.all_of(calls)
+        for call in calls:
+            try:
+                yield call
+            except RpcTimeout:
+                self.stats.rpc_timeouts += 1
 
     def disconnect(self) -> None:
         """Abrupt exit (fault injection): stop all traffic with no

@@ -58,7 +58,6 @@ class ClusterConfig:
     seed: int = 0
     opportunity_fair: bool = True        # ablation knob for ThemisIO
     gift_mu: float = 0.5                 # §5.4 reference interval
-    tbf_declared_jobs: int = 2           # "user-supplied" rate divisor
     tbf_rates: Optional[Dict[int, float]] = None
     #: erasure-coded placement ``(k, n)``: every file gets k data +
     #: (n - k) parity shares on n distinct servers. None (the default)
@@ -102,8 +101,7 @@ def make_scheduler(config: ClusterConfig, server_name: str,
                              mu=config.gift_mu)
     if name == "tbf":
         return TbfScheduler(capacity=config.server.bandwidth,
-                            rates=config.tbf_rates,
-                            declared_jobs=config.tbf_declared_jobs)
+                            rates=config.tbf_rates)
     policy = Policy.parse(config.policy)
     return StatisticalTokenScheduler(policy, rng,
                                      opportunity_fair=config.opportunity_fair)

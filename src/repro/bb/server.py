@@ -81,17 +81,22 @@ class ServerConfig:
     sync_tree_fanout: int = 0
 
     def __post_init__(self):
-        if self.bandwidth <= 0 or self.n_workers < 1:
+        # Each test is negated so that NaN, which compares false both
+        # ways, is rejected too.
+        if not (self.bandwidth > 0 and self.n_workers >= 1):
             raise ConfigError("bandwidth must be > 0 and n_workers >= 1")
-        if self.op_latency < 0 or self.meta_latency < 0:
+        if not (self.op_latency >= 0 and self.meta_latency >= 0):
             raise ConfigError("latencies must be non-negative")
-        if self.sync_processing_time < 0 or self.sync_timeout < 0:
-            raise ConfigError(
-                "sync_processing_time and sync_timeout must be >= 0")
+        if not (self.sync_interval >= 0 and self.sync_processing_time >= 0
+                and self.sync_timeout >= 0):
+            raise ConfigError("sync_interval, sync_processing_time and "
+                              "sync_timeout must be >= 0")
         if self.client_pool_workers < 1:
             raise ConfigError("client_pool_workers must be >= 1")
-        if self.expire_check_interval <= 0:
-            raise ConfigError("expire_check_interval must be positive")
+        if not (self.heartbeat_timeout > 0
+                and self.expire_check_interval > 0):
+            raise ConfigError("heartbeat_timeout and expire_check_interval "
+                              "must be positive")
         if self.sync_tree_fanout < 0 or self.sync_tree_fanout == 1:
             raise ConfigError(
                 "sync_tree_fanout must be 0 (flat round) or >= 2")

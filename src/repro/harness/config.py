@@ -49,12 +49,7 @@ class ExperimentConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     jobs: List[JobRun] = field(default_factory=list)
     max_time: float = 60.0
-    base_dir: str = "/fs"
     sample_interval: float = 1.0
-    #: end the simulation as soon as every run-to-completion job (one
-    #: with ``stop=None``) has finished, instead of simulating open-ended
-    #: background jobs out to max_time.
-    stop_when_jobs_finish: bool = True
     #: armed against the freshly built cluster before any simulated
     #: time passes (see :class:`~repro.faults.FaultInjector`).
     faults: Optional[FaultPlan] = None

@@ -99,17 +99,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.faults is not None:
         FaultInjector(cluster, config.faults).arm()
     engine = cluster.engine
-    cluster.fs.makedirs(config.base_dir)
+    cluster.fs.makedirs("/fs")
     outcomes: Dict[int, JobOutcome] = {}
     finite_jobs = {run.spec.job_id for run in config.jobs if run.stop is None}
 
     def maybe_stop():
-        if (config.stop_when_jobs_finish and finite_jobs
-                and all(outcomes[j].end is not None for j in finite_jobs)):
+        # Once every run-to-completion job (``stop=None``) has finished,
+        # open-ended background jobs are not simulated out to max_time.
+        if finite_jobs and all(outcomes[j].end is not None
+                               for j in finite_jobs):
             engine.request_stop()
 
     def launch(run: JobRun):
-        prefix = f"{config.base_dir}/job{run.spec.job_id}"
+        prefix = f"/fs/job{run.spec.job_id}"
         cluster.fs.makedirs(prefix)
 
         def job_proc():

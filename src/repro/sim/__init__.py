@@ -3,14 +3,14 @@
 Public surface:
 
 - :class:`Engine` — the kernel: clock + event heap.
-- :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`AllOf`,
-  :class:`AnyOf` — concurrency primitives.
+- :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`AllOf` —
+  concurrency primitives.
 - :class:`BandwidthPipe` — the serialising link.
 - :class:`RngRegistry` — named deterministic random streams.
 """
 
 from .engine import Engine
-from .process import AllOf, AnyOf, Condition, Event, Process, Timeout
+from .process import AllOf, Event, Process, Timeout
 from .resources import BandwidthPipe
 from .rng import RngRegistry, stable_hash
 
@@ -19,9 +19,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Condition",
     "AllOf",
-    "AnyOf",
     "BandwidthPipe",
     "RngRegistry",
     "stable_hash",

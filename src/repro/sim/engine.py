@@ -41,7 +41,7 @@ from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
 from ..errors import SimulationError, StopSimulation
-from .process import AllOf, AnyOf, Event, Process, Timeout
+from .process import AllOf, Event, Process, Timeout
 
 __all__ = ["Engine"]
 
@@ -117,9 +117,10 @@ class Engine:
         rounding is added. Ties at *when* fire in scheduling order.
         """
         now = self._now
-        if when < now:
+        # Negated so that NaN, which compares false both ways, fails too.
+        if not when >= now:
             raise SimulationError(
-                f"schedule_at({when!r}) is in the past (now={now!r})")
+                f"schedule_at({when!r}) is not at or after now={now!r}")
         if event._scheduled:
             raise SimulationError(f"{event!r} already scheduled")
         if event._cancelled:
@@ -147,10 +148,6 @@ class Engine:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires once every event in *events* has succeeded."""
         return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires as soon as any event in *events* triggers."""
-        return AnyOf(self, list(events))
 
     # ----------------------------------------------------------- cancellation
     def _note_cancel(self) -> None:
@@ -251,9 +248,9 @@ class Engine:
         """
         if until is not None:
             until = float(until)
-            if until < self._now:
+            if not until >= self._now:
                 raise SimulationError(
-                    f"until={until!r} is in the past (now={self._now!r})"
+                    f"until={until!r} is not at or after now={self._now!r}"
                 )
         self._stop_requested = False
         heap, nowq = self._heap, self._nowq

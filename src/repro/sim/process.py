@@ -1,4 +1,4 @@
-"""Events, timeouts, processes, and composite conditions.
+"""Events, timeouts, processes, and the all-of composite.
 
 The concurrency primitives of the simulation kernel. A :class:`Process`
 wraps a Python generator: each ``yield`` hands the kernel an
@@ -16,7 +16,7 @@ from ..errors import InterruptError, SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Engine
 
-__all__ = ["Event", "Timeout", "Process", "Condition", "AllOf", "AnyOf"]
+__all__ = ["Event", "Timeout", "Process", "AllOf"]
 
 _PENDING = object()
 
@@ -311,16 +311,15 @@ class Process(Event):
                 self._target = None
 
 
-class Condition(Event):
-    """Composite event over a list of events; see :class:`AllOf`/:class:`AnyOf`."""
+class AllOf(Event):
+    """Composite event over a list of events: succeeds with their values
+    once *all* of them have succeeded, fails with the first failure."""
 
-    __slots__ = ("_events", "_evaluate", "_count", "_slots")
+    __slots__ = ("_events", "_count", "_slots")
 
-    def __init__(self, engine: "Engine", events: List[Event],
-                 evaluate: Callable[[List[Event], int], bool]):
+    def __init__(self, engine: "Engine", events: List[Event]):
         super().__init__(engine)
         self._events = events
-        self._evaluate = evaluate
         self._count = 0
         self._slots: List = []
         if not events:
@@ -335,10 +334,10 @@ class Condition(Event):
     def _detach_rest(self) -> None:
         """Let go of constituents that have not fired yet.
 
-        Once the condition has triggered, the remaining _check callbacks
-        would be no-ops; detaching them keeps an AnyOf loser from pinning
-        this condition (and its whole event list) in every pending
-        event's callback list until it fires.
+        Once the first failure has failed this event, the remaining
+        _check callbacks would be no-ops; detaching them keeps it (and
+        its whole event list) from being pinned in every pending
+        event's callback list until that event fires.
         """
         slots, self._slots = self._slots, []
         for ev, slot in slots:
@@ -353,24 +352,6 @@ class Condition(Event):
             self._detach_rest()
             return
         self._count += 1
-        if self._evaluate(self._events, self._count):
-            self.succeed([ev._value for ev in self._events if ev.triggered and ev._ok])
+        if self._count == len(self._events):
+            self.succeed([ev._value for ev in self._events])
             self._detach_rest()
-
-
-class AllOf(Condition):
-    """Triggers once *all* constituent events have succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", events: List[Event]):
-        super().__init__(engine, events, lambda evs, n: n == len(evs))
-
-
-class AnyOf(Condition):
-    """Triggers as soon as *any* constituent event succeeds (or one fails)."""
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", events: List[Event]):
-        super().__init__(engine, events, lambda evs, n: n >= 1)

@@ -1,11 +1,10 @@
 """A one-slice request awaited inside its stream replays the ``AllOf`` wait.
 
-:func:`reference_gather` is the former ``Client._gather``: every slice is
-started with ``Client._start`` (a bare call, or a ``Process`` with client
-timeouts on) and one ``AllOf`` awaits them all, a one-slice request
-included. Patched in for the real one, it must reproduce each cell's
-sampler records, final clock, served bytes and fault counters bit for
-bit. The inline wait drops only zero-delay hops: the stream resumes on
+:func:`reference_gather` is ``Client._gather`` without its one-slice
+case: every slice runs ``Client._request`` in a ``Process`` of its own
+and one ``AllOf`` awaits them all, a one-slice request included.
+Patched in for the real one, it must reproduce each cell's sampler
+records, final clock, served bytes and fault counters bit for bit. The inline wait drops only zero-delay hops: the stream resumes on
 its reply at the same instant, a few places earlier among that
 instant's events, so a difference here is a same-instant tie the inline
 wait moved.
@@ -22,10 +21,12 @@ from repro.harness.experiments import (fig07_scenario, outage_scenario,
 
 
 def reference_gather(self, slices):
-    """Start every slice, then await one ``AllOf`` over them all."""
+    """Spawn every slice's request, then await one ``AllOf`` over them all."""
     pending = []
     for server, request in slices:
-        pending.append((yield from self._start(server, request)))
+        proc = self.engine.process(self._request(server, request))
+        proc.defuse()
+        pending.append(proc)
     return (yield self.engine.all_of(pending))
 
 

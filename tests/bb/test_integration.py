@@ -1,14 +1,19 @@
 """End-to-end tests of the burst-buffer stack: client -> UCX -> server ->
 scheduler -> worker -> file system -> reply."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bb import ClientConfig, Cluster, ClusterConfig, ServerConfig
 from repro.core import JobInfo
-from repro.errors import FSError, InvalidArgument
+from repro.errors import ConfigError, FSError, InvalidArgument
 from repro.fs.striping import parity_spans
+from repro.harness import run_experiment
+from repro.harness.experiments import fig07_scenario, fig14_scenario, timeline
 from repro.units import GB, MB, MiB
+from repro.workloads.base import JobSpec
 
 
 def make_cluster(n_servers=1, policy="job-fair", stripe_count=1, **server_kw):
@@ -22,6 +27,29 @@ def make_cluster(n_servers=1, policy="job-fair", stripe_count=1, **server_kw):
 
 def job(jid, user="alice", group="g0", size=1):
     return JobInfo(job_id=jid, user=user, group=group, size=size)
+
+
+_NAN = float("nan")
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("kw", [
+        dict(sync_interval=_NAN), dict(sync_interval=-0.5),
+        dict(sync_timeout=_NAN), dict(sync_processing_time=_NAN),
+        dict(heartbeat_timeout=_NAN), dict(heartbeat_timeout=0.0),
+        dict(heartbeat_timeout=-1.0), dict(expire_check_interval=_NAN),
+        dict(bandwidth=_NAN), dict(op_latency=_NAN),
+        dict(meta_latency=_NAN)])
+    def test_server_config_rejects(self, kw):
+        with pytest.raises(ConfigError):
+            ServerConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(rpc_timeout=_NAN), dict(heartbeat_interval=_NAN),
+        dict(retry_backoff=_NAN), dict(retry_backoff_max=_NAN)])
+    def test_client_config_rejects(self, kw):
+        with pytest.raises(ConfigError):
+            ClientConfig(**kw)
 
 
 class TestDataPath:
@@ -454,10 +482,61 @@ _SCRIPT_OP = st.tuples(st.sampled_from(["write", "payload", "read"]),
                        st.integers(0, 5), st.integers(1, 6))
 
 
+#: A timeout far beyond every horizon below: it never fires.
+_NEVER = 1e3
+
+
+def _observed(cluster):
+    """What a run simulated: sampler records, final clock, served and
+    sent bytes, messages, λ-sync counters and fault counters."""
+    s = cluster.sampler
+    return (list(zip(s._times, s._jobs, s._bytes, s._ops)),
+            cluster.engine.now, cluster.total_served_bytes(),
+            cluster.fabric.messages_sent, cluster.fabric.bytes_sent,
+            cluster.sync_stats(), cluster.fault_stats.snapshot())
+
+
+def _timed_out(config, knob, timeout):
+    """*config* with the client's ``rpc_timeout`` or the servers'
+    ``sync_timeout`` (*knob*) set to *timeout*."""
+    cluster = config.cluster
+    if knob == "rpc":
+        cluster = replace(cluster, client=replace(
+            cluster.client, rpc_timeout=timeout))
+    else:
+        cluster = replace(cluster, server=replace(
+            cluster.server, sync_timeout=timeout))
+    return replace(config, cluster=cluster)
+
+
+_TIMEOUT_CELLS = {
+    # One slice per request; a heartbeat fires at 0.5 s, inside the
+    # 0.6 s of streams, and every client says goodbye.
+    "fig07-2-servers": ("rpc", lambda: fig07_scenario(
+        "job-fair", "write", 2, duration=0.6)),
+    # Every 10 MB cycle is three slices: the spawned-slice path.
+    "striped-timeline": ("rpc", lambda: timeline(
+        "size-fair", [JobSpec(job_id=1, user="a", nodes=4),
+                      JobSpec(job_id=2, user="b", nodes=1)],
+        scale=0.02, n_servers=4, stripe_count=3, seed=1)),
+    "fig14": ("rpc", lambda: fig14_scenario(0.05)),
+    # λ-sync's per-peer timeout over 80 rounds.
+    "fig14-sync": ("sync", lambda: fig14_scenario(0.01)),
+}
+
+
 class TestTimeoutModesAgree:
-    """rpc_timeout = 0 and > 0 differ in how a request is sent (a bare
-    call vs. a retrying process, awaited vs. fire-and-forget beats);
-    on a healthy cluster they must not differ in what it does."""
+    """A timeout changes only what happens when a message is lost: on a
+    healthy cluster a run whose timeouts never fire is the run with no
+    timeout, record for record."""
+
+    @pytest.mark.parametrize("cell", sorted(_TIMEOUT_CELLS))
+    def test_a_timeout_that_never_fires_changes_nothing(self, cell):
+        knob, build = _TIMEOUT_CELLS[cell]
+        runs = [_observed(run_experiment(_timed_out(build(), knob, t))
+                          .cluster) for t in (0.0, _NEVER)]
+        assert runs[0][0], "the cell served nothing"
+        assert runs[0] == runs[1]
 
     @settings(max_examples=12)
     @given(script=st.lists(_SCRIPT_OP, min_size=1, max_size=8))
@@ -466,7 +545,7 @@ class TestTimeoutModesAgree:
     def test_same_script_same_results(self, layout, script):
         chunk = 16 * 1024
         outcomes = []
-        for rpc_timeout in (0.0, 0.25):
+        for rpc_timeout in (0.0, _NEVER):
             cluster = Cluster(ClusterConfig(
                 n_servers=4, stripe_size=chunk,
                 client=ClientConfig(rpc_timeout=rpc_timeout), **layout))
@@ -501,6 +580,7 @@ class TestTimeoutModesAgree:
             outcomes.append((
                 results, cluster.fs.exists("/fs/data/b"),
                 {name: (s.served_requests, s.served_bytes)
-                 for name, s in cluster.servers.items()}))
+                 for name, s in cluster.servers.items()},
+                _observed(cluster)))
         assert outcomes[0][0][-1] == "done"
         assert outcomes[0] == outcomes[1]

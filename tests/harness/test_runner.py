@@ -110,8 +110,7 @@ class TestRunner:
         cfg = ExperimentConfig(
             cluster=ClusterConfig(n_servers=1, policy="job-fair"),
             jobs=[JobRun(spec=spec(1), workload=small_cycle(), stop=50.0)],
-            max_time=0.2, sample_interval=0.1,
-            stop_when_jobs_finish=False)
+            max_time=0.2, sample_interval=0.1)
         result = run_experiment(cfg)
         with pytest.raises(ConfigError):
             result.time_to_solution(1)

@@ -186,15 +186,26 @@ def test_interrupt_behind_thousands_of_waiters():
 
 
 def test_interrupt_detach_keeps_condition_events_live():
-    from repro.sim import AnyOf
+    """An ``AllOf`` fails on its first failure and detaches from the
+    constituents still pending: the slower one stays live for its other
+    waiters and no longer holds the ``AllOf`` in its callback list."""
+    from repro.sim import AllOf
     eng = Engine()
-    results = []
+    bad, slow = eng.event(), eng.timeout(2.0, "slow")
+    both = AllOf(eng, [bad, slow])
+    seen, caught = [], []
+    slow.callbacks.append(lambda ev: seen.append((eng.now, ev.value)))
 
-    def racer():
-        a, b = eng.timeout(1.0, "a"), eng.timeout(2.0, "b")
-        got = yield AnyOf(eng, [a, b])
-        results.append(got)
+    def waiter():
+        try:
+            yield both
+        except RuntimeError as err:
+            caught.append((eng.now, str(err)))
 
-    eng.process(racer())
+    eng.process(waiter())
+    eng.call_at(1.0, lambda: bad.fail(RuntimeError("x")))
+    eng.run(until=1.5)
+    assert caught == [(1.0, "x")]
+    assert both._check not in slow.callbacks
     eng.run()
-    assert results == [["a"]]
+    assert seen == [(2.0, "slow")]

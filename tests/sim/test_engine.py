@@ -105,6 +105,23 @@ def test_negative_delay_rejected():
         eng.timeout(-1.0)
 
 
+def test_nan_times_rejected():
+    # NaN compares false both ways: a `when < now` test let it through,
+    # it fired first, and the clock read NaN for the rest of the run.
+    eng = Engine()
+    for t in (1.0, 2.0, 3.0):
+        eng.timeout(t)
+    nan = float("nan")
+    with pytest.raises(SimulationError):
+        eng.timeout(nan)
+    with pytest.raises(SimulationError):
+        eng.schedule_at(eng.event(), nan)
+    with pytest.raises(SimulationError):
+        eng.run(until=nan)
+    eng.run()
+    assert eng.now == 3.0
+
+
 def test_stop_from_callback_halts_run():
     eng = Engine()
     seen = []

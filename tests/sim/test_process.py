@@ -191,17 +191,6 @@ class TestConditions:
         eng.run()
         assert done_at == [pytest.approx(3.0)]
 
-    def test_any_of_fires_on_first(self, eng):
-        done_at = []
-
-        def proc():
-            yield eng.any_of([eng.timeout(5.0), eng.timeout(1.0)])
-            done_at.append(eng.now)
-
-        eng.process(proc())
-        eng.run()
-        assert done_at == [pytest.approx(1.0)]
-
     def test_all_of_empty_fires_immediately(self, eng):
         done = []
 
