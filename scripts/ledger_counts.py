@@ -5,7 +5,9 @@ Runs the perf ledger at smoke sizes (``ledger/run.py --smoke --repeats 1
 --trace``, every output check on) and compares, per workload, the
 ``trace_digest`` and the counts that say how much work a request costs —
 events scheduled, messages sent, RPC calls, requests served, token draws
-— plus the λ-sync rounds completed and completed degraded, with the
+— plus the λ-sync rounds completed and completed degraded, and the calls
+that say how much work a job-set change costs — job-table merges, token
+installs (share recomputations) and placement-share requests — with the
 committed ``LEDGER_COUNTS.json``. The counts have no noise: any
 difference is a change to the request path, to λ-sync or to the
 simulated outcome, so an event, a message or a sync round creeping in
@@ -37,7 +39,9 @@ _COMMITTED = os.path.join(_ROOT, "LEDGER_COUNTS.json")
 
 #: per-layer counts gated next to the trace digest.
 COUNTS = ("sim.events", "net.msgs", "ucx.rpc_calls", "bb.served_ops",
-          "core.draws", "bb.sync_rounds", "bb.degraded_rounds")
+          "core.draws", "bb.sync_rounds", "bb.degraded_rounds",
+          "core.table_merge_calls", "core.share_recompute_calls",
+          "core.placement_share_calls")
 
 
 def measure() -> dict:
@@ -100,7 +104,7 @@ def main(argv=None) -> int:
     if only and not wrong:
         for workload, values in committed.items():
             for key in only:
-                print(f"{workload} {key}: {values[key]!r} -> "
+                print(f"{workload} {key}: {values.get(key)!r} -> "
                       f"{measured[workload][key]!r}")
                 values[key] = measured[workload][key]
         write(committed)

@@ -69,6 +69,12 @@ _ENTRY_WIRE_BYTES = 64
 #: Wire bytes of a pull probe / push acknowledgement (headers only).
 _PROBE_WIRE_BYTES = 16
 
+#: ``(child name, rpc timeout)`` of one tree edge.
+_Edge = Tuple[str, Optional[float]]
+#: A node's edges in one epoch's tree and the names of the children
+#: that answered its gather.
+_Gathered = Tuple[List[_Edge], Collection[str]]
+
 
 def _table_bytes(entries: List[JobRecord]) -> int:
     """Wire bytes of a reply or push carrying *entries* (one entry's
@@ -170,9 +176,10 @@ class Controller:
         self.max_gather_fanin = 0
         #: (epoch, merged-table digest) per round driven from here.
         self.digest_log: Deque[Tuple[int, str]] = deque(maxlen=4096)
-        # Per-epoch gather bookkeeping of an interior node: the children
-        # that answered, consumed when the matching push arrives.
-        self._tree_gather: Dict[int, FrozenSet[str]] = {}
+        # Per-epoch gather bookkeeping of an interior node: its children
+        # in the epoch's tree and those that answered, consumed when the
+        # matching push arrives.
+        self._tree_gather: Dict[int, _Gathered] = {}
         self._sync_process = None
 
     def reset(self) -> None:
@@ -202,8 +209,13 @@ class Controller:
     def _learn_presence(self, rows: Dict[str, FrozenSet[int]]) -> None:
         """Take the peers' rows of a sync message. Rows travel as the
         frozensets the sender's map holds, so a row that has not
-        changed since we last took it is the object we hold already."""
+        changed since we last took it is the object we hold already.
+        When every row equals the one we hold (the common case), one
+        containment test says so: an equal row is a no-op for
+        :meth:`_set_presence` anyway."""
         presence = self.presence
+        if rows.items() <= presence.items():
+            return
         own = self.server.name
         for host, jobs in rows.items():
             if presence.get(host) is not jobs and host != own:
@@ -303,7 +315,7 @@ class Controller:
             epoch = max(epoch + 1,
                         int(engine.now / self.sync_interval) + 1)
 
-    def _children(self, epoch: int) -> List[Tuple[str, Optional[float]]]:
+    def _children(self, epoch: int) -> List[_Edge]:
         """``(name, rpc_timeout)`` of our children in *epoch*'s tree.
 
         ``sync_tree_fanout=0`` (flat) is the height-1 tree: every peer
@@ -344,19 +356,21 @@ class Controller:
         if tree_order(self._members, epoch)[0] != self.server.name:
             return
         self.coordinated_rounds += 1
-        answered, _, degraded = yield from self._gather(epoch, root=True)
+        children = self._children(epoch)
+        answered, _, degraded = yield from self._gather(epoch, children,
+                                                        root=True)
         digest = _content_hash(*self._view())
         self.digest_log.append((epoch, digest))
-        degraded |= yield from self._forward_tree_push(epoch, digest,
-                                                       answered)
+        degraded |= yield from self._forward_tree_push(
+            epoch, digest, (children, answered))
         if degraded:
             self._note_degraded()
         self._last_push_hash = digest
         self.sync_rounds += 1
         self.refresh_tokens()
 
-    def _gather(self, epoch: int, root: bool = False):
-        """Probe our children in *epoch*'s tree and merge their replies.
+    def _gather(self, epoch: int, children: List[_Edge], root: bool = False):
+        """Probe our *children* in *epoch*'s tree and merge their replies.
 
         Returns ``(answered, subtree, degraded)``: the children that
         replied (the edges the scatter goes back down); the placement
@@ -367,7 +381,7 @@ class Controller:
         probe = {"kind": "pull", "epoch": epoch}
         pulls = [(name, self._peer(name).call(
                      "sync", probe, size=_PROBE_WIRE_BYTES, timeout=timeout))
-                 for name, timeout in self._children(epoch)]
+                 for name, timeout in children]
         self.max_gather_fanin = max(self.max_gather_fanin, len(pulls))
         answered = []
         subtree: Dict[str, FrozenSet[int]] = {}
@@ -393,17 +407,18 @@ class Controller:
         return frozenset(answered), subtree, degraded
 
     def _forward_tree_push(self, epoch: int, digest: str,
-                           answered: Optional[Collection[str]]):
+                           gathered: Optional[_Gathered]):
         """Scatter our merged view down the *epoch* edges that answered
-        the gather — to every shape-child when that list is gone
-        (``None``: we restarted between gather and push) — and return
-        whether a child failed to ack in time.
+        the gather — *gathered* is our children in the epoch's tree and
+        the names of those that answered — to every shape-child when
+        that record is gone (``None``: we restarted between gather and
+        push), and return whether a child failed to ack in time.
 
         A child that never answered this epoch's gather (crash or
         partition on the edge) is skipped: a push would race its
         recovery, and a later epoch's reshaped tree reaches it.
         """
-        children = self._children(epoch)
+        children, answered = gathered or (self._children(epoch), None)
         if not children:
             return False
         entries, presence = self._view()
@@ -434,12 +449,14 @@ class Controller:
         if self.server.crashed:
             return  # crashed mid-processing: the reply is lost
         epoch = rpc.body["epoch"]
-        answered, subtree, degraded = yield from self._gather(epoch)
+        children = self._children(epoch)
+        answered, subtree, degraded = yield from self._gather(epoch, children)
         if self.server.crashed:
             return
-        # Remember which children answered so the matching push goes
-        # back down the same edges.
-        self._tree_gather[epoch] = answered
+        # Remember our children and which of them answered, so the
+        # matching push goes back down the same edges without working
+        # out the tree shape again.
+        self._tree_gather[epoch] = children, answered
         for old in [e for e in self._tree_gather if e < epoch - 1]:
             del self._tree_gather[old]
         if degraded:

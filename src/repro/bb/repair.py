@@ -30,6 +30,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 from ..core.jobinfo import JobInfo
+from ..core.tokens import ordered_sum
 from ..errors import FileNotFound, RpcTimeout
 from ..fs.striping import ErasureSpec
 from .client import Client
@@ -251,6 +252,6 @@ class RepairManager:
             "groups_lost": sum(e["groups_lost"] for e in done),
             "io_failures": sum(e["io_failures"] for e in done),
             "repair_bytes": sum(e["repair_bytes"] for e in done),
-            "repair_seconds": sum(e["finished_at"] - e["detected_at"]
-                                  for e in done),
+            "repair_seconds": ordered_sum(
+                e["finished_at"] - e["detected_at"] for e in done),
         }

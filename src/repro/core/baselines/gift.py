@@ -33,6 +33,7 @@ from ...errors import SchedulerError
 from ..jobinfo import JobInfo
 from ..queues import QueueSet
 from ..scheduler import Scheduler
+from ..tokens import ordered_sum
 
 __all__ = ["GiftScheduler"]
 
@@ -121,7 +122,7 @@ class GiftScheduler(Scheduler):
             donated = fair - used.get(job_id, 0.0)
             if donated > 0:
                 self.coupons[job_id] = self.coupons.get(job_id, 0.0) + donated
-        spare = max(0.0, epoch_bytes - sum(used.values())) \
+        spare = max(0.0, epoch_bytes - ordered_sum(used.values())) \
             if self._fair_last else 0.0
 
         job_ids = sorted({j.job_id for j in self._active}
@@ -184,7 +185,7 @@ class GiftScheduler(Scheduler):
                         spare -= float(granted)
 
         residual = {j: headroom[j] - extra.get(j, 0.0) for j in claimants}
-        total_residual = sum(residual.values())
+        total_residual = ordered_sum(residual.values())
         if spare > 0 and total_residual > 0:
             scale = min(1.0, spare / total_residual)
             for j in claimants:

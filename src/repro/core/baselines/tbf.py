@@ -28,6 +28,7 @@ from ...errors import SchedulerError
 from ..jobinfo import JobInfo
 from ..queues import QueueSet
 from ..scheduler import Scheduler
+from ..tokens import ordered_sum
 
 __all__ = ["TbfScheduler"]
 
@@ -152,9 +153,9 @@ class TbfScheduler(Scheduler):
         backlogged = set(self.queues.nonempty_jobs())
         if not backlogged:
             return {j: self.rate_of(j) for j in self._known}
-        idle_rate = sum(self.rate_of(j) for j in self._known
-                        if j not in backlogged)
-        busy_total = sum(self.rate_of(j) for j in sorted(backlogged))
+        idle_rate = ordered_sum(self.rate_of(j) for j in self._known
+                                if j not in backlogged)
+        busy_total = ordered_sum(self.rate_of(j) for j in sorted(backlogged))
         rates = {}
         for j in self._known:
             base = self.rate_of(j)

@@ -17,6 +17,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence, Set
 
 from .jobinfo import JobStatusTable
+from .tokens import ordered_sum
 
 __all__ = ["all_gather_merge", "total_variation", "global_share_error",
            "placement_shares", "PlacementMemo"]
@@ -124,20 +125,30 @@ def _solve_placement(presence, global_shares, iterations: int,
     """
     servers = sorted(presence)
     rows: Dict[str, Dict[int, float]] = {s: {} for s in servers}
-    hosts: Dict[int, tuple] = {}
+    # Split the positive-share jobs server by server into classes of
+    # equal host set: (members, host rows) pairs.
+    split = [({j for j, share in global_shares.items() if share > 0}, ())]
     for r, server in enumerate(servers):
-        for job_id in presence[server]:
-            if global_shares.get(job_id, 0.0) > 0:
-                hosts[job_id] = hosts.get(job_id, ()) + (r,)
-    if not hosts:
+        hosted = presence[server]
+        parts = []
+        for jobs, rs in split:
+            inside = jobs & hosted
+            if inside:
+                parts.append((inside, rs + (r,)))
+                if len(inside) < len(jobs):
+                    parts.append((jobs - inside, rs))
+            else:
+                parts.append((jobs, rs))
+        split = parts
+    # Classes ordered by their smallest member, the unhosted one dropped.
+    found = sorted((sorted(jobs), rs) for jobs, rs in split if rs)
+    if not found:
         return rows
-    classes: Dict[tuple, list] = {}
-    for job_id in sorted(hosts):
-        classes.setdefault(hosts[job_id], []).append(job_id)
+    classes = [rs for _, rs in found]
     n = len(servers)
-    members = list(classes.values())
+    members = [jobs for jobs, _ in found]
     member_shares = [[global_shares[j] for j in jobs] for jobs in members]
-    weights = [sum(shares) for shares in member_shares]
+    weights = [ordered_sum(shares) for shares in member_shares]
     targets = [w * n for w in weights]
     row_bound = tol + _RTOL
     col_bounds = [tol * w / max(shares) + _RTOL * t
@@ -179,11 +190,10 @@ def _solve_placement(presence, global_shares, iterations: int,
     # its ``share / weight`` of the class cell.
     for c, r, k in index:
         unit = cells[c] / (row_sums[r] or 1.0) / weights[k]
-        row = rows[servers[r]]
-        for job_id, share in zip(members[k], member_shares[k]):
-            cell = share * unit
-            if cell > 0:
-                row[job_id] = cell
+        rows[servers[r]].update(
+            [(job_id, cell) for job_id, share in zip(members[k],
+                                                     member_shares[k])
+             if (cell := share * unit) > 0])
     return rows
 
 
@@ -191,7 +201,8 @@ def total_variation(a: Dict[int, float], b: Dict[int, float]) -> float:
     """Total-variation distance between two share maps (0 = identical,
     1 = disjoint). Missing keys count as zero share."""
     keys = sorted(set(a) | set(b))
-    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
+    return 0.5 * ordered_sum(
+        abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
 def global_share_error(local_shares: Sequence[Dict[int, float]],

@@ -121,16 +121,26 @@ class JobStatusTable:
         """Union remote records into this table; newest heartbeat wins
         and is installed by reference.
 
+        A record that is the very object this table holds (installed
+        from an earlier message) is passed over on an identity test,
+        before its stamp is read: it cannot be strictly newer.
+
         Returns True if the active-job set (or any job's info) changed.
         """
         entries = self._entries
         changed = False
+        # Fields by index: unpacking a NamedTuple (a tuple subclass)
+        # misses the interpreter's exact-tuple fast path, and this loop
+        # runs once per record per sync message.
         for remote in remote_entries:
-            info, stamp, active = remote
+            info = remote[0]
             job_id = info.job_id
             mine = entries.get(job_id)
-            if mine is not None and not stamp > mine.last_heartbeat:
+            if mine is remote:
                 continue
+            if mine is not None and not remote[1] > mine[1]:
+                continue
+            active = remote[2]
             entries[job_id] = remote
             if mine is None or mine.active != active:
                 changed = True

@@ -31,15 +31,22 @@ __all__ = ["build_transition_matrices", "chain_product", "chain_shares",
            "validate_transition_matrix"]
 
 
+_JOB_ID = attrgetter("job_id")
+_SIZE = attrgetter("size")
+_PRIORITY = attrgetter("priority")
+
+
 def _level_readers(levels: Sequence["Level"]) -> Tuple[list, Callable]:
     """One entity getter per non-terminal level and the terminal level's
-    weight function, resolved once per chain, not per job per level."""
+    weights function (jobs to their weights, in order), resolved once per
+    chain, not per job per level."""
     from .policy import Level  # policy imports this module
     entity = {Level.GROUP: attrgetter("group"),
               Level.USER: attrgetter("user")}
-    weight = {Level.JOB: lambda job: 1.0,
-              Level.SIZE: lambda job: float(job.size),
-              Level.PRIORITY: lambda job: float(job.priority)}
+    weight = {Level.JOB: lambda jobs: [1.0] * len(jobs),
+              Level.SIZE: lambda jobs: list(map(float, map(_SIZE, jobs))),
+              Level.PRIORITY:
+                  lambda jobs: list(map(float, map(_PRIORITY, jobs)))}
     *heads, tail = levels
     for level in heads:
         if level not in entity:
@@ -77,8 +84,8 @@ def _terminal_matrix(parent_scopes: Sequence[tuple],
 
 def _by_id(jobs: Sequence[JobInfo]) -> Tuple[List[JobInfo], List[int]]:
     """*jobs* in ascending id order and their (distinct) ids."""
-    jobs = sorted(jobs, key=attrgetter("job_id"))
-    job_ids = [job.job_id for job in jobs]
+    jobs = sorted(jobs, key=_JOB_ID)
+    job_ids = list(map(_JOB_ID, jobs))
     if len(set(job_ids)) != len(job_ids):
         raise PolicyError(f"duplicate job ids: {job_ids}")
     return jobs, job_ids
@@ -124,7 +131,7 @@ def build_transition_matrices(
         parent_scopes = child_scopes
         parent_rows = {scope: i for i, scope in enumerate(child_scopes)}
 
-    weights = [weight(job) for job in jobs]
+    weights = weight(jobs)
     matrices.append(_terminal_matrix(parent_scopes, parent_rows,
                                      scope_chain[-1], weights))
     return matrices, job_ids
@@ -174,17 +181,24 @@ def chain_shares(levels: Sequence["Level"],
         return {}
     jobs, job_ids = _by_id(jobs)
     getters, weight = _level_readers(levels)
-    scope_chain = _scope_chain(getters, jobs)
+    # Each job's innermost scope, keyed once; every level above it works
+    # on the distinct scopes only.
+    scopes = (list(zip(*[map(getter, jobs) for getter in getters]))
+              if getters else [()] * len(jobs))
+    distinct = dict.fromkeys(scopes)
     reach: Dict[tuple, float] = {(): 1.0}  # the part of [0, 1] a scope gets
     for depth in range(len(getters)):
-        children = dict.fromkeys(scope_chain[depth + 1])
+        children = dict.fromkeys(scope[:depth + 1] for scope in distinct)
         siblings = Counter(child[:depth] for child in children)
         reach = {child: reach[child[:depth]] * (1.0 / siblings[child[:depth]])
                  for child in children}
-    scopes = scope_chain[-1]
-    weights = [weight(job) for job in jobs]
-    totals: Dict[tuple, float] = {}
-    for scope, w in zip(scopes, weights):
-        totals[scope] = totals.get(scope, 0.0) + w
-    return {job_id: reach[scope] * (w / totals[scope])
-            for job_id, scope, w in zip(job_ids, scopes, weights)}
+    # Weight sums per innermost scope, added in job order by scope index.
+    slot = {scope: i for i, scope in enumerate(distinct)}
+    slots = list(map(slot.__getitem__, scopes))
+    weights = weight(jobs)
+    totals = [0.0] * len(slot)
+    for i, w in zip(slots, weights):
+        totals[i] += w
+    scope_reach = [reach[scope] for scope in distinct]
+    return dict(zip(job_ids, [scope_reach[i] * (w / totals[i])
+                              for i, w in zip(slots, weights)]))

@@ -25,11 +25,26 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import SchedulerError
 
-__all__ = ["TokenAssignment"]
+__all__ = ["TokenAssignment", "ordered_sum"]
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add *values* one after the other, left to right, from ``0``.
+
+    This is the built-in :func:`sum` up to Python 3.11, bit for bit.
+    From 3.12 the built-in compensates float rounding, so the same
+    shares would give different simulated floats on a newer Python;
+    every float sum that reaches the model or a pinned table goes
+    through here instead. (Integer sums keep the built-in.)
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def _pairwise_sum(values: Sequence[float]) -> float:
@@ -40,8 +55,9 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     over the multiples of eight, combines them as ``((r0+r1)+(r2+r3)) +
     ((r4+r5)+(r6+r7))`` and adds the remainder one at a time. Above
     128 it sums two halves, cut at a multiple of eight, and adds the
-    results. The built-in :func:`sum` is compensated from Python 3.12 and
-    :func:`math.fsum` is exact, so neither reproduces it.
+    results. :func:`ordered_sum` adds left to right, the built-in
+    :func:`sum` is compensated from Python 3.12 and :func:`math.fsum` is
+    exact, so none of them reproduces it.
     """
     n = len(values)
     if n < 8:
@@ -81,20 +97,23 @@ class TokenAssignment:
     def __init__(self, shares: Dict[int, float]):
         if not shares:
             raise SchedulerError("empty share map")
-        items = sorted(shares.items())
-        for job_id, share in items:
-            if not 0.0 <= share < math.inf:
-                raise SchedulerError(
-                    f"share of job {job_id} must be finite and >= 0: {share}")
-        values = [float(s) for _, s in items]
+        job_ids = sorted(shares)
+        raw = list(map(shares.__getitem__, job_ids))
+        values = list(map(float, raw))
         total = _pairwise_sum(values)
+        # ``min`` / ``max`` pass a NaN by; the total does not.
+        if not (0.0 <= min(raw) and max(raw) < math.inf and total == total):
+            for job_id, share in zip(job_ids, raw):
+                if not 0.0 <= share < math.inf:
+                    raise SchedulerError(f"share of job {job_id} must be "
+                                         f"finite and >= 0: {share}")
         if not 0.0 < total < math.inf:
             raise SchedulerError(f"shares sum to {total}: {shares}")
-        self.job_ids: List[int] = [job_id for job_id, _ in items]
+        self.job_ids: List[int] = job_ids
         self._shares: List[float] = [v / total for v in values]
         self._cum: List[float] = list(accumulate(self._shares))
         self._cum[-1] = 1.0  # guard against floating-point shortfall
-        self._index = {job_id: i for i, job_id in enumerate(self.job_ids)}
+        self._index = dict(zip(job_ids, range(len(job_ids))))
 
     # ----------------------------------------------------------------- draws
     def draw(self, u: float) -> int:

@@ -31,6 +31,7 @@ from ..bb.client import ClientConfig
 from ..bb.cluster import Cluster, ClusterConfig
 from ..bb.server import ServerConfig
 from ..core.jobinfo import JobInfo
+from ..core.tokens import ordered_sum
 from ..errors import ConfigError
 from ..faults import FaultPlan, ServerCrash
 from ..fs.hashing import ConsistentHashRing
@@ -325,7 +326,7 @@ def steady_cell(config: Dict) -> Dict:
         for rollup, entity in (("user_totals", spec.user),
                                ("group_totals", spec.group)):
             out[rollup][entity] = out[rollup].get(entity, 0.0) + median
-    out["total"] = sum(out["job_medians"].values())
+    out["total"] = ordered_sum(out["job_medians"].values())
     return out
 
 
@@ -374,7 +375,7 @@ def datawarp_cell(config: Dict) -> Dict:
         for run in result.config.jobs}
     return {
         "per_job": {str(spec.job_id): rate for spec, rate in rates.items()},
-        "total": sum(rates.values()),
+        "total": ordered_sum(rates.values()),
         # Weighted fairness: rate per entitled node should be even.
         "jain": jain_index([rate / spec.nodes
                             for spec, rate in rates.items()]),
@@ -480,9 +481,9 @@ def repair_cell(config: Dict) -> Dict:
     stats = cluster.fault_stats
     repair = cluster.repair.summary()
     finished = [e["finished_at"] for e in cluster.repair.episodes]
-    before = sum(_job_rates(result, settle, crash.at))
-    during = sum(_job_rates(result, crash.at + settle,
-                            result.config.jobs[0].stop))
+    before = ordered_sum(_job_rates(result, settle, crash.at))
+    during = ordered_sum(_job_rates(result, crash.at + settle,
+                                    result.config.jobs[0].stop))
     return {
         "fg_before": float(before),
         "fg_during": float(during),

@@ -12,6 +12,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..core.tokens import ordered_sum
 from ..errors import ConfigError
 from .sampler import ThroughputSampler
 
@@ -73,9 +74,10 @@ def convergence_interval(timeline: ShareTimeline,
     good_run = 0
     for idx in range(timeline.n_intervals):
         observed = timeline.shares_at(idx)
-        tv = 0.5 * sum(abs(observed.get(k, 0.0) - fair_shares.get(k, 0.0))
-                       for k in sorted(set(observed) | set(fair_shares)))
-        total = sum(observed.values())
+        tv = 0.5 * ordered_sum(
+            abs(observed.get(k, 0.0) - fair_shares.get(k, 0.0))
+            for k in sorted(set(observed) | set(fair_shares)))
+        total = ordered_sum(observed.values())
         if total > 0 and tv <= tolerance:
             good_run += 1
             if good_run >= sustain:

@@ -36,8 +36,10 @@ MUTANTS = [
     ("DET004", "core/baselines/tbf.py", [
         ("for j in sorted(backlogged))", "for j in backlogged)")]),
     ("DET004", "core/fairness.py", [        # flagged where it is iterated
-        ("    keys = sorted(set(a) | set(b))\n    return 0.5 * sum(",
-         "    keys = set(a) | set(b)\n    return 0.5 * sum(")]),
+        ("    keys = sorted(set(a) | set(b))\n    return 0.5 * ordered_sum(\n"
+         "        abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)",
+         "    keys = set(a) | set(b)\n    return 0.5 * ordered_sum(\n"
+         "        abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)")]),
     ("DET005", "metrics/faultstats.py", [
         ("key=lambda kv: (kv[1] == 0, kv[0]))",
          "key=lambda kv: (kv[1] == 0, id(kv[0])))")]),

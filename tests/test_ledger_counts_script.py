@@ -55,3 +55,17 @@ def test_only_needs_update_and_a_known_count(script):
     for argv in (["--only", "sim.events"], ["--update", "--only", "digest"]):
         with pytest.raises(SystemExit):
             module.main(argv)
+
+
+def test_only_records_a_count_new_to_the_file(script, monkeypatch):
+    """A count just added to ``COUNTS`` is recorded by ``--only`` and
+    leaves every committed value as it was."""
+    module, path = script
+    monkeypatch.setattr(module, "COUNTS",
+                        ("sim.events", "net.msgs", "core.draws"))
+    _measured(script, **{"core.draws": 7})
+    assert module.main(["--update", "--only", "core.draws"]) == 0
+    assert json.loads(path.read_text())["w"] == {
+        "trace_digest": "aa", "sim.events": 10, "net.msgs": 4,
+        "core.draws": 7}
+    assert module.main([]) == 0
