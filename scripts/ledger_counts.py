@@ -7,8 +7,11 @@ Runs the perf ledger at smoke sizes (``ledger/run.py --smoke --repeats 1
 events scheduled, messages sent, RPC calls, requests served, token draws
 — plus the λ-sync rounds completed and completed degraded, and the calls
 that say how much work a job-set change costs — job-table merges, token
-installs (share recomputations) and placement-share requests — with the
-committed ``LEDGER_COUNTS.json``. The counts have no noise: any
+installs (share recomputations) and placement-share requests — and the
+calls the lock tables and the chunk store take — range-lock attempts,
+lock waits and chunk writes, counted by function name, so that a
+function inlined away reads 0 here — with the committed
+``LEDGER_COUNTS.json``. The counts have no noise: any
 difference is a change to the request path, to λ-sync or to the
 simulated outcome, so an event, a message or a sync round creeping in
 or out fails CI without a single timing (a sync change can leave the
@@ -41,7 +44,8 @@ _COMMITTED = os.path.join(_ROOT, "LEDGER_COUNTS.json")
 COUNTS = ("sim.events", "net.msgs", "ucx.rpc_calls", "bb.served_ops",
           "core.draws", "bb.sync_rounds", "bb.degraded_rounds",
           "core.table_merge_calls", "core.share_recompute_calls",
-          "core.placement_share_calls")
+          "core.placement_share_calls", "fs.lock_acquire_calls",
+          "fs.lock_wait_calls", "fs.store_write_calls")
 
 
 def measure() -> dict:

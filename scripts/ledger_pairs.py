@@ -16,9 +16,14 @@ were equal, and at how many every count was, naming each count that
 differed. A change meant to move ``sim.events`` alone reads "equal at
 N / N seeds" in the first row and names ``sim.events`` in the second.
 
+``--trace N`` then runs N traced repeats per side (``ledger/run.py
+--repeats 1 --trace``, seeds 12, 13, ..., order flipped as above) and
+prints each layer's ``self_s`` median per side: where a saving sits.
+
 Usage::
 
     python scripts/ledger_pairs.py <base-rev> --workload W [--pairs 10]
+                                   [--trace N]
     python scripts/ledger_pairs.py HEAD --workload job_churn --pairs 1 --smoke
 
 ``--smoke`` runs one repeat of the tiny shapes per side (plumbing check:
@@ -52,6 +57,10 @@ JUDGED = [(metric, better, bound)
           for metric, _unit, better, bound in spec.END_TO_END
           if metric not in spec.EXACT]
 
+#: the per-layer self times a traced repeat reports.
+SELF_TIMES = [name for name, _unit, _better in spec.PER_LAYER
+              if name.endswith(".self_s")]
+
 
 def checkout(rev: str, dest: str) -> None:
     """Unpack revision *rev* of this repository into *dest* (``git
@@ -63,12 +72,16 @@ def checkout(rev: str, dest: str) -> None:
 
 
 def run_side(tree: str, workload: str, seed: int, smoke: bool,
-             out: str) -> dict:
-    """One ledger run of *tree*; returns its ``--out`` document."""
+             out: str, trace: bool = False) -> dict:
+    """One ledger run of *tree*; returns its ``--out`` document. With
+    *trace*, one untraced and one traced repeat."""
     cmd = [sys.executable, os.path.join(tree, "ledger", "run.py"),
            "--workload", workload, "--seed", str(seed), "--out", out]
-    cmd += (["--smoke", "--repeats", "1"] if smoke
-            else ["--seconds", str(spec.RUN_SECONDS)])
+    if trace:
+        cmd += ["--repeats", "1", "--trace"] + (["--smoke"] if smoke else [])
+    else:
+        cmd += (["--smoke", "--repeats", "1"] if smoke
+                else ["--seconds", str(spec.RUN_SECONDS)])
     subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
     with open(out) as fh:
         return json.load(fh)
@@ -147,6 +160,36 @@ def table(workload: str, pairs: list) -> list:
     return lines
 
 
+def traced(trees: dict, workload: str, repeats: int, smoke: bool,
+           tmp: str) -> list:
+    """*repeats* traced runs per side, the side that runs first flipped
+    every seed: ``[{"base": {metric: s}, "change": {...}}, ...]``."""
+    runs = []
+    for i in range(repeats):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        docs = {side: run_side(trees[side], workload, spec.DEFAULT_SEED + i,
+                               smoke, os.path.join(tmp, f"{side}.json"),
+                               trace=True)
+                for side in order}
+        runs.append({side: {metric: doc["workloads"][workload]["per_layer"]
+                            [metric]["value"] for metric in SELF_TIMES}
+                     for side, doc in docs.items()})
+    return runs
+
+
+def layer_table(workload: str, runs: list) -> list:
+    """The markdown rows of per-layer self seconds over *runs*."""
+    lines = [f"| `{workload}` traced | base median | change median | |",
+             "|---|---|---|---|"]
+    for metric in SELF_TIMES:
+        base = statistics.median(r["base"][metric] for r in runs)
+        change = statistics.median(r["change"][metric] for r in runs)
+        rel = (change - base) / base if base else 0.0
+        lines.append(f"| `{metric}` | {base:.4g} | {change:.4g} | "
+                     f"{rel:+.1%} |")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
@@ -156,9 +199,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny shapes, one repeat: plumbing check only")
+    parser.add_argument("--trace", type=int, default=0, metavar="N",
+                        help="after the pairs, N traced repeats per side: "
+                             "per-layer self seconds")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.trace < 0:
+        parser.error("--trace must be >= 0")
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": os.path.join(tmp, "base"), "change": _ROOT}
@@ -173,6 +221,7 @@ def main(argv=None) -> int:
                   file=sys.stderr, flush=True)
         held_out = run_pair(trees, "base", args.workload, spec.HELD_OUT_SEED,
                             args.smoke, tmp)
+        runs = traced(trees, args.workload, args.trace, args.smoke, tmp)
 
     size = ("--smoke --repeats 1" if args.smoke
             else f"--seconds {spec.RUN_SECONDS}")
@@ -186,6 +235,12 @@ def main(argv=None) -> int:
             _pair_values(p, args.workload, metric) for p in pairs) + ".")
     print(f"\nHeld-out seed {spec.HELD_OUT_SEED}, once:\n")
     print("\n".join(table(args.workload, [held_out])))
+    if runs:
+        print(f"\nTraced (`ledger/run.py --workload {args.workload} --seed N"
+              f" --repeats 1 --trace`), {len(runs)} per side, seeds "
+              f"{spec.DEFAULT_SEED}-{spec.DEFAULT_SEED + len(runs) - 1}, "
+              f"self seconds:\n")
+        print("\n".join(layer_table(args.workload, runs)))
     mismatches = [f"EXACT MISMATCH seed {pair['seed']} {line}"
                   for pair in pairs + [held_out]
                   for line in pair["outcome"] + list(pair["counts"].values())]

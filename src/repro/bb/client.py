@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..core.jobinfo import JobInfo
@@ -46,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Engine
 
 __all__ = ["Client", "ClientConfig"]
+
+#: the bytes a reply reports (summed over an operation's slices).
+_reply_bytes = itemgetter("bytes")
 
 
 @dataclass
@@ -204,9 +208,11 @@ class Client:
         retried with backoff through timeouts, error replies and server
         restarts."""
         timeout = self.config.rpc_timeout or None
-        pauses = self._backoff()
+        pauses = None  # the backoff, made at the first failure
         while True:
-            client = yield from self._ensure_io(server)
+            client = self._io.get(server)
+            if client is None:
+                client = yield from self._ensure_io(server)
             try:
                 resp = yield client.call("io", request,
                                          size=request.wire_bytes,
@@ -219,6 +225,8 @@ class Client:
                 if not self._ft or resp.get("ok", True):
                     return resp
                 last_error = resp.get("error", "EIO")
+            if pauses is None:
+                pauses = self._backoff()
             pause = next(pauses, None)
             if pause is None:
                 raise RpcTimeout(
@@ -365,7 +373,9 @@ class Client:
         server; with *payload* real bytes go to the exact chunks, one
         request per chunk (verification paths).
         """
-        inode = yield from self._require_inode(path)
+        inode = self.fs.lookup(path)
+        if inode is None:
+            inode = yield from self._require_inode(path)
         down = set()
         if isinstance(inode.stripe, ErasureSpec):
             # Degraded write: skip down share servers instead of
@@ -402,7 +412,7 @@ class Client:
         if isinstance(inode.stripe, ErasureSpec):
             yield from self._parity_fanout(path, inode.stripe, offset, size,
                                            down, payload)
-        return sum(r["bytes"] for r in results)
+        return sum(map(_reply_bytes, results))
 
     def _parity_fanout(self, path: str, spec: ErasureSpec, offset: int,
                        size: int, down, payload: Optional[bytes]):
@@ -433,7 +443,9 @@ class Client:
 
     def read(self, path: str, offset: int, size: int) -> int:
         """Generator: read up to *size* bytes at *offset*; returns bytes read."""
-        inode = yield from self._require_inode(path)
+        inode = self.fs.lookup(path)
+        if inode is None:
+            inode = yield from self._require_inode(path)
         avail = max(0, min(size, inode.size - offset))
         if avail == 0:
             return 0
@@ -447,7 +459,7 @@ class Client:
         results = yield from self._gather(
             [(server, self._new(OpType.READ, path, first, nbytes))
              for server, (first, nbytes) in sorted(per_server.items())])
-        return sum(r["bytes"] for r in results)
+        return sum(map(_reply_bytes, results))
 
     def _degraded_read(self, path: str, spec: ErasureSpec, per_server,
                        offset: int, avail: int, down: set) -> int:

@@ -38,9 +38,10 @@ class OpType(Enum):
     UNLINK = "unlink"
     MKDIR = "mkdir"
 
-    @property
-    def is_data(self) -> bool:
-        return self in (OpType.WRITE, OpType.READ)
+    def __init__(self, value: str):
+        #: does the op move file data (WRITE / READ)? A member field,
+        #: read several times per served request.
+        self.is_data = value in ("write", "read")
 
 
 class IORequest:
@@ -48,11 +49,14 @@ class IORequest:
 
     One is built per slice, so the class is slotted and its fields are
     in the order the client passes them (like :class:`~repro.net.Message`).
+    Nothing writes ``op``, ``size`` or ``job`` after construction
+    (:meth:`retry` builds a new record), so ``job_id`` and ``cost``,
+    which the queues read per request, are fields worked out here.
     """
 
     __slots__ = ("op", "job", "path", "offset", "size", "client_id",
                  "payload", "share", "groups", "req_id",
-                 "rpc", "arrival", "error")
+                 "rpc", "arrival", "error", "job_id", "cost")
 
     def __init__(self, op: OpType, job: JobInfo, path: str, offset: int = 0,
                  size: int = 0, client_id: str = "",
@@ -90,6 +94,9 @@ class IORequest:
         #: failure the worker hit applying this request (reported in the
         #: reply as ok=False); None on success.
         self.error: Optional[Exception] = None
+        self.job_id: int = job.job_id
+        #: service cost in byte-equivalents (scheduler budgeting unit).
+        self.cost = float(size) if op.is_data else float(META_COST_BYTES)
 
     def retry(self) -> "IORequest":
         """A fresh copy to send again under the same ``req_id``. The
@@ -98,15 +105,6 @@ class IORequest:
         return IORequest(self.op, self.job, self.path, self.offset, self.size,
                          self.client_id, self.payload, self.share,
                          self.groups, self.req_id)
-
-    @property
-    def job_id(self) -> int:
-        return self.job.job_id
-
-    @property
-    def cost(self) -> float:
-        """Service cost in byte-equivalents (scheduler budgeting unit)."""
-        return float(self.size) if self.op.is_data else float(META_COST_BYTES)
 
     @property
     def wire_bytes(self) -> int:

@@ -231,8 +231,8 @@ class Server:
         if self.monitor.observe(request.job, request.client_id):
             self.controller.refresh_tokens()
         request.rpc = rpc
-        request.arrival = self.engine.now
-        self.scheduler.enqueue(request, self.engine.now)
+        request.arrival = now = self.engine.now
+        self.scheduler.enqueue(request, now)
         # One worker per queued request is all that can find work: the
         # rest would dequeue nothing and park again in the same order.
         self._notify_work(self.scheduler.backlog)

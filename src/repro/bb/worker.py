@@ -97,9 +97,6 @@ class IOWorker:
         self.server.fault_stats.requests_dropped_in_crash += 1
 
     # --------------------------------------------------------------- locking
-    def _lock_node(self):
-        return self.server.fs.nodes[self.server.name]
-
     def _acquire_locks(self, request: IORequest):
         """Enforce §4.3's concurrency rules before servicing.
 
@@ -110,10 +107,11 @@ class IOWorker:
         that inode — no polling, so contention adds no timer events to
         the engine heap and the lock is acquired the instant it frees.
         """
-        engine = self.server.engine
-        node = self._lock_node()
+        server = self.server
+        engine = server.engine
+        node = server.fs.nodes[server.name]  # this server's lock tables
         if request.op is OpType.WRITE:
-            inode = self.server.fs.lookup(request.path)
+            inode = server.fs.lookup(request.path)
             if inode is None:
                 return
             self.locked_ino = inode.ino
@@ -125,7 +123,7 @@ class IOWorker:
                                       request.size, owner=self)
                 yield released
         elif request.op in (OpType.OPEN, OpType.UNLINK, OpType.MKDIR):
-            parent = self.server.fs.lookup(
+            parent = server.fs.lookup(
                 request.path.rsplit("/", 1)[0] or "/")
             if parent is None:
                 return
@@ -137,7 +135,7 @@ class IOWorker:
                 yield released
 
     def _release_locks(self, request: IORequest) -> None:
-        node = self._lock_node()
+        node = self.server.fs.nodes[self.server.name]
         if self.locked_ino is not None:
             node.range_locks.unlock_write(self.locked_ino, self)
             self.locked_ino = None

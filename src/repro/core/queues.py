@@ -26,12 +26,15 @@ __all__ = ["QueueSet"]
 class QueueSet:
     """A set of FIFO queues keyed by job id."""
 
-    __slots__ = ("_queues", "_sorted_jobs", "_total", "_job_cost")
+    __slots__ = ("_queues", "_sorted_jobs", "total", "_job_cost")
 
     def __init__(self):
         self._queues: Dict[int, Deque[Any]] = {}
         self._sorted_jobs: List[int] = []  # job ids with a nonempty queue
-        self._total = 0
+        #: total queued requests across all jobs (a field: the worker
+        #: loop and the dequeue read it per request); only this class
+        #: writes it.
+        self.total = 0
         self._job_cost: Dict[int, float] = {}
 
     def push(self, item: Any) -> None:
@@ -43,7 +46,7 @@ class QueueSet:
             insort(self._sorted_jobs, job_id)
         queue.append(item)
         cost = item.cost
-        self._total += 1
+        self.total += 1
         self._job_cost[job_id] = self._job_cost.get(job_id, 0.0) + cost
 
     def pop(self, job_id: int) -> Any:
@@ -52,7 +55,7 @@ class QueueSet:
         if not queue:
             raise SchedulerError(f"pop from empty queue for job {job_id}")
         item = queue.popleft()
-        self._total -= 1
+        self.total -= 1
         if not queue:
             del self._queues[job_id]
             del self._sorted_jobs[bisect_left(self._sorted_jobs, job_id)]
@@ -83,11 +86,6 @@ class QueueSet:
         """Job ids with at least one queued request, sorted."""
         return list(self._sorted_jobs)
 
-    @property
-    def total(self) -> int:
-        """Total queued requests across all jobs."""
-        return self._total
-
     def drain(self) -> List[Any]:
         """Remove and return every queued request (crash path).
 
@@ -100,12 +98,12 @@ class QueueSet:
             items.extend(self._queues[job_id])
         self._queues.clear()
         self._sorted_jobs.clear()
-        self._total = 0
+        self.total = 0
         self._job_cost.clear()
         return items
 
     def __len__(self) -> int:
-        return self._total
+        return self.total
 
     def __bool__(self) -> bool:
-        return self._total > 0
+        return self.total > 0

@@ -167,7 +167,7 @@ class StatisticalTokenScheduler(Scheduler):
 
     def dequeue(self, now: float) -> Optional[Any]:
         queues = self.queues
-        if not queues:
+        if not queues.total:
             return None
         if self._pending is not None:
             self._pending()

@@ -139,7 +139,8 @@ class ThemisFS:
     def _meta_node(self, path: str) -> StorageNode:
         return self.nodes[self.ring.lookup(path)]
 
-    def _find(self, path: str) -> Optional[Inode]:
+    def lookup(self, path: str) -> Optional[Inode]:
+        """The inode at *path*, or None."""
         cached = self._path_cache.get(path)
         if cached is not None:
             return cached
@@ -154,7 +155,7 @@ class ThemisFS:
         return inode
 
     def _require(self, path: str) -> Inode:
-        inode = self._find(path)
+        inode = self.lookup(path)
         if inode is None:
             raise FileNotFound(path)
         return inode
@@ -173,7 +174,7 @@ class ThemisFS:
     def mkdir(self, path: str) -> Inode:
         """Create a directory; parent must exist."""
         norm = pathmod.normalize(path)
-        if self._find(norm) is not None:
+        if self.lookup(norm) is not None:
             raise FileExists(norm)
         parent_path, name = pathmod.split(norm)
         parent = self._require_dir(parent_path)
@@ -191,14 +192,14 @@ class ThemisFS:
         cur = "/"
         for comp in comps:
             cur = pathmod.join(cur, comp)
-            if self._find(cur) is None:
+            if self.lookup(cur) is None:
                 self.mkdir(cur)
 
     def create(self, path: str, stripe_count: Optional[int] = None,
                uid: int = 0) -> Inode:
         """Create an empty regular file; parent directory must exist."""
         norm = pathmod.normalize(path)
-        if self._find(norm) is not None:
+        if self.lookup(norm) is not None:
             raise FileExists(norm)
         parent_path, name = pathmod.split(norm)
         parent = self._require_dir(parent_path)
@@ -225,11 +226,7 @@ class ThemisFS:
     # ----------------------------------------------------------------- query
     def exists(self, path: str) -> bool:
         """True if *path* names an existing file or directory."""
-        return self._find(path) is not None
-
-    def lookup(self, path: str) -> Optional[Inode]:
-        """The inode at *path*, or None."""
-        return self._find(path)
+        return self.lookup(path) is not None
 
     def stat(self, path: str) -> Stat:
         """Stat snapshot of *path* (raises FileNotFound if absent)."""

@@ -100,7 +100,7 @@ class Event:
     def succeed_at(self, when: float, value: Any = None) -> "Event":
         """Mark the event successful with *value*, to fire at the
         absolute simulated time *when* (:meth:`Engine.schedule_at`)."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
@@ -193,7 +193,10 @@ class Timeout(Event):
         super().__init__(engine)
         self.delay = float(delay)
         self._default_value = value
-        engine.schedule(self, delay)
+        # Engine.schedule written out: the same check, one call less.
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay!r}")
+        engine.schedule_at(self, engine.now + delay)
 
 
 class Initialize(Event):
@@ -265,15 +268,22 @@ class Process(Event):
             # exhausted generator or re-schedule the process event.
             return
         engine = self.engine
+        generator = self._generator
         prev, engine._active_process = engine._active_process, self
         try:
             while True:
                 try:
                     if event._ok:
-                        target = self._generator.send(event._value)
+                        target = generator.send(event._value)
                     else:
                         event._defused = True
-                        target = self._generator.throw(event._value)
+                        target = generator.throw(event._value)
+                    while not isinstance(target, Event):
+                        # What the generator yields after catching this
+                        # is its next target, checked the same way.
+                        target = generator.throw(SimulationError(
+                            f"process {self.name!r} yielded a non-event: "
+                            f"{target!r}"))
                 except StopIteration as stop:
                     self._ok = True
                     self._value = stop.value
@@ -285,29 +295,19 @@ class Process(Event):
                     engine.schedule(self)
                     return
 
-                if not isinstance(target, Event):
-                    exc = SimulationError(
-                        f"process {self.name!r} yielded a non-event: {target!r}")
-                    try:
-                        self._generator.throw(exc)
-                    except BaseException as err:
-                        self._ok = isinstance(err, StopIteration)
-                        self._value = (err.value if isinstance(err, StopIteration)
-                                       else err)
-                        engine.schedule(self)
-                        return
-                    continue
-
-                if target.processed:
+                if target._processed:
                     # Already fired: resume synchronously with its value.
                     event = target
                     continue
-                self._target_slot = target.attach(self._resume)
+                # Event.attach written out (the slot is what it returns).
+                callbacks = target.callbacks
+                self._target_slot = len(callbacks)
+                callbacks.append(self._resume)
                 self._target = target
                 return
         finally:
             engine._active_process = prev
-            if self._target is not None and self._target.processed:
+            if self._target is not None and self._target._processed:
                 self._target = None
 
 

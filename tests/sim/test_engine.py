@@ -1,8 +1,10 @@
 """Unit tests for the DES kernel: clock, ordering, run/step semantics."""
 
+from contextlib import nullcontext
+
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import InterruptError, SimulationError
 from repro.sim import Engine
 
 
@@ -235,3 +237,88 @@ def test_stats_scheduled_total_matches_a_hand_count():
     assert stats["scheduled_total"] == 5
     assert stats["cancelled_total"] == 1
     assert stats["pending"] == 0
+
+
+def _firing_contract(eng, log):
+    """Processes and callbacks that see each part of how an event fires:
+    a timeout's value, the processed flag inside a callback, a callback
+    list handed off before it runs, a detached slot, a failure joined by
+    an ``AllOf``, a cancelled timer (returned: it must never fire) and
+    (at t = 3) a failure no one handles."""
+    def sleeper():
+        value = yield eng.timeout(1.0, "tick")
+        log.append(("sleeper", eng.now, value))
+
+    shared = eng.event()
+
+    def victim():
+        try:
+            yield shared
+        except InterruptError as exc:
+            log.append(("victim", eng.now, exc.cause))
+
+    def waiter():
+        value = yield shared
+        log.append(("waiter", eng.now, value))
+
+    def attacker(target):
+        yield eng.timeout(0.5)
+        target.interrupt("cut")     # detaches the victim's slot on shared
+        yield eng.timeout(0.5)
+        shared.succeed("s")
+
+    def failing():
+        yield eng.timeout(1.5)
+        raise ValueError("joined")
+
+    def joiner():
+        try:
+            yield eng.all_of([eng.timeout(1.0), eng.process(failing()),
+                              eng.timeout(2.0)])
+        except ValueError as exc:
+            log.append(("joiner", eng.now, str(exc)))
+
+    def crasher():
+        yield eng.timeout(3.0)
+        raise KeyError("unhandled")
+
+    watched = eng.timeout(0.25, "w")
+    watched.callbacks.append(
+        lambda ev: log.append(("callback", eng.now, ev.processed, ev.value)))
+    # Appended while the list runs: it goes to the fresh list, never runs.
+    watched.callbacks.append(
+        lambda ev: ev.callbacks.append(lambda _ev: log.append("late")))
+    eng.process(sleeper())
+    eng.process(attacker(eng.process(victim())))
+    eng.process(waiter())
+    eng.process(joiner())
+    eng.process(crasher())
+    dropped = eng.timeout(0.75, "dropped")
+    dropped.cancel()
+    return dropped
+
+
+@pytest.mark.parametrize("until", [None, 2.0])
+def test_run_fires_events_as_step_does(until):
+    # run() fires events inline and step() through Event._fire: driven
+    # to the same point, the two leave the same log, clock and census,
+    # and raise the same unhandled failure.
+    outcomes = []
+    for drive in ("run", "step"):
+        eng, log = Engine(), []
+        dropped = _firing_contract(eng, log)
+        deadline = float("inf") if until is None else until
+        with pytest.raises(KeyError) if until is None else nullcontext():
+            if drive == "run":
+                eng.run(until=until)
+            else:
+                while eng.peek() <= deadline:
+                    eng.step()
+        log.append(("dropped fired", dropped.triggered))
+        outcomes.append((log, eng.stats() if until is None else
+                         {**eng.stats(), "now": None}))
+    assert outcomes[0] == outcomes[1]
+    assert ("sleeper", 1.0, "tick") in outcomes[0][0]
+    assert ("callback", 0.25, True, "w") in outcomes[0][0]
+    assert "late" not in outcomes[0][0]
+    assert ("dropped fired", False) in outcomes[0][0]

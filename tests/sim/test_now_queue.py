@@ -28,7 +28,7 @@ class _ViaHeap:
 
     def append(self, event):
         engine = self.engine  # succeed() has already counted the event
-        heapq.heappush(engine._heap, (engine._now, engine._seq - 1, event))
+        heapq.heappush(engine._heap, (engine.now, engine._seq - 1, event))
 
     def __len__(self):
         return 0              # stats(): everything pending is in the heap
@@ -42,7 +42,7 @@ class HeapOnlyEngine(Engine):
         self._nowq = _ViaHeap(self)
 
     def schedule_at(self, event, when):
-        if when < self._now:
+        if when < self.now:
             raise SimulationError("in the past")
         if event._scheduled:
             raise SimulationError("already scheduled")
@@ -80,7 +80,7 @@ class HeapOnlyEngine(Engine):
             if event._cancelled:
                 self._bury()
                 continue
-            self._now = when
+            self.now = when
             event._fire()
             return
         raise SimulationError("no scheduled events")
@@ -93,18 +93,18 @@ class HeapOnlyEngine(Engine):
                 if self._stop_requested:
                     return
                 if until is not None and heap[0][0] > until:
-                    self._now = until
+                    self.now = until
                     return
                 when, _seq, event = heapq.heappop(heap)
                 if event._cancelled:
                     self._bury()
                     continue
-                self._now = when
+                self.now = when
                 event._fire()
         except StopSimulation:
             return
         if until is not None:
-            self._now = until
+            self.now = until
 
 
 # A program is a flat list of ops; every event that fires executes the

@@ -100,6 +100,40 @@ class TestProcess:
             eng.run()
         assert p.triggered and not p.ok
 
+    def test_event_yielded_after_caught_non_event_is_waited_on(self, eng):
+        # The event a process yields after catching the error is its
+        # next target: it resumes when that fires, with its value.
+        trail = []
+
+        def proc():
+            try:
+                yield 42
+            except SimulationError:
+                trail.append(("caught", eng.now))
+            value = yield eng.timeout(1.0, "tick")
+            trail.append((value, eng.now))
+
+        p = eng.process(proc())
+        eng.run()
+        assert trail == [("caught", 0.0), ("tick", 1.0)]
+        assert p.ok
+
+    def test_second_non_event_after_caught_one_raises_again(self, eng):
+        trail = []
+
+        def proc():
+            for bad in (42, "x"):
+                try:
+                    yield bad
+                except SimulationError as exc:
+                    trail.append(str(exc).rsplit(" ", 1)[-1])
+            return (yield eng.timeout(2.0, "done"))
+
+        p = eng.process(proc())
+        eng.run()
+        assert trail == ["42", "'x'"]
+        assert p.ok and p.value == "done" and eng.now == 2.0
+
     def test_is_alive_lifecycle(self, eng):
         def proc():
             yield eng.timeout(1.0)

@@ -331,7 +331,7 @@ class PathCacheMachine(RuleBasedStateMachine):
                 norm = pathmod.normalize(spelling)
                 node = fs.nodes[fs.ring.lookup(norm)]
                 uncached = node.inodes.get(node.paths.get(norm))
-                assert fs._find(spelling) is uncached, spelling
+                assert fs.lookup(spelling) is uncached, spelling
                 assert (uncached is not None) == (name in self.model)
             if uncached is not None and not uncached.is_dir:
                 assert fs.read(name, 0, 16) == self.model[name]
