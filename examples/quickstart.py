@@ -9,9 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import JobSpec, run_experiment
-from repro.harness import sparkline
 from repro.harness.experiments import timeline
-from repro.harness.report import ratio
 from repro.units import fmt_bw
 
 
@@ -25,14 +23,8 @@ def main() -> None:
                       scale=0.1, seed=0)
     out = run_experiment(config)
 
-    # The Fig. 8(a) time-series shape, as terminal sparklines.
-    device = 22e9
-    for job_id in (1, 2):
-        _, rates = out.series(job_id)
-        print(f"job {job_id} throughput |{sparkline(rates, ceiling=device)}|")
-    print(" " * 18 + "^ job 2 joins, job 1 drops to its 4/5 share")
-    print()
-    # Job 1 alone before job 2 joins; both while job 2 runs.
+    # Job 1 alone before job 2 joins; both while job 2 runs, when job 1
+    # drops to its 4/5 share.
     job2 = config.jobs[1]
     edge = 2 * config.sample_interval
     solo = out.median_throughput(1, t0=edge, t1=job2.start)
@@ -41,7 +33,7 @@ def main() -> None:
     print(f"job 1 unopposed median : {fmt_bw(solo)}")
     print(f"shared medians         : {fmt_bw(shared[0])} vs "
           f"{fmt_bw(shared[1])}")
-    print(f"sharing ratio          : {ratio(shared[0] / shared[1])}  "
+    print(f"sharing ratio          : {shared[0] / shared[1]:.2f}x  "
           f"(node-count ratio is 4.00x)")
     print()
     print("Try policy='job-fair' above: the same jobs then split evenly.")

@@ -6,7 +6,6 @@ Public surface by layer:
 - :mod:`repro.sim` — the DES kernel (engine, processes, resources, RNG).
 - :mod:`repro.net` / :mod:`repro.ucx` — interconnect and UCX-like messaging.
 - :mod:`repro.fs` — the distributed userspace file system.
-- :mod:`repro.posix` — POSIX interception shim.
 - :mod:`repro.core` — statistical tokens, policies, schedulers, baselines.
 - :mod:`repro.bb` — the ThemisIO servers/clients/cluster.
 - :mod:`repro.workloads` — benchmarks and application I/O models.

@@ -79,8 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_jobs(spec: str) -> List[JobSpec]:
     jobs = []
     for idx, entry in enumerate(spec.split(",")):
-        parts = entry.strip().split(":")
-        if len(parts) < 2:
+        parts = [part.strip() for part in entry.split(":")]
+        if not 2 <= len(parts) <= 3 or not all(parts[1:]):
             raise ReproError(
                 f"bad job entry {entry!r}: expected nodes:user[:group]")
         try:
@@ -88,9 +88,8 @@ def _parse_jobs(spec: str) -> List[JobSpec]:
         except ValueError:
             raise ReproError(
                 f"bad job entry {entry!r}: nodes must be an integer") from None
-        user = parts[1]
         group = parts[2] if len(parts) > 2 else "g0"
-        jobs.append(JobSpec(job_id=idx + 1, user=user, group=group,
+        jobs.append(JobSpec(job_id=idx + 1, user=parts[1], group=group,
                             nodes=nodes))
     return jobs
 

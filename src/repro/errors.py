@@ -91,22 +91,10 @@ class NoSpace(FSError):
     errno_name = "ENOSPC"
 
 
-class BadFileDescriptor(FSError):
-    """EBADF: the descriptor is not open (or wrong mode)."""
-
-    errno_name = "EBADF"
-
-
 class InvalidArgument(FSError):
     """EINVAL: malformed offset, size, path, or flag."""
 
     errno_name = "EINVAL"
-
-
-class PermissionDenied(FSError):
-    """EACCES: the operation is not permitted."""
-
-    errno_name = "EACCES"
 
 
 class PolicyError(ReproError):

@@ -7,7 +7,7 @@ from .journal import JournaledFS, JournalRecord, NamespaceJournal
 from .logstore import LogRecord, LogStructuredStore, RecoveryReport, Segment
 from .locking import MetadataLockTable, RangeLockTable
 from .metadata import FileType, Inode, Stat
-from .path import DEFAULT_NAMESPACE, components, in_namespace, join, normalize, split
+from .path import components, join, normalize, split
 from .striping import ChunkSlice, StripeSpec, map_range
 
 __all__ = [
@@ -37,6 +37,4 @@ __all__ = [
     "split",
     "join",
     "components",
-    "in_namespace",
-    "DEFAULT_NAMESPACE",
 ]

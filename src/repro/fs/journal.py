@@ -3,7 +3,7 @@
 The log-structured backend (:mod:`repro.fs.logstore`) makes chunk *data*
 recoverable; this module makes the *namespace* recoverable. A
 :class:`NamespaceJournal` records every namespace mutation (mkdir,
-create, unlink, rmdir, truncate, size extension) as a durable,
+create, unlink, rmdir, restripe, size extension) as a durable,
 replayable record, with optional checkpoints that compact the record
 stream. :class:`JournaledFS` is a drop-in :class:`~repro.fs.ThemisFS`
 that writes the journal as it mutates, and can :meth:`crash` (losing
@@ -135,13 +135,6 @@ class JournaledFS(ThemisFS):
         if not self._replaying:
             self.journal.log("rmdir", path=norm, ino=ino)
 
-    def truncate(self, path: str, size: int = 0) -> None:
-        norm = pathmod.normalize(path)
-        super().truncate(norm, size)
-        if not self._replaying:
-            self.journal.log("truncate", path=norm, ino=self._ino(norm),
-                             size=size)
-
     def write(self, path: str, offset: int, data: bytes) -> int:
         return self._logged_extend(path, super().write(path, offset, data),
                                    offset, len(data))
@@ -238,7 +231,7 @@ class JournaledFS(ThemisFS):
         tables held is replayed, and as metadata only: entries owned by
         a survivor are live, and chunk data is the stores' own durable
         state (a log store's tombstones already record every drop), so
-        a replayed ``truncate`` or ``unlink`` must not free anything.
+        a replayed ``unlink`` must not free anything.
         Inodes a later record removed are skipped outright: the rest
         are alive at the end, hence so are all their parents. Re-made
         inodes keep their original numbers (lining up with the log
@@ -300,7 +293,7 @@ class JournaledFS(ThemisFS):
             return self._remake(args, FileType.DIRECTORY.value)
         if op == "create":
             return self._remake(args, FileType.FILE.value)
-        if op not in ("restripe", "truncate", "extend"):
+        if op not in ("restripe", "extend"):
             raise FSError(f"unknown journal record {op!r}")
         # A path can be removed and made again: a record is stale if
         # its path now names another inode than the one it acted on.
@@ -312,7 +305,5 @@ class JournaledFS(ThemisFS):
             if (isinstance(inode.stripe, ErasureSpec)
                     and args["old"] in inode.stripe.servers):
                 super().restripe(args["path"], args["old"], args["new"])
-        elif op == "truncate":
-            inode.size = args["size"]
         else:
             inode.size = max(inode.size, args["size"])

@@ -56,8 +56,9 @@ class Inode:
             self.entries = {}
         if self.ftype is FileType.FILE and self.stripe is None:
             raise FSError(f"file inode {self.path!r} needs a stripe spec")
-        # Running entry-table size, maintained by link_child/unlink_child
-        # so stat() stays O(1) on big directories.
+        # A directory's stat size: its entry table's on-device bytes (the
+        # name plus a fixed record per entry, like a compact dirent), kept
+        # by link_child/unlink_child so stat() stays O(1) on big ones.
         self._dir_bytes = sum(len(name) + 16 for name in (self.entries or {}))
 
     @property
@@ -76,20 +77,12 @@ class Inode:
         if self.entries.pop(name, None) is not None:
             self._dir_bytes -= len(name) + 16
 
-    @property
-    def dir_size(self) -> int:
-        """Approximate on-device size of a directory's entry table
-        (name + fixed-size record per entry, like a compact dirent)."""
-        if not self.is_dir:
-            return self.size
-        return self._dir_bytes
-
     def stat(self) -> "Stat":
         """An immutable stat snapshot of this inode."""
         return Stat(
             ino=self.ino,
             ftype=self.ftype,
-            size=self.size if not self.is_dir else self.dir_size,
+            size=self._dir_bytes if self.is_dir else self.size,
             ctime=self.ctime,
             mtime=self.mtime,
             nlink=self.nlink,

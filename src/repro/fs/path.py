@@ -1,10 +1,10 @@
 """Path handling for the ThemisIO namespace.
 
 Paths are absolute, ``/``-separated, and normalised (no ``.``/``..``
-components, no duplicate slashes). The burst-buffer namespace lives under
-a configurable prefix (``/fs`` by default, as in the paper's example
-``/fs/input/path``); the POSIX shim uses :func:`in_namespace` to decide
-whether to intercept a call.
+components, no duplicate slashes). Workloads name their files under
+``/fs``, as in the paper's example ``/fs/input/path``, but no component
+treats that prefix specially: every path a client passes is the burst
+buffer's.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ from typing import List, Tuple
 
 from ..errors import InvalidArgument
 
-__all__ = ["normalize", "split", "join", "components", "in_namespace",
-           "DEFAULT_NAMESPACE"]
-
-DEFAULT_NAMESPACE = "/fs"
+__all__ = ["normalize", "split", "join", "components"]
 
 
 def normalize(path: str) -> str:
@@ -65,10 +62,3 @@ def join(base: str, *names: str) -> str:
             raise InvalidArgument(f"component contains '/': {name!r}")
         out = out.rstrip("/") + "/" + name
     return normalize(out)
-
-
-def in_namespace(path: str, namespace: str = DEFAULT_NAMESPACE) -> bool:
-    """True if *path* falls under the burst-buffer namespace prefix."""
-    norm = normalize(path)
-    ns = normalize(namespace)
-    return norm == ns or norm.startswith(ns.rstrip("/") + "/")

@@ -3,7 +3,7 @@ and the content-addressed workspace its points are cached in."""
 
 from .config import ExperimentConfig, JobRun
 from .experiments import FIGURES, run_figure, run_points, scenario
-from .report import pct, ratio, sparkline, table
+from .report import pct, table
 from .runner import ExperimentResult, JobOutcome, run_experiment
 from .workspace import Workspace, code_rev, point_key
 
@@ -18,9 +18,7 @@ __all__ = [
     "run_points",
     "scenario",
     "table",
-    "sparkline",
     "pct",
-    "ratio",
     "Workspace",
     "code_rev",
     "point_key",

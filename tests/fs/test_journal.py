@@ -75,32 +75,6 @@ class TestRecovery:
         fs.recover()
         assert not fs.exists("/fs/gone")
 
-    def test_truncate_replays(self):
-        fs = make_fs()
-        fs.create("/fs/t")
-        fs.write("/fs/t", 0, b"x" * 300)
-        fs.truncate("/fs/t", 0)
-        fs.crash()
-        fs.recover()
-        assert fs.stat("/fs/t").size == 0
-
-    def test_truncate_replays_the_recorded_size(self):
-        # Replay installs the size a truncate set, grow or shrink (it
-        # once replayed a truncate as min(current, recorded)).
-        fs = make_fs()
-        fs.create("/fs/grown")
-        fs.write("/fs/grown", 0, b"ABCDEFGHIJ")
-        fs.truncate("/fs/grown", 20)
-        fs.create("/fs/cut")
-        fs.write("/fs/cut", 0, b"ABCDEFGHIJ")
-        fs.truncate("/fs/cut", 4)
-        fs.write("/fs/cut", 8, b"xy")
-        fs.crash()
-        fs.recover()
-        assert fs.stat("/fs/grown").size == 20
-        assert fs.read("/fs/grown", 0, 20) == b"ABCDEFGHIJ" + bytes(10)
-        assert fs.read("/fs/cut", 0, 10) == b"ABCD\0\0\0\0xy"
-
     def test_sizes_recovered_via_extend_records(self):
         fs = make_fs()
         fs.create("/fs/sized")
@@ -167,7 +141,6 @@ class TestNodeRecoveryAfterRemake:
             fs.mkdir("/d")
             fs.create("/d/f")
             fs.write("/d/f", 0, b"x" * 300)
-            fs.truncate("/d/f", 2)
             fs.unlink("/d/f")
             fs.create("/d/f")
             fs.write("/d/f", 0, b"new-data")
@@ -175,17 +148,6 @@ class TestNodeRecoveryAfterRemake:
             fs.recover_node(server)
             assert fs.stat("/d/f").size == 8, server
             assert fs.read("/d/f", 0, 8) == b"new-data", server  # was: zeros
-
-    def test_old_truncate_spares_later_data_of_the_same_file(self):
-        for server in self.SERVERS:
-            fs = self.fresh()
-            fs.create("/f")
-            fs.write("/f", 0, b"x" * 300)
-            fs.truncate("/f", 0)
-            fs.write("/f", 0, b"new-data")
-            fs.crash_node(server)
-            fs.recover_node(server)
-            assert fs.read("/f", 0, 8) == b"new-data", server
 
     def test_recovered_directory_keeps_children_on_other_servers(self):
         for server in self.SERVERS:

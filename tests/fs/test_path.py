@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import InvalidArgument
-from repro.fs import components, in_namespace, join, normalize, split
+from repro.fs import components, join, normalize, split
 
 
 class TestNormalize:
@@ -59,16 +59,6 @@ class TestSplitJoin:
     def test_components(self):
         assert components("/") == []
         assert components("/fs/a") == ["fs", "a"]
-
-
-class TestNamespace:
-    def test_inside(self):
-        assert in_namespace("/fs/input/path")
-        assert in_namespace("/fs")
-
-    def test_outside(self):
-        assert not in_namespace("/home/user/file")
-        assert not in_namespace("/fsx/file")  # prefix must match a component
 
 
 name_st = st.text(

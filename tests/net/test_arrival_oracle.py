@@ -163,47 +163,26 @@ def test_float_verdict_delays_and_is_counted():
     assert len(inbox) == 1
 
 
-def test_mpiio_shuffle_ends_when_its_last_message_arrives():
-    from repro.bb import Cluster, ClusterConfig
-    from repro.core import JobInfo
-    from repro.mpiio import Communicator, MPIFile, VectorView
-    from repro.ucx import RpcRequest
+def test_burst_waited_on_together_ends_when_its_last_message_arrives():
+    # A process that waits on a burst of sends from two NICs resumes at
+    # the burst's last two-hop arrival, bit for bit: nothing sits
+    # between that arrival and all_of.
+    eng, fabric, _inbox, _tx = make_fabric(latency=LATENCY,
+                                           link_bandwidth=BANDWIDTH)
+    reference = TwoHopReference()
+    burst = [("a", 256 * KiB), ("b", 256 * KiB), ("a", 100),
+             ("b", 8 * 10 ** 6), ("a", 0)]
+    resumed = []
 
-    cluster = Cluster(ClusterConfig(n_servers=1, policy="job-fair"))
-    cluster.fs.makedirs("/fs/mpi")
-    job = JobInfo(job_id=1, user="mpi", size=4)
-    comm = Communicator([cluster.add_client(job, client_id=f"rank{r}")
-                         for r in range(4)])
-    mpifile = MPIFile(comm, "/fs/mpi/data", cb_nodes=2)
-    view = VectorView(nranks=4, blocklen=256 * KiB)
-    engine, fabric = cluster.engine, cluster.fabric
-    reference = TwoHopReference(fabric.latency, fabric.link_bandwidth)
-    log = []                  # (send time, kind, reference arrival time)
-    real_send = fabric.send
+    def sender():
+        yield eng.timeout(3.3e-6)
+        last = max(reference.arrival(eng.now, src, size)
+                   for src, size in burst)
+        yield eng.all_of([fabric.send(Message(src=src, dst="z", size=size))
+                          for src, size in burst])
+        resumed.append((eng.now, last))
 
-    def spy(message):
-        # The shuffle's messages carry no payload; a call carries its
-        # RpcRequest.
-        kind = ("call" if isinstance(message.payload, RpcRequest)
-                else "shuffle" if message.payload is None else "reply")
-        log.append((engine.now, kind, reference.arrival(
-            engine.now, message.src, message.size)))
-        return real_send(message)
-
-    fabric.send = spy
-
-    def rank_proc(rank):
-        yield from mpifile.open()
-        yield from mpifile.write_at_all(rank, view.pieces(rank, count=4))
-
-    for rank in range(4):
-        engine.process(rank_proc(rank))
-    cluster.run(until=10.0)
-    last = max(i for i, (_, kind, _) in enumerate(log)
-               if kind == "shuffle")
-    shuffle_end = max(arrival for _, kind, arrival in log
-                      if kind == "shuffle")
-    # The aggregators' writes are issued the instant the shuffle's last
-    # message lands: nothing sits between that arrival and all_of.
-    assert mpifile.shuffled_bytes > 0
-    assert log[last + 1][:2] == (shuffle_end, "call")
+    eng.process(sender())
+    eng.run()
+    [(now, last)] = resumed
+    assert now == last

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _parse_jobs, main
 from repro.harness import FIGURES
 
 
@@ -64,10 +64,19 @@ class TestSharing:
         out = capsys.readouterr().out
         assert "job1" in out and "job2" in out and "total" in out
 
-    @pytest.mark.parametrize("spec", ["nonsense", "x:alice"])
+    @pytest.mark.parametrize("spec", ["nonsense", "x:alice", "4:", "4: ",
+                                      "4:alice:", "4:alice:g1:zzz",
+                                      "4:alice,1:bob:"])
     def test_bad_jobs_spec_is_an_error(self, spec, capsys):
         assert main(["sharing", "--jobs", spec]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_jobs_spec_fields_are_stripped(self):
+        # " alice" and "alice" are one user: a user-fair run must not
+        # split that user's share.
+        specs = _parse_jobs("4: alice , 1:alice: g1")
+        assert [(s.nodes, s.user, s.group) for s in specs] == [
+            (4, "alice", "g0"), (1, "alice", "g1")]
 
     def test_bad_policy_is_an_error(self, capsys):
         assert main(["sharing", "--policy", "banana-fair",
