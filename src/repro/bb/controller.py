@@ -259,7 +259,7 @@ class Controller:
             return
         # Placement-aware assignment (Fig. 5): global policy shares,
         # projected onto each server's hosted-job set.
-        global_shares = server.policy_shares(active)
+        global_shares = scheduler.policy_shares(active)
         if not global_shares:
             scheduler.on_jobs_changed(active)
             return

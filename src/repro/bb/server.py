@@ -199,14 +199,6 @@ class Server:
         """Log a failed request (inspected by tests and operators)."""
         self.errors.append((request, exc))
 
-    def policy_shares(self, active_jobs) -> Dict[int, float]:
-        """Global policy shares, if this server runs a policy scheduler
-        (comparator disciplines have no share concept -> {})."""
-        policy = getattr(self.scheduler, "policy", None)
-        if policy is None:
-            return {}
-        return policy.shares(active_jobs)
-
     # ----------------------------------------------------------- communicator
     def _on_request(self, rpc: RpcRequest) -> None:
         """An I/O request arrived on a pool worker: the body is the

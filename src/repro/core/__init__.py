@@ -7,8 +7,8 @@ from .baselines import FifoScheduler, GiftScheduler, TbfScheduler
 from .fairness import (all_gather_merge, global_share_error,
                        placement_shares, total_variation)
 from .jobinfo import JobInfo, JobRecord, JobStatusTable
-from .matrix import (build_transition_matrices, chain_product, chain_shares,
-                     validate_transition_matrix)
+from .matrix import (ShareChain, build_transition_matrices, chain_product,
+                     chain_shares, validate_transition_matrix)
 from .policy import FIFO_POLICY_NAME, Level, Policy
 from .queues import QueueSet
 from .scheduler import Scheduler, StatisticalTokenScheduler
@@ -28,6 +28,7 @@ __all__ = [
     "FifoScheduler",
     "GiftScheduler",
     "TbfScheduler",
+    "ShareChain",
     "build_transition_matrices",
     "chain_product",
     "chain_shares",

@@ -32,10 +32,12 @@ class JobInfo:
     priority: float = 1.0
 
     def __post_init__(self):
-        if self.size < 1:
-            raise SchedulerError(f"job size must be >= 1: {self.size}")
         # Written so that NaN fails too: JobInfo arrives from outside the
-        # server, and a NaN or infinite priority would poison every share.
+        # server, and a NaN or infinite size or priority would poison
+        # every share.
+        if not 1 <= self.size < math.inf:
+            raise SchedulerError(
+                f"size must be finite and >= 1: {self.size}")
         if not 0 < self.priority < math.inf:
             raise SchedulerError(
                 f"priority must be finite and positive: {self.priority}")

@@ -16,6 +16,9 @@ so the paper's comparators (FIFO, GIFT, TBF — see
 - ``on_jobs_changed(active_jobs)`` / ``set_assignment(shares)`` — what a
   derivation installs: the merged active-job set, or an explicit
   placement-adjusted share map (Fig. 5);
+- ``policy_shares(active_jobs)`` — the policy's global shares (Eq. 1)
+  that a derivation projects onto the servers, ``{}`` for a discipline
+  without a policy;
 - ``next_eligible_time(now)`` — earliest time a blocked backlog could
   become serviceable (lets throttling schedulers tell workers when to
   retry; ``inf`` for work-conserving schedulers).
@@ -30,6 +33,7 @@ import numpy as np
 
 from ..errors import SchedulerError
 from .jobinfo import JobInfo
+from .matrix import ShareChain
 from .policy import Policy
 from .queues import QueueSet
 from .tokens import TokenAssignment
@@ -74,6 +78,12 @@ class Scheduler(ABC):
         the controller's λ-sync, Fig. 5). Default: ignore — only the
         statistical token scheduler consumes shares."""
 
+    def policy_shares(self,
+                      active_jobs: Sequence[JobInfo]) -> "dict[int, float]":
+        """Global policy shares of *active_jobs* (Eq. 1). Default: ``{}``
+        — the comparator disciplines have no share concept."""
+        return {}
+
     @property
     @abstractmethod
     def backlog(self) -> int:
@@ -117,11 +127,16 @@ class StatisticalTokenScheduler(Scheduler):
     dequeue or :attr:`assignment` read after it runs it once. The
     derivation is pure over inputs captured at the change, so every draw
     sees the assignment an install at the change would have left.
+
+    Eq. 1 runs through one :class:`ShareChain` per scheduler, which
+    evaluates again only the scopes a job-set change touched. It holds
+    no model state (its result equals a fresh evaluation whatever it
+    holds), so a crash need not wipe it.
     """
 
     name = "themis"
 
-    __slots__ = ("policy", "rng", "opportunity_fair", "queues",
+    __slots__ = ("policy", "rng", "opportunity_fair", "queues", "_chain",
                  "_assignment", "_pending", "draws", "wasted_draws")
 
     def __init__(self, policy: Policy, rng: np.random.Generator,
@@ -130,6 +145,7 @@ class StatisticalTokenScheduler(Scheduler):
         self.rng = rng
         self.opportunity_fair = bool(opportunity_fair)
         self.queues = QueueSet()
+        self._chain = ShareChain(policy.levels)
         self._assignment: Optional[TokenAssignment] = None
         self._pending: Optional[Callable[[], None]] = None
         self.draws = 0
@@ -146,7 +162,11 @@ class StatisticalTokenScheduler(Scheduler):
         self._assignment = None
 
     def on_jobs_changed(self, active_jobs: Sequence[JobInfo]) -> None:
-        self._install(self.policy.shares(active_jobs))
+        self._install(self._chain.update(active_jobs))
+
+    def policy_shares(self,
+                      active_jobs: Sequence[JobInfo]) -> "dict[int, float]":
+        return self._chain.update(active_jobs)
 
     def set_assignment(self, shares) -> None:
         self._install({j: s for j, s in shares.items() if s > 0})

@@ -14,6 +14,7 @@ applications) or when the simulated clock passes *stop_time*
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -41,8 +42,9 @@ class JobSpec:
     priority: float = 1.0
 
     def __post_init__(self):
-        if self.nodes < 1:
-            raise ConfigError(f"nodes must be >= 1: {self.nodes}")
+        # Written so that NaN and infinity fail too (see JobInfo).
+        if not 1 <= self.nodes < math.inf:
+            raise ConfigError(f"nodes must be finite and >= 1: {self.nodes}")
 
     def info(self) -> JobInfo:
         """The JobInfo embedded in this job's I/O requests."""

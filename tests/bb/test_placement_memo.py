@@ -65,7 +65,8 @@ def _assert_rows_installed(cluster):
         presence = {host: set(jobs)
                     for host, jobs in server.controller.presence.items()
                     if jobs}
-        shares = server.policy_shares(server.monitor.table.active_jobs())
+        shares = server.scheduler.policy_shares(
+            server.monitor.table.active_jobs())
         row = reference_placement_shares(presence, shares)[server.name]
         assert server.scheduler.assignment.as_dict() == pytest.approx(
             TokenAssignment(row).as_dict(), rel=1e-12, abs=0.0), server.name

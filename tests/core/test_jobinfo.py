@@ -31,6 +31,13 @@ class TestJobInfo:
         with pytest.raises(SchedulerError):
             job(1, priority=priority)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_non_finite_size_rejected(self, size):
+        # `size < 1` is False for NaN and +inf, so both once passed and
+        # made size-fair shares {1: nan, 2: nan} and {1: nan, 2: 0.0}.
+        with pytest.raises(SchedulerError, match="size"):
+            job(1, size=size)
+
     def test_frozen(self):
         with pytest.raises(Exception):
             job(1).size = 5

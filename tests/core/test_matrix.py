@@ -1,24 +1,32 @@
 """Tests for transition matrices and the Eq. 1 chain product.
 
-``Policy.shares`` *is* ``chain_shares`` — there is no cache in front of
-it — so besides the dense chain product, its oracle under randomized job
-churn (adds, removals, resizes) is an independent one: the share of a
-job worked out level by level in plain Python (an even split among the
-sibling entities of every non-terminal level, then the job's weight over
-its innermost scope's total).
+``Policy.shares`` is ``chain_shares``, a fresh :class:`ShareChain`; a
+token scheduler keeps one chain and updates it at every job-set change,
+re-evaluating only the scopes a change touched. So besides the dense
+chain product, the oracles under randomized job churn (arrivals,
+departures, resizes, regroups, a user's or a group's last job leaving,
+the empty set) drive one chain through the whole sequence: each result
+must equal the parent's closed form (``sync_reference``) bit for bit,
+key order included, and the share of each job worked out level by level
+in plain Python (an even split among the sibling entities of every
+non-terminal level, then the job's weight over its innermost scope's
+total).
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (JobInfo, Level, Policy, build_transition_matrices,
-                        chain_product, chain_shares,
-                        validate_transition_matrix)
+from repro.core import (JobInfo, Level, Policy, ShareChain,
+                        build_transition_matrices, chain_product,
+                        chain_shares, validate_transition_matrix)
 from repro.errors import PolicyError
+
+from .sync_reference import reference_chain_shares
 
 
 def job(jid, user="u0", group="g0", size=1):
@@ -185,38 +193,70 @@ def _reference_shares(levels, jobs):
     return share
 
 
+def _drop(jobs: dict, field: str, value: str) -> None:
+    for jid in [jid for jid, info in jobs.items()
+                if getattr(info, field) == value]:
+        del jobs[jid]
+
+
 def _mutate(rng: random.Random, jobs: dict, next_id: int) -> int:
     r = rng.random()
-    if r < 0.40 or not jobs:
-        jid = next_id
-        next_id += 1
-        jobs[jid] = JobInfo(job_id=jid, user=f"u{rng.randrange(4)}",
-                            group=f"g{rng.randrange(3)}",
+    if r < 0.35 or not jobs:           # an arrival, at times of an old id
+        jid = rng.randrange(next_id + 1)
+        if jid in jobs or jid == next_id:
+            jid = next_id
+            next_id += 1
+        jobs[jid] = JobInfo(job_id=jid, user=f"u{rng.randrange(7)}",
+                            group=f"g{rng.randrange(5)}",
                             size=rng.randrange(1, 9),
-                            priority=float(rng.choice([0.5, 1.0, 2.0])))
-    elif r < 0.60:
+                            priority=rng.choice([0.1, 0.3, 1.0, 2.7]))
+    elif r < 0.52:                                    # a departure
         jobs.pop(rng.choice(sorted(jobs)))
-    else:
+    elif r < 0.70:                                    # a resize
         jid = rng.choice(sorted(jobs))
-        old = jobs[jid]
-        jobs[jid] = JobInfo(job_id=jid, user=old.user, group=old.group,
-                            size=rng.randrange(1, 9), priority=old.priority)
+        jobs[jid] = replace(jobs[jid], size=rng.randrange(1, 9))
+    elif r < 0.80:                                    # a regroup or rename
+        jid = rng.choice(sorted(jobs))
+        jobs[jid] = replace(jobs[jid], user=f"u{rng.randrange(7)}",
+                            group=f"g{rng.randrange(5)}")
+    elif r < 0.88:                                    # a user leaves
+        _drop(jobs, "user", jobs[rng.choice(sorted(jobs))].user)
+    elif r < 0.95:                                    # a group empties
+        _drop(jobs, "group", jobs[rng.choice(sorted(jobs))].group)
+    else:                                             # the empty set
+        jobs.clear()
     return next_id
 
 
 @pytest.mark.parametrize("spec", ["job-fair", "size-fair", "priority-fair",
                                   "user-then-size-fair",
-                                  "group-user-size-fair"])
+                                  "group-user-size-fair", "user-fair",
+                                  "user-then-job-fair",
+                                  "group-then-user-fair",
+                                  "group-user-then-size-fair",
+                                  "user-then-priority-fair",
+                                  "group-user-then-priority-fair"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_chain_shares_under_random_churn(spec, seed):
     policy = Policy.parse(spec)
+    chain = ShareChain(policy.levels)
     rng = random.Random(seed)
     jobs = {}
     next_id = 0
     for _ in range(300):
         next_id = _mutate(rng, jobs, next_id)
         population = list(jobs.values())
-        shares = chain_shares(policy.levels, population)
+        rng.shuffle(population)       # the chain sorts what it is given
+        if population and rng.random() < 0.05:
+            with pytest.raises(PolicyError):
+                reference_chain_shares(policy.levels,
+                                       population + population[:1])
+            with pytest.raises(PolicyError):
+                chain.update(population + population[:1])
+        shares = chain.update(population)
+        expected = reference_chain_shares(policy.levels, population)
+        assert shares == expected
+        assert list(shares) == list(expected) == sorted(jobs)
         assert policy.shares(population) == shares
         if not population:
             assert shares == {}
@@ -230,8 +270,7 @@ def test_chain_shares_under_random_churn(spec, seed):
         relabel = dict(zip(sorted(jobs), rng.sample(range(1000, 2000),
                                                     len(jobs))))
         moved = chain_shares(policy.levels, [
-            JobInfo(job_id=relabel[j.job_id], user=j.user, group=j.group,
-                    size=j.size, priority=j.priority) for j in population])
+            replace(j, job_id=relabel[j.job_id]) for j in population])
         assert {relabel[j]: s for j, s in shares.items()} == pytest.approx(
             moved, rel=1e-12)
 
@@ -242,9 +281,36 @@ def test_shares_do_not_depend_on_input_order():
                           size=i + 1) for i in range(6)]
     first = chain_shares(levels, population)
     assert chain_shares(levels, list(reversed(population))) == first
+    unsorted = [population[i] for i in (3, 0, 5, 1, 4, 2)]
+    assert list(chain_shares(levels, unsorted)) == list(range(6))
+    assert chain_shares(levels, unsorted) == first
+    # One chain, given the same set in another order, or first a part
+    # of it in another order, ends at the same result.
+    chain = ShareChain(levels)
+    chain.update(unsorted[:4])
+    again = chain.update(unsorted)
+    assert again == first and list(again) == list(first)
     # Callers own the result: mutating it cannot leak into the next one.
     first[0] = 999.0
     assert chain_shares(levels, population)[0] != 999.0
+    again[0] = 999.0
+    assert chain.update(population)[0] != 999.0
+
+
+def test_reach_is_multiplied_level_by_level():
+    # 1/5 of 1/5 as ``(1.0 * (1.0 / 5)) * (1.0 / 5)`` is one ulp off
+    # ``(1.0 / 5) / 5``: a chain that divides where the closed form
+    # multiplies shows here, whichever way it reaches the scope.
+    levels = Policy.parse("group-then-user-fair").levels
+    jobs = ([JobInfo(job_id=i, user=f"u{i}", group="g0") for i in range(5)]
+            + [JobInfo(job_id=10 + g, user="u0", group=f"g{g}")
+               for g in range(1, 5)])
+    expected = reference_chain_shares(levels, jobs)
+    assert expected[0] == (1.0 * (1.0 / 5)) * (1.0 / 5) != (1.0 / 5) / 5
+    chain = ShareChain(levels)
+    assert chain.update(jobs[:4] + jobs[5:]) == reference_chain_shares(
+        levels, jobs[:4] + jobs[5:])
+    assert chain.update(jobs) == expected
 
 
 def test_group_user_size_hand_computed_example():

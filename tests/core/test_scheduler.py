@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.core import JobInfo, Policy, QueueSet, StatisticalTokenScheduler
+from repro.core import (FifoScheduler, JobInfo, Policy, QueueSet,
+                        StatisticalTokenScheduler)
 from repro.errors import SchedulerError
 
 
@@ -212,6 +213,16 @@ class TestTokenScheduler:
         assert s.current_shares() == pytest.approx({1: 0.5, 2: 0.5})
         s.on_jobs_changed([])
         assert s.current_shares() == {}
+
+    def test_policy_shares_come_from_the_policy(self):
+        # One Eq. 1 entry point per scheduler: the controller asks the
+        # scheduler, and a discipline without a policy answers {}.
+        s = make("user-then-size-fair")
+        jobs = [job(1, size=3), job(2, user="u1"), job(3, size=1)]
+        assert s.policy_shares(jobs) == Policy.parse(
+            "user-then-size-fair").shares(jobs)
+        assert s.policy_shares(jobs[:2]) == {1: 0.5, 2: 0.5}
+        assert FifoScheduler().policy_shares(jobs) == {}
 
     def test_backlog_property(self):
         s = make()

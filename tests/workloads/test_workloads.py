@@ -44,6 +44,12 @@ class TestJobSpec:
         with pytest.raises(ConfigError):
             JobSpec(job_id=1, user="a", nodes=0)
 
+    @pytest.mark.parametrize("nodes", [float("nan"), float("inf")])
+    def test_non_finite_nodes_rejected(self, nodes):
+        # `nodes < 1` is False for NaN and +inf, so both once passed.
+        with pytest.raises(ConfigError, match="nodes"):
+            JobSpec(job_id=1, user="a", nodes=nodes)
+
 
 class TestWriteReadCycle:
     def test_moves_equal_write_and_read_bytes(self):
