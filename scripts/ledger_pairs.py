@@ -18,7 +18,14 @@ N / N seeds" in the first row and names ``sim.events`` in the second.
 
 ``--trace N`` then runs N traced repeats per side (``ledger/run.py
 --repeats 1 --trace``, seeds 12, 13, ..., order flipped as above) and
-prints each layer's ``self_s`` median per side: where a saving sits.
+prints each layer's ``self_s`` and ``self_frac`` medians per side: where
+a saving sits. A traced repeat runs without the yardstick
+(``ledger/worker.py``), so nothing scales its seconds for host speed,
+and a host that drifts between the sides moves every layer's
+``self_s`` alike; ``self_frac`` (a layer's share of the traced run)
+cancels that drift, and a layer the change does not touch keeps its
+seconds, so its fraction grows as the rest shrinks. Read the two
+columns together.
 
 Usage::
 
@@ -57,9 +64,11 @@ JUDGED = [(metric, better, bound)
           for metric, _unit, better, bound in spec.END_TO_END
           if metric not in spec.EXACT]
 
-#: the per-layer self times a traced repeat reports.
+#: the per-layer self times and self fractions a traced repeat reports.
 SELF_TIMES = [name for name, _unit, _better in spec.PER_LAYER
               if name.endswith(".self_s")]
+SELF_FRACS = [name for name, _unit, _better in spec.PER_LAYER
+              if name.endswith(".self_frac")]
 
 
 def checkout(rev: str, dest: str) -> None:
@@ -163,7 +172,8 @@ def table(workload: str, pairs: list) -> list:
 def traced(trees: dict, workload: str, repeats: int, smoke: bool,
            tmp: str) -> list:
     """*repeats* traced runs per side, the side that runs first flipped
-    every seed: ``[{"base": {metric: s}, "change": {...}}, ...]``."""
+    every seed: ``[{"base": {metric: value}, "change": {...}}, ...]``,
+    with every self time and self fraction the run reports."""
     runs = []
     for i in range(repeats):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -171,22 +181,36 @@ def traced(trees: dict, workload: str, repeats: int, smoke: bool,
                                smoke, os.path.join(tmp, f"{side}.json"),
                                trace=True)
                 for side in order}
-        runs.append({side: {metric: doc["workloads"][workload]["per_layer"]
-                            [metric]["value"] for metric in SELF_TIMES}
-                     for side, doc in docs.items()})
+        layers = {side: doc["workloads"][workload]["per_layer"]
+                  for side, doc in docs.items()}
+        runs.append({side: {metric: layer[metric]["value"]
+                            for metric in SELF_TIMES + SELF_FRACS
+                            if metric in layer}
+                     for side, layer in layers.items()})
     return runs
 
 
+def _medians(runs: list, metric: str) -> str:
+    """``| base | change | relative |`` cells of *metric* over *runs*,
+    blank when the traced run does not report it."""
+    if metric not in runs[0]["base"]:
+        return " | | |"
+    base = statistics.median(r["base"][metric] for r in runs)
+    change = statistics.median(r["change"][metric] for r in runs)
+    rel = (change - base) / base if base else 0.0
+    return f" {base:.4g} | {change:.4g} | {rel:+.1%} |"
+
+
 def layer_table(workload: str, runs: list) -> list:
-    """The markdown rows of per-layer self seconds over *runs*."""
-    lines = [f"| `{workload}` traced | base median | change median | |",
-             "|---|---|---|---|"]
-    for metric in SELF_TIMES:
-        base = statistics.median(r["base"][metric] for r in runs)
-        change = statistics.median(r["change"][metric] for r in runs)
-        rel = (change - base) / base if base else 0.0
-        lines.append(f"| `{metric}` | {base:.4g} | {change:.4g} | "
-                     f"{rel:+.1%} |")
+    """The markdown rows of each layer's self seconds and self fraction
+    (medians per side) over *runs*."""
+    lines = [f"| `{workload}` traced | base `self_s` | change `self_s` | "
+             f"| base `self_frac` | change `self_frac` | |",
+             "|---|---|---|---|---|---|---|"]
+    for frac in SELF_FRACS:
+        layer = frac[:-len(".self_frac")]
+        lines.append(f"| `{layer}` |" + _medians(runs, f"{layer}.self_s")
+                     + _medians(runs, frac))
     return lines
 
 
@@ -201,7 +225,7 @@ def main(argv=None) -> int:
                         help="tiny shapes, one repeat: plumbing check only")
     parser.add_argument("--trace", type=int, default=0, metavar="N",
                         help="after the pairs, N traced repeats per side: "
-                             "per-layer self seconds")
+                             "per-layer self seconds and self fractions")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -239,7 +263,7 @@ def main(argv=None) -> int:
         print(f"\nTraced (`ledger/run.py --workload {args.workload} --seed N"
               f" --repeats 1 --trace`), {len(runs)} per side, seeds "
               f"{spec.DEFAULT_SEED}-{spec.DEFAULT_SEED + len(runs) - 1}, "
-              f"self seconds:\n")
+              f"self seconds and self fractions (medians):\n")
         print("\n".join(layer_table(args.workload, runs)))
     mismatches = [f"EXACT MISMATCH seed {pair['seed']} {line}"
                   for pair in pairs + [held_out]

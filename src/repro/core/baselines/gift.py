@@ -81,7 +81,7 @@ class GiftScheduler(Scheduler):
             return None
         best_job: Optional[int] = None
         best_budget = 0.0
-        for job_id in self.queues.nonempty_jobs():
+        for job_id in self.queues.jobs:
             budget = self._budgets.get(job_id, 0.0)
             if budget > 0 and (best_job is None or budget > best_budget):
                 best_job, best_budget = job_id, budget
@@ -126,7 +126,7 @@ class GiftScheduler(Scheduler):
             if self._fair_last else 0.0
 
         job_ids = sorted({j.job_id for j in self._active}
-                         | set(self.queues.nonempty_jobs()))
+                         | set(self.queues.jobs))
         self._budgets = {}
         self._fair_last = {}
         if not job_ids:

@@ -102,7 +102,7 @@ class TbfScheduler(Scheduler):
             return None
         chosen: Optional[int] = None
         chosen_tokens = float("-inf")
-        for job_id in self.queues.nonempty_jobs():
+        for job_id in self.queues.jobs:
             head = self.queues.peek(job_id)
             tokens = self._tokens.get(job_id, 0.0)
             eligible = tokens >= head.cost
@@ -129,7 +129,7 @@ class TbfScheduler(Scheduler):
             return float("inf")
         rates = self._effective_rates()
         best = float("inf")
-        for job_id in self.queues.nonempty_jobs():
+        for job_id in self.queues.jobs:
             head = self.queues.peek(job_id)
             missing = head.cost - self._tokens.get(job_id, 0.0)
             rate = rates.get(job_id, self.default_rate)
@@ -150,7 +150,7 @@ class TbfScheduler(Scheduler):
     def _effective_rates(self) -> Dict[int, float]:
         """PSSB: idle classes' rates are shared proportionally among
         backlogged classes."""
-        backlogged = set(self.queues.nonempty_jobs())
+        backlogged = set(self.queues.jobs)
         if not backlogged:
             return {j: self.rate_of(j) for j in self._known}
         idle_rate = ordered_sum(self.rate_of(j) for j in self._known
@@ -183,7 +183,7 @@ class TbfScheduler(Scheduler):
         else:
             self._last_refill = now
         rates = self._effective_rates()
-        backlogged = set(self.queues.nonempty_jobs())
+        backlogged = set(self.queues.jobs)
         for job_id in self._known:
             rate = rates.get(job_id, self.default_rate)
             burst = max(self._burst(job_id),

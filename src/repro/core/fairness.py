@@ -13,6 +13,8 @@ all-gather merge over snapshots and the unfairness metric used by the
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import lt, mul
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence, Set
 
@@ -190,10 +192,9 @@ def _solve_placement(presence, global_shares, iterations: int,
     # its ``share / weight`` of the class cell.
     for c, r, k in index:
         unit = cells[c] / (row_sums[r] or 1.0) / weights[k]
-        rows[servers[r]].update(
-            [(job_id, cell) for job_id, share in zip(members[k],
-                                                     member_shares[k])
-             if (cell := share * unit) > 0])
+        values = list(map(mul, member_shares[k], repeat(unit)))
+        rows[servers[r]].update(compress(zip(members[k], values),
+                                         map(lt, repeat(0.0), values)))
     return rows
 
 

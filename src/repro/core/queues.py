@@ -8,8 +8,10 @@ burst-buffer request type satisfies this protocol.
 The queue set sits on the scheduler's per-dequeue hot path, so its
 bookkeeping is incremental: the sorted nonempty-job list is maintained
 with ``bisect`` on membership transitions (not re-sorted per call),
-and per-job cost totals are running accumulators (O(1) ``queued_cost``
-for GIFT's demand estimate).
+per-job cost totals are running accumulators (O(1) ``queued_cost``
+for GIFT's demand estimate), and a counter of membership changes lets
+a reader keep what it derived from the backlog (the opportunity-fair
+cut) until the backlog's membership changes.
 """
 
 from __future__ import annotations
@@ -26,15 +28,21 @@ __all__ = ["QueueSet"]
 class QueueSet:
     """A set of FIFO queues keyed by job id."""
 
-    __slots__ = ("_queues", "_sorted_jobs", "total", "_job_cost")
+    __slots__ = ("_queues", "jobs", "total", "changes", "_job_cost")
 
     def __init__(self):
         self._queues: Dict[int, Deque[Any]] = {}
-        self._sorted_jobs: List[int] = []  # job ids with a nonempty queue
+        #: job ids with a nonempty queue, sorted (a field: the dequeue
+        #: reads it per request); only this class changes it.
+        self.jobs: List[int] = []
         #: total queued requests across all jobs (a field: the worker
         #: loop and the dequeue read it per request); only this class
         #: writes it.
         self.total = 0
+        #: membership changes so far: a queue going nonempty, a queue
+        #: going empty, a :meth:`drain`. Equal counts mean equal
+        #: :attr:`jobs`. Only this class writes it.
+        self.changes = 0
         self._job_cost: Dict[int, float] = {}
 
     def push(self, item: Any) -> None:
@@ -43,7 +51,8 @@ class QueueSet:
         queue = self._queues.get(job_id)
         if queue is None:
             queue = self._queues[job_id] = deque()
-            insort(self._sorted_jobs, job_id)
+            insort(self.jobs, job_id)
+            self.changes += 1
         queue.append(item)
         cost = item.cost
         self.total += 1
@@ -58,7 +67,8 @@ class QueueSet:
         self.total -= 1
         if not queue:
             del self._queues[job_id]
-            del self._sorted_jobs[bisect_left(self._sorted_jobs, job_id)]
+            del self.jobs[bisect_left(self.jobs, job_id)]
+            self.changes += 1
             # Reset the accumulator at empty so float drift cannot build
             # up across a job's lifetime.
             self._job_cost[job_id] = 0.0
@@ -82,10 +92,6 @@ class QueueSet:
             return 0.0
         return self._job_cost[job_id]
 
-    def nonempty_jobs(self) -> List[int]:
-        """Job ids with at least one queued request, sorted."""
-        return list(self._sorted_jobs)
-
     def drain(self) -> List[Any]:
         """Remove and return every queued request (crash path).
 
@@ -94,10 +100,11 @@ class QueueSet:
         identical request sequences. All bookkeeping is reset.
         """
         items: List[Any] = []
-        for job_id in self._sorted_jobs:
+        for job_id in self.jobs:
             items.extend(self._queues[job_id])
         self._queues.clear()
-        self._sorted_jobs.clear()
+        self.jobs.clear()
+        self.changes += 1
         self.total = 0
         self._job_cost.clear()
         return items

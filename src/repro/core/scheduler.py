@@ -27,7 +27,8 @@ so the paper's comparators (FIFO, GIFT, TBF — see
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Optional, Sequence
+from bisect import bisect_right
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -118,9 +119,14 @@ class StatisticalTokenScheduler(Scheduler):
     assignment (first requests racing the job-table update) are treated
     as holding the mean share until the controller recomputes tokens.
 
-    The draw keeps no state between dequeues: each one re-cuts [0, 1]
-    over the jobs backlogged at that moment
-    (:meth:`TokenAssignment.draw_among`).
+    The opportunity-fair cut of [0, 1] over the backlogged jobs
+    (:meth:`TokenAssignment.cut`) is kept across draws, for the
+    assignment it was cut from (by identity) and the backlog membership
+    it was cut over (:attr:`QueueSet.changes`); it is cut again only
+    when one of the two has changed. A lone backlogged job is served
+    before the cut is looked at. The uniform ``u`` is drawn first
+    either way, so the random stream is the one a fresh cut per draw
+    would consume.
 
     Tokens are derived on demand: :meth:`defer_tokens` holds at most one
     pending derivation (a later change replaces it), and the first
@@ -137,7 +143,8 @@ class StatisticalTokenScheduler(Scheduler):
     name = "themis"
 
     __slots__ = ("policy", "rng", "opportunity_fair", "queues", "_chain",
-                 "_assignment", "_pending", "draws", "wasted_draws")
+                 "_assignment", "_pending", "_cut", "_cut_of", "_cut_at",
+                 "draws", "wasted_draws")
 
     def __init__(self, policy: Policy, rng: np.random.Generator,
                  opportunity_fair: bool = True):
@@ -148,6 +155,11 @@ class StatisticalTokenScheduler(Scheduler):
         self._chain = ShareChain(policy.levels)
         self._assignment: Optional[TokenAssignment] = None
         self._pending: Optional[Callable[[], None]] = None
+        # The opportunity-fair cut, the assignment it was cut from and
+        # the ``queues.changes`` it was cut at.
+        self._cut: List[float] = []
+        self._cut_of: Optional[TokenAssignment] = None
+        self._cut_at = -1
         self.draws = 0
         self.wasted_draws = 0
 
@@ -159,7 +171,7 @@ class StatisticalTokenScheduler(Scheduler):
         # Every reader runs the pending derivation first, so the
         # installed assignment is dead from here on: free it now.
         self._pending = derive
-        self._assignment = None
+        self._assignment = self._cut_of = None
 
     def on_jobs_changed(self, active_jobs: Sequence[JobInfo]) -> None:
         self._install(self._chain.update(active_jobs))
@@ -194,14 +206,22 @@ class StatisticalTokenScheduler(Scheduler):
         assignment = self._assignment
         if assignment is None:
             # No token info yet: serve uniformly among backlogged jobs.
-            backlogged = queues.nonempty_jobs()
+            backlogged = queues.jobs
             job_id = backlogged[self._draw_index(len(backlogged))]
             return queues.pop(job_id)
 
         self.draws += 1
         u = float(self.rng.random())
         if self.opportunity_fair:
-            return queues.pop(assignment.draw_among(queues.nonempty_jobs(), u))
+            backlogged = queues.jobs
+            if len(backlogged) == 1:
+                return queues.pop(backlogged[0])
+            if assignment is not self._cut_of \
+                    or queues.changes != self._cut_at:
+                self._cut = assignment.cut(backlogged)
+                self._cut_of = assignment
+                self._cut_at = queues.changes
+            return queues.pop(backlogged[bisect_right(self._cut, u)])
         job_id = assignment.draw(u)
         if queues.depth(job_id) == 0:
             self.wasted_draws += 1

@@ -9,8 +9,10 @@ the random number falls in its corresponding segment."
 it answers ``draw(u)`` by :func:`bisect.bisect_right` over the
 cumulative segment boundaries. The token keeps no per-job state beyond
 the shares. Opportunity fairness (unused cycles flow to jobs that can
-use them) re-cuts [0, 1] over the backlogged jobs at every draw
-(:meth:`TokenAssignment.draw_among`).
+use them) re-cuts [0, 1] over the backlogged jobs
+(:meth:`TokenAssignment.cut`); the scheduler keeps that cut until the
+backlog's membership or the installed assignment changes, and a draw
+between is one bisect over it.
 
 Both cuts are formed in pure Python in the order numpy would form
 them: the total in numpy's pairwise summation order
@@ -23,8 +25,9 @@ to the numpy seed implementation frozen in
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import accumulate
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, compress, repeat
+from operator import not_, truediv
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import SchedulerError
@@ -92,7 +95,7 @@ def _pairwise_sum(values: Sequence[float]) -> float:
 class TokenAssignment:
     """An immutable partition of [0, 1] into per-job segments."""
 
-    __slots__ = ("job_ids", "_shares", "_cum", "_index")
+    __slots__ = ("job_ids", "_shares", "_cum", "_value_of", "_mean")
 
     def __init__(self, shares: Dict[int, float]):
         if not shares:
@@ -110,10 +113,15 @@ class TokenAssignment:
         if not 0.0 < total < math.inf:
             raise SchedulerError(f"shares sum to {total}: {shares}")
         self.job_ids: List[int] = job_ids
-        self._shares: List[float] = [v / total for v in values]
+        self._shares: List[float] = list(map(truediv, values, repeat(total)))
         self._cum: List[float] = list(accumulate(self._shares))
         self._cum[-1] = 1.0  # guard against floating-point shortfall
-        self._index = dict(zip(job_ids, range(len(job_ids))))
+        # What a job holds in a re-cut: its share, or the mean share
+        # when it holds none (as a job outside the map does).
+        self._mean = mean = 1.0 / len(job_ids)
+        self._value_of: Dict[int, float] = dict(zip(job_ids, self._shares))
+        for job_id in compress(job_ids, map(not_, self._shares)):
+            self._value_of[job_id] = mean
 
     # ----------------------------------------------------------------- draws
     def draw(self, u: float) -> int:
@@ -122,34 +130,22 @@ class TokenAssignment:
             raise SchedulerError(f"draw needs u in [0, 1): {u}")
         return self.job_ids[bisect_right(self._cum, u)]
 
-    def draw_among(self, jobs: Sequence[int], u: float) -> int:
-        """The job of *jobs* whose segment contains *u* once [0, 1] is
-        re-cut over *jobs* alone (opportunity fairness).
+    def cut(self, jobs: Sequence[int]) -> List[float]:
+        """The boundaries of [0, 1] re-cut over *jobs* alone
+        (opportunity fairness): ``jobs[bisect_right(cut, u)]`` is the
+        job whose segment contains *u*.
 
-        *jobs* is sorted ascending. Each keeps its installed share; a
-        job missing from the assignment or holding a zero share gets the
-        mean share. The choice is the one ``TokenAssignment`` built from
-        those shares would draw, bit for bit, without building it.
+        *jobs* is sorted ascending and not empty. Each keeps its
+        installed share; a job missing from the assignment or holding a
+        zero share gets the mean share. The boundaries are the ones a
+        ``TokenAssignment`` built from those shares would hold, bit for
+        bit, without building it.
         """
-        if not 0.0 <= u < 1.0:
-            raise SchedulerError(f"draw needs u in [0, 1): {u}")
-        if len(jobs) == 1:
-            return jobs[0]
-        index = self._index
-        shares = self._shares
-        mean_share = 1.0 / len(shares)
-        values = []
-        for job_id in jobs:
-            i = index.get(job_id)
-            share = shares[i] if i is not None else 0.0
-            values.append(share if share > 0 else mean_share)
+        values = list(map(self._value_of.get, jobs, repeat(self._mean)))
         total = _pairwise_sum(values)
-        boundary = 0.0
-        for k, value in enumerate(values):
-            boundary += value / total
-            if boundary > u:
-                return jobs[k]
-        return jobs[-1]  # the last boundary is 1.0 > u
+        cum = list(accumulate(map(truediv, values, repeat(total))))
+        cum[-1] = 1.0  # guard against floating-point shortfall
+        return cum
 
     def segment(self, job_id: int) -> Tuple[float, float]:
         """The ``[lo, hi)`` segment assigned to *job_id*."""
@@ -162,13 +158,12 @@ class TokenAssignment:
         return self._shares[self._lookup(job_id)]
 
     def _lookup(self, job_id: int) -> int:
-        try:
-            return self._index[job_id]
-        except KeyError:
-            raise SchedulerError(f"job {job_id} not in assignment") from None
+        if job_id not in self._value_of:
+            raise SchedulerError(f"job {job_id} not in assignment")
+        return bisect_left(self.job_ids, job_id)
 
     def __contains__(self, job_id: int) -> bool:
-        return job_id in self._index
+        return job_id in self._value_of
 
     def __len__(self) -> int:
         return len(self.job_ids)

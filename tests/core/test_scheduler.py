@@ -48,7 +48,7 @@ class TestQueueSet:
         assert q.total == 3
         assert q.depth(2) == 2
         assert q.queued_cost(2) == 10
-        assert q.nonempty_jobs() == [1, 2]
+        assert q.jobs == [1, 2]
         q.pop(2)
         assert q.queued_cost(2) == 5
 
@@ -70,6 +70,21 @@ class TestQueueSet:
             (1, 0), (1, 1), (2, 0)]
         assert not q
         assert q.total == 0 and q.queued_cost(1) == 0
+
+    def test_changes_counts_membership_changes_only(self):
+        q = QueueSet()
+        q.push(Req(1))
+        q.push(Req(1))        # job 1 was already backlogged
+        q.push(Req(2))
+        assert q.changes == 2 and q.jobs == [1, 2]
+        q.pop(1)              # job 1 stays backlogged
+        assert q.changes == 2
+        q.pop(1)
+        assert q.changes == 3 and q.jobs == [2]
+        q.drain()
+        assert q.changes == 4 and q.jobs == []
+        q.drain()             # a drain counts even when nothing goes
+        assert q.changes == 5
 
 
 class TestDrainAndWake:

@@ -2,16 +2,21 @@
 implementation.
 
 The pure-Python draw (numpy's pairwise summation order replayed by
-``_pairwise_sum``, boundaries accumulated left to right, a bisect or a
-linear scan instead of ``np.searchsorted``, and the opportunity-fair
-re-cut done in place by ``TokenAssignment.draw_among``) must not change
-a single scheduling decision: same RNG seed, same request stream, same
-choices. This module freezes the seed revision's ``TokenAssignment`` /
+``_pairwise_sum``, boundaries accumulated left to right, a bisect
+instead of ``np.searchsorted``, and the opportunity-fair re-cut by
+``TokenAssignment.cut``, kept across draws until the backlog's
+membership or the assignment changes) must not change a single
+scheduling decision: same RNG seed, same request stream, same choices.
+This module freezes the seed revision's ``TokenAssignment`` /
 ``StatisticalTokenScheduler`` logic verbatim (numpy-everything, a fresh
 assignment per dequeue) and replays identical workloads through both,
 at the handful of jobs the paper runs and at the populations of the
 ledger's ``job_churn`` (assignments of 129-300 jobs, backlogs above
-numpy's 128-element pairwise block).
+numpy's 128-element pairwise block). Tokens change in every way a
+server changes them: a job-set change, a placement row installed
+through a deferred derivation (jobs missing, zero shares dropped), a
+re-derivation between two draws over an unchanged backlog, and a crash
+that drains every queue mid-stream.
 """
 
 import random
@@ -20,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core import JobInfo, Policy, StatisticalTokenScheduler
+from repro.core.fairness import placement_shares
 from repro.core.tokens import _pairwise_sum
 
 
@@ -67,6 +73,16 @@ class _SeedScheduler:
     def on_jobs_changed(self, active_jobs):
         shares = self.policy.shares(active_jobs)
         self.assignment = _SeedTokenAssignment(shares) if shares else None
+
+    def set_assignment(self, shares):
+        shares = {j: s for j, s in shares.items() if s > 0}
+        self.assignment = _SeedTokenAssignment(shares) if shares else None
+
+    def drain(self):
+        items = [r for job_id in sorted(self._queues)
+                 for r in self._queues[job_id]]
+        self._queues.clear()
+        return items
 
     def _pop(self, job_id):
         queue = self._queues[job_id]
@@ -116,17 +132,39 @@ SMALL = (10, 14, lambda step: step % 8 + 2)
 LARGE = (300, 320, lambda step: 129 + step % 172)
 
 
+def _row(workload, policy, jobs):
+    """A placement-adjusted row (Fig. 5) for one of two servers: each
+    job hosted by one or both, so the row misses some jobs; a few of its
+    shares zeroed, which an install drops."""
+    presence = {"a": set(), "b": set()}
+    for info in jobs:
+        for server in workload.choice((("a",), ("b",), ("a", "b"))):
+            presence[server].add(info.job_id)
+    row = dict(placement_shares(presence, policy.shares(jobs)).get("a", {}))
+    for job_id in sorted(row):
+        if workload.random() < 0.05:
+            row[job_id] = 0.0
+    return row
+
+
 def _replay(policy_name, seed, steps, make_scheduler, dequeue, jobs_changed,
-            population):
+            set_row, population):
     """Drive a scheduler through a deterministic workload; return the
-    (choice, request-seq) trace and the most jobs ever backlogged."""
+    (choice, request-seq) trace, the most jobs ever backlogged and how
+    many draws met an assignment derived since the previous draw over
+    the same backlog."""
     n_jobs, n_ids, realloc = population
-    scheduler = make_scheduler(policy_name, seed)
-    jobs_changed(scheduler, _jobs(n_jobs))
+    policy = Policy.parse(policy_name)
+    scheduler = make_scheduler(policy, seed)
+    jobs = _jobs(n_jobs)
+    jobs_changed(scheduler, jobs)
     workload = random.Random(seed * 7 + 1)
     trace = []
     pending = {}
     widest = 0
+    rederived = False
+    last_backlog = None
+    same_backlog = 0
     for step in range(steps):
         if workload.random() < 0.55 or not pending:
             job_id = workload.randrange(n_ids)
@@ -134,6 +172,10 @@ def _replay(policy_name, seed, steps, make_scheduler, dequeue, jobs_changed,
             pending[job_id] = pending.get(job_id, 0) + 1
             widest = max(widest, len(pending))
         else:
+            backlog = sorted(pending)
+            same_backlog += rederived and backlog == last_backlog
+            rederived = False
+            last_backlog = backlog
             req = dequeue(scheduler)
             if req is not None:
                 pending[req.job_id] -= 1
@@ -141,29 +183,45 @@ def _replay(policy_name, seed, steps, make_scheduler, dequeue, jobs_changed,
                     del pending[req.job_id]
             trace.append(None if req is None else (req.job_id, req.seq))
         if step % 2500 == 2499:
-            jobs_changed(scheduler, _jobs(realloc(step),
-                                          cycle=step % 4 + 2))
-    return trace, widest
+            jobs = _jobs(realloc(step), cycle=step % 4 + 2)
+            jobs_changed(scheduler, jobs)
+            rederived = True
+        elif step % 41 == 40:
+            # Between two draws: a placement row, or the same job set
+            # derived again (a new assignment with the same shares).
+            if workload.random() < 0.6:
+                set_row(scheduler, _row(workload, policy, jobs))
+            else:
+                jobs_changed(scheduler, jobs)
+            rederived = True
+        if step == steps // 2:
+            # A crash: every queued request goes; arrivals go on.
+            trace.append([(r.job_id, r.seq) for r in scheduler.drain()])
+            pending.clear()
+    return trace, widest, same_backlog
 
 
 def _same_trace(policy_name, seed, population):
     """Replay one workload through both schedulers, assert bit-identical
     dequeue traces (job AND request identity); return the most jobs
     ever backlogged."""
-    seed_trace, widest = _replay(
+    seed_trace, widest, same_backlog = _replay(
         policy_name, seed, 12000,
-        lambda p, s: _SeedScheduler(Policy.parse(p), np.random.default_rng(s)),
+        lambda p, s: _SeedScheduler(p, np.random.default_rng(s)),
         lambda sch: sch.dequeue(),
         lambda sch, jobs: sch.on_jobs_changed(jobs),
+        lambda sch, row: sch.set_assignment(row),
         population)
-    new_trace, _ = _replay(
+    new_trace, _, _ = _replay(
         policy_name, seed, 12000,
-        lambda p, s: StatisticalTokenScheduler(Policy.parse(p),
-                                               np.random.default_rng(s)),
+        lambda p, s: StatisticalTokenScheduler(p, np.random.default_rng(s)),
         lambda sch: sch.dequeue(0.0),
         lambda sch, jobs: sch.on_jobs_changed(jobs),
+        # As the controller installs a row: deferred to the next draw.
+        lambda sch, row: sch.defer_tokens(lambda: sch.set_assignment(row)),
         population)
     assert seed_trace == new_trace
+    assert same_backlog > 20, same_backlog
     return widest
 
 

@@ -150,8 +150,7 @@ def _outcome(make, shares):
         tokens = make(shares)
     except SchedulerError as err:
         return "error", str(err)
-    return (tokens.job_ids, tokens._shares, tokens._cum,
-            list(tokens._index.items()))
+    return tokens.job_ids, tokens._shares, tokens._cum
 
 
 class TestTokenAssignment:
@@ -160,6 +159,20 @@ class TestTokenAssignment:
     def test_equals_reference(self, shares):
         assert _outcome(TokenAssignment, shares) \
             == _outcome(ReferenceTokens, shares)
+
+    @settings(max_examples=150)
+    @given(_SHARES)
+    def test_recut_values_are_the_shares_or_the_mean(self, shares):
+        """What a job holds in a re-cut, in job-id order: its share, or
+        the mean share where its share is zero."""
+        try:
+            reference = ReferenceTokens(shares)
+        except SchedulerError:
+            return
+        mean = 1.0 / len(reference.job_ids)
+        assert list(TokenAssignment(shares)._value_of.items()) == [
+            (j, s if s > 0 else mean)
+            for j, s in zip(reference.job_ids, reference._shares)]
 
     @settings(max_examples=100)
     @given(_SHARES, st.lists(_BAD, min_size=1, max_size=3),

@@ -1,5 +1,7 @@
 """Tests for the statistical token assignment (segments of [0, 1])."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,14 +129,17 @@ def test_property_draw_consistent_with_segments(shares, u):
                            lambda d: sum(d.values()) > 0),
        st.sets(st.integers(0, 320), min_size=1, max_size=200),
        st.floats(0.0, 1.0, exclude_max=True))
-def test_property_draw_among_is_the_draw_of_the_recut_assignment(
-        shares, backlog, u):
-    """draw_among(jobs, u) is bit for bit the draw of an assignment
+def test_property_cut_is_the_recut_assignment(shares, backlog, u):
+    """cut(jobs) holds, bit for bit, the boundaries of an assignment
     built over *jobs*, a job outside the assignment or with a zero share
-    holding the mean share; *jobs* spans ids in and out of the table."""
+    holding the mean share, so a bisect over it draws what that
+    assignment draws; *jobs* spans ids in and out of the table."""
     a = TokenAssignment(shares)
     jobs = sorted(backlog)
     mean = 1.0 / len(a)
-    recut = {j: (a.share(j) if j in a and a.share(j) > 0 else mean)
-             for j in jobs}
-    assert a.draw_among(jobs, u) == TokenAssignment(recut).draw(u)
+    recut = TokenAssignment(
+        {j: (a.share(j) if j in a and a.share(j) > 0 else mean)
+         for j in jobs})
+    cut = a.cut(jobs)
+    assert cut == [recut.segment(j)[1] for j in jobs]
+    assert jobs[bisect_right(cut, u)] == recut.draw(u)
