@@ -344,20 +344,10 @@ class Client:
         server = self.fs.metadata_server(path)
         return (yield from self._io_call(server, OpType.OPEN, path))
 
-    def mkdir(self, path: str):
-        """Generator: create directory *path* on its metadata server."""
-        server = self.fs.metadata_server(path)
-        return (yield from self._io_call(server, OpType.MKDIR, path))
-
     def stat(self, path: str):
         """Generator: stat *path* on its metadata server."""
         server = self.fs.metadata_server(path)
         return (yield from self._io_call(server, OpType.STAT, path))
-
-    def readdir(self, path: str):
-        """Generator: list directory *path* on its metadata server."""
-        server = self.fs.metadata_server(path)
-        return (yield from self._io_call(server, OpType.READDIR, path))
 
     def unlink(self, path: str):
         """Generator: remove *path* on its metadata server."""

@@ -34,9 +34,7 @@ class OpType(Enum):
     READ = "read"
     OPEN = "open"       # create-or-open
     STAT = "stat"
-    READDIR = "readdir"
     UNLINK = "unlink"
-    MKDIR = "mkdir"
 
     def __init__(self, value: str):
         #: does the op move file data (WRITE / READ)? A member field,

@@ -122,7 +122,7 @@ class IOWorker:
                 node.range_locks.wait(inode.ino, released, request.offset,
                                       request.size, owner=self)
                 yield released
-        elif request.op in (OpType.OPEN, OpType.UNLINK, OpType.MKDIR):
+        elif request.op in (OpType.OPEN, OpType.UNLINK):
             parent = server.fs.lookup(
                 request.path.rsplit("/", 1)[0] or "/")
             if parent is None:
@@ -181,16 +181,9 @@ class IOWorker:
             if op is OpType.STAT:
                 fs.stat(path)
                 return 0
-            if op is OpType.READDIR:
-                fs.readdir(path)
-                return 0
             if op is OpType.UNLINK:
                 if fs.exists(path):
                     fs.unlink(path)
-                return 0
-            if op is OpType.MKDIR:
-                if not fs.exists(path):
-                    fs.mkdir(path)
                 return 0
         except FileNotFound as exc:
             if op.is_data:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 from typing import List, Optional
 
@@ -39,6 +40,18 @@ _POLICY_EXAMPLES = [
 ]
 
 
+def _scale(text: str) -> float:
+    """``--scale``: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite number above 0")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -51,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("figure", help="run one figure experiment")
     fig.add_argument("name", choices=sorted(FIGURES))
-    fig.add_argument("--scale", type=float, default=0.1,
+    fig.add_argument("--scale", type=_scale, default=0.1,
                      help="timeline scale vs the paper's 60 s (default 0.1; "
                           "figures on a scaled timeline)")
     fig.add_argument("--seed", type=int, default=0,
@@ -66,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="policy string, or fifo/gift/tbf")
     share.add_argument("--jobs", default="4:alice,1:bob",
                        help="comma list of nodes:user[:group] entries")
-    share.add_argument("--scale", type=float, default=0.1)
+    share.add_argument("--scale", type=_scale, default=0.1)
     share.add_argument("--seed", type=int, default=0)
     share.add_argument("--servers", type=int, default=1)
 

@@ -1,14 +1,12 @@
 """The paper's core contribution: statistical tokens, sharing policies,
-transition-matrix evaluation, the token scheduler, λ-delayed fairness,
+Eq. 1 share evaluation, the token scheduler, λ-delayed fairness,
 and the comparator disciplines (FIFO / GIFT / TBF).
 """
 
 from .baselines import FifoScheduler, GiftScheduler, TbfScheduler
-from .fairness import (all_gather_merge, global_share_error,
-                       placement_shares, total_variation)
+from .fairness import all_gather_merge, placement_shares
 from .jobinfo import JobInfo, JobRecord, JobStatusTable
-from .matrix import (ShareChain, build_transition_matrices, chain_product,
-                     chain_shares, validate_transition_matrix)
+from .matrix import ShareChain, chain_shares
 from .policy import FIFO_POLICY_NAME, Level, Policy
 from .queues import QueueSet
 from .scheduler import Scheduler, StatisticalTokenScheduler
@@ -29,12 +27,7 @@ __all__ = [
     "GiftScheduler",
     "TbfScheduler",
     "ShareChain",
-    "build_transition_matrices",
-    "chain_product",
     "chain_shares",
-    "validate_transition_matrix",
     "all_gather_merge",
-    "total_variation",
-    "global_share_error",
     "placement_shares",
 ]

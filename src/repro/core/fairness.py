@@ -7,8 +7,10 @@ interval", bounding how long a globally unfair state can last.
 
 The messaging lives in the burst-buffer controller
 (:mod:`repro.bb.controller`); this module holds the pure pieces: the
-all-gather merge over snapshots and the unfairness metric used by the
-λ-sweep experiment (Fig. 14).
+all-gather merge over snapshots and the projection of the global shares
+onto each server's token map (Fig. 5). The λ-sweep experiment (Fig. 14)
+judges convergence on the realised share timeline
+(:func:`repro.metrics.convergence_interval`), not on these shares.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from typing import Dict, Mapping, Optional, Sequence, Set
 from .jobinfo import JobStatusTable
 from .tokens import ordered_sum
 
-__all__ = ["all_gather_merge", "total_variation", "global_share_error",
-           "placement_shares", "PlacementMemo"]
+__all__ = ["all_gather_merge", "placement_shares", "PlacementMemo"]
 
 
 def all_gather_merge(tables: Sequence[JobStatusTable]) -> bool:
@@ -196,23 +197,3 @@ def _solve_placement(presence, global_shares, iterations: int,
         rows[servers[r]].update(compress(zip(members[k], values),
                                          map(lt, repeat(0.0), values)))
     return rows
-
-
-def total_variation(a: Dict[int, float], b: Dict[int, float]) -> float:
-    """Total-variation distance between two share maps (0 = identical,
-    1 = disjoint). Missing keys count as zero share."""
-    keys = sorted(set(a) | set(b))
-    return 0.5 * ordered_sum(
-        abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
-
-
-def global_share_error(local_shares: Sequence[Dict[int, float]],
-                       global_shares: Dict[int, float]) -> float:
-    """Worst-server deviation from the globally fair assignment.
-
-    The Fig. 14 experiment tracks how quickly this drops to ~0 after
-    ThemisIO starts in an unfair state; it cannot exceed 1.
-    """
-    if not local_shares:
-        return 0.0
-    return max(total_variation(local, global_shares) for local in local_shares)

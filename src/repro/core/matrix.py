@@ -1,6 +1,6 @@
-"""Transition matrices and the Eq. 1 chain product (§3).
+"""Eq. 1 in closed form: a policy chain's per-job shares (§3).
 
-The statistical token assignment for a composite policy is evaluated as
+The statistical token assignment for a composite policy is defined as
 
     prod_{i=0}^{N-1} T^i        (Eq. 1)
 
@@ -12,9 +12,9 @@ column has exactly one non-zero entry (an entity belongs to exactly one
 parent scope). The product collapses the hierarchy into a single row
 vector of per-job shares of [0, 1] — the statistical tokens of Fig. 3.
 
-The dense chain is kept as the definition and the test oracle; the
-shares are evaluated in closed form by :class:`ShareChain`, which a
-token scheduler keeps current across job-set changes.
+The shares are evaluated in closed form by :class:`ShareChain`, which a
+token scheduler keeps current across job-set changes; the dense product
+itself is the test oracle (``tests/core/matrix_reference.py``).
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from itertools import compress
 from operator import attrgetter, is_not
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import PolicyError
 from .jobinfo import JobInfo
 from .tokens import ordered_sum
@@ -32,8 +30,7 @@ from .tokens import ordered_sum
 if TYPE_CHECKING:  # pragma: no cover
     from .policy import Level
 
-__all__ = ["ShareChain", "build_transition_matrices", "chain_product",
-           "chain_shares", "validate_transition_matrix"]
+__all__ = ["ShareChain", "chain_shares"]
 
 
 _JOB_ID = attrgetter("job_id")
@@ -57,113 +54,6 @@ def _level_readers(levels: Sequence["Level"]) -> Tuple[list, Callable]:
     return [entity[level] for level in heads], weight[tail]
 
 
-# ------------------------------------------------------------ level builders
-def _head_matrix(parent_scopes: Sequence[tuple],
-                 parent_rows: Dict[tuple, int],
-                 child_scopes: Sequence[tuple],
-                 depth: int) -> np.ndarray:
-    """One non-terminal level: even split within each parent scope."""
-    T = np.zeros((len(parent_scopes), len(child_scopes)))
-    for col, child in enumerate(child_scopes):
-        T[parent_rows[child[:depth]], col] = 1.0  # placeholder; normalised
-    row_counts = T.sum(axis=1, keepdims=True)
-    return np.divide(T, row_counts, out=np.zeros_like(T),
-                     where=row_counts > 0)
-
-
-def _terminal_matrix(parent_scopes: Sequence[tuple],
-                     parent_rows: Dict[tuple, int],
-                     job_scopes: Sequence[tuple],
-                     weights: Sequence[float]) -> np.ndarray:
-    """The terminal level: columns are jobs, weighted by the tail rule."""
-    T = np.zeros((len(parent_scopes), len(job_scopes)))
-    for col, scope in enumerate(job_scopes):
-        T[parent_rows[scope], col] = weights[col]
-    row_sums = T.sum(axis=1, keepdims=True)
-    return np.divide(T, row_sums, out=np.zeros_like(T), where=row_sums > 0)
-
-
-def _by_id(jobs: Sequence[JobInfo]) -> Tuple[List[JobInfo], List[int]]:
-    """*jobs* in ascending id order and their (distinct) ids."""
-    jobs = sorted(jobs, key=_JOB_ID)
-    job_ids = list(map(_JOB_ID, jobs))
-    if len(set(job_ids)) != len(job_ids):
-        raise PolicyError(f"duplicate job ids: {job_ids}")
-    return jobs, job_ids
-
-
-def _scope_chain(getters: Sequence[Callable],
-                 jobs: Sequence[JobInfo]) -> List[List[tuple]]:
-    """Per-depth scope key of each (already sorted) job, by level getter.
-
-    ``chain[d][i]`` is job *i*'s scope after consuming the first *d*
-    levels; depth 0 is the virtual root ``()``.
-    """
-    per_job: List[tuple] = [()] * len(jobs)
-    chain = [per_job]
-    for getter in getters:
-        per_job = [scope + (getter(job),)
-                   for scope, job in zip(per_job, jobs)]
-        chain.append(per_job)
-    return chain
-
-
-def build_transition_matrices(
-        levels: Sequence["Level"],
-        jobs: Sequence[JobInfo]) -> Tuple[List[np.ndarray], List[int]]:
-    """Build the ``T^i`` chain for *levels* over *jobs*.
-
-    Returns ``(matrices, job_ids)`` where the final matrix's columns are
-    ordered by ``job_ids`` (ascending). Jobs must have distinct ids.
-    """
-    jobs, job_ids = _by_id(jobs)
-    if not jobs:
-        return [], []
-
-    getters, weight = _level_readers(levels)
-    scope_chain = _scope_chain(getters, jobs)
-    matrices: List[np.ndarray] = []
-    parent_scopes: List[tuple] = [()]  # the virtual root
-    parent_rows: Dict[tuple, int] = {(): 0}
-    for depth in range(len(levels) - 1):
-        child_scopes = sorted(set(scope_chain[depth + 1]))
-        matrices.append(_head_matrix(parent_scopes, parent_rows,
-                                     child_scopes, depth))
-        parent_scopes = child_scopes
-        parent_rows = {scope: i for i, scope in enumerate(child_scopes)}
-
-    weights = list(map(weight, jobs))
-    matrices.append(_terminal_matrix(parent_scopes, parent_rows,
-                                     scope_chain[-1], weights))
-    return matrices, job_ids
-
-
-def validate_transition_matrix(T: np.ndarray, atol: float = 1e-9) -> None:
-    """Check the §3 structural constraints; raise PolicyError if violated."""
-    if T.ndim != 2:
-        raise PolicyError(f"transition matrix must be 2-D, got shape {T.shape}")
-    row_sums = T.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=atol):
-        raise PolicyError(f"rows must sum to 1, got {row_sums}")
-    if np.any(T < -atol):
-        raise PolicyError("negative entries in transition matrix")
-    nonzero_per_col = (T > atol).sum(axis=0)
-    if np.any(nonzero_per_col != 1):
-        raise PolicyError(
-            f"each column must have exactly one non-zero entry, got "
-            f"{nonzero_per_col}")
-
-
-def chain_product(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate Eq. 1: the ordered product of the transition matrices."""
-    if not matrices:
-        return np.zeros((1, 0))
-    out = matrices[0]
-    for T in matrices[1:]:
-        out = out @ T
-    return out
-
-
 class ShareChain:
     """Eq. 1 for one policy chain, kept current as its job set changes.
 
@@ -171,7 +61,7 @@ class ShareChain:
     job's entry of the product is one path: the even splits ``1 /
     siblings`` of its enclosing scopes, multiplied left to right (its
     scope's *reach*), times its weight over its innermost scope's
-    weight total. These are the products :func:`chain_product` forms
+    weight total. These are the products the dense chain forms
     (the other terms of each dot product are exact zeros), so the
     shares are bit-equal to the dense chain when the weight totals are
     exact (integer sizes) and within rounding of it for fractional

@@ -23,8 +23,8 @@ parser accepts the paper's spellings::
 user level gets an implicit even ``job`` distributor, which is what
 Figure 8(c)'s user-fair experiment shows.)
 
-``Policy.shares(jobs)`` evaluates the statistical token assignment via
-the transition-matrix chain product of Eq. 1 (see
+``Policy.shares(jobs)`` evaluates the statistical token assignment,
+Eq. 1's transition-matrix chain product, in closed form (see
 :mod:`repro.core.matrix`).
 """
 
@@ -124,7 +124,8 @@ class Policy:
         """The statistical token assignment: job id -> share of [0, 1].
 
         Shares sum to 1 over *jobs*; an empty job list yields ``{}``.
-        Evaluated as the chain of transition-matrix products (Eq. 1).
+        Eq. 1's chain of transition-matrix products, in closed form
+        (:func:`repro.core.matrix.chain_shares`).
         """
         return chain_shares(self.levels, list(jobs))
 

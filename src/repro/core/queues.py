@@ -109,8 +109,5 @@ class QueueSet:
         self._job_cost.clear()
         return items
 
-    def __len__(self) -> int:
-        return self.total
-
     def __bool__(self) -> bool:
         return self.total > 0

@@ -47,13 +47,6 @@ class ConsistentHashRing:
         self._servers.discard(name)
         self._ring = [(h, s) for h, s in self._ring if s != name]
 
-    @property
-    def servers(self) -> List[str]:
-        return sorted(self._servers)
-
-    def __len__(self) -> int:
-        return len(self._servers)
-
     # --------------------------------------------------------------- lookups
     def lookup(self, key: str) -> str:
         """The server owning *key*."""

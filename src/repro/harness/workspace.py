@@ -88,8 +88,9 @@ def code_rev() -> str:
 
     The :data:`REV_ENV_VAR` environment variable wins when set (tests
     pin revisions with it); otherwise the short git revision of this
-    checkout, ``-dirty``-suffixed when tracked files have uncommitted
-    changes; ``"unknown"`` outside a git checkout.
+    checkout, suffixed ``-dirty-<digest of git diff HEAD>`` when tracked
+    files have uncommitted changes, so that two different edits of one
+    revision never share a key; ``"unknown"`` outside a git checkout.
     """
     pinned = os.environ.get(REV_ENV_VAR)
     if pinned:
@@ -101,10 +102,11 @@ def code_rev() -> str:
             capture_output=True, text=True, check=True).stdout.strip()
     except Exception:
         return "unknown"
-    dirty = subprocess.run(
-        ["git", "status", "--porcelain", "--untracked-files=no"], cwd=here,
-        capture_output=True, text=True).stdout.strip()
-    return f"{rev}-dirty" if dirty else rev
+    diff = subprocess.run(["git", "diff", "--no-ext-diff", "HEAD"], cwd=here,
+                          capture_output=True).stdout
+    if not diff:
+        return rev
+    return f"{rev}-dirty-{hashlib.blake2b(diff, digest_size=6).hexdigest()}"
 
 
 def _atomic_write_json(path: str, doc: Any) -> None:

@@ -67,7 +67,3 @@ class Workload(ABC):
     @staticmethod
     def _expired(engine: "Engine", stop_time: Optional[float]) -> bool:
         return stop_time is not None and engine.now >= stop_time
-
-    @property
-    def name(self) -> str:
-        return type(self).__name__

@@ -116,12 +116,12 @@ class TestDataPath:
         client = cluster.add_client(job(1))
         out = {}
 
+        cluster.fs.mkdir("/fs/data/dir")
+
         def app():
-            yield from client.mkdir("/fs/data/dir")
             yield from client.create("/fs/data/dir/x")
             resp = yield from client.stat("/fs/data/dir/x")
             out["stat_ok"] = resp["ok"]
-            yield from client.readdir("/fs/data/dir")
             yield from client.unlink("/fs/data/dir/x")
 
         cluster.engine.process(app())

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (JobInfo, JobStatusTable, Policy, all_gather_merge,
-                        global_share_error, placement_shares,
-                        total_variation)
+                        placement_shares)
 from repro.core.fairness import PlacementMemo
 
 from .placement_reference import reference_placement_shares
@@ -282,25 +281,3 @@ class TestPlacementMemo:
         assert_rows_match(one, reference_placement_shares(presence, shares, 1))
         assert_rows_match(full, reference_placement_shares(presence, shares))
         assert one != full and memo.solves == 2
-
-
-class TestMetrics:
-    def test_total_variation_identical(self):
-        assert total_variation({1: 0.5, 2: 0.5}, {1: 0.5, 2: 0.5}) == 0.0
-
-    def test_total_variation_disjoint(self):
-        assert total_variation({1: 1.0}, {2: 1.0}) == pytest.approx(1.0)
-
-    def test_total_variation_partial(self):
-        assert total_variation({1: 0.66, 2: 0.34},
-                               {1: 0.5, 2: 0.25, 3: 0.25}) == pytest.approx(0.25)
-
-    def test_global_share_error_is_worst_server(self):
-        global_shares = {1: 0.5, 2: 0.25, 3: 0.25}
-        locals_ = [{1: 0.5, 2: 0.25, 3: 0.25},  # converged server
-                   {1: 2 / 3, 2: 1 / 3}]        # stale server
-        err = global_share_error(locals_, global_shares)
-        assert err == pytest.approx(total_variation(locals_[1], global_shares))
-
-    def test_global_share_error_empty(self):
-        assert global_share_error([], {1: 1.0}) == 0.0

@@ -1,4 +1,5 @@
-"""Tests for transition matrices and the Eq. 1 chain product.
+"""Tests for Eq. 1: the dense chain product (``matrix_reference``) and
+the closed form ``src/`` evaluates.
 
 ``Policy.shares`` is ``chain_shares``, a fresh :class:`ShareChain`; a
 token scheduler keeps one chain and updates it at every job-set change,
@@ -21,11 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (JobInfo, Level, Policy, ShareChain,
-                        build_transition_matrices, chain_product,
-                        chain_shares, validate_transition_matrix)
+from repro.core import JobInfo, Level, Policy, ShareChain, chain_shares
 from repro.errors import PolicyError
 
+from .matrix_reference import (build_transition_matrices, chain_product,
+                               validate_transition_matrix)
 from .sync_reference import reference_chain_shares
 
 

@@ -1,9 +1,14 @@
 """Content-addressed workspace store: keys, atomicity, self-healing."""
 
+import importlib.util
 import json
 import os
+import shutil
+import subprocess
 
 import pytest
+
+import repro.harness.workspace as workspace_module
 
 from repro.harness.workspace import (SCHEMA_VERSION, Workspace,
                                      canonical_json, code_rev,
@@ -48,6 +53,42 @@ class TestCodeRev:
     def test_unpinned_is_nonempty(self, monkeypatch):
         monkeypatch.delenv("REPRO_CODE_REV", raising=False)
         assert code_rev()
+
+    def test_each_uncommitted_state_has_its_own_rev(self, tmp_path,
+                                                    monkeypatch):
+        """Two different uncommitted edits of one revision must not share
+        a store key: a point computed before the second edit would be
+        replayed after it."""
+        monkeypatch.delenv("REPRO_CODE_REV", raising=False)
+        shutil.copy(workspace_module.__file__, tmp_path / "workspace.py")
+        (tmp_path / "model.py").write_text("RATE = 1\n")
+
+        def git(*args):
+            subprocess.run(["git", "-c", "user.name=t", "-c",
+                            "user.email=t@example.com", *args],
+                           cwd=tmp_path, check=True, capture_output=True)
+
+        git("init", "-q")
+        git("add", ".")
+        git("commit", "-q", "-m", "base")
+        spec = importlib.util.spec_from_file_location(
+            "copied_workspace", tmp_path / "workspace.py")
+        copy = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(copy)
+
+        clean = copy.code_rev()
+        (tmp_path / "model.py").write_text("RATE = 2\n")
+        first = copy.code_rev()
+        (tmp_path / "model.py").write_text("RATE = 3\n")
+        second = copy.code_rev()
+        (tmp_path / "model.py").write_text("RATE = 2\n")
+        assert "-" not in clean
+        assert first.startswith(f"{clean}-dirty-")
+        assert second.startswith(f"{clean}-dirty-")
+        assert first != second
+        assert copy.code_rev() == first
+        (tmp_path / "model.py").write_text("RATE = 1\n")
+        assert copy.code_rev() == clean
 
 
 class TestStore:

@@ -35,11 +35,9 @@ MUTANTS = [
          "JobRecord(info, now + 0 * time.time(), True)")]),
     ("DET004", "core/baselines/tbf.py", [
         ("for j in sorted(backlogged))", "for j in backlogged)")]),
-    ("DET004", "core/fairness.py", [        # flagged where it is iterated
-        ("    keys = sorted(set(a) | set(b))\n    return 0.5 * ordered_sum(\n"
-         "        abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)",
-         "    keys = set(a) | set(b)\n    return 0.5 * ordered_sum(\n"
-         "        abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)")]),
+    ("DET004", "core/fairness.py", [        # an order-dependent memo key
+        ("(s, frozenset(j)) for s, j in presence.items()",
+         "(s, tuple(frozenset(j))) for s, j in presence.items()")]),
     ("DET005", "metrics/faultstats.py", [
         ("key=lambda kv: (kv[1] == 0, kv[0]))",
          "key=lambda kv: (kv[1] == 0, id(kv[0])))")]),

@@ -31,6 +31,18 @@ class TestFigure:
             main(["figure", "fig99"])
 
 
+@pytest.mark.parametrize("command", [["figure", "fig08a"], ["sharing"]])
+@pytest.mark.parametrize("scale", ["nan", "inf", "1e999", "0", "-0.5", "x"])
+def test_bad_scale_is_an_argparse_error(command, scale, capsys):
+    """A non-finite or non-positive ``--scale`` is refused at parse time
+    with a message that names the flag, before any point runs."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--scale", scale])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --scale:" in err and "finite number above 0" in err
+
+
 class TestRemovedCommands:
     def test_bench_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
