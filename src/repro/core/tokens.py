@@ -149,18 +149,17 @@ class TokenAssignment:
 
     def segment(self, job_id: int) -> Tuple[float, float]:
         """The ``[lo, hi)`` segment assigned to *job_id*."""
-        i = self._lookup(job_id)
+        if job_id not in self._value_of:
+            raise SchedulerError(f"job {job_id} not in assignment")
+        i = bisect_left(self.job_ids, job_id)
         lo = self._cum[i - 1] if i > 0 else 0.0
         return lo, self._cum[i]
 
     def share(self, job_id: int) -> float:
         """The normalised share of *job_id*."""
-        return self._shares[self._lookup(job_id)]
-
-    def _lookup(self, job_id: int) -> int:
         if job_id not in self._value_of:
             raise SchedulerError(f"job {job_id} not in assignment")
-        return bisect_left(self.job_ids, job_id)
+        return self._shares[bisect_left(self.job_ids, job_id)]
 
     def __contains__(self, job_id: int) -> bool:
         return job_id in self._value_of

@@ -88,9 +88,11 @@ def code_rev() -> str:
 
     The :data:`REV_ENV_VAR` environment variable wins when set (tests
     pin revisions with it); otherwise the short git revision of this
-    checkout, suffixed ``-dirty-<digest of git diff HEAD>`` when tracked
-    files have uncommitted changes, so that two different edits of one
-    revision never share a key; ``"unknown"`` outside a git checkout.
+    checkout, suffixed ``-dirty-<digest>`` when the checkout has
+    uncommitted changes: the digest covers ``git diff --binary HEAD`` and
+    the names and bytes of the untracked, not ignored files under the
+    ``repro`` package, so that two different edits of one revision never
+    share a key; ``"unknown"`` outside a git checkout.
     """
     pinned = os.environ.get(REV_ENV_VAR)
     if pinned:
@@ -102,11 +104,19 @@ def code_rev() -> str:
             capture_output=True, text=True, check=True).stdout.strip()
     except Exception:
         return "unknown"
-    diff = subprocess.run(["git", "diff", "--no-ext-diff", "HEAD"], cwd=here,
-                          capture_output=True).stdout
-    if not diff:
+    diff = subprocess.run(["git", "diff", "--no-ext-diff", "--binary", "HEAD"],
+                          cwd=here, capture_output=True).stdout
+    package = os.path.dirname(here)
+    untracked = subprocess.run(
+        ["git", "ls-files", "-z", "--others", "--exclude-standard"],
+        cwd=package, capture_output=True).stdout.split(b"\0")[:-1]
+    if not diff and not untracked:
         return rev
-    return f"{rev}-dirty-{hashlib.blake2b(diff, digest_size=6).hexdigest()}"
+    digest = hashlib.blake2b(diff, digest_size=6)
+    for name in untracked:
+        with open(os.path.join(package, os.fsdecode(name)), "rb") as fh:
+            digest.update(b"\0" + name + b"\0" + fh.read())
+    return f"{rev}-dirty-{digest.hexdigest()}"
 
 
 def _atomic_write_json(path: str, doc: Any) -> None:

@@ -17,11 +17,10 @@ class MdtestWorkload(Workload):
     """create/stat/unlink churn on per-stream file names."""
 
     def __init__(self, files_per_iteration: int = 16,
-                 include_readdir: bool = False, streams_per_node: int = 8):
+                 streams_per_node: int = 8):
         if files_per_iteration < 1:
             raise ConfigError("files_per_iteration must be >= 1")
         self.files_per_iteration = int(files_per_iteration)
-        self.include_readdir = include_readdir
         self.streams_per_node = streams_per_node
 
     def run_stream(self, engine, client, rng, prefix, stream_idx, stop_time):
@@ -31,7 +30,5 @@ class MdtestWorkload(Workload):
                 yield from client.create(f"{base}-{i}")
             for i in range(self.files_per_iteration):
                 yield from client.stat(f"{base}-{i}")
-            if self.include_readdir:
-                yield from client.readdir(prefix)
             for i in range(self.files_per_iteration):
                 yield from client.unlink(f"{base}-{i}")

@@ -60,8 +60,12 @@ class TestCodeRev:
         a store key: a point computed before the second edit would be
         replayed after it."""
         monkeypatch.delenv("REPRO_CODE_REV", raising=False)
-        shutil.copy(workspace_module.__file__, tmp_path / "workspace.py")
-        (tmp_path / "model.py").write_text("RATE = 1\n")
+        package = tmp_path / "repro"
+        (package / "harness").mkdir(parents=True)
+        shutil.copy(workspace_module.__file__,
+                    package / "harness" / "workspace.py")
+        model = package / "model.py"
+        model.write_text("RATE = 1\n")
 
         def git(*args):
             subprocess.run(["git", "-c", "user.name=t", "-c",
@@ -72,23 +76,65 @@ class TestCodeRev:
         git("add", ".")
         git("commit", "-q", "-m", "base")
         spec = importlib.util.spec_from_file_location(
-            "copied_workspace", tmp_path / "workspace.py")
+            "copied_workspace", package / "harness" / "workspace.py")
         copy = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(copy)
 
         clean = copy.code_rev()
-        (tmp_path / "model.py").write_text("RATE = 2\n")
+        model.write_text("RATE = 2\n")
         first = copy.code_rev()
-        (tmp_path / "model.py").write_text("RATE = 3\n")
+        model.write_text("RATE = 3\n")
         second = copy.code_rev()
-        (tmp_path / "model.py").write_text("RATE = 2\n")
+        model.write_text("RATE = 2\n")
         assert "-" not in clean
         assert first.startswith(f"{clean}-dirty-")
         assert second.startswith(f"{clean}-dirty-")
         assert first != second
         assert copy.code_rev() == first
-        (tmp_path / "model.py").write_text("RATE = 1\n")
+        model.write_text("RATE = 1\n")
         assert copy.code_rev() == clean
+
+    def test_untracked_and_binary_edits_have_their_own_rev(self, tmp_path,
+                                                           monkeypatch):
+        """A new module the code may import, and each edit of a binary
+        tracked file, change the key; untracked files outside the
+        package (a workspace directory, say) do not."""
+        monkeypatch.delenv("REPRO_CODE_REV", raising=False)
+        package = tmp_path / "repro"
+        (package / "harness").mkdir(parents=True)
+        shutil.copy(workspace_module.__file__,
+                    package / "harness" / "workspace.py")
+        table = package / "table.bin"
+        table.write_bytes(b"\0\1")
+
+        def git(*args):
+            subprocess.run(["git", "-c", "user.name=t", "-c",
+                            "user.email=t@example.com", *args],
+                           cwd=tmp_path, check=True, capture_output=True)
+
+        git("init", "-q")
+        git("add", ".")
+        git("commit", "-q", "-m", "base")
+        spec = importlib.util.spec_from_file_location(
+            "copied_workspace", package / "harness" / "workspace.py")
+        copy = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(copy)
+
+        clean = copy.code_rev()
+        (tmp_path / "ws").mkdir()
+        (tmp_path / "ws" / "point.json").write_text("{}\n")
+        assert copy.code_rev() == clean
+        (package / "extra.py").write_text("RATE = 1\n")
+        one = copy.code_rev()
+        (package / "extra.py").write_text("RATE = 2\n")
+        two = copy.code_rev()
+        (package / "extra.py").unlink()
+        table.write_bytes(b"\0\2")
+        three = copy.code_rev()
+        table.write_bytes(b"\0\3")
+        four = copy.code_rev()
+        revs = [clean, one, two, three, four]
+        assert len(set(revs)) == len(revs)
 
 
 class TestStore:
