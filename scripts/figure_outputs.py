@@ -5,12 +5,11 @@ Runs ``python -m repro figure NAME --scale 0.05 --seed 3`` for every
 name ``python -m repro figures`` lists and compares a blake2b of each
 stdout with the committed ``FIGURE_OUTPUTS.json``. The tables are
 simulated results, so they have no noise: any difference is a behaviour
-change. This is the check tier-1 and the ledger gate cannot make — no
-ledger workload reaches ``fs/erasure.py`` or ``bb/repair.py``, and a
-change to the degraded-write path once moved ``figure repair`` with
-both of those green. ``repair`` and ``outage`` are the two figures that
-run with client timeouts on. A change that means to move a figure
-re-records the file with ``--update`` and says why in its description.
+change. This is the check tier-1 and the ledger gate cannot make: no
+ledger workload runs a figure's report, and tier-1 runs each figure
+only in miniature. ``outage`` is the one figure that runs with client
+timeouts on. A change that means to move a figure re-records the file
+with ``--update`` and says why in its description.
 
 Usage::
 
@@ -32,7 +31,8 @@ from concurrent.futures import ThreadPoolExecutor
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _COMMITTED = os.path.join(_ROOT, "FIGURE_OUTPUTS.json")
 
-#: the flags every figure is recorded at (≈ 5.5 min serial for all 14).
+#: the flags every figure is recorded at (all 13 in ≈ 1 min with
+#: ``--jobs 2`` on a 2-core host).
 FLAGS = ("--scale", "0.05", "--seed", "3")
 
 

@@ -54,13 +54,11 @@ KEEP = os.path.join(ROOT, "PERIMETER_KEEP.json")
 #: The audit's root commands, slowest first. Each entry is one step:
 #: its commands run in order, in one worker, each under its own
 #: recorder. ``{figure}`` expands to one step per name ``repro figures``
-#: prints, less a step listed already (``repair`` is named first: it is
-#: the slowest figure); ``{ws}`` is the check's temporary workspace.
+#: prints; ``{ws}`` is the check's temporary workspace.
 _FIGURE = ("-m", "repro", "figure", "{figure}", "--scale", "0.05",
            "--seed", "3")
 ROOTS = (
     (("-m", "pytest", "shapes", "-q", "-p", "no:cacheprovider"),),
-    (tuple(arg.replace("{figure}", "repair") for arg in _FIGURE),),
     (_FIGURE,),
     (("-m", "pytest", "tests/faults", "-q", "-p", "no:cacheprovider"),),
     *((("ledger/worker.py", "--workload", workload, "--seed", "11",
@@ -184,14 +182,14 @@ def problems(never: dict, keep: dict) -> list:
 
 def _steps(figures: list, ws: str) -> list:
     """:data:`ROOTS` with ``{figure}`` and ``{ws}`` filled in."""
-    steps = {}  # step -> None, in first-listed order
+    steps = []
     for step in ROOTS:
         names = figures if any("{figure}" in cmd for cmd in step) else [None]
         for name in names:
-            steps[tuple(tuple(arg.replace("{figure}", name or "")
-                              .replace("{ws}", ws) for arg in cmd)
-                        for cmd in step)] = None
-    return list(steps)
+            steps.append(tuple(tuple(arg.replace("{figure}", name or "")
+                                     .replace("{ws}", ws) for arg in cmd)
+                               for cmd in step))
+    return steps
 
 
 def check(jobs: int) -> int:

@@ -30,13 +30,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..core.jobinfo import JobInfo
 from ..errors import ConfigError, FileNotFound, InterruptError, RpcTimeout
 from ..fs.filesystem import ThemisFS
-from ..fs.striping import (ErasureSpec, group_range, map_range,
-                           parity_spans, server_spans)
+from ..fs.striping import map_range, server_spans
 from ..metrics.faultstats import FaultStats
 from ..net.fabric import Fabric
 from ..sim.process import Event
@@ -193,13 +192,12 @@ class Client:
             client.worker.close()
 
     def _new(self, op: OpType, path: str, offset: int = 0, size: int = 0,
-             payload: Optional[bytes] = None, share: bool = False,
-             groups: Optional[Tuple[int, ...]] = None) -> IORequest:
+             payload: Optional[bytes] = None) -> IORequest:
         """This client's request record for one single-server slice."""
         req_id = (f"{self.client_id}#{next(self._req_seq)}" if self._ft
                   else None)
         return IORequest(op, self.job, path, offset, size, self.client_id,
-                         payload, share, groups, req_id)
+                         payload, req_id)
 
     def _request(self, server: str, request: IORequest):
         """Generator: deliver *request* and return the reply. With
@@ -316,10 +314,10 @@ class Client:
 
     # ------------------------------------------------------------------- I/O
     def _io_call(self, server: str, op: OpType, path: str, offset: int = 0,
-                 size: int = 0, share: bool = False):
+                 size: int = 0):
         """Generator: one request/response against *server*."""
         return (yield from self._request(
-            server, self._new(op, path, offset, size, share=share)))
+            server, self._new(op, path, offset, size)))
 
     def _require_inode(self, path: str):
         """Generator: the inode of *path*; raises FileNotFound if absent.
@@ -366,29 +364,18 @@ class Client:
         inode = self.fs.lookup(path)
         if inode is None:
             inode = yield from self._require_inode(path)
-        down = set()
-        if isinstance(inode.stripe, ErasureSpec):
-            # Degraded write: skip down share servers instead of
-            # retrying into the void — the skipped shares are exactly
-            # what repair later rebuilds from the written ones.
-            down = {s for s in inode.stripe.servers
-                    if s in self.ctx.fabric.down}
         if payload is not None:
             slices = [
-                (piece.server, piece.file_offset, piece.length,
-                 payload[piece.file_offset - offset:
-                         piece.file_offset - offset + piece.length])
+                (piece.server, self._new(
+                    OpType.WRITE, path, piece.file_offset, piece.length,
+                    payload[piece.file_offset - offset:
+                            piece.file_offset - offset + piece.length]))
                 for piece in map_range(inode.stripe, offset, size)]
         else:
-            slices = [(server, first, nbytes, None)
+            slices = [(server, self._new(OpType.WRITE, path, first, nbytes))
                       for server, (first, nbytes) in sorted(
                           server_spans(inode.stripe, offset, size).items())]
-        live = [(server, self._new(OpType.WRITE, path, first, nbytes, chunk))
-                for server, first, nbytes, chunk in slices
-                if server not in down]
-        if len(live) < len(slices):
-            self.stats.degraded_writes += 1
-        results = yield from self._gather(live)
+        results = yield from self._gather(slices)
         if payload is None:
             # Accounting writes extend per-server; make sure the logical
             # end is visible even if this server's last slice ends
@@ -398,38 +385,7 @@ class Client:
                 inode = self.fs.lookup(path) or inode
             if inode.size < offset + size:
                 inode.size = offset + size
-        # Read the stripe only now: repair restripes files in flight.
-        if isinstance(inode.stripe, ErasureSpec):
-            yield from self._parity_fanout(path, inode.stripe, offset, size,
-                                           down, payload)
         return sum(map(_reply_bytes, results))
-
-    def _parity_fanout(self, path: str, spec: ErasureSpec, offset: int,
-                       size: int, down, payload: Optional[bytes]):
-        """Generator: parity share updates of an erasure write — one
-        share request per parity server, awaited after the data shares
-        land (the serving side rebuilds exactly the dirtied groups).
-
-        Down parity servers are skipped (degraded write). For payload
-        writes that skipped a *data* server, the parity content is
-        recomputed afterwards with the write overlaid, so surviving
-        parity encodes the true bytes the dead server never received —
-        that is what makes the skipped share reconstructible.
-        """
-        spans = parity_spans(spec, offset, size)
-        live = [(server, self._new(OpType.WRITE, path, anchor, nbytes,
-                                   share=True, groups=groups))
-                for server, (anchor, nbytes, groups) in sorted(spans.items())
-                if server not in down]
-        if len(live) < len(spans):
-            self.stats.degraded_writes += 1
-        if live:
-            yield from self._gather(live)
-        if payload is not None and down:
-            for group, _ in group_range(spec, offset, size):
-                self.fs.rebuild_parity(path, group,
-                                       overlay=(offset, payload),
-                                       skip_servers=down)
 
     def read(self, path: str, offset: int, size: int) -> int:
         """Generator: read up to *size* bytes at *offset*; returns bytes read."""
@@ -439,62 +395,11 @@ class Client:
         avail = max(0, min(size, inode.size - offset))
         if avail == 0:
             return 0
-        per_server = server_spans(inode.stripe, offset, avail)
-        if isinstance(inode.stripe, ErasureSpec):
-            down = {s for s in sorted(per_server)
-                    if s in self.ctx.fabric.down}
-            if down:
-                return (yield from self._degraded_read(
-                    path, inode.stripe, per_server, offset, avail, down))
         results = yield from self._gather(
             [(server, self._new(OpType.READ, path, first, nbytes))
-             for server, (first, nbytes) in sorted(per_server.items())])
+             for server, (first, nbytes) in sorted(
+                 server_spans(inode.stripe, offset, avail).items())])
         return sum(map(_reply_bytes, results))
-
-    def _degraded_read(self, path: str, spec: ErasureSpec, per_server,
-                       offset: int, avail: int, down: set) -> int:
-        """Generator: erasure degraded read around *down* share servers.
-
-        Pieces on up servers are read normally; for every stripe group
-        with a piece stranded on a down server the client fetches ``k``
-        full shares from reachable servers and reconstructs (the read
-        amplification is the price of degraded mode). Groups with fewer
-        than ``k`` reachable shares are accounted as lost — zero-filled,
-        never an exception. Returns bytes read (``avail`` minus loss).
-        """
-        self.stats.degraded_reads += 1
-        affected: Dict[int, int] = {}
-        for piece in map_range(spec, offset, avail):
-            if piece.server in down:
-                group = piece.chunk_index // spec.k
-                affected[group] = affected.get(group, 0) + piece.length
-        lost = 0
-        share_reads: Dict[str, Tuple[int, int]] = {}
-        for group in sorted(affected):
-            reachable = [s for s in range(spec.n)
-                         if spec.server_of_share(group, s) not in down]
-            if len(reachable) < spec.k:
-                self.stats.data_lost_groups += 1
-                lost += affected[group]
-                continue
-            self.stats.shares_reconstructed += sum(
-                1 for s in range(spec.k)
-                if spec.server_of_share(group, s) in down)
-            anchor = group * spec.group_bytes
-            for s in reachable[:spec.k]:
-                server = spec.server_of_share(group, s)
-                first, nbytes = share_reads.get(server, (anchor, 0))
-                share_reads[server] = (min(first, anchor),
-                                       nbytes + spec.stripe_size)
-        plan = [(server, self._new(OpType.READ, path, first, nbytes))
-                for server, (first, nbytes) in sorted(per_server.items())
-                if server not in down]
-        plan += [(server, self._new(OpType.READ, path, first, nbytes,
-                                    share=True))
-                 for server, (first, nbytes) in sorted(share_reads.items())]
-        if plan:
-            yield from self._gather(plan)
-        return avail - lost
 
     def write_read_cycle(self, path: str, size: int) -> int:
         """Generator: one §5.3.1 benchmark cycle (write then read back)."""

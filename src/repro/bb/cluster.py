@@ -13,7 +13,7 @@ ThemisIO's statistical token scheduler; ``"fifo"``, ``"gift"`` or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -59,14 +59,6 @@ class ClusterConfig:
     opportunity_fair: bool = True        # ablation knob for ThemisIO
     gift_mu: float = 0.5                 # §5.4 reference interval
     tbf_rates: Optional[Dict[int, float]] = None
-    #: erasure-coded placement ``(k, n)``: every file gets k data +
-    #: (n - k) parity shares on n distinct servers. None (the default)
-    #: keeps plain striping — and the exact pre-erasure traces.
-    erasure: Optional[Tuple[int, int]] = None
-    #: run the crash-driven repair manager (requires ``erasure``).
-    repair: bool = False
-    #: failure-detector poll period of the repair manager (seconds).
-    repair_detect_interval: float = 0.5
 
     def __post_init__(self):
         if self.n_servers < 1:
@@ -76,18 +68,6 @@ class ClusterConfig:
         if self.storage_backend not in ("extent", "log"):
             raise ConfigError(
                 f"unknown storage_backend {self.storage_backend!r}")
-        if self.erasure is not None:
-            k, n = self.erasure
-            if not 1 <= k < n:
-                raise ConfigError(f"erasure needs 1 <= k < n: k={k} n={n}")
-            if n > self.n_servers:
-                raise ConfigError(
-                    f"erasure n={n} exceeds n_servers={self.n_servers}")
-        if self.repair:
-            if self.erasure is None:
-                raise ConfigError("repair requires erasure=(k, n)")
-            if self.repair_detect_interval <= 0:
-                raise ConfigError("repair_detect_interval must be positive")
 
 
 def make_scheduler(config: ClusterConfig, server_name: str,
@@ -126,8 +106,7 @@ class Cluster:
                          stripe_size=self.config.stripe_size,
                          default_stripe_count=self.config.stripe_count,
                          clock=lambda: self.engine.now,
-                         storage_backend=self.config.storage_backend,
-                         erasure=self.config.erasure)
+                         storage_backend=self.config.storage_backend)
         self.servers: Dict[str, Server] = {}
         #: one Fig. 5 projection per distinct merged state, cluster-wide.
         self.placement_memo = PlacementMemo()
@@ -146,21 +125,15 @@ class Cluster:
                 server.connect_peers(sync_addresses)
         self._client_seq = 0
         self.clients: Dict[str, Client] = {}
-        self.repair = None
-        if self.config.repair:
-            from .repair import RepairManager
-            self.repair = RepairManager(
-                self, detect_interval=self.config.repair_detect_interval)
 
     # ---------------------------------------------------------------- clients
-    def add_client(self, job: JobInfo, client_id: Optional[str] = None,
-                   config: Optional[ClientConfig] = None) -> Client:
+    def add_client(self, job: JobInfo,
+                   client_id: Optional[str] = None) -> Client:
         """Create a compute-node client for *job* (one per node
-        typically), with the cluster's client config unless the caller
-        brings its own (the repair manager bounds its retries)."""
+        typically), with the cluster's client config."""
         self._client_seq += 1
         client_id = client_id or f"client-{self._client_seq}"
-        config = config or self.config.client
+        config = self.config.client
         node_name = f"cn-{client_id}"
         ctl_addresses = {name: (name, Server.CTL_WORKER)
                          for name in self.servers}

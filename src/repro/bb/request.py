@@ -13,7 +13,7 @@ the only place that names that wire format.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 from ..core.jobinfo import JobInfo
 from ..errors import InvalidArgument
@@ -53,13 +53,12 @@ class IORequest:
     """
 
     __slots__ = ("op", "job", "path", "offset", "size", "client_id",
-                 "payload", "share", "groups", "req_id",
+                 "payload", "req_id",
                  "rpc", "arrival", "error", "job_id", "cost")
 
     def __init__(self, op: OpType, job: JobInfo, path: str, offset: int = 0,
                  size: int = 0, client_id: str = "",
-                 payload: Optional[bytes] = None, share: bool = False,
-                 groups: Optional[Tuple[int, ...]] = None,
+                 payload: Optional[bytes] = None,
                  req_id: Optional[str] = None):
         if size < 0 or offset < 0:
             raise InvalidArgument(f"negative offset/size: {offset}/{size}")
@@ -75,12 +74,6 @@ class IORequest:
         self.size = size                # payload bytes for data ops
         self.client_id = client_id
         self.payload = payload          # real bytes (verification paths only)
-        #: erasure-tier share traffic (parity updates, degraded-read and
-        #: repair share fetches): charged as raw device bytes, no logical
-        #: file-range clipping. False on every non-erasure request.
-        self.share = share
-        #: stripe groups a share WRITE dirties (parity rebuild targets).
-        self.groups = groups
         #: client-issued idempotency id ("{client_id}#{seq}"), the same
         #: on every retry so the server can deduplicate. None from a
         #: client that never times out, and so never sends twice.
@@ -101,8 +94,7 @@ class IORequest:
         server stamps what it receives, and a worker that straddled a
         crash may still hold the first copy."""
         return IORequest(self.op, self.job, self.path, self.offset, self.size,
-                         self.client_id, self.payload, self.share,
-                         self.groups, self.req_id)
+                         self.client_id, self.payload, self.req_id)
 
     @property
     def wire_bytes(self) -> int:

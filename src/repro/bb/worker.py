@@ -162,8 +162,6 @@ class IOWorker:
                 self.server.fault_stats.storage_errors += 1
                 return 0
         try:
-            if request.share and op.is_data:
-                return self._apply_share(request)
             if op is OpType.WRITE:
                 if request.payload is not None:
                     return self._write_exact(request)
@@ -197,18 +195,6 @@ class IOWorker:
             request.error = exc
             return 0
         raise FSError(f"unhandled op {op}")  # pragma: no cover
-
-    def _apply_share(self, request: IORequest) -> int:
-        """Erasure share traffic: charge device bytes with no logical
-        file-range clipping. A share WRITE also recomputes this server's
-        parity shares for the dirtied groups (a no-op for hole groups,
-        so accounting-mode workloads pay only the bandwidth)."""
-        fs = self.server.fs
-        if request.op is OpType.WRITE and request.groups:
-            for group in request.groups:
-                fs.rebuild_parity(request.path, group,
-                                  only_server=self.server.name)
-        return request.size
 
     def _write_exact(self, request: IORequest) -> int:
         """Verification path: write real bytes to this server's chunks only."""

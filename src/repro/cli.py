@@ -2,7 +2,7 @@
 
 ``figures`` lists the experiments of the figure table
 (:data:`repro.harness.experiments.FIGURES`: the paper's figures plus
-``datawarp``, ``outage``, ``repair`` and ``sync-ladder``) and ``figure
+``datawarp``, ``outage`` and ``sync-ladder``) and ``figure
 NAME`` runs one and prints its paper-style report. Every figure is a
 grid of independent points: ``--workspace DIR`` caches them (the
 one-line hits/misses count goes to stderr), ``--jobs N`` fans cold ones

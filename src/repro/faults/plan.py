@@ -9,7 +9,7 @@ them effect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from ..errors import ConfigError
 
@@ -200,34 +200,8 @@ class FaultPlan:
         """The plan's faults of one type, in schedule order."""
         return [f for f in self.faults if isinstance(f, fault_type)]
 
-    def max_simultaneous_crashes(self) -> int:
-        """Largest number of servers down at the same instant under
-        this plan (restart-less crashes stay down forever)."""
-        crashes = self.of_type(ServerCrash)
-        worst = 0
-        for f in crashes:
-            down = sum(1 for g in crashes
-                       if g.at <= f.at
-                       and (g.restart_at is None or g.restart_at > f.at))
-            worst = max(worst, down)
-        return worst
-
-    def describe(self, erasure: Optional[Tuple[int, int]] = None) -> str:
-        """One line per fault, in schedule order.
-
-        With ``erasure=(k, n)`` the description is checked against the
-        code's loss tolerance: a plan whose simultaneous crashes exceed
-        ``n - k`` gets a WARNING line — it is unsurvivable (data loss)
-        for any file placed on the crashed servers.
-        """
+    def describe(self) -> str:
+        """One line per fault, in schedule order."""
         lines = [f"t={getattr(f, 'start', 0.0):9.3f}  {f!r}"
                  for f in self.faults]
-        if erasure is not None:
-            k, n = erasure
-            worst = self.max_simultaneous_crashes()
-            if worst > n - k:
-                lines.append(
-                    f"WARNING: up to {worst} simultaneous crashes exceed "
-                    f"the erasure tolerance n-k={n - k} (k={k}, n={n}); "
-                    f"this plan is unsurvivable — expect data loss")
         return "\n".join(lines)

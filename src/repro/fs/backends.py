@@ -59,10 +59,6 @@ class ChunkBackend(ABC):
     def used_bytes(self) -> int:
         """Device bytes currently allocated."""
 
-    def has_chunk(self, ino: int, chunk_index: int) -> bool:
-        """True if the chunk has ever been written."""
-        return self.read_chunk(ino, chunk_index, 0, 0) is not None
-
     def crash(self) -> None:
         """Lose volatile state (an in-place backend keeps none)."""
 

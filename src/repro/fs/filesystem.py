@@ -20,19 +20,17 @@ storage logic testable in isolation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..errors import (DirectoryNotEmpty, FileExists, FileNotFound,
                       InvalidArgument, IsADirectory, NotADirectory)
 from ..units import MiB
-from . import erasure as ec
 from . import path as pathmod
 from .backends import make_backend
 from .hashing import ConsistentHashRing
 from .locking import MetadataLockTable, RangeLockTable
 from .metadata import FileType, Inode, Stat, alloc_ino
-from .striping import (ErasureSpec, StripeSpec, group_range, map_range,
-                       parity_slices)
+from .striping import StripeSpec, map_range
 
 __all__ = ["StorageNode", "ThemisFS"]
 
@@ -98,28 +96,15 @@ class ThemisFS:
     def __init__(self, server_names, capacity_per_server: int,
                  stripe_size: int = MiB, default_stripe_count: int = 1,
                  vnodes: int = 64, clock: Optional[Callable[[], float]] = None,
-                 storage_backend: str = "extent",
-                 erasure: Optional[Tuple[int, int]] = None):
+                 storage_backend: str = "extent"):
         names = list(server_names)
         if not names:
             raise InvalidArgument("need at least one server")
         if default_stripe_count < 1:
             raise InvalidArgument("default_stripe_count must be >= 1")
-        if erasure is not None:
-            e_k, e_n = int(erasure[0]), int(erasure[1])
-            if not 1 <= e_k < e_n:
-                raise InvalidArgument(
-                    f"erasure needs 1 <= k < n: k={e_k} n={e_n}")
-            if e_n > len(names):
-                raise InvalidArgument(
-                    f"erasure n={e_n} exceeds server count {len(names)}")
-            erasure = (e_k, e_n)
         self.stripe_size = int(stripe_size)
         self.default_stripe_count = min(default_stripe_count, len(names))
         self.storage_backend = storage_backend
-        #: (k, n) durability tier; None keeps the plain striped layout
-        #: (and the exact pre-erasure behaviour, trace for trace).
-        self.erasure = erasure
         self.ring = ConsistentHashRing(names, vnodes=vnodes)
         self.nodes: Dict[str, StorageNode] = {
             name: StorageNode(name, capacity_per_server, self.stripe_size,
@@ -204,18 +189,13 @@ class ThemisFS:
         parent_path, name = pathmod.split(norm)
         parent = self._require_dir(parent_path)
         now = self.clock()
-        if self.erasure is not None:
-            e_k, e_n = self.erasure
-            servers = tuple(self.ring.lookup_n(norm, e_n))
-            spec = ErasureSpec(self.stripe_size, servers, e_k)
-        else:
-            count = (stripe_count if stripe_count is not None
-                     else self.default_stripe_count)
-            if count < 1:
-                raise InvalidArgument(f"stripe_count must be >= 1: {count}")
-            count = min(count, len(self.nodes))
-            spec = StripeSpec(self.stripe_size,
-                              tuple(self.ring.lookup_n(norm, count)))
+        count = (stripe_count if stripe_count is not None
+                 else self.default_stripe_count)
+        if count < 1:
+            raise InvalidArgument(f"stripe_count must be >= 1: {count}")
+        count = min(count, len(self.nodes))
+        spec = StripeSpec(self.stripe_size,
+                          tuple(self.ring.lookup_n(norm, count)))
         inode = Inode(ino=alloc_ino(), ftype=FileType.FILE, path=norm,
                       ctime=now, mtime=now, uid=uid, stripe=spec)
         self._meta_node(norm).add_inode(inode)
@@ -251,9 +231,6 @@ class ThemisFS:
                              data[lo:lo + piece.length])
         inode.size = max(inode.size, offset + len(data))
         inode.mtime = self.clock()
-        if isinstance(inode.stripe, ErasureSpec):
-            for group, _ in group_range(inode.stripe, offset, len(data)):
-                self.rebuild_parity(path, group)
         return len(data)
 
     def read(self, path: str, offset: int, length: int) -> bytes:
@@ -330,218 +307,6 @@ class ThemisFS:
         # The cache is keyed by raw (possibly unnormalised) spellings, so
         # evicting one inode means dropping everything.
         self._path_cache.clear()
-
-    # -------------------------------------------------------- erasure tier
-    def _require_erasure(self, path: str) -> Inode:
-        inode = self._require(path)
-        if inode.is_dir:
-            raise IsADirectory(path)
-        if not isinstance(inode.stripe, ErasureSpec):
-            raise InvalidArgument(f"{path} is not erasure-coded")
-        return inode
-
-    def _read_share(self, inode: Inode, group: int, share_index: int,
-                    overlay: Optional[Tuple[int, bytes]] = None) -> bytes:
-        """Full on-device content of one share (zero-filled holes).
-
-        ``overlay=(offset, data)`` imposes an in-flight write's bytes
-        over the chunk state for data shares — the degraded-write path
-        computes parity from the true data even when the share's home
-        server is down and its chunk was never written.
-        """
-        spec = inode.stripe
-        chunk = spec.chunk_index_of_share(group, share_index)
-        node = self.nodes[spec.server_of_share(group, share_index)]
-        data = node.read_chunk(inode.ino, chunk, 0, self.stripe_size)
-        if data is None:
-            data = bytes(self.stripe_size)
-        elif len(data) < self.stripe_size:
-            data = data + bytes(self.stripe_size - len(data))
-        if overlay is not None and share_index < spec.k:
-            w_off, w_data = overlay
-            # This data share covers logical bytes [lo, lo + stripe_size).
-            lo = (group * spec.k + share_index) * self.stripe_size
-            a = max(lo, w_off)
-            b = min(lo + self.stripe_size, w_off + len(w_data))
-            if a < b:
-                data = (data[:a - lo] + w_data[a - w_off:b - w_off]
-                        + data[b - lo:])
-        return data
-
-    def _group_materialised(self, inode: Inode, group: int) -> bool:
-        """True if any share of *group* has ever been written (the
-        accounting workloads never materialise bytes; parity work is
-        skipped for their hole-groups, whose shares all decode to
-        zeros anyway)."""
-        spec = inode.stripe
-        for s in range(spec.n):
-            chunk = spec.chunk_index_of_share(group, s)
-            node = self.nodes[spec.server_of_share(group, s)]
-            if node.backend.has_chunk(inode.ino, chunk):
-                return True
-        return False
-
-    def rebuild_parity(self, path: str, group: int,
-                       only_server: Optional[str] = None,
-                       overlay: Optional[Tuple[int, bytes]] = None,
-                       skip_servers: Set[str] = frozenset()) -> int:
-        """Recompute *group*'s parity shares from its data shares.
-
-        ``only_server`` restricts the writes to parity shares held by
-        that server (the burst-buffer worker path: each parity server
-        rebuilds its own shares). ``overlay`` imposes an in-flight
-        write's bytes over the chunk state (degraded writes: parity
-        reflects data whose home server never received it) and
-        ``skip_servers`` keeps the rebuild off down parity servers
-        (their stale shares are repair's problem, not new content).
-        Hole-groups are left untouched. Returns parity bytes written.
-        """
-        inode = self._require_erasure(path)
-        spec = inode.stripe
-        if overlay is None and not self._group_materialised(inode, group):
-            return 0
-        data_shares = [self._read_share(inode, group, s, overlay=overlay)
-                       for s in range(spec.k)]
-        parities = ec.encode(spec.k, spec.n, data_shares)
-        written = 0
-        for j, parity in enumerate(parities):
-            share_index = spec.k + j
-            server = spec.server_of_share(group, share_index)
-            if only_server is not None and server != only_server:
-                continue
-            if server in skip_servers:
-                continue
-            self.nodes[server].write_chunk(
-                inode.ino, spec.parity_chunk_index(group, share_index),
-                0, parity)
-            written += len(parity)
-        return written
-
-    def read_reconstruct(self, path: str, offset: int, length: int,
-                         unavailable: Set[str]) -> Tuple[bytes, Dict[str, int]]:
-        """Degraded read: *unavailable* servers' shares are reconstructed
-        from any ``k`` surviving shares per group.
-
-        Returns ``(data, info)`` where info counts
-        ``groups_reconstructed``, ``shares_reconstructed``, and
-        ``lost_bytes`` (bytes of the range whose group had fewer than
-        ``k`` reachable shares — returned zero-filled, never raised).
-        """
-        inode = self._require_erasure(path)
-        spec = inode.stripe
-        if offset < 0 or length < 0:
-            raise InvalidArgument(f"invalid range: {offset}+{length}")
-        length = max(0, min(length, inode.size - offset))
-        info = {"groups_reconstructed": 0, "shares_reconstructed": 0,
-                "lost_bytes": 0}
-        if length == 0:
-            return b"", info
-        out = bytearray(length)
-        degraded: Dict[int, Optional[List[bytes]]] = {}
-        for piece in map_range(spec, offset, length):
-            lo = piece.file_offset - offset
-            if piece.server not in unavailable:
-                data = self.nodes[piece.server].read_chunk(
-                    inode.ino, piece.chunk_index, piece.chunk_offset,
-                    piece.length)
-                if data is not None:
-                    out[lo:lo + piece.length] = data
-                continue
-            group = piece.chunk_index // spec.k
-            if group not in degraded:
-                degraded[group] = self._decode_group(inode, group,
-                                                     unavailable, info)
-            shares = degraded[group]
-            if shares is None:
-                info["lost_bytes"] += piece.length
-                continue  # unrecoverable: stays zero
-            share = shares[piece.chunk_index % spec.k]
-            out[lo:lo + piece.length] = share[
-                piece.chunk_offset:piece.chunk_offset + piece.length]
-        return bytes(out), info
-
-    def _decode_group(self, inode: Inode, group: int,
-                      unavailable: Set[str], info: Dict[str, int]
-                      ) -> Optional[List[bytes]]:
-        """Data shares of *group* from reachable shares; None if fewer
-        than ``k`` survive."""
-        spec = inode.stripe
-        held = {}
-        for s in range(spec.n):
-            if spec.server_of_share(group, s) in unavailable:
-                continue
-            held[s] = self._read_share(inode, group, s)
-            if len(held) == spec.k:
-                break
-        if len(held) < spec.k:
-            return None
-        missing = sum(1 for s in range(spec.k) if s not in held)
-        info["groups_reconstructed"] += 1
-        info["shares_reconstructed"] += missing
-        return ec.decode(spec.k, spec.n, held)
-
-    def repair_group(self, path: str, group: int, dead: str,
-                     substitute: str,
-                     unavailable: Optional[Set[str]] = None
-                     ) -> Tuple[str, int]:
-        """Rebuild *dead*'s share of *group* onto *substitute*.
-
-        Returns ``(outcome, bytes_written)`` with outcome ``"repaired"``
-        (share content reconstructed and written), ``"clean"`` (hole
-        group — nothing materialised to move), or ``"lost"`` (fewer than
-        ``k`` shares reachable; nothing written, loss is the caller's to
-        account).
-        """
-        inode = self._require_erasure(path)
-        spec = inode.stripe
-        down = set(unavailable) if unavailable is not None else set()
-        down.add(dead)
-        if not self._group_materialised(inode, group):
-            return "clean", 0
-        lost_share = spec.share_of_server(group, dead)
-        held = {}
-        for s in range(spec.n):
-            if s == lost_share or spec.server_of_share(group, s) in down:
-                continue
-            held[s] = self._read_share(inode, group, s)
-            if len(held) == spec.k:
-                break
-        if len(held) < spec.k:
-            return "lost", 0
-        content = ec.reconstruct_share(spec.k, spec.n, held, lost_share)
-        self.nodes[substitute].write_chunk(
-            inode.ino, spec.chunk_index_of_share(group, lost_share),
-            0, content)
-        return "repaired", len(content)
-
-    def restripe(self, path: str, old_server: str, new_server: str) -> None:
-        """Swap one server in the file's erasure placement (repair's
-        final step: shares were copied to *new_server*, route I/O there)."""
-        inode = self._require_erasure(path)
-        spec = inode.stripe
-        if old_server not in spec.servers:
-            raise InvalidArgument(
-                f"{old_server} not in {path}'s placement {spec.servers}")
-        if new_server in spec.servers:
-            raise InvalidArgument(
-                f"{new_server} already in {path}'s placement "
-                f"{spec.servers}")
-        servers = tuple(new_server if s == old_server else s
-                        for s in spec.servers)
-        inode.stripe = ErasureSpec(spec.stripe_size, servers, spec.k)
-        inode.mtime = self.clock()
-
-    def erasure_files_on(self, server: str) -> List[str]:
-        """Paths of erasure-coded files with shares placed on *server*
-        (sorted: the deterministic repair work list)."""
-        paths = set()
-        for node in self.nodes.values():
-            for inode in node.inodes.values():
-                if (not inode.is_dir
-                        and isinstance(inode.stripe, ErasureSpec)
-                        and server in inode.stripe.servers):
-                    paths.add(inode.path)
-        return sorted(paths)
 
     # ----------------------------------------------------------- fault model
     def crash_node(self, name: str) -> None:

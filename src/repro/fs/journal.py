@@ -3,7 +3,7 @@
 The log-structured backend (:mod:`repro.fs.logstore`) makes chunk *data*
 recoverable; this module makes the *namespace* recoverable. A
 :class:`NamespaceJournal` records every namespace mutation (mkdir,
-create, unlink, rmdir, restripe, size extension) as a durable,
+create, unlink, rmdir, size extension) as a durable,
 replayable record, with optional checkpoints that compact the record
 stream. :class:`JournaledFS` is a drop-in :class:`~repro.fs.ThemisFS`
 that writes the journal as it mutates, and can :meth:`crash` (losing
@@ -24,19 +24,9 @@ from ..errors import FSError
 from . import path as pathmod
 from .filesystem import ThemisFS
 from .metadata import FileType, Inode
-from .striping import ErasureSpec, StripeSpec
+from .striping import StripeSpec
 
 __all__ = ["NamespaceJournal", "JournalRecord", "JournaledFS"]
-
-
-def _spec_from(stripe_size: int, args: Dict[str, Any]):
-    """Reinstall the recorded layout: erasure iff ``erasure_k`` was
-    journaled, plain striping otherwise."""
-    servers = tuple(args["stripe_servers"])
-    k = args.get("erasure_k")
-    if k is not None:
-        return ErasureSpec(stripe_size, servers, k)
-    return StripeSpec(stripe_size, servers)
 
 
 @dataclass(frozen=True)
@@ -80,8 +70,6 @@ class NamespaceJournal:
                 }
                 if inode.stripe is not None:
                     entry["stripe_servers"] = list(inode.stripe.servers)
-                    if isinstance(inode.stripe, ErasureSpec):
-                        entry["erasure_k"] = inode.stripe.k
                 snapshot.append(entry)
         snapshot.sort(key=lambda e: (len(pathmod.components(e["path"])),
                                      e["path"]))
@@ -114,11 +102,9 @@ class JournaledFS(ThemisFS):
                uid: int = 0, ino: Optional[int] = None) -> Inode:
         inode = self._create_raw(path, stripe_count, uid, ino)
         if not self._replaying:
-            args = {"path": inode.path, "ino": inode.ino, "uid": uid,
-                    "stripe_servers": list(inode.stripe.servers)}
-            if isinstance(inode.stripe, ErasureSpec):
-                args["erasure_k"] = inode.stripe.k
-            self.journal.log("create", **args)
+            self.journal.log("create", path=inode.path, ino=inode.ino,
+                             uid=uid,
+                             stripe_servers=list(inode.stripe.servers))
         return inode
 
     def unlink(self, path: str) -> None:
@@ -143,13 +129,6 @@ class JournaledFS(ThemisFS):
         return self._logged_extend(
             path, super().write_accounting(path, offset, length),
             offset, length)
-
-    def restripe(self, path: str, old_server: str, new_server: str) -> None:
-        norm = pathmod.normalize(path)
-        super().restripe(norm, old_server, new_server)
-        if not self._replaying:
-            self.journal.log("restripe", path=norm, ino=self._ino(norm),
-                             old=old_server, new=new_server)
 
     def _logged_extend(self, path: str, result: int, offset: int,
                        length: int) -> int:
@@ -284,7 +263,8 @@ class JournaledFS(ThemisFS):
             self.mkdir(args["path"], ino=args["ino"])
             return
         inode = self.create(args["path"], uid=args["uid"], ino=args["ino"])
-        inode.stripe = _spec_from(self.stripe_size, args)
+        inode.stripe = StripeSpec(self.stripe_size,
+                                  tuple(args["stripe_servers"]))
         inode.size = args.get("size", 0)
 
     def _apply(self, record: JournalRecord) -> None:
@@ -293,17 +273,11 @@ class JournaledFS(ThemisFS):
             return self._remake(args, FileType.DIRECTORY.value)
         if op == "create":
             return self._remake(args, FileType.FILE.value)
-        if op not in ("restripe", "extend"):
+        if op != "extend":
             raise FSError(f"unknown journal record {op!r}")
         # A path can be removed and made again: a record is stale if
         # its path now names another inode than the one it acted on.
         inode = self.lookup(args["path"])
         if inode is None or inode.ino != args["ino"]:
             return
-        if op == "restripe":
-            # Idempotent: the live metadata may already reflect the swap.
-            if (isinstance(inode.stripe, ErasureSpec)
-                    and args["old"] in inode.stripe.servers):
-                super().restripe(args["path"], args["old"], args["new"])
-        else:
-            inode.size = max(inode.size, args["size"])
+        inode.size = max(inode.size, args["size"])

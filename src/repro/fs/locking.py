@@ -261,20 +261,12 @@ class MetadataLockTable(_WaiterMixin):
             return True
         return current is owner  # re-entrant for the same owner
 
-    def unlock(self, ino: int, owner: object) -> None:
-        """Release the mutex (must be the owner) and wake the head
-        waiter: a mutex has exactly one next holder."""
-        if self._held.get(ino) is not owner:
-            raise FSError(f"unlocking metadata lock not held by owner: ino={ino}")
-        del self._held[ino]
-        self._wake_head(ino)
-
     def unlock_if_held(self, ino: int, owner: object) -> bool:
-        """Release the mutex only if *owner* holds it; True if released.
+        """Release the mutex only if *owner* holds it, and wake the head
+        waiter (a mutex has exactly one next holder); True if released.
 
-        Crash-tolerant variant of :meth:`unlock`: after a server crash
-        wipes the table, the releasing worker may no longer be the
-        recorded owner — that is not an error on this path.
+        After a server crash wipes the table, the releasing worker may
+        no longer be the recorded owner: that is not an error.
         """
         if self._held.get(ino) is not owner:
             return False

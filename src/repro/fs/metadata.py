@@ -10,10 +10,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from ..errors import FSError
-from .striping import ErasureSpec, StripeSpec
+from .striping import StripeSpec
 
 __all__ = ["FileType", "Inode", "Stat", "alloc_ino"]
 
@@ -48,7 +48,7 @@ class Inode:
     mtime: float = 0.0
     nlink: int = 1
     uid: int = 0
-    stripe: Optional[Union[StripeSpec, ErasureSpec]] = None
+    stripe: Optional[StripeSpec] = None
     entries: Optional[Dict[str, int]] = None
 
     def __post_init__(self):

@@ -52,12 +52,11 @@ from .workspace import Workspace, code_rev, point_key
 __all__ = [
     "FIGURES", "Figure", "run_figure", "run_points",
     "scenario", "timeline", "fig07_scenario", "fig14_scenario",
-    "app_scenario", "datawarp_scenario", "outage_scenario",
-    "repair_scenario", "outage_row",
+    "app_scenario", "datawarp_scenario", "outage_scenario", "outage_row",
     "sharing_cell", "steady_cell", "fig07_cell", "fig14_cell", "app_cell",
-    "datawarp_cell", "sync_cost_cell", "outage_cell", "repair_cell",
+    "datawarp_cell", "sync_cost_cell", "outage_cell",
     "sharing_ratio", "themis_advantage", "scaling_series", "efficiencies",
-    "slowdown", "slowdown_reduction", "size_fair_verdict",
+    "slowdown", "slowdown_reduction",
 ]
 
 
@@ -204,14 +203,18 @@ def datawarp_scenario(regime: str, seed: int = 0,
                     n_servers=4, seed=seed, sample_interval=0.25)
 
 
-def _through_a_crash(policy: str, n_jobs: int, nodes: int, n_servers: int,
-                     duration: float, seed: int, crash: ServerCrash,
-                     **cluster_kw) -> ExperimentConfig:
-    """*n_jobs* write/read jobs through one server *crash*, on a
-    cluster with fault-tolerant clients (0.25 s timeout, unbounded
-    retries, failover) and degraded λ-sync (surviving peers keep
-    exchanging tables while the crashed one is away)."""
-    jobs = [JobRun(spec=JobSpec(job_id=i + 1, user=f"u{i + 1}", nodes=nodes),
+def outage_scenario(n_jobs: int = 3, n_servers: int = 2,
+                    duration: float = 6.0, crash_at: float = 2.0,
+                    restart_at: float = 3.5, seed: int = 0,
+                    crashed: str = "bb0", policy: str = "job-fair"
+                    ) -> ExperimentConfig:
+    """*n_jobs* write/read jobs through one server crash and restart,
+    with every durability layer on: journaled metadata + log-structured
+    storage, so acked writes survive the crash. Clients are
+    fault-tolerant (0.25 s timeout, unbounded retries, failover) and
+    λ-sync degrades (surviving peers keep exchanging tables while the
+    crashed one is away)."""
+    jobs = [JobRun(spec=JobSpec(job_id=i + 1, user=f"u{i + 1}", nodes=1),
                    workload=WriteReadCycle(file_size=4 * MB,
                                            streams_per_node=4),
                    start=0.0, stop=duration) for i in range(n_jobs)]
@@ -219,36 +222,9 @@ def _through_a_crash(policy: str, n_jobs: int, nodes: int, n_servers: int,
                     sample_interval=0.25,
                     server=ServerConfig(sync_timeout=0.5),
                     client=ClientConfig(rpc_timeout=0.25, rpc_retries=-1),
-                    faults=FaultPlan([crash]), **cluster_kw)
-
-
-def outage_scenario(n_jobs: int = 3, n_servers: int = 2,
-                    duration: float = 6.0, crash_at: float = 2.0,
-                    restart_at: float = 3.5, seed: int = 0,
-                    crashed: str = "bb0", policy: str = "job-fair"
-                    ) -> ExperimentConfig:
-    """One server crashes and restarts with every durability layer on:
-    journaled metadata + log-structured storage, so acked writes
-    survive the crash."""
-    return _through_a_crash(
-        policy, n_jobs, 1, n_servers, duration, seed,
-        ServerCrash(crashed, at=crash_at, restart_at=restart_at),
-        journal=True, storage_backend="log")
-
-
-def repair_scenario(policy: str = "job-fair", seed: int = 0,
-                    n_jobs: int = 3, nodes: int = 2, n_servers: int = 7,
-                    k: int = 3, n_shares: int = 5, duration: float = 6.0,
-                    crash_at: float = 2.0, crashed: str = "bb0"
-                    ) -> ExperimentConfig:
-    """The erasure tier with repair on; one data-share server crashes
-    mid-burst and never restarts, so foreground I/O runs degraded
-    (reconstructing reads, parity-overlay writes) while the repair job
-    rebuilds the lost shares under the policy's arbitration."""
-    return _through_a_crash(
-        policy, n_jobs, nodes, n_servers, duration, seed,
-        ServerCrash(crashed, at=crash_at), erasure=(k, n_shares),
-        repair=True, repair_detect_interval=0.25)
+                    faults=FaultPlan([ServerCrash(crashed, at=crash_at,
+                                                  restart_at=restart_at)]),
+                    journal=True, storage_backend="log")
 
 
 # =====================================================================
@@ -461,42 +437,6 @@ def outage_row(result: ExperimentResult) -> Dict:
         "jain_after": jain_index(_job_rates(
             result, crash.restart_at + settle, result.config.jobs[0].stop)),
         "counters": result.cluster.fault_stats.snapshot(),
-    }
-
-
-def repair_cell(config: Dict) -> Dict:
-    """One policy's crash-mid-burst repair run; config keys are the
-    arguments of :func:`repair_scenario`.
-
-    Foreground throughput before vs during the repair window, the
-    resulting slowdown factor, repair completion time (crash to the
-    last rebuilt share), repair traffic, and the loss / degradation
-    counters. ``data_lost_groups`` must be 0 — a single crash is within
-    the ``n - k`` tolerance.
-    """
-    result = run_experiment(repair_scenario(**config))
-    crash = result.config.faults.faults[0]
-    settle = 2 * result.config.cluster.client.rpc_timeout
-    cluster = result.cluster
-    stats = cluster.fault_stats
-    repair = cluster.repair.summary()
-    finished = [e["finished_at"] for e in cluster.repair.episodes]
-    before = ordered_sum(_job_rates(result, settle, crash.at))
-    during = ordered_sum(_job_rates(result, crash.at + settle,
-                                    result.config.jobs[0].stop))
-    return {
-        "fg_before": float(before),
-        "fg_during": float(during),
-        "slowdown": float(before / during) if during > 0 else None,
-        "repair_completion_s": (float(max(finished) - crash.at)
-                                if finished else None),
-        # repair_bytes, groups_repaired / _clean / _lost, io_failures, ...
-        **repair,
-        "groups_rebuilt": repair["groups_repaired"] + repair["groups_clean"],
-        "data_lost_groups": int(stats.data_lost_groups),
-        "degraded_reads": int(stats.degraded_reads),
-        "degraded_writes": int(stats.degraded_writes),
-        "shares_reconstructed": int(stats.shares_reconstructed),
     }
 
 
@@ -820,61 +760,6 @@ def _outage_report(rows: List[Dict]) -> str:
             + "\n\nfault counters:\n" + counters.report())
 
 
-def _repair_points(policies: Sequence[str] = (
-        "fifo", "job-fair", "size-fair", "gift", "tbf"), seed: int = 0,
-        duration: float = 6.0, crash_at: float = 2.0) -> List[Dict]:
-    """Repair vs. fairness (the erasure tier's scheduling question): one
-    crash mid-burst per policy of §5.4's ladder + the FIFO floor.
-    Expected shape: every policy finishes repair with zero lost groups
-    (one crash is within ``n - k``); repair completion time varies with
-    how much bandwidth the policy hands the size-1 repair job while the
-    foreground burst runs degraded."""
-    return [{"policy": str(policy), "seed": int(seed),
-             "duration": float(duration), "crash_at": float(crash_at)}
-            for policy in policies]
-
-
-def size_fair_verdict(rows: List[Dict]) -> str:
-    """Does size-fair starve repair? Compare its repair completion
-    against the fastest policy's (repair runs as a size-1 job, so
-    size-fair hands it the smallest share of the burst)."""
-    done = {r["policy"]: r["repair_completion_s"] for r in rows
-            if r.get("repair_completion_s") is not None}
-    if not done or all(r["policy"] != "size-fair" for r in rows):
-        return ""
-    if "size-fair" not in done:
-        return ("size-fair verdict: repair did not finish within the "
-                "run — size-fair starves the size-1 repair job.")
-    best = min(done.values())
-    mine = done["size-fair"]
-    ratio = mine / best if best > 0 else 1.0
-    if ratio > 2.0:
-        return (f"size-fair verdict: repair takes {ratio:.1f}x the "
-                f"fastest policy's time — size-fair deprioritises "
-                f"(but does not strictly starve) the size-1 repair job.")
-    return (f"size-fair verdict: no starvation — repair finishes in "
-            f"{mine:.3f}s, {ratio:.2f}x the fastest policy.")
-
-
-def _repair_report(rows: List[Dict]) -> str:
-    columns = (("fg_before", "fg before", fmt_bw),
-               ("fg_during", "fg during", fmt_bw),
-               ("slowdown", "slowdown", "{:.2f}x".format),
-               ("repair_completion_s", "repair s", "{:.3f}s".format),
-               ("repair_bytes", "repair B", str),
-               ("groups_rebuilt", "rebuilt", str),
-               ("data_lost_groups", "lost", str),
-               ("degraded_reads", "deg reads", str),
-               ("degraded_writes", "deg writes", str))
-    body = [[r["policy"]] + ["unfinished" if r.get(key) is None
-                             else fmt(r[key]) for key, _, fmt in columns]
-            for r in rows]
-    out = table(["policy"] + [header for _, header, _ in columns], body,
-                title="Repair vs. foreground fairness (one crash mid-burst)")
-    verdict = size_fair_verdict(rows)
-    return out + "\n" + verdict if verdict else out
-
-
 class Figure(NamedTuple):
     """One row of :data:`FIGURES`."""
 
@@ -901,7 +786,6 @@ FIGURES: Dict[str, Figure] = {
     "sync-ladder": Figure(sync_cost_cell, _sync_ladder_points,
                           _sync_ladder_report),
     "outage": Figure(outage_cell, _outage_points, _outage_report),
-    "repair": Figure(repair_cell, _repair_points, _repair_report),
 }
 
 

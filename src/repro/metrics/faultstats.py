@@ -54,18 +54,6 @@ class FaultStats:
     storage_errors: int = 0
     #: clients disconnected abruptly (no goodbye) by fault injection.
     client_disconnects: int = 0
-    #: erasure-tier reads that reconstructed around down share servers.
-    degraded_reads: int = 0
-    #: erasure-tier writes that skipped down share servers (the missing
-    #: shares are repair's backlog).
-    degraded_writes: int = 0
-    #: shares rebuilt from surviving shares (degraded reads + repair).
-    shares_reconstructed: int = 0
-    #: bytes of share traffic moved by the repair path.
-    repair_bytes: int = 0
-    #: stripe groups with fewer than ``k`` reachable shares — actual
-    #: data loss, accounted (zero-filled) rather than crashed on.
-    data_lost_groups: int = 0
 
     def snapshot(self) -> dict:
         """All counters as a plain ``{name: value}`` dict."""

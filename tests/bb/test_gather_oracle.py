@@ -10,18 +10,19 @@ instant's events, so a difference here is a same-instant tie the inline
 wait moved.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 
 from repro.bb.client import Client
 from repro.harness import run_experiment
-from repro.harness.experiments import (fig07_scenario, outage_scenario,
-                                       repair_scenario)
+from repro.harness.experiments import fig07_scenario, outage_scenario
 
 
 def reference_gather(self, slices):
     """Spawn every slice's request, then await one ``AllOf`` over them all."""
+    _WIDTHS.append(len(slices))
     pending = []
     for server, request in slices:
         proc = self.engine.process(self._request(server, request))
@@ -42,12 +43,20 @@ CELLS = {
     "outage": lambda seed: outage_scenario(
         n_jobs=3, n_servers=2, duration=1.6, crash_at=0.5,
         restart_at=0.9, seed=seed),
-    # Erasure writes fan out to several shares; degraded reads mix
-    # multi-slice and one-slice gathers.
-    "repair": lambda seed: repair_scenario(
-        seed=seed, n_jobs=2, nodes=1, n_servers=5, k=2, n_shares=3,
-        duration=1.2, crash_at=0.4),
+    # The outage with each file striped over two of three servers: every
+    # write and read is a two-slice gather under timeouts, and the
+    # crash strands one slice of some while the other completes.
+    "striped-crash": lambda seed: _striped(outage_scenario(
+        n_jobs=3, n_servers=3, duration=1.6, crash_at=0.5,
+        restart_at=0.9, seed=seed)),
 }
+
+#: Slice count of every gather the reference run awaited.
+_WIDTHS = []
+
+
+def _striped(config):
+    return replace(config, cluster=replace(config.cluster, stripe_count=2))
 
 
 def _observe(config):
@@ -63,8 +72,14 @@ def _observe(config):
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_inline_wait_matches_allof_wait(cell, seed):
     build = CELLS[cell]
+    _WIDTHS.clear()
     with mock.patch.object(Client, "_gather", reference_gather):
         want = _observe(build(seed))
     got = _observe(build(seed))
     assert got[0], "the cell served nothing"
+    if cell == "striped-crash":
+        # Gathers of two or more slices, timeouts on, through a crash.
+        assert build(seed).cluster.client.rpc_timeout > 0
+        assert max(_WIDTHS) >= 2
+        assert got[3]["server_crashes"] == got[3]["server_recoveries"] == 1
     assert got == want

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.bb import ClientConfig, Cluster, ClusterConfig, ServerConfig
 from repro.core import JobInfo
 from repro.errors import ConfigError, FSError, InvalidArgument
-from repro.fs.striping import parity_spans
 from repro.harness import run_experiment
 from repro.harness.experiments import fig07_scenario, fig14_scenario, timeline
 from repro.units import GB, MB, MiB
@@ -364,11 +363,10 @@ class TestLambdaSync:
         assert any(v != {1, 2} for v in views)
 
 
-def _record_cluster(rpc_timeout, **kw):
+def _record_cluster(rpc_timeout):
     """One server plus a client whose built requests are recorded."""
     cluster = Cluster(ClusterConfig(
-        client=ClientConfig(rpc_timeout=rpc_timeout, retry_backoff=0.01),
-        **kw))
+        client=ClientConfig(rpc_timeout=rpc_timeout, retry_backoff=0.01)))
     cluster.fs.makedirs("/fs/data")
     client = cluster.add_client(job(1), client_id="c0")
     built = []
@@ -448,35 +446,6 @@ class TestOneRequestRecord:
         assert (stats.retries, stats.error_replies,
                 stats.duplicate_requests) == (1, 1, 0)
 
-    def test_parity_goes_where_the_stripe_points_after_the_data_landed(self):
-        """Repair restripes files in flight: the parity fan-out reads
-        ``inode.stripe`` after the data slices return. Capturing the
-        spec first moved ``figure repair``'s degraded-write column
-        (70 -> 72, 74 -> 78, 77 -> 82, 4,186 -> 4,188, 58 -> 60) with
-        tier-1 and every ledger digest green."""
-        cluster, client, _built = _record_cluster(
-            0.25, n_servers=4, erasure=(2, 3), stripe_size=64 * 1024)
-        fs = cluster.fs
-        fs.create("/fs/data/f")
-        spec = fs.lookup("/fs/data/f").stripe
-        group = spec.group_bytes
-        (old,) = parity_spans(spec, 0, group)
-        (new,) = set(cluster.servers) - set(spec.servers)
-
-        def app():
-            yield from client.write("/fs/data/f", 0, group)
-
-        cluster.engine.process(app())
-        # The data slices are on the wire (2 us fabric latency).
-        cluster.run(until=1e-6)
-        assert cluster.total_served_bytes() == 0
-        fs.restripe("/fs/data/f", old, new)
-        cluster.run(until=1.0)
-        served = {name: s.served_requests
-                  for name, s in cluster.servers.items()}
-        assert served[new] == 1 and served[old] == 0
-        assert sum(served.values()) == 3
-
 
 _SCRIPT_OP = st.tuples(st.sampled_from(["write", "payload", "read"]),
                        st.integers(0, 5), st.integers(1, 6))
@@ -540,15 +509,14 @@ class TestTimeoutModesAgree:
 
     @settings(max_examples=12)
     @given(script=st.lists(_SCRIPT_OP, min_size=1, max_size=8))
-    @pytest.mark.parametrize("layout", [dict(stripe_count=3),
-                                        dict(erasure=(2, 3))])
-    def test_same_script_same_results(self, layout, script):
+    def test_same_script_same_results(self, script):
         chunk = 16 * 1024
         outcomes = []
         for rpc_timeout in (0.0, _NEVER):
             cluster = Cluster(ClusterConfig(
                 n_servers=4, stripe_size=chunk,
-                client=ClientConfig(rpc_timeout=rpc_timeout), **layout))
+                stripe_count=3,
+                client=ClientConfig(rpc_timeout=rpc_timeout)))
             cluster.fs.makedirs("/fs/data")
             client = cluster.add_client(job(1))
             results = []

@@ -47,12 +47,12 @@ def test_retry_is_a_fresh_copy_under_the_same_id():
     """The server stamps rpc / arrival / error on what it receives, and
     a worker that straddled a crash may still hold the first copy."""
     first = IORequest(OpType.WRITE, job(), "/fs/f", 8, 3, "c0", b"abc",
-                      True, (0, 1), "c0#7")
+                      "c0#7")
     first.rpc, first.arrival, first.error = object(), 1.5, OSError("EIO")
     again = first.retry()
     assert again is not first
     sent = ("op", "job", "path", "offset", "size", "client_id", "payload",
-            "share", "groups", "req_id")
+            "req_id")
     assert all(getattr(again, f) == getattr(first, f) for f in sent)
     assert (again.rpc, again.arrival, again.error) == (None, 0.0, None)
 

@@ -48,9 +48,9 @@ def make_cluster():
     def make(n_servers=2, seed=0, journal=True, backend="log",
              rpc_timeout=0.25, rpc_retries=-1, retry_backoff=0.05,
              sync_timeout=0.5, heartbeat_interval=0.5, stripe_count=1,
-             **server_kw):
+             policy="job-fair", **server_kw):
         cfg = ClusterConfig(
-            n_servers=n_servers, policy="job-fair", seed=seed,
+            n_servers=n_servers, policy=policy, seed=seed,
             journal=journal, storage_backend=backend,
             stripe_count=stripe_count,
             client=ClientConfig(rpc_timeout=rpc_timeout,

@@ -41,6 +41,38 @@ class TestDurability:
         for path, data in payloads.items():
             assert cluster.fs.read(path, 0, len(data)) == data, path
 
+    def test_default_store_keeps_acked_bytes_under_fifo(self, make_cluster,
+                                                        job):
+        """The default configuration (in-place extents, no journal)
+        through one crash and restart under the FIFO baseline, whose
+        single queue drains apart from the per-job ``QueueSet``: the
+        crashed server drops what was queued, the clients retry it, and
+        every acknowledged striped payload reads back."""
+        cluster = make_cluster(n_servers=2, journal=False, backend="extent",
+                               stripe_count=2, policy="fifo")
+        FaultInjector(cluster, FaultPlan(
+            [ServerCrash("bb0", at=0.1, restart_at=0.3)])).arm()
+        payloads = {}
+        for c in range(4):
+            client = cluster.add_client(job(c + 1), client_id=f"c{c}")
+            path = f"/fs/d/c{c}"
+            payloads[path] = bytes([c + 1]) * MiB + bytes([c + 5]) * MiB
+
+            def app(client=client, path=path):
+                yield from client.create(path)
+                while cluster.engine.now < 0.6:
+                    yield from client.write(path, 0, 2 * MiB,
+                                            payload=payloads[path])
+
+            cluster.engine.process(app())
+        cluster.run(until=3.0)
+        stats = cluster.fault_stats
+        assert (stats.server_crashes, stats.server_recoveries) == (1, 1)
+        assert stats.requests_dropped_in_crash > 0
+        assert stats.requests_failed == 0
+        for path, data in payloads.items():
+            assert cluster.fs.read(path, 0, len(data)) == data, path
+
     def test_recovery_reports_replayed_state(self, make_cluster, job):
         cluster = make_cluster(n_servers=1)
         client = cluster.add_client(job(1), client_id="c0")

@@ -120,30 +120,3 @@ class TestCrashWindows:
                           ServerCrash("bb0", at=3.0, restart_at=4.0),
                           ServerCrash("bb1", at=1.5)])
         assert len(plan) == 3
-
-    def test_max_simultaneous_crashes(self):
-        plan = FaultPlan([ServerCrash("bb0", at=1.0, restart_at=5.0),
-                          ServerCrash("bb1", at=2.0),
-                          ServerCrash("bb2", at=3.0, restart_at=4.0)])
-        assert plan.max_simultaneous_crashes() == 3
-        assert FaultPlan([]).max_simultaneous_crashes() == 0
-
-
-class TestDescribeErasure:
-    def test_describe_warns_when_crashes_exceed_tolerance(self):
-        plan = FaultPlan([ServerCrash("bb0", at=1.0),
-                          ServerCrash("bb1", at=2.0),
-                          ServerCrash("bb2", at=3.0)])
-        text = plan.describe(erasure=(3, 5))  # tolerance n - k = 2
-        assert "WARNING" in text
-        assert "n-k=2" in text
-
-    def test_describe_silent_within_tolerance(self):
-        plan = FaultPlan([ServerCrash("bb0", at=1.0),
-                          ServerCrash("bb1", at=2.0)])
-        assert "WARNING" not in plan.describe(erasure=(3, 5))
-
-    def test_describe_without_erasure_never_warns(self):
-        plan = FaultPlan([ServerCrash(f"bb{i}", at=float(i))
-                          for i in range(5)])
-        assert "WARNING" not in plan.describe()

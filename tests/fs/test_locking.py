@@ -115,7 +115,7 @@ class TestWaiterQueues:
         t.try_lock(7, "owner")
         w = _Waiter("m")
         t.wait(7, w)
-        t.unlock(7, "owner")
+        assert t.unlock_if_held(7, "owner")
         assert w.woken
         assert t.try_lock(7, "w")  # lock is free for the woken waiter
 
@@ -227,15 +227,17 @@ class TestMetadataLocks:
     def test_unlock(self):
         t = MetadataLockTable()
         t.try_lock(1, "a")
-        t.unlock(1, "a")
+        assert t.unlock_if_held(1, "a")
         assert not t.locked(1)
         assert t.try_lock(1, "b")
 
-    def test_unlock_wrong_owner_raises(self):
+    def test_unlock_wrong_owner_releases_nothing(self):
         t = MetadataLockTable()
         t.try_lock(1, "a")
-        with pytest.raises(FSError):
-            t.unlock(1, "b")
+        assert not t.unlock_if_held(1, "b")
+        assert t.locked(1)
+        assert not t.try_lock(1, "b")
+        assert t.try_lock(1, "a")  # still a's: re-entrant for its owner
 
     def test_holders(self):
         t = MetadataLockTable()

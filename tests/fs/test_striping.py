@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import InvalidArgument
 from repro.fs import StripeSpec, map_range
-from repro.fs.striping import ErasureSpec, server_spans, split_range
+from repro.fs.striping import server_spans, split_range
 
 
 def spec(size=100, servers=("a", "b", "c")):
@@ -86,12 +86,10 @@ def _fold(pieces):
 
 @st.composite
 def _specs(draw):
-    """A fresh spec of either layout kind (so its memos start empty)."""
+    """A fresh spec (so its memos start empty)."""
     size = draw(st.integers(min_value=1, max_value=300))
     servers = tuple(f"s{i}" for i in range(draw(st.integers(2, 5))))
-    if draw(st.booleans()):
-        return StripeSpec(size, servers)
-    return ErasureSpec(size, servers, k=draw(st.integers(1, len(servers) - 1)))
+    return StripeSpec(size, servers)
 
 
 @settings(max_examples=80)

@@ -34,8 +34,6 @@ MINI = {
     "datawarp": (dict(duration=0.5), None),
     "sync-ladder": (dict(server_counts=(4, 8)), None),
     "outage": (dict(duration=2.0, crash_at=0.75, restart_at=1.25), None),
-    "repair": (dict(policies=("size-fair",), duration=2.0, crash_at=0.75),
-               None),
 }
 
 

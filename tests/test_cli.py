@@ -58,15 +58,13 @@ class TestRemovedCommands:
         assert exc.value.code == 2
         assert "invalid choice: 'sweep'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["faults", "repair"])
-    def test_figures_that_were_subcommands(self, command, capsys):
-        """``faults`` and ``repair`` are rows of the figure table now:
-        ``figure outage`` and ``figure repair``."""
+    def test_faults_is_a_row_of_the_figure_table(self, capsys):
+        """``faults`` is ``figure outage`` now."""
         with pytest.raises(SystemExit) as exc:
-            main([command])
+            main(["faults"])
         assert exc.value.code == 2
-        assert f"invalid choice: '{command}'" in capsys.readouterr().err
-        assert {"outage", "repair"} <= set(FIGURES)
+        assert "invalid choice: 'faults'" in capsys.readouterr().err
+        assert "outage" in FIGURES
 
 
 class TestSharing:

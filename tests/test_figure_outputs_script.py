@@ -53,8 +53,8 @@ def test_runs_each_figure_at_the_recorded_flags(script, monkeypatch):
     calls = []
     monkeypatch.setattr(module, "_repro",
                         lambda *argv: calls.append(argv) or b"")
-    module.digest("repair")
-    assert calls == [("figure", "repair", "--scale", "0.05", "--seed", "3")]
+    module.digest("outage")
+    assert calls == [("figure", "outage", "--scale", "0.05", "--seed", "3")]
 
 
 def test_committed_file_names_every_figure():
