@@ -16,5 +16,5 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
 )

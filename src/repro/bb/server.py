@@ -142,10 +142,10 @@ class Server:
         self.storage_fault: Optional[
             Callable[[IORequest, float], Optional[Exception]]] = None
         # Idempotency: completed replies by client request id (LRU) plus
-        # the ids currently being serviced (duplicates of those are
-        # dropped; the original's reply answers the retry too).
+        # the requests currently being serviced, by id (a duplicate of
+        # one is not re-queued: the original answers on its call).
         self._req_cache: "OrderedDict[str, Tuple[Any, int]]" = OrderedDict()
-        self._inflight_req: set = set()
+        self._inflight_req: Dict[str, IORequest] = {}
 
         self.ctx = UCPContext(engine, fabric, name)
         self.monitor = JobMonitor(
@@ -214,12 +214,15 @@ class Server:
                 self.fault_stats.duplicate_requests += 1
                 rpc.reply(cached[0], size=cached[1])
                 return
-            if req_id in self._inflight_req:
-                # Retry raced the original, which is still being
-                # serviced; its eventual reply answers this retry too.
+            original = self._inflight_req.get(req_id)
+            if original is not None:
+                # Retry raced the original, which is still queued or
+                # being serviced: the client has given up on the
+                # original's call, so the reply goes to this one.
                 self.fault_stats.duplicate_requests += 1
+                original.rpc = rpc
                 return
-            self._inflight_req.add(req_id)
+            self._inflight_req[req_id] = request
         if self.monitor.observe(request.job, request.client_id):
             self.controller.refresh_tokens()
         request.rpc = rpc
@@ -231,7 +234,7 @@ class Server:
 
     def cache_reply(self, req_id: str, body: Any, size: int) -> None:
         """Remember a completed reply for client request id *req_id*."""
-        self._inflight_req.discard(req_id)
+        self._inflight_req.pop(req_id, None)
         self._req_cache[req_id] = (body, size)
         if len(self._req_cache) > self._REQ_CACHE_MAX:
             self._req_cache.popitem(last=False)
@@ -243,7 +246,7 @@ class Server:
         client retry must re-execute it rather than replay the failure
         (a cached EIO would otherwise outlive the fault that caused it).
         """
-        self._inflight_req.discard(req_id)
+        self._inflight_req.pop(req_id, None)
 
     def _on_control(self, rpc: RpcRequest) -> None:
         """register / heartbeat / goodbye traffic."""

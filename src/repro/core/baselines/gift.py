@@ -14,10 +14,13 @@ implementation uses 0.5 s):
    between contenders, it does not starve).
 2. **Throttle-and-reward** — capacity a job left unused last epoch was
    effectively *donated*; the donor earns coupons for it.
-3. **Reward (LP)** — capacity observed spare last epoch is granted this
-   epoch to jobs demanding more than fair share: coupon holders redeem
-   first via a linear program, any remainder goes proportionally to
-   residual demand.
+3. **Reward** — capacity observed spare last epoch is granted this
+   epoch to jobs demanding more than fair share. Coupon holders redeem
+   first: GIFT's LP (maximise Σx, 0 ≤ x_j ≤ min(headroom_j, coupons_j),
+   Σx ≤ spare) has one constraint, so the **smallest claim is filled
+   first** — in ascending ``(claim, job_id)`` order each redeemer takes
+   ``min(claim, spare left)``, the vertex HiGHS returned on every LP of
+   the Fig. 12 runs. Any remainder goes proportionally to residual demand.
 4. Budgets are **hard** within the epoch, and a job arriving mid-epoch
    has no budget until the next boundary — the allocation lag ("long
    delay in I/O resource adjustment") §5.4 attributes to GIFT's mu.
@@ -26,8 +29,6 @@ implementation uses 0.5 s):
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
-
-import numpy as np
 
 from ...errors import SchedulerError
 from ..jobinfo import JobInfo
@@ -63,7 +64,6 @@ class GiftScheduler(Scheduler):
         self._used_epoch: Dict[int, float] = {}    # bytes served this epoch
         self._arrived_epoch: Dict[int, float] = {}  # bytes enqueued this epoch
         self.coupons: Dict[int, float] = {}        # donated-bytes balance
-        self.lp_calls = 0
 
     # ------------------------------------------------------------- interface
     def enqueue(self, request: Any, now: float) -> None:
@@ -154,35 +154,23 @@ class GiftScheduler(Scheduler):
     def _redeem(self, job_ids: List[int], demand: Dict[int, float],
                 fair: float, spare: float) -> Dict[int, float]:
         """Grant last epoch's spare capacity to over-demanding jobs:
-        coupon redemption via LP, then proportional to residual demand."""
+        coupon redemption, smallest claim first, then proportional to
+        residual demand."""
         headroom = {j: max(0.0, demand[j] - fair) for j in job_ids}
         claimants = [j for j in job_ids if headroom[j] > 0]
         if spare <= 0 or not claimants:
             return {}
         extra: Dict[int, float] = {}
 
-        redeemers = [j for j in claimants if self.coupons.get(j, 0.0) > 0]
-        if redeemers:
-            # Here, not at module top: 0.45 s and 43 MiB for a GIFT LP only.
-            from scipy.optimize import linprog
-            # maximize sum(x): x_j <= min(headroom_j, coupons_j),
-            # sum(x) <= spare.
-            bounds = [(0.0, min(headroom[j], self.coupons[j]))
-                      for j in redeemers]
-            result = linprog(
-                c=-np.ones(len(redeemers)),
-                A_ub=np.ones((1, len(redeemers))),
-                b_ub=np.array([spare]),
-                bounds=bounds,
-                method="highs",
-            )
-            self.lp_calls += 1
-            if result.success:
-                for j, granted in zip(redeemers, result.x):
-                    if granted > 0:
-                        extra[j] = float(granted)
-                        self.coupons[j] -= float(granted)
-                        spare -= float(granted)
+        # Redemption: the one-constraint LP's smallest claim first.
+        redeemers = sorted((min(headroom[j], self.coupons[j]), j)
+                           for j in claimants if self.coupons.get(j, 0.0) > 0)
+        for claim, j in redeemers:
+            granted = min(claim, spare)
+            if granted > 0:
+                extra[j] = granted
+                self.coupons[j] -= granted
+                spare -= granted
 
         residual = {j: headroom[j] - extra.get(j, 0.0) for j in claimants}
         total_residual = ordered_sum(residual.values())

@@ -3,6 +3,8 @@
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import FifoScheduler, GiftScheduler, JobInfo, TbfScheduler
 from repro.errors import SchedulerError
@@ -150,17 +152,22 @@ class TestGift:
             served_e2[r.job_id] += r.cost
         assert served_e2[2] == pytest.approx(95.0, abs=2.0)
 
-    def test_coupon_redemption_uses_lp(self):
+    def test_coupon_redemption_fills_smallest_claim_first(self):
         s = GiftScheduler(capacity=100.0, mu=1.0)
         s.on_jobs_changed([job(1), job(2)])
-        # Epoch 1: job 1 donates most of its share; job 2 is capped at 50.
+        # Epoch 1: job 1 donates 45 of its 50-byte share; job 2 is capped
+        # at 50, with 45 bytes left queued.
         s.enqueue(Req(1, cost=5.0), 0.0)
         for _ in range(95):
             s.enqueue(Req(2, cost=1.0), 0.0)
         while s.dequeue(0.0) is not None:
             pass
-        # Epoch 2: job 1 over-demands while holding 45 coupon bytes;
-        # last epoch's spare was 45 and the LP grants it to job 1.
+        # Job 2 also holds 30 coupon bytes banked in an earlier epoch.
+        s.coupons[2] = 30.0
+        # Epoch 2: both over-demand. Job 1 claims min(250 headroom, 45
+        # coupons) = 45, job 2 min(67.5 - 50, 30) = 17.5: together more
+        # than last epoch's 45 spare bytes. Job 2's smaller claim is met
+        # in full and job 1 redeems the remaining 27.5.
         for _ in range(200):
             s.enqueue(Req(1, cost=1.0), 1.0)
         served = {1: 0.0, 2: 0.0}
@@ -169,9 +176,71 @@ class TestGift:
             if r is None:
                 break
             served[r.job_id] += r.cost
-        assert s.lp_calls >= 1
-        assert s.coupons.get(1, 0.0) == pytest.approx(0.0)  # redeemed
-        assert served[1] == pytest.approx(95.0, abs=2.0)
+        assert s.coupons == {1: 45.0 - 27.5, 2: 30.0 - 17.5}
+        assert served == {1: 78.0, 2: 45.0}  # budgets 77.5 and 67.5
+
+    #: (bounds by job id, spare, HiGHS's grant): every redemption LP of
+    #: the Fig. 12 runs (``figure fig12`` at scales 0.05 / 0.25 / 1 and
+    #: ``shapes/test_fig12_baselines.py``) whose claims outgrew the
+    #: spare, as the HiGHS solver answered it while GIFT still called
+    #: one.
+    LP_VERTICES = [
+        ([1_085_000_000.0, 140_000_000.0], 679_934_464.0,
+         [539_934_464.0, 140_000_000.0]),
+        ([1_235_000_000.0, 140_000_000.0], 479_934_464.0,
+         [339_934_464.0, 140_000_000.0]),
+        ([1_789_868_928.0, 500_000_000.0], 1_700_000_000.0,
+         [1_200_000_000.0, 500_000_000.0]),
+        ([11_300_000_000.0, 9_965_000_000.0], 890_000_000.0,
+         [0.0, 890_000_000.0]),
+    ]
+
+    @staticmethod
+    def _grant(bounds, spare, job_ids=None, binding="headroom"):
+        """``_redeem``'s grant to redeemers whose claims are *bounds*
+        (job id -> bytes), each capped by its headroom (the coupon
+        balance is larger) or by its coupon balance."""
+        s = GiftScheduler(capacity=1.0)
+        if binding == "headroom":
+            demand = dict(bounds)
+            s.coupons = {j: 2 * b for j, b in bounds.items()}
+        else:
+            demand = {j: 2 * b for j, b in bounds.items()}
+            s.coupons = dict(bounds)
+        before = dict(s.coupons)
+        extra = s._redeem(sorted(bounds) if job_ids is None else job_ids,
+                          demand, fair=0.0, spare=spare)
+        x = {j: extra.get(j, 0.0) for j in bounds}
+        assert s.coupons == {j: before[j] - x[j] for j in bounds}
+        return x
+
+    @pytest.mark.parametrize("binding", ["headroom", "coupons"])
+    @pytest.mark.parametrize("bounds,spare,highs", LP_VERTICES)
+    def test_grant_is_the_vertex_highs_returned(self, bounds, spare, highs,
+                                                binding):
+        bounds = dict(enumerate(bounds, start=1))
+        assert self._grant(bounds, spare, binding=binding) == dict(
+            enumerate(highs, start=1))
+
+    @settings(max_examples=300)
+    @given(claims=st.lists(st.one_of(st.integers(1, 8),
+                                     st.integers(1, 10**10)),
+                           min_size=1, max_size=6),
+           spare=st.one_of(st.integers(1, 16), st.integers(1, 6 * 10**10)),
+           data=st.data())
+    def test_grant_fills_smallest_claim_first(self, claims, spare, data):
+        bounds = {j: float(b) for j, b in enumerate(claims, start=1)}
+        x = self._grant(bounds, float(spare))
+        assert sum(x.values()) == min(sum(bounds.values()), spare)
+        assert all(0.0 <= x[j] <= bounds[j] for j in bounds)
+        # In (claim, job id) order: full claims, then at most one partly
+        # filled claim, then nothing.
+        order = sorted(bounds, key=lambda j: (bounds[j], j))
+        unmet = [k for k, j in enumerate(order) if x[j] < bounds[j]]
+        if unmet:
+            assert all(x[j] == 0.0 for j in order[unmet[0] + 1:])
+        shuffled = data.draw(st.permutations(sorted(bounds)))
+        assert self._grant(bounds, float(spare), job_ids=shuffled) == x
 
     def test_new_job_waits_for_epoch_boundary(self):
         # The adjustment lag: a job arriving mid-epoch has no budget.

@@ -199,6 +199,39 @@ class TestIdempotentRetries:
         # Exactly one served write despite the retransmissions.
         assert cluster.sampler.op_count(job_id=1, op="write") == 1
 
+    def test_inflight_retry_is_answered_on_its_own_call(self, make_cluster,
+                                                        job):
+        """GIFT holds every request until its first epoch boundary
+        (mu = 0.5 s), so each first write outlives a 0.25 s timeout and
+        is retried while the original is still queued. The server
+        answers the original on the retry's call: the run then matches
+        the timeouts-off run write for write, instead of each retry
+        waiting out a second timeout on a call the client gave up."""
+
+        def run(rpc_timeout):
+            cluster = make_cluster(n_servers=2, seed=1, stripe_count=2,
+                                   policy="gift", rpc_timeout=rpc_timeout)
+            writes, first = {}, {}
+            for c in range(4):
+                client = cluster.add_client(job(c + 1), client_id=f"c{c}")
+
+                def app(client=client, path=f"/fs/d/c{c}", c=c):
+                    yield from client.create(path)
+                    while True:
+                        yield from client.write(path, 0, 2 * MiB)
+                        writes[c] = writes.get(c, 0) + 1
+                        first.setdefault(c, cluster.engine.now)
+
+                cluster.engine.process(app())
+            cluster.run(until=1.5)
+            return cluster.fault_stats, writes, min(first.values())
+
+        stats, writes, first = run(rpc_timeout=0.25)
+        assert stats.rpc_timeouts > 0 and stats.duplicate_requests > 0
+        _, writes_off, first_off = run(rpc_timeout=0.0)
+        assert first == first_off
+        assert writes == writes_off
+
 
 def _faulted_run(make_cluster, job, seed=0):
     cluster = make_cluster(n_servers=3, seed=seed, rpc_retries=-1)
