@@ -181,7 +181,10 @@ class StatisticalTokenScheduler(Scheduler):
         return self._chain.update(active_jobs)
 
     def set_assignment(self, shares) -> None:
-        self._install({j: s for j, s in shares.items() if s > 0})
+        """Install *shares* as they are: a Fig. 5 projection row, whose
+        cells are all positive (a zero share would still count toward
+        the mean share a re-cut gives an unlisted job)."""
+        self._install(shares)
 
     def _install(self, shares: "dict[int, float]") -> None:
         # Installing ends the pending derivation, the running one

@@ -2,10 +2,9 @@
 as they were before each learned to skip what did not change — the
 table merge that read every record's stamp, the presence update that
 walked every row, the Eq. 1 closed form that re-keyed the job set per
-level, the Fig. 5 projection that found host-set classes job by job,
-and the token constructor that validated share by share. The kernels in
-``src/repro`` must return the same values bit for bit, dict key order
-included, and raise the same errors. Not a test module.
+level, and the token constructor that validated share by share. The
+kernels in ``src/repro`` must return the same values bit for bit, dict
+key order included, and raise the same errors. Not a test module.
 """
 
 import math
@@ -13,7 +12,6 @@ from collections import Counter
 from itertools import accumulate
 from operator import attrgetter
 
-from repro.core.fairness import _RTOL
 from repro.core.policy import Level
 from repro.core.tokens import _pairwise_sum
 from repro.errors import PolicyError, SchedulerError
@@ -85,76 +83,6 @@ def reference_chain_shares(levels, jobs):
         totals[scope] = totals.get(scope, 0.0) + w
     return {job_id: reach[scope] * (w / totals[scope])
             for job_id, scope, w in zip(job_ids, scopes, weights)}
-
-
-def _sum(values):
-    """The built-in ``sum`` of floats up to Python 3.11: left to right."""
-    total = 0
-    for v in values:
-        total = total + v
-    return total
-
-
-def reference_solve_placement(presence, global_shares, iterations=100,
-                              tol=1e-9):
-    """``_solve_placement`` finding host sets job by job (S x J)."""
-    servers = sorted(presence)
-    rows = {s: {} for s in servers}
-    hosts = {}
-    for r, server in enumerate(servers):
-        for job_id in presence[server]:
-            if global_shares.get(job_id, 0.0) > 0:
-                hosts[job_id] = hosts.get(job_id, ()) + (r,)
-    if not hosts:
-        return rows
-    classes = {}
-    for job_id in sorted(hosts):
-        classes.setdefault(hosts[job_id], []).append(job_id)
-    n = len(servers)
-    members = list(classes.values())
-    member_shares = [[global_shares[j] for j in jobs] for jobs in members]
-    weights = [_sum(shares) for shares in member_shares]
-    targets = [w * n for w in weights]
-    row_bound = tol + _RTOL
-    col_bounds = [tol * w / max(shares) + _RTOL * t
-                  for w, shares, t in zip(weights, member_shares, targets)]
-    index = [(c, r, k) for c, (r, k) in enumerate(
-        (r, k) for k, rs in enumerate(classes) for r in rs)]
-    cells = [weights[k] for _, _, k in index]
-    row_sums = [0.0] * n
-    for c, r, _ in index:
-        row_sums[r] += cells[c]
-    for _ in range(iterations):
-        if 0.0 in row_sums:
-            row_sums = [s or 1.0 for s in row_sums]
-        col_sums = [0.0] * len(targets)
-        for c, r, k in index:
-            cells[c] = v = cells[c] / row_sums[r]
-            col_sums[k] += v
-        scale = [t / s if s > 0 else 1.0 for t, s in zip(targets, col_sums)]
-        row_sums = [0.0] * n
-        for c, r, k in index:
-            cells[c] = v = cells[c] * scale[k]
-            row_sums[r] += v
-        for s in row_sums:
-            if s > 0 and not abs(s - 1.0) <= row_bound:
-                break
-        else:
-            scaled = [0.0] * len(targets)
-            for c, _, k in index:
-                scaled[k] += cells[c]
-            if all(abs(x - t) <= bound
-                   for x, t, bound, s in zip(scaled, targets, col_bounds,
-                                             col_sums) if s > 0):
-                break
-    for c, r, k in index:
-        unit = cells[c] / (row_sums[r] or 1.0) / weights[k]
-        row = rows[servers[r]]
-        for job_id, share in zip(members[k], member_shares[k]):
-            cell = share * unit
-            if cell > 0:
-                row[job_id] = cell
-    return rows
 
 
 class ReferenceTokens:

@@ -134,8 +134,9 @@ LARGE = (300, 320, lambda step: 129 + step % 172)
 
 def _row(workload, policy, jobs):
     """A placement-adjusted row (Fig. 5) for one of two servers: each
-    job hosted by one or both, so the row misses some jobs; a few of its
-    shares zeroed, which an install drops."""
+    job hosted by one or both, so the row misses some jobs; a few more
+    dropped from it (an install takes positive cells only, as a
+    projection row holds)."""
     presence = {"a": set(), "b": set()}
     for info in jobs:
         for server in workload.choice((("a",), ("b",), ("a", "b"))):
@@ -143,7 +144,7 @@ def _row(workload, policy, jobs):
     row = dict(placement_shares(presence, policy.shares(jobs)).get("a", {}))
     for job_id in sorted(row):
         if workload.random() < 0.05:
-            row[job_id] = 0.0
+            del row[job_id]
     return row
 
 

@@ -16,14 +16,12 @@ from hypothesis import strategies as st
 
 from repro.bb.controller import Controller
 from repro.core import JobInfo, JobRecord, JobStatusTable, Policy
-from repro.core.fairness import placement_shares
 from repro.core.matrix import chain_shares
 from repro.core.tokens import TokenAssignment
 from repro.errors import PolicyError, SchedulerError
 
 from .sync_reference import (ReferenceTokens, reference_chain_shares,
-                             reference_learn_presence, reference_merge,
-                             reference_solve_placement)
+                             reference_learn_presence, reference_merge)
 
 #: every shape the policy language has: flat, user, group + user, with
 #: each terminal rule.
@@ -73,65 +71,6 @@ class TestChainShares:
         with pytest.raises(PolicyError) as old:
             reference_chain_shares(levels, jobs)
         assert str(new.value) == str(old.value)
-
-
-# ------------------------------------------------------- Fig. 5 projection
-@st.composite
-def _placement(draw):
-    """Shares from a policy over a population (a few of them zero) and
-    presence rows over 2-128 servers. Rows may be one-sided (a job on one
-    server only), stale (hosting jobs that have left, so have no share),
-    or empty; some shared jobs are hosted nowhere. Heavy jobs pinned to
-    few servers make the entitlements infeasible, so all 100 sweeps run."""
-    jobs = draw(_population(max_jobs=60))
-    policy = draw(st.sampled_from(POLICIES))
-    shares = dict(chain_shares(Policy.parse(policy).levels, jobs))
-    for job_id in draw(st.lists(st.sampled_from(sorted(shares)),
-                                max_size=3)):
-        shares[job_id] = 0.0
-    n = draw(st.integers(2, 128))
-    servers = [f"bb{i:03d}" for i in range(n)]
-    presence = {s: set() for s in servers}
-    stale = draw(st.lists(st.integers(6000, 6010), max_size=4))
-    for job_id in [*shares, *stale]:
-        where = draw(st.sampled_from(["nowhere", "one", "some", "all"]))
-        if where == "one":
-            hosts = [draw(st.sampled_from(servers))]
-        elif where == "some":
-            hosts = draw(st.lists(st.sampled_from(servers), max_size=6))
-        elif where == "all":
-            hosts = servers
-        else:
-            hosts = []
-        for server in hosts:
-            presence[server].add(job_id)
-    return {s: frozenset(jobs) for s, jobs in presence.items()}, shares
-
-
-class TestSolvePlacement:
-    @settings(max_examples=80)
-    @given(_placement())
-    def test_equals_reference(self, inputs):
-        presence, shares = inputs
-        assert (_ordered(placement_shares(presence, shares))
-                == _ordered(reference_solve_placement(presence, shares)))
-
-    @pytest.mark.parametrize("n", [2, 32, 128])
-    def test_infeasible_cluster_runs_every_sweep(self, n):
-        """The ledger's ``sync_scale`` shape: one idle job per server and
-        heavy writers pinned to a few — no sweep passes the check."""
-        presence = {f"bb{i:03d}": {i} for i in range(n)}
-        sizes = {i: 1 for i in range(n)}
-        for k, (job_id, size) in enumerate([(900, 16), (901, 8), (902, 8)]):
-            sizes[job_id] = size
-            for server in sorted(presence)[k:k + 2]:
-                presence[server].add(job_id)
-        total = float(sum(sizes.values()))
-        shares = {j: s / total for j, s in sizes.items()}
-        assert (_ordered(placement_shares(presence, shares))
-                == _ordered(reference_solve_placement(presence, shares)))
-        assert _ordered(placement_shares(presence, shares, iterations=7)) \
-            == _ordered(reference_solve_placement(presence, shares, 7))
 
 
 # ------------------------------------------------------------------ tokens
