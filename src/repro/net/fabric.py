@@ -5,10 +5,10 @@ and how fast bytes drain — without simulating routing. Each node owns a
 transmit :class:`~repro.sim.resources.BandwidthPipe` (its NIC injection
 channel) and a receiver: the callable its arrivals go to. A send
 serialises on the sender's NIC, crosses the fabric after a fixed
-latency, and is handed to the destination's receiver — one scheduled
-event per message, at the arrival time. The receiver (a
+latency, and is handed to the destination's receiver — one call entry
+per message, at the arrival time. The receiver (a
 :class:`~repro.ucx.ucp.UCPContext`) queues it for its own progress
-event (DESIGN.md §2). Receive-side serialisation is folded into the
+call (DESIGN.md §2). Receive-side serialisation is folded into the
 single NIC pipe (full-duplex links are modelled with separate tx pipes
 per node, which is where contention matters for our workloads).
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Union
 
 from ..errors import NetworkError
-from ..sim.process import Event
 from ..sim.resources import BandwidthPipe
 from ..units import GB, USEC
 from .message import Message
@@ -114,32 +113,34 @@ class Fabric:
             self.down.discard(name)
 
     # ------------------------------------------------------------- transport
-    def send(self, message: Message) -> Event:
-        """Transmit *message*; the event fires when it is enqueued remotely.
+    def send(self, message: Message) -> None:
+        """Transmit *message* to its destination's receiver.
 
         The message occupies the sender's NIC for ``size / link_bandwidth``
-        seconds, then arrives ``latency`` later: one scheduled event at
+        seconds, then arrives ``latency`` later: one call entry
+        (:meth:`~repro.sim.engine.Engine.schedule_call`) at
         ``t1 + (latency + extra_delay)``, ``t1`` being the NIC's drain
         time (:meth:`~repro.sim.resources.BandwidthPipe.reserve`), so
         messages that arrive at the same instant are handed over in
-        send order. Sends are fire-and-forget for fault purposes: a
-        dropped or blackholed message still triggers the returned event
-        (the sender cannot observe the loss — only a missing response
-        can).
+        send order. There is nothing to wait on: the sender cannot
+        observe a loss — only a missing response can. A message from a
+        down node is lost at once, without NIC time, by a call at the
+        current instant.
         """
+        size = message.size
         tx = self._tx.get(message.src)
         if tx is None or message.dst not in self._tx:
             raise NetworkError(
                 f"unknown node in {message.src!r} -> {message.dst!r}")
         self.messages_sent += 1
-        self.bytes_sent += message.size
+        self.bytes_sent += size
 
-        arrival = Event(self.engine)
+        engine = self.engine
         down = self.down
         if down and message.src in down:
-            # A dead node transmits nothing: vanish without NIC time.
-            self.dropped_messages += 1
-            return arrival.succeed(message)
+            # A dead node transmits nothing: lost without NIC time.
+            engine.schedule_call(engine.now, (self._lose, message))
+            return
         extra_delay = 0.0
         on_arrival = self._arrive
         if self._fault_filter is not None:
@@ -149,23 +150,22 @@ class Fabric:
             elif verdict is not None:
                 extra_delay = float(verdict)
                 self.delayed_messages += 1
-        arrival.callbacks.append(on_arrival)
-        return arrival.succeed_at(
-            tx.reserve(message.size) + (self.latency + extra_delay),
-            message)
+        engine.schedule_call(
+            tx.reserve(size) + (self.latency + extra_delay),
+            (on_arrival, message))
 
-    def _arrive(self, arrival: Event) -> None:
+    def _arrive(self, message: Message) -> None:
         """Hand an arrived message to its node's receiver. Destination
         liveness is checked now, not at send time, so a node that crashed
         while the message was in flight still loses it."""
-        message = arrival._value
         down = self.down
         if down and message.dst in down:
             self.dropped_messages += 1
         else:
             self._receivers[message.dst](message)
 
-    def _lose(self, _arrival: Event) -> None:
-        """Arrival of a message the fault filter dropped: it crossed the
-        wire (and held the NIC) but reaches no receiver."""
+    def _lose(self, _message: Message) -> None:
+        """Arrival of a message that reaches no receiver: the fault
+        filter dropped it (it crossed the wire and held the NIC), or its
+        sender was down."""
         self.dropped_messages += 1

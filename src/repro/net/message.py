@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
 
 __all__ = ["Message"]
 
-_msg_ids = itertools.count()
+_INF = float("inf")
 
 
 class Message:
@@ -21,20 +20,20 @@ class Message:
     the order :meth:`~repro.ucx.ucp.UCPWorker.send` passes them.
     """
 
-    __slots__ = ("src", "dst", "payload", "size", "worker", "msg_id")
+    __slots__ = ("src", "dst", "payload", "size", "worker")
 
     def __init__(self, src: str, dst: str, payload: Any = None,
                  size: int = 0, worker: str = ""):
-        if size < 0:
-            raise ValueError(f"negative message size: {size}")
+        # Written so that NaN, which compares false both ways, fails too:
+        # sent, it would make the NIC's drain time NaN for good.
+        if not 0 <= size < _INF:
+            raise ValueError(f"message size not in [0, inf): {size!r}")
         self.src = src
         self.dst = dst
         self.payload = payload
         self.size = size
         #: destination UCP worker name ("" = no worker: dropped on arrival)
         self.worker = worker
-        self.msg_id = next(_msg_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Message #{self.msg_id} {self.src}->{self.dst}/"
-                f"{self.worker} {self.size}B>")
+        return f"<Message {self.src}->{self.dst}/{self.worker} {self.size}B>"

@@ -2,23 +2,28 @@
 
 A minimal, deterministic event-driven kernel in the SimPy style, written
 from scratch for this reproduction. The :class:`Engine` owns a virtual
-clock and a pending-event queue of scheduled
-:class:`~repro.sim.process.Event` objects. Events scheduled at equal
+clock and a queue of scheduled entries. Entries scheduled at equal
 times fire in scheduling order (a monotonically increasing sequence
 number breaks ties), which makes every run bit-for-bit reproducible
 given the same seeds.
 
-The queue is a binary heap of ``(time, seq, event)`` entries (DESIGN.md
-§15) plus a FIFO *now-queue* for events scheduled at the current
+The queue is a binary heap of ``(time, seq, entry)`` tuples (DESIGN.md
+§15) plus a FIFO *now-queue* for entries scheduled at the current
 instant, which need no ordering work: a heap entry stamped ``now`` was
 scheduled while the clock was earlier, so its ``seq`` is below that of
 every now-queue entry, and the now-queue is in ``seq`` order by
 construction — heap entries at ``now`` first, then the now-queue, is
-exactly ``(time, seq)`` order. Cancelled events
+exactly ``(time, seq)`` order. An entry is either an
+:class:`~repro.sim.process.Event`, which fires its callbacks, or a
+*call*: a ``(fn, arg)`` tuple, run as ``fn(arg)`` when popped
+(:meth:`Engine.schedule_call`). A call takes one ``seq`` like an event,
+so both kinds share one order and one count, but it has no callbacks,
+no value and nothing to wait on: it is how a message arrives, a UCP
+context makes progress and a process starts. Cancelled events
 (:meth:`~repro.sim.process.Event.cancel`) are skipped lazily on pop and
 compacted away in O(n) once dead entries dominate, so the queue stays
-sublinear in garbage; live ``(time, seq)`` ordering is untouched by
-cancellation.
+sublinear in garbage; a call is never cancelled, and live ``(time,
+seq)`` ordering is untouched by cancellation.
 
 Typical usage::
 
@@ -58,6 +63,18 @@ _heappop = heapq.heappop
 _COMPACT_MIN_DEAD = 1024
 
 
+def _call(fn: Callable[[], Any]) -> None:
+    """The ``fn`` of a :meth:`Engine.call_at` entry: its ``arg`` is the
+    argument-free callable to run."""
+    fn()
+
+
+def _live(entry) -> bool:
+    """Whether a queue entry is still to run: every call is, an event
+    unless cancelled."""
+    return entry.__class__ is tuple or not entry._cancelled
+
+
 class Engine:
     """The simulation kernel: virtual clock plus event queue.
 
@@ -76,11 +93,11 @@ class Engine:
         #: (a plain slot, not a property: the request path reads it
         #: about ten times per served request).
         self.now = float(start)
-        self._heap: list = []  # entries: (time, seq, event)
-        #: events scheduled at the current instant, in scheduling order;
+        self._heap: list = []  # (time, seq, event or (fn, arg))
+        #: entries scheduled at the current instant, in scheduling order;
         #: the clock only advances while this is empty.
         self._nowq: deque = deque()
-        self._seq = 0  # events ever scheduled, both containers
+        self._seq = 0  # entries ever scheduled, both containers
         self._active_process: Optional[Process] = None
         self._stop_requested = False
         self._dead = 0  # cancelled entries still sitting in the queue
@@ -131,6 +148,28 @@ class Engine:
         else:
             _heappush(self._heap, (when, seq, event))
 
+    def schedule_call(self, when: float, entry: tuple) -> None:
+        """Queue the call *entry*, a ``(fn, arg)`` tuple, to run as
+        ``fn(arg)`` at absolute simulated time *when*.
+
+        A call takes its ``seq`` as :meth:`schedule_at` gives one to an
+        event, and fires in the same ``(time, seq)`` order; it cannot be
+        cancelled, and nothing can wait on it. *entry* is queued as
+        given, so a caller that calls the same ``fn(arg)`` often may
+        build it once.
+        """
+        now = self.now
+        # Negated so that NaN, which compares false both ways, fails too.
+        if not when >= now:
+            raise SimulationError(
+                f"schedule_call({when!r}) is not at or after now={now!r}")
+        seq = self._seq
+        self._seq = seq + 1
+        if when == now:
+            self._nowq.append(entry)
+        else:
+            _heappush(self._heap, (when, seq, entry))
+
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Return an event that fires after ``delay`` simulated seconds."""
         return Timeout(self, delay, value)
@@ -169,17 +208,17 @@ class Engine:
         in locals.
         """
         heap, nowq = self._heap, self._nowq
-        heap[:] = [e for e in heap if not e[2]._cancelled]
+        heap[:] = [e for e in heap if _live(e[2])]
         heapq.heapify(heap)
-        live = [ev for ev in nowq if not ev._cancelled]
+        live = [entry for entry in nowq if _live(entry)]
         nowq.clear()
         nowq.extend(live)
         self._dead = 0
         self._compactions += 1
 
     def stats(self) -> Dict[str, Any]:
-        """Event-queue census: events ever scheduled, pending/dead counts,
-        cancels, compactions."""
+        """Queue census: entries ever scheduled (events and calls),
+        pending/dead counts, cancels, compactions."""
         pending = len(self._heap) + len(self._nowq)
         return {
             "now": self.now,
@@ -193,7 +232,7 @@ class Engine:
 
     # ---------------------------------------------------------------- running
     def peek(self) -> float:
-        """Time of the next live scheduled event, or ``inf`` if none remain.
+        """Time of the next live scheduled entry, or ``inf`` if none remain.
 
         Dead (cancelled) entries at the head of the queue are discarded
         as a side effect, so repeated peeks stay O(1) amortized.
@@ -203,12 +242,12 @@ class Engine:
             # Heap entries stamped `now` precede the now-queue.
             from_nowq = nowq and not (heap and heap[0][0] == self.now)
             if from_nowq:
-                when, event = self.now, nowq[0]
+                when, entry = self.now, nowq[0]
             elif heap:
-                when, _seq, event = heap[0]
+                when, _seq, entry = heap[0]
             else:
                 return float("inf")
-            if not event._cancelled:
+            if _live(entry):
                 return when
             if from_nowq:
                 nowq.popleft()
@@ -217,20 +256,25 @@ class Engine:
             self._dead -= 1
 
     def step(self) -> None:
-        """Process exactly one live event; raise SimulationError if none
-        remain. Dead entries encountered on the way are discarded (and
-        the queue compacted once they dominate)."""
+        """Process exactly one live entry (fire an event, or run a call);
+        raise SimulationError if none remain. Dead entries encountered on
+        the way are discarded (and the queue compacted once they
+        dominate)."""
         heap, nowq = self._heap, self._nowq
         while True:
             if nowq and not (heap and heap[0][0] == self.now):
-                when, event = self.now, nowq.popleft()
+                when, entry = self.now, nowq.popleft()
             elif heap:
-                when, _seq, event = _heappop(heap)
+                when, _seq, entry = _heappop(heap)
             else:
                 raise SimulationError("no scheduled events")
-            if not event._cancelled:
+            if entry.__class__ is tuple:
                 self.now = when
-                event._fire()
+                entry[0](entry[1])
+                return
+            if not entry._cancelled:
+                self.now = when
+                entry._fire()
                 return
             self._buried()
 
@@ -255,6 +299,7 @@ class Engine:
         popleft = nowq.popleft
         now = self.now
         deadline = float("inf") if until is None else until
+        call = tuple
         try:
             while nowq or heap:
                 if self._stop_requested:
@@ -272,8 +317,11 @@ class Engine:
                         self.now = until
                         return
                     when, _seq, event = _heappop(heap)
-                    if not event._cancelled:
+                    if event.__class__ is call or not event._cancelled:
                         now = self.now = when
+                if event.__class__ is call:
+                    event[0](event[1])
+                    continue
                 if event._cancelled:
                     self._buried()
                     continue
@@ -308,13 +356,10 @@ class Engine:
         self._stop_requested = True
 
     # ---------------------------------------------------------------- helpers
-    def call_at(self, when: float, fn: Callable[[], Any]) -> Event:
-        """Schedule a plain callback at absolute time *when*, queued as
-        given (:meth:`schedule_at`), not as a delay from now."""
-        ev = Event(self)
-        ev.callbacks.append(lambda _e: fn())
-        self.schedule_at(ev, when)
-        return ev
+    def call_at(self, when: float, fn: Callable[[], Any]) -> None:
+        """Run the argument-free *fn* at absolute time *when*, queued as
+        given (:meth:`schedule_call`), not as a delay from now."""
+        self.schedule_call(when, (_call, fn))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Engine now={self.now:.6f} "

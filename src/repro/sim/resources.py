@@ -11,6 +11,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["BandwidthPipe"]
 
+_INF = float("inf")
+
 
 class BandwidthPipe:
     """A serialising link: transfers complete at ``size / rate`` in FIFO order.
@@ -51,8 +53,9 @@ class BandwidthPipe:
         clamped to what the pipe last returned: FIFO order survives
         rounding.
         """
-        if nbytes < 0:
-            raise SimulationError("nbytes must be non-negative")
+        # Negated so that NaN fails too, before it reaches _free_at.
+        if not 0 <= nbytes < _INF:
+            raise SimulationError(f"nbytes not in [0, inf): {nbytes!r}")
         now = self.engine.now
         self._free_at = max(self._free_at, now) + nbytes / self.rate
         self.bytes_moved += int(nbytes)

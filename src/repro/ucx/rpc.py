@@ -43,12 +43,13 @@ class RpcRequest:
         self._worker: Optional[UCPWorker] = None
         self.replied = False
 
-    def reply(self, body: Any = None, size: int = 0) -> Event:
-        """Send the response (once); the event fires on remote arrival."""
+    def reply(self, body: Any = None, size: int = 0) -> None:
+        """Send the response (once), to the caller's
+        :class:`RpcClient`; the caller's ``call`` event is what fires."""
         if self.replied:
             raise UCXError(f"duplicate reply to call {self.cid}")
         self.replied = True
-        return self._worker.send(self.reply_to, (self.cid, body), size)
+        self._worker.send(self.reply_to, (self.cid, body), size)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RpcRequest op={self.op!r} cid={self.cid}>"

@@ -12,9 +12,9 @@ inactive, exactly as §4.2 describes.
 Addressing: a worker's address is ``(node_name, worker_name)``. The
 context is its node's one receiver on the fabric. An arrival only joins
 the context's inbox: UCX forbids progressing transfers from a receive
-callback, so the context's *progress event* hands the inbox on one
-message per zero-delay event, each to the one handler of the worker it
-names (the :class:`~repro.ucx.rpc.RpcServer` or
+callback, so the context's *progress call* hands the inbox on one
+message per zero-delay call entry, each to the one handler of the worker
+it names (the :class:`~repro.ucx.rpc.RpcServer` or
 :class:`~repro.ucx.rpc.RpcClient` that owns the worker).
 """
 
@@ -27,7 +27,6 @@ from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
 from ..errors import UCXError
 from ..net.fabric import Fabric
 from ..net.message import Message
-from ..sim.process import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Engine
@@ -40,12 +39,12 @@ Address = Tuple[str, str]  # (node_name, worker_name)
 class UCPContext:
     """Per-node UCX context: the node's receiver, owning its workers.
 
-    Arrived messages wait in the inbox for the progress event, which
+    Arrived messages wait in the inbox for the progress call, which
     hands **one** to its worker and, after the handler returns, re-arms
     itself while the inbox is non-empty — the tie order of a process
     pulling from a ``Store``, without the process. A message for a
     worker that does not exist (never made, or closed), or that the
-    progress event reaches while the node is down, is dropped and
+    progress call reaches while the node is down, is dropped and
     counted.
     """
 
@@ -56,8 +55,10 @@ class UCPContext:
         self.workers: Dict[str, UCPWorker] = {}
         self.dropped_count = 0
         self._inbox: Deque[Message] = deque()
-        #: True while a progress event is scheduled or firing.
+        #: True while a progress call is scheduled or running.
         self._progress_pending = False
+        #: the progress call entry, built once (Engine.schedule_call).
+        self._progress_call = (self._progress, None)
         #: the fabric's crashed-node set (the server's crash flag).
         self._down = fabric.down
         fabric.add_node(node_name, self._arrive)
@@ -71,18 +72,17 @@ class UCPContext:
         return worker
 
     def _arrive(self, message: Message) -> None:
-        """Queue an arrived *message*; wake the progress event if idle."""
+        """Queue an arrived *message*; arm the progress call if idle."""
         self._inbox.append(message)
         if not self._progress_pending:
             self._arm()
 
     def _arm(self) -> None:
         self._progress_pending = True
-        progress = Event(self.engine)
-        progress.callbacks.append(self._progress)
-        progress.succeed()
+        engine = self.engine
+        engine.schedule_call(engine.now, self._progress_call)
 
-    def _progress(self, _event: Event) -> None:
+    def _progress(self, _arg: None) -> None:
         message = self._inbox.popleft()
         worker = self.workers.get(message.worker)
         if worker is None or self.node_name in self._down:
@@ -112,14 +112,15 @@ class UCPWorker:
     def address(self) -> Address:
         return (self.context.node_name, self.name)
 
-    def send(self, address: Address, payload, size: int = 0) -> Event:
+    def send(self, address: Address, payload, size: int = 0) -> None:
         """Send *payload* (*size* bytes on the wire) to the worker at
-        *address*; the event fires on remote arrival."""
+        *address* (:meth:`~repro.net.fabric.Fabric.send`: nothing to
+        wait on; its answer, if any, comes to this worker's handler)."""
         if self.closed:
             raise UCXError(f"worker {self.name!r} is closed")
         context = self.context
         node, worker_name = address
-        return context.fabric.send(Message(
+        context.fabric.send(Message(
             context.node_name, node, payload, size, worker_name))
 
     def close(self) -> None:

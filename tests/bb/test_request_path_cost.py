@@ -2,8 +2,10 @@
 
 A 4-server x 4-job cell of the Fig. 7 write workload (the ledger's
 ``fig07_write`` at a thirty-second of its size). Per served data request
-the run schedules 6.9 events and resumes a process 2.6 times (7.4 and
-2.9 at the ledger's 128 servers). The resume count was 4.7 (5.1) while
+the run schedules 6.9 queue entries and resumes a process 2.6 times (7.4
+and 2.9 at the ledger's 128 servers). An entry is an event or a call
+(``sim/engine.py``); both take a sequence number, and the count here is
+of both. The resume count was 4.7 (5.1) while
 a per-node dispatcher coroutine relayed every message, and the event
 count 7.8 (8.4) while a one-slice request waited on an ``AllOf`` over its
 one call. With client timeouts on, that wait also ran as a ``Process``
@@ -15,14 +17,22 @@ the request path fails here without a stopwatch.
 it cannot see resumes or processes.
 
 Python-level calls are counted too (``sys.setprofile``'s ``"call"``
-events, a generator's resumption included): 97.9 per served request,
-107.3 with timeouts on. They were 144.0 and 155.5 while ``Engine.now``,
-``Event.processed``, ``OpType.is_data``, ``IORequest.job_id`` / ``cost``
-and the queue total were properties, the engine fired each event
-through ``Event._fire``, and every request ran ``_require_inode``,
-``_ensure_io`` and made a ``_backoff`` it never used. A bookkeeping
-call creeping back onto the request path fails here without a
-stopwatch.
+events, a generator's resumption included): 86.6 per served request,
+93.7 with timeouts on. They were 94.9 and 104.2 while a message's
+arrival and each UCP progress hop were Events (``Event.__init__`` plus
+``succeed_at`` / ``schedule_at`` or ``succeed`` per hop) and a
+``Timeout`` ran ``Event.__init__`` and ``schedule_at``; 144.0 and 155.5
+while ``Engine.now``, ``Event.processed``, ``OpType.is_data``,
+``IORequest.job_id`` / ``cost`` and the queue total were properties,
+the engine fired each event through ``Event._fire``, and every request
+ran ``_require_inode``, ``_ensure_io`` and made a ``_backoff`` it never
+used. A bookkeeping call creeping back onto the request path fails here
+without a stopwatch.
+
+The same cell reading (the ledger's ``fig07_read``: files
+pre-populated, no range lock) has its own thresholds: 7.1 entries, 2.9
+resumes and 83.5 calls per served request (91.8 calls with the
+Event-per-hop message path).
 
 Since ``Engine.run`` fires events inline and ``Engine.step`` still
 fires them through ``Event._fire``, the cell driven by either must end
@@ -45,13 +55,13 @@ N = 4
 DURATION = 0.09
 
 
-def _cell(client=None) -> Cluster:
+def _cell(client=None, mode="write") -> Cluster:
     """Build the cell, ready for ``engine.run(until=DURATION)``."""
     cluster = Cluster(ClusterConfig(n_servers=N, policy="job-fair", seed=12,
                                     client=client or ClientConfig()))
     engine = cluster.engine
     workload = IORWorkload(file_size=64 * MB, block_size=8 * MB,
-                           mode="write", streams_per_node=8)
+                           mode=mode, streams_per_node=8)
     for j in range(1, N + 1):
         info = JobInfo(job_id=j, user=f"u{j}", size=1)
         prefix = f"/fs/job{j}"
@@ -68,10 +78,10 @@ def _served(cluster) -> int:
     return sum(s.served_requests for s in cluster.servers.values())
 
 
-def _run_cell(client=None):
+def _run_cell(client=None, mode="write"):
     """Run the cell; ``(events, resumes, processes, served)``, the middle
     two counted while the engine runs."""
-    cluster = _cell(client)
+    cluster = _cell(client, mode)
     engine = cluster.engine
     resumes, processes = [0], [0]
     real_resume, real_init = Process._resume, Process.__init__
@@ -91,10 +101,10 @@ def _run_cell(client=None):
             _served(cluster))
 
 
-def _python_calls(client=None):
+def _python_calls(client=None, mode="write"):
     """Run the cell; ``(calls, served)``, the Python-level calls (the
     profiler's ``"call"`` events) counted while the engine runs."""
-    cluster = _cell(client)
+    cluster = _cell(client, mode)
     calls = [0]
 
     def count(_frame, event, _arg):
@@ -130,16 +140,31 @@ def test_no_process_per_request_with_timeouts_on():
     assert events / served <= 7.92 * 1.05
 
 
-# Measured on this tree: 80,247 and 88,025 calls for 820 served
-# requests (118,067 and 127,531 with the properties, Event._fire and the
-# three generators per request).
+# Measured on this tree: 71,024 and 76,866 calls for 820 served
+# requests (77,847 and 85,421 with an Event per message hop; 118,067 and
+# 127,531 with the properties, Event._fire and the three generators per
+# request).
 @pytest.mark.parametrize("client, measured", [
-    (None, 97.9), (ClientConfig(rpc_timeout=0.25), 107.3)],
+    (None, 86.6), (ClientConfig(rpc_timeout=0.25), 93.7)],
     ids=["plain", "timeouts"])
 def test_python_calls_per_served_request(client, measured):
     calls, served = _python_calls(client)
     assert served > 500
     assert calls / served <= measured * 1.05
+
+
+def test_read_path_per_served_request():
+    events, resumes, _processes, served = _run_cell(mode="read")
+    assert served > 500
+    # Measured on this tree: 5,952 entries and 2,386 resumes for 836
+    # served requests.
+    assert events / served <= 7.12 * 1.05
+    assert resumes / served <= 2.85 * 1.05
+    calls, served = _python_calls(mode="read")
+    assert served > 500
+    # Measured on this tree: 69,775 calls for 836 served requests
+    # (76,727 with an Event per message hop).
+    assert calls / served <= 83.5 * 1.05
 
 
 @pytest.mark.parametrize("client", [None, ClientConfig(rpc_timeout=0.25)],

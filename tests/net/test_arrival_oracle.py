@@ -1,9 +1,9 @@
-"""``Fabric.send`` is one event, firing when the two-hop chain did.
+"""``Fabric.send`` is one call entry, run when the two-hop chain fired.
 
 Every committed trace was produced by a send that was a chain of events:
 the NIC transfer's completion at ``t1``, then a wire timeout created *at*
 ``t1`` that fired at ``t2``. :class:`TwoHopReference` keeps that chain's
-float arithmetic, and only here, as the oracle the one-event send must
+float arithmetic, and only here, as the oracle the one-entry send must
 agree with bit for bit — plus the one correction both sides share: a
 NIC's ``t1`` never goes backwards (``now + (free_at - now)`` can round a
 later reservation one ulp below an earlier one).
@@ -76,7 +76,7 @@ def test_send_fires_at_the_two_hop_time_and_keeps_nic_fifo(plan):
         latency=LATENCY, link_bandwidth=BANDWIDTH)
     fabric.set_fault_filter(lambda msg: plan[msg.payload][3])
     reference = TwoHopReference()
-    expected, fired = {}, {}
+    expected = {}
 
     def sender():
         for idx, (gap, src, size, delay) in enumerate(plan):
@@ -84,16 +84,13 @@ def test_send_fires_at_the_two_hop_time_and_keeps_nic_fifo(plan):
                 yield eng.timeout(gap)
             expected[idx] = reference.arrival(eng.now, src, size, delay or 0.0)
             before = eng.stats()["scheduled_total"]
-            ev = fabric.send(Message(src=src, dst="z", payload=idx,
-                                     size=size))
+            fabric.send(Message(src=src, dst="z", payload=idx, size=size))
             assert eng.stats()["scheduled_total"] == before + 1
-            ev.callbacks.append(
-                lambda ev: fired.__setitem__(ev.value.payload, eng.now))
 
     eng.process(sender())
     eng.run()
-    assert fired == expected                      # bit-equal, not approx
-    assert dict(received) == expected
+    assert len(received) == len(plan)             # each message once
+    assert dict(received) == expected             # bit-equal, not approx
     assert fabric.delayed_messages == sum(
         1 for _, _, _, delay in plan if delay is not None)
     # Per-NIC FIFO: what one NIC sent undelayed is received in the order
@@ -119,10 +116,12 @@ def test_same_instant_arrivals_are_handed_over_in_send_order():
 
 def test_destination_crashing_in_flight_loses_the_message_once():
     eng, fabric, inbox, _tx = make_fabric(latency=1.0, link_bandwidth=1e9)
-    ev = fabric.send(Message(src="a", dst="z", size=10))
+    fabric.send(Message(src="a", dst="z", size=10))
     eng.call_at(0.5, lambda: fabric.set_node_down("z"))
     eng.run()
-    assert ev.processed and eng.now == pytest.approx(1.0)
+    # The arrival ran (the clock stopped at it) and found "z" down.
+    assert eng.now == pytest.approx(1.0)
+    assert eng.stats()["scheduled_total"] == 2
     assert fabric.dropped_messages == 1
     assert inbox == []
 
@@ -131,9 +130,11 @@ def test_down_source_reserves_no_nic_time():
     eng, fabric, inbox, tx = make_fabric()
     fabric.set_node_down("a")
     before = eng.stats()["scheduled_total"]
-    ev = fabric.send(Message(src="a", dst="z", size=10 ** 9))
-    assert ev.triggered and ev.value.size == 10 ** 9
+    fabric.send(Message(src="a", dst="z", size=10 ** 9))
+    # Sent and counted, and lost by a call queued at the current instant.
+    assert fabric.bytes_sent == 10 ** 9 and fabric.messages_sent == 1
     assert eng.stats()["scheduled_total"] == before + 1
+    assert eng.peek() == eng.now
     assert tx["a"].bytes_moved == 0
     assert tx["a"].reserve(0) == eng.now
     eng.run()
@@ -144,10 +145,10 @@ def test_down_source_reserves_no_nic_time():
 def test_drop_verdict_holds_the_nic_but_reaches_no_inbox():
     eng, fabric, inbox, tx = make_fabric(latency=1.0, link_bandwidth=10.0)
     fabric.set_fault_filter(lambda msg: DROP)
-    ev = fabric.send(Message(src="a", dst="z", size=10))
+    fabric.send(Message(src="a", dst="z", size=10))
     assert fabric.dropped_messages == 0          # lost at arrival, not now
     eng.run()
-    assert ev.processed and eng.now == pytest.approx(2.0)
+    assert eng.now == pytest.approx(2.0)         # the arrival ran, at t2
     assert tx["a"].bytes_moved == 10
     assert fabric.dropped_messages == 1 and fabric.delayed_messages == 0
     assert inbox == []
@@ -163,26 +164,26 @@ def test_float_verdict_delays_and_is_counted():
     assert len(inbox) == 1
 
 
-def test_burst_waited_on_together_ends_when_its_last_message_arrives():
-    # A process that waits on a burst of sends from two NICs resumes at
-    # the burst's last two-hop arrival, bit for bit: nothing sits
-    # between that arrival and all_of.
-    eng, fabric, _inbox, _tx = make_fabric(latency=LATENCY,
-                                           link_bandwidth=BANDWIDTH)
+def test_burst_ends_when_its_last_message_arrives():
+    # A burst of sends from two NICs is received at the two-hop times,
+    # and its last message at the burst's last two-hop arrival, bit for
+    # bit: nothing sits between the arrival and the receiver.
+    arrivals = []
+    eng, fabric, _inbox, _tx = make_fabric(
+        lambda msg: arrivals.append((msg.payload, eng.now)),
+        latency=LATENCY, link_bandwidth=BANDWIDTH)
     reference = TwoHopReference()
     burst = [("a", 256 * KiB), ("b", 256 * KiB), ("a", 100),
              ("b", 8 * 10 ** 6), ("a", 0)]
-    resumed = []
+    expected = {}
 
     def sender():
         yield eng.timeout(3.3e-6)
-        last = max(reference.arrival(eng.now, src, size)
-                   for src, size in burst)
-        yield eng.all_of([fabric.send(Message(src=src, dst="z", size=size))
-                          for src, size in burst])
-        resumed.append((eng.now, last))
+        for idx, (src, size) in enumerate(burst):
+            expected[idx] = reference.arrival(eng.now, src, size)
+            fabric.send(Message(src=src, dst="z", payload=idx, size=size))
 
     eng.process(sender())
     eng.run()
-    [(now, last)] = resumed
-    assert now == last
+    assert dict(arrivals) == expected
+    assert arrivals[-1][1] == eng.now == max(expected.values())

@@ -38,8 +38,8 @@ def test_the_receiver_runs_in_the_arrival_event(eng):
     for payload in (1, 2):
         fabric.send(Message(src="a", dst="b", payload=payload))
     eng.run()
-    # Two sends, two events: the receiver is handed each message by its
-    # arrival event, and schedules nothing of its own here.
+    # Two sends, two queue entries: the receiver is handed each message
+    # by its arrival call, and schedules nothing of its own here.
     assert got == [(1, 2), (2, 2)]
 
 
@@ -111,7 +111,19 @@ def test_counters(eng):
     assert fabric.bytes_sent == 30
 
 
-def test_message_ids_unique():
-    m1 = Message(src="a", dst="b")
-    m2 = Message(src="a", dst="b")
-    assert m1.msg_id != m2.msg_id
+@pytest.mark.parametrize("size", [float("nan"), float("inf")])
+def test_unservable_size_is_rejected_before_the_nic_moves(eng, size):
+    # A NaN size passed a `size < 0` check: the send counted it, and the
+    # NIC's drain time read NaN for every later send. It is refused now,
+    # with nothing counted or reserved, and the next send is on time.
+    got = []
+    fabric = make_fabric(eng, lambda msg: got.append(eng.now),
+                         latency=0.001, link_bandwidth=1000.0)
+    nic = fabric._tx["a"]
+    with pytest.raises(ValueError):
+        fabric.send(Message(src="a", dst="b", size=size))
+    assert fabric.messages_sent == 0 and fabric.bytes_sent == 0
+    assert nic._free_at == 0.0
+    fabric.send(Message(src="a", dst="b", size=100))
+    eng.run()
+    assert got == [100 / 1000.0 + 0.001]     # the oracle's t1 + latency

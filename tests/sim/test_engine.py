@@ -203,7 +203,7 @@ def test_schedule_at_queues_the_time_as_given():
     for tag in "ab":
         ev = eng.event()
         ev.callbacks.append(lambda _ev, tag=tag: fired.append((tag, eng.now)))
-        ev.succeed_at(0.3, tag)
+        eng.schedule_at(ev, 0.3)
     eng.run()
     assert fired == [("a", 0.3), ("b", 0.3)]
 
@@ -212,11 +212,12 @@ def test_schedule_at_rejects_the_past_and_double_scheduling():
     eng = Engine(start=1.0)
     with pytest.raises(SimulationError):
         eng.schedule_at(eng.event(), 0.5)
-    ev = eng.event().succeed_at(2.0)
+    ev = eng.event()
+    eng.schedule_at(ev, 2.0)
     with pytest.raises(SimulationError):
         eng.schedule_at(ev, 3.0)
     with pytest.raises(SimulationError):
-        ev.succeed_at(3.0)
+        eng.schedule_at(ev, 2.0)
 
 
 def test_stats_scheduled_total_matches_a_hand_count():
@@ -228,7 +229,7 @@ def test_stats_scheduled_total_matches_a_hand_count():
         yield eng.event().succeed()     # 3: a triggered event
         # 4: the process's own completion event when it returns
 
-    eng.process(proc())                 # 1: the Initialize kick-off
+    eng.process(proc())                 # 1: the call that starts it
     cancelled = eng.timeout(5.0)        # 5: scheduled, then cancelled —
     cancelled.cancel()                  #    still counts as scheduled
     eng.event()                         # never scheduled: not counted

@@ -1,11 +1,14 @@
 """The now-queue changes no firing order: a heap-only engine is the oracle.
 
-``Engine`` keeps events scheduled at the current instant in a FIFO beside
+``Engine`` keeps entries scheduled at the current instant in a FIFO beside
 the heap. :class:`HeapOnlyEngine` is the loop it replaced — every entry a
-``(time, seq, event)`` tuple through one binary heap — kept here, and only
-here, as the reference. Random programs of nested schedules, cancels and
-stops are interpreted on both; the firing sequence, the clock and
-``stats()`` must agree after every command.
+``(time, seq, entry)`` tuple through one binary heap — kept here, and only
+here, as the reference. An entry is an event or a ``(fn, arg)`` call.
+Random programs of nested events (timed, zero-delay, cancelled), calls,
+process starts and stops are interpreted on both; the firing sequence,
+the clock and ``stats()`` must agree after every command. Driven by
+``run`` or by ``step`` alone, the engine must end alike, and no
+compaction may lose a call.
 """
 
 import heapq
@@ -26,9 +29,9 @@ class _ViaHeap:
     def __init__(self, engine):
         self.engine = engine
 
-    def append(self, event):
-        engine = self.engine  # succeed() has already counted the event
-        heapq.heappush(engine._heap, (engine.now, engine._seq - 1, event))
+    def append(self, entry):
+        engine = self.engine  # the caller has already counted the entry
+        heapq.heappush(engine._heap, (engine.now, engine._seq - 1, entry))
 
     def __len__(self):
         return 0              # stats(): everything pending is in the heap
@@ -52,8 +55,15 @@ class HeapOnlyEngine(Engine):
         heapq.heappush(self._heap, (when, self._seq, event))
         self._seq += 1
 
+    def schedule_call(self, when, entry):
+        if when < self.now:
+            raise SimulationError("in the past")
+        heapq.heappush(self._heap, (when, self._seq, entry))
+        self._seq += 1
+
     def _compact(self):
-        self._heap[:] = [e for e in self._heap if not e[2]._cancelled]
+        self._heap[:] = [e for e in self._heap
+                         if isinstance(e[2], tuple) or not e[2]._cancelled]
         heapq.heapify(self._heap)
         self._dead = 0
         self._compactions += 1
@@ -61,7 +71,7 @@ class HeapOnlyEngine(Engine):
     def peek(self):
         heap = self._heap
         while heap:
-            if not heap[0][2]._cancelled:
+            if isinstance(heap[0][2], tuple) or not heap[0][2]._cancelled:
                 return heap[0][0]
             heapq.heappop(heap)
             self._dead -= 1
@@ -76,14 +86,25 @@ class HeapOnlyEngine(Engine):
     def step(self):
         heap = self._heap
         while heap:
-            when, _seq, event = heapq.heappop(heap)
-            if event._cancelled:
+            when, _seq, entry = heapq.heappop(heap)
+            if not self._fire(when, entry):
                 self._bury()
                 continue
-            self.now = when
-            event._fire()
             return
         raise SimulationError("no scheduled events")
+
+    def _fire(self, when, entry):
+        """Run a call or fire a live event at *when*; False if dead."""
+        if isinstance(entry, tuple):
+            self.now = when
+            fn, arg = entry
+            fn(arg)
+            return True
+        if entry._cancelled:
+            return False
+        self.now = when
+        entry._fire()
+        return True
 
     def run(self, until=None):
         self._stop_requested = False
@@ -95,21 +116,18 @@ class HeapOnlyEngine(Engine):
                 if until is not None and heap[0][0] > until:
                     self.now = until
                     return
-                when, _seq, event = heapq.heappop(heap)
-                if event._cancelled:
+                when, _seq, entry = heapq.heappop(heap)
+                if not self._fire(when, entry):
                     self._bury()
-                    continue
-                self.now = when
-                event._fire()
         except StopSimulation:
             return
         if until is not None:
             self.now = until
 
 
-# A program is a flat list of ops; every event that fires executes the
-# next `fanout` of them (a shared cursor, wrapping), so schedules nest
-# until MAX_EVENTS have been made. Delays reach equal floats by
+# A program is a flat list of ops; every event, call or process start
+# that fires executes the next `fanout` of them (a shared cursor,
+# wrapping), so schedules nest until MAX_EVENTS entries have been made. Delays reach equal floats by
 # different sums (0.15 + 0.15 and 0.1 + 0.2 against 0.3; 0.25 + 0.25
 # against 0.5).
 MAX_EVENTS = 150
@@ -120,11 +138,14 @@ ops = st.lists(
     st.one_of(
         st.tuples(st.just("succeed"), st.integers(0, 3), st.just(0)),
         st.tuples(st.just("at_now"), st.integers(0, 3), st.just(0)),
-        st.tuples(st.just("timeout"), st.integers(0, 3),
-                  st.sampled_from(DELAYS)),
-        st.tuples(st.just("at"), st.integers(0, 3),
+        st.tuples(st.sampled_from(["timeout", "timer", "call"]),
+                  st.integers(0, 3), st.sampled_from(DELAYS)),
+        st.tuples(st.sampled_from(["at", "call_at"]), st.integers(0, 3),
                   st.sampled_from(ABSOLUTE)),
+        st.tuples(st.just("process"), st.integers(0, 3), st.just(0)),
         st.tuples(st.just("cancel"), st.integers(0, 50), st.just(0)),
+        st.tuples(st.just("doomed"), st.integers(1, 8),
+                  st.sampled_from(DELAYS)),
         st.tuples(st.sampled_from(["request_stop", "stop"]), st.just(0),
                   st.just(0)),
     ), min_size=1, max_size=30)
@@ -144,18 +165,30 @@ class Interpreter:
         self.engine = engine
         self.program = program
         self.cursor = 0
-        self.created = []
+        self.made = 0
+        self.events = []          # what a "cancel" op picks from
+        self.calls = []           # the idents of the call entries made
         self.log = []
         for fanout in roots:
             self.spawn("succeed", fanout, 0)
 
     def spawn(self, kind, fanout, arg):
-        if len(self.created) == MAX_EVENTS:
+        if self.made == MAX_EVENTS:
             return
         engine = self.engine
-        event = Event(engine)
-        ident = len(self.created)
-        self.created.append(event)
+        ident = self.made
+        self.made += 1
+        if kind in ("call", "call_at"):
+            self.calls.append(ident)
+            when = (engine.now + arg if kind == "call"
+                    else max(arg, engine.now))
+            engine.schedule_call(when, (self.called, (ident, fanout)))
+            return
+        if kind == "process":
+            engine.process(self.started(ident, fanout))
+            return
+        event = engine.timeout(arg) if kind == "timer" else Event(engine)
+        self.events.append(event)
         event.callbacks.append(lambda _ev: self.fired(ident, fanout))
         if kind == "succeed":
             event.succeed()
@@ -163,8 +196,19 @@ class Interpreter:
             engine.schedule_at(event, engine.now)
         elif kind == "timeout":
             engine.schedule(event, arg)
-        else:
+        elif kind == "at":
             engine.schedule_at(event, max(arg, engine.now))
+
+    def called(self, arg):
+        ident, fanout = arg
+        self.log.append("call")
+        self.fired(ident, fanout)
+
+    def started(self, ident, fanout):
+        self.log.append("start")
+        self.fired(ident, fanout)
+        return
+        yield  # pragma: no cover - makes this a generator
 
     def fired(self, ident, fanout):
         engine = self.engine
@@ -174,9 +218,15 @@ class Interpreter:
             self.cursor += 1
             if kind == "cancel":
                 try:
-                    self.created[a % len(self.created)].cancel()
+                    self.events[a % len(self.events)].cancel()
                 except SimulationError:      # it has a value, or fired
                     self.log.append(("refused", a))
+            elif kind == "doomed":
+                # Timers cancelled as soon as made: enough dead entries
+                # at once for the queue to compact around live ones.
+                for _ in range(min(a, MAX_EVENTS - self.made)):
+                    self.made += 1
+                    engine.timeout(b).cancel()
             elif kind == "request_stop":
                 engine.request_stop()
             elif kind == "stop":
@@ -220,6 +270,32 @@ def test_firing_order_and_census_equal_the_heap_only_engine(
             old.command(kind, arg)
             assert new.log == old.log
             assert new.engine.stats() == old.engine.stats()
+        assert_every_call_ran_once(new)
+
+
+def assert_every_call_ran_once(interp):
+    ran = [entry[0] for entry in interp.log
+           if isinstance(entry, tuple) and entry[0] in interp.calls]
+    assert sorted(ran) == interp.calls
+
+
+@settings(max_examples=200)
+@given(ops, st.lists(st.integers(0, 3), min_size=1, max_size=4))
+def test_run_and_step_alone_end_alike(program, roots):
+    # Compaction from the second dead entry on, so that it happens.
+    with mock.patch.object(engine_module, "_COMPACT_MIN_DEAD", 1):
+        ran = Interpreter(Engine(), program, roots)
+        while ran.engine.stats()["pending"]:
+            ran.command("run", 0.0)
+        stepped = Interpreter(Engine(), program, roots)
+        while stepped.log[-1:] != ["nothing to step"]:
+            stepped.command("step", 0.0)
+        stepped.log.pop()
+        fired = [e for e in stepped.log if e != "stopped in step"]
+        assert fired == ran.log
+        assert stepped.engine.stats() == ran.engine.stats()
+        assert_every_call_ran_once(ran)
+        assert_every_call_ran_once(stepped)
 
 
 def test_heap_entries_stamped_now_fire_before_the_now_queue():

@@ -125,8 +125,10 @@ class TestBandwidthPipe:
         with pytest.raises(SimulationError):
             BandwidthPipe(eng, rate=1.0, latency=-1.0)
         pipe = BandwidthPipe(eng, rate=1.0)
-        with pytest.raises(SimulationError):
-            pipe.reserve(-5.0)
+        for nbytes in (-5.0, float("nan"), float("inf")):
+            with pytest.raises(SimulationError):
+                pipe.reserve(nbytes)
+        assert pipe._free_at == 0.0 and pipe.bytes_moved == 0
 
 
 @given(st.lists(st.tuples(

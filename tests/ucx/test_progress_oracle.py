@@ -92,7 +92,7 @@ class Store:
 
 
 class DispatcherContext(UCPContext):
-    """The receive path the progress event replaced: arrivals land in a
+    """The receive path the progress call replaced: arrivals land in a
     Store, and one dispatcher process per node pulls them out."""
 
     def __init__(self, engine, fabric, node_name):

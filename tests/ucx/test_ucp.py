@@ -45,13 +45,22 @@ class TestWorker:
         got = []
         wb.handler = lambda msg: got.append(msg.payload)
         # The node goes down after its message arrived, before the
-        # progress event hands it on: the context drops it.
-        wa.send(wb.address, 1).callbacks.append(
-            lambda _ev: fabric.set_node_down("node-b"))
+        # progress call hands it on: the context drops it.
+        arrive, arrived = fabric._receivers["node-b"], []
+
+        def arrive_then_crash(msg):
+            arrive(msg)
+            arrived.append(eng.now)
+            fabric.set_node_down("node-b")
+
+        fabric._receivers["node-b"] = arrive_then_crash
+        wa.send(wb.address, 1)
         eng.run()
+        assert arrived == [pytest.approx(0.001)]
         assert got == []
         assert ctx_b.dropped_count == 1 and fabric.dropped_messages == 0
         # Back up: traffic flows again.
+        fabric._receivers["node-b"] = arrive
         fabric.set_node_down("node-b", down=False)
         wa.send(wb.address, 2)
         eng.run()
