@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from numbers import Integral
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Tuple)
 
@@ -29,7 +30,6 @@ from ..fs.filesystem import ThemisFS
 from ..metrics.faultstats import FaultStats
 from ..metrics.sampler import ThroughputSampler
 from ..net.fabric import Fabric
-from ..sim.process import Event
 from ..ucx import Address, RpcRequest, RpcServer, UCPContext, WorkerPool
 from ..units import GB, USEC
 from .controller import Controller
@@ -81,6 +81,9 @@ class ServerConfig:
     sync_tree_fanout: int = 0
 
     def __post_init__(self):
+        for name in ("n_workers", "client_pool_workers", "sync_tree_fanout"):
+            if not isinstance(getattr(self, name), Integral):  # for range()
+                raise ConfigError(f"{name} must be an integer")
         # Each test is negated so that NaN, which compares false both
         # ways, is rejected too.
         if not (self.bandwidth > 0 and self.n_workers >= 1):
@@ -136,7 +139,7 @@ class Server:
         #: (recovery-time metric); None until it happens.
         self.first_completion_after_restart: Optional[float] = None
         self.last_recovery: Optional[Dict[str, Any]] = None
-        self._restart_waiters: List[Event] = []
+        self._restart_waiters: List[IOWorker] = []
         #: fault-injection hook: called per request before the FS op;
         #: returns an exception to fail the op with, or None.
         self.storage_fault: Optional[
@@ -169,7 +172,7 @@ class Server:
 
         self.workers: List[IOWorker] = [
             IOWorker(self, i) for i in range(self.config.n_workers)]
-        self._work_waiters: List[Event] = []
+        self._work_waiters: List[IOWorker] = []
         self.errors: List[Tuple[IORequest, Exception]] = []
 
     # --------------------------------------------------------------- service
@@ -180,20 +183,15 @@ class Server:
             return self.config.op_latency + request.size / per_worker_bw
         return self.config.meta_latency
 
-    def work_event(self) -> Event:
-        """Event a worker parks on when the scheduler is empty."""
-        ev = Event(self.engine)
-        self._work_waiters.append(ev)
-        return ev
-
     def _notify_work(self, limit: Optional[int] = None) -> None:
         """Wake parked workers, longest-parked first: all of them, or at
         most *limit*."""
         waiters = self._work_waiters
         n = len(waiters) if limit is None else limit
         self._work_waiters = waiters[n:]
-        for ev in waiters[:n]:
-            ev.succeed()
+        engine = self.engine
+        for worker in waiters[:n]:
+            engine.schedule_call(engine.now, worker._next_call)
 
     def record_error(self, request: IORequest, exc: Exception) -> None:
         """Log a failed request (inspected by tests and operators)."""
@@ -311,8 +309,8 @@ class Server:
         self.monitor.reset()
         self.controller.reset()
         self.fs.crash_node(self.name)
-        # Wake idle workers so they observe the crash and park on the
-        # restart event instead of the (now meaningless) work event.
+        # Wake idle workers so they observe the crash and park among the
+        # restart waiters instead of the (now meaningless) work waiters.
         self._notify_work()
 
     def restart(self) -> None:
@@ -333,23 +331,10 @@ class Server:
         self.fault_stats.server_recoveries += 1
         self.fabric.set_node_down(self.name, down=False)
         self.controller.refresh_tokens(force=True)
-        waiters, self._restart_waiters = self._restart_waiters, []
-        for ev in waiters:
-            ev.succeed()
+        # The workers parked by the crash wake first, in parking order.
+        self._work_waiters = self._restart_waiters + self._work_waiters
+        self._restart_waiters = []
         self._notify_work()
-
-    def restart_event(self) -> Event:
-        """Event a worker parks on while the server is crashed.
-
-        Fires at the next :meth:`restart`; already-succeeded if the
-        server is currently up.
-        """
-        ev = Event(self.engine)
-        if not self.crashed:
-            ev.succeed()
-            return ev
-        self._restart_waiters.append(ev)
-        return ev
 
     # ------------------------------------------------------------------ intro
     def connect_peers(self, peers: Dict[str, Address]) -> None:

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ..errors import FileNotFound, FSError
 from ..fs.striping import map_range
-from ..sim.process import Event
 from .request import IORequest, OpType
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,7 +29,11 @@ _BLOCKED_RETRY = 1e-3
 
 
 class IOWorker:
-    """One service loop; ``n_workers`` of these share the device."""
+    """One service loop; ``n_workers`` of these share the device.
+
+    The loop runs as engine calls (``Engine.schedule_call``), each
+    built once: ``_next``, ``_relock`` and ``_finish``.
+    """
 
     def __init__(self, server: "Server", index: int):
         self.server = server
@@ -40,56 +43,105 @@ class IOWorker:
         self.idle_cycles = 0
         self.lock_waits = 0
         self.throttle_waits = 0  # parks with backlog but no wake time
+        self.request: Optional[IORequest] = None  # the one being served
+        self.epoch = 0           # server.crash_epoch at its dequeue
         self.locked_ino = None   # range-locked inode during a write
         self.locked_meta = None  # metadata-locked parent during namespace ops
-        self.process = server.engine.process(self._loop())
+        self._next_call = (self._next, None)
+        self._relock_call = (self._relock, None)
+        self._finish_call = (self._finish, None)
+        server.engine.schedule_call(server.engine.now, self._next_call)
 
     # ------------------------------------------------------------------ loop
-    def _loop(self):
+    def _next(self, _arg=None) -> None:
+        """Take the next request, or park until there may be one."""
         server = self.server
+        if server.crashed:
+            server._restart_waiters.append(self)
+            return
         engine = server.engine
         scheduler = server.scheduler
-        while True:
-            if server.crashed:
-                yield server.restart_event()
-                continue
-            request = scheduler.dequeue(engine.now)
-            if request is None:
-                if scheduler.backlog == 0:
-                    yield server.work_event()
-                else:
-                    # Throttled (GIFT budget / TBF tokens): idle cycle.
-                    self.idle_cycles += 1
-                    wake = scheduler.next_eligible_time(engine.now)
-                    if wake == float("inf"):
-                        # Backlogged but the scheduler cannot name a
-                        # wake-up time: park until the next request
-                        # arrives, which wakes up to `backlog` parked
-                        # workers (a crash or restart wakes all).
-                        # Nothing else notifies — a token refresh does
-                        # not — so a scheduler that blocks a backlog
-                        # must name a finite next_eligible_time.
-                        self.throttle_waits += 1
-                        yield server.work_event()
-                    else:
-                        yield engine.timeout(
-                            max(wake - engine.now, _BLOCKED_RETRY))
-                continue
-            # A crash between here and the reply wipes the server's
-            # state; the epoch check makes the worker drop the request
-            # on the floor (no reply — the client's retry re-executes).
-            epoch = server.crash_epoch
-            yield from self._acquire_locks(request)
-            if server.crashed or server.crash_epoch != epoch:
-                self._abandon(request)
-                continue
-            yield engine.timeout(server.service_time(request))
-            if server.crashed or server.crash_epoch != epoch:
-                self._abandon(request)
-                continue
+        now = engine.now
+        request = scheduler.dequeue(now)
+        if request is None:
+            if scheduler.backlog == 0:
+                server._work_waiters.append(self)
+                return
+            self.idle_cycles += 1  # throttled (GIFT budget / TBF tokens)
+            wake = scheduler.next_eligible_time(now)
+            if wake == float("inf"):
+                # No wake-up time: park until the next arrival, crash
+                # or restart. A token refresh wakes no one, so a scheduler
+                # that blocks a backlog must name a finite one.
+                self.throttle_waits += 1
+                server._work_waiters.append(self)
+            else:
+                engine.schedule_call(now + max(wake - now, _BLOCKED_RETRY),
+                                     self._next_call)
+            return
+        # A crash before the reply wipes the server's state: the epoch
+        # check drops the request (no reply; the client's retry redoes it).
+        self.request = request
+        self.epoch = server.crash_epoch
+        # §4.3: reads take no lock, writes a byte-range write lock,
+        # namespace updates the parent directory's metadata lock.
+        op = request.op
+        if op is OpType.WRITE:
+            inode = server.fs.lookup(request.path)
+            if inode is not None:
+                self.locked_ino = inode.ino
+                self._relock()
+                return
+        elif op is OpType.OPEN or op is OpType.UNLINK:
+            parent = server.fs.lookup(request.path.rsplit("/", 1)[0] or "/")
+            if parent is not None:
+                self.locked_meta = parent.ino
+                self._relock()
+                return
+        engine.schedule_call(now + server.service_time(request),
+                             self._finish_call)
+
+    def _relock(self, _arg=None) -> None:
+        """Try the request's lock, then start its device time. On a
+        conflict the worker is its own lock-table waiter (``succeed``):
+        no polling, it retries the instant a release may free it."""
+        server = self.server
+        request = self.request
+        node = server.fs.nodes[server.name]  # this server's lock tables
+        ino, offset, size = self.locked_ino, request.offset, request.size
+        if ino is not None:
+            if not node.range_locks.try_lock_write(ino, offset, size, self):
+                self.lock_waits += 1
+                node.range_locks.wait(ino, self, offset, size, owner=self)
+                return
+        elif not node.meta_locks.try_lock(self.locked_meta, self):
+            self.lock_waits += 1
+            node.meta_locks.wait(self.locked_meta, self, owner=self)
+            return
+        if server.crashed or server.crash_epoch != self.epoch:
+            self._abandon(request)
+            self._next()
+            return
+        engine = server.engine
+        engine.schedule_call(engine.now + server.service_time(request),
+                             self._finish_call)
+
+    def succeed(self) -> None:
+        """The lock table's wake-up: retry the lock at this instant."""
+        engine = self.server.engine
+        engine.schedule_call(engine.now, self._relock_call)
+
+    def _finish(self, _arg=None) -> None:
+        """End the device time: answer unless a crash came between."""
+        request = self.request
+        server = self.server
+        if server.crashed or server.crash_epoch != self.epoch:
+            self._abandon(request)
+        else:
             moved = self._apply(request)
             self._release_locks(request)
             self._complete(request, moved)
+        self._next()
 
     def _abandon(self, request: IORequest) -> None:
         """Drop a request whose service straddled a crash (no reply)."""
@@ -97,43 +149,6 @@ class IOWorker:
         self.server.fault_stats.requests_dropped_in_crash += 1
 
     # --------------------------------------------------------------- locking
-    def _acquire_locks(self, request: IORequest):
-        """Enforce §4.3's concurrency rules before servicing.
-
-        Reads take no lock; writes take byte-range write locks
-        (conflicting ranges serialise); namespace updates take the
-        parent directory's metadata lock. A conflicting worker parks on
-        a waiter event the lock table triggers at the next release on
-        that inode — no polling, so contention adds no timer events to
-        the engine heap and the lock is acquired the instant it frees.
-        """
-        server = self.server
-        engine = server.engine
-        node = server.fs.nodes[server.name]  # this server's lock tables
-        if request.op is OpType.WRITE:
-            inode = server.fs.lookup(request.path)
-            if inode is None:
-                return
-            self.locked_ino = inode.ino
-            while not node.range_locks.try_lock_write(
-                    inode.ino, request.offset, request.size, self):
-                self.lock_waits += 1
-                released = Event(engine)
-                node.range_locks.wait(inode.ino, released, request.offset,
-                                      request.size, owner=self)
-                yield released
-        elif request.op in (OpType.OPEN, OpType.UNLINK):
-            parent = server.fs.lookup(
-                request.path.rsplit("/", 1)[0] or "/")
-            if parent is None:
-                return
-            self.locked_meta = parent.ino
-            while not node.meta_locks.try_lock(parent.ino, self):
-                self.lock_waits += 1
-                released = Event(engine)
-                node.meta_locks.wait(parent.ino, released, owner=self)
-                yield released
-
     def _release_locks(self, request: IORequest) -> None:
         node = self.server.fs.nodes[self.server.name]
         if self.locked_ino is not None:

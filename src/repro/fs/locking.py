@@ -30,8 +30,8 @@ released later in the same instant, its retry — queued by the first
 release — finds the range free and acquires at the wrong place in the
 instant's event order (131 of 436 such wake-ups on the ledger's
 ``job_churn``; EXPERIMENTS.md, *Decision records*, PR 17). The tables stay
-simulation-agnostic — a waiter is anything with a ``succeed()`` method,
-which :class:`repro.sim.process.Event` provides.
+simulation-agnostic — a waiter is anything with a ``succeed()`` method:
+a sim ``Event``, or the waiting ``IOWorker``, which queues its retry.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class _WaiterMixin:
         """Register *waiter* to be woken at the next conflicting release
         on *ino*.
 
-        *waiter* needs a ``succeed()`` method (e.g. a sim ``Event``).
+        *waiter* needs a ``succeed()`` method (``Event``, ``IOWorker``).
         *offset*/*length* scope the wakeup to releases overlapping that
         byte range (``None`` = woken by any release). *owner* keys the
         entry so a retry loser re-arms in place; it defaults to the

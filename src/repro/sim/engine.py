@@ -18,8 +18,8 @@ exactly ``(time, seq)`` order. An entry is either an
 *call*: a ``(fn, arg)`` tuple, run as ``fn(arg)`` when popped
 (:meth:`Engine.schedule_call`). A call takes one ``seq`` like an event,
 so both kinds share one order and one count, but it has no callbacks,
-no value and nothing to wait on: it is how a message arrives, a UCP
-context makes progress and a process starts. Cancelled events
+no value and nothing to wait on: a message's arrival, a UCP progress
+hop, a process start, an I/O worker's every step. Cancelled events
 (:meth:`~repro.sim.process.Event.cancel`) are skipped lazily on pop and
 compacted away in O(n) once dead entries dominate, so the queue stays
 sublinear in garbage; a call is never cancelled, and live ``(time,

@@ -3,6 +3,7 @@ scheduler -> worker -> file system -> reply."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +43,31 @@ class TestConfigValidation:
     def test_server_config_rejects(self, kw):
         with pytest.raises(ConfigError):
             ServerConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(n_workers=2.5), dict(n_workers=_NAN), dict(n_workers=2.0),
+        dict(client_pool_workers=_NAN), dict(client_pool_workers=1.5),
+        dict(sync_tree_fanout=_NAN), dict(sync_tree_fanout=2.5),
+        dict(sync_tree_fanout=8.0)])
+    def test_server_config_rejects_counts_range_cannot_take(self, kw):
+        # Each of these used to pass, then fail in Cluster(...) or at
+        # the first λ round with a bare TypeError from range().
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ServerConfig(**kw)
+
+    def test_counts_of_any_integer_type_build_and_sync(self):
+        server = ServerConfig(n_workers=np.int64(2),
+                              client_pool_workers=np.int32(1),
+                              sync_tree_fanout=np.int64(2),
+                              sync_interval=0.01,
+                              sync_processing_time=0.001)
+        cluster = Cluster(ClusterConfig(n_servers=4, server=server))
+        cluster.run(until=0.2)
+        servers = cluster.servers.values()
+        assert all(len(s.workers) == 2 and len(s.pool.workers) == 1
+                   for s in servers)
+        # Every server drove a round of the fanout-2 tree as its root.
+        assert all(s.controller.coordinated_rounds > 0 for s in servers)
 
     @pytest.mark.parametrize("kw", [
         dict(rpc_timeout=_NAN), dict(heartbeat_interval=_NAN),

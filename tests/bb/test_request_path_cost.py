@@ -2,10 +2,13 @@
 
 A 4-server x 4-job cell of the Fig. 7 write workload (the ledger's
 ``fig07_write`` at a thirty-second of its size). Per served data request
-the run schedules 6.9 queue entries and resumes a process 2.6 times (7.4
-and 2.9 at the ledger's 128 servers). An entry is an event or a call
-(``sim/engine.py``); both take a sequence number, and the count here is
-of both. The resume count was 4.7 (5.1) while
+the run schedules 6.9 queue entries and resumes a process 1.04 times
+(7.4 entries at the ledger's 128 servers). An entry is an event or a
+call (``sim/engine.py``); both take a sequence number, and the count
+here is of both. The resume count was 2.6 (2.9) while each I/O worker
+ran as a generator process, waking on an ``Event`` and sleeping through
+its device time on a ``Timeout``; it is the same number of entries now
+that those are calls (``bb/worker.py``). It was 4.7 (5.1) while
 a per-node dispatcher coroutine relayed every message, and the event
 count 7.8 (8.4) while a one-slice request waited on an ``AllOf`` over its
 one call. With client timeouts on, that wait also ran as a ``Process``
@@ -17,8 +20,9 @@ the request path fails here without a stopwatch.
 it cannot see resumes or processes.
 
 Python-level calls are counted too (``sys.setprofile``'s ``"call"``
-events, a generator's resumption included): 86.6 per served request,
-93.7 with timeouts on. They were 94.9 and 104.2 while a message's
+events, a generator's resumption included): 83.9 per served request,
+91.0 with timeouts on. They were 86.6 and 93.7 with the generator
+worker, and 94.9 and 104.2 while a message's
 arrival and each UCP progress hop were Events (``Event.__init__`` plus
 ``succeed_at`` / ``schedule_at`` or ``succeed`` per hop) and a
 ``Timeout`` ran ``Event.__init__`` and ``schedule_at``; 144.0 and 155.5
@@ -30,9 +34,10 @@ used. A bookkeeping call creeping back onto the request path fails here
 without a stopwatch.
 
 The same cell reading (the ledger's ``fig07_read``: files
-pre-populated, no range lock) has its own thresholds: 7.1 entries, 2.9
-resumes and 83.5 calls per served request (91.8 calls with the
-Event-per-hop message path).
+pre-populated, no range lock) has its own thresholds: 7.1 entries, 1.04
+resumes and 78.9 calls per served request (2.9 resumes and 83.5 calls
+with the generator worker; 91.8 calls with the Event-per-hop message
+path as well).
 
 Since ``Engine.run`` fires events inline and ``Engine.step`` still
 fires them through ``Event._fire``, the cell driven by either must end
@@ -122,11 +127,12 @@ def _python_calls(client=None, mode="write"):
 def test_events_and_resumes_per_served_request():
     events, resumes, _processes, served = _run_cell()
     assert served > 500
-    # Measured on this tree: 5,626 events and 2,125 resumes for 820
-    # served requests (6,414 and 2,125 with the AllOf hop; 6,422 and
-    # 3,820 with the dispatcher coroutine as well).
+    # Measured on this tree: 5,626 entries and 856 resumes for 820
+    # served requests (5,626 and 2,125 with the generator worker; 6,414
+    # and 2,125 with the AllOf hop; 6,422 and 3,820 with the dispatcher
+    # coroutine as well).
     assert events / served <= 6.86 * 1.05
-    assert resumes / served <= 2.59 * 1.05
+    assert resumes / served <= 1.04 * 1.05
 
 
 def test_no_process_per_request_with_timeouts_on():
@@ -140,12 +146,13 @@ def test_no_process_per_request_with_timeouts_on():
     assert events / served <= 7.92 * 1.05
 
 
-# Measured on this tree: 71,024 and 76,866 calls for 820 served
-# requests (77,847 and 85,421 with an Event per message hop; 118,067 and
-# 127,531 with the properties, Event._fire and the three generators per
+# Measured on this tree: 68,787 and 74,629 calls for 820 served
+# requests (71,024 and 76,866 with the generator worker; 77,847 and
+# 85,421 with an Event per message hop as well; 118,067 and 127,531
+# with the properties, Event._fire and the three generators per
 # request).
 @pytest.mark.parametrize("client, measured", [
-    (None, 86.6), (ClientConfig(rpc_timeout=0.25), 93.7)],
+    (None, 83.9), (ClientConfig(rpc_timeout=0.25), 91.0)],
     ids=["plain", "timeouts"])
 def test_python_calls_per_served_request(client, measured):
     calls, served = _python_calls(client)
@@ -156,15 +163,16 @@ def test_python_calls_per_served_request(client, measured):
 def test_read_path_per_served_request():
     events, resumes, _processes, served = _run_cell(mode="read")
     assert served > 500
-    # Measured on this tree: 5,952 entries and 2,386 resumes for 836
-    # served requests.
+    # Measured on this tree: 5,952 entries and 870 resumes for 836
+    # served requests (5,952 and 2,386 with the generator worker).
     assert events / served <= 7.12 * 1.05
-    assert resumes / served <= 2.85 * 1.05
+    assert resumes / served <= 1.04 * 1.05
     calls, served = _python_calls(mode="read")
     assert served > 500
-    # Measured on this tree: 69,775 calls for 836 served requests
-    # (76,727 with an Event per message hop).
-    assert calls / served <= 83.5 * 1.05
+    # Measured on this tree: 65,999 calls for 836 served requests
+    # (69,775 with the generator worker; 76,727 with an Event per
+    # message hop as well).
+    assert calls / served <= 78.9 * 1.05
 
 
 @pytest.mark.parametrize("client", [None, ClientConfig(rpc_timeout=0.25)],

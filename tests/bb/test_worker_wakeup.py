@@ -12,11 +12,32 @@ from collections import deque
 import pytest
 
 from repro.bb import Cluster, ClusterConfig, ServerConfig
+from repro.bb.worker import IOWorker
 from repro.core import JobInfo
 from repro.core.scheduler import Scheduler
 from repro.units import GB, MB
 
 N_WORKERS = 8
+
+
+@pytest.fixture(autouse=True)
+def name_the_running_worker(monkeypatch):
+    """Wrap ``IOWorker._next``, the only caller of ``dequeue``, so that
+    a counting scheduler knows which worker calls it. Patched on the
+    class before any cluster is built, it is also what each worker's
+    prebuilt wake-up entry calls."""
+    real = IOWorker._next
+
+    def _next(self, arg=None):
+        scheduler = self.server.scheduler
+        counting = isinstance(scheduler, CountingScheduler)
+        if counting:
+            scheduler.worker = self.index
+        real(self, arg)
+        if counting:
+            scheduler.worker = None
+
+    monkeypatch.setattr(IOWorker, "_next", _next)
 
 
 class CountingScheduler:
@@ -28,19 +49,19 @@ class CountingScheduler:
         self.calls = []      # (now, worker index, client served or None)
         self.enqueued = []   # arrival times
         self.handed = 0      # dequeue calls that returned a request
+        self.worker = None   # index of the worker running its _next
 
     def enqueue(self, request, now):
         self.enqueued.append(now)
         self.inner.enqueue(request, now)
 
     def dequeue(self, now):
+        assert self.worker is not None, "dequeue outside a worker's _next"
         request = self.inner.dequeue(now)
         self.handed += request is not None
-        active = self.server.engine.active_process
-        worker = next(w.index for w in self.server.workers
-                      if w.process is active)
         self.calls.append(
-            (now, worker, None if request is None else request.client_id))
+            (now, self.worker,
+             None if request is None else request.client_id))
         return request
 
     def __getattr__(self, name):
@@ -185,7 +206,7 @@ def test_workers_parked_on_a_blocked_backlog_wait_for_the_next_arrival():
 def test_throttling_comparators_never_strand_an_eligible_request(policy):
     """Work conservation (the opportunity-fairness property): while a
     request is queued and the scheduler can name when it may run, no
-    worker sits on ``work_event`` unless as many idle workers as there
+    worker sits among the work waiters unless as many idle workers as there
     are queued requests are already awake (on a timer or about to run).
     """
     cluster, server, counting = one_server(

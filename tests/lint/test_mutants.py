@@ -45,9 +45,9 @@ MUTANTS = [
         ("self.server.monitor.active_local_jobs())",
          "[j for j in self.server.monitor.active_local_jobs()])")]),
     ("SIM001", "bb/worker.py", [
-        ("            yield from self._acquire_locks(request)",
-         "            import time; time.sleep(0)\n"
-         "            yield from self._acquire_locks(request)")]),
+        ("        self.epoch = server.crash_epoch\n",
+         "        import time; time.sleep(0)\n"
+         "        self.epoch = server.crash_epoch\n")]),
     ("SIM002", "bb/client.py", [
         ("            self.stats.retries += 1\n"
          "            yield self.engine.timeout(\n"
