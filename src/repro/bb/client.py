@@ -12,7 +12,10 @@ multi-server operations into per-server requests, awaiting all slices.
 Every slice is one :class:`~repro.bb.request.IORequest`, built here and
 sent one way: :meth:`Client._request` delivers it and awaits the reply,
 inside the calling stream when an operation has one slice, in a
-process per slice when it has more. Heartbeats are never awaited;
+process per slice when it has more. Heartbeats are never awaited and
+run in no process: from the first registration on, a timer every
+``heartbeat_interval`` sends one to each registered server and re-arms
+itself, and ``goodbye`` / ``disconnect`` cancel the pending timer.
 ``goodbye`` sends to every server, then awaits each reply.
 ``ClientConfig.rpc_timeout`` changes only what a lost message does, so
 a timeout that never fires changes nothing simulated. A positive one
@@ -29,11 +32,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..core.jobinfo import JobInfo
-from ..errors import ConfigError, FileNotFound, InterruptError, RpcTimeout
+from ..errors import ConfigError, FileNotFound, RpcTimeout
 from ..fs.filesystem import ThemisFS
 from ..fs.striping import map_range, server_spans
 from ..metrics.faultstats import FaultStats
@@ -70,6 +74,10 @@ class ClientConfig:
             raise ConfigError("heartbeat_interval must be positive")
         if not self.rpc_timeout >= 0:
             raise ConfigError("rpc_timeout must be >= 0")
+        if not isinstance(self.rpc_retries, Integral):
+            # NaN compares false with any attempt count (no retry at
+            # all) and 1.5 would allow two: only a count means a budget.
+            raise ConfigError("rpc_retries must be an integer")
         if not 0 < self.retry_backoff <= self.retry_backoff_max:
             raise ConfigError(
                 "need 0 < retry_backoff <= retry_backoff_max")
@@ -92,8 +100,8 @@ class Client:
         self._ctl: Dict[str, RpcClient] = {}
         self._io: Dict[str, RpcClient] = {}
         self._io_pending: Dict[str, object] = {}  # server -> in-progress Event
-        self._heartbeat_proc = None
-        self._hb_sleep: Optional[Event] = None  # pending inter-beat timer
+        self._beating = False  # heartbeat chain started (it never restarts)
+        self._beat_timer: Optional[Event] = None  # pending inter-beat timer
         self.closed = False
         #: do calls time out? (then: retry + failover + request ids)
         self._ft = config.rpc_timeout > 0
@@ -163,8 +171,9 @@ class Client:
         self._io[server] = client
         del self._io_pending[server]
         pending.succeed()
-        if self._heartbeat_proc is None:
-            self._heartbeat_proc = self.engine.process(self._heartbeat_loop())
+        if not self._beating:
+            self._beating = True
+            self.engine.schedule_call(self.engine.now, (self._beat, None))
         return client
 
     def _register(self, server: str):
@@ -257,39 +266,29 @@ class Client:
         for server in sorted(self._server_ctl):
             yield from self._ensure_io(server)
 
-    def _heartbeat_loop(self):
-        try:
-            while not self.closed:
-                self._hb_sleep = self.engine.timeout(
-                    self.config.heartbeat_interval)
-                yield self._hb_sleep
-                if self.closed:
-                    return
-                # Fire-and-forget: a dead server must not stall the
-                # beats that keep live servers' tables warm.
-                for server in sorted(self._io):
-                    self._control(server, "heartbeat")
-        except InterruptError:
-            # _stop_heartbeat() retired us between beats.
+    def _beat(self, timer: Optional[Event]) -> None:
+        """One link of the heartbeat chain: a beat to every registered
+        server, then the timer for the next. A call starts the chain
+        (*timer* is None: no beat yet), each timer's callback continues
+        it, and a closed client ends it."""
+        if self.closed:
             return
+        if timer is not None:
+            # Fire-and-forget: a dead server must not stall the beats
+            # that keep live servers' tables warm.
+            for server in sorted(self._io):
+                self._control(server, "heartbeat")
+        timer = self._beat_timer = self.engine.timeout(
+            self.config.heartbeat_interval)
+        timer.callbacks.append(self._beat)
 
     def _stop_heartbeat(self) -> None:
-        """Retire the heartbeat loop now instead of at its next wake.
-
-        Interrupts the loop out of its inter-beat sleep and cancels the
-        abandoned timer, so a long run with client churn doesn't carry
-        one dead wake per departed client in the event queue.
-        """
-        proc = self._heartbeat_proc
-        if proc is None:
-            return
-        self._heartbeat_proc = None
-        sleep = self._hb_sleep
-        self._hb_sleep = None
-        if proc.is_alive and self.engine.active_process is not proc:
-            proc.interrupt("client closed")
-        if sleep is not None and not sleep.processed and not sleep.cancelled:
-            sleep.cancel()
+        """End the heartbeat chain now instead of at its next beat:
+        cancel the pending timer, so a long run with client churn
+        doesn't carry one dead wake per departed client in the queue."""
+        timer, self._beat_timer = self._beat_timer, None
+        if timer is not None and not timer.processed:
+            timer.cancel()
 
     def goodbye(self):
         """Generator: notify every registered server, stop heartbeats."""

@@ -13,6 +13,7 @@ ThemisIO's statistical token scheduler; ``"fifo"``, ``"gift"`` or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, Optional
 
 import numpy as np
@@ -61,6 +62,9 @@ class ClusterConfig:
     tbf_rates: Optional[Dict[int, float]] = None
 
     def __post_init__(self):
+        for name in ("n_servers", "stripe_count", "stripe_size"):
+            if not isinstance(getattr(self, name), Integral):  # for range()
+                raise ConfigError(f"{name} must be an integer")
         if self.n_servers < 1:
             raise ConfigError("n_servers must be >= 1")
         if self.stripe_count < 1 or self.stripe_size < 1:

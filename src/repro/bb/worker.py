@@ -112,11 +112,11 @@ class IOWorker:
         if ino is not None:
             if not node.range_locks.try_lock_write(ino, offset, size, self):
                 self.lock_waits += 1
-                node.range_locks.wait(ino, self, offset, size, owner=self)
+                node.range_locks.wait(ino, self, offset, size)
                 return
         elif not node.meta_locks.try_lock(self.locked_meta, self):
             self.lock_waits += 1
-            node.meta_locks.wait(self.locked_meta, self, owner=self)
+            node.meta_locks.wait(self.locked_meta, self)
             return
         if server.crashed or server.crash_epoch != self.epoch:
             self._abandon(request)

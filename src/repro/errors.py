@@ -16,22 +16,6 @@ class SimulationError(ReproError):
     """Raised for misuse of the discrete-event simulation kernel."""
 
 
-class StopSimulation(Exception):
-    """Internal control-flow signal that stops :meth:`Engine.run`.
-
-    Deliberately *not* a :class:`ReproError`: it must never be swallowed by
-    user code catching the package error base class.
-    """
-
-
-class InterruptError(ReproError):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class NetworkError(ReproError):
     """Raised for fabric misconfiguration or unreachable nodes."""
 

@@ -11,13 +11,13 @@ worker's service window; the lock table is what decides whether two
 (readers never block), :class:`MetadataLockTable` per-key mutexes.
 Both are non-blocking try-lock interfaces.
 
-Waiting is **event-driven**: a caller whose ``try_lock`` fails registers
-a waiter with :meth:`~RangeLockTable.wait` and parks on it. Waiter
-entries are keyed by *owner* and keep their FIFO position across retry
-failures: a woken loser that re-registers re-arms its existing entry in
-place instead of moving to the back of the queue, so contention
-resolution order is deterministic and independent of how many no-op
-wakeups happen in between.
+Waiting is **event-driven**: a lock owner whose ``try_lock`` fails
+registers itself as a waiter with :meth:`~RangeLockTable.wait` and parks.
+Waiter entries are keyed by that owner and keep their FIFO position
+across retry failures: a woken loser that re-registers re-arms its
+existing entry in place instead of moving to the back of the queue, so
+contention resolution order is deterministic and independent of how
+many no-op wakeups happen in between.
 
 Release-time wakeups are **range-indexed**: a write-lock release wakes
 only the waiters whose byte ranges overlap a released range, in FIFO
@@ -30,8 +30,8 @@ released later in the same instant, its retry — queued by the first
 release — finds the range free and acquires at the wrong place in the
 instant's event order (131 of 436 such wake-ups on the ledger's
 ``job_churn``; EXPERIMENTS.md, *Decision records*, PR 17). The tables stay
-simulation-agnostic — a waiter is anything with a ``succeed()`` method:
-a sim ``Event``, or the waiting ``IOWorker``, which queues its retry.
+simulation-agnostic — a waiter is the lock owner itself, anything with
+a ``succeed()`` method: the waiting ``IOWorker``, which queues its retry.
 """
 
 from __future__ import annotations
@@ -44,58 +44,54 @@ __all__ = ["RangeLockTable", "MetadataLockTable"]
 
 
 class _WaitEntry:
-    """One parked waiter: its conflict range and one-shot wake event."""
+    """One parked waiter's conflict range and one-shot wake flag."""
 
-    __slots__ = ("offset", "end", "event", "woken")
+    __slots__ = ("offset", "end", "woken")
 
-    def __init__(self, offset: Optional[int], end: Optional[int],
-                 event: object):
+    def __init__(self, offset: Optional[int], end: Optional[int]):
         self.offset = offset   # None = conflicts with any release
         self.end = end
-        self.event = event
         self.woken = False
 
 
 class _WaiterMixin:
-    """FIFO waiter queues keyed by inode number, entries keyed by owner.
+    """FIFO waiter queues keyed by inode number, entries keyed by waiter.
 
     Entries are one-shot (a woken waiter is skipped by later wakes) but
-    *positional*: re-registering under the same owner re-arms the entry
-    where it already sits. An entry leaves the queue when its owner
-    acquires the lock (``try_lock*`` success) or on the crash reset.
+    *positional*: the same waiter re-registering re-arms its entry where
+    it already sits. An entry leaves the queue when its waiter acquires
+    the lock (``try_lock*`` success, the waiter being the owner) or on
+    the crash reset.
     """
 
     __slots__ = ("_waiters",)
 
     def __init__(self):
-        # ino -> {owner key -> entry}; dicts preserve insertion order.
+        # ino -> {waiter -> entry}; dicts preserve insertion order.
         self._waiters: Dict[int, Dict[object, _WaitEntry]] = {}
 
     def wait(self, ino: int, waiter: object, offset: Optional[int] = None,
-             length: Optional[int] = None, owner: object = None) -> None:
-        """Register *waiter* to be woken at the next conflicting release
-        on *ino*.
+             length: Optional[int] = None) -> None:
+        """Register *waiter*, the lock owner that just failed to acquire,
+        to be woken at the next conflicting release on *ino*.
 
-        *waiter* needs a ``succeed()`` method (``Event``, ``IOWorker``).
+        *waiter* needs a ``succeed()`` method (``IOWorker``).
         *offset*/*length* scope the wakeup to releases overlapping that
-        byte range (``None`` = woken by any release). *owner* keys the
-        entry so a retry loser re-arms in place; it defaults to the
-        waiter object itself (every call then appends a fresh entry).
+        byte range (``None`` = woken by any release). A waiter already
+        queued on *ino* re-arms in place.
         """
-        key = waiter if owner is None else owner
         queue = self._waiters.get(ino)
         if queue is None:
             queue = self._waiters[ino] = {}
         end = None if offset is None or length is None else offset + length
-        entry = queue.get(key)
+        entry = queue.get(waiter)
         if entry is not None:
             # Re-arm in place: the loser keeps its FIFO position.
             entry.offset = offset
             entry.end = end
-            entry.event = waiter
             entry.woken = False
         else:
-            queue[key] = _WaitEntry(offset, end, waiter)
+            queue[waiter] = _WaitEntry(offset, end)
 
     def waiters(self, ino: int) -> int:
         """Number of waiters currently parked (armed) on *ino*."""
@@ -114,19 +110,14 @@ class _WaiterMixin:
         """Wake, in FIFO order, the armed waiters on *ino* whose range
         overlaps a released range (unranged waiters conflict with any
         release); returns the count. Entries stay queued (one-shot,
-        positional) — the owner either acquires (entry discarded) or
+        positional) — the waiter either acquires (entry discarded) or
         re-arms."""
         queue = self._waiters.get(ino)
         if not queue:
             return 0
         woken = 0
-        for entry in list(queue.values()):
+        for waiter, entry in list(queue.items()):
             if entry.woken:
-                continue
-            if getattr(entry.event, "cancelled", False):
-                # The waiter abandoned the wait (timer-style cancel);
-                # succeed() on it would raise. Retire the entry instead.
-                entry.woken = True
                 continue
             if entry.offset is not None:
                 for lo, hi in ranges:
@@ -136,7 +127,7 @@ class _WaiterMixin:
                     continue
             entry.woken = True
             woken += 1
-            entry.event.succeed()
+            waiter.succeed()
         return woken
 
     def _wake_head(self, ino: int) -> int:
@@ -144,25 +135,20 @@ class _WaiterMixin:
         queue = self._waiters.get(ino)
         if not queue:
             return 0
-        for entry in queue.values():
-            if entry.woken:
-                continue
-            if getattr(entry.event, "cancelled", False):
-                entry.woken = True  # abandoned wait: retire, try the next
-                continue
-            entry.woken = True
-            entry.event.succeed()
-            return 1
+        for waiter, entry in queue.items():
+            if not entry.woken:
+                entry.woken = True
+                waiter.succeed()
+                return 1
         return 0
 
     def _wake_all(self) -> None:
         """Wake every parked waiter on every inode (crash reset path)."""
         waiters, self._waiters = self._waiters, {}
         for queue in waiters.values():
-            for entry in queue.values():
-                if entry.woken or getattr(entry.event, "cancelled", False):
-                    continue
-                entry.event.succeed()
+            for waiter, entry in queue.items():
+                if not entry.woken:
+                    waiter.succeed()
 
 
 class RangeLockTable(_WaiterMixin):

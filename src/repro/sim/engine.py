@@ -19,7 +19,13 @@ exactly ``(time, seq)`` order. An entry is either an
 (:meth:`Engine.schedule_call`). A call takes one ``seq`` like an event,
 so both kinds share one order and one count, but it has no callbacks,
 no value and nothing to wait on: a message's arrival, a UCP progress
-hop, a process start, an I/O worker's every step. Cancelled events
+hop, a process start, an I/O worker's every step. Only a
+:class:`~repro.sim.process.Timeout` and a call carry a time; every
+other event fires at the instant it is triggered (``succeed()``,
+``fail()``, a process's end), and a process wakes only when the event
+it waits on fires: a periodic task (a client's heartbeats) is a chain
+of timer callbacks that its owner stops by cancelling the pending
+timer. Cancelled events
 (:meth:`~repro.sim.process.Event.cancel`) are skipped lazily on pop and
 compacted away in O(n) once dead entries dominate, so the queue stays
 sublinear in garbage; a call is never cancelled, and live ``(time,
@@ -45,7 +51,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
-from ..errors import SimulationError, StopSimulation
+from ..errors import SimulationError
 from .process import _PENDING, AllOf, Event, Process, Timeout
 
 __all__ = ["Engine"]
@@ -84,9 +90,8 @@ class Engine:
         Initial value of the simulated clock (seconds).
     """
 
-    __slots__ = ("now", "_heap", "_nowq", "_seq", "_active_process",
-                 "_stop_requested", "_dead", "_cancelled_total",
-                 "_compactions")
+    __slots__ = ("now", "_heap", "_nowq", "_seq", "_stop_requested",
+                 "_dead", "_cancelled_total", "_compactions")
 
     def __init__(self, start: float = 0.0):
         #: current simulated time in seconds; only the engine writes it
@@ -98,65 +103,36 @@ class Engine:
         #: the clock only advances while this is empty.
         self._nowq: deque = deque()
         self._seq = 0  # entries ever scheduled, both containers
-        self._active_process: Optional[Process] = None
         self._stop_requested = False
         self._dead = 0  # cancelled entries still sitting in the queue
         self._cancelled_total = 0
         self._compactions = 0
 
-    # ------------------------------------------------------------------ clock
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
     # ------------------------------------------------------------- scheduling
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Enqueue *event* to fire ``delay`` seconds from now.
+    def _trigger(self, event: Event) -> None:
+        """Queue *event* to fire at the current instant: ``fail()`` and
+        a process's end. ``succeed()`` has this written out.
 
-        An event may be scheduled only once; it fires by invoking its
-        callbacks with the event as the sole argument. Cancelled events
-        cannot be scheduled (their firing would be silently skipped,
-        which no caller ever wants).
+        An event may be queued only once, and a cancelled one not at
+        all (its firing would be silently skipped, which no caller ever
+        wants).
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay!r}")
-        self.schedule_at(event, self.now + delay)
-
-    def schedule_at(self, event: Event, when: float) -> None:
-        """Enqueue *event* to fire at absolute simulated time *when*.
-
-        The same contract as :meth:`schedule`, for callers that have
-        already worked out the firing time (a message's arrival): the
-        time is queued as given, not re-derived from a delay, so no
-        rounding is added. Ties at *when* fire in scheduling order.
-        """
-        now = self.now
-        # Negated so that NaN, which compares false both ways, fails too.
-        if not when >= now:
-            raise SimulationError(
-                f"schedule_at({when!r}) is not at or after now={now!r}")
         if event._scheduled:
             raise SimulationError(f"{event!r} already scheduled")
         if event._cancelled:
             raise SimulationError(f"cannot schedule cancelled {event!r}")
         event._scheduled = True
-        seq = self._seq
-        self._seq = seq + 1
-        if when == now:
-            self._nowq.append(event)
-        else:
-            _heappush(self._heap, (when, seq, event))
+        self._seq += 1
+        self._nowq.append(event)
 
     def schedule_call(self, when: float, entry: tuple) -> None:
         """Queue the call *entry*, a ``(fn, arg)`` tuple, to run as
         ``fn(arg)`` at absolute simulated time *when*.
 
-        A call takes its ``seq`` as :meth:`schedule_at` gives one to an
-        event, and fires in the same ``(time, seq)`` order; it cannot be
-        cancelled, and nothing can wait on it. *entry* is queued as
-        given, so a caller that calls the same ``fn(arg)`` often may
-        build it once.
+        A call takes one ``seq`` as an event does, and fires in the
+        same ``(time, seq)`` order; it cannot be cancelled, and nothing
+        can wait on it. *entry* is queued as given, so a caller that
+        calls the same ``fn(arg)`` often may build it once.
         """
         now = self.now
         # Negated so that NaN, which compares false both ways, fails too.
@@ -173,10 +149,6 @@ class Engine:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Return an event that fires after ``delay`` simulated seconds."""
         return Timeout(self, delay, value)
-
-    def event(self) -> Event:
-        """Return a fresh, untriggered event."""
-        return Event(self)
 
     def process(self, generator: Generator) -> Process:
         """Spawn *generator* as a simulation process and return its handle."""
@@ -285,8 +257,8 @@ class Engine:
         the run ends because of the deadline (even if the queue still holds
         later events); without one, the clock stays where the last event
         put it. An unhandled failure in any process propagates out of
-        this call. A run ended by :meth:`stop` / :meth:`request_stop` may
-        leave events of the current instant queued for the next run.
+        this call. A run ended by :meth:`request_stop` may leave events
+        of the current instant queued for the next run.
         """
         if until is not None:
             until = float(until)
@@ -300,59 +272,49 @@ class Engine:
         now = self.now
         deadline = float("inf") if until is None else until
         call = tuple
-        try:
-            while nowq or heap:
-                if self._stop_requested:
-                    return
-                if nowq:
-                    # Heap entries stamped `now` precede the now-queue.
-                    if heap and heap[0][0] == now:
-                        event = _heappop(heap)[2]
-                    else:
-                        event = popleft()
+        while nowq or heap:
+            if self._stop_requested:
+                return
+            if nowq:
+                # Heap entries stamped `now` precede the now-queue.
+                if heap and heap[0][0] == now:
+                    event = _heappop(heap)[2]
                 else:
-                    if heap[0][0] > deadline:
-                        # Works on a dead head too: every live entry is
-                        # at or beyond it, hence also past the deadline.
-                        self.now = until
-                        return
-                    when, _seq, event = _heappop(heap)
-                    if event.__class__ is call or not event._cancelled:
-                        now = self.now = when
-                if event.__class__ is call:
-                    event[0](event[1])
-                    continue
-                if event._cancelled:
-                    self._buried()
-                    continue
-                # Event._fire written out, one call less per event;
-                # step() fires through Event._fire, and a test holds
-                # the two to the same outcome.
-                if event._value is _PENDING:
-                    event._ok = True
-                    event._value = getattr(event, "_default_value", None)
-                event._processed = True
-                callbacks, event.callbacks = event.callbacks, []
-                for cb in callbacks:
-                    if cb is not None:  # None = detached slot
-                        cb(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-        except StopSimulation:
-            return
+                    event = popleft()
+            else:
+                if heap[0][0] > deadline:
+                    # Works on a dead head too: every live entry is
+                    # at or beyond it, hence also past the deadline.
+                    self.now = until
+                    return
+                when, _seq, event = _heappop(heap)
+                if event.__class__ is call or not event._cancelled:
+                    now = self.now = when
+            if event.__class__ is call:
+                event[0](event[1])
+                continue
+            if event._cancelled:
+                self._buried()
+                continue
+            # Event._fire written out, one call less per event;
+            # step() fires through Event._fire, and a test holds
+            # the two to the same outcome.
+            if event._value is _PENDING:
+                event._ok = True
+                event._value = getattr(event, "_default_value", None)
+            event._processed = True
+            callbacks, event.callbacks = event.callbacks, []
+            for cb in callbacks:
+                if cb is not None:  # None = detached slot
+                    cb(event)
+            if not event._ok and not event._defused:
+                raise event._value
         if until is not None:
             self.now = until
 
-    def stop(self) -> None:
-        """Stop the current :meth:`run` immediately (from inside a callback)."""
-        raise StopSimulation()
-
     def request_stop(self) -> None:
-        """Stop :meth:`run` after the current event finishes processing.
-
-        Safe to call from inside a process (unlike :meth:`stop`, which
-        unwinds via an exception and would mark the caller failed).
-        """
+        """Stop :meth:`run` after the current entry finishes: the one
+        way to end a run early, safe from inside a process or a call."""
         self._stop_requested = True
 
     # ---------------------------------------------------------------- helpers

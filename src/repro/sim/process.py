@@ -4,7 +4,8 @@ The concurrency primitives of the simulation kernel. A :class:`Process`
 wraps a Python generator: each ``yield`` hands the kernel an
 :class:`Event`, and the process resumes when that event fires. Yielding a
 *failed* event re-raises its exception inside the generator, so ordinary
-``try/except`` works across simulated waits.
+``try/except`` works across simulated waits. Nothing else wakes a
+process.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional
 
-from ..errors import InterruptError, SimulationError
+from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Engine
@@ -60,11 +61,6 @@ class Event:
         return self._processed
 
     @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has marked this event dead."""
-        return self._cancelled
-
-    @property
     def ok(self) -> bool:
         """True if the event succeeded. Only valid once triggered."""
         if not self.triggered:
@@ -83,15 +79,15 @@ class Event:
         """Mark the event successful with *value* and schedule it now."""
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
-        self._ok = True
-        self._value = value
-        # Engine.schedule_at(self, now) written out (the call every hop
-        # of the request path makes): same checks, then straight onto
-        # the now-queue.
+        # Engine._trigger(self) written out (the call every hop of the
+        # request path makes): same checks, then onto the now-queue.
+        # Every check comes first: a refused event keeps no value.
         if self._scheduled:
             raise SimulationError(f"{self!r} already scheduled")
         if self._cancelled:
             raise SimulationError(f"cannot schedule cancelled {self!r}")
+        self._ok = True
+        self._value = value
         self._scheduled = True
         engine = self.engine
         engine._seq += 1
@@ -104,9 +100,9 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exception!r}")
+        self.engine._trigger(self)  # checks first: a refused one keeps no value
         self._ok = False
         self._value = exception
-        self.engine.schedule(self)
         return self
 
     def defuse(self) -> None:
@@ -181,8 +177,8 @@ class Timeout(Event):
     __slots__ = ("delay", "_default_value")
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None):
-        # Event.__init__ and Engine.schedule_at written out: the same
-        # checks and fields, two calls less per timer.
+        # Event.__init__ and the engine's queueing written out: the
+        # same checks and fields, two calls less per timer.
         self.delay = float(delay)
         # Negated so that NaN, which compares false both ways, fails too.
         if not delay >= 0:
@@ -222,95 +218,60 @@ class Process(Event):
     processes may therefore ``yield`` a process to join it.
     """
 
-    __slots__ = ("_generator", "_target", "_target_slot")
+    __slots__ = ("_generator",)
 
     def __init__(self, engine: "Engine", generator: Generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"not a generator: {generator!r}")
         super().__init__(engine)
         self._generator = generator
-        self._target: Optional[Event] = None
-        self._target_slot = -1
         engine.schedule_call(engine.now, (self._resume, _STARTED))
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
 
     @property
     def name(self) -> str:
         return getattr(self._generator, "__name__", "process")
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`InterruptError` inside the process at its next resume.
-
-        Interrupting a finished process is an error; interrupting a process
-        blocked on an event detaches it from that event first.
-        """
-        if self.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._target is not None:
-            # O(1): null out our slot instead of scanning the (possibly
-            # thousands-long) callback list of a contended event.
-            self._target.detach(self._target_slot)
-            self._target = None
-        ev = Event(self.engine)
-        ev.callbacks.append(self._resume)
-        ev._ok = False
-        ev._value = InterruptError(cause)
-        ev._defused = True  # the process handles it (or dies), not the kernel
-        self.engine.schedule(ev)
-
     # ------------------------------------------------------------- internal
     def _resume(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            # Already finished: a stale wakeup (e.g. an interrupt racing
-            # the generator's own final return) must not re-drive the
-            # exhausted generator or re-schedule the process event.
-            return
+        """Drive the generator with *event*'s outcome until it waits on
+        an event that has not fired, or ends.
+
+        Each resume answers one wait: the start call, queued once, or
+        the one callback appended to the event the generator waits on
+        (an event runs its callbacks once, and nothing detaches this
+        one). A finished process waits on nothing, so nothing resumes
+        it again.
+        """
         engine = self.engine
         generator = self._generator
-        prev, engine._active_process = engine._active_process, self
-        try:
-            while True:
-                try:
-                    if event._ok:
-                        target = generator.send(event._value)
-                    else:
-                        event._defused = True
-                        target = generator.throw(event._value)
-                    while not isinstance(target, Event):
-                        # What the generator yields after catching this
-                        # is its next target, checked the same way.
-                        target = generator.throw(SimulationError(
-                            f"process {self.name!r} yielded a non-event: "
-                            f"{target!r}"))
-                except StopIteration as stop:
-                    self._ok = True
-                    self._value = stop.value
-                    engine.schedule(self)
-                    return
-                except BaseException as exc:
-                    self._ok = False
-                    self._value = exc
-                    engine.schedule(self)
-                    return
-
-                if target._processed:
-                    # Already fired: resume synchronously with its value.
-                    event = target
-                    continue
-                # Event.attach written out (the slot is what it returns).
-                callbacks = target.callbacks
-                self._target_slot = len(callbacks)
-                callbacks.append(self._resume)
-                self._target = target
+        while True:
+            try:
+                if event._ok:
+                    target = generator.send(event._value)
+                else:
+                    event._defused = True
+                    target = generator.throw(event._value)
+                while not isinstance(target, Event):
+                    # What the generator yields after catching this
+                    # is its next target, checked the same way.
+                    target = generator.throw(SimulationError(
+                        f"process {self.name!r} yielded a non-event: "
+                        f"{target!r}"))
+            except StopIteration as stop:
+                self._ok = True
+                self._value = stop.value
+                engine._trigger(self)
                 return
-        finally:
-            engine._active_process = prev
-            if self._target is not None and self._target._processed:
-                self._target = None
+            except BaseException as exc:
+                self._ok = False
+                self._value = exc
+                engine._trigger(self)
+                return
+            if not target._processed:
+                target.callbacks.append(self._resume)
+                return
+            # Already fired: resume synchronously with its value.
+            event = target
 
 
 class AllOf(Event):

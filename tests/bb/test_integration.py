@@ -76,6 +76,33 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ClientConfig(**kw)
 
+    @pytest.mark.parametrize("kw", [
+        dict(n_servers=2.5), dict(n_servers=_NAN), dict(n_servers=2.0),
+        dict(stripe_count=1.5), dict(stripe_count=_NAN),
+        dict(stripe_size=1.5), dict(stripe_size=_NAN)])
+    def test_cluster_config_rejects_counts_range_cannot_take(self, kw):
+        # Each of these used to pass, then Cluster(...) died with a bare
+        # TypeError from range() (or striped at a fractional size).
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ClusterConfig(**kw)
+
+    def test_cluster_counts_of_any_integer_type_build(self):
+        cluster = Cluster(ClusterConfig(n_servers=np.int64(3),
+                                        stripe_count=np.int32(2),
+                                        stripe_size=np.int64(MiB)))
+        assert len(cluster.servers) == 3
+
+    @pytest.mark.parametrize("retries", [_NAN, 1.5, 2.0])
+    def test_client_config_rejects_a_retry_budget_that_is_no_count(
+            self, retries):
+        # NaN used to mean no retry at all and 1.5 two retries.
+        with pytest.raises(ConfigError, match="rpc_retries must be an integer"):
+            ClientConfig(rpc_retries=retries)
+
+    @pytest.mark.parametrize("retries", [-1, 0, 3, np.int64(2)])
+    def test_client_config_takes_any_integer_retry_budget(self, retries):
+        assert ClientConfig(rpc_retries=retries).rpc_retries == retries
+
 
 class TestDataPath:
     def test_write_then_read_roundtrip_accounting(self):
@@ -268,6 +295,72 @@ class TestJobLifecycle:
         server = next(iter(cluster.servers.values()))
         assert not server.monitor.table.is_active(7)
         assert server.pool.mapped_clients == []
+
+
+class TestHeartbeats:
+    """A client beats every ``heartbeat_interval`` from its first
+    registration on, to every server it has registered with, and
+    stops for good when it leaves."""
+
+    INTERVAL = 0.25
+
+    def _client(self):
+        cluster = Cluster(ClusterConfig(
+            n_servers=2, client=ClientConfig(heartbeat_interval=self.INTERVAL)))
+        client = cluster.add_client(job(7))
+        engine = cluster.engine
+        log = {"register": [], "heartbeat": []}
+        send = client._control
+
+        def control(server, kind):
+            call = send(server, kind)
+            if kind == "register":   # the reply's instant
+                call.callbacks.append(
+                    lambda _ev: log[kind].append(engine.now))
+            elif kind == "heartbeat":
+                log[kind].append((engine.now, server))
+            return call
+
+        client._control = control
+        return cluster, client, log
+
+    def test_beats_every_interval_from_the_first_registration(self):
+        cluster, client, log = self._client()
+        cluster.engine.process(client.register_all())
+        cluster.run(until=1.1)
+        first = log["register"][0]
+        assert len(log["register"]) == 2 and first > 0
+        expected, t = [], first
+        for _ in range(4):      # 0.25 .. 1.0 after the first reply
+            t += self.INTERVAL
+            expected += [(t, "bb0"), (t, "bb1")]
+        assert log["heartbeat"] == expected
+
+    @pytest.mark.parametrize("leave", ["goodbye", "disconnect"])
+    def test_no_beat_after_leaving_and_the_timer_is_cancelled(self, leave):
+        cluster, client, log = self._client()
+        engine = cluster.engine
+        left = []
+
+        def app():
+            yield from client.register_all()
+            yield engine.timeout(0.6)
+            timer = client._beat_timer
+            left.append((engine.now, timer))
+            if leave == "goodbye":
+                yield from client.goodbye()
+            else:
+                client.disconnect()
+
+        engine.process(app())
+        cluster.run(until=3.0)
+        (t_left, timer), = left
+        assert timer._cancelled and not timer.processed
+        assert client._beat_timer is None
+        assert [t for t, _ in log["heartbeat"]] == [
+            pytest.approx(log["register"][0] + k * self.INTERVAL)
+            for k in (1, 1, 2, 2)]
+        assert all(t < t_left for t, _ in log["heartbeat"])
 
 
 class TestSharing:

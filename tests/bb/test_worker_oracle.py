@@ -4,7 +4,9 @@
 worker loop as it ran before, one generator :class:`Process` per
 worker: it parks on a fresh work or restart ``Event``, sleeps through
 the device time and the throttle retry on a ``Timeout``, and waits for a
-lock on an ``Event`` it hands the lock table. Patched in for the call
+lock on an ``Event`` that the worker, the lock table's waiter, succeeds
+when woken (the table keys a waiter by the lock owner, so the worker
+registers itself as before). Patched in for the call
 worker, it must reproduce each cell's sampler records, final clock,
 served bytes, queue entry count, per-worker counters and fault counters
 bit for bit: each of those Events becomes one call at the same instant
@@ -136,8 +138,9 @@ def reference_acquire_locks(worker, request):
                 inode.ino, request.offset, request.size, worker):
             worker.lock_waits += 1
             released = Event(engine)
-            node.range_locks.wait(inode.ino, released, request.offset,
-                                  request.size, owner=worker)
+            worker.succeed = released.succeed
+            node.range_locks.wait(inode.ino, worker, request.offset,
+                                  request.size)
             yield released
     elif request.op in (OpType.OPEN, OpType.UNLINK):
         parent = server.fs.lookup(request.path.rsplit("/", 1)[0] or "/")
@@ -147,7 +150,8 @@ def reference_acquire_locks(worker, request):
         while not node.meta_locks.try_lock(parent.ino, worker):
             worker.lock_waits += 1
             released = Event(engine)
-            node.meta_locks.wait(parent.ino, released, owner=worker)
+            worker.succeed = released.succeed
+            node.meta_locks.wait(parent.ino, worker)
             yield released
 
 

@@ -51,7 +51,8 @@ class TestRangeLocks:
 
 
 class _Waiter:
-    """Stand-in for a sim Event: records wake order."""
+    """Stand-in for a waiting lock owner (an ``IOWorker``): records
+    wake order."""
 
     log = None  # shared per-test list, set by the test
 
@@ -117,7 +118,8 @@ class TestWaiterQueues:
         t.wait(7, w)
         assert t.unlock_if_held(7, "owner")
         assert w.woken
-        assert t.try_lock(7, "w")  # lock is free for the woken waiter
+        assert t.try_lock(7, w)  # lock is free for the woken waiter
+        assert t.waiters(7) == 0
 
 
 class TestRangeScopedWake:
@@ -133,12 +135,11 @@ class TestRangeScopedWake:
         """Holder on [0, 8K); ranged, unranged, and wide waiters parked."""
         t = RangeLockTable()
         t.try_lock_write(1, 0, 8 * self.KB, "holder")
-        t.wait(1, _Waiter("in-range"), offset=4 * self.KB,
-               length=self.KB, owner="in-range")
+        t.wait(1, _Waiter("in-range"), offset=4 * self.KB, length=self.KB)
         t.wait(1, _Waiter("out-of-range"), offset=64 * self.KB,
-               length=self.KB, owner="out-of-range")
-        t.wait(1, _Waiter("unranged"), owner="unranged")
-        t.wait(1, _Waiter("wide"), offset=0, length=1 << 22, owner="wide")
+               length=self.KB)
+        t.wait(1, _Waiter("unranged"))
+        t.wait(1, _Waiter("wide"), offset=0, length=1 << 22)
         return t
 
     def test_release_wakes_overlapping_and_unranged_in_fifo_order(self):
@@ -151,17 +152,18 @@ class TestRangeScopedWake:
         t = RangeLockTable()
         t.try_lock_write(1, 0, self.KB, "holder")
         w = _Waiter("w")
-        t.wait(1, w, offset=512 * self.KB, length=self.KB, owner="w")
+        t.wait(1, w, offset=512 * self.KB, length=self.KB)
         # Re-arm onto the held range: the wake-up must follow the move.
-        t.wait(1, w, offset=0, length=self.KB, owner="w")
+        t.wait(1, w, offset=0, length=self.KB)
         t.unlock_write(1, "holder")
         assert _Waiter.log == ["w"]
 
     def test_acquisition_discards_the_waiter_entry(self):
         t = RangeLockTable()
         t.try_lock_write(1, 0, self.KB, "holder")
-        t.wait(1, _Waiter("w"), offset=0, length=self.KB, owner="w")
-        assert t.try_lock_write(1, 4 * self.KB, self.KB, "w")
+        w = _Waiter("w")
+        t.wait(1, w, offset=0, length=self.KB)
+        assert t.try_lock_write(1, 4 * self.KB, self.KB, w)
         assert t.waiters(1) == 0
         t.unlock_write(1, "holder")
         assert _Waiter.log == []  # discarded entry never wakes
@@ -172,7 +174,7 @@ class TestRangeScopedWake:
         assert t._waiters == {}
         # The table keeps working after the crash path.
         t.try_lock_write(1, 0, self.KB, "h2")
-        t.wait(1, _Waiter("again"), offset=0, length=self.KB, owner="again")
+        t.wait(1, _Waiter("again"), offset=0, length=self.KB)
         _Waiter.log = []
         t.unlock_write(1, "h2")
         assert _Waiter.log == ["again"]
@@ -188,28 +190,29 @@ class TestRangeScopedWake:
         freed its range, once, in queue order."""
         K = 64 * self.KB
         t = RangeLockTable()
+        w0, w1, w2, w3 = (_Waiter(f"W{i}") for i in range(4))
         assert t.try_lock_write(1, 0, K, "A")
         assert t.try_lock_write(1, K, K, "B")
-        t.wait(1, _Waiter("W1"), offset=K, length=K, owner="W1")
-        t.wait(1, _Waiter("W2"), offset=K, length=K, owner="W2")
-        t.wait(1, _Waiter("W0"), offset=0, length=K, owner="W0")
+        t.wait(1, w1, offset=K, length=K)
+        t.wait(1, w2, offset=K, length=K)
+        t.wait(1, w0, offset=0, length=K)
         # Two releases land before any woken waiter gets to retry.
         t.unlock_write(1, "A")
         assert _Waiter.log == ["W0"]
         t.unlock_write(1, "B")
         assert _Waiter.log == ["W0", "W1", "W2"]
         # Retries run in wake order: W1 takes B's range, W2 loses...
-        assert t.try_lock_write(1, 0, K, "W0")
-        assert t.try_lock_write(1, K, K, "W1")
-        assert not t.try_lock_write(1, K, K, "W2")
+        assert t.try_lock_write(1, 0, K, w0)
+        assert t.try_lock_write(1, K, K, w1)
+        assert not t.try_lock_write(1, K, K, w2)
         # ...re-arms in place, and stays ahead of a later arrival.
-        t.wait(1, _Waiter("W2"), offset=K, length=K, owner="W2")
-        t.wait(1, _Waiter("W3"), offset=K, length=K, owner="W3")
+        t.wait(1, w2, offset=K, length=K)
+        t.wait(1, w3, offset=K, length=K)
         _Waiter.log = []
-        t.unlock_write(1, "W1")
+        t.unlock_write(1, w1)
         assert _Waiter.log == ["W2", "W3"]
         # No armed waiter is left without a conflicting holder.
-        assert t.try_lock_write(1, K, K, "W2")
+        assert t.try_lock_write(1, K, K, w2)
         assert t.waiters(1) == 0 and t.write_locks_held(1) == 2
 
 

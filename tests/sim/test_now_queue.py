@@ -4,8 +4,8 @@
 the heap. :class:`HeapOnlyEngine` is the loop it replaced — every entry a
 ``(time, seq, entry)`` tuple through one binary heap — kept here, and only
 here, as the reference. An entry is an event or a ``(fn, arg)`` call.
-Random programs of nested events (timed, zero-delay, cancelled), calls,
-process starts and stops are interpreted on both; the firing sequence,
+Random programs of nested events (timers, zero-delay triggers, failures,
+cancellations), calls, process starts and stops are interpreted on both; the firing sequence,
 the clock and ``stats()`` must agree after every command. Driven by
 ``run`` or by ``step`` alone, the engine must end alike, and no
 compaction may lose a call.
@@ -17,7 +17,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError, StopSimulation
+from repro.errors import SimulationError
 from repro.sim import Engine
 from repro.sim import engine as engine_module
 from repro.sim.process import Event
@@ -43,17 +43,6 @@ class HeapOnlyEngine(Engine):
     def __init__(self, start=0.0):
         super().__init__(start)
         self._nowq = _ViaHeap(self)
-
-    def schedule_at(self, event, when):
-        if when < self.now:
-            raise SimulationError("in the past")
-        if event._scheduled:
-            raise SimulationError("already scheduled")
-        if event._cancelled:
-            raise SimulationError("cancelled")
-        event._scheduled = True
-        heapq.heappush(self._heap, (when, self._seq, event))
-        self._seq += 1
 
     def schedule_call(self, when, entry):
         if when < self.now:
@@ -109,27 +98,28 @@ class HeapOnlyEngine(Engine):
     def run(self, until=None):
         self._stop_requested = False
         heap = self._heap
-        try:
-            while heap:
-                if self._stop_requested:
-                    return
-                if until is not None and heap[0][0] > until:
-                    self.now = until
-                    return
-                when, _seq, entry = heapq.heappop(heap)
-                if not self._fire(when, entry):
-                    self._bury()
-        except StopSimulation:
-            return
+        while heap:
+            if self._stop_requested:
+                return
+            if until is not None and heap[0][0] > until:
+                self.now = until
+                return
+            when, _seq, entry = heapq.heappop(heap)
+            if not self._fire(when, entry):
+                self._bury()
         if until is not None:
             self.now = until
 
 
 # A program is a flat list of ops; every event, call or process start
 # that fires executes the next `fanout` of them (a shared cursor,
-# wrapping), so schedules nest until MAX_EVENTS entries have been made. Delays reach equal floats by
-# different sums (0.15 + 0.15 and 0.1 + 0.2 against 0.3; 0.25 + 0.25
-# against 0.5).
+# wrapping), so schedules nest until MAX_EVENTS entries have been made.
+# Only timers and calls carry a time: "succeed", "fail" and a process's
+# end trigger at the current instant, and a zero-delay timer (its own
+# op, so that enough now-queue entries can be cancelled to compact)
+# queues there too. Delays reach equal floats by different sums
+# (0.15 + 0.15 and 0.1 + 0.2 against 0.3; 0.25 + 0.25 against 0.5);
+# "timer_at" turns an absolute time back into a delay from now.
 MAX_EVENTS = 150
 DELAYS = [0.0, 1e-9, 0.1, 0.15, 0.2, 0.25, 0.3, 0.5]
 ABSOLUTE = [0.3, 0.5, 0.6, 1.0]
@@ -137,17 +127,17 @@ ABSOLUTE = [0.3, 0.5, 0.6, 1.0]
 ops = st.lists(
     st.one_of(
         st.tuples(st.just("succeed"), st.integers(0, 3), st.just(0)),
-        st.tuples(st.just("at_now"), st.integers(0, 3), st.just(0)),
-        st.tuples(st.sampled_from(["timeout", "timer", "call"]),
+        st.tuples(st.just("timer"), st.integers(0, 3), st.just(0.0)),
+        st.tuples(st.just("fail"), st.integers(0, 3), st.just(0)),
+        st.tuples(st.sampled_from(["timer", "call"]),
                   st.integers(0, 3), st.sampled_from(DELAYS)),
-        st.tuples(st.sampled_from(["at", "call_at"]), st.integers(0, 3),
-                  st.sampled_from(ABSOLUTE)),
+        st.tuples(st.sampled_from(["timer_at", "call_at"]),
+                  st.integers(0, 3), st.sampled_from(ABSOLUTE)),
         st.tuples(st.just("process"), st.integers(0, 3), st.just(0)),
         st.tuples(st.just("cancel"), st.integers(0, 50), st.just(0)),
         st.tuples(st.just("doomed"), st.integers(1, 8),
                   st.sampled_from(DELAYS)),
-        st.tuples(st.sampled_from(["request_stop", "stop"]), st.just(0),
-                  st.just(0)),
+        st.tuples(st.just("request_stop"), st.just(0), st.just(0)),
     ), min_size=1, max_size=30)
 
 commands = st.lists(
@@ -187,17 +177,19 @@ class Interpreter:
         if kind == "process":
             engine.process(self.started(ident, fanout))
             return
-        event = engine.timeout(arg) if kind == "timer" else Event(engine)
+        if kind == "timer":
+            event = engine.timeout(arg)
+        elif kind == "timer_at":
+            event = engine.timeout(max(arg - engine.now, 0.0))
+        else:
+            event = Event(engine)
         self.events.append(event)
         event.callbacks.append(lambda _ev: self.fired(ident, fanout))
         if kind == "succeed":
             event.succeed()
-        elif kind == "at_now":
-            engine.schedule_at(event, engine.now)
-        elif kind == "timeout":
-            engine.schedule(event, arg)
-        elif kind == "at":
-            engine.schedule_at(event, max(arg, engine.now))
+        elif kind == "fail":
+            event.defuse()
+            event.fail(RuntimeError(ident))
 
     def called(self, arg):
         ident, fanout = arg
@@ -229,8 +221,6 @@ class Interpreter:
                     engine.timeout(b).cancel()
             elif kind == "request_stop":
                 engine.request_stop()
-            elif kind == "stop":
-                engine.stop()
             else:
                 self.spawn(kind, a, b)
 
@@ -245,8 +235,6 @@ class Interpreter:
         else:
             try:
                 engine.step()
-            except StopSimulation:
-                self.log.append("stopped in step")
             except SimulationError:
                 self.log.append("nothing to step")
 
@@ -291,8 +279,7 @@ def test_run_and_step_alone_end_alike(program, roots):
         while stepped.log[-1:] != ["nothing to step"]:
             stepped.command("step", 0.0)
         stepped.log.pop()
-        fired = [e for e in stepped.log if e != "stopped in step"]
-        assert fired == ran.log
+        assert stepped.log == ran.log
         assert stepped.engine.stats() == ran.engine.stats()
         assert_every_call_ran_once(ran)
         assert_every_call_ran_once(stepped)
@@ -305,7 +292,7 @@ def test_heap_entries_stamped_now_fire_before_the_now_queue():
     def at_one(_ev):
         # Scheduled *at* t = 1, so behind b, which was scheduled for
         # t = 1 while the clock was still 0.
-        eng.event().succeed().callbacks.append(lambda _e: order.append("c"))
+        Event(eng).succeed().callbacks.append(lambda _e: order.append("c"))
         order.append("a")
 
     eng.timeout(1.0).callbacks.append(at_one)
@@ -317,9 +304,9 @@ def test_heap_entries_stamped_now_fire_before_the_now_queue():
 def test_stop_leaves_the_instants_events_for_the_next_run():
     eng = Engine()
     fired = []
-    first = eng.event().succeed()
+    first = Event(eng).succeed()
     first.callbacks.append(lambda _e: eng.request_stop())
-    eng.event().succeed().callbacks.append(lambda _e: fired.append(eng.now))
+    Event(eng).succeed().callbacks.append(lambda _e: fired.append(eng.now))
     eng.run(until=5.0)
     assert fired == [] and eng.now == 0.0
     assert eng.stats()["pending"] == 1 and eng.peek() == 0.0

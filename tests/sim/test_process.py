@@ -1,9 +1,9 @@
-"""Tests for events, processes, interrupts, and composite conditions."""
+"""Tests for events, processes, and composite conditions."""
 
 import pytest
 
-from repro.errors import InterruptError, SimulationError
-from repro.sim import Engine
+from repro.errors import SimulationError
+from repro.sim import Engine, Event
 
 
 @pytest.fixture
@@ -19,7 +19,7 @@ class TestEvent:
             value = yield ev
             got.append(value)
 
-        ev = eng.event()
+        ev = Event(eng)
 
         def trigger():
             yield eng.timeout(1.0)
@@ -31,7 +31,7 @@ class TestEvent:
         assert got == ["payload"]
 
     def test_double_succeed_raises(self, eng):
-        ev = eng.event()
+        ev = Event(eng)
         ev.succeed(1)
         with pytest.raises(SimulationError):
             ev.succeed(2)
@@ -45,31 +45,31 @@ class TestEvent:
             except RuntimeError as exc:
                 caught.append(str(exc))
 
-        ev = eng.event()
+        ev = Event(eng)
         eng.process(proc())
         ev.fail(RuntimeError("broken"))
         eng.run()
         assert caught == ["broken"]
 
     def test_fail_needs_exception(self, eng):
-        ev = eng.event()
+        ev = Event(eng)
         with pytest.raises(SimulationError):
             ev.fail("not an exception")
 
     def test_unwaited_failure_propagates_unless_defused(self, eng):
-        ev = eng.event()
+        ev = Event(eng)
         ev.fail(RuntimeError("nobody listening"))
         with pytest.raises(RuntimeError):
             eng.run()
 
         eng2 = Engine()
-        ev2 = eng2.event()
+        ev2 = Event(eng2)
         ev2.fail(RuntimeError("quiet"))
         ev2.defuse()
         eng2.run()  # no raise
 
     def test_value_before_trigger_raises(self, eng):
-        ev = eng.event()
+        ev = Event(eng)
         with pytest.raises(SimulationError):
             _ = ev.value
         with pytest.raises(SimulationError):
@@ -134,63 +134,6 @@ class TestProcess:
         assert trail == ["42", "'x'"]
         assert p.ok and p.value == "done" and eng.now == 2.0
 
-    def test_is_alive_lifecycle(self, eng):
-        def proc():
-            yield eng.timeout(1.0)
-
-        p = eng.process(proc())
-        assert p.is_alive
-        eng.run()
-        assert not p.is_alive
-        assert p.ok
-
-    def test_interrupt_wakes_blocked_process(self, eng):
-        trail = []
-
-        def victim():
-            try:
-                yield eng.timeout(100.0)
-            except InterruptError as exc:
-                trail.append((eng.now, exc.cause))
-
-        def attacker(p):
-            yield eng.timeout(1.0)
-            p.interrupt(cause="reason")
-
-        p = eng.process(victim())
-        eng.process(attacker(p))
-        eng.run()
-        assert trail == [(pytest.approx(1.0), "reason")]
-
-    def test_interrupt_finished_process_raises(self, eng):
-        def quick():
-            yield eng.timeout(0.1)
-
-        p = eng.process(quick())
-        eng.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_interrupted_process_can_continue(self, eng):
-        trail = []
-
-        def victim():
-            try:
-                yield eng.timeout(100.0)
-            except InterruptError:
-                pass
-            yield eng.timeout(1.0)
-            trail.append(eng.now)
-
-        def attacker(p):
-            yield eng.timeout(2.0)
-            p.interrupt()
-
-        p = eng.process(victim())
-        eng.process(attacker(p))
-        eng.run()
-        assert trail == [pytest.approx(3.0)]
-
     def test_process_failure_joins_as_exception(self, eng):
         caught = []
 
@@ -238,7 +181,7 @@ class TestConditions:
 
     def test_all_of_propagates_failure(self, eng):
         caught = []
-        bad = eng.event()
+        bad = Event(eng)
 
         def proc():
             try:

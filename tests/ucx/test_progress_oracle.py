@@ -146,7 +146,7 @@ def run(context_class, plan, latency):
                                 other))
         elif action == "event":
             tag = next(extra)
-            eng.event().succeed().callbacks.append(
+            Event(eng).succeed().callbacks.append(
                 lambda _ev: log.append((eng.now, "event", tag, "")))
         elif action == "close-self":
             worker.close()
